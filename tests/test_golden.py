@@ -1,0 +1,135 @@
+"""Byte-level guard on the certificate constructions.
+
+Each case serializes what one construction produces on a fixed input
+and compares its SHA-256 with a value recorded from an earlier build.
+Acceptance item 9 checks that two runs in one process agree; this
+checks that a change to the constructions keeps the exact bytes.
+"""
+
+import hashlib
+
+import pytest
+
+from implres.circuits import Circuit, Gate, serialize_circuit
+from implres.cli import main
+from implres.correctness import gen_correct
+from implres.families import (
+    not_search,
+    php,
+    tm_halt,
+    tm_right_writer,
+    tm_write_stay,
+    tseitin_cycle,
+)
+from implres.formulas import serialize_dimacs
+from implres.proofs import ERProof, serialize_proof
+from implres.prover import dpll_refute, proof_from_tree
+from implres.tableau import encode_tau, gen_tableau, graft_pq, refute_tableau, serialize_tm
+from implres.translate import er_to_implicit, search_translate
+
+GOLDEN = {
+    "er_to_implicit-tseitin4":
+        "0a702c84ee7d57a6aa577343081a5726f233fd497387724d153434b9206bfd89",
+    "er_to_implicit-php32":
+        "253c635cb8af00e6ec33c53cf2314eec75000f2118fd786ccbd41eff28c30369",
+    "graft_pq-tm_halt-plain":
+        "f50e53e5067625bcd3155f34dd1fffdee7586185ea93e06b98ad772c7bb8ea37",
+    "graft_pq-tm_halt-spurious":
+        "115c24d69da7e700a62201a766b6a2105d225e87a11e03959ffec6a4b84ec6da",
+    "graft_pq-tm_write_stay-plain":
+        "a361fc6f7226bf9635090c59f126ca7e802749db5ca24594f072d53156a11de5",
+    "graft_pq-tm_write_stay-spurious":
+        "6dd4578f29c6ee7b0b1c5a030771c0375166ac048edb85a12541a8fb89c6d40e",
+    "graft_pq-tm_right_writer-plain":
+        "30d166fd236579578db52a920149f28f77fca28f1cbf2e1e7aaf5db17be1a25e",
+    "graft_pq-tm_right_writer-spurious":
+        "7e805073a99ca2d3b0b10311bd8f59c75efb343f86aad04fb013a8c0a77b055c",
+    "search_translate-not4":
+        "8977019480e490d341ae9617802ded692f8fbea57eac46ead57effb29d8cebcf",
+    "search_translate-not6":
+        "c6857759190022a00f00b35d3ab8c3f8873041faa9dd7f4a7bdf0175e9a18bd8",
+    "cli-synth-tseitin4":
+        "80482e2f17ce0aa4faa8403c8eb21ada1de173753d99e1b1d19b76a1db25c0a8",
+    "cli-tableau-gen-tm_halt":
+        "9c6c834e8fac034c9561a897dba5bd68720bd184e5fcb865222c927d0877e685",
+    "cli-tableau-gen-tm_write_stay":
+        "52d0c4d7bf871f9c1fb2447ce09078d7df32f5f19513adf76530c3ebef8b6b1f",
+    "cli-tableau-gen-tm_right_writer":
+        "8bd8c8870a36d4786c072f8b65cfc99f4f0cc30f4618494587f8acb3c3f707e5",
+}
+
+EMPTY = Circuit((), (), ())
+FIXTURES = {f.__name__: f for f in (tm_halt, tm_write_stay, tm_right_writer)}
+
+
+def er_to_implicit_text(omega):
+    pi = ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree))
+    ir = er_to_implicit(omega, pi)
+    return (serialize_circuit(ir.beta) + serialize_proof(ir.alpha, ir.alpha_premises)
+            + f"{ir.alpha_premises}\n")
+
+
+def graft_pq_text(fixture, spurious):
+    tm, tau, beta, iface = FIXTURES[fixture]()
+    bundle = gen_tableau(tm, tau, beta, iface)
+    alpha = refute_tableau(bundle)
+    # the spurious gate is the one acceptance item 8 grafts
+    aux = Circuit((1,), (Gate(bundle.clauses.n + 1, (1, -1)),), ()) if spurious else EMPTY
+    tr = graft_pq(tm, tau, beta, iface, ERProof(aux, alpha))
+    return serialize_circuit(tr.beta) + serialize_proof(tr.alpha, tr.alpha_premises)
+
+
+def search_translate_text(n):
+    sp = not_search(n)
+    correct = gen_correct(sp)
+    tree = dpll_refute(correct, order=tuple(range(1, correct.n + 1))).tree
+    ts = search_translate(sp, ERProof(EMPTY, proof_from_tree(correct, tree)))
+    return (serialize_circuit(ts.problem.algorithm)
+            + serialize_proof(ts.rho, len(gen_correct(ts.problem).clauses))
+            + f"{ts.delta_prime}\n")
+
+
+def synth_text(tmp_path):
+    cnf = tmp_path / "omega.cnf"
+    cnf.write_text(serialize_dimacs(tseitin_cycle(4)))
+    work, out = tmp_path / "work", tmp_path / "synth"
+    assert main(["prove", str(cnf), "-o", str(work)]) == 0
+    assert main(["encode", str(work / "omega.dtree"), str(cnf), "-o", str(work)]) == 0
+    assert main(["synth", str(cnf), str(work / "omega.circ"), "-o", str(out)]) == 0
+    return "".join((out / f"omega.{ext}").read_text()
+                   for ext in ("manifest", "cnf", "circ", "rproof"))
+
+
+def tableau_gen_text(fixture, tmp_path):
+    tm, tau, beta, _ = FIXTURES[fixture]()
+    tm_path, circ_path = tmp_path / "m.tm", tmp_path / "grid.circ"
+    tm_path.write_text(serialize_tm(tm))
+    circ_path.write_text(serialize_circuit(beta))
+    assert main(["tableau-gen", str(tm_path), encode_tau(tau), str(circ_path),
+                 "-o", str(tmp_path)]) == 0
+    return (tmp_path / "grid.gen.cnf").read_text()
+
+
+PRODUCERS = {
+    "er_to_implicit-tseitin4": lambda p: er_to_implicit_text(tseitin_cycle(4)),
+    "er_to_implicit-php32": lambda p: er_to_implicit_text(php(3, 2)),
+    "search_translate-not4": lambda p: search_translate_text(4),
+    "search_translate-not6": lambda p: search_translate_text(6),
+    "cli-synth-tseitin4": synth_text,
+}
+for _name in FIXTURES:
+    for _kind, _spurious in (("plain", False), ("spurious", True)):
+        PRODUCERS[f"graft_pq-{_name}-{_kind}"] = (
+            lambda p, f=_name, s=_spurious: graft_pq_text(f, s))
+    PRODUCERS[f"cli-tableau-gen-{_name}"] = lambda p, f=_name: tableau_gen_text(f, p)
+
+
+def digest(name, tmp_path) -> str:
+    return hashlib.sha256(PRODUCERS[name](tmp_path).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_artifact_bytes_unchanged(name, tmp_path, capsys):
+    got = digest(name, tmp_path)
+    capsys.readouterr()
+    assert got == GOLDEN[name]
