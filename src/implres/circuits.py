@@ -12,7 +12,7 @@ chosen input substitutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .formulas import Clause, ClauseSet, check_literal
 
@@ -76,7 +76,7 @@ class CircuitReport:
         return self.ok
 
 
-def validate_circuit(c: Circuit, fan_in: Optional[int] = None) -> CircuitReport:
+def validate_circuit(c: Circuit) -> CircuitReport:
     """Check all circuit invariants; reports the first violation.
 
     Topological order doubles as the acyclicity check: every body
@@ -92,8 +92,6 @@ def validate_circuit(c: Circuit, fan_in: Optional[int] = None) -> CircuitReport:
     for g in c.gates:
         if g.var in seen:
             return CircuitReport(False, f"variable {g.var} defined twice or shadows a free")
-        if fan_in is not None and len(g.body) > fan_in:
-            return CircuitReport(False, f"gate {g.var} has fan-in {len(g.body)} > {fan_in}")
         for lit in g.body:
             if abs(lit) not in seen:
                 return CircuitReport(
@@ -186,28 +184,6 @@ def map_literal(lit: int, varmap: dict[int, int]) -> int:
     return v if lit > 0 else -v
 
 
-def copy_gates(
-    gates: Sequence[Gate],
-    base_map: dict[int, int],
-    id_for: Callable[[int, Gate], int],
-) -> tuple[tuple[Gate, ...], dict[int, int]]:
-    """Remap a gate sequence; ``id_for(position, gate)`` names each copy.
-
-    Variables not in ``base_map`` and not defined by an earlier gate of
-    the sequence are treated as fixed (mapped to themselves).
-    """
-    varmap = dict(base_map)
-    out = []
-    for idx, g in enumerate(gates):
-        body = tuple(
-            l if abs(l) not in varmap else map_literal(l, varmap) for l in g.body
-        )
-        new_var = id_for(idx, g)
-        varmap[g.var] = new_var
-        out.append(Gate(new_var, body))
-    return tuple(out), varmap
-
-
 def duplicate(
     c: Circuit, subs: Iterable[tuple[int, int]], fresh: VarAlloc
 ) -> tuple[Circuit, dict[int, int]]:
@@ -270,43 +246,71 @@ def check_embedding(c: Circuit, d: Circuit, f: dict[int, int]) -> CircuitReport:
     return CircuitReport(True)
 
 
-def normalize_outputs(c: Circuit, desired: Sequence[int], fresh: VarAlloc) -> Circuit:
-    """Expand ``c`` so its sinks are exactly aliases of ``desired``.
+def check_ports(
+    circuit: Circuit,
+    iface,
+    n_inputs: int,
+    n_outputs: int,
+    extra_free_limit: Optional[int] = None,
+) -> CircuitReport:
+    """Shape check of an interface (``inputs``, ``outputs``) against its
+    circuit: distinct free inputs, distinct gate-defined outputs equal
+    to the circuit's own.  ``extra_free_limit`` admits spare free
+    variables up to that id (grafted circuits carry the carrier set's
+    variables)."""
+    if len(iface.inputs) != n_inputs:
+        return CircuitReport(False, f"expected {n_inputs} inputs, got {len(iface.inputs)}")
+    if len(set(iface.inputs)) != n_inputs:
+        return CircuitReport(False, "duplicate input variables")
+    if len(iface.outputs) != n_outputs:
+        return CircuitReport(False, f"expected {n_outputs} outputs, got {len(iface.outputs)}")
+    if len(set(iface.outputs)) != n_outputs:
+        return CircuitReport(False, "duplicate output variables")
+    frees = set(circuit.free)
+    for v in iface.inputs:
+        if v not in frees:
+            return CircuitReport(False, f"input {v} is not free in the circuit")
+    ext = circuit.extension_vars()
+    for v in iface.outputs:
+        if v not in ext:
+            return CircuitReport(False, f"output {v} is not gate-defined")
+    if tuple(iface.outputs) != tuple(circuit.outputs):
+        return CircuitReport(False, "interface outputs disagree with circuit outputs")
+    extras = frees - set(iface.inputs)
+    if extra_free_limit is None:
+        if extras:
+            return CircuitReport(False, f"unexpected extra free variables {sorted(extras)}")
+    else:
+        bad = [v for v in extras if v > extra_free_limit]
+        if bad:
+            return CircuitReport(False, f"extra free variables {bad} above {extra_free_limit}")
+    return CircuitReport(True)
 
-    Non-sink desired vars get a pass-through alias; leftover sinks are
-    absorbed into the last output through a constant-true gadget so
-    they are no longer sinks.
-    """
-    all_vars = c.variables()
-    for v in desired:
-        if v not in all_vars:
-            raise CircuitError(f"desired output {v} not in circuit")
-    referenced = set()
-    for g in c.gates:
-        referenced.update(abs(l) for l in g.body)
-    sinks = [g.var for g in c.gates if g.var not in referenced]
-    if list(desired) == sinks:
-        return Circuit(c.free, c.gates, tuple(desired))
-    gates = list(c.gates)
-    outs = []
-    for v in desired:
-        if v in referenced or v in outs:
-            alias = fresh.fresh()
-            gates.append(Gate(alias, (v, v)))
-            outs.append(alias)
-        else:
-            outs.append(v)
-        referenced.add(v)
-    leftovers = [g.var for g in c.gates if g.var not in referenced and g.var not in outs]
-    for v in leftovers:
-        if not outs:
-            raise CircuitError("cannot absorb leftover sinks without outputs")
-        top = fresh.fresh()
-        gates.append(Gate(top, (v, -v)))
-        folded = fresh.fresh()
-        gates.append(Gate(folded, (outs[-1], -top)))
-        outs[-1] = folded
-    return Circuit(c.free, tuple(gates), tuple(outs))
+
+def stride_copies(
+    c: Circuit, base: int, ports: Sequence[dict[int, int]]
+) -> tuple[tuple[dict[int, int], ...], list[tuple[Gate, ...]]]:
+    """Copies of ``c`` interleaved on a stride of ``len(ports)``.
+
+    Copy k sends the variables keyed in ``ports[k]`` (inputs and
+    outputs) to their images and the t-th other gate (from 0) to
+    ``base + t * stride + k``; any other free stays in place.  Returns
+    each copy's variable map and gates."""
+    stride = len(ports)
+    inner = [g.var for g in c.gates if g.var not in ports[0]]
+    maps, copies = [], []
+    for k, port in enumerate(ports):
+        varmap = dict(port)
+        for t, v in enumerate(inner):
+            varmap[v] = base + t * stride + k
+        for v in c.free:
+            varmap.setdefault(v, v)
+        maps.append(varmap)
+        copies.append(tuple(
+            Gate(varmap[g.var], tuple(map_literal(l, varmap) for l in g.body))
+            for g in c.gates
+        ))
+    return tuple(maps), copies
 
 
 class CircuitBuilder:

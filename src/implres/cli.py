@@ -50,6 +50,7 @@ from .implicit import (
     save_implicit,
     synthesize_alpha,
     verify_implicit,
+    write_atomic,
 )
 from .proofs import (
     ERProof,
@@ -100,13 +101,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _stem(args) -> str:
     if args.stem:
         return args.stem
@@ -127,10 +121,10 @@ def cmd_prove(args) -> int:
         print(f"satisfiable: {lits}", file=sys.stderr)
         return 1
     tree_path = _out(args, ".dtree")
-    _write(tree_path, serialize_dtree(cs, out.tree))
+    write_atomic(tree_path, serialize_dtree(cs, out.tree))
     proof = proof_from_tree(cs, out.tree)
     proof_path = _out(args, ".rproof")
-    _write(proof_path, serialize_proof(proof, len(cs.clauses)))
+    write_atomic(proof_path, serialize_proof(proof, len(cs.clauses)))
     print(tree_path)
     print(proof_path)
     return 0
@@ -143,7 +137,7 @@ def cmd_encode(args) -> int:
     balanced = balance_tree(tree, tuple(range(1, cs.n + 1)))
     beta, _ = tree_to_circuit(balanced, cs.n)
     path = _out(args, ".circ")
-    _write(path, serialize_circuit(beta))
+    write_atomic(path, serialize_circuit(beta))
     print(path)
     return 0
 
@@ -155,9 +149,9 @@ def cmd_gen_c(args) -> int:
     iface = interface_from_circuit(beta, omega.n)
     bundle = gen_C(omega, beta, iface)
     cnf_path = _out(args, ".gen.cnf")
-    _write(cnf_path, serialize_dimacs(bundle.clauses))
+    write_atomic(cnf_path, serialize_dimacs(bundle.clauses))
     side_path = _out(args, ".sidecar")
-    _write(side_path, serialize_sidecar(bundle))
+    write_atomic(side_path, serialize_sidecar(bundle))
     print(cnf_path)
     print(side_path)
     return 0
@@ -180,7 +174,7 @@ def cmd_synth(args) -> int:
     iface = interface_from_circuit(beta, omega.n)
     bundle = gen_C(omega, beta, iface)
     try:
-        alpha = synthesize_alpha(omega, beta, iface)
+        alpha = synthesize_alpha(bundle)
     except SynthesisFailure as exc:
         raise Reject(f"described tree leaves branch {exc.witness} unrefuted")
     ir = ImplicitRefutation(
@@ -220,10 +214,10 @@ def cmd_translate_search(args) -> int:
     except TranslateError as exc:
         raise Reject(str(exc))
     circ_path = _out(args, ".grown.circ")
-    _write(circ_path, serialize_circuit(ts.problem.algorithm))
+    write_atomic(circ_path, serialize_circuit(ts.problem.algorithm))
     correct2 = gen_correct(ts.problem)
     proof_path = _out(args, ".rho.rproof")
-    _write(proof_path, serialize_proof(ts.rho, len(correct2.clauses)))
+    write_atomic(proof_path, serialize_proof(ts.rho, len(correct2.clauses)))
     print(circ_path)
     print(proof_path)
     print(f"verdict-variable {ts.delta_prime} steps {len(ts.rho.steps)}")
@@ -246,7 +240,7 @@ def cmd_tableau_gen(args) -> int:
     args.inputs0 = args.circ
     bundle = gen_tableau(tm, tau, beta, iface)
     path = _out(args, ".gen.cnf")
-    _write(path, serialize_dimacs(bundle.clauses))
+    write_atomic(path, serialize_dimacs(bundle.clauses))
     print(path)
     return 0
 
@@ -309,7 +303,7 @@ def cmd_bench(args) -> int:
             lines.append(f"{fam:<22}{size:>6}{steps:>9}{base:>8}{steps / base:>8.3f}")
     text = "\n".join(lines) + "\n"
     if args.output:
-        _write(args.output, text)
+        write_atomic(args.output, text)
         print(args.output)
     else:
         sys.stdout.write(text)

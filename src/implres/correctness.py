@@ -30,11 +30,10 @@ from .circuits import (
     Circuit,
     CircuitBuilder,
     CircuitReport,
-    Gate,
     VarAlloc,
     circuit_clauses,
     gate_clauses,
-    map_literal,
+    stride_copies,
 )
 from .encoding import TreeInterface, bit, check_interface, output_width
 from .formulas import Clause, ClauseSet
@@ -42,16 +41,6 @@ from .formulas import Clause, ClauseSet
 
 class CorrectnessError(ValueError):
     pass
-
-
-def _or_chain(b: CircuitBuilder, lits: tuple[int, ...], binary: bool) -> int:
-    """One wide gate, or a left-deep fan-in-2 chain in binary mode."""
-    if not binary or len(lits) <= 2:
-        return b.gate(lits)
-    cur = b.gate(lits[:2])
-    for lit in lits[2:]:
-        cur = b.gate((cur, lit))
-    return cur
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,6 @@ def gen_delta(
     fresh: Optional[VarAlloc] = None,
     x_vars: Optional[tuple[int, ...]] = None,
     y_vars: Optional[tuple[tuple[int, ...], ...]] = None,
-    binary: bool = False,
 ) -> DeltaBundle:
     if omega.n > n:
         raise CorrectnessError(f"clause set over {omega.n} variables, limit {n}")
@@ -111,13 +99,11 @@ def gen_delta(
                     -y_vars[i - 1][m - 1] if bit(m, j) else y_vars[i - 1][m - 1]
                     for m in range(1, width + 1)
                 )
-                s_vars[(i, j, k)] = _or_chain(b, body, binary)
+                s_vars[(i, j, k)] = b.gate(body)
     l_vars: dict[tuple[int, int], int] = {}
     for j in range(1, n + 1):
         for k in (0, 1):
-            l_vars[(j, k)] = _or_chain(
-                b, tuple(-s_vars[(i, j, k)] for i in range(1, n + 1)), binary
-            )
+            l_vars[(j, k)] = b.gate(tuple(-s_vars[(i, j, k)] for i in range(1, n + 1)))
     w_list = []
     for c in omega:
         if not c.literals:
@@ -126,9 +112,9 @@ def gen_delta(
         body = tuple(
             -l_vars[(abs(lit), 1 if lit > 0 else 0)] for lit in c
         )
-        w_list.append(_or_chain(b, body, binary))
+        w_list.append(b.gate(body))
     if omega.clauses:
-        delta = _or_chain(b, tuple(-w for w in w_list), binary)
+        delta = b.gate(tuple(-w for w in w_list))
     else:
         delta = b.not_(const)
     return DeltaBundle(
@@ -190,11 +176,6 @@ class CorrectnessBundle:
     copy_base: int
     clause_index: dict[Clause, int] = field(repr=False)
 
-    def find_clause(self, clause: Clause) -> int:
-        if clause not in self.clause_index:
-            raise CorrectnessError(f"clause {clause} not in the bundle")
-        return self.clause_index[clause]
-
 
 def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessBundle:
     """Correctness clause set for the refutation described by beta.
@@ -232,26 +213,12 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
     )
     copy_base = delta_base + len(delta.circuit.gates)
 
-    outputs_pos = {v: m for m, v in enumerate(iface.outputs, start=1)}
-    non_output = [g for g in beta.gates if g.var not in outputs_pos]
-    pos_of = {g.var: t for t, g in enumerate(non_output, start=1)}
-    copy_maps = []
-    copy_gate_lists = []
+    ports = []
     for i in range(1, n + 1):
-        varmap = {x: lam.grid[(i, j)] for j, x in enumerate(iface.inputs)}
-        for v, m in outputs_pos.items():
-            varmap[v] = w_grid[(i, m)]
-        for v, t in pos_of.items():
-            varmap[v] = copy_base + (t - 1) * n + (i - 1)
-        for v in beta.free:
-            varmap.setdefault(v, v)  # extra frees alias the branch bits
-        gates = []
-        for g in beta.gates:
-            gates.append(
-                Gate(varmap[g.var], tuple(map_literal(l, varmap) for l in g.body))
-            )
-        copy_maps.append(varmap)
-        copy_gate_lists.append(gates)
+        port = {x: lam.grid[(i, j)] for j, x in enumerate(iface.inputs)}
+        port.update((y, w_grid[(i, m)]) for m, y in enumerate(iface.outputs, start=1))
+        ports.append(port)
+    copy_maps, copy_gate_lists = stride_copies(beta, copy_base, ports)
 
     all_gates = list(lam.circuit.gates)
     for gates in copy_gate_lists:
@@ -269,7 +236,8 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
     for gates in copy_gate_lists:
         for g in gates:
             clauses.extend(gate_clauses(g))
-    top = max(v for v in (copy_base + len(non_output) * n - 1, delta_base - 1, n))
+    n_inner = len(beta.gates) - len(iface.outputs)
+    top = max(v for v in (copy_base + n_inner * n - 1, delta_base - 1, n))
     cs = ClauseSet(max(top, delta.delta), clauses)
     index: dict[Clause, int] = {}
     for pos, c in enumerate(cs.clauses):
@@ -283,7 +251,7 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
         w_grid=w_grid,
         delta=delta.delta,
         neg_delta_index=neg_delta_index,
-        copy_maps=tuple(copy_maps),
+        copy_maps=copy_maps,
         delta_bundle=delta,
         lambda_bundle=lam,
         copy_base=copy_base,

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .circuits import Circuit, CircuitBuilder, CircuitReport, VarAlloc, evaluate
-from .formulas import Clause, ClauseSet
+from .circuits import Circuit, CircuitBuilder, CircuitReport, VarAlloc, check_ports, evaluate
+from .formulas import Clause
 from .prover import DecisionTree, Leaf, Node
 
 
@@ -56,40 +56,10 @@ class TreeInterface:
 def check_interface(
     circuit: Circuit, iface: TreeInterface, extra_free_limit: Optional[int] = None
 ) -> CircuitReport:
-    """Shape check; ``extra_free_limit`` admits spare free variables
-    up to that id (grafted circuits carry the carrier set's variables)."""
-    n = iface.n
-    if n < 1:
-        return CircuitReport(False, f"bad variable count {n}")
-    if len(iface.inputs) != n + 1:
-        return CircuitReport(False, f"expected {n + 1} inputs, got {len(iface.inputs)}")
-    if len(set(iface.inputs)) != n + 1:
-        return CircuitReport(False, "duplicate input variables")
-    if len(iface.outputs) != output_width(n):
-        return CircuitReport(
-            False, f"expected {output_width(n)} outputs, got {len(iface.outputs)}"
-        )
-    if len(set(iface.outputs)) != len(iface.outputs):
-        return CircuitReport(False, "duplicate output variables")
-    frees = set(circuit.free)
-    for v in iface.inputs:
-        if v not in frees:
-            return CircuitReport(False, f"input {v} is not free in the circuit")
-    ext = circuit.extension_vars()
-    for v in iface.outputs:
-        if v not in ext:
-            return CircuitReport(False, f"output {v} is not gate-defined")
-    if tuple(iface.outputs) != tuple(circuit.outputs):
-        return CircuitReport(False, "interface outputs disagree with circuit outputs")
-    extras = frees - set(iface.inputs)
-    if extra_free_limit is None:
-        if extras:
-            return CircuitReport(False, f"unexpected extra free variables {sorted(extras)}")
-    else:
-        bad = [v for v in extras if v > extra_free_limit]
-        if bad:
-            return CircuitReport(False, f"extra free variables {bad} above {extra_free_limit}")
-    return CircuitReport(True)
+    """Shape check: n+1 window inputs and bit-length-of-n outputs."""
+    if iface.n < 1:
+        return CircuitReport(False, f"bad variable count {iface.n}")
+    return check_ports(circuit, iface, iface.n + 1, output_width(iface.n), extra_free_limit)
 
 
 def interface_from_circuit(circuit: Circuit, n: int) -> TreeInterface:
@@ -229,12 +199,3 @@ def enumerate_initial_clauses(circuit: Circuit, iface: TreeInterface) -> set[Cla
     if iface.n > 20:
         raise EncodingError("initial-clause enumeration capped at 20 variables")
     return {ic.clause for _, ic in iter_initial_clauses(circuit, iface)}
-
-
-def implicit_premises(circuit: Circuit, iface: TreeInterface) -> ClauseSet:
-    """All 2^n leaf clauses in branch-bit order (duplicates kept)."""
-    if iface.n > 20:
-        raise EncodingError("initial-clause enumeration capped at 20 variables")
-    return ClauseSet(
-        iface.n, [ic.clause for _, ic in iter_initial_clauses(circuit, iface)]
-    )

@@ -28,7 +28,6 @@ from .formulas import (
     serialize_dimacs,
 )
 from .proofs import (
-    CheckOptions,
     ProofBuilder,
     ResolutionProof,
     UnitPropagation,
@@ -63,64 +62,68 @@ class ImplicitRefutation:
 
 
 @dataclass(frozen=True)
-class ImplicitReport:
+class VerifyReport:
     ok: bool
-    stage: str  # decode | interface | generate | proof
+    stage: str  # machine | decode | interface | generate | proof
     reason: str = ""
-    bundle: Optional[CorrectnessBundle] = None
+    bundle: Optional[object] = None  # the generated carrier bundle
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def verify_implicit(ir: ImplicitRefutation) -> ImplicitReport:
+def proof_stage(bundle, alpha: ResolutionProof, declared: Optional[int]) -> VerifyReport:
+    """Judge a certificate against a generated clause set (any carrier
+    bundle): the declared premise count must match, weakening may not
+    leave the set's variables, and the replay must reach the empty
+    clause."""
+    cs = bundle.clauses
+    if declared is not None and declared != len(cs.clauses):
+        return VerifyReport(
+            False, "proof", f"proof declares {declared} premises, the set has {len(cs.clauses)}"
+        )
+    for step in alpha.steps:
+        for lit in getattr(step, "literals", ()):
+            if abs(lit) > cs.n:
+                return VerifyReport(
+                    False, "proof", f"weakening introduces variable {abs(lit)} outside the set"
+                )
+    pr = check_proof(cs, alpha, EMPTY_CLAUSE)
+    if not pr:
+        return VerifyReport(False, "proof", f"step {pr.step}: {pr.reason}", bundle)
+    return VerifyReport(True, "proof", "", bundle)
+
+
+def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
     if ir.n < 1:
-        return ImplicitReport(False, "decode", f"bad variable count {ir.n}")
+        return VerifyReport(False, "decode", f"bad variable count {ir.n}")
     occurring = set()
     for c in ir.omega:
         occurring.update(abs(l) for l in c)
     if occurring and max(occurring) > ir.n:
-        return ImplicitReport(
+        return VerifyReport(
             False, "interface", f"omega uses variable {max(occurring)} > n"
         )
     if ir.iface.n != ir.n:
-        return ImplicitReport(False, "interface", "interface variable count differs")
+        return VerifyReport(False, "interface", "interface variable count differs")
     rep = check_interface(ir.beta, ir.iface, extra_free_limit=ir.n)
     if not rep:
-        return ImplicitReport(False, "interface", rep.reason)
+        return VerifyReport(False, "interface", rep.reason)
     try:
         bundle = gen_C(ClauseSet(ir.n, ir.omega.clauses), ir.beta, ir.iface)
     except (CorrectnessError, CircuitError, EncodingError, FormulaError) as exc:
-        return ImplicitReport(False, "generate", str(exc))
-    if ir.alpha_premises is not None and ir.alpha_premises != len(bundle.clauses.clauses):
-        return ImplicitReport(
-            False,
-            "proof",
-            f"proof declares {ir.alpha_premises} premises, C has {len(bundle.clauses.clauses)}",
-        )
-    for step in ir.alpha.steps:
-        lits = getattr(step, "literals", ())
-        for lit in lits:
-            if abs(lit) > bundle.clauses.n:
-                return ImplicitReport(
-                    False, "proof", f"weakening introduces variable {abs(lit)} outside C"
-                )
-    pr = check_proof(bundle.clauses, ir.alpha, EMPTY_CLAUSE, CheckOptions())
-    if not pr:
-        return ImplicitReport(False, "proof", f"step {pr.step}: {pr.reason}", bundle)
-    return ImplicitReport(True, "proof", "", bundle)
+        return VerifyReport(False, "generate", str(exc))
+    return proof_stage(bundle, ir.alpha, ir.alpha_premises)
 
 
-def synthesize_alpha(
-    omega: ClauseSet, beta: Circuit, iface: TreeInterface
-) -> ResolutionProof:
-    """Refute C(omega, beta) by branching the z variables in ascending
-    order; each conflict found by propagation is resolved back to the
-    branch literals, and the branches merge into the empty clause."""
-    n = iface.n
+def synthesize_alpha(bundle: CorrectnessBundle) -> ResolutionProof:
+    """Refute the generated set C(omega, beta) by branching the z
+    variables in ascending order; each conflict found by propagation is
+    resolved back to the branch literals, and the branches merge into
+    the empty clause."""
+    n = bundle.n
     if n > 16:
         raise ImplicitError("synthesis capped at 16 branch variables")
-    bundle = gen_C(ClauseSet(n, omega.clauses), beta, iface)
     up = UnitPropagation(bundle.clauses)
     b = ProofBuilder(bundle.clauses)
 
@@ -164,7 +167,7 @@ def implicit_from_tree(omega: ClauseSet, tree: DecisionTree) -> ImplicitRefutati
         raise ImplicitError(f"bad decision tree: {rep.reason}")
     balanced = balance_tree(tree, tuple(range(1, n + 1)))
     beta, iface = tree_to_circuit(balanced, n)
-    alpha = synthesize_alpha(omega, beta, iface)
+    alpha = synthesize_alpha(gen_C(omega, beta, iface))
     return ImplicitRefutation(n, omega, alpha, beta, iface)
 
 
@@ -241,31 +244,30 @@ def load_implicit(manifest_path: str) -> ImplicitRefutation:
     return ImplicitRefutation(m.n, omega, alpha, beta, iface, alpha_premises=declared)
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file renamed into place, so a reader
+    never sees a partial file and a failed write keeps the old one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_implicit(
     ir: ImplicitRefutation, outdir: str, stem: str = "refutation"
 ) -> str:
-    """Write omega/beta/alpha plus the manifest; returns manifest path."""
+    """Write omega/beta/alpha, then the manifest; returns its path."""
     os.makedirs(outdir, exist_ok=True)
-    names = {
-        "omega": f"{stem}.cnf",
-        "beta": f"{stem}.circ",
-        "alpha": f"{stem}.rproof",
-    }
-    with open(os.path.join(outdir, names["omega"]), "w", encoding="utf-8") as fh:
-        fh.write(serialize_dimacs(ir.omega))
-    with open(os.path.join(outdir, names["beta"]), "w", encoding="utf-8") as fh:
-        fh.write(serialize_circuit(ir.beta))
     n_premises = ir.alpha_premises
     if n_premises is None:
         bundle = gen_C(ClauseSet(ir.n, ir.omega.clauses), ir.beta, ir.iface)
         n_premises = len(bundle.clauses.clauses)
-    with open(os.path.join(outdir, names["alpha"]), "w", encoding="utf-8") as fh:
-        fh.write(serialize_proof(ir.alpha, n_premises))
-    mpath = os.path.join(outdir, f"{stem}.manifest")
-    with open(mpath, "w", encoding="utf-8") as fh:
-        fh.write(
-            serialize_manifest(
-                Manifest(ir.n, names["omega"], names["beta"], names["alpha"])
-            )
-        )
-    return mpath
+    m = Manifest(ir.n, f"{stem}.cnf", f"{stem}.circ", f"{stem}.rproof")
+    for name, text in (
+        (m.omega_path, serialize_dimacs(ir.omega)),
+        (m.beta_path, serialize_circuit(ir.beta)),
+        (m.alpha_path, serialize_proof(ir.alpha, n_premises)),
+        (f"{stem}.manifest", serialize_manifest(m)),
+    ):
+        write_atomic(os.path.join(outdir, name), text)
+    return os.path.join(outdir, f"{stem}.manifest")

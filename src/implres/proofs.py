@@ -57,14 +57,6 @@ class ResolutionProof:
 
 
 @dataclass(frozen=True)
-class CheckOptions:
-    tree_like: bool = False
-    regular: bool = False
-    forbid_weakening: bool = False
-    weakening_leaves_only: bool = False
-
-
-@dataclass(frozen=True)
 class ProofReport:
     ok: bool
     step: int = -1
@@ -126,7 +118,6 @@ def check_proof(
     premises: ClauseSet,
     proof: ResolutionProof,
     target: Optional[Clause] = EMPTY_CLAUSE,
-    opts: CheckOptions = CheckOptions(),
 ) -> ProofReport:
     """Validate a proof; ``target=None`` accepts any final clause."""
     if not proof.steps:
@@ -138,42 +129,6 @@ def check_proof(
     last = len(proof.steps) - 1
     if target is not None and clauses[-1] != target:
         return ProofReport(False, last, f"final clause {clauses[-1]} != target {target}")
-    if opts.forbid_weakening or opts.weakening_leaves_only:
-        for idx, step in enumerate(proof.steps):
-            if isinstance(step, Weaken):
-                if opts.forbid_weakening:
-                    return ProofReport(False, idx, "weakening forbidden")
-                if not isinstance(proof.steps[step.source], Axiom):
-                    return ProofReport(False, idx, "weakening of a non-axiom step")
-    if opts.tree_like:
-        refs = [0] * len(proof.steps)
-        for step in proof.steps:
-            if isinstance(step, Resolve):
-                refs[step.left] += 1
-                refs[step.right] += 1
-            elif isinstance(step, Weaken):
-                refs[step.source] += 1
-        for idx in range(last):
-            if refs[idx] != 1:
-                return ProofReport(
-                    False, idx, f"step referenced {refs[idx]} times, not tree-like"
-                )
-        if refs[last] != 0:
-            return ProofReport(False, last, "final step is referenced")
-    if opts.regular:
-        used: list[frozenset[int]] = []
-        for idx, step in enumerate(proof.steps):
-            if isinstance(step, Axiom):
-                used.append(frozenset())
-            elif isinstance(step, Weaken):
-                used.append(used[step.source])
-            else:
-                below = used[step.left] | used[step.right]
-                if step.pivot in below:
-                    return ProofReport(
-                        False, idx, f"variable {step.pivot} resolved twice on a path"
-                    )
-                used.append(below | {step.pivot})
     return ProofReport(True, last, "", clauses[-1])
 
 
@@ -292,13 +247,6 @@ class ProofBuilder:
         lits = tuple(literals)
         clause = self.clauses[source].union(lits)
         return self._push(Weaken(source, lits), clause)
-
-    def weaken_to(self, source: int, target: Clause) -> int:
-        have = set(self.clauses[source].literals)
-        missing = tuple(l for l in target if l not in have)
-        if not missing:
-            return source
-        return self.weaken(source, missing)
 
     def import_proof(
         self,
@@ -549,44 +497,6 @@ class UnitPropagation:
         return cur
 
 
-def rup_derive(
-    premises: ClauseSet, target: Clause, exact: bool = True
-) -> Optional[ResolutionProof]:
-    """Derive ``target`` by logging a reverse-unit-propagation conflict.
-
-    Returns None when propagation from the negated target reaches no
-    conflict.  With ``exact`` the derivation is weakened to exactly the
-    target when the conflict clause is a proper subset.
-    """
-    up = UnitPropagation(premises)
-    conflict = up.propagate()
-    forced = None
-    if conflict is None:
-        for lit in target:
-            val = up.lit_value(lit)
-            if val is True:
-                # Propagation already forces a target literal; its
-                # reason clause plays the role of the conflict.
-                if up.reason.get(abs(lit)) is not None:
-                    forced = up.reason[abs(lit)]
-                    break
-                continue
-            if val is False:
-                continue
-            conflict = up.assume(-lit)
-            if conflict is not None:
-                break
-    if conflict is None and forced is None:
-        return None
-    b = ProofBuilder(premises)
-    step = up.analyze(conflict if conflict is not None else forced, b)
-    if not set(b.clause(step).literals) <= set(target.literals):
-        raise ProofError("conflict analysis escaped the target literals")
-    if exact:
-        step = b.weaken_to(step, target)
-    return b.extract(step)
-
-
 def serialize_proof(proof: ResolutionProof, n_premises: int) -> str:
     lines = [f"res-proof {n_premises}"]
     for step in proof.steps:
@@ -615,7 +525,10 @@ def parse_proof(text: str) -> tuple[ResolutionProof, int]:
         if parts[0] == "res-proof":
             if n_premises is not None or len(parts) != 2:
                 raise ProofError("malformed res-proof header")
-            n_premises = int(parts[1])
+            try:
+                n_premises = int(parts[1])
+            except ValueError:
+                raise ProofError(f"bad premise count {parts[1]!r}") from None
             continue
         if n_premises is None:
             raise ProofError("step data before res-proof header")

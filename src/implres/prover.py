@@ -275,6 +275,13 @@ def serialize_dtree(premises: ClauseSet, tree: DecisionTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dtree_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ProverError(f"bad number {tok!r} in dtree") from None
+
+
 def parse_dtree(text: str, premises: ClauseSet) -> DecisionTree:
     """Rebuild a tree, anchoring each leaf to the first equal premise."""
     tokens: list[tuple] = []
@@ -287,11 +294,11 @@ def parse_dtree(text: str, premises: ClauseSet) -> DecisionTree:
         if parts[0] == "dtree":
             if n is not None or len(parts) != 2:
                 raise ProverError("malformed dtree header")
-            n = int(parts[1])
+            n = _dtree_int(parts[1])
         elif parts[0] == "n" and len(parts) == 2:
-            tokens.append(("n", int(parts[1])))
+            tokens.append(("n", _dtree_int(parts[1])))
         elif parts[0] == "l" and parts[-1] == "0":
-            tokens.append(("l", Clause(tuple(int(t) for t in parts[1:-1]))))
+            tokens.append(("l", Clause(tuple(_dtree_int(t) for t in parts[1:-1]))))
         else:
             raise ProverError(f"malformed dtree line {line!r}")
     if n is None:

@@ -25,29 +25,19 @@ from .circuits import (
     Circuit,
     CircuitBuilder,
     CircuitReport,
-    Gate,
     VarAlloc,
+    check_ports,
     evaluate,
     gate_clauses,
-    map_literal,
     max_var,
+    stride_copies,
     validate_circuit,
 )
-from .formulas import Clause, ClauseSet, EMPTY_CLAUSE, FormulaError
-from .proofs import (
-    CheckOptions,
-    ERProof,
-    ProofBuilder,
-    ResolutionProof,
-    check_er,
-    check_proof,
-    er_premises,
-    lift_unit_axiom,
-    rename_proof,
-    strip_weakening,
-)
+from .formulas import Clause, ClauseSet, FormulaError
+from .implicit import VerifyReport, proof_stage
+from .proofs import ERProof, ResolutionProof
 from .prover import dpll_refute, proof_from_tree
-from .translate import TranslateError, emb_premises, emb_refute
+from .translate import graft_fold
 
 
 class TableauError(ValueError):
@@ -197,37 +187,10 @@ def check_tableau_interface(
     tm: TMSpec,
     extra_free_limit: Optional[int] = None,
 ) -> CircuitReport:
-    m = iface.m
-    if m < 1:
-        return CircuitReport(False, f"bad address width {m}")
-    if len(iface.inputs) != 2 * m:
-        return CircuitReport(False, f"expected {2 * m} inputs, got {len(iface.inputs)}")
-    if len(set(iface.inputs)) != 2 * m:
-        return CircuitReport(False, "duplicate input variables")
-    cw = cell_width(tm)
-    if len(iface.outputs) != cw:
-        return CircuitReport(False, f"expected {cw} outputs, got {len(iface.outputs)}")
-    if len(set(iface.outputs)) != cw:
-        return CircuitReport(False, "duplicate output variables")
-    frees = set(circuit.free)
-    for v in iface.inputs:
-        if v not in frees:
-            return CircuitReport(False, f"input {v} is not free in the circuit")
-    ext = circuit.extension_vars()
-    for v in iface.outputs:
-        if v not in ext:
-            return CircuitReport(False, f"output {v} is not gate-defined")
-    if tuple(iface.outputs) != tuple(circuit.outputs):
-        return CircuitReport(False, "interface outputs disagree with circuit outputs")
-    extras = frees - set(iface.inputs)
-    if extra_free_limit is None:
-        if extras:
-            return CircuitReport(False, f"unexpected extra free variables {sorted(extras)}")
-    else:
-        bad = [v for v in extras if v > extra_free_limit]
-        if bad:
-            return CircuitReport(False, f"extra free variables {bad} above {extra_free_limit}")
-    return CircuitReport(True)
+    """Shape check: 2m address inputs and one cell of outputs."""
+    if iface.m < 1:
+        return CircuitReport(False, f"bad address width {iface.m}")
+    return check_ports(circuit, iface, 2 * iface.m, cell_width(tm), extra_free_limit)
 
 
 def tableau_interface_from_circuit(circuit: Circuit, m: int) -> TableauInterface:
@@ -268,14 +231,6 @@ def _decode_cell(tm: TMSpec, bits: Sequence[bool]):
     head = bool(bits[sb])
     states = [q for q in range(tm.n_states) if bits[sb + 1 + q]]
     return sym, head, states
-
-
-def _encode_cell(tm: TMSpec, sym: int, head: bool, state: Optional[int]) -> tuple[bool, ...]:
-    sb = symbol_bits(tm)
-    bits = [bool((sym >> i) & 1) for i in range(sb)]
-    bits.append(head)
-    bits.extend(state == q for q in range(tm.n_states))
-    return tuple(bits)
 
 
 def check_run(
@@ -354,31 +309,8 @@ def run_accepts(tm: TMSpec, tau_bits: Sequence[int], beta: Circuit, iface: Table
 # Clause-set generation.
 
 
-class _Sink:
-    """Gate collector sharing an allocator; lets the fault block take
-    ids before the copy stride while sitting after it in gate order."""
-
-    def __init__(self, fresh: VarAlloc):
-        self.fresh = fresh
-        self.gates: list[Gate] = []
-
-    def gate(self, body) -> int:
-        v = self.fresh.fresh()
-        self.gates.append(Gate(v, tuple(body)))
-        return v
-
-    def or_(self, *lits: int) -> int:
-        return self.gate(lits)
-
-    def not_(self, lit: int) -> int:
-        return self.gate((-lit,))
-
-    def and_(self, *lits: int) -> int:
-        d = self.gate(tuple(-l for l in lits))
-        return self.gate((-d,))
-
-    def xor_(self, a: int, b: int) -> int:
-        return self.or_(self.and_(a, -b), self.and_(-a, b))
+def _xor(b: CircuitBuilder, x: int, y: int) -> int:
+    return b.or_(b.and_(x, -y), b.and_(-x, y))
 
 
 def _inc_bits(b: CircuitBuilder, bits: Sequence[int]) -> tuple[int, ...]:
@@ -386,7 +318,7 @@ def _inc_bits(b: CircuitBuilder, bits: Sequence[int]) -> tuple[int, ...]:
     out = [b.not_(bits[0])]
     carry = bits[0]
     for v in bits[1:]:
-        out.append(b.or_(b.and_(v, -carry), b.and_(-v, carry)))
+        out.append(_xor(b, v, carry))
         carry = b.and_(v, carry)
     return tuple(out)
 
@@ -395,7 +327,7 @@ def _dec_bits(b: CircuitBuilder, bits: Sequence[int]) -> tuple[int, ...]:
     out = [b.not_(bits[0])]
     borrow = -bits[0]
     for v in bits[1:]:
-        out.append(b.or_(b.and_(v, -borrow), b.and_(-v, borrow)))
+        out.append(_xor(b, v, borrow))
         borrow = b.and_(-v, borrow)
     return tuple(out)
 
@@ -427,12 +359,15 @@ def gen_tableau(
 
     Layout: address frees 1..2m, then arithmetic/flag gates, then a
     reserved block of four cell images, then the fault-detector ids,
-    and the four grid-circuit copies on a stride of four starting at
-    copy_base (the addressed cell's own copy at offset 0).  Gate order
-    puts the copies before the detectors; clause order puts the
-    detector block first, then the negated verdict, then the rest.
-    Everything but the copy region is independent of the grid
-    circuit, which is what lets grafting rebase onto the first copy."""
+    and the four grid-circuit copies laid by stride_copies on a stride
+    of four from copy_base (copy 0 reads the addressed cell, copies
+    1-3 its left, right and lower neighbours).  Gate order puts the
+    copies before the detectors; clause order puts the detector block
+    first, then the negated verdict, then the rest.  Everything but
+    the copy region is independent of the grid circuit, so the bundle
+    is a carrier for translate.graft_fold: a grid circuit rebased onto
+    copy 0 and grown on the same stride regenerates a set containing
+    this one."""
     rep = check_machine(tm)
     if not rep:
         raise TableauError(rep.reason)
@@ -467,7 +402,9 @@ def gen_tableau(
         for t in range(cw):
             cell[(c, t)] = b.fresh.fresh()
 
-    s = _Sink(b.fresh)
+    # the fault block takes ids before the copy stride but sits after
+    # it in gate order, so it collects its gates separately
+    s = CircuitBuilder(b.fresh)
     false = s.not_(tt)
 
     def any_(terms: list[int]) -> int:
@@ -545,9 +482,9 @@ def gen_tableau(
         terms.append(s.and_(inert0, state(0, bq)))
         terms.extend(g for g, q2 in arrive if q2 == bq)
         exp_state.append(any_(terms))
-    diffs = [s.xor_(cell[(3, i)], exp_sym[i]) for i in range(sb)]
-    diffs.append(s.xor_(cell[(3, sb)], exp_head))
-    diffs.extend(s.xor_(cell[(3, sb + 1 + bq)], exp_state[bq]) for bq in range(tm.n_states))
+    diffs = [_xor(s, cell[(3, i)], exp_sym[i]) for i in range(sb)]
+    diffs.append(_xor(s, cell[(3, sb)], exp_head))
+    diffs.extend(_xor(s, cell[(3, sb + 1 + bq)], exp_state[bq]) for bq in range(tm.n_states))
     trans_viol = s.and_(-jlast, s.or_(*diffs))
 
     # Last row: accepting stop spelling the target bits.
@@ -558,7 +495,7 @@ def gen_tableau(
                 s.and_(*(kv[i] if (col >> i) & 1 else -kv[i] for i in range(m)))
             )
     tau_at_k = any_(eq_true)
-    tau_diff = s.xor_(sym(0, 0), tau_at_k)
+    tau_diff = _xor(s, sym(0, 0), tau_at_k)
     high = [sym(0, i) for i in range(1, sb)]
     nonacc = any_([state(0, q) for q in range(tm.n_states) if q not in tm.accepting])
     last_viol = s.and_(jlast, s.or_(tau_diff, *high, s.and_(head(0), nonacc)))
@@ -567,29 +504,18 @@ def gen_tableau(
     delta = s.not_(viol)
 
     copy_base = b.fresh.next_var
-    addr = {0: jv + kv, 1: jv + km1, 2: jv + kp1, 3: jp1 + kv}
-    out_set = set(iface.outputs)
-    non_out = [g.var for g in beta.gates if g.var not in out_set]
-    copy_maps = []
-    copy_gate_lists = []
+    addr = (jv + kv, jv + km1, jv + kp1, jp1 + kv)
+    ports = []
     for c in range(4):
-        varmap = dict(zip(iface.inputs, addr[c]))
-        for t, y in enumerate(iface.outputs):
-            varmap[y] = cell[(c, t)]
-        for t, v in enumerate(non_out, start=1):
-            varmap[v] = copy_base + (t - 1) * 4 + c
-        for v in beta.free:
-            varmap.setdefault(v, v)  # extra frees alias the address bits
-        gates = [
-            Gate(varmap[g.var], tuple(map_literal(l, varmap) for l in g.body))
-            for g in beta.gates
-        ]
-        copy_maps.append(varmap)
-        copy_gate_lists.append(gates)
+        port = dict(zip(iface.inputs, addr[c]))
+        port.update((y, cell[(c, t)]) for t, y in enumerate(iface.outputs))
+        ports.append(port)
+    # extra frees of the grid circuit alias the address bits
+    copy_maps, copy_gate_lists = stride_copies(beta, copy_base, ports)
 
     all_gates = tuple(b.gates)
     for gl in copy_gate_lists:
-        all_gates += tuple(gl)
+        all_gates += gl
     all_gates += tuple(s.gates)
     circuit = Circuit(jv + kv, all_gates, (delta,))
     rep = validate_circuit(circuit)
@@ -619,7 +545,7 @@ def gen_tableau(
         cell,
         delta,
         neg_delta_index,
-        tuple(copy_maps),
+        copy_maps,
         copy_base,
         cell_base,
         index,
@@ -661,17 +587,6 @@ def refute_tableau(
 
 
 @dataclass(frozen=True)
-class TableauReport:
-    ok: bool
-    stage: str  # machine | decode | interface | generate | proof
-    reason: str = ""
-    bundle: Optional[TableauBundle] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class TableauRefutation:
     tm: TMSpec
     tau_bits: tuple[int, ...]
@@ -688,41 +603,25 @@ def verify_pq(
     iface: TableauInterface,
     alpha: ResolutionProof,
     alpha_premises: Optional[int] = None,
-) -> TableauReport:
+) -> VerifyReport:
     rep = check_machine(tm)
     if not rep:
-        return TableauReport(False, "machine", rep.reason)
+        return VerifyReport(False, "machine", rep.reason)
     n = 1 << iface.m if iface.m >= 1 else 0
     tau = tuple(tau_bits)
     if len(tau) != n or any(bit not in (0, 1) for bit in tau):
-        return TableauReport(False, "decode", f"target word must be {n} bits")
+        return VerifyReport(False, "decode", f"target word must be {n} bits")
     rep = check_tableau_interface(beta, iface, tm, extra_free_limit=2 * iface.m)
     if not rep:
-        return TableauReport(False, "interface", rep.reason)
+        return VerifyReport(False, "interface", rep.reason)
     try:
         bundle = gen_tableau(tm, tau, beta, iface)
     except (TableauError, FormulaError, ValueError) as exc:
-        return TableauReport(False, "generate", str(exc))
-    if alpha_premises is not None and alpha_premises != len(bundle.clauses.clauses):
-        return TableauReport(
-            False,
-            "proof",
-            f"proof declares {alpha_premises} premises, the set has {len(bundle.clauses.clauses)}",
-        )
-    for step in alpha.steps:
-        lits = getattr(step, "literals", ())
-        for lit in lits:
-            if abs(lit) > bundle.clauses.n:
-                return TableauReport(
-                    False, "proof", f"weakening introduces variable {abs(lit)} outside the set"
-                )
-    pr = check_proof(bundle.clauses, alpha, EMPTY_CLAUSE, CheckOptions())
-    if not pr:
-        return TableauReport(False, "proof", f"step {pr.step}: {pr.reason}", bundle)
-    return TableauReport(True, "proof", "", bundle)
+        return VerifyReport(False, "generate", str(exc))
+    return proof_stage(bundle, alpha, alpha_premises)
 
 
-def verify_refutation(tr: TableauRefutation) -> TableauReport:
+def verify_refutation(tr: TableauRefutation) -> VerifyReport:
     return verify_pq(tr.tm, tr.tau_bits, tr.beta, tr.iface, tr.alpha, tr.alpha_premises)
 
 
@@ -734,96 +633,16 @@ def graft_pq(
     alpha_er: ERProof,
 ) -> TableauRefutation:
     """Fold an ER refutation of the constraint set into the grid
-    circuit itself.  Same construction as for clause-set carriers:
-    the grid circuit is rebased onto its first copy (inputs to the
-    address bits, outputs to the addressed cell image, gates to the
-    copy stride), a duplicate of every generator gate and proof
-    auxiliary is appended, the proof is renamed onto the duplicate,
-    its use of the negated verdict is lifted, and an embedding
-    refutation glues the two verdicts."""
+    circuit itself, by the same fold as for tree carriers
+    (translate.graft_fold) on the four-copy stride: the grid circuit
+    is rebased onto the addressed cell's copy, so the grown grid reads
+    the same cells, and it carries a duplicate of every generator gate
+    and proof auxiliary."""
     tau = tuple(tau_bits)
     bundle = gen_tableau(tm, tau, beta, iface)
-    rep = check_er(bundle.clauses, alpha_er)
-    if not rep:
-        raise TranslateError(f"invalid proof: {rep.reason}")
-    aux = alpha_er.aux
-    cw = cell_width(tm)
-
-    g_circuit = bundle.circuit
-    full_gates = g_circuit.gates + aux.gates
-    m_beta = len(beta.gates) - cw  # non-output gate count
-    copy_base = bundle.copy_base
-    addr_vars = bundle.j_vars + bundle.k_vars
-
-    dupmap = {v: v for v in addr_vars}
-    dup_gates = []
-    for t, g in enumerate(full_gates, start=1):
-        nv = copy_base + (m_beta + t - 1) * 4
-        dup_gates.append(Gate(nv, tuple(map_literal(l, dupmap) for l in g.body)))
-        dupmap[g.var] = nv
-    delta_prime = dupmap[bundle.delta]
-
-    betamap = dict(zip(iface.inputs, addr_vars))
-    for t, y in enumerate(iface.outputs):
-        betamap[y] = bundle.cell[(0, t)]
-    for v in beta.free:
-        betamap.setdefault(v, v)
-    t = 0
-    for g in beta.gates:
-        if g.var not in betamap:
-            betamap[g.var] = copy_base + t * 4
-            t += 1
-    beta_hat = tuple(
-        Gate(betamap[g.var], tuple(map_literal(l, betamap) for l in g.body))
-        for g in beta.gates
+    beta2, iface2, bundle2, alpha2 = graft_fold(
+        bundle, beta, iface, alpha_er, lambda b2, i2: gen_tableau(tm, tau, b2, i2)
     )
-    beta2 = Circuit(
-        addr_vars,
-        beta_hat + tuple(dup_gates),
-        tuple(bundle.cell[(0, t)] for t in range(cw)),
-    )
-    rep = validate_circuit(beta2)
-    if not rep:
-        raise TranslateError(f"grown circuit invalid: {rep.reason}")
-    iface2 = TableauInterface(iface.m, addr_vars, beta2.outputs)
-    bundle2 = gen_tableau(tm, tau, beta2, iface2)
-    lookup = bundle2.clause_index
-
-    old_premises = er_premises(bundle.clauses, aux)
-    stripped = strip_weakening(old_premises, alpha_er.proof)
-    premise_map = {}
-    for q, cl in enumerate(old_premises.clauses):
-        if q == bundle.neg_delta_index:
-            premise_map[q] = len(bundle2.clauses.clauses)
-        else:
-            premise_map[q] = lookup[Clause(tuple(map_literal(l, dupmap) for l in cl))]
-    renamed = rename_proof(stripped, dupmap, premise_map)
-    lifted = lift_unit_axiom(bundle2.clauses, renamed, -delta_prime)
-
-    dup_circuit = Circuit(addr_vars, tuple(dup_gates), (delta_prime,))
-    f = {v: dupmap[v] for v in g_circuit.variables()}
-    glue = emb_refute(g_circuit, dup_circuit, f, bundle.delta, polarity=False)
-    glue_premises = emb_premises(
-        g_circuit, dup_circuit, bundle.delta, False, delta_prime
-    )
-
-    b = ProofBuilder(bundle2.clauses)
-    lifted_step = b.import_proof(lifted, lambda q: b.axiom(q))
-    if b.clause(lifted_step) != Clause((delta_prime,)):
-        raise TranslateError("lifting did not reach the duplicate verdict")
-    n_gate_clauses = len(glue_premises.clauses) - 2
-
-    def glue_axiom(q: int) -> int:
-        if q < n_gate_clauses:
-            return b.axiom(lookup[glue_premises.clauses[q]])
-        if q == n_gate_clauses:
-            return b.axiom(bundle2.neg_delta_index)
-        return lifted_step
-
-    final = b.import_proof(glue, glue_axiom)
-    if b.clause(final) != EMPTY_CLAUSE:
-        raise TranslateError("grafted refutation missed the empty clause")
-    alpha2 = b.extract(final)
     return TableauRefutation(
         tm, tau, alpha2, beta2, iface2,
         alpha_premises=len(bundle2.clauses.clauses),

@@ -1,26 +1,33 @@
-"""Constructive proof translations.
+"""Constructive proof translations, built on one graft.
 
-Three building blocks:
+A carrier is a generated clause set together with the circuit whose
+gate clauses make it up; that circuit's output is a verdict delta,
+and the unit {-delta} is one of the premises.  Grafting folds a
+refutation of a carrier into the described object itself:
 
-* emb_refute: given an embedding f of circuit C into circuit D, refute
-  the gate clauses plus contradictory units on an output y and its
-  image, by deriving the bridge clauses (-e or f(e)) / (e or -f(e))
-  gate by gate.
-* lift_unit_axiom (proofs module): turn a refutation that uses a unit
-  axiom {u} into a derivation of {-u} from the remaining premises.
-* content-indexed composition: renamed proofs are replayed against a
-  larger clause set by looking premises up by clause content.
+* the carrier circuit and the proof's auxiliaries get a duplicate;
+* the refutation is stripped of weakening, renamed onto the duplicate,
+  and its use of {-delta} is lifted (lift_unit_axiom, proofs module)
+  into a derivation of the duplicate verdict {delta'};
+* emb_refute glues the two verdicts: it refutes the carrier's and the
+  duplicate's gate clauses plus {-delta} and {delta'} by deriving
+  bridge clauses gate by gate through the embedding of one into the
+  other.
 
-These combine into the two simulations: search_translate rebuilds a
-checker refutation for an algorithm circuit enlarged with a duplicate
-of everything the proof used, and graft turns any extended-resolution
-refutation of C(omega, beta) into an accepted implicit tuple whose
-described circuit carries the duplicate.
+graft_fold does this for carriers generated from a described circuit
+beta on a copy stride: C(omega, beta) from gen_C (graft) and
+machine-grid sets from gen_tableau (tableau.graft_pq).  It rebases beta
+onto the carrier's first copy and lays the duplicate on the same
+stride, so the grown circuit regenerates a set that contains the old
+one.  search_translate reuses the proof tail on a search problem's
+correctness clauses, with fresh ids for the duplicate.
+truthdef_translate and er_to_implicit turn any ER refutation of omega
+into a refutation of C(omega, canonical beta) and graft it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .circuits import (
@@ -206,22 +213,124 @@ def emb_refute(
     return b.extract(final)
 
 
-def _premise_lookup(cs: ClauseSet) -> dict[Clause, int]:
-    index: dict[Clause, int] = {}
-    for pos, cl in enumerate(cs.clauses):
-        index.setdefault(cl, pos)
-    return index
-
-
-def _rename_clause(cl: Clause, varmap: dict[int, int]) -> Clause:
-    return Clause(tuple(_map_lit(l, varmap) for l in cl))
-
-
 @dataclass(frozen=True)
 class TranslatedSearch:
     problem: SearchProblem  # enlarged algorithm, same checker
     rho: ResolutionProof
     delta_prime: int
+
+
+def _duplicate(
+    host: Circuit, aux: Circuit, start: int, step: int
+) -> tuple[tuple[Gate, ...], dict[int, int]]:
+    """Copy of host's and aux's gates over host's frees; the t-th gate
+    (from 0) gets id start + t * step.  Returns the gates and the map."""
+    dupmap = {v: v for v in host.free}
+    gates = []
+    for t, g in enumerate(host.gates + aux.gates):
+        nv = start + t * step
+        gates.append(Gate(nv, tuple(map_literal(l, dupmap) for l in g.body)))
+        dupmap[g.var] = nv
+    return tuple(gates), dupmap
+
+
+def _fold_proof(
+    old: ClauseSet,
+    old_neg: int,
+    pi: ERProof,
+    host: Circuit,
+    dup_gates: tuple[Gate, ...],
+    dupmap: dict[int, int],
+    new: ClauseSet,
+    new_index: dict[Clause, int],
+    new_neg: int,
+) -> ResolutionProof:
+    """Refute the grown set new from a refutation pi of old.
+
+    old holds host's gate clauses and, at old_neg, the unit {-delta}
+    for host's output delta; new holds those clauses, the clauses of
+    the duplicate (dup_gates, via dupmap) and {-delta} at new_neg, and
+    new_index finds each clause's position."""
+    delta = host.outputs[0]
+    delta_prime = dupmap[delta]
+    old_premises = er_premises(old, pi.aux)
+    stripped = strip_weakening(old_premises, pi.proof)
+    premise_map = {}
+    for q, cl in enumerate(old_premises.clauses):
+        if q == old_neg:
+            premise_map[q] = len(new.clauses)
+        else:
+            premise_map[q] = new_index[Clause(tuple(map_literal(l, dupmap) for l in cl))]
+    renamed = rename_proof(stripped, dupmap, premise_map)
+    lifted = lift_unit_axiom(new, renamed, -delta_prime)
+
+    dup_circuit = Circuit(host.free, dup_gates, (delta_prime,))
+    f = {v: dupmap[v] for v in host.variables()}
+    glue = emb_refute(host, dup_circuit, f, delta, polarity=False)
+    glue_premises = emb_premises(host, dup_circuit, delta, False, delta_prime)
+
+    b = ProofBuilder(new)
+    lifted_step = b.import_proof(lifted, b.axiom)
+    if b.clause(lifted_step) != Clause((delta_prime,)):
+        raise TranslateError("lifting did not reach the duplicate verdict")
+    n_gate_clauses = len(glue_premises.clauses) - 2
+
+    def glue_axiom(k: int) -> int:
+        if k < n_gate_clauses:
+            return b.axiom(new_index[glue_premises.clauses[k]])
+        if k == n_gate_clauses:  # unit {-delta}
+            return b.axiom(new_neg)
+        return lifted_step  # unit {delta'}
+
+    final = b.import_proof(glue, glue_axiom)
+    if b.clause(final) != EMPTY_CLAUSE:
+        raise TranslateError("grafted refutation missed the empty clause")
+    return b.extract(final)
+
+
+def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
+    """Fold an ER refutation of a stride-laid carrier into beta.
+
+    bundle is the carrier generated from beta and iface (gen_C or
+    gen_tableau output); generate(beta2, iface2) regenerates it for
+    the grown circuit.  The stride is the number of copies.  beta is
+    rebased onto its first copy (``copy_maps[0]``), which makes the
+    first copy's clause block literally the grown circuit's own
+    clauses; the duplicate's ids continue the stride after beta's
+    non-output gates.  The grown circuit's frees are the first copy's
+    input images, then the carrier's frees not already listed.
+    Returns the grown circuit, its interface, its carrier and the
+    certificate refuting that carrier."""
+    rep = check_er(bundle.clauses, alpha_er)
+    if not rep:
+        raise TranslateError(f"invalid proof: {rep.reason}")
+    host = bundle.circuit
+    first = bundle.copy_maps[0]
+    stride = len(bundle.copy_maps)
+    n_inner = len(beta.gates) - len(iface.outputs)
+    dup_gates, dupmap = _duplicate(
+        host, alpha_er.aux, bundle.copy_base + n_inner * stride, stride
+    )
+    inputs = tuple(first[x] for x in iface.inputs)
+    beta_hat = tuple(
+        Gate(first[g.var], tuple(map_literal(l, first) for l in g.body))
+        for g in beta.gates
+    )
+    beta2 = Circuit(
+        inputs + tuple(v for v in host.free if v not in inputs),
+        beta_hat + dup_gates,
+        tuple(first[y] for y in iface.outputs),
+    )
+    rep = validate_circuit(beta2)
+    if not rep:
+        raise TranslateError(f"grown circuit invalid: {rep.reason}")
+    iface2 = replace(iface, inputs=inputs, outputs=beta2.outputs)
+    bundle2 = generate(beta2, iface2)
+    alpha2 = _fold_proof(
+        bundle.clauses, bundle.neg_delta_index, alpha_er, host, dup_gates, dupmap,
+        bundle2.clauses, bundle2.clause_index, bundle2.neg_delta_index,
+    )
+    return beta2, iface2, bundle2, alpha2
 
 
 def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
@@ -243,53 +352,21 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     rep = validate_circuit(full)
     if not rep:
         raise TranslateError(f"proof auxiliaries do not stack: {rep.reason}")
-    old_premises = er_premises(correct, pi.aux)
-    fresh = VarAlloc(max(max_var(full), old_premises.n) + 1)
-    dup_gates, dupmap = [], {v: v for v in sp.xs}
-    for g in full.gates:
-        nv = fresh.fresh()
-        dup_gates.append(Gate(nv, tuple(map_literal(l, dupmap) for l in g.body)))
-        dupmap[g.var] = nv
-    delta_prime = dupmap[delta]
+    # aux frees occur in correct, so this clears every premise variable
+    start = max(max_var(full), correct.n) + 1
+    dup_gates, dupmap = _duplicate(host, pi.aux, start, 1)
 
-    algo2 = Circuit(sp.xs, sp.algorithm.gates + tuple(dup_gates), sp.ys)
+    algo2 = Circuit(sp.xs, sp.algorithm.gates + dup_gates, sp.ys)
     sp2 = SearchProblem(sp.n, sp.xs, sp.ys, algo2, sp.checker)
     correct2 = gen_correct(sp2)
-    lookup = _premise_lookup(correct2)
-
-    neg_delta_pos = len(correct.clauses) - 1
-    stripped = strip_weakening(old_premises, pi.proof)
-    premise_map = {}
-    for q, cl in enumerate(old_premises.clauses):
-        if q == neg_delta_pos:
-            premise_map[q] = len(correct2.clauses)
-        else:
-            premise_map[q] = lookup[_rename_clause(cl, dupmap)]
-    renamed = rename_proof(stripped, dupmap, premise_map)
-    lifted = lift_unit_axiom(correct2, renamed, -delta_prime)
-
-    dup_circuit = Circuit(sp.xs, tuple(dup_gates), (delta_prime,))
-    f = {v: dupmap[v] for v in host.variables()}
-    glue = emb_refute(host, dup_circuit, f, delta, polarity=False)
-    glue_premises = emb_premises(host, dup_circuit, delta, False, delta_prime)
-
-    b = ProofBuilder(correct2)
-    lifted_step = b.import_proof(lifted, lambda k: b.axiom(k))
-    if b.clause(lifted_step) != Clause((delta_prime,)):
-        raise TranslateError("lifting did not reach the duplicate verdict")
-    n_gate_clauses = len(glue_premises.clauses) - 2
-
-    def glue_axiom(k: int) -> int:
-        if k < n_gate_clauses:
-            return b.axiom(lookup[glue_premises.clauses[k]])
-        if k == n_gate_clauses:  # unit {-delta}
-            return b.axiom(len(correct2.clauses) - 1)
-        return lifted_step  # unit {delta'}
-
-    final = b.import_proof(glue, glue_axiom)
-    if b.clause(final) != EMPTY_CLAUSE:
-        raise TranslateError("translated refutation missed the empty clause")
-    return TranslatedSearch(sp2, b.extract(final), delta_prime)
+    index: dict[Clause, int] = {}
+    for pos, cl in enumerate(correct2.clauses):
+        index.setdefault(cl, pos)
+    rho = _fold_proof(
+        correct, len(correct.clauses) - 1, pi, host, dup_gates, dupmap,
+        correct2, index, len(correct2.clauses) - 1,
+    )
+    return TranslatedSearch(sp2, rho, dupmap[delta])
 
 
 def _unit(b: ProofBuilder, lit: int, step: int) -> int:
@@ -469,109 +546,20 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
 
 
 def graft(
-    omega: ClauseSet, beta: Circuit, iface: TreeInterface, alpha_er: ERProof
+    omega: ClauseSet,
+    beta: Circuit,
+    iface: TreeInterface,
+    bundle: CorrectnessBundle,
+    alpha_er: ERProof,
 ) -> ImplicitRefutation:
-    """Fold an ER refutation of C(omega, beta) into the described
-    circuit itself, yielding a plain implicit refutation.
-
-    The grown circuit keeps beta's structure, rebased onto the ids the
-    clause-set generator hands its first copy (inputs to the first
-    window row, outputs to the first answer row, gates to the copy
-    stride), which makes the first copy's clause block literally the
-    grown circuit's own clauses.  A duplicate, over the branch
-    variables, of every generator gate and proof auxiliary is
-    appended.  The certificate renames the ER proof onto the
-    duplicate, lifts its use of the negated verdict into a derivation
-    of the duplicate verdict, and glues back with an embedding
-    refutation."""
-    n = iface.n
-    if omega.n != n:
-        omega = ClauseSet(n, omega.clauses)
-    bundle = gen_C(omega, beta, iface)
-    rep = check_er(bundle.clauses, alpha_er)
-    if not rep:
-        raise TranslateError(f"invalid proof: {rep.reason}")
-    aux = alpha_er.aux
-    width = output_width(n)
-
-    g_circuit = bundle.circuit
-    full_gates = g_circuit.gates + aux.gates
-    m_beta = len(beta.gates) - width  # non-output gate count
-    copy_base = bundle.copy_base
-
-    dupmap = {z: z for z in bundle.z_vars}
-    dup_gates = []
-    for t, g in enumerate(full_gates, start=1):
-        nv = copy_base + (m_beta + t - 1) * n
-        dup_gates.append(Gate(nv, tuple(map_literal(l, dupmap) for l in g.body)))
-        dupmap[g.var] = nv
-    delta_prime = dupmap[bundle.delta]
-
-    # Beta rebased so that its first copy is the identity.
-    xhat = tuple(bundle.u_grid[(1, j)] for j in range(n + 1))
-    betamap = {x: xh for x, xh in zip(iface.inputs, xhat)}
-    for m, y in enumerate(iface.outputs, start=1):
-        betamap[y] = bundle.w_grid[(1, m)]
-    for v in beta.free:
-        betamap.setdefault(v, v)  # extra frees stay put
-    t = 0
-    for g in beta.gates:
-        if g.var not in betamap:
-            betamap[g.var] = copy_base + t * n
-            t += 1
-    beta_hat = tuple(
-        Gate(betamap[g.var], tuple(map_literal(l, betamap) for l in g.body))
-        for g in beta.gates
+    """Fold an ER refutation of C(omega, beta), whose generated bundle
+    is passed in, into the described circuit itself, yielding a plain
+    implicit refutation (see graft_fold)."""
+    beta2, iface2, bundle2, alpha2 = graft_fold(
+        bundle, beta, iface, alpha_er, lambda b2, i2: gen_C(omega, b2, i2)
     )
-    beta2 = Circuit(
-        xhat + tuple(bundle.z_vars),
-        beta_hat + tuple(dup_gates),
-        tuple(bundle.w_grid[(1, m)] for m in range(1, width + 1)),
-    )
-    rep = validate_circuit(beta2)
-    if not rep:
-        raise TranslateError(f"grown circuit invalid: {rep.reason}")
-    iface2 = TreeInterface(n, xhat, beta2.outputs)
-    bundle2 = gen_C(omega, beta2, iface2)
-    lookup = bundle2.clause_index
-
-    old_premises = er_premises(bundle.clauses, aux)
-    stripped = strip_weakening(old_premises, alpha_er.proof)
-    premise_map = {}
-    for q, cl in enumerate(old_premises.clauses):
-        if q == bundle.neg_delta_index:
-            premise_map[q] = len(bundle2.clauses.clauses)
-        else:
-            premise_map[q] = lookup[_rename_clause(cl, dupmap)]
-    renamed = rename_proof(stripped, dupmap, premise_map)
-    lifted = lift_unit_axiom(bundle2.clauses, renamed, -delta_prime)
-
-    dup_circuit = Circuit(tuple(bundle.z_vars), tuple(dup_gates), (delta_prime,))
-    f = {v: dupmap[v] for v in g_circuit.variables()}
-    glue = emb_refute(g_circuit, dup_circuit, f, bundle.delta, polarity=False)
-    glue_premises = emb_premises(
-        g_circuit, dup_circuit, bundle.delta, False, delta_prime
-    )
-
-    b = ProofBuilder(bundle2.clauses)
-    lifted_step = b.import_proof(lifted, lambda k: b.axiom(k))
-    if b.clause(lifted_step) != Clause((delta_prime,)):
-        raise TranslateError("lifting did not reach the duplicate verdict")
-    n_gate_clauses = len(glue_premises.clauses) - 2
-
-    def glue_axiom(k: int) -> int:
-        if k < n_gate_clauses:
-            return b.axiom(lookup[glue_premises.clauses[k]])
-        if k == n_gate_clauses:
-            return b.axiom(bundle2.neg_delta_index)
-        return lifted_step
-
-    final = b.import_proof(glue, glue_axiom)
-    if b.clause(final) != EMPTY_CLAUSE:
-        raise TranslateError("grafted refutation missed the empty clause")
-    alpha2 = b.extract(final)
     return ImplicitRefutation(
-        n, omega, alpha2, beta2, iface2,
+        iface.n, omega, alpha2, beta2, iface2,
         alpha_premises=len(bundle2.clauses.clauses),
     )
 
@@ -580,7 +568,7 @@ def er_to_implicit(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
     """Full simulation: truth-definition translation onto the
     canonical circuit, then grafting."""
     tt = truthdef_translate(omega, pi)
-    ir = graft(omega, tt.beta, tt.iface, tt.eta)
+    ir = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
     rep = verify_implicit(ir)
     if not rep:
         raise TranslateError(f"simulation output rejected at {rep.stage}: {rep.reason}")

@@ -15,7 +15,6 @@ from implres.circuits import (
     evaluate,
     gate_clauses,
     max_var,
-    normalize_outputs,
     parse_circuit,
     serialize_circuit,
     validate_circuit,
@@ -40,7 +39,6 @@ def test_validate_circuit_accepts_and_rejects():
     assert not validate_circuit(Circuit((1, 1), (), ()))
     assert not validate_circuit(Circuit((1,), (Gate(1, (1,)),), ()))
     assert not validate_circuit(Circuit((1,), (), (5,)))
-    assert not validate_circuit(Circuit((1,), (Gate(2, (1, 1, 1)),), ()), fan_in=2)
 
 
 def test_gate_clauses_order_and_dedup():
@@ -122,19 +120,6 @@ def test_check_embedding():
     assert check_embedding(c, d, {1: 1, 2: 6})
     assert not check_embedding(c, d, {1: 1, 2: 7})  # body mismatch
     assert not check_embedding(c, d, {1: 1})  # undefined on 2
-
-
-def test_normalize_outputs_keeps_semantics():
-    c = Circuit((1, 2), (Gate(3, (1, 2)), Gate(4, (-1, -2))), (3,))
-    al = VarAlloc(10)
-    nc = normalize_outputs(c, (3,), al)
-    assert validate_circuit(nc)
-    assert set(nc.outputs) >= {3} or 3 in [g.body[0] for g in nc.gates]
-    ext = {g.var for g in nc.gates}
-    sinks = ext - {abs(l) for g in nc.gates for l in g.body}
-    assert sinks == set(nc.outputs)
-    for v1, v2 in itertools.product((False, True), repeat=2):
-        assert evaluate(nc, {1: v1, 2: v2})[3] == (v1 or v2)
 
 
 def test_builder_produces_valid_circuits():

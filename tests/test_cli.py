@@ -1,12 +1,17 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import implres
 from implres.circuits import Circuit, serialize_circuit
 from implres.cli import main
+from implres.encoding import canonical_tree_circuit
 from implres.families import not_search, tm_halt
 from implres.formulas import serialize_dimacs
 from implres.correctness import gen_correct
+from implres.implicit import Manifest, serialize_manifest
 from implres.proofs import ERProof, serialize_er, serialize_proof
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import encode_tau, gen_tableau, refute_tableau, serialize_tm
@@ -51,6 +56,36 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert run(["prove", p]) == 2
     assert run(["verify", tmp_path / "missing.manifest"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("verify", "res-proof x\n"),
+    ("encode", "dtree x\n"),
+    ("encode", "dtree 2\nn x\n"),
+    ("encode", "dtree 2\nn 1\nl 1 x 0\n"),
+])
+def test_malformed_header_exits_2_without_traceback(tmp_path, cnf_file, command, text):
+    if command == "encode":
+        bad = tmp_path / "bad.dtree"
+        bad.write_text(text)
+        argv = ["encode", bad, cnf_file, "-o", tmp_path]
+    else:
+        beta, _ = canonical_tree_circuit(2)
+        (tmp_path / "omega.circ").write_text(serialize_circuit(beta))
+        (tmp_path / "omega.rproof").write_text(text)
+        manifest = tmp_path / "omega.manifest"
+        manifest.write_text(
+            serialize_manifest(Manifest(2, "omega.cnf", "omega.circ", "omega.rproof"))
+        )
+        argv = ["verify", manifest]
+    src = os.path.dirname(os.path.dirname(implres.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "implres.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_rejects_tampered_artifact(tmp_path, cnf_file, capsys):

@@ -76,23 +76,6 @@ def test_gen_delta_small_exhaustive(omega1, omega2):
                 assert got == want, (n, omega, xs, ys, got, want)
 
 
-def test_gen_delta_binary_variant_same_function(omega2):
-    d1 = gen_delta(omega2, 2)
-    d2 = gen_delta(omega2, 2, binary=True)
-    width = output_width(2)
-    for xs, ys in iter_patterns(2):
-        vals1, vals2 = {}, {}
-        for i in range(2):
-            vals1[d1.x_vars[i]] = vals2[d2.x_vars[i]] = bool(xs[i])
-            for m in range(width):
-                vals1[d1.y_vars[i][m]] = bool(ys[i][m])
-                vals2[d2.y_vars[i][m]] = bool(ys[i][m])
-        assert (
-            evaluate(d1.circuit, vals1)[d1.delta]
-            == evaluate(d2.circuit, vals2)[d2.delta]
-        )
-
-
 def test_gen_delta_input_validation(omega2):
     with pytest.raises(CorrectnessError):
         gen_delta(omega2, 1)  # omega speaks about more variables

@@ -12,7 +12,6 @@ from implres.encoding import (
     compute_initial_clause,
     decode_window,
     enumerate_initial_clauses,
-    implicit_premises,
     interface_from_circuit,
     output_width,
     realizable_windows,
@@ -103,9 +102,6 @@ def test_initial_clauses_of_balanced_tree(omega2):
     beta, iface = tree_to_circuit(tree, 2)
     got = enumerate_initial_clauses(beta, iface)
     assert all(not c.is_tautology() for c in got)
-    prem = implicit_premises(beta, iface)
-    assert len(prem.clauses) == 4  # one entry per branch vector, duplicates kept
-    assert set(prem.clauses) == got
 
 
 def test_compute_initial_clause_signs():

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from implres.correctness import gen_C
 from implres.encoding import canonical_tree_circuit
 from implres.formulas import Clause, ClauseSet
 from implres.implicit import (
@@ -37,7 +40,7 @@ def test_synthesize_alpha_fails_on_wrong_description(omega2):
     loose = ClauseSet(2, (Clause((1, 2)),))
     beta, iface = canonical_tree_circuit(2)
     with pytest.raises(SynthesisFailure) as exc:
-        synthesize_alpha(loose, beta, iface)
+        synthesize_alpha(gen_C(loose, beta, iface))
     assert len(exc.value.witness) == 2
 
 
@@ -45,7 +48,7 @@ def test_synthesize_alpha_branch_cap():
     big = ClauseSet(17, ())
     beta, iface = canonical_tree_circuit(17)
     with pytest.raises(ImplicitError):
-        synthesize_alpha(big, beta, iface)
+        synthesize_alpha(gen_C(big, beta, iface))
 
 
 def test_verify_implicit_stage_reports(omega1, omega2):
@@ -128,3 +131,19 @@ def test_save_load_verify_round_trip(tmp_path, omega2):
         a = (tmp_path / name).read_bytes()
         b = (tmp_path / "again" / name).read_bytes()
         assert a == b
+
+
+def test_failed_save_leaves_existing_refutation_intact(tmp_path, monkeypatch, omega1, omega2):
+    manifest = save_implicit(make_ir(omega2), str(tmp_path), "case")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_implicit(make_ir(omega1), str(tmp_path), "case")
+    monkeypatch.undo()
+    for name, data in before.items():
+        assert (tmp_path / name).read_bytes() == data
+    assert verify_implicit(load_implicit(manifest))

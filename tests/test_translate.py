@@ -100,7 +100,7 @@ def test_truthdef_translate_accepted(omega1, omega2):
 def test_graft_yields_verified_refutation(omega1):
     pi = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
     tt = truthdef_translate(omega1, pi)
-    ir = graft(omega1, tt.beta, tt.iface, tt.eta)
+    ir = graft(omega1, tt.beta, tt.iface, tt.bundle, tt.eta)
     rep = verify_implicit(ir)
     assert rep, (rep.stage, rep.reason)
     # the new carrier clause set contains the old one and the grown circuit
@@ -113,8 +113,8 @@ def test_graft_yields_verified_refutation(omega1):
 def test_graft_accepts_plain_proof_over_tree_circuit(omega2):
     out = dpll_refute(omega2)
     beta, iface = tree_to_circuit(balance_tree(out.tree, (1, 2)), 2)
-    alpha = synthesize_alpha(omega2, beta, iface)
-    ir = graft(omega2, beta, iface, empty_aux(alpha))
+    bundle = gen_C(omega2, beta, iface)
+    ir = graft(omega2, beta, iface, bundle, empty_aux(synthesize_alpha(bundle)))
     assert verify_implicit(ir)
 
 
@@ -132,7 +132,7 @@ def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2):
     for omega in (omega1, omega2):
         pi = dpll_er(omega)
         tt = truthdef_translate(omega, pi)
-        ir = graft(omega, tt.beta, tt.iface, tt.eta)
+        ir = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
         bound = 16 * (len(tt.eta.proof.steps) + len(tt.bundle.clauses.clauses))
         assert len(ir.alpha.steps) <= bound
 
