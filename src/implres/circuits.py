@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .formulas import Clause, ClauseSet, check_literal
+from .formulas import (
+    Clause,
+    ClauseSet,
+    canonical_clause,
+    check_literals,
+    derived_clause,
+)
 
 
 class CircuitError(ValueError):
@@ -29,13 +35,12 @@ class Gate:
     body: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.var, int) or self.var < 1:
+        if type(self.var) is not int or self.var < 1:
             raise CircuitError(f"bad gate variable {self.var!r}")
         body = tuple(self.body)
         if not body:
             raise CircuitError(f"gate {self.var} has empty body")
-        for lit in body:
-            check_literal(lit)
+        check_literals(body)
         object.__setattr__(self, "body", body)
 
 
@@ -110,14 +115,20 @@ def gate_clauses(g: Gate) -> tuple[Clause, ...]:
     """The defining clause group, exact duplicates collapsed.
 
     Order is fixed: the wide clause first, then one two-literal clause
-    per body literal in body order.
+    per body literal in body order.  The literals were validated when
+    the gate was made, so the clauses are built on the trusted path.
     """
-    out = [Clause((-g.var,) + g.body)]
-    seen = {out[0]}
+    v = g.var
+    out = [derived_clause({-v, *g.body})]
+    seen = {out[0].literals}
     for lit in g.body:
-        cl = Clause((g.var, -lit))
-        if cl not in seen:
-            seen.add(cl)
+        u = abs(lit)
+        if u == v:  # a body citing its own gate; validate_circuit rejects it
+            cl = Clause((v, -lit))
+        else:
+            cl = canonical_clause((-lit, v) if u < v else (v, -lit))
+        if cl.literals not in seen:
+            seen.add(cl.literals)
             out.append(cl)
     return tuple(out)
 

@@ -2,9 +2,20 @@
 
 Literals are nonzero DIMACS-style integers: ``v`` for a positive
 occurrence of variable ``v`` and ``-v`` for a negated one.  A clause is
-a set of literals kept in a canonical sorted order so that equal
-clauses compare and hash equal.  A clause set fixes the number of
-variables ``n`` and owns an ordered tuple of clauses.
+a set of literals kept in a canonical order (by variable, the negative
+literal first) so that equal clauses compare and hash equal.  A clause
+set fixes the number of variables ``n`` and owns an ordered tuple of
+clauses.
+
+Trust boundary.  ``Clause(...)`` is the validated constructor: it
+rejects anything but nonzero ``int`` literals (``bool`` included) and
+canonicalizes its input.  Everything read from outside goes through it:
+the parsers, the families, ``ClauseSet`` coercion of bare tuples and
+weakening literals of a proof.  ``ClauseSet`` also checks every
+variable against ``n``.  ``derived_clause`` and ``canonical_clause`` are
+the internal constructors for clauses made from literals that are
+already valid, such as resolvents of two clauses and the clause groups
+of validated gates; they check nothing.
 """
 
 from __future__ import annotations
@@ -24,16 +35,24 @@ def check_literal(lit: int) -> int:
     return lit
 
 
-def _canonical(literals: Iterable[int]) -> tuple[int, ...]:
-    seen = set()
-    out = []
-    for lit in literals:
-        check_literal(lit)
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    # negative literal sorts before the positive one of the same variable
-    out.sort(key=lambda l: (abs(l), l > 0))
+_INT = {int}
+
+
+def check_literals(lits: tuple) -> None:
+    """Reject a sequence holding anything but nonzero ints.
+
+    One type test and one zero test cover the whole sequence; the
+    per-literal loop runs only to name the first bad literal.
+    """
+    if not set(map(type, lits)) <= _INT or 0 in lits:
+        for lit in lits:
+            check_literal(lit)
+
+
+def _ordered(lits: set[int]) -> tuple[int, ...]:
+    # sorted() puts -v before v; the stable sort by variable keeps it so
+    out = sorted(lits)
+    out.sort(key=abs)
     return tuple(out)
 
 
@@ -44,7 +63,9 @@ class Clause:
     literals: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "literals", _canonical(self.literals))
+        lits = tuple(self.literals)
+        check_literals(lits)
+        object.__setattr__(self, "literals", _ordered(set(lits)))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals)
@@ -71,10 +92,26 @@ class Clause:
         return Clause(self.literals + tuple(other_lits))
 
     def without(self, lit: int) -> "Clause":
-        return Clause(tuple(l for l in self.literals if l != lit))
+        return canonical_clause(tuple(l for l in self.literals if l != lit))
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(l) for l in self.literals) + "}"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def canonical_clause(literals: tuple[int, ...]) -> Clause:
+    """Trusted: wrap valid literals that are already in canonical order."""
+    clause = _new(Clause)
+    _set(clause, "literals", literals)
+    return clause
+
+
+def derived_clause(literals: set[int]) -> Clause:
+    """Trusted: the clause of a set of valid literals, put in order."""
+    return canonical_clause(_ordered(literals))
 
 
 EMPTY_CLAUSE = Clause()
@@ -100,9 +137,11 @@ class ClauseSet:
         )
         object.__setattr__(self, "clauses", norm)
         for c in norm:
-            for lit in c:
-                if abs(lit) > self.n:
-                    raise FormulaError(f"variable {abs(lit)} out of range 1..{self.n}")
+            # canonical order puts the largest variable last
+            if c.literals and abs(c.literals[-1]) > self.n:
+                raise FormulaError(
+                    f"variable {abs(c.literals[-1])} out of range 1..{self.n}"
+                )
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)

@@ -121,40 +121,41 @@ def synthesize_alpha(bundle: CorrectnessBundle) -> ResolutionProof:
     variables in ascending order; each conflict found by propagation is
     resolved back to the branch literals, and the branches merge into
     the empty clause."""
-    n = bundle.n
-    if n > 16:
+    if bundle.n > 16:
         raise ImplicitError("synthesis capped at 16 branch variables")
     up = UnitPropagation(bundle.clauses)
     b = ProofBuilder(bundle.clauses)
-
-    def witness() -> tuple[int, ...]:
-        return tuple(int(up.value.get(z, False)) for z in bundle.z_vars)
-
-    def go(depth: int) -> int:
-        if depth > n:
-            raise SynthesisFailure(witness())
-        z = bundle.z_vars[depth - 1]
-        if z in up.value:
-            return go(depth + 1)
-        mark = up.mark()
-        sides = []
-        for lit in (-z, z):
-            conflict = up.assume(lit)
-            if conflict is not None:
-                sides.append(up.analyze(conflict, b))
-            else:
-                sides.append(go(depth + 1))
-            up.undo(mark)
-        return b.resolve_opt(sides[0], sides[1], z)
-
     conflict = up.propagate()
     if conflict is not None:
         root = up.analyze(conflict, b)
     else:
-        root = go(1)
+        root = _branch(up, b, bundle.z_vars, 1)
     if b.clause(root) != EMPTY_CLAUSE:
         raise ImplicitError(f"synthesis reached {b.clause(root)}, not the empty clause")
     return b.extract(root)
+
+
+def _branch(up: UnitPropagation, b: ProofBuilder, z_vars: tuple[int, ...], depth: int) -> int:
+    """Step id refuting the current assignment, branching z_depth onward.
+
+    A module-level function, not a closure over itself: a recursive
+    closure is a reference cycle that would keep the whole generated
+    set alive after synthesis until the cyclic collector runs."""
+    if depth > len(z_vars):
+        raise SynthesisFailure(tuple(int(up.value.get(z, False)) for z in z_vars))
+    z = z_vars[depth - 1]
+    if z in up.value:
+        return _branch(up, b, z_vars, depth + 1)
+    mark = up.mark()
+    sides = []
+    for lit in (-z, z):
+        conflict = up.assume(lit)
+        if conflict is not None:
+            sides.append(up.analyze(conflict, b))
+        else:
+            sides.append(_branch(up, b, z_vars, depth + 1))
+        up.undo(mark)
+    return b.resolve_opt(sides[0], sides[1], z)
 
 
 def implicit_from_tree(omega: ClauseSet, tree: DecisionTree) -> ImplicitRefutation:

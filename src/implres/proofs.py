@@ -2,10 +2,16 @@
 
 A proof is a sequence of steps over a positional premise list.  Step
 clauses are always recomputed by the checker, never trusted from the
-input.  The resolution rule is liberal: the pivot must occur
-positively in the left premise and negatively in the right premise,
-the conclusion is the union of the remaining literals, and nothing
-forbids the pivot from reappearing via the other side.
+input: every step of every proof is replayed.  The resolution rule is
+liberal: the pivot must occur positively in the left premise and
+negatively in the right premise, the conclusion is the union of the
+remaining literals, and nothing forbids the pivot from reappearing via
+the other side.
+
+A resolvent is built from its two parents, which are canonical clauses
+already, with set operations and no literal checks
+(``formulas.derived_clause``).  Weakening literals come from the proof
+and go through the validated ``Clause`` constructor.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .circuits import Circuit, circuit_clauses, validate_circuit
-from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, check_literal
+from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, check_literal, derived_clause
 
 
 class ProofError(ValueError):
@@ -75,13 +81,17 @@ class _StepFailure(Exception):
 
 
 def resolve_clauses(left: Clause, right: Clause, pivot: int) -> Clause:
-    if pivot not in left:
-        raise ProofError(f"pivot {pivot} not positive in left clause")
-    if -pivot not in right:
-        raise ProofError(f"pivot {pivot} not negative in right clause")
-    return Clause(
-        tuple(l for l in left if l != pivot) + tuple(l for l in right if l != -pivot)
-    )
+    """(left - pivot) | (right - -pivot), from the canonical parents."""
+    lits = set(left.literals)
+    if pivot not in lits:
+        raise ProofError(f"pivot {pivot} absent from left clause")
+    other = set(right.literals)
+    if -pivot not in other:
+        raise ProofError(f"pivot {pivot} absent from right clause")
+    lits.discard(pivot)
+    other.discard(-pivot)
+    lits |= other
+    return derived_clause(lits)
 
 
 def replay_steps(premises: ClauseSet, steps: Iterable[Step]) -> list[Clause]:
@@ -95,19 +105,17 @@ def replay_steps(premises: ClauseSet, steps: Iterable[Step]) -> list[Clause]:
         elif isinstance(step, Resolve):
             if not (0 <= step.left < idx and 0 <= step.right < idx):
                 raise _StepFailure(idx, "resolve references a later or missing step")
-            left, right = clauses[step.left], clauses[step.right]
             if step.pivot < 1:
                 raise _StepFailure(idx, f"bad pivot {step.pivot}")
-            if step.pivot not in left:
-                raise _StepFailure(idx, f"pivot {step.pivot} absent from left clause")
-            if -step.pivot not in right:
-                raise _StepFailure(idx, f"pivot {step.pivot} absent from right clause")
-            clauses.append(resolve_clauses(left, right, step.pivot))
+            try:
+                clauses.append(
+                    resolve_clauses(clauses[step.left], clauses[step.right], step.pivot)
+                )
+            except ProofError as exc:
+                raise _StepFailure(idx, str(exc)) from None
         elif isinstance(step, Weaken):
             if not 0 <= step.source < idx:
                 raise _StepFailure(idx, "weaken references a later or missing step")
-            for lit in step.literals:
-                check_literal(lit)
             clauses.append(clauses[step.source].union(step.literals))
         else:
             raise _StepFailure(idx, f"unknown step kind {type(step).__name__}")
@@ -375,7 +383,7 @@ class UnitPropagation:
 
     def __init__(self, premises: ClauseSet):
         self.premises = premises
-        self.clauses = [list(c.literals) for c in premises.clauses]
+        self.clauses = [c.literals for c in premises.clauses]
         self.size = [len(lits) for lits in self.clauses]
         self.occur: dict[int, list[int]] = {}
         for idx, lits in enumerate(self.clauses):

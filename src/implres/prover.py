@@ -143,8 +143,6 @@ def dpll_refute(
     yet satisfied.  Left branch assigns the variable true.
     """
     if order is None:
-        if cs.n > 20:
-            raise ProverError("default branching order capped at 20 variables")
         order = range(1, cs.n + 1)
     order = tuple(order)
     engine = UnitPropagation(cs)

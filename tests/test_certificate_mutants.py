@@ -1,0 +1,112 @@
+"""Mutation fuzzing of grafted and tableau certificates.
+
+Acceptance item 7 mutates certificates synthesized for tree carriers.
+This extends its proof mutants to the two other producers: alpha from
+``er_to_implicit`` and the grafted proof from ``graft_pq``.  Each mutant
+is judged by a reference replay over frozensets written here, which
+shares no code with the checker, and by the verifier's proof stage on
+the regenerated carrier set.  The two must agree on every mutant, and
+no mutant the reference finds invalid may be accepted.
+"""
+
+import dataclasses
+import random
+
+from implres.circuits import Circuit
+from implres.correctness import gen_C
+from implres.families import php, tm_halt, tm_right_writer, tm_write_stay, tseitin_cycle
+from implres.implicit import proof_stage, verify_implicit
+from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof
+from implres.prover import dpll_refute, proof_from_tree
+from implres.tableau import gen_tableau, graft_pq, refute_tableau, verify_refutation
+from implres.translate import er_to_implicit
+
+EMPTY = Circuit((), (), ())
+PER_KIND = 12
+
+
+def er_certificates():
+    for name, omega in (("tseitin4", tseitin_cycle(4)), ("php32", php(3, 2))):
+        pi = ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree))
+        ir = er_to_implicit(omega, pi)
+        assert verify_implicit(ir)
+        yield name, gen_C(ir.omega, ir.beta, ir.iface), ir.alpha, ir.alpha_premises
+
+
+def tableau_certificates():
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        tm, tau, beta, iface = fixture()
+        alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+        tr = graft_pq(tm, tau, beta, iface, ERProof(EMPTY, alpha))
+        assert verify_refutation(tr)
+        bundle = gen_tableau(tm, tau, tr.beta, tr.iface)
+        yield fixture.__name__, bundle, tr.alpha, tr.alpha_premises
+
+
+def reference_clauses(premises, steps, prefix=()):
+    """Frozenset replay of ``steps`` continuing after the clauses of
+    ``prefix``; None at the first unsound step."""
+    clauses = list(prefix)
+    for i in range(len(prefix), len(steps)):
+        s = steps[i]
+        if isinstance(s, Axiom):
+            if not 0 <= s.index < len(premises):
+                return None
+            clauses.append(frozenset(premises[s.index].literals))
+        elif isinstance(s, Resolve):
+            if not (0 <= s.left < i and 0 <= s.right < i) or s.pivot < 1:
+                return None
+            left, right = clauses[s.left], clauses[s.right]
+            if s.pivot not in left or -s.pivot not in right:
+                return None
+            clauses.append((left - {s.pivot}) | (right - {-s.pivot}))
+        else:
+            if not 0 <= s.source < i:
+                return None
+            clauses.append(clauses[s.source] | frozenset(s.literals))
+    return clauses
+
+
+def mutants(alpha, n_vars, rng):
+    """(kind, step index, mutated step) triples: a corrupted pivot, a
+    corrupted step index, and a late step that cites itself."""
+    resolves = [i for i, s in enumerate(alpha.steps) if isinstance(s, Resolve)]
+    late = [i for i in resolves if i >= len(alpha.steps) * 9 // 10]
+    for _ in range(PER_KIND):
+        i = rng.choice(resolves)
+        s = alpha.steps[i]
+        new = rng.choice([v for v in range(1, n_vars + 1) if v != s.pivot])
+        yield "pivot", i, dataclasses.replace(s, pivot=new)
+        i = rng.choice([j for j in resolves if j >= 2])
+        s = alpha.steps[i]
+        side = rng.choice(("left", "right"))
+        new = rng.choice([j for j in range(i) if j != getattr(s, side)])
+        yield "index", i, dataclasses.replace(s, **{side: new})
+        i = rng.choice(late)
+        yield "self", i, dataclasses.replace(alpha.steps[i], left=i)
+
+
+def test_grafted_and_tableau_certificate_mutants_are_rejected():
+    rng = random.Random(311)
+    invalid = 0
+    accepts = []
+    disagreements = []
+    for name, bundle, alpha, declared in [*er_certificates(), *tableau_certificates()]:
+        premises = bundle.clauses.clauses
+        genuine = reference_clauses(premises, alpha.steps)
+        assert genuine is not None and genuine[-1] == frozenset()
+        for kind, i, step in mutants(alpha, bundle.clauses.n, rng):
+            steps = alpha.steps[:i] + (step,) + alpha.steps[i + 1:]
+            clauses = reference_clauses(premises, steps, genuine[:i])
+            sound = clauses is not None and clauses[-1] == frozenset()
+            accepted = bool(proof_stage(bundle, ResolutionProof(steps), declared))
+            if accepted != sound:
+                disagreements.append((name, kind, i))
+            if not sound:
+                invalid += 1
+                if accepted:
+                    accepts.append((name, kind, i))
+    assert not accepts, accepts[:3]
+    assert not disagreements, disagreements[:3]
+    print(f"invalid mutants rejected: {invalid}")
+    assert invalid >= 5 * 3 * PER_KIND * 9 // 10, invalid

@@ -19,7 +19,7 @@ from implres.circuits import (
     serialize_circuit,
     validate_circuit,
 )
-from implres.formulas import Clause, brute_force_sat
+from implres.formulas import Clause, FormulaError, brute_force_sat
 
 
 def test_gate_rejects_empty_body_and_bad_vars():
@@ -29,6 +29,10 @@ def test_gate_rejects_empty_body_and_bad_vars():
         Gate(0, (1,))
     with pytest.raises(CircuitError):
         Gate(-2, (1,))
+    with pytest.raises(CircuitError):
+        Gate(True, (1,))  # its clauses are built unchecked, so bool is refused
+    with pytest.raises(FormulaError):
+        Gate(3, (1, True))
 
 
 def test_validate_circuit_accepts_and_rejects():

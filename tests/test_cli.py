@@ -50,6 +50,15 @@ def test_prove_reports_model_on_satisfiable(tmp_path, capsys):
     assert "satisfiable" in capsys.readouterr().err
 
 
+def test_prove_has_no_variable_cap_and_reports_the_node_budget(tmp_path, capsys):
+    p = tmp_path / "wide.cnf"
+    p.write_text("p cnf 24 4\n1 24 0\n-1 24 0\n-24 12 0\n-24 -12 0\n")
+    assert run(["prove", p, "-o", tmp_path]) == 0
+    assert (tmp_path / "wide.dtree").exists()
+    assert run(["prove", p, "-o", tmp_path, "--max-nodes", "1"]) == 2
+    assert "node budget 1 exhausted" in capsys.readouterr().err
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.cnf"
     p.write_text("p cnf broken\n")

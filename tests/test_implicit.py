@@ -1,4 +1,6 @@
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -49,6 +51,21 @@ def test_synthesize_alpha_branch_cap():
     beta, iface = canonical_tree_circuit(17)
     with pytest.raises(ImplicitError):
         synthesize_alpha(gen_C(big, beta, iface))
+
+
+def test_synthesis_leaves_the_generated_set_collectable_without_gc(tseitin4):
+    beta, iface = canonical_tree_circuit(tseitin4.n)
+    bundle = gen_C(tseitin4, beta, iface)
+    gc.disable()
+    try:
+        clauses = weakref.ref(bundle.clauses)
+        alpha = synthesize_alpha(bundle)
+        del bundle
+        # freed by reference counting alone: synthesis made no cycle
+        assert clauses() is None
+    finally:
+        gc.enable()
+    assert alpha.steps
 
 
 def test_verify_implicit_stage_reports(omega1, omega2):

@@ -66,16 +66,21 @@ def test_dpll_respects_order_and_node_budget(php32):
     out = dpll_refute(php32, order=tuple(range(php32.n, 0, -1)))
     assert out.model is None
     assert check_decision_tree(php32, out.tree)
-    with pytest.raises(ProverError):
+    with pytest.raises(ProverError, match="node budget 3 exhausted"):
         dpll_refute(php32, max_nodes=3)
 
 
-def test_dpll_default_order_capped():
-    wide = ClauseSet(30, (Clause((1,)), Clause((-1,))))
-    with pytest.raises(ProverError):
-        dpll_refute(wide)
-    out = dpll_refute(wide, order=(1,))
+def test_dpll_default_order_proves_24_variables():
+    # unsat only through x12 and x24; x1 forces x24 either way
+    cs = ClauseSet(24, ((1, 24), (-1, 24), (-24, 12), (-24, -12)))
+    out = dpll_refute(cs)
     assert out.model is None
+    assert tree_size(out.tree) <= 11
+    assert check_decision_tree(cs, out.tree)
+    assert check_proof(cs, proof_from_tree(cs, out.tree))
+    wide = ClauseSet(30, (Clause((1,)), Clause((-1,))))
+    assert dpll_refute(wide).model is None
+    assert dpll_refute(wide, order=(1,)).model is None
 
 
 def test_balance_tree_queries_every_variable(omega2):
