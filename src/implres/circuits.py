@@ -324,6 +324,33 @@ def stride_copies(
     return tuple(maps), copies
 
 
+def assemble_carrier(
+    frees: tuple[int, ...],
+    pre: Sequence[Gate],
+    copies: Sequence[Sequence[Gate]],
+    verdict: Sequence[Gate],
+    delta: int,
+    n: int,
+) -> tuple[Circuit, ClauseSet, int]:
+    """The one carrier layout, shared by ``gen_C`` and ``gen_tableau``.
+
+    The circuit has the gates pre-block, copies, verdict block, in that
+    order, and output ``delta``.  The clause set over ``n`` variables
+    holds the verdict block's clauses, the unit {-delta}, the pre-block's
+    clauses, then the copies' clauses.  Returns the circuit, the clause
+    set and the position of {-delta}."""
+    body = (*pre, *(g for gates in copies for g in gates))
+    circuit = Circuit(frees, body + tuple(verdict), (delta,))
+    clauses: list[Clause] = []
+    for g in verdict:
+        clauses.extend(gate_clauses(g))
+    neg_delta_index = len(clauses)
+    clauses.append(Clause((-delta,)))
+    for g in body:
+        clauses.extend(gate_clauses(g))
+    return circuit, ClauseSet(n, tuple(clauses)), neg_delta_index
+
+
 class CircuitBuilder:
     """Convenience layer for the generator modules."""
 

@@ -29,7 +29,6 @@ from .correctness import (
     SearchProblem,
     check_search_problem,
     gen_C,
-    gen_correct,
     serialize_sidecar,
 )
 from .encoding import EncodingError, interface_from_circuit, tree_to_circuit
@@ -89,6 +88,7 @@ PARSE_ERRORS = (
     TableauError,
     TranslateError,
     OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -215,9 +215,8 @@ def cmd_translate_search(args) -> int:
         raise Reject(str(exc))
     circ_path = _out(args, ".grown.circ")
     write_atomic(circ_path, serialize_circuit(ts.problem.algorithm))
-    correct2 = gen_correct(ts.problem)
     proof_path = _out(args, ".rho.rproof")
-    write_atomic(proof_path, serialize_proof(ts.rho, len(correct2.clauses)))
+    write_atomic(proof_path, serialize_proof(ts.rho, ts.rho_premises))
     print(circ_path)
     print(proof_path)
     print(f"verdict-variable {ts.delta_prime} steps {len(ts.rho.steps)}")

@@ -17,13 +17,13 @@ before them keeps every variable that does not belong to the described
 circuit itself at an id depending only on (n, Omega), so clause sets
 for grown circuits literally contain the originals.
 
-Clause order: delta-block clauses, the unit {-delta}, lambda clauses,
-then copy clauses for i = 1..n.
+Gate and clause order follow circuits.assemble_carrier, with the
+lambda block as pre-block and the delta block as verdict block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .circuits import (
@@ -31,8 +31,8 @@ from .circuits import (
     CircuitBuilder,
     CircuitReport,
     VarAlloc,
+    assemble_carrier,
     circuit_clauses,
-    gate_clauses,
     stride_copies,
 )
 from .encoding import TreeInterface, bit, check_interface, output_width
@@ -174,7 +174,6 @@ class CorrectnessBundle:
     delta_bundle: DeltaBundle
     lambda_bundle: LambdaBundle
     copy_base: int
-    clause_index: dict[Clause, int] = field(repr=False)
 
 
 def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessBundle:
@@ -218,30 +217,12 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
         port = {x: lam.grid[(i, j)] for j, x in enumerate(iface.inputs)}
         port.update((y, w_grid[(i, m)]) for m, y in enumerate(iface.outputs, start=1))
         ports.append(port)
-    copy_maps, copy_gate_lists = stride_copies(beta, copy_base, ports)
-
-    all_gates = list(lam.circuit.gates)
-    for gates in copy_gate_lists:
-        all_gates.extend(gates)
-    all_gates.extend(delta.circuit.gates)
-    circuit = Circuit(z_vars, tuple(all_gates), (delta.delta,))
-
-    clauses: list[Clause] = []
-    for g in delta.circuit.gates:
-        clauses.extend(gate_clauses(g))
-    neg_delta_index = len(clauses)
-    clauses.append(Clause((-delta.delta,)))
-    for g in lam.circuit.gates:
-        clauses.extend(gate_clauses(g))
-    for gates in copy_gate_lists:
-        for g in gates:
-            clauses.extend(gate_clauses(g))
+    copy_maps, copies = stride_copies(beta, copy_base, ports)
     n_inner = len(beta.gates) - len(iface.outputs)
-    top = max(v for v in (copy_base + n_inner * n - 1, delta_base - 1, n))
-    cs = ClauseSet(max(top, delta.delta), clauses)
-    index: dict[Clause, int] = {}
-    for pos, c in enumerate(cs.clauses):
-        index.setdefault(c, pos)
+    circuit, cs, neg_delta_index = assemble_carrier(
+        z_vars, lam.circuit.gates, copies, delta.circuit.gates, delta.delta,
+        max(copy_base + n_inner * n - 1, delta.delta),
+    )
     return CorrectnessBundle(
         n=n,
         clauses=cs,
@@ -255,7 +236,6 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
         delta_bundle=delta,
         lambda_bundle=lam,
         copy_base=copy_base,
-        clause_index=index,
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .circuits import Circuit, circuit_clauses, validate_circuit
-from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, check_literal, derived_clause
+from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, derived_clause
 
 
 class ProofError(ValueError):
@@ -178,38 +178,6 @@ def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:
     return check_proof(er_premises(premises, ep.aux), ep.proof, EMPTY_CLAUSE)
 
 
-def rename_proof(
-    proof: ResolutionProof,
-    varmap: dict[int, int],
-    premise_map: Optional[dict[int, int]] = None,
-) -> ResolutionProof:
-    """Map all variables (polarity kept) and remap axiom indices."""
-
-    def mv(var: int) -> int:
-        if var not in varmap:
-            raise ProofError(f"variable {var} unmapped")
-        return varmap[var]
-
-    def ml(lit: int) -> int:
-        v = mv(abs(lit))
-        return v if lit > 0 else -v
-
-    steps: list[Step] = []
-    for step in proof.steps:
-        if isinstance(step, Axiom):
-            idx = step.index
-            if premise_map is not None:
-                if idx not in premise_map:
-                    raise ProofError(f"premise index {idx} unmapped")
-                idx = premise_map[idx]
-            steps.append(Axiom(idx))
-        elif isinstance(step, Resolve):
-            steps.append(Resolve(step.left, step.right, mv(step.pivot)))
-        else:
-            steps.append(Weaken(step.source, tuple(ml(l) for l in step.literals)))
-    return ResolutionProof(tuple(steps))
-
-
 class ProofBuilder:
     """Incremental proof assembly with clause tracking.
 
@@ -339,22 +307,24 @@ def strip_weakening(premises: ClauseSet, proof: ResolutionProof) -> ResolutionPr
     return b.extract(final)
 
 
-def lift_unit_axiom(premises: ClauseSet, proof: ResolutionProof, unit: int) -> ResolutionProof:
-    """Turn a refutation of premises + {unit} into a derivation of {-unit}.
+def lift_unit_axiom(
+    premises: ClauseSet, proof: ResolutionProof, unit_index: int
+) -> ResolutionProof:
+    """Turn a refutation of premises into a derivation of {-u} that does
+    not cite the unit premise {u} at ``unit_index``.
 
-    The unit clause is expected as the last premise, at index
-    ``len(premises.clauses)``.  Weakening is stripped first; then every
-    resolution against the unit axiom is replaced by an alias of its
-    other premise, which adds the literal -unit to the clauses below.
-    The result derives {-unit} or a subset of it from the premises
-    alone, in at most as many steps as the input.
+    Weakening is stripped once; then every resolution against the unit
+    axiom is replaced by an alias of its other premise, which adds the
+    literal -u to the clauses below.  The result derives {-u} or a
+    subset of it over the same premise list, in at most as many steps
+    as the input.
     """
-    check_literal(unit)
-    augmented = ClauseSet(
-        max(premises.n, abs(unit)), premises.clauses + (Clause((unit,)),)
-    )
-    unit_index = len(premises.clauses)
-    stripped = strip_weakening(augmented, proof)
+    if not 0 <= unit_index < len(premises.clauses):
+        raise ProofError(f"unit premise index {unit_index} out of range")
+    if len(premises.clauses[unit_index]) != 1:
+        raise ProofError(f"premise {unit_index} is not a unit clause")
+    unit = premises.clauses[unit_index].literals[0]
+    stripped = strip_weakening(premises, proof)
     b = ProofBuilder(premises)
     sentinel = -1
     new_id: list[int] = []

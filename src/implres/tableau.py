@@ -18,7 +18,8 @@ the target output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .circuits import (
@@ -26,14 +27,13 @@ from .circuits import (
     CircuitBuilder,
     CircuitReport,
     VarAlloc,
+    assemble_carrier,
     check_ports,
     evaluate,
-    gate_clauses,
-    max_var,
     stride_copies,
     validate_circuit,
 )
-from .formulas import Clause, ClauseSet, FormulaError
+from .formulas import ClauseSet, FormulaError
 from .implicit import VerifyReport, proof_stage
 from .proofs import ERProof, ResolutionProof
 from .prover import dpll_refute, proof_from_tree
@@ -136,13 +136,16 @@ def serialize_tm(tm: TMSpec) -> str:
 
 
 def decode_tau(text: str, n: int) -> tuple[int, ...]:
-    """Hex-coded target word; leftmost bit is column 0."""
+    """Hex-coded target word of n bits; leftmost bit is column 0.
+
+    The word must have exactly the (n + 3) // 4 digits encode_tau
+    writes, which is checked before n is used as a shift count."""
     text = text.strip()
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise TableauError(f"bad hex word {text!r}")
-    if value < 0 or value >= 1 << n:
+    width = (n + 3) // 4
+    if len(text) != width or not all(c in string.hexdigits for c in text):
+        raise TableauError(f"target word {text!r} is not {width} hex digits")
+    value = int(text, 16)
+    if value >= 1 << n:
         raise TableauError(f"target word {text!r} does not fit {n} bits")
     return tuple((value >> (n - 1 - k)) & 1 for k in range(n))
 
@@ -345,7 +348,6 @@ class TableauBundle:
     copy_maps: tuple[dict[int, int], ...]
     copy_base: int
     cell_base: int
-    clause_index: dict[Clause, int] = field(repr=False)
 
 
 def gen_tableau(
@@ -361,9 +363,9 @@ def gen_tableau(
     reserved block of four cell images, then the fault-detector ids,
     and the four grid-circuit copies laid by stride_copies on a stride
     of four from copy_base (copy 0 reads the addressed cell, copies
-    1-3 its left, right and lower neighbours).  Gate order puts the
-    copies before the detectors; clause order puts the detector block
-    first, then the negated verdict, then the rest.  Everything but
+    1-3 its left, right and lower neighbours).  Gate and clause order
+    follow circuits.assemble_carrier, with the arithmetic/flag gates
+    as pre-block and the detectors as verdict block.  Everything but
     the copy region is independent of the grid circuit, so the bundle
     is a carrier for translate.graft_fold: a grid circuit rebased onto
     copy 0 and grown on the same stride regenerates a set containing
@@ -511,44 +513,16 @@ def gen_tableau(
         port.update((y, cell[(c, t)]) for t, y in enumerate(iface.outputs))
         ports.append(port)
     # extra frees of the grid circuit alias the address bits
-    copy_maps, copy_gate_lists = stride_copies(beta, copy_base, ports)
-
-    all_gates = tuple(b.gates)
-    for gl in copy_gate_lists:
-        all_gates += gl
-    all_gates += tuple(s.gates)
-    circuit = Circuit(jv + kv, all_gates, (delta,))
+    copy_maps, copies = stride_copies(beta, copy_base, ports)
+    n_inner = len(beta.gates) - len(iface.outputs)
+    circuit, cs, neg_delta_index = assemble_carrier(
+        jv + kv, b.gates, copies, s.gates, delta, max(copy_base + 4 * n_inner - 1, delta)
+    )
     rep = validate_circuit(circuit)
     if not rep:
         raise TableauError(f"generated circuit invalid: {rep.reason}")
-
-    clauses: list[Clause] = []
-    for g in s.gates:
-        clauses.extend(gate_clauses(g))
-    neg_delta_index = len(clauses)
-    clauses.append(Clause((-delta,)))
-    for g in b.gates:
-        clauses.extend(gate_clauses(g))
-    for gl in copy_gate_lists:
-        for g in gl:
-            clauses.extend(gate_clauses(g))
-    cs = ClauseSet(max_var(circuit), clauses)
-    index: dict[Clause, int] = {}
-    for pos, cl in enumerate(clauses):
-        index.setdefault(cl, pos)
     return TableauBundle(
-        m,
-        cs,
-        circuit,
-        jv,
-        kv,
-        cell,
-        delta,
-        neg_delta_index,
-        copy_maps,
-        copy_base,
-        cell_base,
-        index,
+        m, cs, circuit, jv, kv, cell, delta, neg_delta_index, copy_maps, copy_base, cell_base
     )
 
 

@@ -6,9 +6,10 @@ and the unit {-delta} is one of the premises.  Grafting folds a
 refutation of a carrier into the described object itself:
 
 * the carrier circuit and the proof's auxiliaries get a duplicate;
-* the refutation is stripped of weakening, renamed onto the duplicate,
-  and its use of {-delta} is lifted (lift_unit_axiom, proofs module)
-  into a derivation of the duplicate verdict {delta'};
+* the refutation's use of {-delta} is lifted in the source space
+  (lift_unit_axiom, proofs module) into a derivation of {delta}, which
+  is imported renamed onto the duplicate as a derivation of the
+  duplicate verdict {delta'};
 * emb_refute glues the two verdicts: it refutes the carrier's and the
   duplicate's gate clauses plus {-delta} and {delta'} by deriving
   bridge clauses gate by gate through the embedding of one into the
@@ -49,7 +50,7 @@ from .correctness import (
     gen_correct,
 )
 from .encoding import TreeInterface, canonical_tree_circuit, output_width
-from .formulas import EMPTY_CLAUSE, Clause, ClauseSet
+from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, clause_positions
 from .implicit import ImplicitRefutation, verify_implicit
 from .proofs import (
     ERProof,
@@ -58,7 +59,6 @@ from .proofs import (
     check_er,
     er_premises,
     lift_unit_axiom,
-    rename_proof,
     strip_weakening,
 )
 
@@ -218,6 +218,7 @@ class TranslatedSearch:
     problem: SearchProblem  # enlarged algorithm, same checker
     rho: ResolutionProof
     delta_prime: int
+    rho_premises: int  # size of the grown correctness set rho refutes
 
 
 def _duplicate(
@@ -242,27 +243,21 @@ def _fold_proof(
     dup_gates: tuple[Gate, ...],
     dupmap: dict[int, int],
     new: ClauseSet,
-    new_index: dict[Clause, int],
     new_neg: int,
 ) -> ResolutionProof:
     """Refute the grown set new from a refutation pi of old.
 
     old holds host's gate clauses and, at old_neg, the unit {-delta}
     for host's output delta; new holds those clauses, the clauses of
-    the duplicate (dup_gates, via dupmap) and {-delta} at new_neg, and
-    new_index finds each clause's position."""
+    the duplicate (dup_gates, via dupmap) and {-delta} at new_neg.
+    pi is lifted in the source space, over old and its auxiliaries,
+    into a derivation of {delta}; that is imported renamed by dupmap
+    as a derivation of {delta'}, and emb_refute glues it to {-delta}."""
     delta = host.outputs[0]
     delta_prime = dupmap[delta]
     old_premises = er_premises(old, pi.aux)
-    stripped = strip_weakening(old_premises, pi.proof)
-    premise_map = {}
-    for q, cl in enumerate(old_premises.clauses):
-        if q == old_neg:
-            premise_map[q] = len(new.clauses)
-        else:
-            premise_map[q] = new_index[Clause(tuple(map_literal(l, dupmap) for l in cl))]
-    renamed = rename_proof(stripped, dupmap, premise_map)
-    lifted = lift_unit_axiom(new, renamed, -delta_prime)
+    lifted = lift_unit_axiom(old_premises, pi.proof, old_neg)
+    new_index = clause_positions(new)
 
     dup_circuit = Circuit(host.free, dup_gates, (delta_prime,))
     f = {v: dupmap[v] for v in host.variables()}
@@ -270,7 +265,12 @@ def _fold_proof(
     glue_premises = emb_premises(host, dup_circuit, delta, False, delta_prime)
 
     b = ProofBuilder(new)
-    lifted_step = b.import_proof(lifted, b.axiom)
+
+    def axiom_map(q: int) -> int:
+        cl = old_premises.clauses[q]
+        return b.axiom(new_index[Clause(tuple(map_literal(l, dupmap) for l in cl))])
+
+    lifted_step = b.import_proof(lifted, axiom_map, varmap=dupmap)
     if b.clause(lifted_step) != Clause((delta_prime,)):
         raise TranslateError("lifting did not reach the duplicate verdict")
     n_gate_clauses = len(glue_premises.clauses) - 2
@@ -328,7 +328,7 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     bundle2 = generate(beta2, iface2)
     alpha2 = _fold_proof(
         bundle.clauses, bundle.neg_delta_index, alpha_er, host, dup_gates, dupmap,
-        bundle2.clauses, bundle2.clause_index, bundle2.neg_delta_index,
+        bundle2.clauses, bundle2.neg_delta_index,
     )
     return beta2, iface2, bundle2, alpha2
 
@@ -359,14 +359,11 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     algo2 = Circuit(sp.xs, sp.algorithm.gates + dup_gates, sp.ys)
     sp2 = SearchProblem(sp.n, sp.xs, sp.ys, algo2, sp.checker)
     correct2 = gen_correct(sp2)
-    index: dict[Clause, int] = {}
-    for pos, cl in enumerate(correct2.clauses):
-        index.setdefault(cl, pos)
     rho = _fold_proof(
         correct, len(correct.clauses) - 1, pi, host, dup_gates, dupmap,
-        correct2, index, len(correct2.clauses) - 1,
+        correct2, len(correct2.clauses) - 1,
     )
-    return TranslatedSearch(sp2, rho, dupmap[delta])
+    return TranslatedSearch(sp2, rho, dupmap[delta], len(correct2.clauses))
 
 
 def _unit(b: ProofBuilder, lit: int, step: int) -> int:
@@ -405,7 +402,7 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     bundle = gen_C(omega, beta, iface)
     width = output_width(n)
     cs = bundle.clauses
-    lookup = bundle.clause_index
+    lookup = clause_positions(cs)
     gm_c = bundle.circuit.gate_map()
 
     old_premises = er_premises(omega, pi.aux)

@@ -1,8 +1,9 @@
 """Mutation fuzzing of grafted and tableau certificates.
 
 Acceptance item 7 mutates certificates synthesized for tree carriers.
-This extends its proof mutants to the two other producers: alpha from
-``er_to_implicit`` and the grafted proof from ``graft_pq``.  Each mutant
+This extends its proof mutants to the three fold carriers: alpha from
+``er_to_implicit``, the grafted proof from ``graft_pq`` and rho from
+``search_translate``, judged against the grown correctness set.  Each mutant
 is judged by a reference replay over frozensets written here, which
 shares no code with the checker, and by the verifier's proof stage on
 the regenerated carrier set.  The two must agree on every mutant, and
@@ -11,15 +12,23 @@ no mutant the reference finds invalid may be accepted.
 
 import dataclasses
 import random
+from types import SimpleNamespace
 
 from implres.circuits import Circuit
-from implres.correctness import gen_C
-from implres.families import php, tm_halt, tm_right_writer, tm_write_stay, tseitin_cycle
+from implres.correctness import gen_C, gen_correct
+from implres.families import (
+    not_search,
+    php,
+    tm_halt,
+    tm_right_writer,
+    tm_write_stay,
+    tseitin_cycle,
+)
 from implres.implicit import proof_stage, verify_implicit
 from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import gen_tableau, graft_pq, refute_tableau, verify_refutation
-from implres.translate import er_to_implicit
+from implres.translate import er_to_implicit, search_translate
 
 EMPTY = Circuit((), (), ())
 PER_KIND = 12
@@ -41,6 +50,17 @@ def tableau_certificates():
         assert verify_refutation(tr)
         bundle = gen_tableau(tm, tau, tr.beta, tr.iface)
         yield fixture.__name__, bundle, tr.alpha, tr.alpha_premises
+
+
+def search_certificates():
+    for n in (4, 6):
+        sp = not_search(n)
+        correct = gen_correct(sp)
+        tree = dpll_refute(correct, order=tuple(range(1, correct.n + 1))).tree
+        ts = search_translate(sp, ERProof(EMPTY, proof_from_tree(correct, tree)))
+        grown = SimpleNamespace(clauses=gen_correct(ts.problem))
+        assert proof_stage(grown, ts.rho, ts.rho_premises)
+        yield f"not_search{n}", grown, ts.rho, ts.rho_premises
 
 
 def reference_clauses(premises, steps, prefix=()):
@@ -91,7 +111,8 @@ def test_grafted_and_tableau_certificate_mutants_are_rejected():
     invalid = 0
     accepts = []
     disagreements = []
-    for name, bundle, alpha, declared in [*er_certificates(), *tableau_certificates()]:
+    certificates = [*er_certificates(), *tableau_certificates(), *search_certificates()]
+    for name, bundle, alpha, declared in certificates:
         premises = bundle.clauses.clauses
         genuine = reference_clauses(premises, alpha.steps)
         assert genuine is not None and genuine[-1] == frozenset()
@@ -109,4 +130,4 @@ def test_grafted_and_tableau_certificate_mutants_are_rejected():
     assert not accepts, accepts[:3]
     assert not disagreements, disagreements[:3]
     print(f"invalid mutants rejected: {invalid}")
-    assert invalid >= 5 * 3 * PER_KIND * 9 // 10, invalid
+    assert invalid >= len(certificates) * 3 * PER_KIND * 9 // 10, invalid

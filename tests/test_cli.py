@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import implres
-from implres.circuits import Circuit, serialize_circuit
+from implres.circuits import Circuit, Gate, serialize_circuit
 from implres.cli import main
 from implres.encoding import canonical_tree_circuit
 from implres.families import not_search, tm_halt
@@ -87,14 +87,70 @@ def test_malformed_header_exits_2_without_traceback(tmp_path, cnf_file, command,
             serialize_manifest(Manifest(2, "omega.cnf", "omega.circ", "omega.rproof"))
         )
         argv = ["verify", manifest]
-    src = os.path.dirname(os.path.dirname(implres.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "implres.cli", *map(str, argv)],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_subprocess(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def run_subprocess(argv, preexec_fn=None):
+    src = os.path.dirname(os.path.dirname(implres.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "implres.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=preexec_fn,
+    )
+
+
+@pytest.mark.parametrize("command", ["prove", "verify"])
+def test_invalid_utf8_exits_2_without_traceback(tmp_path, omega2, command):
+    if command == "prove":
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(serialize_dimacs(omega2).encode() + b"c \xff\n")
+        argv = ["prove", bad, "-o", tmp_path]
+    else:
+        (tmp_path / "omega.cnf").write_text(serialize_dimacs(omega2))
+        beta, _ = canonical_tree_circuit(2)
+        (tmp_path / "omega.circ").write_text(serialize_circuit(beta))
+        (tmp_path / "omega.rproof").write_bytes(b"res-proof 1\na 0\n\xff")
+        manifest = tmp_path / "omega.manifest"
+        manifest.write_text(
+            serialize_manifest(Manifest(2, "omega.cnf", "omega.circ", "omega.rproof"))
+        )
+        argv = ["verify", manifest]
+    proc = run_subprocess(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command", ["tableau-gen", "tableau-verify"])
+def test_wide_grid_circuit_exits_2_under_a_memory_limit(tmp_path, command):
+    # 100 frees make a 2^50-column grid; the target word cannot have
+    # the 2^48 hex digits it needs, and must be refused before any
+    # 2^50-bit number is built
+    tm, _, _, _ = tm_halt()
+    tm_path, circ_path = tmp_path / "m.tm", tmp_path / "wide.circ"
+    tm_path.write_text(serialize_tm(tm))
+    frees = tuple(range(1, 101))
+    outputs = (101, 102, 103)  # one cell of tm_halt's machine
+    gates = tuple(Gate(v, (1,)) for v in outputs)
+    circ_path.write_text(serialize_circuit(Circuit(frees, gates, outputs)))
+    argv = [command, tm_path, "1", circ_path]
+    if command == "tableau-gen":
+        argv += ["-o", tmp_path]
+    else:
+        proof_path = tmp_path / "p.rproof"
+        proof_path.write_text("res-proof 0\n")
+        argv.append(proof_path)
+    proc = run_subprocess(argv, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "hex digits" in proc.stderr
 
 
 def test_verify_rejects_tampered_artifact(tmp_path, cnf_file, capsys):

@@ -17,7 +17,6 @@ from implres.proofs import (
     parse_er,
     parse_proof,
     proof_clauses,
-    rename_proof,
     resolve_clauses,
     serialize_er,
     serialize_proof,
@@ -142,15 +141,6 @@ def test_builder_import_proof_with_varmap(omega1):
     assert check_proof(renamed, b.extract(final))
 
 
-def test_rename_proof(omega1):
-    p = refutation_of(omega1)
-    q = rename_proof(p, {1: 7}, premise_map={0: 1, 1: 0})
-    target = ClauseSet(7, ((-7,), (7,)))
-    assert check_proof(target, q)
-    with pytest.raises(ProofError):
-        rename_proof(p, {2: 7})
-
-
 def test_strip_weakening(omega2):
     p = ResolutionProof(
         (
@@ -180,11 +170,49 @@ def test_lift_unit_axiom():
         (Axiom(0), Axiom(1), Resolve(0, 1, 1), Axiom(2), Resolve(2, 3, 2))
     )
     assert check_proof(extended, p)
-    lifted = lift_unit_axiom(base, p, -2)
+    lifted = lift_unit_axiom(extended, p, 2)
     rep = check_proof(base, lifted, target=None)
     assert rep
     assert set(rep.final.literals) <= {2}
     assert len(lifted.steps) <= len(p.steps)
+
+
+def test_lift_unit_axiom_mid_list_unit_through_weakening():
+    # the unit {-2} sits at index 1 between the other premises
+    premises = ClauseSet(2, ((1, 2), (-2,), (-1, 2)))
+    p = ResolutionProof(
+        (
+            Axiom(0),
+            Axiom(2),
+            Resolve(0, 1, 1),   # {2}
+            Weaken(2, (-1,)),   # {-1, 2}
+            Axiom(1),
+            Resolve(3, 4, 2),   # {-1}
+            Axiom(0),
+            Resolve(6, 5, 1),   # {2}
+            Resolve(7, 4, 2),   # {}
+        )
+    )
+    assert check_proof(premises, p)
+    lifted = lift_unit_axiom(premises, p, 1)
+    rep = check_proof(premises, lifted, target=None)
+    assert rep and rep.final == Clause((2,))
+    assert not any(isinstance(s, Weaken) for s in lifted.steps)
+    assert Axiom(1) not in lifted.steps
+    assert len(lifted.steps) <= len(p.steps)
+
+
+def test_lift_unit_axiom_requires_a_unit_premise():
+    premises = ClauseSet(2, ((1, 2), (-2,), (-1, 2)))
+    p = ResolutionProof(
+        (Axiom(0), Axiom(2), Resolve(0, 1, 1), Axiom(1), Resolve(2, 3, 2))
+    )
+    assert check_proof(premises, p)
+    for bad in (-1, 3):
+        with pytest.raises(ProofError, match="out of range"):
+            lift_unit_axiom(premises, p, bad)
+    with pytest.raises(ProofError, match="not a unit"):
+        lift_unit_axiom(premises, p, 0)
 
 
 def test_check_er_guards(omega1, omega2):

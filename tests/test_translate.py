@@ -151,6 +151,7 @@ def test_search_translate_transfers_proof():
     ts = search_translate(sp, pi)
     correct2 = gen_correct(ts.problem)
     assert check_proof(correct2, ts.rho)
+    assert ts.rho_premises == len(correct2.clauses)
     assert ts.problem.checker == sp.checker
     assert ts.problem.algorithm.free == sp.algorithm.free
     assert ts.problem.algorithm.outputs == sp.algorithm.outputs
