@@ -10,11 +10,12 @@ import hashlib
 
 import pytest
 
-from implres.circuits import Circuit, Gate, serialize_circuit
+from implres.circuits import Circuit, Gate, VarAlloc, duplicate, serialize_circuit
 from implres.cli import main
 from implres.correctness import gen_correct
 from implres.families import (
     not_search,
+    or_chain,
     php,
     tm_halt,
     tm_right_writer,
@@ -25,7 +26,7 @@ from implres.formulas import serialize_dimacs
 from implres.proofs import ERProof, serialize_proof
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import encode_tau, gen_tableau, graft_pq, refute_tableau, serialize_tm
-from implres.translate import er_to_implicit, search_translate
+from implres.translate import emb_refute, er_to_implicit, search_translate
 
 GOLDEN = {
     "er_to_implicit-tseitin4":
@@ -56,6 +57,8 @@ GOLDEN = {
         "52d0c4d7bf871f9c1fb2447ce09078d7df32f5f19513adf76530c3ebef8b6b1f",
     "cli-tableau-gen-tm_right_writer":
         "8bd8c8870a36d4786c072f8b65cfc99f4f0cc30f4618494587f8acb3c3f707e5",
+    "emb_refute-or_chains":
+        "fe7453c3bd34319fef915abd56a80d8a04d02602b363f15d1993907248107154",
 }
 
 EMPTY = Circuit((), (), ())
@@ -89,6 +92,21 @@ def search_translate_text(n):
             + f"{ts.delta_prime}\n")
 
 
+def emb_refute_text():
+    out = []
+    for k in (10, 30, 100):
+        c = or_chain(k, 1)
+        d, f = duplicate(c, {v: v for v in c.free}, VarAlloc(2 * k + 10))
+        for y in (c.outputs[0], c.gates[k // 2].var):
+            for polarity in (True, False):
+                out.append(serialize_proof(emb_refute(c, d, f, y, polarity), 0))
+    c = Circuit((1, 2), (Gate(3, (1, 2)),), (3,))
+    d = Circuit((1, 2), (Gate(4, (1, 2)),), (4,))
+    for polarity in (True, False):
+        out.append(serialize_proof(emb_refute(c, d, {1: 1, 2: 2, 3: 4}, 3, polarity), 0))
+    return "".join(out)
+
+
 def synth_text(tmp_path):
     cnf = tmp_path / "omega.cnf"
     cnf.write_text(serialize_dimacs(tseitin_cycle(4)))
@@ -116,6 +134,7 @@ PRODUCERS = {
     "search_translate-not4": lambda p: search_translate_text(4),
     "search_translate-not6": lambda p: search_translate_text(6),
     "cli-synth-tseitin4": synth_text,
+    "emb_refute-or_chains": lambda p: emb_refute_text(),
 }
 for _name in FIXTURES:
     for _kind, _spurious in (("plain", False), ("spurious", True)):
