@@ -175,7 +175,6 @@ class VarAlloc:
         if start < 1:
             raise CircuitError(f"allocator must start at >= 1, got {start}")
         self._next = start
-        self._floor = start
 
     @property
     def next_var(self) -> int:
@@ -185,9 +184,6 @@ class VarAlloc:
         v = self._next
         self._next += 1
         return v
-
-    def issued(self, v: int) -> bool:
-        return self._floor <= v < self._next
 
 
 def map_literal(lit: int, varmap: dict[int, int]) -> int:

@@ -55,6 +55,7 @@ from .proofs import (
     ERProof,
     ProofError,
     check_proof,
+    er_premises,
     parse_er,
     parse_proof,
     serialize_proof,
@@ -186,9 +187,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_declared(declared: int, have: int) -> None:
+    if declared != have:
+        raise Reject(f"proof declares {declared} premises, the set has {have}")
+
+
 def cmd_translate_er(args) -> int:
     omega = parse_dimacs(_read(args.cnf))
-    ep, _ = parse_er(_read(args.erproof))
+    ep, declared = parse_er(_read(args.erproof))
+    _check_declared(declared, len(er_premises(omega, ep.aux).clauses))
     args.inputs0 = args.cnf
     try:
         ir = er_to_implicit(omega, ep)
@@ -207,12 +214,13 @@ def cmd_translate_search(args) -> int:
     rep = check_search_problem(sp)
     if not rep:
         raise CorrectnessError(rep.reason)
-    ep, _ = parse_er(_read(args.erproof))
+    ep, declared = parse_er(_read(args.erproof))
     args.inputs0 = args.algo
     try:
         ts = search_translate(sp, ep)
     except TranslateError as exc:
         raise Reject(str(exc))
+    _check_declared(declared, ts.pi_premises)
     circ_path = _out(args, ".grown.circ")
     write_atomic(circ_path, serialize_circuit(ts.problem.algorithm))
     proof_path = _out(args, ".rho.rproof")

@@ -68,10 +68,9 @@ class TreeReport:
         return self.ok
 
 
-def check_decision_tree(
-    premises: ClauseSet, tree: DecisionTree, regular: bool = True
-) -> TreeReport:
-    """Check every leaf premise is falsified by its path assignment."""
+def check_decision_tree(premises: ClauseSet, tree: DecisionTree) -> TreeReport:
+    """Check every leaf premise is falsified by its path assignment and
+    no path queries a variable twice."""
     stack: list[tuple[DecisionTree, dict[int, bool]]] = [(tree, {})]
     while stack:
         t, path = stack.pop()
@@ -87,7 +86,7 @@ def check_decision_tree(
                         f"premise {t.premise} not falsified on path {path}",
                     )
         else:
-            if regular and t.var in path:
+            if t.var in path:
                 return TreeReport(False, f"variable {t.var} queried twice on a path")
             left = dict(path)
             left[t.var] = True
@@ -132,7 +131,6 @@ class DpllOutcome:
 def dpll_refute(
     cs: ClauseSet,
     order: Optional[Iterable[int]] = None,
-    unit_priority: bool = True,
     max_nodes: Optional[int] = None,
 ) -> DpllOutcome:
     """Branching search returning a decision-tree refutation or a model.
@@ -203,7 +201,7 @@ def dpll_refute(
             if unsat_count == 0:
                 model = {v: engine.value.get(v, False) for v in range(1, cs.n + 1)}
                 return DpllOutcome(None, model, nodes)
-            lit = pick_unit() if unit_priority else None
+            lit = pick_unit()
             var = abs(lit) if lit is not None else pick_order_var()
             if var is None:
                 raise ProverError("branching order exhausted before refutation")

@@ -10,10 +10,12 @@ refutation of a carrier into the described object itself:
   (lift_unit_axiom, proofs module) into a derivation of {delta}, which
   is imported renamed onto the duplicate as a derivation of the
   duplicate verdict {delta'};
-* emb_refute glues the two verdicts: it refutes the carrier's and the
-  duplicate's gate clauses plus {-delta} and {delta'} by deriving
-  bridge clauses gate by gate through the embedding of one into the
-  other.
+* the glue is written in place, into the same proof builder: the
+  bridge clause {delta, -delta'} is derived gate by gate through the
+  embedding of the carrier circuit into its duplicate, citing gate
+  clauses of the grown set by value, and resolved with {-delta} and
+  {delta'} (_bridge; emb_refute is its standalone form, over the two
+  circuits' own clauses and the two units).
 
 graft_fold does this for carriers generated from a described circuit
 beta on a copy stride: C(omega, beta) from gen_C (graft) and
@@ -23,7 +25,9 @@ stride, so the grown circuit regenerates a set that contains the old
 one.  search_translate reuses the proof tail on a search problem's
 correctness clauses, with fresh ids for the duplicate.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
-into a refutation of C(omega, canonical beta) and graft it.
+into a refutation of C(omega, canonical beta) and graft it; graft
+replays the certificate against the grown carrier it generated, so C
+is generated once per circuit.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .circuits import (
     VarAlloc,
     check_embedding,
     circuit_clauses,
-    gate_clauses,
     map_literal,
     max_var,
     validate_circuit,
@@ -51,7 +54,7 @@ from .correctness import (
 )
 from .encoding import TreeInterface, canonical_tree_circuit, output_width
 from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, clause_positions
-from .implicit import ImplicitRefutation, verify_implicit
+from .implicit import ImplicitRefutation, proof_stage
 from .proofs import (
     ERProof,
     ProofBuilder,
@@ -67,11 +70,6 @@ class TranslateError(ValueError):
     pass
 
 
-def _map_lit(lit: int, f: dict[int, int]) -> int:
-    v = f.get(abs(lit), abs(lit))
-    return v if lit > 0 else -v
-
-
 def emb_premises(
     c: Circuit, d: Circuit, y: int, polarity: bool, fy: int
 ) -> ClauseSet:
@@ -85,68 +83,45 @@ def emb_premises(
     return ClauseSet(n, cc.clauses + dc.clauses + units)
 
 
-def _clause_positions(circ: Circuit, start: int = 0):
-    """Premise offsets of every gate clause: the wide clause by gate
-    var, the two-literal ones by (gate var, body literal)."""
-    big: dict[int, int] = {}
-    dcl: dict[tuple[int, int], int] = {}
-    pos = start
-    for g in circ.gates:
-        group = gate_clauses(g)
-        big[g.var] = pos
-        rank = 0
-        for cl in group[1:]:
-            lit = next(l for l in cl if l != g.var)
-            dcl[(g.var, -lit)] = pos + 1 + rank
-            rank += 1
-        pos += len(group)
-    return big, dcl, pos
+def _bridge(
+    b: ProofBuilder,
+    index: dict[Clause, int],
+    c: Circuit,
+    f: dict[int, int],
+    y: int,
+    polarity: bool,
+) -> int:
+    """Derive in b the bridge clause A(y) = {-y, f(y)} (polarity) or
+    B(y) = {y, -f(y)} for a gate y of c with f(y) != y.
 
-
-def emb_refute(
-    c: Circuit, d: Circuit, f: dict[int, int], y: int, polarity: bool
-) -> ResolutionProof:
-    """Refute the clauses of c and d plus the units y^polarity and
-    f(y)^(1-polarity).
-
-    For each needed gate e the bridge clause A(e) = {-e, f(e)} (and/or
-    the converse B(e)) is derived by walking e's defining clauses and
-    substituting body literals through previously derived bridges;
-    cost is a constant number of steps per body literal.
-    """
-    rep = check_embedding(c, d, f)
-    if not rep:
-        raise TranslateError(f"not an embedding: {rep.reason}")
-    if y not in c.variables():
-        raise TranslateError(f"output {y} is not a variable of the host circuit")
-    fy = f.get(y, y)
-    premises = emb_premises(c, d, y, polarity, fy)
-    unit_y = len(premises.clauses) - 2
-    unit_fy = len(premises.clauses) - 1
-    c_big, c_dcl, c_end = _clause_positions(c)
-    d_big, d_dcl, _ = _clause_positions(d, start=c_end)
-
+    For each needed gate e, A(e) (and/or the converse B(e)) is derived
+    by walking e's defining clauses and substituting body literals
+    through previously derived bridges; cost is a constant number of
+    steps per body literal.  Gate clauses of c and of its image under f
+    are cited by value, the wide clause {-e} + body and the two-literal
+    clauses {e, -lit}, at their positions in b's premises (index)."""
     gate_of = c.gate_map()
-    b = ProofBuilder(premises)
 
     # Demand pass: which gates need A (-e or f(e)) and which need B.
     need_a: set[int] = set()
     need_b: set[int] = set()
-    if fy != y:
-        work = [(y, polarity)]  # True demands A, False demands B
-        while work:
-            var, want_a = work.pop()
-            if f.get(var, var) == var or var not in gate_of:
+    work = [(y, polarity)]  # True demands A, False demands B
+    while work:
+        var, want_a = work.pop()
+        if f[var] == var or var not in gate_of:
+            continue
+        target = need_a if want_a else need_b
+        if var in target:
+            continue
+        target.add(var)
+        for lit in gate_of[var].body:
+            sub = abs(lit)
+            if f[sub] == sub:
                 continue
-            target = need_a if want_a else need_b
-            if var in target:
-                continue
-            target.add(var)
-            for lit in gate_of[var].body:
-                sub = abs(lit)
-                if f.get(sub, sub) == sub:
-                    continue
-                work.append((sub, want_a == (lit > 0)))
+            work.append((sub, want_a == (lit > 0)))
+
+    def cite(clause: tuple[int, ...]) -> int:
+        return b.axiom(index[Clause(clause)])
 
     a_step: dict[int, int] = {}
     b_step: dict[int, int] = {}
@@ -155,61 +130,69 @@ def emb_refute(
         body = tuple(dict.fromkeys(g.body))
         if e in need_a:
             fe = f[e]
-            cur = b.raw_axiom(c_big[e])
+            cur = cite((-e,) + body)
             for lit in body:
                 sub = abs(lit)
-                if _map_lit(lit, f) == lit:
+                if f[sub] == sub:
                     continue
                 if lit > 0:
                     cur = b.resolve(cur, a_step[sub], sub)
                 else:
                     cur = b.resolve(b_step[sub], cur, sub)
             for lit in body:
-                fl = _map_lit(lit, f)
-                dcl = b.raw_axiom(d_dcl[(fe, fl)])
-                if fl > 0:
-                    if fl in b.clause(cur):
-                        cur = b.resolve(cur, dcl, fl)
-                elif fl in b.clause(cur):
-                    cur = b.resolve(dcl, cur, -fl)
+                fl = map_literal(lit, f)
+                if fl in b.clause(cur):
+                    dcl = cite((fe, -fl))
+                    cur = b.resolve(cur, dcl, fl) if fl > 0 else b.resolve(dcl, cur, -fl)
             if b.clause(cur) != Clause((-e, fe)):
                 raise TranslateError(f"bridge clause for gate {e} came out wrong")
             a_step[e] = cur
         if e in need_b:
             fe = f[e]
-            cur = b.raw_axiom(d_big[fe])
+            cur = cite((-fe,) + tuple(map_literal(l, f) for l in body))
             for lit in body:
                 sub = abs(lit)
-                fl = _map_lit(lit, f)
-                if fl == lit:
+                if f[sub] == sub:
                     continue
+                fl = map_literal(lit, f)
                 if fl > 0:
                     cur = b.resolve(cur, b_step[sub], fl)
                 else:
                     cur = b.resolve(a_step[sub], cur, -fl)
             for lit in body:
-                dcl = b.raw_axiom(c_dcl[(e, lit)])
-                if lit > 0:
-                    if lit in b.clause(cur):
-                        cur = b.resolve(cur, dcl, lit)
-                elif lit in b.clause(cur):
-                    cur = b.resolve(dcl, cur, -lit)
+                if lit in b.clause(cur):
+                    dcl = cite((e, -lit))
+                    cur = b.resolve(cur, dcl, lit) if lit > 0 else b.resolve(dcl, cur, -lit)
             if b.clause(cur) != Clause((e, -fe)):
                 raise TranslateError(f"converse bridge for gate {e} came out wrong")
             b_step[e] = cur
+    return a_step[y] if polarity else b_step[y]
 
-    uy = b.raw_axiom(unit_y)
-    ufy = b.raw_axiom(unit_fy)
-    if fy == y:
+
+def emb_refute(
+    c: Circuit, d: Circuit, f: dict[int, int], y: int, polarity: bool
+) -> ResolutionProof:
+    """Refute the clauses of c and d plus the units y^polarity and
+    f(y)^(1-polarity): the bridge for y (see _bridge), resolved against
+    the two units.  The graft fold writes the same derivation straight
+    into its own builder."""
+    rep = check_embedding(c, d, f)
+    if not rep:
+        raise TranslateError(f"not an embedding: {rep.reason}")
+    if y not in c.variables():
+        raise TranslateError(f"output {y} is not a variable of the host circuit")
+    fy = f[y]
+    premises = emb_premises(c, d, y, polarity, fy)
+    b = ProofBuilder(premises)
+    bridge = None if fy == y else _bridge(b, clause_positions(premises), c, f, y, polarity)
+    uy = b.axiom(len(premises.clauses) - 2)
+    ufy = b.axiom(len(premises.clauses) - 1)
+    if bridge is None:
         final = b.resolve(uy, ufy, y) if polarity else b.resolve(ufy, uy, y)
     elif polarity:
-        mid = b.resolve(uy, a_step[y], y)
-        final = b.resolve(mid, ufy, fy)
+        final = b.resolve(b.resolve(uy, bridge, y), ufy, fy)
     else:
-        mid = b.resolve(b_step[y], uy, y)
-        final = b.resolve(ufy, mid, fy)
-    if b.clause(final) != EMPTY_CLAUSE:
-        raise TranslateError("embedding refutation missed the empty clause")
+        final = b.resolve(ufy, b.resolve(bridge, uy, y), fy)
     return b.extract(final)
 
 
@@ -219,6 +202,7 @@ class TranslatedSearch:
     rho: ResolutionProof
     delta_prime: int
     rho_premises: int  # size of the grown correctness set rho refutes
+    pi_premises: int  # size of the set pi refutes, its auxiliaries included
 
 
 def _duplicate(
@@ -240,7 +224,6 @@ def _fold_proof(
     old_neg: int,
     pi: ERProof,
     host: Circuit,
-    dup_gates: tuple[Gate, ...],
     dupmap: dict[int, int],
     new: ClauseSet,
     new_neg: int,
@@ -249,40 +232,29 @@ def _fold_proof(
 
     old holds host's gate clauses and, at old_neg, the unit {-delta}
     for host's output delta; new holds those clauses, the clauses of
-    the duplicate (dup_gates, via dupmap) and {-delta} at new_neg.
-    pi is lifted in the source space, over old and its auxiliaries,
-    into a derivation of {delta}; that is imported renamed by dupmap
-    as a derivation of {delta'}, and emb_refute glues it to {-delta}."""
+    the duplicate (host and pi's auxiliaries renamed by dupmap) and
+    {-delta} at new_neg.  pi is lifted in the source space, over old
+    and its auxiliaries, into a derivation of {delta}; that is imported
+    renamed by dupmap as a derivation of {delta'}.  The embedding glue
+    is written in place into the same builder: the converse bridge
+    {delta, -delta'} (_bridge, citing gate clauses of new by value),
+    resolved with {-delta} and {delta'}."""
     delta = host.outputs[0]
     delta_prime = dupmap[delta]
     old_premises = er_premises(old, pi.aux)
     lifted = lift_unit_axiom(old_premises, pi.proof, old_neg)
-    new_index = clause_positions(new)
-
-    dup_circuit = Circuit(host.free, dup_gates, (delta_prime,))
-    f = {v: dupmap[v] for v in host.variables()}
-    glue = emb_refute(host, dup_circuit, f, delta, polarity=False)
-    glue_premises = emb_premises(host, dup_circuit, delta, False, delta_prime)
-
+    index = clause_positions(new)
     b = ProofBuilder(new)
 
     def axiom_map(q: int) -> int:
         cl = old_premises.clauses[q]
-        return b.axiom(new_index[Clause(tuple(map_literal(l, dupmap) for l in cl))])
+        return b.axiom(index[Clause(tuple(map_literal(l, dupmap) for l in cl))])
 
     lifted_step = b.import_proof(lifted, axiom_map, varmap=dupmap)
     if b.clause(lifted_step) != Clause((delta_prime,)):
         raise TranslateError("lifting did not reach the duplicate verdict")
-    n_gate_clauses = len(glue_premises.clauses) - 2
-
-    def glue_axiom(k: int) -> int:
-        if k < n_gate_clauses:
-            return b.axiom(new_index[glue_premises.clauses[k]])
-        if k == n_gate_clauses:  # unit {-delta}
-            return b.axiom(new_neg)
-        return lifted_step  # unit {delta'}
-
-    final = b.import_proof(glue, glue_axiom)
+    bridge = _bridge(b, index, host, dupmap, delta, False)
+    final = b.resolve(lifted_step, b.resolve(bridge, b.axiom(new_neg), delta), delta_prime)
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("grafted refutation missed the empty clause")
     return b.extract(final)
@@ -327,7 +299,7 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     iface2 = replace(iface, inputs=inputs, outputs=beta2.outputs)
     bundle2 = generate(beta2, iface2)
     alpha2 = _fold_proof(
-        bundle.clauses, bundle.neg_delta_index, alpha_er, host, dup_gates, dupmap,
+        bundle.clauses, bundle.neg_delta_index, alpha_er, host, dupmap,
         bundle2.clauses, bundle2.neg_delta_index,
     )
     return beta2, iface2, bundle2, alpha2
@@ -360,10 +332,13 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     sp2 = SearchProblem(sp.n, sp.xs, sp.ys, algo2, sp.checker)
     correct2 = gen_correct(sp2)
     rho = _fold_proof(
-        correct, len(correct.clauses) - 1, pi, host, dup_gates, dupmap,
+        correct, len(correct.clauses) - 1, pi, host, dupmap,
         correct2, len(correct2.clauses) - 1,
     )
-    return TranslatedSearch(sp2, rho, dupmap[delta], len(correct2.clauses))
+    return TranslatedSearch(
+        sp2, rho, dupmap[delta], len(correct2.clauses),
+        len(er_premises(correct, pi.aux).clauses),
+    )
 
 
 def _unit(b: ProofBuilder, lit: int, step: int) -> int:
@@ -522,7 +497,7 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
                 cur = b.resolve(b.axiom(len(cs.clauses) + 2 * (j - 1) + 1), cur, j)
             else:
                 cur = b.resolve(cur, b.axiom(len(cs.clauses) + 2 * (j - 1)), j)
-        want = Clause(tuple(_map_lit(l, stand_in) for l in clause))
+        want = Clause(tuple(map_literal(l, stand_in) for l in clause))
         if b.clause(cur) != want:
             raise TranslateError("stand-in image of a source clause came out wrong")
         f_steps.append(cur)
@@ -551,10 +526,14 @@ def graft(
 ) -> ImplicitRefutation:
     """Fold an ER refutation of C(omega, beta), whose generated bundle
     is passed in, into the described circuit itself, yielding a plain
-    implicit refutation (see graft_fold)."""
+    implicit refutation (see graft_fold).  The certificate is replayed
+    against the grown carrier C(omega, beta') before it is returned."""
     beta2, iface2, bundle2, alpha2 = graft_fold(
         bundle, beta, iface, alpha_er, lambda b2, i2: gen_C(omega, b2, i2)
     )
+    rep = proof_stage(bundle2, alpha2, None)
+    if not rep:
+        raise TranslateError(f"grafted refutation rejected: {rep.reason}")
     return ImplicitRefutation(
         iface.n, omega, alpha2, beta2, iface2,
         alpha_premises=len(bundle2.clauses.clauses),
@@ -563,10 +542,7 @@ def graft(
 
 def er_to_implicit(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
     """Full simulation: truth-definition translation onto the
-    canonical circuit, then grafting."""
+    canonical circuit, then grafting.  C is generated twice, once for
+    each circuit."""
     tt = truthdef_translate(omega, pi)
-    ir = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
-    rep = verify_implicit(ir)
-    if not rep:
-        raise TranslateError(f"simulation output rejected at {rep.stage}: {rep.reason}")
-    return ir
+    return graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)

@@ -8,7 +8,7 @@ import implres
 from implres.circuits import Circuit, Gate, serialize_circuit
 from implres.cli import main
 from implres.encoding import canonical_tree_circuit
-from implres.families import not_search, tm_halt
+from implres.families import not_search, tm_halt, tseitin_cycle
 from implres.formulas import serialize_dimacs
 from implres.correctness import gen_correct
 from implres.implicit import Manifest, serialize_manifest
@@ -191,6 +191,36 @@ def test_translate_search(tmp_path):
     assert run(["translate-search", algo, checker, er_path, "-o", out]) == 0
     assert (out / "algo.grown.circ").exists()
     assert (out / "algo.rho.rproof").exists()
+
+
+@pytest.mark.parametrize("command", ["translate-er", "translate-search"])
+@pytest.mark.parametrize("excess", [0, 999, -1])
+def test_translate_checks_the_declared_premise_count(tmp_path, capsys, command, excess):
+    if command == "translate-er":
+        premises = tseitin_cycle(4)
+        cnf = tmp_path / "omega.cnf"
+        cnf.write_text(serialize_dimacs(premises))
+        inputs = [cnf]
+        order = None
+    else:
+        sp = not_search(4)
+        premises = gen_correct(sp)
+        inputs = [tmp_path / "algo.circ", tmp_path / "checker.circ"]
+        inputs[0].write_text(serialize_circuit(sp.algorithm))
+        inputs[1].write_text(serialize_circuit(sp.checker))
+        order = tuple(range(1, premises.n + 1))
+    tree = dpll_refute(premises, order=order).tree
+    ep = ERProof(Circuit((), (), ()), proof_from_tree(premises, tree))
+    er_path = tmp_path / "pi.erproof"
+    er_path.write_text(serialize_er(ep, len(premises.clauses) + excess))
+    out = tmp_path / "out"
+    code = run([command, *inputs, er_path, "-o", out])
+    if excess == 0:
+        assert code == 0
+    else:
+        assert code == 1
+        assert f"the set has {len(premises.clauses)}" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
 
 
 def test_tableau_commands(tmp_path, capsys):

@@ -33,7 +33,6 @@ def test_check_decision_tree(omega1, omega2):
     assert not check_decision_tree(omega1, Leaf(7))
     irregular = Node(1, Node(1, Leaf(1), Leaf(1)), Leaf(0))
     assert not check_decision_tree(omega1, irregular)
-    assert not check_decision_tree(omega1, irregular, regular=True)
     t2 = Node(2, Leaf(2), Node(1, Leaf(1), Leaf(0)))
     assert check_decision_tree(omega2, t2)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from implres import implicit, translate
 from implres.circuits import (
     Circuit,
     Gate,
@@ -9,7 +10,7 @@ from implres.circuits import (
     duplicate,
 )
 from implres.correctness import gen_C, gen_correct
-from implres.encoding import tree_to_circuit
+from implres.encoding import canonical_tree_circuit, tree_to_circuit
 from implres.families import not_search, or_chain
 from implres.implicit import synthesize_alpha, verify_implicit
 from implres.proofs import (
@@ -118,6 +119,23 @@ def test_graft_accepts_plain_proof_over_tree_circuit(omega2):
     assert verify_implicit(ir)
 
 
+def test_er_to_implicit_generates_C_once_per_circuit(monkeypatch, tseitin4):
+    calls = []
+    real = translate.gen_C
+
+    def counting(omega, beta, iface):
+        calls.append(beta)
+        return real(omega, beta, iface)
+
+    # the verifier's own gen_C counts too, so a re-verification would show
+    monkeypatch.setattr(translate, "gen_C", counting)
+    monkeypatch.setattr(implicit, "gen_C", counting)
+    ir = er_to_implicit(tseitin4, dpll_er(tseitin4))
+    # one C for the canonical beta, one for the grown beta'; the graft
+    # replays against the second instead of generating a third
+    assert calls == [canonical_tree_circuit(tseitin4.n)[0], ir.beta]
+
+
 def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4):
     for omega in (omega1, omega2, tseitin4):
         pi = dpll_er(omega)
@@ -152,6 +170,7 @@ def test_search_translate_transfers_proof():
     correct2 = gen_correct(ts.problem)
     assert check_proof(correct2, ts.rho)
     assert ts.rho_premises == len(correct2.clauses)
+    assert ts.pi_premises == len(correct.clauses)
     assert ts.problem.checker == sp.checker
     assert ts.problem.algorithm.free == sp.algorithm.free
     assert ts.problem.algorithm.outputs == sp.algorithm.outputs
@@ -169,6 +188,7 @@ def test_search_translate_carries_spurious_aux_gates():
     assert check_er(correct, withaux)
     ts2 = search_translate(sp, withaux)
     assert check_proof(gen_correct(ts2.problem), ts2.rho)
+    assert ts2.pi_premises == len(er_premises(correct, withaux.aux).clauses)
     assert len(ts2.problem.algorithm.gates) == len(ts.problem.algorithm.gates) + 1
 
 
