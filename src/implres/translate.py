@@ -92,81 +92,61 @@ def _bridge(
     polarity: bool,
 ) -> int:
     """Derive in b the bridge clause A(y) = {-y, f(y)} (polarity) or
-    B(y) = {y, -f(y)} for a gate y of c with f(y) != y.
-
-    For each needed gate e, A(e) (and/or the converse B(e)) is derived
-    by walking e's defining clauses and substituting body literals
-    through previously derived bridges; cost is a constant number of
-    steps per body literal.  Gate clauses of c and of its image under f
-    are cited by value, the wide clause {-e} + body and the two-literal
-    clauses {e, -lit}, at their positions in b's premises (index)."""
+    B(y) = {y, -f(y)} for a gate y of c with f(y) != y, in a constant
+    number of steps per body literal of the gates it needs.  Gate
+    clauses of c and of its image under f are cited by value (the wide
+    clause {-e} + body, the two-literal clauses {e, -lit}) at their
+    positions in b's premises, which index gives."""
     gate_of = c.gate_map()
 
     # Demand pass: which gates need A (-e or f(e)) and which need B.
-    need_a: set[int] = set()
-    need_b: set[int] = set()
+    need: dict[bool, set[int]] = {True: set(), False: set()}
     work = [(y, polarity)]  # True demands A, False demands B
     while work:
         var, want_a = work.pop()
-        if f[var] == var or var not in gate_of:
+        if f[var] == var or var not in gate_of or var in need[want_a]:
             continue
-        target = need_a if want_a else need_b
-        if var in target:
-            continue
-        target.add(var)
+        need[want_a].add(var)
         for lit in gate_of[var].body:
             sub = abs(lit)
-            if f[sub] == sub:
-                continue
-            work.append((sub, want_a == (lit > 0)))
+            if f[sub] != sub:
+                work.append((sub, want_a == (lit > 0)))
 
     def cite(clause: tuple[int, ...]) -> int:
         return b.axiom(index[Clause(clause)])
 
-    a_step: dict[int, int] = {}
-    b_step: dict[int, int] = {}
+    # A(e) starts from e's wide clause, substitutes each body literal
+    # that f moves through the bridge of its variable, and resolves the
+    # image literals away with f(e)'s two-literal clauses; B(e) runs
+    # from f(e)'s wide clause to e's two-literal clauses.
+    steps: dict[bool, dict[int, int]] = {True: {}, False: {}}
     for g in c.gates:
         e = g.var
+        if e not in need[True] and e not in need[False]:
+            continue
         body = tuple(dict.fromkeys(g.body))
-        if e in need_a:
-            fe = f[e]
-            cur = cite((-e,) + body)
-            for lit in body:
-                sub = abs(lit)
-                if f[sub] == sub:
+        image = tuple(map_literal(l, f) for l in body)
+        for want_a in (True, False):
+            if e not in need[want_a]:
+                continue
+            src, dst, src_body, dst_body = (
+                (e, f[e], body, image) if want_a else (f[e], e, image, body)
+            )
+            cur = cite((-src,) + src_body)
+            for lit, fl in zip(body, image):
+                if fl == lit:
                     continue
-                if lit > 0:
-                    cur = b.resolve(cur, a_step[sub], sub)
-                else:
-                    cur = b.resolve(b_step[sub], cur, sub)
-            for lit in body:
-                fl = map_literal(lit, f)
-                if fl in b.clause(cur):
-                    dcl = cite((fe, -fl))
-                    cur = b.resolve(cur, dcl, fl) if fl > 0 else b.resolve(dcl, cur, -fl)
-            if b.clause(cur) != Clause((-e, fe)):
+                sl = lit if want_a else fl
+                bridge = steps[want_a == (lit > 0)][abs(lit)]
+                cur = b.resolve(cur, bridge, sl) if sl > 0 else b.resolve(bridge, cur, -sl)
+            for dl in dst_body:
+                if dl in b.clause(cur):
+                    dcl = cite((dst, -dl))
+                    cur = b.resolve(cur, dcl, dl) if dl > 0 else b.resolve(dcl, cur, -dl)
+            if b.clause(cur) != Clause((-src, dst)):
                 raise TranslateError(f"bridge clause for gate {e} came out wrong")
-            a_step[e] = cur
-        if e in need_b:
-            fe = f[e]
-            cur = cite((-fe,) + tuple(map_literal(l, f) for l in body))
-            for lit in body:
-                sub = abs(lit)
-                if f[sub] == sub:
-                    continue
-                fl = map_literal(lit, f)
-                if fl > 0:
-                    cur = b.resolve(cur, b_step[sub], fl)
-                else:
-                    cur = b.resolve(a_step[sub], cur, -fl)
-            for lit in body:
-                if lit in b.clause(cur):
-                    dcl = cite((e, -lit))
-                    cur = b.resolve(cur, dcl, lit) if lit > 0 else b.resolve(dcl, cur, -lit)
-            if b.clause(cur) != Clause((e, -fe)):
-                raise TranslateError(f"converse bridge for gate {e} came out wrong")
-            b_step[e] = cur
-    return a_step[y] if polarity else b_step[y]
+            steps[want_a][e] = cur
+    return steps[polarity][y]
 
 
 def emb_refute(
