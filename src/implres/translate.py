@@ -53,7 +53,7 @@ from .correctness import (
     gen_correct,
 )
 from .encoding import TreeInterface, canonical_tree_circuit, output_width
-from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, clause_positions
+from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, clause_positions, derived_clause
 from .implicit import ImplicitRefutation, proof_stage
 from .proofs import (
     ERProof,
@@ -113,7 +113,7 @@ def _bridge(
                 work.append((sub, want_a == (lit > 0)))
 
     def cite(clause: tuple[int, ...]) -> int:
-        return b.axiom(index[Clause(clause)])
+        return b.axiom(index[derived_clause(set(clause))])
 
     # A(e) starts from e's wide clause, substitutes each body literal
     # that f moves through the bridge of its variable, and resolves the
