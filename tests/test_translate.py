@@ -111,6 +111,14 @@ def test_graft_yields_verified_refutation(omega1):
     assert all(c in have for c in circuit_clauses(ir.beta).clauses)
 
 
+def test_graft_rejects_a_certificate_the_grown_carrier_does_not_replay(monkeypatch, omega1):
+    pi = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
+    tt = truthdef_translate(omega1, pi)
+    monkeypatch.setattr(translate, "_fold_proof", lambda *args: ResolutionProof((Axiom(0),)))
+    with pytest.raises(TranslateError, match="grafted refutation rejected"):
+        graft(omega1, tt.beta, tt.iface, tt.bundle, tt.eta)
+
+
 def test_graft_accepts_plain_proof_over_tree_circuit(omega2):
     out = dpll_refute(omega2)
     beta, iface = tree_to_circuit(balance_tree(out.tree, (1, 2)), 2)
