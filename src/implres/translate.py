@@ -173,6 +173,8 @@ def emb_refute(
         final = b.resolve(b.resolve(uy, bridge, y), ufy, fy)
     else:
         final = b.resolve(ufy, b.resolve(bridge, uy, y), fy)
+    if b.clause(final) != EMPTY_CLAUSE:
+        raise TranslateError("embedding refutation missed the empty clause")
     return b.extract(final)
 
 
@@ -223,17 +225,17 @@ def _fold_proof(
     delta_prime = dupmap[delta]
     old_premises = er_premises(old, pi.aux)
     lifted = lift_unit_axiom(old_premises, pi.proof, old_neg)
-    index = clause_positions(new)
+    new_index = clause_positions(new)
     b = ProofBuilder(new)
 
     def axiom_map(q: int) -> int:
         cl = old_premises.clauses[q]
-        return b.axiom(index[Clause(tuple(map_literal(l, dupmap) for l in cl))])
+        return b.axiom(new_index[Clause(tuple(map_literal(l, dupmap) for l in cl))])
 
     lifted_step = b.import_proof(lifted, axiom_map, varmap=dupmap)
     if b.clause(lifted_step) != Clause((delta_prime,)):
         raise TranslateError("lifting did not reach the duplicate verdict")
-    bridge = _bridge(b, index, host, dupmap, delta, False)
+    bridge = _bridge(b, new_index, host, dupmap, delta, False)
     final = b.resolve(lifted_step, b.resolve(bridge, b.axiom(new_neg), delta), delta_prime)
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("grafted refutation missed the empty clause")
