@@ -254,17 +254,19 @@ def check_embedding(c: Circuit, d: Circuit, f: dict[int, int]) -> CircuitReport:
 
 
 def check_ports(
-    circuit: Circuit,
-    iface,
-    n_inputs: int,
-    n_outputs: int,
-    extra_free_limit: Optional[int] = None,
+    circuit: Circuit, iface, n_inputs: int, n_outputs: int, spare_limit: int
 ) -> CircuitReport:
-    """Shape check of an interface (``inputs``, ``outputs``) against its
-    circuit: distinct free inputs, distinct gate-defined outputs equal
-    to the circuit's own.  ``extra_free_limit`` admits spare free
-    variables up to that id (grafted circuits carry the carrier set's
-    variables)."""
+    """Port check of an interface (``inputs``, ``outputs``) against its
+    circuit, the one check every carrier generator and verifier runs:
+    the circuit is valid, the inputs are distinct frees, the outputs
+    distinct gate-defined variables equal to the circuit's own.  Spare
+    frees (grafted circuits carry the carrier set's variables) must
+    have ids at most ``spare_limit`` and lie outside the outputs'
+    fan-in: every copy leaves them in place, so one that fed an output
+    would read a carrier variable instead of the described input."""
+    rep = validate_circuit(circuit)
+    if not rep:
+        return CircuitReport(False, f"invalid circuit: {rep.reason}")
     if len(iface.inputs) != n_inputs:
         return CircuitReport(False, f"expected {n_inputs} inputs, got {len(iface.inputs)}")
     if len(set(iface.inputs)) != n_inputs:
@@ -284,13 +286,19 @@ def check_ports(
     if tuple(iface.outputs) != tuple(circuit.outputs):
         return CircuitReport(False, "interface outputs disagree with circuit outputs")
     extras = frees - set(iface.inputs)
-    if extra_free_limit is None:
-        if extras:
-            return CircuitReport(False, f"unexpected extra free variables {sorted(extras)}")
-    else:
-        bad = [v for v in extras if v > extra_free_limit]
-        if bad:
-            return CircuitReport(False, f"extra free variables {bad} above {extra_free_limit}")
+    bad = sorted(v for v in extras if v > spare_limit)
+    if bad:
+        return CircuitReport(False, f"spare free variables {bad} above {spare_limit}")
+    if extras:
+        # the gates are topologically ordered, so one reverse sweep
+        # collects the outputs' transitive fan-in
+        cone = set(circuit.outputs)
+        for g in reversed(circuit.gates):
+            if g.var in cone:
+                cone.update(abs(l) for l in g.body)
+        fed = sorted(extras & cone)
+        if fed:
+            return CircuitReport(False, f"spare free variables {fed} feed the outputs")
     return CircuitReport(True)
 
 

@@ -15,15 +15,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .circuits import (
-    Circuit,
-    CircuitError,
-    circuit_size,
-    duplicate,
-    parse_circuit,
-    serialize_circuit,
-    VarAlloc,
-)
+from .circuits import CircuitError, parse_circuit, serialize_circuit
 from .correctness import (
     CorrectnessError,
     SearchProblem,
@@ -32,15 +24,7 @@ from .correctness import (
     serialize_sidecar,
 )
 from .encoding import EncodingError, interface_from_circuit, tree_to_circuit
-from .families import or_chain, php, tseitin_cycle, two_var_unsat
-from .formulas import (
-    Clause,
-    ClauseSet,
-    FormulaError,
-    brute_force_sat,
-    parse_dimacs,
-    serialize_dimacs,
-)
+from .formulas import FormulaError, brute_force_sat, parse_dimacs, serialize_dimacs
 from .implicit import (
     ImplicitError,
     ImplicitRefutation,
@@ -51,15 +35,7 @@ from .implicit import (
     verify_implicit,
     write_atomic,
 )
-from .proofs import (
-    ERProof,
-    ProofError,
-    check_proof,
-    er_premises,
-    parse_er,
-    parse_proof,
-    serialize_proof,
-)
+from .proofs import ProofError, er_premises, parse_er, parse_proof, serialize_proof
 from .prover import (
     ProverError,
     balance_tree,
@@ -76,7 +52,7 @@ from .tableau import (
     tableau_interface_from_circuit,
     verify_pq,
 )
-from .translate import TranslateError, emb_premises, emb_refute, er_to_implicit, search_translate
+from .translate import TranslateError, er_to_implicit, search_translate
 
 PARSE_ERRORS = (
     FormulaError,
@@ -277,46 +253,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rows = []
-    for k in (10, 30, 100, 300, 1000):
-        c = or_chain(k, 1)
-        d, f = duplicate(c, {v: v for v in c.free}, VarAlloc(4 * k + 10))
-        pr = emb_refute(c, d, f, c.outputs[0], True)
-        rep = check_proof(emb_premises(c, d, c.outputs[0], True, f[c.outputs[0]]), pr)
-        if not rep:
-            raise Reject(f"bench embedding proof invalid at {k}")
-        rows.append(("embed-chain", k, len(pr.steps), circuit_size(c)))
-    fixtures = [
-        ("unit-pair", ClauseSet(1, (Clause((1,)), Clause((-1,))))),
-        ("two-var", two_var_unsat()),
-        ("tseitin-4", tseitin_cycle(4)),
-        ("php-3-2", php(3, 2)),
-    ]
-    for name, omega in fixtures:
-        out = dpll_refute(omega)
-        pi = ERProof(Circuit((), (), ()), proof_from_tree(omega, out.tree))
-        ir = er_to_implicit(omega, pi)
-        base = len(pi.proof.steps) + ir.alpha_premises
-        rows.append(("simulate-" + name, omega.n, len(ir.alpha.steps), base))
-    lines = []
-    if args.csv:
-        lines.append("family,size,steps,base,ratio")
-        for fam, size, steps, base in rows:
-            lines.append(f"{fam},{size},{steps},{base},{steps / base:.3f}")
-    else:
-        lines.append(f"{'family':<22}{'size':>6}{'steps':>9}{'base':>8}{'ratio':>8}")
-        for fam, size, steps, base in rows:
-            lines.append(f"{fam:<22}{size:>6}{steps:>9}{base:>8}{steps / base:>8.3f}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        write_atomic(args.output, text)
-        print(args.output)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--outdir", default=".", help="output directory")
     p.add_argument("--stem", default=None, help="output file stem")
@@ -392,11 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=20)
     p.add_argument("--max-nodes", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("bench", help="size-ratio table for the translations")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -180,14 +180,15 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
     """Correctness clause set for the refutation described by beta.
 
     Satisfiable exactly when some branch-bit vector x yields a leaf
-    clause that weakens no member of omega.  Extra frees of beta (ids
-    within 1..n) are left in place in every copy, so they alias the
-    branch variables.
+    clause that weakens no member of omega.  Spare frees of beta (ids
+    within 1..n) stay in place in every copy; the port check keeps
+    them out of the outputs' fan-in, so every copy's outputs read its
+    window alone, as decode_window does.
     """
     n = iface.n
     if omega.n != n:
         raise CorrectnessError(f"omega over {omega.n} variables, interface says {n}")
-    rep = check_interface(beta, iface, extra_free_limit=n)
+    rep = check_interface(beta, iface)
     if not rep:
         raise CorrectnessError(f"bad interface: {rep.reason}")
     width = output_width(n)

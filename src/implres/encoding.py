@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .circuits import Circuit, CircuitBuilder, CircuitReport, VarAlloc, check_ports, evaluate
 from .formulas import Clause
@@ -53,13 +53,12 @@ class TreeInterface:
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
 
-def check_interface(
-    circuit: Circuit, iface: TreeInterface, extra_free_limit: Optional[int] = None
-) -> CircuitReport:
-    """Shape check: n+1 window inputs and bit-length-of-n outputs."""
+def check_interface(circuit: Circuit, iface: TreeInterface) -> CircuitReport:
+    """Port check: n+1 window inputs, bit-length-of-n outputs, spare
+    frees within 1..n and outside the outputs' fan-in."""
     if iface.n < 1:
         return CircuitReport(False, f"bad variable count {iface.n}")
-    return check_ports(circuit, iface, iface.n + 1, output_width(iface.n), extra_free_limit)
+    return check_ports(circuit, iface, iface.n + 1, output_width(iface.n), iface.n)
 
 
 def interface_from_circuit(circuit: Circuit, n: int) -> TreeInterface:
@@ -70,7 +69,8 @@ def interface_from_circuit(circuit: Circuit, n: int) -> TreeInterface:
 
 
 def decode_window(circuit: Circuit, iface: TreeInterface, window: Iterable[int]) -> int:
-    """Evaluate the circuit on a window; extra frees are set false."""
+    """Evaluate the circuit on a window.  Spare frees are set false,
+    which changes no output of a circuit the port check passes."""
     window = tuple(window)
     if len(window) != iface.n + 1:
         raise EncodingError(f"window length {len(window)} != {iface.n + 1}")
@@ -85,14 +85,12 @@ def decode_window(circuit: Circuit, iface: TreeInterface, window: Iterable[int])
     return j
 
 
-def canonical_tree_circuit(n: int, fresh: Optional[VarAlloc] = None):
+def canonical_tree_circuit(n: int):
     """The always-branch-on-p_depth tree: finds the leading 1 in the
     window and outputs that depth in binary."""
     if n < 1:
         raise EncodingError("need at least one variable")
-    if fresh is None:
-        fresh = VarAlloc(1)
-    b = CircuitBuilder(fresh)
+    b = CircuitBuilder(VarAlloc(1))
     xs = [b.free() for _ in range(n + 1)]
     pre = [b.gate((xs[0],))]
     for j in range(1, n):
@@ -136,13 +134,11 @@ def realizable_windows(tree: DecisionTree, n: int) -> list[tuple[tuple[int, ...]
     return out
 
 
-def tree_to_circuit(tree: DecisionTree, n: int, fresh: Optional[VarAlloc] = None):
+def tree_to_circuit(tree: DecisionTree, n: int):
     """Hardwire a balanced tree: equality comparator per realizable
     window, OR-combined into each output bit."""
     windows = realizable_windows(tree, n)
-    if fresh is None:
-        fresh = VarAlloc(1)
-    b = CircuitBuilder(fresh)
+    b = CircuitBuilder(VarAlloc(1))
     xs = [b.free() for _ in range(n + 1)]
     eq_gates: list[tuple[int, int]] = []
     for window, var in windows:

@@ -35,7 +35,7 @@ from .proofs import (
     parse_proof,
     serialize_proof,
 )
-from .prover import DecisionTree, balance_tree, check_decision_tree, dpll_refute
+from .prover import DecisionTree, balance_tree, check_decision_tree
 
 
 class ImplicitError(ValueError):
@@ -66,7 +66,6 @@ class VerifyReport:
     ok: bool
     stage: str  # machine | decode | interface | generate | proof
     reason: str = ""
-    bundle: Optional[object] = None  # the generated carrier bundle
 
     def __bool__(self) -> bool:
         return self.ok
@@ -90,8 +89,8 @@ def proof_stage(bundle, alpha: ResolutionProof, declared: Optional[int]) -> Veri
                 )
     pr = check_proof(cs, alpha, EMPTY_CLAUSE)
     if not pr:
-        return VerifyReport(False, "proof", f"step {pr.step}: {pr.reason}", bundle)
-    return VerifyReport(True, "proof", "", bundle)
+        return VerifyReport(False, "proof", f"step {pr.step}: {pr.reason}")
+    return VerifyReport(True, "proof")
 
 
 def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
@@ -106,7 +105,7 @@ def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
         )
     if ir.iface.n != ir.n:
         return VerifyReport(False, "interface", "interface variable count differs")
-    rep = check_interface(ir.beta, ir.iface, extra_free_limit=ir.n)
+    rep = check_interface(ir.beta, ir.iface)
     if not rep:
         return VerifyReport(False, "interface", rep.reason)
     try:
@@ -168,17 +167,11 @@ def implicit_from_tree(omega: ClauseSet, tree: DecisionTree) -> ImplicitRefutati
         raise ImplicitError(f"bad decision tree: {rep.reason}")
     balanced = balance_tree(tree, tuple(range(1, n + 1)))
     beta, iface = tree_to_circuit(balanced, n)
-    alpha = synthesize_alpha(gen_C(omega, beta, iface))
-    return ImplicitRefutation(n, omega, alpha, beta, iface)
-
-
-def refute_implicit(omega: ClauseSet, max_nodes: Optional[int] = None):
-    """Search for a refutation; returns (tuple, None) on unsat input,
-    (None, model) on satisfiable input."""
-    out = dpll_refute(omega, max_nodes=max_nodes)
-    if out.model is not None:
-        return None, out.model
-    return implicit_from_tree(omega, out.tree), None
+    bundle = gen_C(omega, beta, iface)
+    alpha = synthesize_alpha(bundle)
+    return ImplicitRefutation(
+        n, omega, alpha, beta, iface, alpha_premises=len(bundle.clauses.clauses)
+    )
 
 
 @dataclass(frozen=True)
@@ -222,6 +215,9 @@ def parse_manifest(text: str) -> Manifest:
     missing = [k for k in ("n", "omega", "beta", "alpha") if k not in fields]
     if missing:
         raise ImplicitError(f"manifest missing keys {missing}")
+    for key in ("omega", "beta", "alpha"):
+        if "\0" in fields[key]:
+            raise ImplicitError(f"manifest {key} path contains a NUL byte")
     try:
         n = int(fields["n"])
     except ValueError:
@@ -257,17 +253,17 @@ def write_atomic(path: str, text: str) -> None:
 def save_implicit(
     ir: ImplicitRefutation, outdir: str, stem: str = "refutation"
 ) -> str:
-    """Write omega/beta/alpha, then the manifest; returns its path."""
+    """Write omega/beta/alpha, then the manifest; returns its path.
+    The proof file declares ``ir.alpha_premises``, which every producer
+    records from the carrier it refuted."""
+    if ir.alpha_premises is None:
+        raise ImplicitError("the certificate does not record its premise count")
     os.makedirs(outdir, exist_ok=True)
-    n_premises = ir.alpha_premises
-    if n_premises is None:
-        bundle = gen_C(ClauseSet(ir.n, ir.omega.clauses), ir.beta, ir.iface)
-        n_premises = len(bundle.clauses.clauses)
     m = Manifest(ir.n, f"{stem}.cnf", f"{stem}.circ", f"{stem}.rproof")
     for name, text in (
         (m.omega_path, serialize_dimacs(ir.omega)),
         (m.beta_path, serialize_circuit(ir.beta)),
-        (m.alpha_path, serialize_proof(ir.alpha, n_premises)),
+        (m.alpha_path, serialize_proof(ir.alpha, ir.alpha_premises)),
         (f"{stem}.manifest", serialize_manifest(m)),
     ):
         write_atomic(os.path.join(outdir, name), text)

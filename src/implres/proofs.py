@@ -219,39 +219,24 @@ class ProofBuilder:
             return right
         return self.resolve(left, right, pivot)
 
-    def weaken(self, source: int, literals: Iterable[int]) -> int:
-        lits = tuple(literals)
-        clause = self.clauses[source].union(lits)
-        return self._push(Weaken(source, lits), clause)
-
     def import_proof(
-        self,
-        proof: ResolutionProof,
-        axiom_map: Callable[[int], int],
-        varmap: Optional[dict[int, int]] = None,
+        self, proof: ResolutionProof, axiom_map: Callable[[int], int], varmap: dict[int, int]
     ) -> int:
-        """Append a translated copy of ``proof``.
+        """Append a copy of the weakening-free ``proof`` renamed by
+        ``varmap``.
 
         ``axiom_map`` sends each original premise index to an existing
         step id of this builder; validity is re-established by the
         clause recomputation of every appended step.
         """
-
-        def ml(lit: int) -> int:
-            if varmap is None:
-                return lit
-            v = varmap[abs(lit)]
-            return v if lit > 0 else -v
-
         local: list[int] = []
         for step in proof.steps:
             if isinstance(step, Axiom):
                 local.append(axiom_map(step.index))
             elif isinstance(step, Resolve):
-                pivot = step.pivot if varmap is None else varmap[step.pivot]
-                local.append(self.resolve(local[step.left], local[step.right], pivot))
+                local.append(self.resolve(local[step.left], local[step.right], varmap[step.pivot]))
             else:
-                local.append(self.weaken(local[step.source], (ml(l) for l in step.literals)))
+                raise ProofError("cannot import a weakening step")
         if not local:
             raise ProofError("cannot import an empty proof")
         return local[-1]
@@ -266,8 +251,6 @@ class ProofBuilder:
             if isinstance(step, Resolve):
                 needed.add(step.left)
                 needed.add(step.right)
-            elif isinstance(step, Weaken):
-                needed.add(step.source)
         order = sorted(needed)
         remap = {old: new for new, old in enumerate(order)}
         out: list[Step] = []
@@ -275,8 +258,6 @@ class ProofBuilder:
             step = self.steps[old]
             if isinstance(step, Resolve):
                 out.append(Resolve(remap[step.left], remap[step.right], step.pivot))
-            elif isinstance(step, Weaken):
-                out.append(Weaken(remap[step.source], step.literals))
             else:
                 out.append(step)
         return ResolutionProof(tuple(out))

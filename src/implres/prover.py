@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from .circuits import CircuitReport
 from .formulas import Clause, ClauseSet
 from .proofs import ProofBuilder, ResolutionProof, UnitPropagation
 
@@ -47,28 +48,7 @@ def tree_size(tree: DecisionTree) -> int:
     return total
 
 
-def tree_depth(tree: DecisionTree) -> int:
-    stack, best = [(tree, 0)], 0
-    while stack:
-        t, d = stack.pop()
-        if isinstance(t, Leaf):
-            best = max(best, d)
-        else:
-            stack.append((t.left, d + 1))
-            stack.append((t.right, d + 1))
-    return best
-
-
-@dataclass(frozen=True)
-class TreeReport:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_decision_tree(premises: ClauseSet, tree: DecisionTree) -> TreeReport:
+def check_decision_tree(premises: ClauseSet, tree: DecisionTree) -> CircuitReport:
     """Check every leaf premise is falsified by its path assignment and
     no path queries a variable twice."""
     stack: list[tuple[DecisionTree, dict[int, bool]]] = [(tree, {})]
@@ -76,25 +56,25 @@ def check_decision_tree(premises: ClauseSet, tree: DecisionTree) -> TreeReport:
         t, path = stack.pop()
         if isinstance(t, Leaf):
             if not 0 <= t.premise < len(premises.clauses):
-                return TreeReport(False, f"leaf premise {t.premise} out of range")
+                return CircuitReport(False, f"leaf premise {t.premise} out of range")
             clause = premises.clauses[t.premise]
             for lit in clause:
                 val = path.get(abs(lit))
                 if val is None or val == (lit > 0):
-                    return TreeReport(
+                    return CircuitReport(
                         False,
                         f"premise {t.premise} not falsified on path {path}",
                     )
         else:
             if t.var in path:
-                return TreeReport(False, f"variable {t.var} queried twice on a path")
+                return CircuitReport(False, f"variable {t.var} queried twice on a path")
             left = dict(path)
             left[t.var] = True
             right = dict(path)
             right[t.var] = False
             stack.append((t.left, left))
             stack.append((t.right, right))
-    return TreeReport(True)
+    return CircuitReport(True)
 
 
 def proof_from_tree(premises: ClauseSet, tree: DecisionTree) -> ResolutionProof:

@@ -31,7 +31,6 @@ from .circuits import (
     check_ports,
     evaluate,
     stride_copies,
-    validate_circuit,
 )
 from .formulas import ClauseSet, FormulaError
 from .implicit import VerifyReport, proof_stage
@@ -185,15 +184,13 @@ class TableauInterface:
 
 
 def check_tableau_interface(
-    circuit: Circuit,
-    iface: TableauInterface,
-    tm: TMSpec,
-    extra_free_limit: Optional[int] = None,
+    circuit: Circuit, iface: TableauInterface, tm: TMSpec
 ) -> CircuitReport:
-    """Shape check: 2m address inputs and one cell of outputs."""
+    """Port check: 2m address inputs, one cell of outputs, spare frees
+    within 1..2m and outside the outputs' fan-in."""
     if iface.m < 1:
         return CircuitReport(False, f"bad address width {iface.m}")
-    return check_ports(circuit, iface, 2 * iface.m, cell_width(tm), extra_free_limit)
+    return check_ports(circuit, iface, 2 * iface.m, cell_width(tm), 2 * iface.m)
 
 
 def tableau_interface_from_circuit(circuit: Circuit, m: int) -> TableauInterface:
@@ -210,8 +207,9 @@ def tableau_interface_from_circuit(circuit: Circuit, m: int) -> TableauInterface
 def read_grid(
     tm: TMSpec, beta: Circuit, iface: TableauInterface
 ) -> tuple[tuple[tuple[bool, ...], ...], ...]:
-    """Evaluate the grid circuit on every address; extra frees are
-    set false."""
+    """Evaluate the grid circuit on every address.  Spare frees are
+    set false, which changes no cell of a circuit the port check
+    passes."""
     m = iface.m
     n = 1 << m
     rows = []
@@ -378,7 +376,7 @@ def gen_tableau(
     tau = tuple(tau_bits)
     if len(tau) != n or any(b not in (0, 1) for b in tau):
         raise TableauError(f"target word must be {n} bits")
-    rep = check_tableau_interface(beta, iface, tm, extra_free_limit=2 * m)
+    rep = check_tableau_interface(beta, iface, tm)
     if not rep:
         raise TableauError(rep.reason)
     sb = symbol_bits(tm)
@@ -512,15 +510,13 @@ def gen_tableau(
         port = dict(zip(iface.inputs, addr[c]))
         port.update((y, cell[(c, t)]) for t, y in enumerate(iface.outputs))
         ports.append(port)
-    # extra frees of the grid circuit alias the address bits
+    # spare frees of the grid circuit stay in place; the port check
+    # keeps them out of the cell outputs' fan-in
     copy_maps, copies = stride_copies(beta, copy_base, ports)
     n_inner = len(beta.gates) - len(iface.outputs)
     circuit, cs, neg_delta_index = assemble_carrier(
         jv + kv, b.gates, copies, s.gates, delta, max(copy_base + 4 * n_inner - 1, delta)
     )
-    rep = validate_circuit(circuit)
-    if not rep:
-        raise TableauError(f"generated circuit invalid: {rep.reason}")
     return TableauBundle(
         m, cs, circuit, jv, kv, cell, delta, neg_delta_index, copy_maps, copy_base, cell_base
     )
@@ -543,14 +539,10 @@ def address_sweep(bundle: TableauBundle) -> tuple[bool, Optional[tuple[int, int]
     return True, None
 
 
-def refute_tableau(
-    bundle: TableauBundle, max_nodes: Optional[int] = None
-) -> Optional[ResolutionProof]:
+def refute_tableau(bundle: TableauBundle) -> Optional[ResolutionProof]:
     """Branch on the address bits; unit propagation settles the gates.
     None when the bundle is satisfiable."""
-    out = dpll_refute(
-        bundle.clauses, order=bundle.j_vars + bundle.k_vars, max_nodes=max_nodes
-    )
+    out = dpll_refute(bundle.clauses, order=bundle.j_vars + bundle.k_vars)
     if out.tree is None:
         return None
     return proof_from_tree(bundle.clauses, out.tree)
@@ -585,7 +577,7 @@ def verify_pq(
     tau = tuple(tau_bits)
     if len(tau) != n or any(bit not in (0, 1) for bit in tau):
         return VerifyReport(False, "decode", f"target word must be {n} bits")
-    rep = check_tableau_interface(beta, iface, tm, extra_free_limit=2 * iface.m)
+    rep = check_tableau_interface(beta, iface, tm)
     if not rep:
         return VerifyReport(False, "interface", rep.reason)
     try:

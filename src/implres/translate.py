@@ -104,8 +104,10 @@ def _bridge(
     work = [(y, polarity)]  # True demands A, False demands B
     while work:
         var, want_a = work.pop()
-        if f[var] == var or var not in gate_of or var in need[want_a]:
+        if f[var] == var or var in need[want_a]:
             continue
+        if var not in gate_of:
+            raise TranslateError(f"the map moves free variable {var}; no bridge exists")
         need[want_a].add(var)
         for lit in gate_of[var].body:
             sub = abs(lit)
@@ -252,9 +254,10 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     first copy's clause block literally the grown circuit's own
     clauses; the duplicate's ids continue the stride after beta's
     non-output gates.  The grown circuit's frees are the first copy's
-    input images, then the carrier's frees not already listed.
-    Returns the grown circuit, its interface, its carrier and the
-    certificate refuting that carrier."""
+    input images, then the carrier's frees not already listed;
+    generate's port check validates it.  Returns the grown circuit,
+    its interface, its carrier and the certificate refuting that
+    carrier."""
     rep = check_er(bundle.clauses, alpha_er)
     if not rep:
         raise TranslateError(f"invalid proof: {rep.reason}")
@@ -275,9 +278,6 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
         beta_hat + dup_gates,
         tuple(first[y] for y in iface.outputs),
     )
-    rep = validate_circuit(beta2)
-    if not rep:
-        raise TranslateError(f"grown circuit invalid: {rep.reason}")
     iface2 = replace(iface, inputs=inputs, outputs=beta2.outputs)
     bundle2 = generate(beta2, iface2)
     alpha2 = _fold_proof(

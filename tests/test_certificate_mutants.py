@@ -7,14 +7,16 @@ This extends its proof mutants to the three fold carriers: alpha from
 is judged by a reference replay over frozensets written here, which
 shares no code with the checker, and by the verifier's proof stage on
 the regenerated carrier set.  The two must agree on every mutant, and
-no mutant the reference finds invalid may be accepted.
+no mutant the reference finds invalid may be accepted.  A further kind
+mutates the grafted circuit instead of the proof: a spare free wired
+into its output cone, which the port check must refuse.
 """
 
 import dataclasses
 import random
 from types import SimpleNamespace
 
-from implres.circuits import Circuit
+from implres.circuits import Circuit, Gate
 from implres.correctness import gen_C, gen_correct
 from implres.families import (
     not_search,
@@ -34,11 +36,16 @@ EMPTY = Circuit((), (), ())
 PER_KIND = 12
 
 
-def er_certificates():
+def er_refutations():
     for name, omega in (("tseitin4", tseitin_cycle(4)), ("php32", php(3, 2))):
         pi = ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree))
         ir = er_to_implicit(omega, pi)
         assert verify_implicit(ir)
+        yield name, ir
+
+
+def er_certificates():
+    for name, ir in er_refutations():
         yield name, gen_C(ir.omega, ir.beta, ir.iface), ir.alpha, ir.alpha_premises
 
 
@@ -131,3 +138,45 @@ def test_grafted_and_tableau_certificate_mutants_are_rejected():
     assert not disagreements, disagreements[:3]
     print(f"invalid mutants rejected: {invalid}")
     assert invalid >= len(certificates) * 3 * PER_KIND * 9 // 10, invalid
+
+
+def output_cone(beta):
+    """Gates in the transitive fan-in of beta's outputs, by a worklist
+    written here rather than the port check's sweep."""
+    gates = beta.gate_map()
+    cone, work = set(), list(beta.outputs)
+    while work:
+        v = work.pop()
+        if v in cone or v not in gates:
+            continue
+        cone.add(v)
+        work.extend(abs(l) for l in gates[v].body)
+    return sorted(cone)
+
+
+def test_spare_free_wired_into_the_output_cone_is_rejected():
+    """Mutant kind "spare free wired into the output cone".  A grafted
+    beta carries 1..n as spare frees outside its output cone; a gate of
+    the cone that reads one of them makes every copy in C read a branch
+    variable in place of its window, so C no longer checks the tree
+    that beta describes.  The verifier must refuse every such beta at
+    its port check, whatever alpha says."""
+    rng = random.Random(313)
+    outcomes = []
+    for name, ir in er_refutations():
+        spares = sorted(set(ir.beta.free) - set(ir.iface.inputs))
+        assert spares and all(v <= ir.n for v in spares)
+        targets = output_cone(ir.beta)
+        for _ in range(PER_KIND):
+            var = rng.choice(targets)
+            lit = rng.choice(spares) * rng.choice((1, -1))
+            gates = tuple(
+                Gate(g.var, g.body + (lit,)) if g.var == var else g for g in ir.beta.gates
+            )
+            beta = dataclasses.replace(ir.beta, gates=gates)
+            rep = verify_implicit(dataclasses.replace(ir, beta=beta))
+            outcomes.append((name, var, lit, rep.ok, rep.stage))
+    accepts = [o for o in outcomes if o[3]]
+    assert not accepts, accepts[:3]
+    assert all(o[4] == "interface" for o in outcomes), outcomes
+    assert len(outcomes) == 2 * PER_KIND

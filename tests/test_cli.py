@@ -1,14 +1,20 @@
+import contextlib
+import functools
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import implres
 from implres.circuits import Circuit, Gate, serialize_circuit
 from implres.cli import main
 from implres.encoding import canonical_tree_circuit
-from implres.families import not_search, tm_halt, tseitin_cycle
+from implres.families import not_search, tm_halt, tseitin_cycle, two_var_unsat
 from implres.formulas import serialize_dimacs
 from implres.correctness import gen_correct
 from implres.implicit import Manifest, serialize_manifest
@@ -241,17 +247,9 @@ def test_tableau_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_oracle_and_bench(tmp_path, cnf_file, capsys):
+def test_oracle_cross_check(cnf_file, capsys):
     assert run(["oracle", cnf_file]) == 0
     assert "unsat" in capsys.readouterr().out
-    csv_path = tmp_path / "bench.csv"
-    assert run(["bench", "--csv", "--output", csv_path]) == 0
-    text = csv_path.read_text()
-    assert text.startswith("family,size,steps,base,ratio")
-    # deterministic across runs
-    again = tmp_path / "bench2.csv"
-    assert run(["bench", "--csv", "--output", again]) == 0
-    assert again.read_text() == text
 
 
 def test_gen_c_byte_deterministic(tmp_path, cnf_file):
@@ -270,3 +268,117 @@ def test_outputs_are_atomic_no_tmp_leftovers(tmp_path, cnf_file):
     out = tmp_path / "work"
     assert run(["prove", cnf_file, "-o", out]) == 0
     assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+
+
+# A certificate for a satisfiable omega that synth wrote, and verify
+# accepted, while the port check let beta's spare free 1 feed both
+# outputs; it still replays against the C of that beta.
+SPARE_FREE_ALPHA = (
+    "res-proof 75\n"
+    "a 67\na 8\nr 1 0 10\na 70\nr 3 2 11\na 39\nr 5 4 16\na 46\nr 6 7 24\n"
+    "a 50\nr 9 8 27\na 51\nr 10 11 28\na 68\na 4\nr 13 14 10\na 69\n"
+    "r 15 16 11\na 36\nr 18 17 15\na 44\nr 19 20 23\na 49\nr 22 21 26\n"
+    "r 23 11 28\nr 12 24 1\n"
+)
+
+
+def test_spare_free_feeding_the_outputs_is_refused(tmp_path, capsys):
+    # omega = {1}, {-2} is satisfiable.  Every copy of beta in C leaves
+    # the spare free 1 in place, so the query at depth 1 would read the
+    # branch bit z_1 instead of its window.
+    (tmp_path / "b.cnf").write_text("p cnf 2 2\n1 0\n-2 0\n")
+    (tmp_path / "b.circ").write_text(
+        "circ 14\nfree 10 11 12 1\ngate 13 1 0\ngate 14 -1 0\nout 13 14\n"
+    )
+    (tmp_path / "b.rproof").write_text(SPARE_FREE_ALPHA)
+    (tmp_path / "b.manifest").write_text(
+        serialize_manifest(Manifest(2, "b.cnf", "b.circ", "b.rproof"))
+    )
+    assert run(["verify", tmp_path / "b.manifest"]) == 1
+    err = capsys.readouterr().err
+    assert "rejected at stage interface" in err and "feed the outputs" in err
+    out = tmp_path / "out"
+    assert run(["synth", tmp_path / "b.cnf", tmp_path / "b.circ", "-o", out]) == 2
+    assert not (out / "b.manifest").exists()
+
+
+def test_nul_byte_in_a_manifest_path_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "x.manifest"
+    manifest.write_bytes(b"implicit-refutation\nn 2\nomega a\0.cnf\nbeta b.circ\nalpha c.rproof\n")
+    assert run(["verify", manifest]) == 2
+    assert "NUL" in capsys.readouterr().err
+
+
+@functools.lru_cache(maxsize=None)
+def contract_inputs():
+    """Valid inputs of verify and tableau-verify, as {name: bytes}."""
+    with tempfile.TemporaryDirectory() as d:
+        cnf = os.path.join(d, "omega.cnf")
+        with open(cnf, "w") as fh:
+            fh.write(serialize_dimacs(two_var_unsat()))
+        for argv in (
+            ["prove", cnf, "-o", d],
+            ["encode", os.path.join(d, "omega.dtree"), cnf, "-o", d],
+            ["synth", cnf, os.path.join(d, "omega.circ"), "-o", d],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        files = {}
+        for name in ("omega.manifest", "omega.cnf", "omega.circ", "omega.rproof"):
+            with open(os.path.join(d, name), "rb") as fh:
+                files[name] = fh.read()
+    tm, tau, beta, iface = tm_halt()
+    bundle = gen_tableau(tm, tau, beta, iface)
+    files["halt.tm"] = serialize_tm(tm).encode()
+    files["grid.circ"] = serialize_circuit(beta).encode()
+    files["halt.rproof"] = serialize_proof(
+        refute_tableau(bundle), len(bundle.clauses.clauses)
+    ).encode()
+    return files, encode_tau(tau)
+
+
+MUTATION_TARGETS = (
+    "omega.manifest", "omega.cnf", "omega.circ", "omega.rproof",
+    "halt.tm", "grid.circ", "halt.rproof",
+)
+
+byte_edit = st.tuples(
+    st.sampled_from(("replace", "insert", "delete", "truncate")),
+    st.integers(0, 1 << 16),
+    st.integers(0, 255),
+)
+
+
+def mutate(blob: bytes, edits) -> bytes:
+    for op, pos, byte in edits:
+        i = pos % (len(blob) + 1)
+        if op == "replace" and i < len(blob):
+            blob = blob[:i] + bytes((byte,)) + blob[i + 1:]
+        elif op == "insert":
+            blob = blob[:i] + bytes((byte,)) + blob[i:]
+        elif op == "delete":
+            blob = blob[:i] + blob[i + 1:]
+        elif op == "truncate":
+            blob = blob[:i]
+    return blob
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(MUTATION_TARGETS), st.lists(byte_edit, min_size=1, max_size=3))
+def test_byte_mutated_inputs_keep_the_exit_code_contract(target, edits):
+    files, tau = contract_inputs()
+    files = dict(files)
+    files[target] = mutate(files[target], edits)
+    with tempfile.TemporaryDirectory() as d:
+        for name, blob in files.items():
+            with open(os.path.join(d, name), "wb") as fh:
+                fh.write(blob)
+        if target.startswith("omega"):
+            argv = ["verify", os.path.join(d, "omega.manifest")]
+        else:
+            argv = ["tableau-verify", os.path.join(d, "halt.tm"), tau,
+                    os.path.join(d, "grid.circ"), os.path.join(d, "halt.rproof")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from implres.circuits import Circuit, VarAlloc, validate_circuit
+from implres.circuits import Circuit, Gate, VarAlloc, validate_circuit
 from implres.encoding import (
     EncodingError,
     TreeInterface,
@@ -58,11 +58,14 @@ def test_check_interface_rejections():
     assert not check_interface(c, TreeInterface(2, iface.inputs, iface.outputs[:1]))
     wrong_out = TreeInterface(2, iface.inputs, (iface.inputs[0], iface.outputs[1]))
     assert not check_interface(c, wrong_out)
-    # extra free variables are rejected unless a limit admits them
+    # spare frees need ids within 1..n and must stay out of the outputs' fan-in
     extra = Circuit(c.free + (99,), c.gates, c.outputs)
     assert not check_interface(extra, iface)
-    assert check_interface(extra, iface, extra_free_limit=99)
-    assert not check_interface(extra, iface, extra_free_limit=50)
+    spare = Circuit((10, 11, 12, 1), (Gate(15, (1,)), Gate(13, (10,)), Gate(14, (-11,))), (13, 14))
+    assert check_interface(spare, interface_from_circuit(spare, 2))
+    fed = Circuit((10, 11, 12, 1), (Gate(13, (1,)), Gate(14, (-1,))), (13, 14))
+    rep = check_interface(fed, interface_from_circuit(fed, 2))
+    assert not rep and "feed the outputs" in rep.reason
 
 
 def test_interface_from_circuit_positional(omega2):

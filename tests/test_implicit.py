@@ -3,10 +3,13 @@ import os
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from implres.correctness import gen_C
-from implres.encoding import canonical_tree_circuit
-from implres.formulas import Clause, ClauseSet
+from implres.circuits import Circuit, Gate
+from implres.correctness import CorrectnessError, gen_C
+from implres.encoding import canonical_tree_circuit, interface_from_circuit, output_width
+from implres.formulas import Clause, ClauseSet, brute_force_sat
 from implres.implicit import (
     ImplicitError,
     ImplicitRefutation,
@@ -15,13 +18,12 @@ from implres.implicit import (
     implicit_from_tree,
     load_implicit,
     parse_manifest,
-    refute_implicit,
     save_implicit,
     serialize_manifest,
     synthesize_alpha,
     verify_implicit,
 )
-from implres.proofs import Axiom, ResolutionProof
+from implres.proofs import Axiom, Resolve, ResolutionProof
 from implres.prover import Leaf, Node, dpll_refute
 
 
@@ -35,7 +37,6 @@ def test_synthesize_and_verify(omega1, omega2, tseitin4):
         ir = make_ir(omega)
         rep = verify_implicit(ir)
         assert rep, (rep.stage, rep.reason)
-        assert rep.bundle is not None
 
 
 def test_synthesize_alpha_fails_on_wrong_description(omega2):
@@ -102,16 +103,63 @@ def test_verify_rejects_weakening_outside_carrier(omega1):
     assert not rep and rep.stage == "proof"
 
 
+def test_verify_rejects_a_gate_that_reads_itself():
+    # omega is satisfiable.  Gate 15 sits outside the output cone and
+    # reads itself; its copy 41 in C contributes the clauses {-41} and
+    # {41}, which refute C on their own.
+    c, iface = canonical_tree_circuit(2)
+    beta = Circuit(c.free, c.gates + (Gate(15, (-15,)),), c.outputs)
+    omega = ClauseSet(2, (Clause((1,)), Clause((-2,))))
+    alpha = ResolutionProof((Axiom(86), Axiom(87), Resolve(1, 0, 41)))
+    rep = verify_implicit(ImplicitRefutation(2, omega, alpha, beta, iface, 109))
+    assert not rep and rep.stage == "interface"
+    assert "cyclic" in rep.reason
+
+
+@st.composite
+def spare_free_instances(draw):
+    """(omega, beta) over n <= 4 variables.  omega is random clauses or
+    one random unit per variable.  beta's n+1 window inputs have ids
+    above n, some of 1..n are spare frees, and its random gates read
+    the spare frees alone or together with the window."""
+    n = draw(st.integers(1, 4))
+    lit = st.integers(-n, n).filter(bool)
+    if draw(st.booleans()):
+        clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=n), max_size=5))
+    else:
+        clauses = [[v if draw(st.booleans()) else -v] for v in range(1, n + 1)]
+    omega = ClauseSet(n, tuple(Clause(tuple(c)) for c in clauses))
+    spares = sorted(draw(st.sets(st.integers(1, n), min_size=1)))
+    frees = tuple(range(n + 1, 2 * n + 2)) + tuple(spares)
+    width = output_width(n)
+    gates, known = [], list(frees if draw(st.booleans()) else spares)
+    for v in range(2 * n + 2, 2 * n + 2 + draw(st.integers(width, width + 4))):
+        reads = draw(st.lists(st.sampled_from(known), min_size=1, max_size=3))
+        signs = draw(st.lists(st.booleans(), min_size=len(reads), max_size=len(reads)))
+        gates.append(Gate(v, tuple(r if s else -r for r, s in zip(reads, signs))))
+        known.append(v)
+    outputs = draw(st.permutations([g.var for g in gates]))[:width]
+    return omega, Circuit(frees, tuple(gates), tuple(outputs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(spare_free_instances())
+def test_an_accepted_synthesis_certifies_an_unsatisfiable_set(instance):
+    omega, beta = instance
+    iface = interface_from_circuit(beta, omega.n)
+    try:
+        bundle = gen_C(omega, beta, iface)
+        alpha = synthesize_alpha(bundle)
+    except (CorrectnessError, SynthesisFailure):
+        return
+    ir = ImplicitRefutation(omega.n, omega, alpha, beta, iface, len(bundle.clauses.clauses))
+    if verify_implicit(ir):
+        assert brute_force_sat(omega) is None
+
+
 def test_implicit_from_tree_rejects_bad_tree(omega1):
     with pytest.raises(ImplicitError):
         implicit_from_tree(omega1, Node(1, Leaf(0), Leaf(1)))
-
-
-def test_refute_implicit_both_verdicts(omega2):
-    ir, model = refute_implicit(omega2)
-    assert model is None and verify_implicit(ir)
-    ir2, model2 = refute_implicit(ClauseSet(2, ((1, 2),)))
-    assert ir2 is None and model2 is not None
 
 
 def test_manifest_round_trip():

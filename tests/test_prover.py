@@ -12,7 +12,6 @@ from implres.prover import (
     parse_dtree,
     proof_from_tree,
     serialize_dtree,
-    tree_depth,
     tree_size,
 )
 
@@ -20,8 +19,6 @@ from implres.prover import (
 def test_tree_metrics():
     t = Node(1, Leaf(0), Node(2, Leaf(1), Leaf(2)))
     assert tree_size(t) == 5
-    assert tree_depth(t) == 2
-    assert tree_depth(Leaf(0)) == 0
 
 
 def test_check_decision_tree(omega1, omega2):
@@ -86,7 +83,6 @@ def test_balance_tree_queries_every_variable(omega2):
     out = dpll_refute(omega2)
     balanced = balance_tree(out.tree, (1, 2))
     assert check_decision_tree(omega2, balanced)
-    assert tree_depth(balanced) == 2
     assert tree_size(balanced) == 7  # full binary tree over two variables
     # already balanced trees come back unchanged in shape
     again = balance_tree(balanced, (1, 2))

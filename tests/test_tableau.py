@@ -216,6 +216,24 @@ def test_verify_pq_rejections():
     assert not rep and rep.stage == "machine"
 
 
+def test_grid_spare_free_feeding_a_cell_is_refused():
+    # tm_halt's grid with address bits 3 (row) and 4 (column) and the
+    # spare free 1, which is address bit j_0 in every copy of the carrier
+    tm, tau, beta, iface = tm_halt()
+    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    # the same cells, read through a constant built on the spare free
+    cells = (Gate(7, (-4, 6)), Gate(8, (-4, 6)), Gate(9, (-4, 6)))
+    fed = Circuit((3, 4, 1), (Gate(5, (1, -1)), Gate(6, (-5,))) + cells, (7, 8, 9))
+    rep = verify_pq(tm, tau, fed, tableau_interface_from_circuit(fed, 1), alpha)
+    assert not rep and rep.stage == "interface" and "feed the outputs" in rep.reason
+    # out of the cells' fan-in, a spare free only feeds an extension gate
+    cells = (Gate(7, (-4,)), Gate(8, (-4,)), Gate(9, (-4,)))
+    apart = Circuit((3, 4, 1), (Gate(5, (1,)),) + cells, (7, 8, 9))
+    iface2 = tableau_interface_from_circuit(apart, 1)
+    bundle = gen_tableau(tm, tau, apart, iface2)
+    assert verify_pq(tm, tau, apart, iface2, refute_tableau(bundle))
+
+
 def test_graft_pq_round_trip():
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()

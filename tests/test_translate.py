@@ -88,6 +88,18 @@ def test_emb_refute_rejects_non_embedding():
         emb_refute(c, d, {1: 1, 2: 2, 3: 4}, 3, True)
 
 
+def test_emb_refute_rejects_a_map_that_moves_a_free():
+    # the units {1} and {-2} are consistent: there is nothing to refute
+    free = Circuit((1, 2), (), ())
+    with pytest.raises(TranslateError, match="moves free variable 1"):
+        emb_refute(free, free, {1: 2, 2: 1}, 1, True)
+    # nor through a gate whose body reads a moved free
+    c = Circuit((1, 2), (Gate(3, (1,)),), (3,))
+    d = Circuit((1, 2), (Gate(4, (2,)),), (4,))
+    with pytest.raises(TranslateError, match="moves free variable 1"):
+        emb_refute(c, d, {1: 2, 2: 1, 3: 4}, 3, True)
+
+
 def test_truthdef_translate_accepted(omega1, omega2):
     pi1 = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
     assert check_er(omega1, pi1)
