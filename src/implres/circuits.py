@@ -11,7 +11,10 @@ chosen input substitutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .formulas import (
@@ -302,57 +305,174 @@ def check_ports(
     return CircuitReport(True)
 
 
-def stride_copies(
-    c: Circuit, base: int, ports: Sequence[dict[int, int]]
-) -> tuple[tuple[dict[int, int], ...], list[tuple[Gate, ...]]]:
-    """Copies of ``c`` interleaved on a stride of ``len(ports)``.
+def gate_clause_count(g: Gate) -> int:
+    """``len(gate_clauses(g))`` for a gate whose body does not cite it."""
+    return 1 + len(set(g.body))
 
-    Copy k sends the variables keyed in ``ports[k]`` (inputs and
-    outputs) to their images and the t-th other gate (from 0) to
-    ``base + t * stride + k``; any other free stays in place.  Returns
-    each copy's variable map and gates."""
-    stride = len(ports)
-    inner = [g.var for g in c.gates if g.var not in ports[0]]
-    maps, copies = [], []
-    for k, port in enumerate(ports):
-        varmap = dict(port)
-        for t, v in enumerate(inner):
-            varmap[v] = base + t * stride + k
-        for v in c.free:
-            varmap.setdefault(v, v)
-        maps.append(varmap)
-        copies.append(tuple(
-            Gate(varmap[g.var], tuple(map_literal(l, varmap) for l in g.body))
-            for g in c.gates
-        ))
-    return tuple(maps), copies
+
+@dataclass(frozen=True, eq=False)
+class Carrier:
+    """A generated clause set, laid out by assemble_carrier.
+
+    It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
+    ``clauses``) but builds only what is read: ``len`` and the clause
+    at a position come from prefix sums of gate clause counts, one
+    gate of one block or copy at a time.  The clause tuple, circuit
+    and copy maps are built in full when first read; once the tuple
+    exists, indexing reads it."""
+
+    frees: tuple[int, ...]
+    pre: tuple[Gate, ...]
+    beta: Circuit
+    base: int
+    ports: tuple[dict[int, int], ...]
+    verdict: tuple[Gate, ...]
+    delta: int
+    n: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def _inner(self) -> dict[int, int]:
+        """Stride slot t of each gate of beta that no port names."""
+        inner = [g.var for g in self.beta.gates if g.var not in self.ports[0]]
+        return {v: t for t, v in enumerate(inner)}
+
+    @cached_property
+    def _copies(self):
+        """Each copy's variable map and gates, laid as assemble_carrier
+        says: slot t of copy k goes to base + t * stride + k."""
+        stride, maps, copies = len(self.ports), [], []
+        for k, port in enumerate(self.ports):
+            varmap = dict(port)
+            for v, t in self._inner.items():
+                varmap[v] = self.base + t * stride + k
+            for v in self.beta.free:
+                varmap.setdefault(v, v)
+            maps.append(varmap)
+            copies.append(tuple(
+                Gate(varmap[g.var], tuple(map_literal(l, varmap) for l in g.body))
+                for g in self.beta.gates
+            ))
+        return tuple(maps), copies
+
+    copy_maps = property(lambda self: self._copies[0])
+
+    @cached_property
+    def circuit(self) -> Circuit:
+        body = (*self.pre, *(g for gates in self._copies[1] for g in gates))
+        return Circuit(self.frees, body + self.verdict, (self.delta,))
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        clauses: list[Clause] = []
+        for g in self.verdict:
+            clauses.extend(gate_clauses(g))
+        clauses.append(Clause((-self.delta,)))
+        for gates in (self.pre, *self._copies[1]):
+            for g in gates:
+                clauses.extend(gate_clauses(g))
+        return ClauseSet(self.n, tuple(clauses)).clauses
+
+    @cached_property
+    def neg_delta_index(self) -> int:
+        return sum(map(gate_clause_count, self.verdict))
+
+    @cached_property
+    def _table(self):
+        """The head (verdict block, None for {-delta}, pre-block) with
+        prefix sums of its clause counts, and those of one copy.  None
+        when a spare free carries a port image (grid carriers can)."""
+        spares = set(self.beta.free).difference(self.ports[0])
+        if any(v in spares for port in self.ports for v in port.values()):
+            return None
+        head = (*self.verdict, None, *self.pre)
+        counts = (1 if g is None else gate_clause_count(g) for g in head)
+        ends = list(accumulate(counts, initial=0))
+        return head, ends, list(accumulate(map(gate_clause_count, self.beta.gates), initial=0))
+
+    @cached_property
+    def _len(self) -> int:
+        t = None if "clauses" in self.__dict__ else self._table
+        return len(self.clauses) if t is None else t[1][-1] + len(self.ports) * t[2][-1]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return iter(self.clauses)
+
+    def clause(self, p: int) -> Clause:
+        """The clause at position p; IndexError unless 0 <= p < len
+        (a negative p does not count from the end)."""
+        if not 0 <= p < self._len:
+            raise IndexError(f"no clause at position {p} of {self._len}")
+        if "clauses" in self.__dict__ or self._table is None:
+            return self.clauses[p]
+        head, head_ends, copy_ends = self._table
+        if p < head_ends[-1]:
+            k, q, ends = -1, p, head_ends
+        else:
+            (k, q), ends = divmod(p - head_ends[-1], copy_ends[-1]), copy_ends
+        t = bisect_right(ends, q) - 1
+        group = self._memo.get((k, t))
+        if group is None:
+            if k < 0:
+                group = (Clause((-self.delta,)),) if head[t] is None else gate_clauses(head[t])
+            else:
+                port, stride, inner = self.ports[k], len(self.ports), self._inner
+
+                def image(v: int) -> int:
+                    if v in port:
+                        return port[v]
+                    return v if v not in inner else self.base + inner[v] * stride + k
+
+                g = self.beta.gates[t]
+                body = tuple(image(l) if l > 0 else -image(-l) for l in g.body)
+                group = gate_clauses(Gate(image(g.var), body))
+            self._memo[(k, t)] = group
+        return group[q - ends[t]]
+
+    __getitem__ = clause
+
+
+class CarrierParts:
+    """Bundle attributes read from the Carrier in its ``clauses``."""
+
+    circuit = property(lambda self: self.clauses.circuit)
+    copy_maps = property(lambda self: self.clauses.copy_maps)
+    neg_delta_index = property(lambda self: self.clauses.neg_delta_index)
+    copy_base = property(lambda self: self.clauses.base)
 
 
 def assemble_carrier(
     frees: tuple[int, ...],
     pre: Sequence[Gate],
-    copies: Sequence[Sequence[Gate]],
+    beta: Circuit,
+    base: int,
+    ports: Sequence[dict[int, int]],
     verdict: Sequence[Gate],
     delta: int,
-    n: int,
-) -> tuple[Circuit, ClauseSet, int]:
+) -> Carrier:
     """The one carrier layout, shared by ``gen_C`` and ``gen_tableau``.
 
-    The circuit has the gates pre-block, copies, verdict block, in that
-    order, and output ``delta``.  The clause set over ``n`` variables
-    holds the verdict block's clauses, the unit {-delta}, the pre-block's
-    clauses, then the copies' clauses.  Returns the circuit, the clause
-    set and the position of {-delta}."""
-    body = (*pre, *(g for gates in copies for g in gates))
-    circuit = Circuit(frees, body + tuple(verdict), (delta,))
-    clauses: list[Clause] = []
-    for g in verdict:
-        clauses.extend(gate_clauses(g))
-    neg_delta_index = len(clauses)
-    clauses.append(Clause((-delta,)))
-    for g in body:
-        clauses.extend(gate_clauses(g))
-    return circuit, ClauseSet(n, tuple(clauses)), neg_delta_index
+    Copy k of ``beta`` sends the variables keyed in ``ports[k]``
+    (inputs and outputs) to their images and its t-th other gate to
+    ``base + t * len(ports) + k``; spare frees stay in place.  The
+    circuit has the gates pre-block, copies, verdict block, in that
+    order, and output ``delta``.  The clause set holds the verdict
+    block's clauses, the unit {-delta}, the pre-block's clauses, then
+    each copy's clauses, over variables up to the last copy id (or
+    delta).
+
+    This block arithmetic is normative: the verifier takes ``len`` and
+    the cited clauses from it and never builds the set.  A gate gives
+    one clause per distinct body literal plus one, and a copy map that
+    is injective keeps that count, so every copy has as many clauses
+    as beta.  The port check makes it injective for tree carriers:
+    spare frees lie within 1..n, below every port image."""
+    ports = tuple(ports)
+    n = max(base + (len(beta.gates) - len(beta.outputs)) * len(ports) - 1, delta)
+    return Carrier(tuple(frees), tuple(pre), beta, base, ports, tuple(verdict), delta, n)
 
 
 class CircuitBuilder:

@@ -156,7 +156,7 @@ def cmd_synth(args) -> int:
         raise Reject(f"described tree leaves branch {exc.witness} unrefuted")
     ir = ImplicitRefutation(
         omega.n, omega, alpha, beta, iface,
-        alpha_premises=len(bundle.clauses.clauses),
+        alpha_premises=len(bundle.clauses),
     )
     manifest = save_implicit(ir, args.outdir, _stem(args))
     print(manifest)

@@ -19,6 +19,13 @@ for grown circuits literally contain the originals.
 
 Gate and clause order follow circuits.assemble_carrier, with the
 lambda block as pre-block and the delta block as verdict block.
+
+The block arithmetic is normative: the verifier takes |C| and the
+clause at a cited position from it, and never builds C in full.  A
+gate contributes one clause plus one per distinct body literal, and
+each copy map is injective (window and w images lie above n, copy
+gates above every other id, and spare frees stay at ids 1..n), so
+every copy of beta holds the same number of clauses as beta itself.
 """
 
 from __future__ import annotations
@@ -27,13 +34,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .circuits import (
+    Carrier,
+    CarrierParts,
     Circuit,
     CircuitBuilder,
     CircuitReport,
     VarAlloc,
     assemble_carrier,
     circuit_clauses,
-    stride_copies,
 )
 from .encoding import TreeInterface, bit, check_interface, output_width
 from .formulas import Clause, ClauseSet
@@ -41,6 +49,10 @@ from .formulas import Clause, ClauseSet
 
 class CorrectnessError(ValueError):
     pass
+
+
+class InterfaceError(CorrectnessError):
+    """beta fails the port check against its interface."""
 
 
 @dataclass(frozen=True)
@@ -161,19 +173,15 @@ def gen_lambda(
 
 
 @dataclass(frozen=True)
-class CorrectnessBundle:
+class CorrectnessBundle(CarrierParts):
     n: int
-    clauses: ClauseSet
-    circuit: Circuit  # all gates over frees z_1..z_n, output delta
+    clauses: Carrier  # its circuit: all gates over frees z_1..z_n, output delta
     z_vars: tuple[int, ...]
     u_grid: dict[tuple[int, int], int]
     w_grid: dict[tuple[int, int], int]
     delta: int
-    neg_delta_index: int
-    copy_maps: tuple[dict[int, int], ...]
     delta_bundle: DeltaBundle
     lambda_bundle: LambdaBundle
-    copy_base: int
 
 
 def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessBundle:
@@ -190,7 +198,7 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
         raise CorrectnessError(f"omega over {omega.n} variables, interface says {n}")
     rep = check_interface(beta, iface)
     if not rep:
-        raise CorrectnessError(f"bad interface: {rep.reason}")
+        raise InterfaceError(rep.reason)
     width = output_width(n)
 
     z_vars = tuple(range(1, n + 1))
@@ -218,25 +226,18 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
         port = {x: lam.grid[(i, j)] for j, x in enumerate(iface.inputs)}
         port.update((y, w_grid[(i, m)]) for m, y in enumerate(iface.outputs, start=1))
         ports.append(port)
-    copy_maps, copies = stride_copies(beta, copy_base, ports)
-    n_inner = len(beta.gates) - len(iface.outputs)
-    circuit, cs, neg_delta_index = assemble_carrier(
-        z_vars, lam.circuit.gates, copies, delta.circuit.gates, delta.delta,
-        max(copy_base + n_inner * n - 1, delta.delta),
+    carrier = assemble_carrier(
+        z_vars, lam.circuit.gates, beta, copy_base, ports, delta.circuit.gates, delta.delta
     )
     return CorrectnessBundle(
         n=n,
-        clauses=cs,
-        circuit=circuit,
+        clauses=carrier,
         z_vars=z_vars,
         u_grid=lam.grid,
         w_grid=w_grid,
         delta=delta.delta,
-        neg_delta_index=neg_delta_index,
-        copy_maps=copy_maps,
         delta_bundle=delta,
         lambda_bundle=lam,
-        copy_base=copy_base,
     )
 
 

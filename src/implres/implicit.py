@@ -13,13 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .circuits import Circuit, CircuitError, parse_circuit, serialize_circuit
-from .correctness import CorrectnessBundle, CorrectnessError, gen_C
-from .encoding import (
-    EncodingError,
-    TreeInterface,
-    check_interface,
-    interface_from_circuit,
-)
+from .correctness import CorrectnessBundle, CorrectnessError, InterfaceError, gen_C
+from .encoding import EncodingError, TreeInterface, interface_from_circuit
 from .formulas import (
     EMPTY_CLAUSE,
     ClauseSet,
@@ -75,11 +70,12 @@ def proof_stage(bundle, alpha: ResolutionProof, declared: Optional[int]) -> Veri
     """Judge a certificate against a generated clause set (any carrier
     bundle): the declared premise count must match, weakening may not
     leave the set's variables, and the replay must reach the empty
-    clause."""
+    clause.  It reads only the set's ``len``, ``n`` and the premises
+    alpha cites, so a Carrier is never built in full here."""
     cs = bundle.clauses
-    if declared is not None and declared != len(cs.clauses):
+    if declared is not None and declared != len(cs):
         return VerifyReport(
-            False, "proof", f"proof declares {declared} premises, the set has {len(cs.clauses)}"
+            False, "proof", f"proof declares {declared} premises, the set has {len(cs)}"
         )
     for step in alpha.steps:
         for lit in getattr(step, "literals", ()):
@@ -105,11 +101,10 @@ def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
         )
     if ir.iface.n != ir.n:
         return VerifyReport(False, "interface", "interface variable count differs")
-    rep = check_interface(ir.beta, ir.iface)
-    if not rep:
-        return VerifyReport(False, "interface", rep.reason)
     try:
         bundle = gen_C(ClauseSet(ir.n, ir.omega.clauses), ir.beta, ir.iface)
+    except InterfaceError as exc:
+        return VerifyReport(False, "interface", str(exc))
     except (CorrectnessError, CircuitError, EncodingError, FormulaError) as exc:
         return VerifyReport(False, "generate", str(exc))
     return proof_stage(bundle, ir.alpha, ir.alpha_premises)
@@ -170,7 +165,7 @@ def implicit_from_tree(omega: ClauseSet, tree: DecisionTree) -> ImplicitRefutati
     bundle = gen_C(omega, beta, iface)
     alpha = synthesize_alpha(bundle)
     return ImplicitRefutation(
-        n, omega, alpha, beta, iface, alpha_premises=len(bundle.clauses.clauses)
+        n, omega, alpha, beta, iface, alpha_premises=len(bundle.clauses)
     )
 
 

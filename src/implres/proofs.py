@@ -95,13 +95,16 @@ def resolve_clauses(left: Clause, right: Clause, pivot: int) -> Clause:
 
 
 def replay_steps(premises: ClauseSet, steps: Iterable[Step]) -> list[Clause]:
-    """Recompute every step clause; raises _StepFailure on bad steps."""
+    """Recompute every step clause; raises _StepFailure on bad steps.
+    Premises are read by ``len`` and index alone, so a lazy carrier
+    (circuits.Carrier) builds only the ones cited."""
+    count = len(premises)
     clauses: list[Clause] = []
     for idx, step in enumerate(steps):
         if isinstance(step, Axiom):
-            if not 0 <= step.index < len(premises.clauses):
+            if not 0 <= step.index < count:
                 raise _StepFailure(idx, f"axiom index {step.index} out of range")
-            clauses.append(premises.clauses[step.index])
+            clauses.append(premises[step.index])
         elif isinstance(step, Resolve):
             if not (0 <= step.left < idx and 0 <= step.right < idx):
                 raise _StepFailure(idx, "resolve references a later or missing step")

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .circuits import (
+    Carrier,
+    CarrierParts,
     Circuit,
     CircuitBuilder,
     CircuitReport,
@@ -30,9 +32,8 @@ from .circuits import (
     assemble_carrier,
     check_ports,
     evaluate,
-    stride_copies,
 )
-from .formulas import ClauseSet, FormulaError
+from .formulas import FormulaError
 from .implicit import VerifyReport, proof_stage
 from .proofs import ERProof, ResolutionProof
 from .prover import dpll_refute, proof_from_tree
@@ -41,6 +42,10 @@ from .translate import graft_fold
 
 class TableauError(ValueError):
     pass
+
+
+class TableauInterfaceError(TableauError):
+    """The grid circuit fails the port check against its interface."""
 
 
 MOVES = ("L", "R", "S")
@@ -334,17 +339,13 @@ def _dec_bits(b: CircuitBuilder, bits: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class TableauBundle:
+class TableauBundle(CarrierParts):
     m: int
-    clauses: ClauseSet
-    circuit: Circuit  # all gates over the 2m address frees, output = verdict
+    clauses: Carrier  # its circuit: all gates over the 2m address frees, output = verdict
     j_vars: tuple[int, ...]
     k_vars: tuple[int, ...]
     cell: dict[tuple[int, int], int]  # (copy, bit) -> id; copies: here, left, right, below
     delta: int
-    neg_delta_index: int
-    copy_maps: tuple[dict[int, int], ...]
-    copy_base: int
     cell_base: int
 
 
@@ -359,7 +360,7 @@ def gen_tableau(
 
     Layout: address frees 1..2m, then arithmetic/flag gates, then a
     reserved block of four cell images, then the fault-detector ids,
-    and the four grid-circuit copies laid by stride_copies on a stride
+    and the four grid-circuit copies laid by assemble_carrier on a stride
     of four from copy_base (copy 0 reads the addressed cell, copies
     1-3 its left, right and lower neighbours).  Gate and clause order
     follow circuits.assemble_carrier, with the arithmetic/flag gates
@@ -371,14 +372,14 @@ def gen_tableau(
     rep = check_machine(tm)
     if not rep:
         raise TableauError(rep.reason)
+    rep = check_tableau_interface(beta, iface, tm)
+    if not rep:
+        raise TableauInterfaceError(rep.reason)
     m = iface.m
     n = 1 << m
     tau = tuple(tau_bits)
     if len(tau) != n or any(b not in (0, 1) for b in tau):
         raise TableauError(f"target word must be {n} bits")
-    rep = check_tableau_interface(beta, iface, tm)
-    if not rep:
-        raise TableauError(rep.reason)
     sb = symbol_bits(tm)
     cw = cell_width(tm)
 
@@ -512,14 +513,8 @@ def gen_tableau(
         ports.append(port)
     # spare frees of the grid circuit stay in place; the port check
     # keeps them out of the cell outputs' fan-in
-    copy_maps, copies = stride_copies(beta, copy_base, ports)
-    n_inner = len(beta.gates) - len(iface.outputs)
-    circuit, cs, neg_delta_index = assemble_carrier(
-        jv + kv, b.gates, copies, s.gates, delta, max(copy_base + 4 * n_inner - 1, delta)
-    )
-    return TableauBundle(
-        m, cs, circuit, jv, kv, cell, delta, neg_delta_index, copy_maps, copy_base, cell_base
-    )
+    carrier = assemble_carrier(jv + kv, b.gates, beta, copy_base, ports, s.gates, delta)
+    return TableauBundle(m, carrier, jv, kv, cell, delta, cell_base)
 
 
 def address_sweep(bundle: TableauBundle) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -577,11 +572,10 @@ def verify_pq(
     tau = tuple(tau_bits)
     if len(tau) != n or any(bit not in (0, 1) for bit in tau):
         return VerifyReport(False, "decode", f"target word must be {n} bits")
-    rep = check_tableau_interface(beta, iface, tm)
-    if not rep:
-        return VerifyReport(False, "interface", rep.reason)
     try:
         bundle = gen_tableau(tm, tau, beta, iface)
+    except TableauInterfaceError as exc:
+        return VerifyReport(False, "interface", str(exc))
     except (TableauError, FormulaError, ValueError) as exc:
         return VerifyReport(False, "generate", str(exc))
     return proof_stage(bundle, alpha, alpha_premises)
@@ -611,5 +605,5 @@ def graft_pq(
     )
     return TableauRefutation(
         tm, tau, alpha2, beta2, iface2,
-        alpha_premises=len(bundle2.clauses.clauses),
+        alpha_premises=len(bundle2.clauses),
     )

@@ -518,7 +518,7 @@ def graft(
         raise TranslateError(f"grafted refutation rejected: {rep.reason}")
     return ImplicitRefutation(
         iface.n, omega, alpha2, beta2, iface2,
-        alpha_premises=len(bundle2.clauses.clauses),
+        alpha_premises=len(bundle2.clauses),
     )
 
 

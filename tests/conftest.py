@@ -21,3 +21,25 @@ def php32():
 @pytest.fixture(scope="session")
 def tseitin4():
     return tseitin_cycle(4)
+
+
+@pytest.fixture(scope="session")
+def view_oracle():
+    """Check a carrier read lazily against the same carrier built in
+    full.  ``generate`` makes a fresh bundle each call, so the view is
+    read before anything of it is materialized.  Returns the view."""
+
+    def check(generate):
+        view = generate().clauses
+        full = generate().clauses
+        clauses = full.clauses
+        assert len(view) == len(clauses)
+        assert view.n == full.n
+        assert all(abs(lit) <= view.n for c in clauses for lit in c)
+        assert [view.clause(p) for p in range(len(clauses))] == list(clauses)
+        for p in (-1, -len(clauses), len(clauses)):
+            with pytest.raises(IndexError):
+                view.clause(p)
+        return view
+
+    return check

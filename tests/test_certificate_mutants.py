@@ -9,14 +9,19 @@ shares no code with the checker, and by the verifier's proof stage on
 the regenerated carrier set.  The two must agree on every mutant, and
 no mutant the reference finds invalid may be accepted.  A further kind
 mutates the grafted circuit instead of the proof: a spare free wired
-into its output cone, which the port check must refuse.
+into its output cone, which the port check must refuse.  The kind
+"re-pointed axiom" sends one axiom step to another premise position,
+judged through the lazily read carrier against a reference that reads
+a separately materialized copy of the set.
 """
 
 import dataclasses
 import random
 from types import SimpleNamespace
 
-from implres.circuits import Circuit, Gate
+import pytest
+
+from implres.circuits import Circuit, Gate, gate_clauses, map_literal
 from implres.correctness import gen_C, gen_correct
 from implres.families import (
     not_search,
@@ -180,3 +185,77 @@ def test_spare_free_wired_into_the_output_cone_is_rejected():
     assert not accepts, accepts[:3]
     assert all(o[4] == "interface" for o in outcomes), outcomes
     assert len(outcomes) == 2 * PER_KIND
+
+
+def carrier_views():
+    """(name, view bundle, materialized premises, first clause of each
+    copy, alpha, declared): the view bundle is generated afresh and
+    judged through without being built in full; the premises tuple and
+    the copy starts come from a second generation, found by clause
+    value rather than by the view's arithmetic."""
+    for name, ir in er_refutations():
+        regen = lambda: gen_C(ir.omega, ir.beta, ir.iface)  # noqa: E731
+        yield name, regen(), regen(), ir.beta, ir.alpha, ir.alpha_premises
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        tm, tau, beta, iface = fixture()
+        alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+        tr = graft_pq(tm, tau, beta, iface, ERProof(EMPTY, alpha))
+        regen = lambda: gen_tableau(tm, tau, tr.beta, tr.iface)  # noqa: E731
+        yield fixture.__name__, regen(), regen(), tr.beta, tr.alpha, tr.alpha_premises
+
+
+def copy_starts(full, beta):
+    premises = full.clauses.clauses
+    g = beta.gates[0]
+    starts = []
+    for cm in full.copy_maps:
+        first = gate_clauses(Gate(cm[g.var], tuple(map_literal(l, cm) for l in g.body)))[0]
+        starts.append(premises.index(first))
+    return starts
+
+
+def test_repointed_axiom_mutants_are_rejected():
+    """Mutant kind "re-pointed axiom": one Axiom step of alpha cites
+    another position, random in range or a boundary of the layout (0,
+    {-delta}, the first clause of each copy, len-1) or just outside it
+    (len, -1).  The verdict through the view must agree with the
+    reference replay over the materialized tuple, with zero accepts."""
+    rng = random.Random(317)
+    accepts, disagreements, invalid, total = [], [], 0, 0
+    cases = [
+        (name, view, full.clauses.clauses, [full.neg_delta_index, *copy_starts(full, beta)], alpha, declared)
+        for name, view, full, beta, alpha, declared in carrier_views()
+    ]
+    cases += [
+        (name, bundle, bundle.clauses.clauses, [], alpha, declared)
+        for name, bundle, alpha, declared in search_certificates()
+    ]
+    for name, bundle, premises, marks, alpha, declared in cases:
+        size = len(premises)
+        genuine = reference_clauses(premises, alpha.steps)
+        axioms = [i for i, s in enumerate(alpha.steps) if isinstance(s, Axiom)]
+        targets = [0, *marks, size - 1, size, -1]
+        targets += [rng.randrange(size) for _ in range(PER_KIND)]
+        for target in targets:
+            i = rng.choice([j for j in axioms if alpha.steps[j].index != target])
+            steps = alpha.steps[:i] + (Axiom(target),) + alpha.steps[i + 1:]
+            clauses = reference_clauses(premises, steps, genuine[:i])
+            sound = clauses is not None and clauses[-1] == frozenset()
+            accepted = bool(proof_stage(bundle, ResolutionProof(steps), declared))
+            total += 1
+            if accepted != sound:
+                disagreements.append((name, target, i))
+            if not sound:
+                invalid += 1
+                if accepted:
+                    accepts.append((name, target, i))
+        if marks:  # a carrier, read lazily throughout
+            view = bundle.clauses
+            for p in (-1, -size, size):
+                with pytest.raises(IndexError):
+                    view[p]
+            assert "clauses" not in vars(view), name
+    assert not accepts, accepts[:3]
+    assert not disagreements, disagreements[:3]
+    print(f"re-pointed axiom mutants rejected: {invalid} of {total}")
+    assert invalid >= total * 3 // 4, (invalid, total)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implres.circuits import (
     Circuit,
@@ -21,15 +23,18 @@ from implres.correctness import (
     serialize_sidecar,
 )
 from implres.encoding import (
+    TreeInterface,
     canonical_tree_circuit,
     compute_initial_clause,
     output_width,
     tree_to_circuit,
     window_bits,
 )
-from implres.families import not_search
+from implres.families import not_search, php, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, brute_force_sat, is_weakening
-from implres.prover import balance_tree, dpll_refute
+from implres.proofs import ERProof
+from implres.prover import balance_tree, dpll_refute, proof_from_tree
+from implres.translate import er_to_implicit
 
 
 def spelled_clause(n, x_bits, y_bits):
@@ -172,3 +177,68 @@ def test_gen_correct_catches_buggy_algorithm():
     correct = gen_correct(sp)
     model = brute_force_sat(correct)
     assert model is not None  # identity instead of negation errs somewhere
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [tseitin_cycle(12), php(4, 3), tseitin_cycle(4), php(3, 2)],
+    ids=["tseitin12", "php43", "tseitin4", "php32"],
+)
+def test_lazy_carrier_equals_the_materialized_set_on_grafts(omega, view_oracle):
+    """The grafted certificates of the benchmark's ER simulation and of
+    the small fixtures: every clause read through the view is the one
+    gen_C materializes, and reading all of them builds nothing in full."""
+    pi = ERProof(Circuit((), (), ()), proof_from_tree(omega, dpll_refute(omega).tree))
+    ir = er_to_implicit(omega, pi)
+    view = view_oracle(lambda: gen_C(omega, ir.beta, ir.iface))
+    assert "clauses" not in vars(view) and "circuit" not in vars(view)
+
+
+def signed(draw, pool):
+    """A nonempty body over pool, sometimes with a literal repeated."""
+    lits = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=4
+    ))
+    body = [v if pos else -v for v, pos in lits]
+    if draw(st.booleans()):
+        body.append(body[0])
+    return tuple(body)
+
+
+@st.composite
+def small_tuples(draw):
+    """(omega, beta, iface) with n <= 4: gates in the outputs' cone read
+    the window inputs only; gates outside it may read spare frees
+    (ids within 1..n) and anything defined before them.  Omega is
+    empty, holds the empty clause, or is a plain clause list."""
+    n = draw(st.integers(1, 4))
+    inputs = tuple(range(n + 1, 2 * n + 2))
+    spares = tuple(sorted(draw(st.sets(st.integers(1, n)))))
+    next_var = 2 * n + 2
+    gates, cone = [], list(inputs)
+    for _ in range(draw(st.integers(0, 3))):
+        gates.append(Gate(next_var, signed(draw, cone)))
+        cone.append(next_var)
+        next_var += 1
+    outputs = tuple(range(next_var, next_var + output_width(n)))
+    for v in outputs:
+        gates.append(Gate(v, signed(draw, cone)))
+    pool = cone + list(outputs) + list(spares)
+    for v in range(outputs[-1] + 1, outputs[-1] + 1 + draw(st.integers(0, 3))):
+        gates.append(Gate(v, signed(draw, pool)))
+        pool.append(v)
+    kind = draw(st.sampled_from(("empty", "empty clause", "plain")))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = [] if kind == "empty" else draw(st.lists(st.lists(lit, max_size=3), max_size=4))
+    if kind == "empty clause":
+        clauses.insert(draw(st.integers(0, len(clauses))), [])
+    beta = Circuit(inputs + spares, tuple(gates), outputs)
+    return ClauseSet(n, tuple(Clause(tuple(c)) for c in clauses)), beta, TreeInterface(n, inputs, outputs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_tuples())
+def test_lazy_carrier_equals_the_materialized_set_on_random_betas(view_oracle, case):
+    omega, beta, iface = case
+    view = view_oracle(lambda: gen_C(omega, beta, iface))
+    assert "clauses" not in vars(view)

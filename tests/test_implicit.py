@@ -1,11 +1,13 @@
 import gc
 import os
+import sys
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from implres import circuits
 from implres.circuits import Circuit, Gate
 from implres.correctness import CorrectnessError, gen_C
 from implres.encoding import canonical_tree_circuit, interface_from_circuit, output_width
@@ -25,6 +27,8 @@ from implres.implicit import (
 )
 from implres.proofs import Axiom, Resolve, ResolutionProof
 from implres.prover import Leaf, Node, dpll_refute
+from implres.tableau import gen_tableau, refute_tableau, verify_pq
+from implres.families import tm_halt
 
 
 def make_ir(omega):
@@ -212,3 +216,36 @@ def test_failed_save_leaves_existing_refutation_intact(tmp_path, monkeypatch, om
     for name, data in before.items():
         assert (tmp_path / name).read_bytes() == data
     assert verify_implicit(load_implicit(manifest))
+
+
+def test_one_port_check_per_verdict(monkeypatch, tseitin4):
+    """verify_implicit and verify_pq run circuits.check_ports once each,
+    inside the generator, and still report its refusal at stage
+    interface."""
+    ir = make_ir(tseitin4)
+    tm, tau, beta, iface = tm_halt()
+    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    calls = []
+    real = circuits.check_ports
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("implres") and vars(module).get("check_ports") is real:
+            monkeypatch.setattr(module, "check_ports", counted)
+    assert verify_implicit(ir)
+    assert calls == [ir.beta]
+    calls.clear()
+    assert verify_pq(tm, tau, beta, iface, alpha)
+    assert calls == [beta]
+    calls.clear()
+    # the spare free 1 feeds both outputs
+    fed = Circuit((10, 11, 12, 1), (Gate(13, (1,)), Gate(14, (-1,))), (13, 14))
+    omega = ClauseSet(2, (Clause((1,)), Clause((-2,))))
+    rep = verify_implicit(
+        ImplicitRefutation(2, omega, ir.alpha, fed, interface_from_circuit(fed, 2))
+    )
+    assert not rep and rep.stage == "interface" and "feed the outputs" in rep.reason
+    assert calls == [fed]

@@ -1,6 +1,6 @@
 import pytest
 
-from implres.circuits import Circuit, Gate, validate_circuit
+from implres.circuits import Circuit, CircuitBuilder, Gate, VarAlloc, validate_circuit
 from implres.families import tm_halt, tm_left_runner, tm_right_writer, tm_write_stay
 from implres.formulas import Clause
 from implres.proofs import ERProof, Resolve, ResolutionProof
@@ -265,3 +265,47 @@ def test_gen_tableau_validates_inputs():
         gen_tableau(tm, (1, 0, 0), beta, iface)  # length mismatch
     with pytest.raises(TableauError):
         gen_tableau(tm, tau, beta, TableauInterface(1, (1, 2), (3, 4)))
+
+
+def halting_grid(m):
+    """The one-state machine that accepts at once, on a 2^m grid whose
+    every row is the start row 1 0 .. 0 with the head on column 0."""
+    b = CircuitBuilder(VarAlloc(2 * m + 1))
+    for v in range(1, 2 * m + 1):
+        b.free(v)
+    col0 = b.not_(b.or_(*range(m + 1, 2 * m + 1)))
+    beta = b.build((b.or_(col0), b.or_(col0), b.or_(col0)))
+    tm = TMSpec(1, 2, {}, frozenset({0}))
+    iface = TableauInterface(m, tuple(range(1, 2 * m + 1)), beta.outputs)
+    return tm, (1,) + (0,) * ((1 << m) - 1), beta, iface
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [tm_halt, tm_write_stay, tm_right_writer, lambda: halting_grid(2)],
+    ids=["tm_halt", "tm_write_stay", "tm_right_writer", "halt2"],
+)
+def test_lazy_carrier_equals_the_materialized_set_on_grids(fixture, view_oracle):
+    """The grid circuit and its graft: every clause read through the
+    view is the one gen_tableau materializes."""
+    tm, tau, beta, iface = fixture()
+    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
+    for b, i in ((beta, iface), (tr.beta, tr.iface)):
+        view = view_oracle(lambda: gen_tableau(tm, tau, b, i))
+        assert "clauses" not in vars(view)
+
+
+def test_spare_free_on_an_address_image_is_read_in_full(view_oracle):
+    """A spare free outside the cells' fan-in may carry the id that
+    copy 0 gives an address input: here input 3 becomes row bit 1 in
+    copies 0-2, so gate 10's body (3, 1, 1) loses a literal there but
+    not in copy 3.  Copies then differ in size, and the view reads the
+    materialized set instead of its arithmetic."""
+    tm, tau, _, _ = tm_halt()
+    cells = (Gate(7, (-4,)), Gate(8, (-4,)), Gate(9, (-4,)))
+    beta = Circuit((3, 4, 1), cells + (Gate(10, (3, 1, 1)),), (7, 8, 9))
+    iface = tableau_interface_from_circuit(beta, 1)
+    view = view_oracle(lambda: gen_tableau(tm, tau, beta, iface))
+    assert "clauses" in vars(view)
+    assert verify_pq(tm, tau, beta, iface, refute_tableau(gen_tableau(tm, tau, beta, iface)))
