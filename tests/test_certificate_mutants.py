@@ -188,20 +188,20 @@ def test_spare_free_wired_into_the_output_cone_is_rejected():
 
 
 def carrier_views():
-    """(name, view bundle, materialized premises, first clause of each
-    copy, alpha, declared): the view bundle is generated afresh and
-    judged through without being built in full; the premises tuple and
-    the copy starts come from a second generation, found by clause
+    """(name, view, full, beta, alpha, declared) for the grafted tree
+    and grid certificates.  view and full are two generations of the
+    same carrier: the verdicts read view, never built in full; the
+    reference premises and copy starts come from full, found by clause
     value rather than by the view's arithmetic."""
     for name, ir in er_refutations():
-        regen = lambda: gen_C(ir.omega, ir.beta, ir.iface)  # noqa: E731
-        yield name, regen(), regen(), ir.beta, ir.alpha, ir.alpha_premises
+        view, full = (gen_C(ir.omega, ir.beta, ir.iface) for _ in range(2))
+        yield name, view, full, ir.beta, ir.alpha, ir.alpha_premises
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()
         alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
         tr = graft_pq(tm, tau, beta, iface, ERProof(EMPTY, alpha))
-        regen = lambda: gen_tableau(tm, tau, tr.beta, tr.iface)  # noqa: E731
-        yield fixture.__name__, regen(), regen(), tr.beta, tr.alpha, tr.alpha_premises
+        view, full = (gen_tableau(tm, tau, tr.beta, tr.iface) for _ in range(2))
+        yield fixture.__name__, view, full, tr.beta, tr.alpha, tr.alpha_premises
 
 
 def copy_starts(full, beta):
@@ -223,7 +223,8 @@ def test_repointed_axiom_mutants_are_rejected():
     rng = random.Random(317)
     accepts, disagreements, invalid, total = [], [], 0, 0
     cases = [
-        (name, view, full.clauses.clauses, [full.neg_delta_index, *copy_starts(full, beta)], alpha, declared)
+        (name, view, full.clauses.clauses,
+         [full.neg_delta_index, *copy_starts(full, beta)], alpha, declared)
         for name, view, full, beta, alpha, declared in carrier_views()
     ]
     cases += [

@@ -232,8 +232,8 @@ def small_tuples(draw):
     clauses = [] if kind == "empty" else draw(st.lists(st.lists(lit, max_size=3), max_size=4))
     if kind == "empty clause":
         clauses.insert(draw(st.integers(0, len(clauses))), [])
-    beta = Circuit(inputs + spares, tuple(gates), outputs)
-    return ClauseSet(n, tuple(Clause(tuple(c)) for c in clauses)), beta, TreeInterface(n, inputs, outputs)
+    omega = ClauseSet(n, tuple(Clause(tuple(c)) for c in clauses))
+    return omega, Circuit(inputs + spares, tuple(gates), outputs), TreeInterface(n, inputs, outputs)
 
 
 @settings(max_examples=80, deadline=None)

@@ -11,6 +11,7 @@ from implres import circuits
 from implres.circuits import Circuit, Gate
 from implres.correctness import CorrectnessError, gen_C
 from implres.encoding import canonical_tree_circuit, interface_from_circuit, output_width
+from implres.families import tm_halt
 from implres.formulas import Clause, ClauseSet, brute_force_sat
 from implres.implicit import (
     ImplicitError,
@@ -28,7 +29,6 @@ from implres.implicit import (
 from implres.proofs import Axiom, Resolve, ResolutionProof
 from implres.prover import Leaf, Node, dpll_refute
 from implres.tableau import gen_tableau, refute_tableau, verify_pq
-from implres.families import tm_halt
 
 
 def make_ir(omega):
