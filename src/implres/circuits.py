@@ -310,6 +310,16 @@ def gate_clause_count(g: Gate) -> int:
     return 1 + len(set(g.body))
 
 
+def group_starts(gates: Iterable[Gate], at: int = 0) -> dict[int, int]:
+    """Where each gate's clause group starts when the groups follow
+    each other from position at, as circuit_clauses lays them out."""
+    starts = {}
+    for g in gates:
+        starts[g.var] = at
+        at += gate_clause_count(g)
+    return starts
+
+
 @dataclass(frozen=True, eq=False)
 class Carrier:
     """A generated clause set, laid out by assemble_carrier.
@@ -391,6 +401,38 @@ class Carrier:
         return head, ends, list(accumulate(map(gate_clause_count, self.beta.gates), initial=0))
 
     @cached_property
+    def _starts(self):
+        """Where the group of each head gate starts (of every gate when
+        copies may differ in size); copy and index in beta of each port
+        image that a gate of beta carries; index in beta of each slot."""
+        copies = () if self._table else (g for gates in self._copies[1] for g in gates)
+        starts = group_starts(self.verdict)
+        starts.update(group_starts((*self.pre, *copies), self.neg_delta_index + 1))
+        index = {g.var: t for t, g in enumerate(self.beta.gates)}
+        images = {
+            img: (k, index[v])
+            for k, port in enumerate(self.ports) for v, img in port.items() if v in index
+        }
+        return starts, images, [index[v] for v in self._inner]
+
+    def gate_position(self, var: int) -> int:
+        """Where var's gate group starts: its wide clause, then at 1 + i
+        the two-literal clause of its i-th distinct body literal, in
+        body order.  KeyError when no gate of the carrier defines var."""
+        starts, images, inner = self._starts
+        if var in starts:
+            return starts[var]
+        s, k = divmod(var - self.base, len(self.ports))
+        if var in images:
+            k, t = images[var]
+        elif var >= self.base and s < len(inner):
+            t = inner[s]
+        else:
+            raise KeyError(var)
+        _, head_ends, copy_ends = self._table
+        return head_ends[-1] + k * copy_ends[-1] + copy_ends[t]
+
+    @cached_property
     def _len(self) -> int:
         t = None if "clauses" in self.__dict__ else self._table
         return len(self.clauses) if t is None else t[1][-1] + len(self.ports) * t[2][-1]
@@ -465,11 +507,12 @@ def assemble_carrier(
     delta).
 
     This block arithmetic is normative: the verifier takes ``len`` and
-    the cited clauses from it and never builds the set.  A gate gives
-    one clause per distinct body literal plus one, and a copy map that
-    is injective keeps that count, so every copy has as many clauses
-    as beta.  The port check makes it injective for tree carriers:
-    spare frees lie within 1..n, below every port image."""
+    the cited clauses from it, and the graft folds cite gate clauses
+    at their ``gate_position``, so neither builds the set.  A gate
+    gives one clause per distinct body literal plus one, and a copy
+    map that is injective keeps that count, so every copy has as many
+    clauses as beta.  The port check makes it injective for tree
+    carriers: spare frees lie within 1..n, below every port image."""
     ports = tuple(ports)
     n = max(base + (len(beta.gates) - len(beta.outputs)) * len(ports) - 1, delta)
     return Carrier(tuple(frees), tuple(pre), beta, base, ports, tuple(verdict), delta, n)

@@ -153,14 +153,6 @@ class ClauseSet:
         return self.clauses[i]
 
 
-def clause_positions(cs: ClauseSet) -> dict[Clause, int]:
-    """The first position of each clause of ``cs``."""
-    index: dict[Clause, int] = {}
-    for pos, c in enumerate(cs.clauses):
-        index.setdefault(c, pos)
-    return index
-
-
 def satisfies(assignment: dict[int, bool], clause: Clause) -> bool:
     """True when the (total) assignment makes at least one literal true."""
     for lit in clause:

@@ -203,7 +203,7 @@ class ProofBuilder:
         return self.clauses[step_id]
 
     def raw_axiom(self, index: int) -> int:
-        return self._push(Axiom(index), self.premises.clauses[index])
+        return self._push(Axiom(index), self.premises[index])
 
     def axiom(self, index: int) -> int:
         if index not in self._axioms:

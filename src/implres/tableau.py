@@ -44,8 +44,12 @@ class TableauError(ValueError):
     pass
 
 
-class TableauInterfaceError(TableauError):
-    """The grid circuit fails the port check against its interface."""
+class TableauRefusal(TableauError):
+    """gen_tableau's refusal at stage machine, decode or interface."""
+
+    def __init__(self, stage: str, reason: str):
+        super().__init__(reason)
+        self.stage = stage
 
 
 MOVES = ("L", "R", "S")
@@ -368,18 +372,19 @@ def gen_tableau(
     the copy region is independent of the grid circuit, so the bundle
     is a carrier for translate.graft_fold: a grid circuit rebased onto
     copy 0 and grown on the same stride regenerates a set containing
-    this one."""
+    this one.  The machine, target word and port checks run here only,
+    and a refusal names the stage verify_pq reports."""
     rep = check_machine(tm)
     if not rep:
-        raise TableauError(rep.reason)
-    rep = check_tableau_interface(beta, iface, tm)
-    if not rep:
-        raise TableauInterfaceError(rep.reason)
+        raise TableauRefusal("machine", rep.reason)
     m = iface.m
-    n = 1 << m
+    n = 1 << m if m >= 1 else 0
     tau = tuple(tau_bits)
     if len(tau) != n or any(b not in (0, 1) for b in tau):
-        raise TableauError(f"target word must be {n} bits")
+        raise TableauRefusal("decode", f"target word must be {n} bits")
+    rep = check_tableau_interface(beta, iface, tm)
+    if not rep:
+        raise TableauRefusal("interface", rep.reason)
     sb = symbol_bits(tm)
     cw = cell_width(tm)
 
@@ -565,17 +570,10 @@ def verify_pq(
     alpha: ResolutionProof,
     alpha_premises: Optional[int] = None,
 ) -> VerifyReport:
-    rep = check_machine(tm)
-    if not rep:
-        return VerifyReport(False, "machine", rep.reason)
-    n = 1 << iface.m if iface.m >= 1 else 0
-    tau = tuple(tau_bits)
-    if len(tau) != n or any(bit not in (0, 1) for bit in tau):
-        return VerifyReport(False, "decode", f"target word must be {n} bits")
     try:
-        bundle = gen_tableau(tm, tau, beta, iface)
-    except TableauInterfaceError as exc:
-        return VerifyReport(False, "interface", str(exc))
+        bundle = gen_tableau(tm, tau_bits, beta, iface)
+    except TableauRefusal as exc:
+        return VerifyReport(False, exc.stage, str(exc))
     except (TableauError, FormulaError, ValueError) as exc:
         return VerifyReport(False, "generate", str(exc))
     return proof_stage(bundle, alpha, alpha_premises)

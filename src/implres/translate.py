@@ -13,9 +13,9 @@ refutation of a carrier into the described object itself:
 * the glue is written in place, into the same proof builder: the
   bridge clause {delta, -delta'} is derived gate by gate through the
   embedding of the carrier circuit into its duplicate, citing gate
-  clauses of the grown set by value, and resolved with {-delta} and
-  {delta'} (_bridge; emb_refute is its standalone form, over the two
-  circuits' own clauses and the two units).
+  clauses of the grown set by position, not by value, and resolved
+  with {-delta} and {delta'} (_bridge; emb_refute is its standalone
+  form, over the two circuits' own clauses and the two units).
 
 graft_fold does this for carriers generated from a described circuit
 beta on a copy stride: C(omega, beta) from gen_C (graft) and
@@ -27,7 +27,8 @@ correctness clauses, with fresh ids for the duplicate.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
 into a refutation of C(omega, canonical beta) and graft it; graft
 replays the certificate against the grown carrier it generated, so C
-is generated once per circuit.
+is generated once per circuit, and the grown one is read only where
+the certificate cites it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .circuits import (
     VarAlloc,
     check_embedding,
     circuit_clauses,
+    gate_clause_count,
+    group_starts,
     map_literal,
     max_var,
     validate_circuit,
@@ -53,7 +56,7 @@ from .correctness import (
     gen_correct,
 )
 from .encoding import TreeInterface, canonical_tree_circuit, output_width
-from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, clause_positions, derived_clause
+from .formulas import EMPTY_CLAUSE, Clause, ClauseSet
 from .implicit import ImplicitRefutation, proof_stage
 from .proofs import (
     ERProof,
@@ -85,18 +88,20 @@ def emb_premises(
 
 def _bridge(
     b: ProofBuilder,
-    index: dict[Clause, int],
+    at,
     c: Circuit,
     f: dict[int, int],
     y: int,
     polarity: bool,
+    d: Optional[dict[int, Gate]] = None,
 ) -> int:
     """Derive in b the bridge clause A(y) = {-y, f(y)} (polarity) or
     B(y) = {y, -f(y)} for a gate y of c with f(y) != y, in a constant
     number of steps per body literal of the gates it needs.  Gate
-    clauses of c and of its image under f are cited by value (the wide
-    clause {-e} + body, the two-literal clauses {e, -lit}) at their
-    positions in b's premises, which index gives."""
+    clauses are cited by position, not by value: at(v, image) is where
+    the group of c's gate v (or of the image gate v) starts in b's
+    premises, laid out as gate_clauses does.  An image gate lists its
+    body as f maps c's, unless d gives the image gates."""
     gate_of = c.gate_map()
 
     # Demand pass: which gates need A (-e or f(e)) and which need B.
@@ -114,9 +119,6 @@ def _bridge(
             if f[sub] != sub:
                 work.append((sub, want_a == (lit > 0)))
 
-    def cite(clause: tuple[int, ...]) -> int:
-        return b.axiom(index[derived_clause(set(clause))])
-
     # A(e) starts from e's wide clause, substitutes each body literal
     # that f moves through the bridge of its variable, and resolves the
     # image literals away with f(e)'s two-literal clauses; B(e) runs
@@ -131,19 +133,19 @@ def _bridge(
         for want_a in (True, False):
             if e not in need[want_a]:
                 continue
-            src, dst, src_body, dst_body = (
-                (e, f[e], body, image) if want_a else (f[e], e, image, body)
+            src, dst, dst_body = (f[e], e, body) if not want_a else (
+                e, f[e], image if d is None else tuple(dict.fromkeys(d[f[e]].body))
             )
-            cur = cite((-src,) + src_body)
+            cur = b.axiom(at(src, not want_a))
             for lit, fl in zip(body, image):
                 if fl == lit:
                     continue
                 sl = lit if want_a else fl
                 bridge = steps[want_a == (lit > 0)][abs(lit)]
                 cur = b.resolve(cur, bridge, sl) if sl > 0 else b.resolve(bridge, cur, -sl)
-            for dl in dst_body:
+            for i, dl in enumerate(dst_body, 1):
                 if dl in b.clause(cur):
-                    dcl = cite((dst, -dl))
+                    dcl = b.axiom(at(dst, want_a) + i)
                     cur = b.resolve(cur, dcl, dl) if dl > 0 else b.resolve(dcl, cur, -dl)
             if b.clause(cur) != Clause((-src, dst)):
                 raise TranslateError(f"bridge clause for gate {e} came out wrong")
@@ -166,9 +168,12 @@ def emb_refute(
     fy = f[y]
     premises = emb_premises(c, d, y, polarity, fy)
     b = ProofBuilder(premises)
-    bridge = None if fy == y else _bridge(b, clause_positions(premises), c, f, y, polarity)
-    uy = b.axiom(len(premises.clauses) - 2)
-    ufy = b.axiom(len(premises.clauses) - 1)
+    at = (group_starts(c.gates), group_starts(d.gates, sum(map(gate_clause_count, c.gates))))
+    bridge = None if fy == y else _bridge(
+        b, lambda v, image: at[image][v], c, f, y, polarity, d.gate_map()
+    )
+    uy = b.axiom(len(premises) - 2)
+    ufy = b.axiom(len(premises) - 1)
     if bridge is None:
         final = b.resolve(uy, ufy, y) if polarity else b.resolve(ufy, uy, y)
     elif polarity:
@@ -205,11 +210,13 @@ def _duplicate(
 
 def _fold_proof(
     old: ClauseSet,
+    old_at,
     old_neg: int,
     pi: ERProof,
     host: Circuit,
     dupmap: dict[int, int],
     new: ClauseSet,
+    new_at,
     new_neg: int,
 ) -> ResolutionProof:
     """Refute the grown set new from a refutation pi of old.
@@ -217,27 +224,30 @@ def _fold_proof(
     old holds host's gate clauses and, at old_neg, the unit {-delta}
     for host's output delta; new holds those clauses, the clauses of
     the duplicate (host and pi's auxiliaries renamed by dupmap) and
-    {-delta} at new_neg.  pi is lifted in the source space, over old
-    and its auxiliaries, into a derivation of {delta}; that is imported
-    renamed by dupmap as a derivation of {delta'}.  The embedding glue
-    is written in place into the same builder: the converse bridge
-    {delta, -delta'} (_bridge, citing gate clauses of new by value),
-    resolved with {-delta} and {delta'}."""
+    {-delta} at new_neg; old_at(v) and new_at(v) say where the clause
+    group of gate v starts in each.  pi is lifted in the source space,
+    over old and its auxiliaries, into a derivation of {delta}; that
+    is imported renamed by dupmap as a derivation of {delta'}, each
+    premise cited at its offset in its gate duplicate's group.  The
+    glue is written in place into the same builder: the converse
+    bridge {delta, -delta'} (_bridge), resolved with {-delta} and
+    {delta'}.  So new is read only where the certificate cites it."""
     delta = host.outputs[0]
     delta_prime = dupmap[delta]
     old_premises = er_premises(old, pi.aux)
     lifted = lift_unit_axiom(old_premises, pi.proof, old_neg)
-    new_index = clause_positions(new)
+    aux_at = group_starts(pi.aux.gates, len(old))
+    moved: dict[int, int] = {}
+    for g in host.gates + pi.aux.gates:
+        p = aux_at[g.var] if g.var in aux_at else old_at(g.var)
+        r = new_at(dupmap[g.var])
+        for j in range(gate_clause_count(g)):
+            moved[p + j] = r + j
     b = ProofBuilder(new)
-
-    def axiom_map(q: int) -> int:
-        cl = old_premises.clauses[q]
-        return b.axiom(new_index[Clause(tuple(map_literal(l, dupmap) for l in cl))])
-
-    lifted_step = b.import_proof(lifted, axiom_map, varmap=dupmap)
+    lifted_step = b.import_proof(lifted, lambda q: b.axiom(moved[q]), varmap=dupmap)
     if b.clause(lifted_step) != Clause((delta_prime,)):
         raise TranslateError("lifting did not reach the duplicate verdict")
-    bridge = _bridge(b, new_index, host, dupmap, delta, False)
+    bridge = _bridge(b, lambda v, image: new_at(v), host, dupmap, delta, False)
     final = b.resolve(lifted_step, b.resolve(bridge, b.axiom(new_neg), delta), delta_prime)
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("grafted refutation missed the empty clause")
@@ -280,9 +290,10 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     )
     iface2 = replace(iface, inputs=inputs, outputs=beta2.outputs)
     bundle2 = generate(beta2, iface2)
+    old, new = bundle.clauses, bundle2.clauses
     alpha2 = _fold_proof(
-        bundle.clauses, bundle.neg_delta_index, alpha_er, host, dupmap,
-        bundle2.clauses, bundle2.neg_delta_index,
+        old, old.gate_position, bundle.neg_delta_index, alpha_er, host, dupmap,
+        new, new.gate_position, bundle2.neg_delta_index,
     )
     return beta2, iface2, bundle2, alpha2
 
@@ -313,9 +324,12 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     algo2 = Circuit(sp.xs, sp.algorithm.gates + dup_gates, sp.ys)
     sp2 = SearchProblem(sp.n, sp.xs, sp.ys, algo2, sp.checker)
     correct2 = gen_correct(sp2)
+    # gen_correct lays out the algorithm's gates, then the checker's
+    old_at = group_starts(host.gates).__getitem__
+    new_at = group_starts(algo2.gates + sp.checker.gates).__getitem__
     rho = _fold_proof(
-        correct, len(correct.clauses) - 1, pi, host, dupmap,
-        correct2, len(correct2.clauses) - 1,
+        correct, old_at, len(correct) - 1, pi, host, dupmap,
+        correct2, new_at, len(correct2) - 1,
     )
     return TranslatedSearch(
         sp2, rho, dupmap[delta], len(correct2.clauses),
@@ -359,7 +373,6 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     bundle = gen_C(omega, beta, iface)
     width = output_width(n)
     cs = bundle.clauses
-    lookup = clause_positions(cs)
     gm_c = bundle.circuit.gate_map()
 
     old_premises = er_premises(omega, pi.aux)
@@ -373,14 +386,18 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
         auxmap[g.var] = nv
     aux = Circuit(tuple(range(1, n + 1)), tuple(aux_gates), ())
     premises = er_premises(cs, aux)
-    aux_clause_base = len(cs.clauses) + 2 * n
+    aux_clause_base = len(cs) + 2 * n
     b = ProofBuilder(premises)
 
     def gate_big(var: int) -> int:
-        return b.axiom(lookup[Clause((-var,) + tuple(gm_c[var].body))])
+        return b.axiom(cs.gate_position(var))
 
-    def gate_dcl(var: int, lit: int) -> int:
-        return b.axiom(lookup[Clause((var, -lit))])
+    offsets: dict[int, dict[int, int]] = {}
+
+    def gate_dcl(var: int, lit: int) -> int:  # {var, -lit}
+        if var not in offsets:
+            offsets[var] = {l: i for i, l in enumerate(dict.fromkeys(gm_c[var].body), 1)}
+        return b.axiom(cs.gate_position(var) + offsets[var][lit])
 
     lam = bundle.lambda_bundle
     dl = bundle.delta_bundle
@@ -476,9 +493,9 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
         for lit in clause:
             j = abs(lit)
             if lit > 0:
-                cur = b.resolve(b.axiom(len(cs.clauses) + 2 * (j - 1) + 1), cur, j)
+                cur = b.resolve(b.axiom(len(cs) + 2 * (j - 1) + 1), cur, j)
             else:
-                cur = b.resolve(cur, b.axiom(len(cs.clauses) + 2 * (j - 1)), j)
+                cur = b.resolve(cur, b.axiom(len(cs) + 2 * (j - 1)), j)
         want = Clause(tuple(map_literal(l, stand_in) for l in clause))
         if b.clause(cur) != want:
             raise TranslateError("stand-in image of a source clause came out wrong")

@@ -1,5 +1,6 @@
 import pytest
 
+from implres.circuits import gate_clauses
 from implres.families import contradiction_pair, php, tseitin_cycle, two_var_unsat
 
 
@@ -40,6 +41,35 @@ def view_oracle():
         for p in (-1, -len(clauses), len(clauses)):
             with pytest.raises(IndexError):
                 view.clause(p)
+        return view
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def position_oracle():
+    """Check Carrier.gate_position against the same carrier built in
+    full: every gate of its circuit has its clause group, wide clause
+    first, at the position given (the first place that wide clause
+    occurs), and free variables, 0 and the ids past the last copy
+    raise KeyError.  Returns the view."""
+
+    def check(generate):
+        view = generate().clauses
+        full = generate().clauses
+        clauses = full.clauses
+        first = {}
+        for p, c in enumerate(clauses):
+            first.setdefault(c, p)
+        for g in full.circuit.gates:
+            group = gate_clauses(g)
+            p = view.gate_position(g.var)
+            assert p == first[group[0]], g
+            assert clauses[p:p + len(group)] == group, g
+        past = range(view.n + 1, view.n + 2 * len(full.ports) + 2)
+        for v in (*full.circuit.free, 0, *past):
+            with pytest.raises(KeyError):
+                view.gate_position(v)
         return view
 
     return check

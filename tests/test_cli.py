@@ -7,7 +7,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import implres
@@ -15,7 +15,7 @@ from implres.circuits import Circuit, Gate, serialize_circuit
 from implres.cli import main
 from implres.encoding import canonical_tree_circuit
 from implres.families import not_search, tm_halt, tseitin_cycle, two_var_unsat
-from implres.formulas import serialize_dimacs
+from implres.formulas import FormulaError, parse_dimacs, serialize_dimacs
 from implres.correctness import gen_correct
 from implres.implicit import Manifest, serialize_manifest
 from implres.proofs import ERProof, serialize_er, serialize_proof
@@ -381,4 +381,45 @@ def test_byte_mutated_inputs_keep_the_exit_code_contract(target, edits):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+
+
+# The README quick-start set and a plain ER refutation of it.
+GRAFT_INPUTS = {
+    "omega.cnf": b"p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n",
+    "omega.erproof": (
+        b"er-proof\ncirc 0\nfree\nout\nres-proof 4\n"
+        b"a 3\na 2\nr 1 0 2\na 1\na 0\nr 4 3 2\nr 5 2 1\n"
+    ),
+}
+
+
+def variable_count(blob: bytes) -> int:
+    try:
+        return parse_dimacs(blob.decode("utf-8")).n
+    except (UnicodeDecodeError, FormulaError):
+        return 0
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(GRAFT_INPUTS)), st.lists(byte_edit, min_size=1, max_size=3))
+def test_byte_mutated_translate_er_inputs_keep_the_exit_code_contract(target, edits):
+    """translate-er exits 0, 1 or 2 on byte-mutated inputs, and a graft
+    it writes with exit 0 passes verify.  A header that declares many
+    more variables is valid input, but the canonical carrier grows
+    about as n^3 (n = 99 takes seconds and half a gigabyte), so the
+    mutants keep n <= 12."""
+    files = dict(GRAFT_INPUTS)
+    files[target] = mutate(files[target], edits)
+    assume(variable_count(files["omega.cnf"]) <= 12)
+    with tempfile.TemporaryDirectory() as d:
+        for name, blob in files.items():
+            with open(os.path.join(d, name), "wb") as fh:
+                fh.write(blob)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["translate-er", os.path.join(d, "omega.cnf"),
+                         os.path.join(d, "omega.erproof"), "-o", os.path.join(d, "graft")])
+            if code == 0:
+                assert main(["verify", os.path.join(d, "graft", "omega.manifest")]) == 0, err.getvalue()
     assert code in (0, 1, 2), (code, err.getvalue())

@@ -194,6 +194,22 @@ def test_lazy_carrier_equals_the_materialized_set_on_grafts(omega, view_oracle):
     assert "clauses" not in vars(view) and "circuit" not in vars(view)
 
 
+@pytest.mark.parametrize(
+    "omega",
+    [tseitin_cycle(12), php(4, 3), tseitin_cycle(4), php(3, 2)],
+    ids=["tseitin12", "php43", "tseitin4", "php32"],
+)
+def test_gate_position_matches_the_materialized_set_on_grafts(omega, position_oracle):
+    """The canonical carrier an ER simulation starts from and the one
+    it grows: every gate's group sits where gate_position says, and
+    asking builds nothing in full."""
+    pi = ERProof(Circuit((), (), ()), proof_from_tree(omega, dpll_refute(omega).tree))
+    ir = er_to_implicit(omega, pi)
+    for beta, iface in (canonical_tree_circuit(omega.n), (ir.beta, ir.iface)):
+        view = position_oracle(lambda: gen_C(omega, beta, iface))
+        assert "clauses" not in vars(view) and "circuit" not in vars(view)
+
+
 def signed(draw, pool):
     """A nonempty body over pool, sometimes with a literal repeated."""
     lits = draw(st.lists(
@@ -241,4 +257,12 @@ def small_tuples(draw):
 def test_lazy_carrier_equals_the_materialized_set_on_random_betas(view_oracle, case):
     omega, beta, iface = case
     view = view_oracle(lambda: gen_C(omega, beta, iface))
+    assert "clauses" not in vars(view)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_tuples())
+def test_gate_position_matches_the_materialized_set_on_random_betas(position_oracle, case):
+    omega, beta, iface = case
+    view = position_oracle(lambda: gen_C(omega, beta, iface))
     assert "clauses" not in vars(view)

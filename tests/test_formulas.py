@@ -6,7 +6,6 @@ from implres.formulas import (
     ClauseSet,
     FormulaError,
     brute_force_sat,
-    clause_positions,
     is_weakening,
     parse_dimacs,
     satisfies,
@@ -59,11 +58,6 @@ def test_clause_set_range_checks():
     cs = ClauseSet(2, ((1, -2), (2,)))  # bare tuples are coerced
     assert cs[0] == Clause((1, -2))
     assert len(cs) == 2
-
-
-def test_clause_positions_keep_the_first_of_a_repeated_clause():
-    cs = ClauseSet(2, ((1,), (1, 2), (1,), (-2,), (2, 1)))
-    assert clause_positions(cs) == {Clause((1,)): 0, Clause((1, 2)): 1, Clause((-2,)): 3}
 
 
 def test_satisfies():

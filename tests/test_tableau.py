@@ -1,5 +1,6 @@
 import pytest
 
+from implres import tableau
 from implres.circuits import Circuit, CircuitBuilder, Gate, VarAlloc, validate_circuit
 from implres.families import tm_halt, tm_left_runner, tm_right_writer, tm_write_stay
 from implres.formulas import Clause
@@ -296,16 +297,83 @@ def test_lazy_carrier_equals_the_materialized_set_on_grids(fixture, view_oracle)
         assert "clauses" not in vars(view)
 
 
-def test_spare_free_on_an_address_image_is_read_in_full(view_oracle):
-    """A spare free outside the cells' fan-in may carry the id that
-    copy 0 gives an address input: here input 3 becomes row bit 1 in
-    copies 0-2, so gate 10's body (3, 1, 1) loses a literal there but
-    not in copy 3.  Copies then differ in size, and the view reads the
-    materialized set instead of its arithmetic."""
+def address_image_grid():
+    """tm_halt with a grid whose spare free 1 outside the cells'
+    fan-in carries the id that copy 0 gives an address input: input 3
+    becomes row bit 1 in copies 0-2, so gate 10's body (3, 1, 1) loses
+    a literal there but not in copy 3, and copies differ in size."""
     tm, tau, _, _ = tm_halt()
     cells = (Gate(7, (-4,)), Gate(8, (-4,)), Gate(9, (-4,)))
     beta = Circuit((3, 4, 1), cells + (Gate(10, (3, 1, 1)),), (7, 8, 9))
-    iface = tableau_interface_from_circuit(beta, 1)
+    return tm, tau, beta, tableau_interface_from_circuit(beta, 1)
+
+
+def test_spare_free_on_an_address_image_is_read_in_full(view_oracle):
+    """Copies of the address-image grid differ in size, so the view
+    reads the materialized set instead of its arithmetic."""
+    tm, tau, beta, iface = address_image_grid()
     view = view_oracle(lambda: gen_tableau(tm, tau, beta, iface))
     assert "clauses" in vars(view)
     assert verify_pq(tm, tau, beta, iface, refute_tableau(gen_tableau(tm, tau, beta, iface)))
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [tm_halt, tm_write_stay, tm_right_writer, address_image_grid],
+    ids=["tm_halt", "tm_write_stay", "tm_right_writer", "address_image"],
+)
+def test_gate_position_matches_the_materialized_set_on_grids(fixture, position_oracle):
+    """Each grid and its graft: every gate's group sits where
+    gate_position says.  Only the grid whose copies differ in size
+    builds its copies to walk them; no carrier builds its clauses."""
+    tm, tau, beta, iface = fixture()
+    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
+    for b, i in ((beta, iface), (tr.beta, tr.iface)):
+        view = position_oracle(lambda: gen_tableau(tm, tau, b, i))
+        assert "clauses" not in vars(view)
+
+
+def test_graft_pq_never_materializes_the_grown_carrier(monkeypatch):
+    bundles = []
+    real = tableau.gen_tableau
+
+    def spied(*args):
+        bundles.append(real(*args))
+        return bundles[-1]
+
+    monkeypatch.setattr(tableau, "gen_tableau", spied)
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        tm, tau, beta, iface = fixture()
+        alpha = refute_tableau(real(tm, tau, beta, iface))
+        bundles.clear()
+        tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
+        # the carrier of beta, then the grown one
+        assert [b.clauses.beta for b in bundles] == [beta, tr.beta]
+        grown = vars(bundles[-1].clauses)
+        assert "clauses" not in grown and "circuit" not in grown
+
+
+def test_one_machine_check_per_verdict(monkeypatch):
+    """verify_pq checks the machine and the target word once, inside
+    gen_tableau, and still reports them at stages machine and decode."""
+    tm, tau, beta, iface = tm_halt()
+    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    calls = []
+    real = tableau.check_machine
+
+    def counted(machine):
+        calls.append(machine)
+        return real(machine)
+
+    monkeypatch.setattr(tableau, "check_machine", counted)
+    assert verify_pq(tm, tau, beta, iface, alpha)
+    assert calls == [tm]
+    broken = TMSpec(1, 1, {}, frozenset())
+    rep = verify_pq(broken, tau, beta, iface, alpha)
+    assert not rep and rep.stage == "machine"
+    assert calls == [tm, broken]
+    for word in (tau + (0,), (2,) + tau[1:]):
+        rep = verify_pq(tm, word, beta, iface, alpha)
+        assert not rep and rep.stage == "decode" and "target word" in rep.reason
+    assert calls == [tm, broken, tm, tm]

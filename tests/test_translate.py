@@ -81,6 +81,28 @@ def test_emb_refute_chain_sizes_linear():
     assert check_proof(emb_premises(c, d, mid, False, f[mid]), pr)
 
 
+def test_emb_refute_cites_each_circuit_by_its_own_layout():
+    """Gate clauses are cited at positions from each circuit's own gate
+    list: an image gate may list its body in another order (gate 4),
+    and c and d may each define a variable by a different gate (3)."""
+    reordered = (
+        Circuit((1, 2), (Gate(3, (1, -2)), Gate(5, (3, 1))), (5,)),
+        Circuit((1, 2), (Gate(4, (-2, 1, 1)), Gate(6, (1, 4))), (6,)),
+        {1: 1, 2: 2, 3: 4, 5: 6},
+        5,
+    )
+    shared = (
+        Circuit((1,), (Gate(2, (1,)), Gate(3, (2,))), (3,)),
+        Circuit((1,), (Gate(3, (1,)), Gate(4, (3,))), (4,)),
+        {1: 1, 2: 3, 3: 4},
+        3,
+    )
+    for c, d, f, y in (reordered, shared):
+        for polarity in (True, False):
+            pr = emb_refute(c, d, f, y, polarity)
+            assert check_proof(emb_premises(c, d, y, polarity, f[y]), pr)
+
+
 def test_emb_refute_rejects_non_embedding():
     c = Circuit((1, 2), (Gate(3, (1, 2)),), (3,))
     d = Circuit((1, 2), (Gate(4, (1, -2)),), (4,))
@@ -154,6 +176,25 @@ def test_er_to_implicit_generates_C_once_per_circuit(monkeypatch, tseitin4):
     # one C for the canonical beta, one for the grown beta'; the graft
     # replays against the second instead of generating a third
     assert calls == [canonical_tree_circuit(tseitin4.n)[0], ir.beta]
+
+
+def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32, tseitin4):
+    """The fold cites the grown carrier by position and graft replays
+    against it lazily, so only the canonical carrier is built."""
+    bundles = []
+    real = translate.gen_C
+
+    def spied(omega, beta, iface):
+        bundles.append(real(omega, beta, iface))
+        return bundles[-1]
+
+    monkeypatch.setattr(translate, "gen_C", spied)
+    for omega in (tseitin4, php32):
+        bundles.clear()
+        ir = er_to_implicit(omega, dpll_er(omega))
+        assert [b.clauses.beta for b in bundles] == [canonical_tree_circuit(omega.n)[0], ir.beta]
+        grown = vars(bundles[-1].clauses)
+        assert "clauses" not in grown and "circuit" not in grown
 
 
 def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4):
