@@ -3,10 +3,15 @@
 Each case serializes what one construction produces on a fixed input
 and compares its SHA-256 with a value recorded from an earlier build.
 Acceptance item 9 checks that two runs in one process agree; this
-checks that a change to the constructions keeps the exact bytes.
+checks that a change to the constructions keeps the exact bytes.  One
+case hashes verdicts instead of bytes: the stage and reason that the
+verifier's proof stage gives each proof mutant of the grafted, tableau
+and search certificates, so a change to the replay fails at the same
+step for the same reason.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -23,7 +28,8 @@ from implres.families import (
     tseitin_cycle,
 )
 from implres.formulas import serialize_dimacs
-from implres.proofs import ERProof, serialize_proof
+from implres.implicit import proof_stage
+from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof, Weaken, serialize_proof
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import encode_tau, gen_tableau, graft_pq, refute_tableau, serialize_tm
 from implres.translate import emb_refute, er_to_implicit, search_translate
@@ -59,6 +65,8 @@ GOLDEN = {
         "8bd8c8870a36d4786c072f8b65cfc99f4f0cc30f4618494587f8acb3c3f707e5",
     "emb_refute-or_chains":
         "fe7453c3bd34319fef915abd56a80d8a04d02602b363f15d1993907248107154",
+    "proof_stage-mutant-reports":
+        "5fac1701c50be9eb12a0914f7ec4411bd9bad9989f6a1d421b30588c1d691966",
 }
 
 EMPTY = Circuit((), (), ())
@@ -128,6 +136,49 @@ def tableau_gen_text(fixture, tmp_path):
     return (tmp_path / "grid.gen.cnf").read_text()
 
 
+def fixed_mutants(alpha, n_vars):
+    """(step index, step) pairs that reach every other rejection of
+    the replay: bad pivots, a step read before it is made, premise
+    positions out of range, weakening outside the set or off the
+    empty clause."""
+    last = len(alpha.steps) - 1
+    return (
+        (last, Resolve(last, 0, 0)), (last, Resolve(0, 1, 0)), (last, Resolve(0, 1, -3)),
+        (last, Resolve(-1, 0, 1)), (1, Axiom(-1)), (1, Axiom(10**6)),
+        (1, Weaken(1, ())), (last, Weaken(0, (n_vars + 1,))), (last, Weaken(last - 1, (1,))),
+    )
+
+
+def rejection_reports_text():
+    """One ``stage|reason`` line per proof mutant, as
+    tests/test_certificate_mutants.py makes them with a fixed seed, then
+    per fixed mutant, an empty proof and a wrong premise count."""
+    from test_certificate_mutants import (
+        er_certificates,
+        mutants,
+        search_certificates,
+        tableau_certificates,
+    )
+
+    rng = random.Random(331)
+    out = []
+    for _, bundle, alpha, declared in (
+        *er_certificates(), *tableau_certificates(), *search_certificates()
+    ):
+        for _, i, step in mutants(alpha, bundle.clauses.n, rng):
+            steps = alpha.steps[:i] + (step,) + alpha.steps[i + 1:]
+            rep = proof_stage(bundle, ResolutionProof(steps), declared)
+            out.append(f"{rep.stage}|{rep.reason}\n")
+        for i, step in fixed_mutants(alpha, bundle.clauses.n):
+            steps = alpha.steps[:i] + (step,) + alpha.steps[i + 1:]
+            rep = proof_stage(bundle, ResolutionProof(steps), declared)
+            out.append(f"{rep.stage}|{rep.reason}\n")
+        for proof, count in ((ResolutionProof(()), declared), (alpha, declared + 1)):
+            rep = proof_stage(bundle, proof, count)
+            out.append(f"{rep.stage}|{rep.reason}\n")
+    return "".join(out)
+
+
 PRODUCERS = {
     "er_to_implicit-tseitin4": lambda p: er_to_implicit_text(tseitin_cycle(4)),
     "er_to_implicit-php32": lambda p: er_to_implicit_text(php(3, 2)),
@@ -135,6 +186,7 @@ PRODUCERS = {
     "search_translate-not6": lambda p: search_translate_text(6),
     "cli-synth-tseitin4": synth_text,
     "emb_refute-or_chains": lambda p: emb_refute_text(),
+    "proof_stage-mutant-reports": lambda p: rejection_reports_text(),
 }
 for _name in FIXTURES:
     for _kind, _spurious in (("plain", False), ("spurious", True)):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implres.circuits import Circuit, Gate
 from implres.formulas import EMPTY_CLAUSE, Clause, ClauseSet
@@ -243,18 +245,95 @@ def test_proof_serialize_parse_round_trip(omega2):
     assert serialize_proof(q, declared) == text
 
 
-def test_parse_proof_errors():
-    for bad in (
-        "",
-        "a 0\n",
-        "res-proof 1\nres-proof 1\n",
-        "res-proof 1\nq 0\n",
-        "res-proof 1\nr 0 1\n",
-        "res-proof 1\nw 0 1\n",  # missing 0 terminator
-        "res-proof 1\na x\n",
-    ):
-        with pytest.raises(ProofError):
-            parse_proof(bad)
+PARSE_ERRORS = (
+    ("", "missing res-proof header"),
+    ("# only a comment\n\n", "missing res-proof header"),
+    ("a 0\n", "step data before res-proof header"),
+    ("q x\nres-proof 1\n", "step data before res-proof header"),
+    ("res-proof 1\nres-proof 1\n", "malformed res-proof header"),
+    ("res-proof 1\nres-proof x\n", "malformed res-proof header"),
+    ("res-proof\n", "malformed res-proof header"),
+    ("res-proof 1 2\n", "malformed res-proof header"),
+    ("res-proof x\n", "bad premise count 'x'"),
+    ("res-proof 1\nq 0\n", "malformed step line 'q 0'"),
+    ("res-proof 1\nA 0\n", "malformed step line 'A 0'"),
+    ("res-proof 1\na\n", "malformed step line 'a'"),
+    ("res-proof 1\na 1 2\n", "malformed step line 'a 1 2'"),
+    ("res-proof 1\nr 0 1\n", "malformed step line 'r 0 1'"),
+    ("res-proof 1\nr 0 1 2 3\n", "malformed step line 'r 0 1 2 3'"),
+    ("res-proof 1\nw 0 1\n", "malformed step line 'w 0 1'"),  # no 0 terminator
+    ("res-proof 1\nw 0\n", "malformed step line 'w 0'"),
+    ("res-proof 1\nw\n", "malformed step line 'w'"),
+    ("res-proof 1\na x\n", "bad token in line 'a x'"),
+    ("res-proof 1\nq x\n", "bad token in line 'q x'"),
+    ("res-proof 1\n\t a 0x  # note\n", "bad token in line 'a 0x'"),
+    ("res-proof 1\na 0 # c\r\nr 1\tx 2# c\r\n", "bad token in line 'r 1\\tx 2'"),
+    ("res-proof 1\nw 0 1 y 0\n", "bad token in line 'w 0 1 y 0'"),
+)
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS)
+def test_parse_proof_errors(text, message):
+    """Each malformed input names its fault; a quoted line is the one
+    read, with its comment and surrounding blanks removed."""
+    with pytest.raises(ProofError) as info:
+        parse_proof(text)
+    assert str(info.value) == message
+
+
+def test_parse_proof_reads_what_int_reads():
+    """Tokens are read by int(), signs and digit separators included."""
+    proof, declared = parse_proof("res-proof +1\na +0\nr 1_0 2 -1\n")
+    assert declared == 1
+    assert proof.steps == (Axiom(0), Resolve(10, 2, -1))
+
+
+_STEPS = st.one_of(
+    st.builds(Axiom, st.integers(0, 500)),
+    st.builds(Resolve, st.integers(0, 500), st.integers(0, 500), st.integers(1, 200)),
+    st.builds(
+        Weaken,
+        st.integers(0, 500),
+        st.lists(st.integers(-200, 200).filter(bool), max_size=5).map(tuple),
+    ),
+)
+# comment text: anything but the characters str.splitlines breaks on
+_COMMENT = st.text(
+    st.characters(blacklist_categories=("Cc", "Zl", "Zp", "Cs")) | st.sampled_from("# \t"),
+    max_size=12,
+)
+
+
+@st.composite
+def _decorated(draw, text):
+    """``text`` with comment lines, blank lines, trailing comments,
+    tabs and runs of blanks between tokens, and LF or CRLF endings."""
+    out = []
+    for line in text.splitlines():
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(draw(st.sampled_from(("", " ", "\t", " \t "))) + draw(
+                st.sampled_from(("", "#" + draw(_COMMENT)))))
+        sep = draw(st.sampled_from((" ", "\t", "  ", " \t")))
+        lead = draw(st.sampled_from(("", " ", "\t")))
+        tail = draw(st.sampled_from(("", " ", "\t", " #", "#", "\t# ")))
+        if "#" in tail:
+            tail += draw(_COMMENT)
+        out.append(lead + sep.join(line.split(" ")) + tail)
+    ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in out]
+    return "".join(line + end for line, end in zip(out, ends))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_STEPS, max_size=12), st.integers(0, 10**6), st.data())
+def test_parse_proof_ignores_comments_blanks_tabs_and_crlf(steps, count, data):
+    """Comments, blank lines, tabs and CRLF endings change nothing:
+    the decorated text parses to the same proof and count as the plain
+    text, and that is the proof that was written."""
+    proof = ResolutionProof(tuple(steps))
+    plain = serialize_proof(proof, count)
+    decorated = data.draw(_decorated(plain))
+    assert parse_proof(plain) == (proof, count)
+    assert parse_proof(decorated) == (proof, count)
 
 
 def test_er_serialize_parse_round_trip(omega1):
