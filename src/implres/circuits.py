@@ -121,10 +121,16 @@ def gate_clauses(g: Gate) -> tuple[Clause, ...]:
     per body literal in body order.  The literals were validated when
     the gate was made, so the clauses are built on the trusted path.
     """
-    v = g.var
-    out = [derived_clause({-v, *g.body})]
+    return gate_group(g.var, g.body)
+
+
+def gate_group(v: int, body: tuple[int, ...]) -> tuple[Clause, ...]:
+    """Trusted: ``gate_clauses`` of the gate v = OR(body), for a
+    variable and literals that are already valid, without making the
+    Gate (as ``canonical_clause`` makes a Clause without checks)."""
+    out = [derived_clause({-v, *body})]
     seen = {out[0].literals}
-    for lit in g.body:
+    for lit in body:
         u = abs(lit)
         if u == v:  # a body citing its own gate; validate_circuit rejects it
             cl = Clause((v, -lit))
@@ -448,9 +454,10 @@ class Carrier:
         (a negative p does not count from the end)."""
         if not 0 <= p < self._len:
             raise IndexError(f"no clause at position {p} of {self._len}")
-        if "clauses" in self.__dict__ or self._table is None:
+        table = None if "clauses" in self.__dict__ else self._table
+        if table is None:
             return self.clauses[p]
-        head, head_ends, copy_ends = self._table
+        head, head_ends, copy_ends = table
         if p < head_ends[-1]:
             k, q, ends = -1, p, head_ends
         else:
@@ -458,21 +465,27 @@ class Carrier:
         t = bisect_right(ends, q) - 1
         group = self._memo.get((k, t))
         if group is None:
-            if k < 0:
-                group = (Clause((-self.delta,)),) if head[t] is None else gate_clauses(head[t])
-            else:
-                port, stride, inner = self.ports[k], len(self.ports), self._inner
-
-                def image(v: int) -> int:
-                    if v in port:
-                        return port[v]
-                    return v if v not in inner else self.base + inner[v] * stride + k
-
-                g = self.beta.gates[t]
-                body = tuple(image(l) if l > 0 else -image(-l) for l in g.body)
-                group = gate_clauses(Gate(image(g.var), body))
-            self._memo[(k, t)] = group
+            group = self._memo[(k, t)] = self._group(k, t, head)
         return group[q - ends[t]]
+
+    def _group(self, k: int, t: int, head) -> tuple[Clause, ...]:
+        """Clause group of head gate t (k < 0) or of gate t of copy k.
+        check_ports validated beta, so the copy gate's image is built
+        on the trusted path."""
+        if k < 0:
+            return (Clause((-self.delta,)),) if head[t] is None else gate_clauses(head[t])
+        port, inner = self.ports[k], self._inner
+        at, stride = self.base + k, len(self.ports)
+        g = self.beta.gates[t]
+        lits = []
+        for lit in (g.var, *g.body):
+            v = abs(lit)
+            w = port.get(v)
+            if w is None:
+                s = inner.get(v)
+                w = v if s is None else at + s * stride
+            lits.append(w if lit > 0 else -w)
+        return gate_group(lits[0], tuple(lits[1:]))
 
     __getitem__ = clause
 

@@ -26,6 +26,7 @@ from .proofs import (
     ProofBuilder,
     ResolutionProof,
     UnitPropagation,
+    Weaken,
     check_proof,
     parse_proof,
     serialize_proof,
@@ -78,11 +79,13 @@ def proof_stage(bundle, alpha: ResolutionProof, declared: Optional[int]) -> Veri
             False, "proof", f"proof declares {declared} premises, the set has {len(cs)}"
         )
     for step in alpha.steps:
-        for lit in getattr(step, "literals", ()):
-            if abs(lit) > cs.n:
-                return VerifyReport(
-                    False, "proof", f"weakening introduces variable {abs(lit)} outside the set"
-                )
+        if type(step) is Weaken:
+            for lit in step.literals:
+                if abs(lit) > cs.n:
+                    return VerifyReport(
+                        False, "proof",
+                        f"weakening introduces variable {abs(lit)} outside the set",
+                    )
     pr = check_proof(cs, alpha, EMPTY_CLAUSE)
     if not pr:
         return VerifyReport(False, "proof", f"step {pr.step}: {pr.reason}")

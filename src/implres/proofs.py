@@ -12,6 +12,12 @@ A resolvent is built from its two parents, which are canonical clauses
 already, with set operations and no literal checks
 (``formulas.derived_clause``).  Weakening literals come from the proof
 and go through the validated ``Clause`` constructor.
+
+The step records ``Axiom``, ``Resolve`` and ``Weaken`` are slotted
+dataclasses.  They are mutable only because that makes them cheap to
+build (a certificate has one per line); nothing mutates a step once it
+is made, and no code hashes one.  ``dataclasses.replace`` makes a
+changed copy.
 """
 
 from __future__ import annotations
@@ -27,25 +33,32 @@ class ProofError(ValueError):
     """Raised when an operation is handed an invalid proof."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Axiom:
+    """Cite premise ``index``.  Slotted and never mutated."""
+
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Resolve:
+    """Resolve step ``left`` (holding ``pivot``) with step ``right``
+    (holding ``-pivot``).  Slotted and never mutated."""
+
     left: int
     right: int
     pivot: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Weaken:
+    """Add ``literals`` to step ``source``.  Slotted and never mutated."""
+
     source: int
     literals: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "literals", tuple(self.literals))
+        self.literals = tuple(self.literals)
 
 
 Step = Union[Axiom, Resolve, Weaken]
@@ -83,13 +96,15 @@ class _StepFailure(Exception):
 def resolve_clauses(left: Clause, right: Clause, pivot: int) -> Clause:
     """(left - pivot) | (right - -pivot), from the canonical parents."""
     lits = set(left.literals)
-    if pivot not in lits:
-        raise ProofError(f"pivot {pivot} absent from left clause")
+    try:
+        lits.remove(pivot)
+    except KeyError:
+        raise ProofError(f"pivot {pivot} absent from left clause") from None
     other = set(right.literals)
-    if -pivot not in other:
-        raise ProofError(f"pivot {pivot} absent from right clause")
-    lits.discard(pivot)
-    other.discard(-pivot)
+    try:
+        other.remove(-pivot)
+    except KeyError:
+        raise ProofError(f"pivot {pivot} absent from right clause") from None
     lits |= other
     return derived_clause(lits)
 
@@ -97,31 +112,34 @@ def resolve_clauses(left: Clause, right: Clause, pivot: int) -> Clause:
 def replay_steps(premises: ClauseSet, steps: Iterable[Step]) -> list[Clause]:
     """Recompute every step clause; raises _StepFailure on bad steps.
     Premises are read by ``len`` and index alone, so a lazy carrier
-    (circuits.Carrier) builds only the ones cited."""
+    (circuits.Carrier) builds only the ones cited.  A step is exactly
+    one of the three step classes; a subclass is an unknown kind."""
     count = len(premises)
     clauses: list[Clause] = []
+    append, premise, resolve = clauses.append, premises.__getitem__, resolve_clauses
     for idx, step in enumerate(steps):
-        if isinstance(step, Axiom):
-            if not 0 <= step.index < count:
-                raise _StepFailure(idx, f"axiom index {step.index} out of range")
-            clauses.append(premises[step.index])
-        elif isinstance(step, Resolve):
-            if not (0 <= step.left < idx and 0 <= step.right < idx):
+        kind = type(step)
+        if kind is Resolve:
+            left, right, pivot = step.left, step.right, step.pivot
+            if not (0 <= left < idx and 0 <= right < idx):
                 raise _StepFailure(idx, "resolve references a later or missing step")
-            if step.pivot < 1:
-                raise _StepFailure(idx, f"bad pivot {step.pivot}")
+            if pivot < 1:
+                raise _StepFailure(idx, f"bad pivot {pivot}")
             try:
-                clauses.append(
-                    resolve_clauses(clauses[step.left], clauses[step.right], step.pivot)
-                )
+                append(resolve(clauses[left], clauses[right], pivot))
             except ProofError as exc:
                 raise _StepFailure(idx, str(exc)) from None
-        elif isinstance(step, Weaken):
+        elif kind is Axiom:
+            index = step.index
+            if not 0 <= index < count:
+                raise _StepFailure(idx, f"axiom index {index} out of range")
+            append(premise(index))
+        elif kind is Weaken:
             if not 0 <= step.source < idx:
                 raise _StepFailure(idx, "weaken references a later or missing step")
-            clauses.append(clauses[step.source].union(step.literals))
+            append(clauses[step.source].union(step.literals))
         else:
-            raise _StepFailure(idx, f"unknown step kind {type(step).__name__}")
+            raise _StepFailure(idx, f"unknown step kind {kind.__name__}")
     return clauses
 
 
@@ -246,22 +264,22 @@ class ProofBuilder:
 
     def extract(self, final: int) -> ResolutionProof:
         """Prune to the steps reachable from ``final`` and reindex."""
-        needed = {final}
+        steps = self.steps
+        needed = [False] * (final + 1)
+        needed[final] = True
         for idx in range(final, -1, -1):
-            if idx not in needed:
-                continue
-            step = self.steps[idx]
-            if isinstance(step, Resolve):
-                needed.add(step.left)
-                needed.add(step.right)
-        order = sorted(needed)
-        remap = {old: new for new, old in enumerate(order)}
+            if needed[idx]:
+                step = steps[idx]
+                if type(step) is Resolve:
+                    needed[step.left] = needed[step.right] = True
+        remap = [0] * (final + 1)
         out: list[Step] = []
-        for old in order:
-            step = self.steps[old]
-            if isinstance(step, Resolve):
-                out.append(Resolve(remap[step.left], remap[step.right], step.pivot))
-            else:
+        for old, keep in enumerate(needed):
+            if keep:
+                remap[old] = len(out)
+                step = steps[old]
+                if type(step) is Resolve:
+                    step = Resolve(remap[step.left], remap[step.right], step.pivot)
                 out.append(step)
         return ResolutionProof(tuple(out))
 
@@ -476,36 +494,52 @@ def serialize_proof(proof: ResolutionProof, n_premises: int) -> str:
 
 
 def parse_proof(text: str) -> tuple[ResolutionProof, int]:
-    """Returns the proof and the declared premise count."""
+    """Returns the proof and the declared premise count.
+
+    One pass over the lines: each is split once, and its ``#`` comment
+    is cut only when it has one.  The common ``a i`` and ``r l r p``
+    lines take a direct branch; every other line goes through the
+    general one, which names the fault of a malformed line."""
     steps: list[Step] = []
+    append = steps.append
     n_premises = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in text.splitlines():
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
-        if parts[0] == "res-proof":
+        if not parts:
+            continue
+        kind = parts[0]
+        try:
+            if n_premises is not None:
+                if kind == "r" and len(parts) == 4:
+                    append(Resolve(int(parts[1]), int(parts[2]), int(parts[3])))
+                    continue
+                if kind == "a" and len(parts) == 2:
+                    append(Axiom(int(parts[1])))
+                    continue
+        except ValueError:
+            raise ProofError(f"bad token in line {line.strip()!r}") from None
+        if kind == "res-proof":
             if n_premises is not None or len(parts) != 2:
                 raise ProofError("malformed res-proof header")
             try:
                 n_premises = int(parts[1])
             except ValueError:
                 raise ProofError(f"bad premise count {parts[1]!r}") from None
+            if n_premises < 0:
+                raise ProofError(f"bad premise count {parts[1]!r}")
             continue
         if n_premises is None:
             raise ProofError("step data before res-proof header")
         try:
             args = [int(t) for t in parts[1:]]
         except ValueError:
-            raise ProofError(f"bad token in line {line!r}") from None
-        if parts[0] == "a" and len(args) == 1:
-            steps.append(Axiom(args[0]))
-        elif parts[0] == "r" and len(args) == 3:
-            steps.append(Resolve(args[0], args[1], args[2]))
-        elif parts[0] == "w" and len(args) >= 2 and args[-1] == 0:
-            steps.append(Weaken(args[0], tuple(args[1:-1])))
+            raise ProofError(f"bad token in line {line.strip()!r}") from None
+        if kind == "w" and len(args) >= 2 and args[-1] == 0:
+            append(Weaken(args[0], tuple(args[1:-1])))
         else:
-            raise ProofError(f"malformed step line {line!r}")
+            raise ProofError(f"malformed step line {line.strip()!r}")
     if n_premises is None:
         raise ProofError("missing res-proof header")
     return ResolutionProof(tuple(steps)), n_premises

@@ -229,6 +229,59 @@ def test_translate_checks_the_declared_premise_count(tmp_path, capsys, command, 
         assert not out.exists() or not os.listdir(out)
 
 
+def negative_count_argv(command, tmp_path, count):
+    """argv of ``command`` on a small genuine input whose proof header
+    declares ``count`` premises."""
+    if command == "verify":
+        cnf, work = tmp_path / "omega.cnf", tmp_path / "work"
+        cnf.write_text(serialize_dimacs(two_var_unsat()))
+        assert run(["prove", cnf, "-o", work]) == 0
+        assert run(["encode", work / "omega.dtree", cnf, "-o", work]) == 0
+        assert run(["synth", cnf, work / "omega.circ", "-o", work]) == 0
+        proof = work / "omega.rproof"
+        steps = proof.read_text().split("\n", 1)[1]
+        proof.write_text(f"res-proof {count}\n{steps}")
+        return ["verify", work / "omega.manifest"]
+    if command == "tableau-verify":
+        tm, tau, beta, iface = tm_halt()
+        tm_path, circ_path, proof = (tmp_path / f for f in ("m.tm", "g.circ", "g.rproof"))
+        tm_path.write_text(serialize_tm(tm))
+        circ_path.write_text(serialize_circuit(beta))
+        alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+        proof.write_text(serialize_proof(alpha, count))
+        return ["tableau-verify", tm_path, encode_tau(tau), circ_path, proof]
+    if command == "translate-er":
+        premises, order = two_var_unsat(), None
+        inputs = [tmp_path / "omega.cnf"]
+        inputs[0].write_text(serialize_dimacs(premises))
+    else:
+        sp = not_search(1)
+        premises = gen_correct(sp)
+        order = tuple(range(1, premises.n + 1))
+        inputs = [tmp_path / "algo.circ", tmp_path / "checker.circ"]
+        inputs[0].write_text(serialize_circuit(sp.algorithm))
+        inputs[1].write_text(serialize_circuit(sp.checker))
+    tree = dpll_refute(premises, order=order).tree
+    ep = ERProof(Circuit((), (), ()), proof_from_tree(premises, tree))
+    er_path = tmp_path / "pi.erproof"
+    er_path.write_text(serialize_er(ep, count))
+    return [command, *inputs, er_path, "-o", tmp_path / "out"]
+
+
+@pytest.mark.parametrize("command,count", [
+    ("verify", -5), ("tableau-verify", -5), ("translate-er", -1), ("translate-search", -1),
+])
+def test_negative_premise_count_is_malformed_input(tmp_path, capsys, command, count):
+    """A proof header that declares a negative premise count is refused
+    by the parser (exit 2), as parse_dimacs refuses negative counts, not
+    judged against the set (exit 1)."""
+    argv = negative_count_argv(command, tmp_path, count)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert f"error: bad premise count '{count}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tableau_commands(tmp_path, capsys):
     tm, tau, beta, iface = tm_halt()
     tm_path = tmp_path / "halt.tm"
