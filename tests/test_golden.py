@@ -7,7 +7,9 @@ checks that a change to the constructions keeps the exact bytes.  One
 case hashes verdicts instead of bytes: the stage and reason that the
 verifier's proof stage gives each proof mutant of the grafted, tableau
 and search certificates, so a change to the replay fails at the same
-step for the same reason.
+step for the same reason.  Another hashes outcomes rather than
+certificates: the trees, models and node counts of the branching
+search, so a change to its search state keeps every branch it takes.
 """
 
 import hashlib
@@ -27,10 +29,10 @@ from implres.families import (
     tm_write_stay,
     tseitin_cycle,
 )
-from implres.formulas import serialize_dimacs
+from implres.formulas import ClauseSet, serialize_dimacs
 from implres.implicit import proof_stage
 from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof, Weaken, serialize_proof
-from implres.prover import dpll_refute, proof_from_tree
+from implres.prover import ProverError, dpll_refute, proof_from_tree, serialize_dtree
 from implres.tableau import encode_tau, gen_tableau, graft_pq, refute_tableau, serialize_tm
 from implres.translate import emb_refute, er_to_implicit, search_translate
 
@@ -67,6 +69,8 @@ GOLDEN = {
         "fe7453c3bd34319fef915abd56a80d8a04d02602b363f15d1993907248107154",
     "proof_stage-mutant-reports":
         "5fac1701c50be9eb12a0914f7ec4411bd9bad9989f6a1d421b30588c1d691966",
+    "dpll_refute-outcomes":
+        "b621c4eb710dbdaa4c8282933c6f24149533db30f95b7deea801442b692248c8",
 }
 
 EMPTY = Circuit((), (), ())
@@ -179,6 +183,60 @@ def rejection_reports_text():
     return "".join(out)
 
 
+def random_3cnf(rng, n, m):
+    return ClauseSet(n, tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(m)))
+
+
+def smallest_budget(cs, order=None):
+    """The least ``max_nodes`` under which the search completes."""
+    lo, hi = 0, dpll_refute(cs, order).nodes
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            dpll_refute(cs, order, max_nodes=mid)
+            hi = mid
+        except ProverError:
+            lo = mid + 1
+    return lo
+
+
+def dpll_outcome_text():
+    """Tree (or model) and node count of the branching search on a
+    fixed list: pigeonhole and parity sets, seeded random 3-CNFs on
+    both sides of the threshold, one reversed order, the grid searches
+    of refute_tableau, and the budgets at which the search runs out."""
+    from test_tableau import halting_grid
+
+    cases = [("php43", php(4, 3), None), ("php54", php(5, 4), None),
+             ("tseitin12", tseitin_cycle(12), None),
+             ("php43-reversed", php(4, 3), tuple(range(12, 0, -1)))]
+    rng = random.Random(1013)
+    for i in range(12):
+        cases.append((f"random{i}", random_3cnf(rng, 10, 36 + 2 * i), None))
+    for m in (2, 3, 4):
+        tm, tau, beta, iface = halting_grid(m)
+        bundle = gen_tableau(tm, tau, beta, iface)
+        cases.append((f"halt{m}", bundle.clauses, bundle.j_vars + bundle.k_vars))
+    out, sides = [], set()
+    for name, cs, order in cases:
+        res = dpll_refute(cs, order)
+        sides.add(res.tree is None)
+        out.append(f"{name} nodes {res.nodes}\n")
+        if res.tree is None:
+            out.append(" ".join(str(v if res.model[v] else -v) for v in sorted(res.model)) + "\n")
+        else:
+            out.append(serialize_dtree(cs, res.tree))
+    assert sides == {True, False}
+    for m in (2, 3, 4):
+        tm, tau, beta, iface = halting_grid(m)
+        out.append(serialize_proof(refute_tableau(gen_tableau(tm, tau, beta, iface)), 0))
+    for name, cs, order in cases[:4]:
+        out.append(f"{name} budget {smallest_budget(cs, order)}\n")
+    return "".join(out)
+
+
 PRODUCERS = {
     "er_to_implicit-tseitin4": lambda p: er_to_implicit_text(tseitin_cycle(4)),
     "er_to_implicit-php32": lambda p: er_to_implicit_text(php(3, 2)),
@@ -187,6 +245,7 @@ PRODUCERS = {
     "cli-synth-tseitin4": synth_text,
     "emb_refute-or_chains": lambda p: emb_refute_text(),
     "proof_stage-mutant-reports": lambda p: rejection_reports_text(),
+    "dpll_refute-outcomes": lambda p: dpll_outcome_text(),
 }
 for _name in FIXTURES:
     for _kind, _spurious in (("plain", False), ("spurious", True)):
