@@ -119,7 +119,10 @@ def synthesize_alpha(bundle: CorrectnessBundle) -> ResolutionProof:
     resolved back to the branch literals, and the branches merge into
     the empty clause."""
     if bundle.n > 16:
-        raise ImplicitError("synthesis capped at 16 branch variables")
+        raise ImplicitError(
+            f"synthesis capped at 16 branch variables, got {bundle.n}; "
+            "certify larger trees with translate-er"
+        )
     up = UnitPropagation(bundle.clauses)
     b = ProofBuilder(bundle.clauses)
     conflict = up.propagate()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .circuits import Circuit, circuit_clauses, validate_circuit
-from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, derived_clause
+from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, FormulaError, derived_clause
 
 
 class ProofError(ValueError):
@@ -137,7 +137,10 @@ def replay_steps(premises: ClauseSet, steps: Iterable[Step]) -> list[Clause]:
         elif kind is Weaken:
             if not 0 <= step.source < idx:
                 raise _StepFailure(idx, "weaken references a later or missing step")
-            append(clauses[step.source].union(step.literals))
+            try:
+                append(clauses[step.source].union(step.literals))
+            except FormulaError as exc:
+                raise _StepFailure(idx, str(exc)) from None
         else:
             raise _StepFailure(idx, f"unknown step kind {kind.__name__}")
     return clauses
@@ -351,10 +354,16 @@ def lift_unit_axiom(
 
 
 class UnitPropagation:
-    """Counter-based unit propagation with reason logging and undo."""
+    """Counter-based unit propagation with reason logging and undo.
+
+    One engine owns the whole state of a search: the assignment and its
+    trail, per-clause counts of true and false literals, ``open`` (the
+    number of clauses no assigned literal satisfies) and the queue of
+    clauses that may be unit.  Searches drive it through ``assign`` or
+    ``assume``, ``next_unit`` or ``propagate``, and ``undo``.
+    """
 
     def __init__(self, premises: ClauseSet):
-        self.premises = premises
         self.clauses = [c.literals for c in premises.clauses]
         self.size = [len(lits) for lits in self.clauses]
         self.occur: dict[int, list[int]] = {}
@@ -366,6 +375,7 @@ class UnitPropagation:
         self.trail: list[int] = []
         self.n_false = [0] * len(self.clauses)
         self.n_sat = [0] * len(self.clauses)
+        self.open = len(self.clauses)
         self.empty_conflict: Optional[int] = None
         self.pending: list[int] = []
         for idx, lits in enumerate(self.clauses):
@@ -373,12 +383,6 @@ class UnitPropagation:
                 self.empty_conflict = idx
             elif len(lits) == 1:
                 self.pending.append(idx)
-
-    def lit_value(self, lit: int) -> Optional[bool]:
-        v = self.value.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
 
     def mark(self) -> int:
         return len(self.trail)
@@ -390,20 +394,24 @@ class UnitPropagation:
             del self.reason[abs(lit)]
             for idx in self.occur.get(lit, ()):
                 self.n_sat[idx] -= 1
-                if self.n_sat[idx] == 0 and self.size[idx] - self.n_false[idx] == 1:
-                    self.pending.append(idx)
+                if self.n_sat[idx] == 0:
+                    self.open += 1
+                    if self.size[idx] - self.n_false[idx] == 1:
+                        self.pending.append(idx)
             for idx in self.occur.get(-lit, ()):
                 self.n_false[idx] -= 1
                 if self.n_sat[idx] == 0 and self.size[idx] - self.n_false[idx] == 1:
                     self.pending.append(idx)
 
-    def _set(self, lit: int, reason: Optional[int]) -> Optional[int]:
+    def assign(self, lit: int, reason: Optional[int] = None) -> Optional[int]:
         """Assign a literal true; returns a conflicting clause index."""
         self.value[abs(lit)] = lit > 0
         self.reason[abs(lit)] = reason
         self.trail.append(lit)
         for idx in self.occur.get(lit, ()):
             self.n_sat[idx] += 1
+            if self.n_sat[idx] == 1:
+                self.open -= 1
         conflict = None
         for idx in self.occur.get(-lit, ()):
             self.n_false[idx] += 1
@@ -415,43 +423,40 @@ class UnitPropagation:
                     self.pending.append(idx)
         return conflict
 
-    def _unit_literal(self, idx: int) -> Optional[int]:
-        unassigned = None
-        for lit in self.clauses[idx]:
-            val = self.lit_value(lit)
-            if val is True:
-                return None
-            if val is None:
-                if unassigned is not None:
-                    return None
-                unassigned = lit
-        return unassigned
+    def next_unit(self) -> Optional[int]:
+        """The one unassigned literal of the unit clause on top of the
+        queue, which stays queued; None when the queue holds no unit.
+
+        Stale entries (from undone assignments or satisfied clauses)
+        are dropped here, so the queue survives undo.
+        """
+        pending = self.pending
+        while pending:
+            idx = pending[-1]
+            if self.n_sat[idx] == 0 and self.size[idx] - self.n_false[idx] == 1:
+                for lit in self.clauses[idx]:
+                    if abs(lit) not in self.value:
+                        return lit
+            pending.pop()
+        return None
 
     def propagate(self) -> Optional[int]:
-        """Drain the unit queue; returns a conflicting clause index.
-
-        Stale queue entries (from undone assignments or satisfied
-        clauses) are revalidated on pop, so the queue survives undo.
-        """
+        """Drain the unit queue; returns a conflicting clause index."""
         if self.empty_conflict is not None:
             return self.empty_conflict
-        while self.pending:
-            idx = self.pending.pop()
-            if self.n_sat[idx] > 0:
-                continue
-            lit = self._unit_literal(idx)
+        while True:
+            lit = self.next_unit()
             if lit is None:
-                continue
-            conflict = self._set(lit, idx)
+                return None
+            conflict = self.assign(lit, self.pending.pop())
             if conflict is not None:
                 return conflict
-        return None
 
     def assume(self, lit: int) -> Optional[int]:
         """Push an assumption (variable must be unassigned), propagate."""
         if abs(lit) in self.value:
             raise ProofError(f"assumption on assigned variable {abs(lit)}")
-        conflict = self._set(lit, None)
+        conflict = self.assign(lit)
         if conflict is not None:
             return conflict
         return self.propagate()
@@ -537,6 +542,8 @@ def parse_proof(text: str) -> tuple[ResolutionProof, int]:
         except ValueError:
             raise ProofError(f"bad token in line {line.strip()!r}") from None
         if kind == "w" and len(args) >= 2 and args[-1] == 0:
+            if 0 in args[1:-1]:
+                raise ProofError(f"bad weakening literal 0 in line {line.strip()!r}")
             append(Weaken(args[0], tuple(args[1:-1])))
         else:
             raise ProofError(f"malformed step line {line.strip()!r}")

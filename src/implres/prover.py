@@ -118,54 +118,24 @@ def dpll_refute(
     Branch variable choice: a clause that is unit under the current
     assignment wins (one branch kills it immediately), otherwise the
     first unassigned variable from ``order`` occurring in a clause not
-    yet satisfied.  Left branch assigns the variable true.
+    yet satisfied.  Left branch assigns the variable true.  One
+    ``UnitPropagation`` engine owns the search state (assignment,
+    satisfied counts, open clauses, unit queue); the search only
+    assigns, undoes and reads it.
     """
     if order is None:
         order = range(1, cs.n + 1)
     order = tuple(order)
     engine = UnitPropagation(cs)
-    occur_var: dict[int, list[int]] = {}
-    for idx, c in enumerate(cs.clauses):
-        for lit in c:
-            occur_var.setdefault(abs(lit), []).append(idx)
-    unsat_count = sum(1 for idx in range(len(cs.clauses)) if engine.n_sat[idx] == 0)
-
-    def pick_unit() -> Optional[int]:
-        while engine.pending:
-            idx = engine.pending.pop()
-            if engine.n_sat[idx] > 0:
-                continue
-            lit = engine._unit_literal(idx)
-            if lit is None:
-                continue
-            engine.pending.append(idx)
-            return lit
-        return None
+    occur, n_sat = engine.occur, engine.n_sat
 
     def pick_order_var() -> Optional[int]:
         for v in order:
-            if v in engine.value:
-                continue
-            if any(engine.n_sat[idx] == 0 for idx in occur_var.get(v, ())):
+            if v not in engine.value and any(
+                n_sat[idx] == 0 for lit in (v, -v) for idx in occur.get(lit, ())
+            ):
                 return v
         return None
-
-    def decide(lit: int) -> Optional[int]:
-        nonlocal unsat_count
-        conflict = engine._set(lit, None)
-        for idx in engine.occur.get(lit, ()):
-            if engine.n_sat[idx] == 1:
-                unsat_count -= 1
-        return conflict
-
-    def retract(mark: int):
-        nonlocal unsat_count
-        while len(engine.trail) > mark:
-            lit = engine.trail[-1]
-            for idx in engine.occur.get(lit, ()):
-                if engine.n_sat[idx] == 1:
-                    unsat_count += 1
-            engine.undo(len(engine.trail) - 1)
 
     nodes = 0
     if engine.empty_conflict is not None:
@@ -178,10 +148,10 @@ def dpll_refute(
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise ProverError(f"node budget {max_nodes} exhausted")
-            if unsat_count == 0:
+            if engine.open == 0:
                 model = {v: engine.value.get(v, False) for v in range(1, cs.n + 1)}
                 return DpllOutcome(None, model, nodes)
-            lit = pick_unit()
+            lit = engine.next_unit()
             var = abs(lit) if lit is not None else pick_order_var()
             if var is None:
                 raise ProverError("branching order exhausted before refutation")
@@ -191,16 +161,16 @@ def dpll_refute(
         elif frame[0] == "branch":
             lit = frame[1]
             mark = engine.mark()
-            conflict = decide(lit)
+            conflict = engine.assign(lit)
             if conflict is not None:
                 nodes += 1
                 results.append(Leaf(conflict))
-                retract(mark)
+                engine.undo(mark)
             else:
                 stack.append(("undo", mark))
                 stack.append(("enter",))
         elif frame[0] == "undo":
-            retract(frame[1])
+            engine.undo(frame[1])
         else:
             right = results.pop()
             left = results.pop()

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 from implres.circuits import Gate, gate_clauses
 from implres.formulas import Clause, ClauseSet, FormulaError
-from implres.proofs import Axiom, Resolve, ResolutionProof, Weaken, check_proof, resolve_clauses
+from implres.proofs import (
+    Axiom,
+    ProofError,
+    Resolve,
+    ResolutionProof,
+    Weaken,
+    check_proof,
+    proof_clauses,
+    resolve_clauses,
+)
 
 VARS = 12
 literal = st.integers(-VARS, VARS).filter(bool)
@@ -80,10 +89,14 @@ def test_clause_set_range_check_names_the_variable():
 @SETTINGS
 @given(literals, bad_literal)
 def test_check_proof_rejects_a_weakening_with_a_bad_literal(lits, bad):
+    """The rejection is a failed report at the weakening step, naming
+    the literal, not an exception out of the checker."""
     premises = ClauseSet(1, (Clause((1,)), Clause((-1,))))
     proof = ResolutionProof((Axiom(0), Weaken(0, tuple(lits) + (bad,))))
-    with pytest.raises(FormulaError):
-        check_proof(premises, proof, target=None)
+    report = check_proof(premises, proof, target=None)
+    assert (report.ok, report.step, report.reason) == (False, 1, f"bad literal {bad!r}")
+    with pytest.raises(ProofError, match="step 1: bad literal"):
+        proof_clauses(premises, proof)
 
 
 def test_check_proof_rejects_a_pivot_missing_from_one_side():

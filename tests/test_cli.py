@@ -282,6 +282,30 @@ def test_negative_premise_count_is_malformed_input(tmp_path, capsys, command, co
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_refusal_names_the_graft_route(tmp_path, capsys):
+    cnf, circ = tmp_path / "big.cnf", tmp_path / "big.circ"
+    cnf.write_text("p cnf 17 0\n")
+    circ.write_text(serialize_circuit(canonical_tree_circuit(17)[0]))
+    capsys.readouterr()
+    assert run(["synth", cnf, circ, "-o", tmp_path / "out"]) == 2
+    assert "certify larger trees with translate-er" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,proof", [
+    ("verify", "work/omega.rproof"), ("tableau-verify", "g.rproof"),
+])
+def test_weakening_literal_zero_is_malformed_input(tmp_path, capsys, command, proof):
+    """A weakening line that adds literal 0 is refused by the parser
+    (exit 2) with the line it read, not replayed."""
+    argv = negative_count_argv(command, tmp_path, 1)
+    with open(tmp_path / proof, "a") as f:
+        f.write("w 0 0 0\n")
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "error: bad weakening literal 0 in line 'w 0 0 0'" in capsys.readouterr().err
+
+
 def test_tableau_commands(tmp_path, capsys):
     tm, tau, beta, iface = tm_halt()
     tm_path = tmp_path / "halt.tm"

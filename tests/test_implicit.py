@@ -52,9 +52,11 @@ def test_synthesize_alpha_fails_on_wrong_description(omega2):
 
 
 def test_synthesize_alpha_branch_cap():
+    """The cap stays, and its refusal names the graft route."""
     big = ClauseSet(17, ())
     beta, iface = canonical_tree_circuit(17)
-    with pytest.raises(ImplicitError):
+    message = "capped at 16 branch variables, got 17; certify larger trees with translate-er"
+    with pytest.raises(ImplicitError, match=message):
         synthesize_alpha(gen_C(big, beta, iface))
 
 

@@ -271,6 +271,8 @@ PARSE_ERRORS = (
     ("res-proof 1\n\t a 0x  # note\n", "bad token in line 'a 0x'"),
     ("res-proof 1\na 0 # c\r\nr 1\tx 2# c\r\n", "bad token in line 'r 1\\tx 2'"),
     ("res-proof 1\nw 0 1 y 0\n", "bad token in line 'w 0 1 y 0'"),
+    ("res-proof 1\nw 0 0 0\n", "bad weakening literal 0 in line 'w 0 0 0'"),
+    ("res-proof 1\nw 0 2 0 -1 0\n", "bad weakening literal 0 in line 'w 0 2 0 -1 0'"),
 )
 
 

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from implres.formulas import Clause, ClauseSet, satisfies
-from implres.proofs import check_proof
+from implres.formulas import Clause, ClauseSet, brute_force_sat, satisfies
+from implres.proofs import UnitPropagation, check_proof
 from implres.prover import (
     Leaf,
     Node,
@@ -111,3 +113,67 @@ def test_parse_dtree_errors(omega1):
         parse_dtree("dtree 1\nn 1\n", omega1)  # dangling node
     with pytest.raises(ProverError):
         parse_dtree("dtree 1\nl 5 0\n", omega1)  # no premise with that clause
+
+
+@st.composite
+def small_cnfs(draw):
+    """Clause sets over n <= 8 variables: units, tautologies (v and -v
+    in one clause), repeated clauses, and now and then an empty one."""
+    n = draw(st.integers(0, 8))
+    clauses = []
+    if n:
+        lit = st.builds(lambda v, sign: sign * v, st.integers(1, n), st.sampled_from((1, -1)))
+        clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4), max_size=24))
+    if clauses and draw(st.booleans()):
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=4))
+    if draw(st.integers(0, 9)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), [])
+    return ClauseSet(n, tuple(tuple(c) for c in clauses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cnfs())
+def test_dpll_verdict_matches_brute_force(cs):
+    """A tree the checker accepts exactly on unsatisfiable sets, and
+    otherwise a model of every clause."""
+    out = dpll_refute(cs)
+    if brute_force_sat(cs) is None:
+        assert out.model is None
+        assert check_decision_tree(cs, out.tree)
+    else:
+        assert out.tree is None
+        assert all(satisfies(out.model, c) for c in cs)
+
+
+def _is_true(engine, lit):
+    return engine.value.get(abs(lit)) == (lit > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cnfs(), st.data())
+def test_engine_counts_open_clauses_and_finds_units(cs, data):
+    """Through random assign, propagate and undo steps, ``open`` is the
+    number of clauses no assigned literal satisfies, and ``next_unit``
+    names the one free literal of a clause with no true literal, or
+    finds none when no clause is unit."""
+    engine = UnitPropagation(cs)
+    for _ in range(data.draw(st.integers(0, 12))):
+        free = [v for v in range(1, cs.n + 1) if v not in engine.value]
+        action = data.draw(st.sampled_from(("assign", "propagate", "undo")))
+        if action == "assign" and free:
+            engine.assign(data.draw(st.sampled_from(free)) * data.draw(st.sampled_from((1, -1))))
+        elif action == "propagate":
+            engine.propagate()
+        else:
+            engine.undo(data.draw(st.integers(0, len(engine.trail))))
+        assert engine.open == sum(
+            1 for c in cs if not any(_is_true(engine, lit) for lit in c))
+        lit = engine.next_unit()
+        if lit is None:
+            units = [c for c in cs if not any(_is_true(engine, l) for l in c)
+                     and sum(abs(l) not in engine.value for l in c) == 1]
+            assert units == []
+        else:
+            clause = cs.clauses[engine.pending[-1]]
+            assert not any(_is_true(engine, l) for l in clause)
+            assert [l for l in clause if abs(l) not in engine.value] == [lit]
