@@ -215,9 +215,8 @@ def dpll_outcome_text():
     rng = random.Random(1013)
     for i in range(12):
         cases.append((f"random{i}", random_3cnf(rng, 10, 36 + 2 * i), None))
-    for m in (2, 3, 4):
-        tm, tau, beta, iface = halting_grid(m)
-        bundle = gen_tableau(tm, tau, beta, iface)
+    grids = [gen_tableau(*halting_grid(m)) for m in (2, 3, 4)]
+    for m, bundle in zip((2, 3, 4), grids):
         cases.append((f"halt{m}", bundle.clauses, bundle.j_vars + bundle.k_vars))
     out, sides = [], set()
     for name, cs, order in cases:
@@ -229,9 +228,7 @@ def dpll_outcome_text():
         else:
             out.append(serialize_dtree(cs, res.tree))
     assert sides == {True, False}
-    for m in (2, 3, 4):
-        tm, tau, beta, iface = halting_grid(m)
-        out.append(serialize_proof(refute_tableau(gen_tableau(tm, tau, beta, iface)), 0))
+    out.extend(serialize_proof(refute_tableau(bundle), 0) for bundle in grids)
     for name, cs, order in cases[:4]:
         out.append(f"{name} budget {smallest_budget(cs, order)}\n")
     return "".join(out)
