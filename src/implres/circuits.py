@@ -396,11 +396,7 @@ class Carrier:
     @cached_property
     def _table(self):
         """The head (verdict block, None for {-delta}, pre-block) with
-        prefix sums of its clause counts, and those of one copy.  None
-        when a spare free carries a port image (grid carriers can)."""
-        spares = set(self.beta.free).difference(self.ports[0])
-        if any(v in spares for port in self.ports for v in port.values()):
-            return None
+        prefix sums of its clause counts, and those of one copy."""
         head = (*self.verdict, None, *self.pre)
         counts = (1 if g is None else gate_clause_count(g) for g in head)
         ends = list(accumulate(counts, initial=0))
@@ -408,12 +404,11 @@ class Carrier:
 
     @cached_property
     def _starts(self):
-        """Where the group of each head gate starts (of every gate when
-        copies may differ in size); copy and index in beta of each port
-        image that a gate of beta carries; index in beta of each slot."""
-        copies = () if self._table else (g for gates in self._copies[1] for g in gates)
+        """Where the group of each head gate starts; copy and index in
+        beta of each port image that a gate of beta carries; index in
+        beta of each slot."""
         starts = group_starts(self.verdict)
-        starts.update(group_starts((*self.pre, *copies), self.neg_delta_index + 1))
+        starts.update(group_starts(self.pre, self.neg_delta_index + 1))
         index = {g.var: t for t, g in enumerate(self.beta.gates)}
         images = {
             img: (k, index[v])
@@ -440,8 +435,8 @@ class Carrier:
 
     @cached_property
     def _len(self) -> int:
-        t = None if "clauses" in self.__dict__ else self._table
-        return len(self.clauses) if t is None else t[1][-1] + len(self.ports) * t[2][-1]
+        _, head_ends, copy_ends = self._table
+        return head_ends[-1] + len(self.ports) * copy_ends[-1]
 
     def __len__(self) -> int:
         return self._len
@@ -454,10 +449,9 @@ class Carrier:
         (a negative p does not count from the end)."""
         if not 0 <= p < self._len:
             raise IndexError(f"no clause at position {p} of {self._len}")
-        table = None if "clauses" in self.__dict__ else self._table
-        if table is None:
+        if "clauses" in self.__dict__:
             return self.clauses[p]
-        head, head_ends, copy_ends = table
+        head, head_ends, copy_ends = self._table
         if p < head_ends[-1]:
             k, q, ends = -1, p, head_ends
         else:
@@ -524,8 +518,8 @@ def assemble_carrier(
     at their ``gate_position``, so neither builds the set.  A gate
     gives one clause per distinct body literal plus one, and a copy
     map that is injective keeps that count, so every copy has as many
-    clauses as beta.  The port check makes it injective for tree
-    carriers: spare frees lie within 1..n, below every port image."""
+    clauses as beta.  The port check makes it injective: tree spare
+    frees lie in 1..n, a grid has none."""
     ports = tuple(ports)
     n = max(base + (len(beta.gates) - len(beta.outputs)) * len(ports) - 1, delta)
     return Carrier(tuple(frees), tuple(pre), beta, base, ports, tuple(verdict), delta, n)

@@ -195,11 +195,11 @@ class TableauInterface:
 def check_tableau_interface(
     circuit: Circuit, iface: TableauInterface, tm: TMSpec
 ) -> CircuitReport:
-    """Port check: 2m address inputs, one cell of outputs, spare frees
-    within 1..2m and outside the outputs' fan-in."""
+    """Port check: the frees are exactly the 2m address inputs, the
+    outputs one cell."""
     if iface.m < 1:
         return CircuitReport(False, f"bad address width {iface.m}")
-    return check_ports(circuit, iface, 2 * iface.m, cell_width(tm), 2 * iface.m)
+    return check_ports(circuit, iface, 2 * iface.m, cell_width(tm), 0)
 
 
 def tableau_interface_from_circuit(circuit: Circuit, m: int) -> TableauInterface:
@@ -216,16 +216,14 @@ def tableau_interface_from_circuit(circuit: Circuit, m: int) -> TableauInterface
 def read_grid(
     tm: TMSpec, beta: Circuit, iface: TableauInterface
 ) -> tuple[tuple[tuple[bool, ...], ...], ...]:
-    """Evaluate the grid circuit on every address.  Spare frees are
-    set false, which changes no cell of a circuit the port check
-    passes."""
+    """Evaluate the grid circuit on every address."""
     m = iface.m
     n = 1 << m
     rows = []
     for j in range(n):
         row = []
         for k in range(n):
-            vals = {v: False for v in beta.free}
+            vals = {}
             for i in range(m):
                 vals[iface.inputs[i]] = bool((j >> i) & 1)
                 vals[iface.inputs[m + i]] = bool((k >> i) & 1)
@@ -516,8 +514,6 @@ def gen_tableau(
         port = dict(zip(iface.inputs, addr[c]))
         port.update((y, cell[(c, t)]) for t, y in enumerate(iface.outputs))
         ports.append(port)
-    # spare frees of the grid circuit stay in place; the port check
-    # keeps them out of the cell outputs' fan-in
     carrier = assemble_carrier(jv + kv, b.gates, beta, copy_base, ports, s.gates, delta)
     return TableauBundle(m, carrier, jv, kv, cell, delta, cell_base)
 

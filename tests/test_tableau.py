@@ -217,22 +217,32 @@ def test_verify_pq_rejections():
     assert not rep and rep.stage == "machine"
 
 
-def test_grid_spare_free_feeding_a_cell_is_refused():
-    # tm_halt's grid with address bits 3 (row) and 4 (column) and the
-    # spare free 1, which is address bit j_0 in every copy of the carrier
+def spare_free_grids():
+    """tm_halt's grid with address bits 3 (row) and 4 (column) and a
+    spare free 1: read by a constant that feeds the cells (fed), by an
+    extension gate alone (apart), or beside an address input, whose
+    image in copies 0-2 is the id 1 (address_image)."""
+    fed_cells = (Gate(7, (-4, 6)), Gate(8, (-4, 6)), Gate(9, (-4, 6)))
+    cells = (Gate(7, (-4,)), Gate(8, (-4,)), Gate(9, (-4,)))
+    return {
+        "fed": Circuit((3, 4, 1), (Gate(5, (1, -1)), Gate(6, (-5,))) + fed_cells, (7, 8, 9)),
+        "apart": Circuit((3, 4, 1), (Gate(5, (1,)),) + cells, (7, 8, 9)),
+        "address_image": Circuit((3, 4, 1), cells + (Gate(10, (3, 1, 1)),), (7, 8, 9)),
+    }
+
+
+def test_grid_circuit_with_a_spare_free_is_refused():
+    """A grid circuit's frees are its 2m address inputs: any other free
+    is refused at the port check, and the reason names it."""
     tm, tau, beta, iface = tm_halt()
     alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
-    # the same cells, read through a constant built on the spare free
-    cells = (Gate(7, (-4, 6)), Gate(8, (-4, 6)), Gate(9, (-4, 6)))
-    fed = Circuit((3, 4, 1), (Gate(5, (1, -1)), Gate(6, (-5,))) + cells, (7, 8, 9))
-    rep = verify_pq(tm, tau, fed, tableau_interface_from_circuit(fed, 1), alpha)
-    assert not rep and rep.stage == "interface" and "feed the outputs" in rep.reason
-    # out of the cells' fan-in, a spare free only feeds an extension gate
-    cells = (Gate(7, (-4,)), Gate(8, (-4,)), Gate(9, (-4,)))
-    apart = Circuit((3, 4, 1), (Gate(5, (1,)),) + cells, (7, 8, 9))
-    iface2 = tableau_interface_from_circuit(apart, 1)
-    bundle = gen_tableau(tm, tau, apart, iface2)
-    assert verify_pq(tm, tau, apart, iface2, refute_tableau(bundle))
+    for name, grid in spare_free_grids().items():
+        grid_iface = tableau_interface_from_circuit(grid, 1)
+        rep = verify_pq(tm, tau, grid, grid_iface, alpha)
+        assert not rep and rep.stage == "interface", name
+        assert "spare free variables [1]" in rep.reason, name
+        with pytest.raises(TableauError):
+            gen_tableau(tm, tau, grid, grid_iface)
 
 
 def test_graft_pq_round_trip():
@@ -297,35 +307,14 @@ def test_lazy_carrier_equals_the_materialized_set_on_grids(fixture, view_oracle)
         assert "clauses" not in vars(view)
 
 
-def address_image_grid():
-    """tm_halt with a grid whose spare free 1 outside the cells'
-    fan-in carries the id that copy 0 gives an address input: input 3
-    becomes row bit 1 in copies 0-2, so gate 10's body (3, 1, 1) loses
-    a literal there but not in copy 3, and copies differ in size."""
-    tm, tau, _, _ = tm_halt()
-    cells = (Gate(7, (-4,)), Gate(8, (-4,)), Gate(9, (-4,)))
-    beta = Circuit((3, 4, 1), cells + (Gate(10, (3, 1, 1)),), (7, 8, 9))
-    return tm, tau, beta, tableau_interface_from_circuit(beta, 1)
-
-
-def test_spare_free_on_an_address_image_is_read_in_full(view_oracle):
-    """Copies of the address-image grid differ in size, so the view
-    reads the materialized set instead of its arithmetic."""
-    tm, tau, beta, iface = address_image_grid()
-    view = view_oracle(lambda: gen_tableau(tm, tau, beta, iface))
-    assert "clauses" in vars(view)
-    assert verify_pq(tm, tau, beta, iface, refute_tableau(gen_tableau(tm, tau, beta, iface)))
-
-
 @pytest.mark.parametrize(
     "fixture",
-    [tm_halt, tm_write_stay, tm_right_writer, address_image_grid],
-    ids=["tm_halt", "tm_write_stay", "tm_right_writer", "address_image"],
+    [tm_halt, tm_write_stay, tm_right_writer],
+    ids=["tm_halt", "tm_write_stay", "tm_right_writer"],
 )
 def test_gate_position_matches_the_materialized_set_on_grids(fixture, position_oracle):
     """Each grid and its graft: every gate's group sits where
-    gate_position says.  Only the grid whose copies differ in size
-    builds its copies to walk them; no carrier builds its clauses."""
+    gate_position says, and no carrier builds its clauses."""
     tm, tau, beta, iface = fixture()
     alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
     tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
