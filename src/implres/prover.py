@@ -137,17 +137,17 @@ def dpll_refute(
                 return v
         return None
 
-    nodes = 0
+    budget = float("inf") if max_nodes is None else max_nodes
+    nodes = 1  # the root; each branch counts the child, leaf or not, it makes
+    if nodes > budget:
+        raise ProverError(f"node budget {max_nodes} exhausted")
     if engine.empty_conflict is not None:
-        return DpllOutcome(Leaf(engine.empty_conflict), None, 1)
+        return DpllOutcome(Leaf(engine.empty_conflict), None, nodes)
     results: list[DecisionTree] = []
     stack: list[tuple] = [("enter",)]
     while stack:
         frame = stack.pop()
         if frame[0] == "enter":
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise ProverError(f"node budget {max_nodes} exhausted")
             if engine.open == 0:
                 model = {v: engine.value.get(v, False) for v in range(1, cs.n + 1)}
                 return DpllOutcome(None, model, nodes)
@@ -159,11 +159,13 @@ def dpll_refute(
             stack.append(("branch", -var))
             stack.append(("branch", var))
         elif frame[0] == "branch":
+            nodes += 1
+            if nodes > budget:
+                raise ProverError(f"node budget {max_nodes} exhausted")
             lit = frame[1]
             mark = engine.mark()
             conflict = engine.assign(lit)
             if conflict is not None:
-                nodes += 1
                 results.append(Leaf(conflict))
                 engine.undo(mark)
             else:

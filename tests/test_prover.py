@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from implres.families import php, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, brute_force_sat, satisfies
 from implres.proofs import UnitPropagation, check_proof
 from implres.prover import (
@@ -66,6 +67,17 @@ def test_dpll_respects_order_and_node_budget(php32):
     assert check_decision_tree(php32, out.tree)
     with pytest.raises(ProverError, match="node budget 3 exhausted"):
         dpll_refute(php32, max_nodes=3)
+
+
+def test_least_completing_budget_is_the_node_count():
+    # conflict leaves count against the budget as branching nodes do
+    for cs in (php(4, 3), tseitin_cycle(12)):
+        nodes = dpll_refute(cs).nodes
+        assert dpll_refute(cs, max_nodes=nodes).nodes == nodes
+        with pytest.raises(ProverError, match=f"node budget {nodes - 1} exhausted"):
+            dpll_refute(cs, max_nodes=nodes - 1)
+    with pytest.raises(ProverError, match="node budget 0 exhausted"):
+        dpll_refute(ClauseSet(1, ((),)), max_nodes=0)
 
 
 def test_dpll_default_order_proves_24_variables():
