@@ -70,7 +70,7 @@ GOLDEN = {
     "proof_stage-mutant-reports":
         "5fac1701c50be9eb12a0914f7ec4411bd9bad9989f6a1d421b30588c1d691966",
     "dpll_refute-outcomes":
-        "b621c4eb710dbdaa4c8282933c6f24149533db30f95b7deea801442b692248c8",
+        "d01c4990caf2b6f452ec83adf8acbba87a50896c5ef1f199371b24cff6004210",
 }
 
 EMPTY = Circuit((), (), ())
