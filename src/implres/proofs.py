@@ -561,8 +561,10 @@ def serialize_er(ep: ERProof, n_premises: int) -> str:
 
 
 def parse_er(text: str) -> tuple[ERProof, int]:
-    """Returns the proof and the declared premise count."""
-    from .circuits import parse_circuit
+    """Returns the proof and the declared premise count.  A text that
+    opens with a res-proof header, as ``prove`` writes, is an ER proof
+    with an empty auxiliary circuit."""
+    from .circuits import Circuit, parse_circuit
 
     lines = text.splitlines()
     header = None
@@ -572,6 +574,9 @@ def parse_er(text: str) -> tuple[ERProof, int]:
         if not line:
             continue
         if header is None:
+            if line.split()[0] == "res-proof":
+                proof, n_premises = parse_proof(text)
+                return ERProof(Circuit((), (), ()), proof), n_premises
             if line != "er-proof":
                 raise ProofError("missing er-proof header")
             header = i

@@ -180,6 +180,11 @@ def test_translate_er_roundtrip(tmp_path, omega2, cnf_file, capsys):
     out = tmp_path / "er"
     assert run(["translate-er", cnf_file, er_path, "-o", out]) == 0
     assert run(["verify", out / "omega.manifest"]) == 0
+    # prove's refutation is read as an ER proof with no auxiliary gates
+    assert run(["prove", cnf_file, "-o", tmp_path / "work"]) == 0
+    direct = tmp_path / "direct"
+    assert run(["translate-er", cnf_file, tmp_path / "work" / "omega.rproof", "-o", direct]) == 0
+    assert run(["verify", direct / "omega.manifest"]) == 0
 
 
 def test_translate_search(tmp_path):
@@ -388,7 +393,7 @@ def test_nul_byte_in_a_manifest_path_exits_2(tmp_path, capsys):
 
 @functools.lru_cache(maxsize=None)
 def contract_inputs():
-    """Valid inputs of verify and tableau-verify, as {name: bytes}."""
+    """Valid inputs of the commands in CONTRACT_CASES, as {name: bytes}."""
     with tempfile.TemporaryDirectory() as d:
         cnf = os.path.join(d, "omega.cnf")
         with open(cnf, "w") as fh:
@@ -401,7 +406,7 @@ def contract_inputs():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
         files = {}
-        for name in ("omega.manifest", "omega.cnf", "omega.circ", "omega.rproof"):
+        for name in ("omega.manifest", "omega.cnf", "omega.circ", "omega.rproof", "omega.dtree"):
             with open(os.path.join(d, name), "rb") as fh:
                 files[name] = fh.read()
     tm, tau, beta, iface = tm_halt()
@@ -414,10 +419,29 @@ def contract_inputs():
     return files, encode_tau(tau)
 
 
-MUTATION_TARGETS = (
-    "omega.manifest", "omega.cnf", "omega.circ", "omega.rproof",
-    "halt.tm", "grid.circ", "halt.rproof",
+# (mutated input, command that reads it)
+CONTRACT_CASES = (
+    ("omega.manifest", "verify"), ("omega.rproof", "verify"),
+    ("omega.cnf", "verify"), ("omega.cnf", "prove"), ("omega.cnf", "gen-c"),
+    ("omega.circ", "verify"), ("omega.circ", "gen-c"), ("omega.dtree", "encode"),
+    ("halt.tm", "tableau-verify"), ("halt.tm", "tableau-gen"),
+    ("grid.circ", "tableau-verify"), ("grid.circ", "tableau-gen"),
+    ("halt.rproof", "tableau-verify"),
 )
+
+
+def contract_argv(command, d, tau):
+    path = functools.partial(os.path.join, d)
+    out = ("-o", path("out"))
+    return {
+        "verify": ("verify", path("omega.manifest")),
+        "prove": ("prove", path("omega.cnf"), *out),
+        "gen-c": ("gen-c", path("omega.cnf"), path("omega.circ"), *out),
+        "encode": ("encode", path("omega.dtree"), path("omega.cnf"), *out),
+        "tableau-gen": ("tableau-gen", path("halt.tm"), tau, path("grid.circ"), *out),
+        "tableau-verify": ("tableau-verify", path("halt.tm"), tau, path("grid.circ"),
+                           path("halt.rproof")),
+    }[command]
 
 byte_edit = st.tuples(
     st.sampled_from(("replace", "insert", "delete", "truncate")),
@@ -441,8 +465,9 @@ def mutate(blob: bytes, edits) -> bytes:
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(MUTATION_TARGETS), st.lists(byte_edit, min_size=1, max_size=3))
-def test_byte_mutated_inputs_keep_the_exit_code_contract(target, edits):
+@given(st.sampled_from(CONTRACT_CASES), st.lists(byte_edit, min_size=1, max_size=3))
+def test_byte_mutated_inputs_keep_the_exit_code_contract(case, edits):
+    target, command = case
     files, tau = contract_inputs()
     files = dict(files)
     files[target] = mutate(files[target], edits)
@@ -450,14 +475,9 @@ def test_byte_mutated_inputs_keep_the_exit_code_contract(target, edits):
         for name, blob in files.items():
             with open(os.path.join(d, name), "wb") as fh:
                 fh.write(blob)
-        if target.startswith("omega"):
-            argv = ["verify", os.path.join(d, "omega.manifest")]
-        else:
-            argv = ["tableau-verify", os.path.join(d, "halt.tm"), tau,
-                    os.path.join(d, "grid.circ"), os.path.join(d, "halt.rproof")]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = main(contract_argv(command, d, tau))
     assert code in (0, 1, 2), (code, err.getvalue())
 
 

@@ -352,11 +352,15 @@ def test_er_serialize_parse_round_trip(omega1):
     # empty aux circuit round-trips too
     ep3 = ERProof(Circuit((), (), ()), ep.proof)
     assert parse_er(serialize_er(ep3, 2))[0] == ep3
+    # so does a plain proof, the text prove writes
+    assert parse_er("# from prove\n" + serialize_proof(ep.proof, 2)) == (ep3, 2)
 
 
 def test_parse_er_errors():
-    with pytest.raises(ProofError):
-        parse_er("res-proof 1\na 0\n")
+    with pytest.raises(ProofError, match="missing er-proof header"):
+        parse_er("a 0\nres-proof 1\n")
+    with pytest.raises(ProofError, match="malformed res-proof header"):
+        parse_er("res-proof\na 0\n")
     with pytest.raises(ProofError):
         parse_er("er-proof\ncirc 0\nfree\nout\n")
     with pytest.raises(ProofError):

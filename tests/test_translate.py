@@ -12,6 +12,7 @@ from implres.circuits import (
 from implres.correctness import gen_C, gen_correct
 from implres.encoding import canonical_tree_circuit, tree_to_circuit
 from implres.families import not_search, or_chain
+from implres.formulas import ClauseSet
 from implres.implicit import synthesize_alpha, verify_implicit
 from implres.proofs import (
     Axiom,
@@ -198,8 +199,19 @@ def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32,
 
 
 def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4):
-    for omega in (omega1, omega2, tseitin4):
-        pi = dpll_er(omega)
+    cases = [(omega, dpll_er(omega)) for omega in (omega1, omega2, tseitin4)]
+    # the quick-start set through e = OR(1, 2), variable 3, whose gate
+    # clauses {-3, 1, 2}, {3, -1}, {3, -2} are premises 4-6
+    quick = ClauseSet(2, ((1, 2), (1, -2), (-1, 2), (-1, -2)))
+    via_e = ResolutionProof((
+        Axiom(0), Axiom(6), Resolve(0, 1, 2), Axiom(4), Resolve(2, 3, 3),
+        Axiom(1), Resolve(4, 5, 2), Axiom(2), Axiom(3), Resolve(7, 8, 2), Resolve(6, 9, 1),
+    ))
+    cases.append((quick, ERProof(Circuit((1, 2), (Gate(3, (1, 2)),), ()), via_e)))
+    # a set holding the empty clause is refuted by citing it
+    cases.append((ClauseSet(1, ((), (1,))), empty_aux(ResolutionProof((Axiom(0),)))))
+    for omega, pi in cases:
+        assert check_er(omega, pi)
         ir = er_to_implicit(omega, pi)
         assert verify_implicit(ir)
         assert ir.alpha_premises == len(
