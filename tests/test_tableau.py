@@ -217,26 +217,23 @@ def test_verify_pq_rejections():
     assert not rep and rep.stage == "machine"
 
 
-def spare_free_grids():
-    """tm_halt's grid with address bits 3 (row) and 4 (column) and a
-    spare free 1: read by a constant that feeds the cells (fed), by an
-    extension gate alone (apart), or beside an address input, whose
+def test_grid_circuit_with_a_spare_free_is_refused():
+    """A grid circuit's frees are its 2m address inputs: any other free
+    is refused at the port check, and the reason names it.  Each grid
+    is tm_halt's with address bits 3 (row) and 4 (column) and a spare
+    free 1, read by a constant that feeds the cells (fed), by an
+    extension gate alone (apart), or beside an address input whose
     image in copies 0-2 is the id 1 (address_image)."""
+    tm, tau, beta, iface = tm_halt()
+    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
     fed_cells = (Gate(7, (-4, 6)), Gate(8, (-4, 6)), Gate(9, (-4, 6)))
     cells = (Gate(7, (-4,)), Gate(8, (-4,)), Gate(9, (-4,)))
-    return {
+    grids = {
         "fed": Circuit((3, 4, 1), (Gate(5, (1, -1)), Gate(6, (-5,))) + fed_cells, (7, 8, 9)),
         "apart": Circuit((3, 4, 1), (Gate(5, (1,)),) + cells, (7, 8, 9)),
         "address_image": Circuit((3, 4, 1), cells + (Gate(10, (3, 1, 1)),), (7, 8, 9)),
     }
-
-
-def test_grid_circuit_with_a_spare_free_is_refused():
-    """A grid circuit's frees are its 2m address inputs: any other free
-    is refused at the port check, and the reason names it."""
-    tm, tau, beta, iface = tm_halt()
-    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
-    for name, grid in spare_free_grids().items():
+    for name, grid in grids.items():
         grid_iface = tableau_interface_from_circuit(grid, 1)
         rep = verify_pq(tm, tau, grid, grid_iface, alpha)
         assert not rep and rep.stage == "interface", name
