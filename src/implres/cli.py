@@ -11,6 +11,8 @@ writes is re-readable by the matching parser.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import os
 import sys
 from typing import Optional, Sequence
@@ -258,7 +260,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stem", default=None, help="output file stem")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="implres",
         description="Implicitly described tree-like resolution: proof search, "
@@ -333,8 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # A command builds only acyclic objects (clauses, steps, carrier
+    # groups), which reference counting frees as they die; the cyclic
+    # collector's passes over them find nothing.  It is paused for the
+    # command and left as the caller had it on every way out.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except Reject as exc:
@@ -343,6 +352,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

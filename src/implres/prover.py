@@ -190,20 +190,27 @@ def balance_tree(
     path variables drawn from ``order``.
     """
     order = tuple(order)
-    pos = {v: i for i, v in enumerate(order)}
+    return _balance(tree, frozenset(), order, frozenset(order))
 
-    def go(t: DecisionTree, used: frozenset[int]) -> DecisionTree:
-        if isinstance(t, Node):
-            if t.var not in pos or t.var in used:
-                raise ProverError(f"node variable {t.var} outside the order or repeated")
-            below = used | {t.var}
-            return Node(t.var, go(t.left, below), go(t.right, below))
-        out: DecisionTree = t
-        for v in reversed([v for v in order if v not in used]):
-            out = Node(v, out, out)
-        return out
 
-    return go(tree, frozenset())
+def _balance(
+    t: DecisionTree, used: frozenset[int], order: tuple[int, ...], known: frozenset[int]
+) -> DecisionTree:
+    """``t`` balanced below a path that queried ``used``.
+
+    A module-level function, not a closure over itself: a recursive
+    closure is a reference cycle that outlives the call until the
+    cyclic collector runs."""
+    if isinstance(t, Node):
+        if t.var not in known or t.var in used:
+            raise ProverError(f"node variable {t.var} outside the order or repeated")
+        below = used | {t.var}
+        return Node(t.var, _balance(t.left, below, order, known),
+                    _balance(t.right, below, order, known))
+    out: DecisionTree = t
+    for v in reversed([v for v in order if v not in used]):
+        out = Node(v, out, out)
+    return out
 
 
 def serialize_dtree(premises: ClauseSet, tree: DecisionTree) -> str:

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import io
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import implres
+from implres import cli
 from implres.circuits import Circuit, Gate, serialize_circuit
 from implres.cli import main
 from implres.encoding import canonical_tree_circuit
@@ -389,6 +391,93 @@ def test_nul_byte_in_a_manifest_path_exits_2(tmp_path, capsys):
     manifest.write_bytes(b"implicit-refutation\nn 2\nomega a\0.cnf\nbeta b.circ\nalpha c.rproof\n")
     assert run(["verify", manifest]) == 2
     assert "NUL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, cnf_file, monkeypatch, capsys, enabled):
+    def broken(path):
+        raise RuntimeError("unexpected")
+
+    out = tmp_path / "work"
+    assert run(["prove", cnf_file, "-o", out]) == 0
+    assert run(["encode", out / "omega.dtree", cnf_file, "-o", out]) == 0
+    assert run(["synth", cnf_file, out / "omega.circ", "-o", out]) == 0
+    (out / "omega.cnf").write_text("p cnf 2 1\n1 2 0\n")  # satisfiable: rejected
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(["oracle", cnf_file]) == 0
+        assert gc.isenabled() is enabled
+        assert run(["verify", out / "omega.manifest"]) == 1
+        assert gc.isenabled() is enabled
+        assert run(["verify", tmp_path / "missing.manifest"]) == 2
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "load_implicit", broken)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            run(["verify", out / "omega.manifest"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_the_command_path_makes_no_cyclic_garbage(tmp_path, cnf_file, capsys):
+    # The pause in main rests on this: what a command builds is acyclic,
+    # so reference counting alone frees it.
+    tm, tau, beta, iface = tm_halt()
+    (tmp_path / "halt.tm").write_text(serialize_tm(tm))
+    (tmp_path / "grid.circ").write_text(serialize_circuit(beta))
+    bundle = gen_tableau(tm, tau, beta, iface)
+    alpha = refute_tableau(bundle)
+    (tmp_path / "halt.rproof").write_text(serialize_proof(alpha, len(bundle.clauses.clauses)))
+    sp = not_search(1)
+    (tmp_path / "algo.circ").write_text(serialize_circuit(sp.algorithm))
+    (tmp_path / "checker.circ").write_text(serialize_circuit(sp.checker))
+    correct = gen_correct(sp)
+    outcome = dpll_refute(correct, order=tuple(range(1, correct.n + 1)))
+    ep = ERProof(Circuit((), (), ()), proof_from_tree(correct, outcome.tree))
+    (tmp_path / "pi.erproof").write_text(serialize_er(ep, len(correct.clauses)))
+    work, direct = tmp_path / "work", tmp_path / "direct"
+    grid = [tmp_path / "halt.tm", encode_tau(tau), tmp_path / "grid.circ"]
+    cli.build_parser()  # built once per process, before any command; its help formatters are cyclic
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(["prove", cnf_file, "-o", work]) == 0
+        assert run(["encode", work / "omega.dtree", cnf_file, "-o", work]) == 0
+        assert run(["gen-c", cnf_file, work / "omega.circ", "-o", work]) == 0
+        assert run(["translate-er", cnf_file, work / "omega.rproof", "-o", direct]) == 0
+        assert run(["verify", direct / "omega.manifest"]) == 0
+        assert run(["synth", cnf_file, work / "omega.circ", "-o", work]) == 0
+        assert run(["verify", work / "omega.manifest"]) == 0
+        assert run(["tableau-gen", *grid, "-o", tmp_path]) == 0
+        assert run(["tableau-verify", *grid, tmp_path / "halt.rproof"]) == 0
+        assert run(["translate-search", tmp_path / "algo.circ", tmp_path / "checker.circ",
+                    tmp_path / "pi.erproof", "-o", tmp_path / "ts"]) == 0
+        gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert garbage == []
+    capsys.readouterr()
+
+
+def test_the_cached_parser_carries_no_state_between_calls(tmp_path, cnf_file, monkeypatch):
+    budgets = []
+
+    def spied(cs, max_nodes=None):
+        budgets.append(max_nodes)
+        return dpll_refute(cs, max_nodes=max_nodes)
+
+    monkeypatch.setattr(cli, "dpll_refute", spied)
+    assert run(["prove", cnf_file, "-o", tmp_path, "--stem", "x", "--max-nodes", "99"]) == 0
+    assert run(["prove", cnf_file, "-o", tmp_path / "default"]) == 0
+    assert (tmp_path / "x.dtree").exists()
+    assert (tmp_path / "default" / "omega.dtree").exists()
+    assert not (tmp_path / "default" / "x.dtree").exists()
+    assert budgets == [99, None]
 
 
 @functools.lru_cache(maxsize=None)
