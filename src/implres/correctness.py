@@ -54,6 +54,8 @@ class CorrectnessError(ValueError):
 class InterfaceError(CorrectnessError):
     """beta fails the port check against its interface."""
 
+    stage = "interface"  # where implicit.verify_carrier reports it
+
 
 @dataclass(frozen=True)
 class DeltaBundle:

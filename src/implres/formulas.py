@@ -76,13 +76,6 @@ class Clause:
     def __contains__(self, lit: int) -> bool:
         return lit in self.literals
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.literals
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(abs(l) for l in self.literals)
-
     def is_tautology(self) -> bool:
         lits = set(self.literals)
         return any(-l in lits for l in lits)
@@ -90,9 +83,6 @@ class Clause:
     def union(self, other: "Clause | Iterable[int]") -> "Clause":
         other_lits = other.literals if isinstance(other, Clause) else tuple(other)
         return Clause(self.literals + tuple(other_lits))
-
-    def without(self, lit: int) -> "Clause":
-        return canonical_clause(tuple(l for l in self.literals if l != lit))
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(l) for l in self.literals) + "}"

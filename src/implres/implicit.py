@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
-from .circuits import Circuit, CircuitError, parse_circuit, serialize_circuit
-from .correctness import CorrectnessBundle, CorrectnessError, InterfaceError, gen_C
-from .encoding import EncodingError, TreeInterface, interface_from_circuit
-from .formulas import (
-    EMPTY_CLAUSE,
-    ClauseSet,
-    FormulaError,
-    parse_dimacs,
-    serialize_dimacs,
-)
+from .circuits import Circuit, parse_circuit, serialize_circuit
+from .correctness import CorrectnessBundle, gen_C
+from .encoding import TreeInterface, interface_from_circuit
+from .formulas import EMPTY_CLAUSE, ClauseSet, parse_dimacs, serialize_dimacs
 from .proofs import (
     ProofBuilder,
     ResolutionProof,
@@ -54,7 +48,7 @@ class ImplicitRefutation:
     alpha: ResolutionProof
     beta: Circuit
     iface: TreeInterface
-    alpha_premises: Optional[int] = None  # declared count from the proof file
+    alpha_premises: int  # declared count from the proof file
 
 
 @dataclass(frozen=True)
@@ -67,14 +61,14 @@ class VerifyReport:
         return self.ok
 
 
-def proof_stage(bundle, alpha: ResolutionProof, declared: Optional[int]) -> VerifyReport:
+def proof_stage(bundle, alpha: ResolutionProof, declared: int) -> VerifyReport:
     """Judge a certificate against a generated clause set (any carrier
     bundle): the declared premise count must match, weakening may not
     leave the set's variables, and the replay must reach the empty
     clause.  It reads only the set's ``len``, ``n`` and the premises
     alpha cites, so a Carrier is never built in full here."""
     cs = bundle.clauses
-    if declared is not None and declared != len(cs):
+    if declared != len(cs):
         return VerifyReport(
             False, "proof", f"proof declares {declared} premises, the set has {len(cs)}"
         )
@@ -92,6 +86,20 @@ def proof_stage(bundle, alpha: ResolutionProof, declared: Optional[int]) -> Veri
     return VerifyReport(True, "proof")
 
 
+def verify_carrier(
+    generate: Callable[[], object], alpha: ResolutionProof, declared: int
+) -> VerifyReport:
+    """The one verifier path: generate the carrier, then judge alpha
+    against it (proof_stage).  A generator refuses with a ValueError;
+    one that names its stage (TableauRefusal, InterfaceError) is
+    reported there, any other at stage generate."""
+    try:
+        bundle = generate()
+    except ValueError as exc:
+        return VerifyReport(False, getattr(exc, "stage", "generate"), str(exc))
+    return proof_stage(bundle, alpha, declared)
+
+
 def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
     if ir.n < 1:
         return VerifyReport(False, "decode", f"bad variable count {ir.n}")
@@ -104,13 +112,10 @@ def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
         )
     if ir.iface.n != ir.n:
         return VerifyReport(False, "interface", "interface variable count differs")
-    try:
-        bundle = gen_C(ClauseSet(ir.n, ir.omega.clauses), ir.beta, ir.iface)
-    except InterfaceError as exc:
-        return VerifyReport(False, "interface", str(exc))
-    except (CorrectnessError, CircuitError, EncodingError, FormulaError) as exc:
-        return VerifyReport(False, "generate", str(exc))
-    return proof_stage(bundle, ir.alpha, ir.alpha_premises)
+    return verify_carrier(
+        lambda: gen_C(ClauseSet(ir.n, ir.omega.clauses), ir.beta, ir.iface),
+        ir.alpha, ir.alpha_premises,
+    )
 
 
 def synthesize_alpha(bundle: CorrectnessBundle) -> ResolutionProof:
@@ -257,8 +262,6 @@ def save_implicit(
     """Write omega/beta/alpha, then the manifest; returns its path.
     The proof file declares ``ir.alpha_premises``, which every producer
     records from the carrier it refuted."""
-    if ir.alpha_premises is None:
-        raise ImplicitError("the certificate does not record its premise count")
     os.makedirs(outdir, exist_ok=True)
     m = Manifest(ir.n, f"{stem}.cnf", f"{stem}.circ", f"{stem}.rproof")
     for name, text in (

@@ -291,11 +291,11 @@ def strip_weakening(premises: ClauseSet, proof: ResolutionProof) -> ResolutionPr
     """Prune a refutation down to a weakening-free one.
 
     Standard subset propagation: every rebuilt clause is a subset of
-    the original step clause, so the final clause stays empty.
+    the original step clause, so the final clause stays empty.  The
+    caller must have checked ``proof`` against ``premises``
+    (check_proof or check_er): the rebuild recomputes every clause and
+    refuses a non-empty result, but it does not replay the input.
     """
-    report = check_proof(premises, proof, EMPTY_CLAUSE)
-    if not report:
-        raise ProofError(f"invalid input proof: step {report.step}: {report.reason}")
     b = ProofBuilder(premises)
     new_id: list[int] = []
     for step in proof.steps:
@@ -322,7 +322,8 @@ def lift_unit_axiom(
     axiom is replaced by an alias of its other premise, which adds the
     literal -u to the clauses below.  The result derives {-u} or a
     subset of it over the same premise list, in at most as many steps
-    as the input.
+    as the input.  Like strip_weakening, it expects ``proof`` to be a
+    refutation of ``premises`` the caller has already checked.
     """
     if not 0 <= unit_index < len(premises.clauses):
         raise ProofError(f"unit premise index {unit_index} out of range")

@@ -33,8 +33,7 @@ from .circuits import (
     check_ports,
     evaluate,
 )
-from .formulas import FormulaError
-from .implicit import VerifyReport, proof_stage
+from .implicit import VerifyReport, verify_carrier
 from .proofs import ERProof, ResolutionProof
 from .prover import dpll_refute, proof_from_tree
 from .translate import graft_fold
@@ -555,7 +554,7 @@ class TableauRefutation:
     alpha: ResolutionProof
     beta: Circuit
     iface: TableauInterface
-    alpha_premises: Optional[int] = None
+    alpha_premises: int
 
 
 def verify_pq(
@@ -564,15 +563,11 @@ def verify_pq(
     beta: Circuit,
     iface: TableauInterface,
     alpha: ResolutionProof,
-    alpha_premises: Optional[int] = None,
+    alpha_premises: int,
 ) -> VerifyReport:
-    try:
-        bundle = gen_tableau(tm, tau_bits, beta, iface)
-    except TableauRefusal as exc:
-        return VerifyReport(False, exc.stage, str(exc))
-    except (TableauError, FormulaError, ValueError) as exc:
-        return VerifyReport(False, "generate", str(exc))
-    return proof_stage(bundle, alpha, alpha_premises)
+    return verify_carrier(
+        lambda: gen_tableau(tm, tau_bits, beta, iface), alpha, alpha_premises
+    )
 
 
 def verify_refutation(tr: TableauRefutation) -> VerifyReport:
@@ -591,7 +586,8 @@ def graft_pq(
     (translate.graft_fold) on the four-copy stride: the grid circuit
     is rebased onto the addressed cell's copy, so the grown grid reads
     the same cells, and it carries a duplicate of every generator gate
-    and proof auxiliary."""
+    and proof auxiliary.  The certificate is replayed against the
+    grown constraint set before it is returned."""
     tau = tuple(tau_bits)
     bundle = gen_tableau(tm, tau, beta, iface)
     beta2, iface2, bundle2, alpha2 = graft_fold(

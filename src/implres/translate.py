@@ -25,8 +25,11 @@ stride, so the grown circuit regenerates a set that contains the old
 one.  search_translate reuses the proof tail on a search problem's
 correctness clauses, with fresh ids for the duplicate.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
-into a refutation of C(omega, canonical beta) and graft it; graft
-replays the certificate against the grown carrier it generated, so C
+into a refutation of C(omega, canonical beta) and graft it.
+
+Each proof is replayed once: every producer checks its input ER
+refutation (check_er) before it strips or lifts it, and graft_fold
+replays its certificate against the grown carrier it generated, so C
 is generated once per circuit, and the grown one is read only where
 the certificate cites it.
 """
@@ -267,7 +270,8 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     input images, then the carrier's frees not already listed;
     generate's port check validates it.  Returns the grown circuit,
     its interface, its carrier and the certificate refuting that
-    carrier."""
+    carrier, which is replayed against the grown carrier first: every
+    graft, tree or grid, leaves checked."""
     rep = check_er(bundle.clauses, alpha_er)
     if not rep:
         raise TranslateError(f"invalid proof: {rep.reason}")
@@ -295,6 +299,9 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
         old, old.gate_position, bundle.neg_delta_index, alpha_er, host, dupmap,
         new, new.gate_position, bundle2.neg_delta_index,
     )
+    rep = proof_stage(bundle2, alpha2, len(new))
+    if not rep:
+        raise TranslateError(f"grafted refutation rejected: {rep.reason}")
     return beta2, iface2, bundle2, alpha2
 
 
@@ -525,14 +532,11 @@ def graft(
 ) -> ImplicitRefutation:
     """Fold an ER refutation of C(omega, beta), whose generated bundle
     is passed in, into the described circuit itself, yielding a plain
-    implicit refutation (see graft_fold).  The certificate is replayed
-    against the grown carrier C(omega, beta') before it is returned."""
+    implicit refutation (see graft_fold, which replays the certificate
+    against the grown carrier C(omega, beta'))."""
     beta2, iface2, bundle2, alpha2 = graft_fold(
         bundle, beta, iface, alpha_er, lambda b2, i2: gen_C(omega, b2, i2)
     )
-    rep = proof_stage(bundle2, alpha2, None)
-    if not rep:
-        raise TranslateError(f"grafted refutation rejected: {rep.reason}")
     return ImplicitRefutation(
         iface.n, omega, alpha2, beta2, iface2,
         alpha_premises=len(bundle2.clauses),

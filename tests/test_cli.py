@@ -505,6 +505,13 @@ def contract_inputs():
     files["halt.rproof"] = serialize_proof(
         refute_tableau(bundle), len(bundle.clauses.clauses)
     ).encode()
+    sp = not_search(2)
+    correct = gen_correct(sp)
+    outcome = dpll_refute(correct, order=tuple(range(1, correct.n + 1)))
+    ep = ERProof(Circuit((), (), ()), proof_from_tree(correct, outcome.tree))
+    files["algo.circ"] = serialize_circuit(sp.algorithm).encode()
+    files["checker.circ"] = serialize_circuit(sp.checker).encode()
+    files["search.erproof"] = serialize_er(ep, len(correct.clauses)).encode()
     return files, encode_tau(tau)
 
 
@@ -516,6 +523,9 @@ CONTRACT_CASES = (
     ("halt.tm", "tableau-verify"), ("halt.tm", "tableau-gen"),
     ("grid.circ", "tableau-verify"), ("grid.circ", "tableau-gen"),
     ("halt.rproof", "tableau-verify"),
+    ("omega.cnf", "synth"), ("omega.circ", "synth"), ("omega.cnf", "oracle"),
+    ("algo.circ", "translate-search"), ("checker.circ", "translate-search"),
+    ("search.erproof", "translate-search"),
 )
 
 
@@ -530,6 +540,11 @@ def contract_argv(command, d, tau):
         "tableau-gen": ("tableau-gen", path("halt.tm"), tau, path("grid.circ"), *out),
         "tableau-verify": ("tableau-verify", path("halt.tm"), tau, path("grid.circ"),
                            path("halt.rproof")),
+        "synth": ("synth", path("omega.cnf"), path("omega.circ"), *out),
+        # a mutated header may declare many variables: keep brute force small
+        "oracle": ("oracle", path("omega.cnf"), "--limit", "12"),
+        "translate-search": ("translate-search", path("algo.circ"), path("checker.circ"),
+                             path("search.erproof"), *out),
     }[command]
 
 byte_edit = st.tuples(

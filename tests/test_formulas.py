@@ -1,7 +1,6 @@
 import pytest
 
 from implres.formulas import (
-    EMPTY_CLAUSE,
     Clause,
     ClauseSet,
     FormulaError,
@@ -36,11 +35,9 @@ def test_clause_equality_across_orderings():
 def test_clause_helpers():
     c = Clause((1, -2))
     assert 1 in c and -2 in c and 2 not in c
-    assert c.without(-2) == Clause((1,))
     assert c.union((3,)) == Clause((1, -2, 3))
     assert Clause((1, -1)).is_tautology()
     assert not c.is_tautology()
-    assert EMPTY_CLAUSE.is_empty
 
 
 def test_is_weakening_is_containment():

@@ -79,15 +79,19 @@ def test_verify_implicit_stage_reports(omega1, omega2):
     ir = make_ir(omega1)
     assert verify_implicit(ir).stage == "proof"
     # omega speaking beyond n
-    bad = ImplicitRefutation(1, ClauseSet(2, ((2,),)), ir.alpha, ir.beta, ir.iface)
+    bad = ImplicitRefutation(
+        1, ClauseSet(2, ((2,),)), ir.alpha, ir.beta, ir.iface, ir.alpha_premises
+    )
     assert verify_implicit(bad).stage == "interface"
     # interface/circuit mismatch
     beta2, iface2 = canonical_tree_circuit(2)
     assert verify_implicit(
-        ImplicitRefutation(1, omega1, ir.alpha, beta2, ir.iface)
+        ImplicitRefutation(1, omega1, ir.alpha, beta2, ir.iface, ir.alpha_premises)
     ).stage == "interface"
     # broken proof
-    wrong = ImplicitRefutation(1, omega1, ResolutionProof((Axiom(0),)), ir.beta, ir.iface)
+    wrong = ImplicitRefutation(
+        1, omega1, ResolutionProof((Axiom(0),)), ir.beta, ir.iface, ir.alpha_premises
+    )
     rep = verify_implicit(wrong)
     assert not rep and rep.stage == "proof"
     # declared premise count must match the generated clause set
@@ -104,7 +108,7 @@ def test_verify_rejects_weakening_outside_carrier(omega1):
 
     padded = ResolutionProof(ir.alpha.steps + (Weaken(len(ir.alpha.steps) - 1, (10**6,)),))
     rep = verify_implicit(
-        ImplicitRefutation(1, omega1, padded, ir.beta, ir.iface)
+        ImplicitRefutation(1, omega1, padded, ir.beta, ir.iface, ir.alpha_premises)
     )
     assert not rep and rep.stage == "proof"
 
@@ -226,7 +230,8 @@ def test_one_port_check_per_verdict(monkeypatch, tseitin4):
     interface."""
     ir = make_ir(tseitin4)
     tm, tau, beta, iface = tm_halt()
-    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    bundle = gen_tableau(tm, tau, beta, iface)
+    alpha = refute_tableau(bundle)
     calls = []
     real = circuits.check_ports
 
@@ -240,14 +245,16 @@ def test_one_port_check_per_verdict(monkeypatch, tseitin4):
     assert verify_implicit(ir)
     assert calls == [ir.beta]
     calls.clear()
-    assert verify_pq(tm, tau, beta, iface, alpha)
+    assert verify_pq(tm, tau, beta, iface, alpha, len(bundle.clauses))
     assert calls == [beta]
     calls.clear()
     # the spare free 1 feeds both outputs
     fed = Circuit((10, 11, 12, 1), (Gate(13, (1,)), Gate(14, (-1,))), (13, 14))
     omega = ClauseSet(2, (Clause((1,)), Clause((-2,))))
     rep = verify_implicit(
-        ImplicitRefutation(2, omega, ir.alpha, fed, interface_from_circuit(fed, 2))
+        ImplicitRefutation(
+            2, omega, ir.alpha, fed, interface_from_circuit(fed, 2), ir.alpha_premises
+        )
     )
     assert not rep and rep.stage == "interface" and "feed the outputs" in rep.reason
     assert calls == [fed]

@@ -1,10 +1,10 @@
 import pytest
 
-from implres import tableau
+from implres import tableau, translate
 from implres.circuits import Circuit, CircuitBuilder, Gate, VarAlloc, validate_circuit
 from implres.families import tm_halt, tm_left_runner, tm_right_writer, tm_write_stay
 from implres.formulas import Clause
-from implres.proofs import ERProof, Resolve, ResolutionProof
+from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof
 from implres.tableau import (
     TableauError,
     TableauInterface,
@@ -204,16 +204,17 @@ def test_verify_pq_rejections():
         if isinstance(st, Resolve):
             steps[i] = Resolve(st.right, st.left, st.pivot)
             break
-    rep = verify_pq(tm, tau, beta, iface, ResolutionProof(tuple(steps)))
+    count = len(bundle.clauses)
+    rep = verify_pq(tm, tau, beta, iface, ResolutionProof(tuple(steps)), count)
     assert not rep and rep.stage == "proof"
     # right proof, wrong target word
-    rep = verify_pq(tm, (0, 1), beta, iface, alpha)
+    rep = verify_pq(tm, (0, 1), beta, iface, alpha, count)
     assert not rep and rep.stage == "proof"
     # declared premise count must match
     rep = verify_pq(tm, tau, beta, iface, alpha, alpha_premises=1)
     assert not rep and rep.stage == "proof"
     # broken machine is caught first
-    rep = verify_pq(TMSpec(1, 1, {}, frozenset()), tau, beta, iface, alpha)
+    rep = verify_pq(TMSpec(1, 1, {}, frozenset()), tau, beta, iface, alpha, count)
     assert not rep and rep.stage == "machine"
 
 
@@ -225,7 +226,8 @@ def test_grid_circuit_with_a_spare_free_is_refused():
     extension gate alone (apart), or beside an address input whose
     image in copies 0-2 is the id 1 (address_image)."""
     tm, tau, beta, iface = tm_halt()
-    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    bundle = gen_tableau(tm, tau, beta, iface)
+    alpha = refute_tableau(bundle)
     fed_cells = (Gate(7, (-4, 6)), Gate(8, (-4, 6)), Gate(9, (-4, 6)))
     cells = (Gate(7, (-4,)), Gate(8, (-4,)), Gate(9, (-4,)))
     grids = {
@@ -235,7 +237,7 @@ def test_grid_circuit_with_a_spare_free_is_refused():
     }
     for name, grid in grids.items():
         grid_iface = tableau_interface_from_circuit(grid, 1)
-        rep = verify_pq(tm, tau, grid, grid_iface, alpha)
+        rep = verify_pq(tm, tau, grid, grid_iface, alpha, len(bundle.clauses))
         assert not rep and rep.stage == "interface", name
         assert "spare free variables [1]" in rep.reason, name
         with pytest.raises(TableauError):
@@ -252,6 +254,16 @@ def test_graft_pq_round_trip():
         assert rep, (fixture.__name__, rep.stage, rep.reason)
         # the grown grid computes the same tableau
         assert read_grid(tm, tr.beta, tr.iface) == read_grid(tm, beta, iface)
+
+
+def test_graft_pq_rejects_a_certificate_the_grown_grid_does_not_replay(monkeypatch):
+    """The grid twin of the tree graft's self-check: graft_fold replays
+    the folded certificate against the grown constraint set."""
+    tm, tau, beta, iface = tm_halt()
+    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    monkeypatch.setattr(translate, "_fold_proof", lambda *args: ResolutionProof((Axiom(0),)))
+    with pytest.raises(translate.TranslateError, match="grafted refutation rejected"):
+        graft_pq(tm, tau, beta, iface, empty_aux(alpha))
 
 
 def test_graft_pq_carries_spurious_aux_gate():
@@ -344,7 +356,8 @@ def test_one_machine_check_per_verdict(monkeypatch):
     """verify_pq checks the machine and the target word once, inside
     gen_tableau, and still reports them at stages machine and decode."""
     tm, tau, beta, iface = tm_halt()
-    alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+    bundle = gen_tableau(tm, tau, beta, iface)
+    alpha, count = refute_tableau(bundle), len(bundle.clauses)
     calls = []
     real = tableau.check_machine
 
@@ -353,13 +366,13 @@ def test_one_machine_check_per_verdict(monkeypatch):
         return real(machine)
 
     monkeypatch.setattr(tableau, "check_machine", counted)
-    assert verify_pq(tm, tau, beta, iface, alpha)
+    assert verify_pq(tm, tau, beta, iface, alpha, count)
     assert calls == [tm]
     broken = TMSpec(1, 1, {}, frozenset())
-    rep = verify_pq(broken, tau, beta, iface, alpha)
+    rep = verify_pq(broken, tau, beta, iface, alpha, count)
     assert not rep and rep.stage == "machine"
     assert calls == [tm, broken]
     for word in (tau + (0,), (2,) + tau[1:]):
-        rep = verify_pq(tm, word, beta, iface, alpha)
+        rep = verify_pq(tm, word, beta, iface, alpha, count)
         assert not rep and rep.stage == "decode" and "target word" in rep.reason
     assert calls == [tm, broken, tm, tm]

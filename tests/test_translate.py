@@ -1,6 +1,6 @@
 import pytest
 
-from implres import implicit, translate
+from implres import implicit, proofs, translate
 from implres.circuits import (
     Circuit,
     Gate,
@@ -11,7 +11,7 @@ from implres.circuits import (
 )
 from implres.correctness import gen_C, gen_correct
 from implres.encoding import canonical_tree_circuit, tree_to_circuit
-from implres.families import not_search, or_chain
+from implres.families import not_search, or_chain, tm_halt
 from implres.formulas import ClauseSet
 from implres.implicit import synthesize_alpha, verify_implicit
 from implres.proofs import (
@@ -24,6 +24,7 @@ from implres.proofs import (
     er_premises,
 )
 from implres.prover import balance_tree, dpll_refute, proof_from_tree
+from implres.tableau import gen_tableau, graft_pq, refute_tableau
 from implres.translate import (
     TranslateError,
     emb_premises,
@@ -180,8 +181,8 @@ def test_er_to_implicit_generates_C_once_per_circuit(monkeypatch, tseitin4):
 
 
 def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32, tseitin4):
-    """The fold cites the grown carrier by position and graft replays
-    against it lazily, so only the canonical carrier is built."""
+    """The fold cites the grown carrier by position and graft_fold
+    replays against it lazily, so only the canonical carrier is built."""
     bundles = []
     real = translate.gen_C
 
@@ -226,6 +227,70 @@ def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2):
         ir = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
         bound = 16 * (len(tt.eta.proof.steps) + len(tt.bundle.clauses.clauses))
         assert len(ir.alpha.steps) <= bound
+
+
+def search_refutation(sp):
+    correct = gen_correct(sp)
+    out = dpll_refute(correct, order=tuple(range(1, correct.n + 1)))
+    return empty_aux(proof_from_tree(correct, out.tree))
+
+
+def count_replays(monkeypatch):
+    """Record the proof of every replay, through check_er and
+    strip_weakening (proofs) or the verifier's proof stage (implicit)."""
+    replayed = []
+    real = proofs.check_proof
+
+    def counted(premises, proof, *args):
+        replayed.append(proof)
+        return real(premises, proof, *args)
+
+    monkeypatch.setattr(proofs, "check_proof", counted)
+    monkeypatch.setattr(implicit, "check_proof", counted)
+    return replayed
+
+
+def test_each_producer_replays_each_proof_once(monkeypatch, tseitin4):
+    replayed = count_replays(monkeypatch)
+    pi = dpll_er(tseitin4)
+    ir = er_to_implicit(tseitin4, pi)
+    # pi, the translation eta, and the grafted certificate
+    assert len(replayed) == 3
+    assert replayed[0] is pi.proof and replayed[-1] is ir.alpha
+
+    tm, tau, beta, iface = tm_halt()
+    alpha = empty_aux(refute_tableau(gen_tableau(tm, tau, beta, iface)))
+    replayed.clear()
+    tr = graft_pq(tm, tau, beta, iface, alpha)
+    assert len(replayed) == 2
+    assert replayed[0] is alpha.proof and replayed[1] is tr.alpha
+
+    sp = not_search(3)
+    pi = search_refutation(sp)
+    replayed.clear()
+    search_translate(sp, pi)
+    assert len(replayed) == 1 and replayed[0] is pi.proof
+
+
+def test_producers_check_their_input_before_stripping_it(monkeypatch, tseitin4):
+    """strip_weakening and lift_unit_axiom trust their input: each
+    producer must refuse a broken ER proof before it reaches them."""
+
+    def unreachable(*args):
+        raise AssertionError("an unchecked proof reached the rebuild")
+
+    monkeypatch.setattr(translate, "strip_weakening", unreachable)
+    monkeypatch.setattr(translate, "lift_unit_axiom", unreachable)
+    # a resolve step that cites itself
+    loop = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(2, 2, 1))))
+    tm, tau, beta, iface = tm_halt()
+    for produce in (
+        lambda: er_to_implicit(tseitin4, loop),
+        lambda: graft_pq(tm, tau, beta, iface, loop),
+        lambda: search_translate(not_search(3), loop),
+    ):
+        with pytest.raises(TranslateError, match="invalid proof"):
+            produce()
 
 
 def test_er_to_implicit_rejects_invalid_proof(omega1):
