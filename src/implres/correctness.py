@@ -179,7 +179,6 @@ class CorrectnessBundle(CarrierParts):
     n: int
     clauses: Carrier  # its circuit: all gates over frees z_1..z_n, output delta
     z_vars: tuple[int, ...]
-    u_grid: dict[tuple[int, int], int]
     w_grid: dict[tuple[int, int], int]
     delta: int
     delta_bundle: DeltaBundle
@@ -235,7 +234,6 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
         n=n,
         clauses=carrier,
         z_vars=z_vars,
-        u_grid=lam.grid,
         w_grid=w_grid,
         delta=delta.delta,
         delta_bundle=delta,

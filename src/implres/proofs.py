@@ -244,26 +244,49 @@ class ProofBuilder:
         return self.resolve(left, right, pivot)
 
     def import_proof(
-        self, proof: ResolutionProof, axiom_map: Callable[[int], int], varmap: dict[int, int]
-    ) -> int:
-        """Append a copy of the weakening-free ``proof`` renamed by
-        ``varmap``.
+        self,
+        proof: ResolutionProof,
+        axiom_map: Callable[[int], int],
+        varmap: dict[int, int],
+        lift: Optional[tuple[int, int]] = None,
+    ) -> Optional[int]:
+        """Append a copy of ``proof`` renamed by ``varmap``, with its
+        weakening stripped and, when ``lift = (index, u)`` is given, its
+        use of the unit premise {u} at ``index`` lifted away.
 
-        ``axiom_map`` sends each original premise index to an existing
-        step id of this builder; validity is re-established by the
-        clause recomputation of every appended step.
+        ``axiom_map`` sends each other premise index to an existing step
+        id of this builder.  A weakening step aliases its source, and a
+        resolution whose pivot one side lacks aliases that side.  The
+        unit premise becomes a sentinel that stands for {u}; a
+        resolution against it aliases the other side only when that
+        resolves u away or the other side lacks the pivot, and stays the
+        sentinel otherwise.  So each rebuilt clause is a subset of the
+        original step clause plus {-u}, renamed: a refutation becomes a
+        derivation of {-u} or of a subset of it that never cites the
+        unit, in at most as many steps.  ``proof`` must be one that
+        check_proof or check_er accepted: every appended clause is
+        recomputed, but the input is not replayed.  Returns the final
+        step, or None when the final step is the sentinel.
         """
+        index, unit = lift if lift is not None else (-1, 0)
+        sentinel = -1
         local: list[int] = []
         for step in proof.steps:
-            if isinstance(step, Axiom):
-                local.append(axiom_map(step.index))
-            elif isinstance(step, Resolve):
-                local.append(self.resolve(local[step.left], local[step.right], varmap[step.pivot]))
+            kind = type(step)
+            if kind is Axiom:
+                local.append(sentinel if step.index == index else axiom_map(step.index))
+            elif kind is Weaken:
+                local.append(local[step.source])
             else:
-                raise ProofError("cannot import a weakening step")
-        if not local:
-            raise ProofError("cannot import an empty proof")
-        return local[-1]
+                left, right, pivot = local[step.left], local[step.right], step.pivot
+                if left == sentinel:
+                    local.append(right if pivot == unit else sentinel)
+                elif right == sentinel:
+                    keep = -pivot == unit or varmap[pivot] not in self.clauses[left]
+                    local.append(left if keep else sentinel)
+                else:
+                    local.append(self.resolve_opt(left, right, varmap[pivot]))
+        return None if local[-1] == sentinel else local[-1]
 
     def extract(self, final: int) -> ResolutionProof:
         """Prune to the steps reachable from ``final`` and reindex."""
@@ -285,73 +308,6 @@ class ProofBuilder:
                     step = Resolve(remap[step.left], remap[step.right], step.pivot)
                 out.append(step)
         return ResolutionProof(tuple(out))
-
-
-def strip_weakening(premises: ClauseSet, proof: ResolutionProof) -> ResolutionProof:
-    """Prune a refutation down to a weakening-free one.
-
-    Standard subset propagation: every rebuilt clause is a subset of
-    the original step clause, so the final clause stays empty.  The
-    caller must have checked ``proof`` against ``premises``
-    (check_proof or check_er): the rebuild recomputes every clause and
-    refuses a non-empty result, but it does not replay the input.
-    """
-    b = ProofBuilder(premises)
-    new_id: list[int] = []
-    for step in proof.steps:
-        if isinstance(step, Axiom):
-            new_id.append(b.raw_axiom(step.index))
-        elif isinstance(step, Weaken):
-            new_id.append(new_id[step.source])
-        else:
-            left, right = new_id[step.left], new_id[step.right]
-            new_id.append(b.resolve_opt(left, right, step.pivot))
-    final = new_id[-1]
-    if b.clause(final) != EMPTY_CLAUSE:
-        raise ProofError("stripping failed to preserve the empty clause")
-    return b.extract(final)
-
-
-def lift_unit_axiom(
-    premises: ClauseSet, proof: ResolutionProof, unit_index: int
-) -> ResolutionProof:
-    """Turn a refutation of premises into a derivation of {-u} that does
-    not cite the unit premise {u} at ``unit_index``.
-
-    Weakening is stripped once; then every resolution against the unit
-    axiom is replaced by an alias of its other premise, which adds the
-    literal -u to the clauses below.  The result derives {-u} or a
-    subset of it over the same premise list, in at most as many steps
-    as the input.  Like strip_weakening, it expects ``proof`` to be a
-    refutation of ``premises`` the caller has already checked.
-    """
-    if not 0 <= unit_index < len(premises.clauses):
-        raise ProofError(f"unit premise index {unit_index} out of range")
-    if len(premises.clauses[unit_index]) != 1:
-        raise ProofError(f"premise {unit_index} is not a unit clause")
-    unit = premises.clauses[unit_index].literals[0]
-    stripped = strip_weakening(premises, proof)
-    b = ProofBuilder(premises)
-    sentinel = -1
-    new_id: list[int] = []
-    for step in stripped.steps:
-        if isinstance(step, Axiom):
-            new_id.append(sentinel if step.index == unit_index else b.raw_axiom(step.index))
-        else:
-            assert isinstance(step, Resolve)
-            left, right = new_id[step.left], new_id[step.right]
-            if left == sentinel:
-                new_id.append(right)
-            elif right == sentinel:
-                new_id.append(left)
-            else:
-                new_id.append(b.resolve(left, right, step.pivot))
-    final = new_id[-1]
-    if final == sentinel:
-        raise ProofError("refutation is the bare unit axiom; nothing to lift")
-    if not set(b.clause(final).literals) <= {-unit}:
-        raise ProofError("lift produced a clause outside {-unit}")
-    return b.extract(final)
 
 
 class UnitPropagation:

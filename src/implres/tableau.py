@@ -347,7 +347,6 @@ class TableauBundle(CarrierParts):
     k_vars: tuple[int, ...]
     cell: dict[tuple[int, int], int]  # (copy, bit) -> id; copies: here, left, right, below
     delta: int
-    cell_base: int
 
 
 def gen_tableau(
@@ -399,7 +398,6 @@ def gen_tableau(
     kp1 = _inc_bits(b, kv)
     km1 = _dec_bits(b, kv)
 
-    cell_base = b.fresh.next_var
     cell: dict[tuple[int, int], int] = {}
     for c in range(4):
         for t in range(cw):
@@ -514,7 +512,7 @@ def gen_tableau(
         port.update((y, cell[(c, t)]) for t, y in enumerate(iface.outputs))
         ports.append(port)
     carrier = assemble_carrier(jv + kv, b.gates, beta, copy_base, ports, s.gates, delta)
-    return TableauBundle(m, carrier, jv, kv, cell, delta, cell_base)
+    return TableauBundle(m, carrier, jv, kv, cell, delta)
 
 
 def address_sweep(bundle: TableauBundle) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -6,10 +6,10 @@ and the unit {-delta} is one of the premises.  Grafting folds a
 refutation of a carrier into the described object itself:
 
 * the carrier circuit and the proof's auxiliaries get a duplicate;
-* the refutation's use of {-delta} is lifted in the source space
-  (lift_unit_axiom, proofs module) into a derivation of {delta}, which
-  is imported renamed onto the duplicate as a derivation of the
-  duplicate verdict {delta'};
+* the refutation is rewritten in one walk (ProofBuilder.import_proof,
+  proofs module): its weakening is stripped, its use of {-delta} is
+  lifted into a derivation of {delta}, and that derivation is renamed
+  onto the duplicate as a derivation of the duplicate verdict {delta'};
 * the glue is written in place, into the same proof builder: the
   bridge clause {delta, -delta'} is derived gate by gate through the
   embedding of the carrier circuit into its duplicate, citing gate
@@ -28,10 +28,11 @@ truthdef_translate and er_to_implicit turn any ER refutation of omega
 into a refutation of C(omega, canonical beta) and graft it.
 
 Each proof is replayed once: every producer checks its input ER
-refutation (check_er) before it strips or lifts it, and graft_fold
-replays its certificate against the grown carrier it generated, so C
-is generated once per circuit, and the grown one is read only where
-the certificate cites it.
+refutation (check_er) before it rewrites it, graft_fold replays its
+certificate against the grown carrier it generated, and
+search_translate replays its refutation against the grown correctness
+set.  So C is generated once per circuit, and the grown one is read
+only where the certificate cites it.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ from .proofs import (
     ProofBuilder,
     ResolutionProof,
     check_er,
+    check_proof,
     er_premises,
-    lift_unit_axiom,
-    strip_weakening,
 )
 
 
@@ -228,17 +228,14 @@ def _fold_proof(
     for host's output delta; new holds those clauses, the clauses of
     the duplicate (host and pi's auxiliaries renamed by dupmap) and
     {-delta} at new_neg; old_at(v) and new_at(v) say where the clause
-    group of gate v starts in each.  pi is lifted in the source space,
-    over old and its auxiliaries, into a derivation of {delta}; that
-    is imported renamed by dupmap as a derivation of {delta'}, each
+    group of gate v starts in each.  pi is imported once, renamed by
+    dupmap and lifted off {-delta}, as a derivation of {delta'}, each
     premise cited at its offset in its gate duplicate's group.  The
     glue is written in place into the same builder: the converse
     bridge {delta, -delta'} (_bridge), resolved with {-delta} and
     {delta'}.  So new is read only where the certificate cites it."""
     delta = host.outputs[0]
     delta_prime = dupmap[delta]
-    old_premises = er_premises(old, pi.aux)
-    lifted = lift_unit_axiom(old_premises, pi.proof, old_neg)
     aux_at = group_starts(pi.aux.gates, len(old))
     moved: dict[int, int] = {}
     for g in host.gates + pi.aux.gates:
@@ -247,8 +244,10 @@ def _fold_proof(
         for j in range(gate_clause_count(g)):
             moved[p + j] = r + j
     b = ProofBuilder(new)
-    lifted_step = b.import_proof(lifted, lambda q: b.axiom(moved[q]), varmap=dupmap)
-    if b.clause(lifted_step) != Clause((delta_prime,)):
+    lifted_step = b.import_proof(
+        pi.proof, lambda q: b.axiom(moved[q]), dupmap, lift=(old_neg, -delta)
+    )
+    if lifted_step is None or b.clause(lifted_step) != Clause((delta_prime,)):
         raise TranslateError("lifting did not reach the duplicate verdict")
     bridge = _bridge(b, lambda v, image: new_at(v), host, dupmap, delta, False)
     final = b.resolve(lifted_step, b.resolve(bridge, b.axiom(new_neg), delta), delta_prime)
@@ -309,7 +308,8 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     """Absorb an ER refutation of the correctness clauses into the
     algorithm circuit: the enlarged algorithm carries a duplicate of
     algorithm, checker, and proof auxiliaries, and the returned plain
-    refutation derives the duplicate's verdict and glues it back."""
+    refutation derives the duplicate's verdict and glues it back.  It
+    is replayed against the grown correctness set before it leaves."""
     rep = check_search_problem(sp)
     if not rep:
         raise TranslateError(f"bad search problem: {rep.reason}")
@@ -338,6 +338,9 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
         correct, old_at, len(correct) - 1, pi, host, dupmap,
         correct2, new_at, len(correct2) - 1,
     )
+    rep = check_proof(correct2, rho)
+    if not rep:
+        raise TranslateError(f"translated refutation rejected: step {rep.step}: {rep.reason}")
     return TranslatedSearch(
         sp2, rho, dupmap[delta], len(correct2.clauses),
         len(er_premises(correct, pi.aux).clauses),
@@ -382,8 +385,7 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     cs = bundle.clauses
     gm_c = bundle.circuit.gate_map()
 
-    old_premises = er_premises(omega, pi.aux)
-    fresh = VarAlloc(max(cs.n, old_premises.n) + 1)
+    fresh = VarAlloc(max(cs.n, n, max_var(pi.aux)) + 1)
     stand_in = {p: fresh.fresh() for p in range(1, n + 1)}
     aux_gates = [Gate(stand_in[p], (-p,)) for p in range(1, n + 1)]
     auxmap = dict(stand_in)
@@ -509,14 +511,12 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
         f_steps.append(cur)
 
     if final is None:
-        stripped = strip_weakening(old_premises, pi.proof)
-
         def axiom_map(q: int) -> int:
             if q < len(omega.clauses):
                 return f_steps[q]
             return b.axiom(aux_clause_base + (q - len(omega.clauses)))
 
-        final = b.import_proof(stripped, axiom_map, varmap=auxmap)
+        final = b.import_proof(pi.proof, axiom_map, auxmap)
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("translated refutation missed the empty clause")
     eta = ERProof(aux, b.extract(final))

@@ -122,7 +122,7 @@ def test_gen_c_layout_independent_of_beta(omega2):
     b1 = gen_C(omega2, beta1, iface1)
     b2 = gen_C(omega2, beta2, iface2)
     assert b1.z_vars == b2.z_vars
-    assert b1.u_grid == b2.u_grid
+    assert b1.lambda_bundle.grid == b2.lambda_bundle.grid
     assert b1.w_grid == b2.w_grid
     assert b1.delta == b2.delta
     assert b1.neg_delta_index == b2.neg_delta_index

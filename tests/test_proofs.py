@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +17,12 @@ from implres.proofs import (
     check_er,
     check_proof,
     er_premises,
-    lift_unit_axiom,
     parse_er,
     parse_proof,
     proof_clauses,
     resolve_clauses,
     serialize_er,
     serialize_proof,
-    strip_weakening,
 )
 
 
@@ -143,7 +143,19 @@ def test_builder_import_proof_with_varmap(omega1):
     assert check_proof(renamed, b.extract(final))
 
 
+def identity(premises):
+    return {v: v for v in range(1, premises.n + 1)}
+
+
+def rewrite(premises, proof, lift=None):
+    """import_proof into a fresh builder over the same premises."""
+    b = ProofBuilder(premises)
+    final = b.import_proof(proof, b.raw_axiom, identity(premises), lift=lift)
+    return None if final is None else b.extract(final)
+
+
 def test_strip_weakening(omega2):
+    """import_proof aliases a weakening step to its source."""
     p = ResolutionProof(
         (
             Axiom(0),
@@ -158,13 +170,15 @@ def test_strip_weakening(omega2):
         )
     )
     assert check_proof(omega2, p)
-    s = strip_weakening(omega2, p)
+    s = rewrite(omega2, p)
     assert check_proof(omega2, s)
     assert not any(isinstance(step, Weaken) for step in s.steps)
     assert len(s.steps) <= len(p.steps)
 
 
 def test_lift_unit_axiom():
+    """import_proof with lift turns a refutation into a derivation of
+    {-u} that does not cite the unit premise {u}."""
     # premises {1,2}, {-1,2}; extra unit {-2} at index 2 closes the refutation
     base = ClauseSet(2, ((1, 2), (-1, 2)))
     extended = ClauseSet(2, base.clauses + (Clause((-2,)),))
@@ -172,7 +186,9 @@ def test_lift_unit_axiom():
         (Axiom(0), Axiom(1), Resolve(0, 1, 1), Axiom(2), Resolve(2, 3, 2))
     )
     assert check_proof(extended, p)
-    lifted = lift_unit_axiom(extended, p, 2)
+    b = ProofBuilder(base)
+    final = b.import_proof(p, b.axiom, identity(base), lift=(2, -2))
+    lifted = b.extract(final)
     rep = check_proof(base, lifted, target=None)
     assert rep
     assert set(rep.final.literals) <= {2}
@@ -196,7 +212,7 @@ def test_lift_unit_axiom_mid_list_unit_through_weakening():
         )
     )
     assert check_proof(premises, p)
-    lifted = lift_unit_axiom(premises, p, 1)
+    lifted = rewrite(premises, p, lift=(1, -2))
     rep = check_proof(premises, lifted, target=None)
     assert rep and rep.final == Clause((2,))
     assert not any(isinstance(s, Weaken) for s in lifted.steps)
@@ -204,17 +220,109 @@ def test_lift_unit_axiom_mid_list_unit_through_weakening():
     assert len(lifted.steps) <= len(p.steps)
 
 
-def test_lift_unit_axiom_requires_a_unit_premise():
-    premises = ClauseSet(2, ((1, 2), (-2,), (-1, 2)))
+def test_import_proof_keeps_a_weakened_unit():
+    """A weakened unit resolved on another variable still holds u, so
+    it must stay the unit: aliasing its other side would carry that
+    side's pivot literal into the lifted clause, where nothing removes
+    it."""
+    premises = ClauseSet(2, ((-2,), (1, 2), (-1,)))
     p = ResolutionProof(
-        (Axiom(0), Axiom(2), Resolve(0, 1, 1), Axiom(1), Resolve(2, 3, 2))
+        (
+            Axiom(0),
+            Weaken(0, (1,)),    # {1, -2}
+            Axiom(2),
+            Resolve(1, 2, 1),   # {-2}
+            Axiom(1),
+            Resolve(4, 3, 2),   # {1}
+            Resolve(5, 2, 1),   # {}
+        )
     )
     assert check_proof(premises, p)
-    for bad in (-1, 3):
-        with pytest.raises(ProofError, match="out of range"):
-            lift_unit_axiom(premises, p, bad)
-    with pytest.raises(ProofError, match="not a unit"):
-        lift_unit_axiom(premises, p, 0)
+    lifted = rewrite(premises, p, lift=(0, -2))
+    rep = check_proof(premises, lifted, target=None)
+    assert rep and set(rep.final.literals) <= {2}
+    assert Axiom(0) not in lifted.steps
+    # a proof that ends on the unit itself leaves nothing to lift
+    assert rewrite(premises, ResolutionProof((Axiom(0),)), lift=(0, -2)) is None
+
+
+def random_lifting_case(rng):
+    """A premise set over at most 4 variables with a unit {u} at a random
+    index, and a checked refutation of it grown by random steps:
+    axioms, weakenings by random literals (tautologies included) and
+    resolutions on any pivot, so the proof is rarely regular and often
+    carries dead steps.  None when 300 steps reach no empty clause."""
+    n = rng.randint(2, 4)
+    u = rng.choice((1, -1)) * rng.randint(1, n)
+
+    def falsified(lits, a):
+        return not any((lit > 0) == bool(a >> (abs(lit) - 1) & 1) for lit in lits)
+
+    others: list[Clause] = []
+    while any(
+        not falsified((u,), a) and not any(falsified(c.literals, a) for c in others)
+        for a in range(1 << n)
+    ):
+        vs = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+        others.append(Clause(tuple(rng.choice((1, -1)) * v for v in vs)))
+    index = rng.randint(0, len(others))
+    premises = ClauseSet(n, tuple(others[:index] + [Clause((u,))] + others[index:]))
+    steps, derived, occurs = [], [], {}
+    while len(steps) < 300:
+        r = rng.random()
+        if not steps or r < 0.2:
+            q = rng.randrange(len(premises.clauses))
+            step, clause = Axiom(q), premises.clauses[q]
+        elif r < 0.3:
+            src = rng.randrange(len(steps))
+            lits = tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 2)))
+            step, clause = Weaken(src, lits), derived[src].union(lits)
+        else:
+            # the narrowest of a few random resolvents
+            best = None
+            for _ in range(8):
+                p = rng.randint(1, n)
+                if p in occurs and -p in occurs:
+                    i, j = rng.choice(occurs[p]), rng.choice(occurs[-p])
+                    c = resolve_clauses(derived[i], derived[j], p)
+                    if best is None or len(c) < len(best[1]):
+                        best = (Resolve(i, j, p), c)
+            if best is None:
+                continue
+            step, clause = best
+        steps.append(step)
+        derived.append(clause)
+        for lit in clause.literals:
+            occurs.setdefault(lit, []).append(len(steps) - 1)
+        if clause == EMPTY_CLAUSE:
+            proof = ResolutionProof(tuple(steps))
+            assert check_proof(premises, proof)
+            return premises, index, u, proof
+    return None
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_import_proof_lifts_random_checked_refutations(seed):
+    """On any refutation check_proof accepts, the lift derives a subset
+    of {-u}, never cites the unit, strips all weakening and adds no
+    step."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 300:
+        case = random_lifting_case(rng)
+        if case is not None:
+            cases.append(case)
+    assert {index for _, index, _, _ in cases} > {0, 1, 2}
+    assert sum(any(type(s) is Weaken for s in p.steps) for *_, p in cases) > 100
+    for premises, index, u, proof in cases:
+        lifted = rewrite(premises, proof, lift=(index, u))
+        assert lifted is not None
+        rep = check_proof(premises, lifted, target=None)
+        assert rep, rep.reason
+        assert set(rep.final.literals) <= {-u}
+        assert Axiom(index) not in lifted.steps
+        assert not any(type(s) is Weaken for s in lifted.steps)
+        assert len(lifted) <= len(proof)
 
 
 def test_check_er_guards(omega1, omega2):

@@ -127,7 +127,7 @@ def test_gen_tableau_clause_layout_independent_of_grid():
     assert b1.neg_delta_index == b2.neg_delta_index
     assert b1.delta == b2.delta
     assert b1.copy_base == b2.copy_base
-    assert b1.cell_base == b2.cell_base
+    assert b1.cell == b2.cell
     assert b1.clauses.clauses[b1.neg_delta_index] == Clause((-b1.delta,))
     assert validate_circuit(b1.circuit)
     assert validate_circuit(b2.circuit)

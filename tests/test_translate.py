@@ -17,6 +17,8 @@ from implres.implicit import synthesize_alpha, verify_implicit
 from implres.proofs import (
     Axiom,
     ERProof,
+    ProofBuilder,
+    ProofReport,
     Resolve,
     ResolutionProof,
     check_er,
@@ -236,8 +238,9 @@ def search_refutation(sp):
 
 
 def count_replays(monkeypatch):
-    """Record the proof of every replay, through check_er and
-    strip_weakening (proofs) or the verifier's proof stage (implicit)."""
+    """Record the proof of every replay, through check_er (proofs), the
+    verifier's proof stage (implicit) or search_translate's replay of
+    its refutation (translate)."""
     replayed = []
     real = proofs.check_proof
 
@@ -247,6 +250,7 @@ def count_replays(monkeypatch):
 
     monkeypatch.setattr(proofs, "check_proof", counted)
     monkeypatch.setattr(implicit, "check_proof", counted)
+    monkeypatch.setattr(translate, "check_proof", counted)
     return replayed
 
 
@@ -268,19 +272,20 @@ def test_each_producer_replays_each_proof_once(monkeypatch, tseitin4):
     sp = not_search(3)
     pi = search_refutation(sp)
     replayed.clear()
-    search_translate(sp, pi)
-    assert len(replayed) == 1 and replayed[0] is pi.proof
+    ts = search_translate(sp, pi)
+    # pi and the translated refutation rho
+    assert len(replayed) == 2
+    assert replayed[0] is pi.proof and replayed[1] is ts.rho
 
 
 def test_producers_check_their_input_before_stripping_it(monkeypatch, tseitin4):
-    """strip_weakening and lift_unit_axiom trust their input: each
-    producer must refuse a broken ER proof before it reaches them."""
+    """ProofBuilder.import_proof trusts its input: each producer must
+    refuse a broken ER proof before it reaches the rewrite."""
 
-    def unreachable(*args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("an unchecked proof reached the rebuild")
 
-    monkeypatch.setattr(translate, "strip_weakening", unreachable)
-    monkeypatch.setattr(translate, "lift_unit_axiom", unreachable)
+    monkeypatch.setattr(ProofBuilder, "import_proof", unreachable)
     # a resolve step that cites itself
     loop = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(2, 2, 1))))
     tm, tau, beta, iface = tm_halt()
@@ -291,6 +296,31 @@ def test_producers_check_their_input_before_stripping_it(monkeypatch, tseitin4):
     ):
         with pytest.raises(TranslateError, match="invalid proof"):
             produce()
+
+
+def test_fold_refuses_a_proof_that_ends_on_the_unit(monkeypatch):
+    """A proof whose last step is the bare unit {-delta} lifts to
+    nothing; the fold names it rather than returning a broken graft.
+    check_er would refuse such a proof, so it is switched off here."""
+    monkeypatch.setattr(translate, "check_er", lambda *args: ProofReport(True))
+    sp = not_search(1)
+    unit = empty_aux(ResolutionProof((Axiom(len(gen_correct(sp)) - 1),)))
+    with pytest.raises(TranslateError, match="lifting did not reach the duplicate verdict"):
+        search_translate(sp, unit)
+    tm, tau, beta, iface = tm_halt()
+    unit = empty_aux(ResolutionProof((Axiom(gen_tableau(tm, tau, beta, iface).neg_delta_index),)))
+    with pytest.raises(TranslateError, match="lifting did not reach the duplicate verdict"):
+        graft_pq(tm, tau, beta, iface, unit)
+
+
+def test_search_translate_replays_its_refutation(monkeypatch):
+    """A fold defect in search_translate is caught before rho leaves."""
+    sp = not_search(3)
+    pi = search_refutation(sp)
+    broken = ResolutionProof((Axiom(0), Axiom(1), Resolve(1, 0, 1)))
+    monkeypatch.setattr(translate, "_fold_proof", lambda *args: broken)
+    with pytest.raises(TranslateError, match="translated refutation rejected: step 2"):
+        search_translate(sp, pi)
 
 
 def test_er_to_implicit_rejects_invalid_proof(omega1):
