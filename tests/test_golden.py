@@ -41,6 +41,10 @@ GOLDEN = {
         "0a702c84ee7d57a6aa577343081a5726f233fd497387724d153434b9206bfd89",
     "er_to_implicit-php32":
         "253c635cb8af00e6ec33c53cf2314eec75000f2118fd786ccbd41eff28c30369",
+    "er_to_implicit-quick-via-e":
+        "8843c2402ec4ae7fbb8ca68cc7dc02ca5fcef34d00be78f44b7b6d2e7355ee3c",
+    "er_to_implicit-empty-member":
+        "2b1cf5ca623dc448ea310c0cbff8bde06ebaec8638684f63d555af018df064c0",
     "graft_pq-tm_halt-plain":
         "f50e53e5067625bcd3155f34dd1fffdee7586185ea93e06b98ad772c7bb8ea37",
     "graft_pq-tm_halt-spurious":
@@ -77,11 +81,27 @@ EMPTY = Circuit((), (), ())
 FIXTURES = {f.__name__: f for f in (tm_halt, tm_write_stay, tm_right_writer)}
 
 
-def er_to_implicit_text(omega):
-    pi = ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree))
+def er_to_implicit_text(omega, pi=None):
+    if pi is None:
+        pi = ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree))
     ir = er_to_implicit(omega, pi)
     return (serialize_circuit(ir.beta) + serialize_proof(ir.alpha, ir.alpha_premises)
             + f"{ir.alpha_premises}\n")
+
+
+# the quick-start set refuted through e = OR(1, 2), variable 3, whose
+# gate clauses {-3, 1, 2}, {3, -1}, {3, -2} are premises 4-6: it cites
+# the translation's stand-ins and its copy of pi's auxiliary gate
+QUICK_VIA_E = (
+    ClauseSet(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))),
+    ERProof(Circuit((1, 2), (Gate(3, (1, 2)),), ()), ResolutionProof((
+        Axiom(0), Axiom(6), Resolve(0, 1, 2), Axiom(4), Resolve(2, 3, 3),
+        Axiom(1), Resolve(4, 5, 2), Axiom(2), Axiom(3), Resolve(7, 8, 2), Resolve(6, 9, 1),
+    ))),
+)
+# a set holding the empty clause, refuted by citing it: its witness
+# gate negates the constant gate
+EMPTY_MEMBER = (ClauseSet(1, ((), (1,))), ERProof(EMPTY, ResolutionProof((Axiom(0),))))
 
 
 def graft_pq_text(fixture, spurious):
@@ -237,6 +257,8 @@ def dpll_outcome_text():
 PRODUCERS = {
     "er_to_implicit-tseitin4": lambda p: er_to_implicit_text(tseitin_cycle(4)),
     "er_to_implicit-php32": lambda p: er_to_implicit_text(php(3, 2)),
+    "er_to_implicit-quick-via-e": lambda p: er_to_implicit_text(*QUICK_VIA_E),
+    "er_to_implicit-empty-member": lambda p: er_to_implicit_text(*EMPTY_MEMBER),
     "search_translate-not4": lambda p: search_translate_text(4),
     "search_translate-not6": lambda p: search_translate_text(6),
     "cli-synth-tseitin4": synth_text,
