@@ -484,15 +484,6 @@ class Carrier:
     __getitem__ = clause
 
 
-class CarrierParts:
-    """Bundle attributes read from the Carrier in its ``clauses``."""
-
-    circuit = property(lambda self: self.clauses.circuit)
-    copy_maps = property(lambda self: self.clauses.copy_maps)
-    neg_delta_index = property(lambda self: self.clauses.neg_delta_index)
-    copy_base = property(lambda self: self.clauses.base)
-
-
 def assemble_carrier(
     frees: tuple[int, ...],
     pre: Sequence[Gate],

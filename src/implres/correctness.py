@@ -35,7 +35,6 @@ from typing import Optional
 
 from .circuits import (
     Carrier,
-    CarrierParts,
     Circuit,
     CircuitBuilder,
     CircuitReport,
@@ -175,7 +174,7 @@ def gen_lambda(
 
 
 @dataclass(frozen=True)
-class CorrectnessBundle(CarrierParts):
+class CorrectnessBundle:
     n: int
     clauses: Carrier  # its circuit: all gates over frees z_1..z_n, output delta
     z_vars: tuple[int, ...]
@@ -203,24 +202,21 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
     width = output_width(n)
 
     z_vars = tuple(range(1, n + 1))
-    lam = gen_lambda(n, VarAlloc(n + 1), z_vars=z_vars)
-    w_base = n + 2 + n * (n + 1)
+    fresh = VarAlloc(n + 1)
+    lam = gen_lambda(n, fresh, z_vars=z_vars)
     w_grid = {
-        (i, m): w_base + (i - 1) * width + (m - 1)
-        for i in range(1, n + 1)
-        for m in range(1, width + 1)
+        (i, m): fresh.fresh() for i in range(1, n + 1) for m in range(1, width + 1)
     }
-    delta_base = w_base + n * width
     delta = gen_delta(
         omega,
         n,
-        VarAlloc(delta_base),
+        fresh,
         x_vars=z_vars,
         y_vars=tuple(
             tuple(w_grid[(i, m)] for m in range(1, width + 1)) for i in range(1, n + 1)
         ),
     )
-    copy_base = delta_base + len(delta.circuit.gates)
+    copy_base = fresh.next_var
 
     ports = []
     for i in range(1, n + 1):
@@ -250,7 +246,7 @@ def serialize_sidecar(bundle: CorrectnessBundle) -> str:
         for m in range(1, width + 1):
             lines.append(f"wvar {i} {m} {bundle.w_grid[(i, m)]}")
     lines.append(f"delta {bundle.delta}")
-    lines.append(f"neg-delta-clause {bundle.neg_delta_index}")
+    lines.append(f"neg-delta-clause {bundle.clauses.neg_delta_index}")
     return "\n".join(lines) + "\n"
 
 

@@ -80,7 +80,7 @@ def proof_stage(bundle, alpha: ResolutionProof, declared: int) -> VerifyReport:
                         False, "proof",
                         f"weakening introduces variable {abs(lit)} outside the set",
                     )
-    pr = check_proof(cs, alpha, EMPTY_CLAUSE)
+    pr = check_proof(cs, alpha)
     if not pr:
         return VerifyReport(False, "proof", f"step {pr.step}: {pr.reason}")
     return VerifyReport(True, "proof")

@@ -80,7 +80,6 @@ class ProofReport:
     ok: bool
     step: int = -1
     reason: str = ""
-    final: Optional[Clause] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -146,12 +145,9 @@ def replay_steps(premises: ClauseSet, steps: Iterable[Step]) -> list[Clause]:
     return clauses
 
 
-def check_proof(
-    premises: ClauseSet,
-    proof: ResolutionProof,
-    target: Optional[Clause] = EMPTY_CLAUSE,
-) -> ProofReport:
-    """Validate a proof; ``target=None`` accepts any final clause."""
+def check_proof(premises: ClauseSet, proof: ResolutionProof) -> ProofReport:
+    """Validate a refutation: every step replays and the last one is
+    the empty clause.  A derivation's clauses come from proof_clauses."""
     if not proof.steps:
         return ProofReport(False, -1, "empty proof")
     try:
@@ -159,9 +155,9 @@ def check_proof(
     except _StepFailure as exc:
         return ProofReport(False, exc.index, exc.reason)
     last = len(proof.steps) - 1
-    if target is not None and clauses[-1] != target:
-        return ProofReport(False, last, f"final clause {clauses[-1]} != target {target}")
-    return ProofReport(True, last, "", clauses[-1])
+    if clauses[-1] != EMPTY_CLAUSE:
+        return ProofReport(False, last, f"final clause {clauses[-1]} != target {EMPTY_CLAUSE}")
+    return ProofReport(True, last)
 
 
 def proof_clauses(premises: ClauseSet, proof: ResolutionProof) -> list[Clause]:
@@ -199,7 +195,7 @@ def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:
     for v in ep.aux.extension_vars():
         if v in occurring:
             return ProofReport(False, -1, f"aux extension variable {v} occurs in premises")
-    return check_proof(er_premises(premises, ep.aux), ep.proof, EMPTY_CLAUSE)
+    return check_proof(er_premises(premises, ep.aux), ep.proof)
 
 
 class ProofBuilder:
@@ -234,6 +230,14 @@ class ProofBuilder:
     def resolve(self, left: int, right: int, pivot: int) -> int:
         clause = resolve_clauses(self.clauses[left], self.clauses[right], pivot)
         return self._push(Resolve(left, right, pivot), clause)
+
+    def resolve_lit(self, holder: int, other: int, lit: int) -> int:
+        """Resolve on the variable of lit, where step holder has lit and
+        step other has -lit: the side holding the positive pivot goes
+        left."""
+        if lit > 0:
+            return self.resolve(holder, other, lit)
+        return self.resolve(other, holder, -lit)
 
     def resolve_opt(self, left: int, right: int, pivot: int) -> int:
         """Resolve, or alias the side already missing the pivot."""
@@ -431,11 +435,7 @@ class UnitPropagation:
                 continue
             if -lit not in builder.clause(cur):
                 continue
-            r = builder.axiom(reason)
-            if lit > 0:
-                cur = builder.resolve(r, cur, lit)
-            else:
-                cur = builder.resolve(cur, r, -lit)
+            cur = builder.resolve_lit(builder.axiom(reason), cur, lit)
         return cur
 
 

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 from .circuits import (
     Carrier,
-    CarrierParts,
     Circuit,
     CircuitBuilder,
     CircuitReport,
@@ -340,7 +339,7 @@ def _dec_bits(b: CircuitBuilder, bits: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class TableauBundle(CarrierParts):
+class TableauBundle:
     m: int
     clauses: Carrier  # its circuit: all gates over the 2m address frees, output = verdict
     j_vars: tuple[int, ...]
@@ -526,7 +525,7 @@ def address_sweep(bundle: TableauBundle) -> tuple[bool, Optional[tuple[int, int]
             for i in range(m):
                 vals[bundle.j_vars[i]] = bool((j >> i) & 1)
                 vals[bundle.k_vars[i]] = bool((k >> i) & 1)
-            out = evaluate(bundle.circuit, vals)
+            out = evaluate(bundle.clauses.circuit, vals)
             if not out[bundle.delta]:
                 return False, (j, k)
     return True, None

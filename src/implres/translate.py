@@ -25,7 +25,11 @@ stride, so the grown circuit regenerates a set that contains the old
 one.  search_translate reuses the proof tail on a search problem's
 correctness clauses, with fresh ids for the duplicate.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
-into a refutation of C(omega, canonical beta) and graft it.
+into a refutation of C(omega, canonical beta) and graft it.  The
+truth-definition step forces the units of the canonical carrier by
+propagation, one pass over its gates in order, so it reads the carrier
+circuit and its clause positions and restates no layout of gen_C or
+of the canonical circuit.
 
 Each proof is replayed once: every producer checks its input ER
 refutation (check_er) before it rewrites it, graft_fold replays its
@@ -59,7 +63,7 @@ from .correctness import (
     gen_C,
     gen_correct,
 )
-from .encoding import TreeInterface, canonical_tree_circuit, output_width
+from .encoding import TreeInterface, canonical_tree_circuit
 from .formulas import EMPTY_CLAUSE, Clause, ClauseSet
 from .implicit import ImplicitRefutation, proof_stage
 from .proofs import (
@@ -145,11 +149,10 @@ def _bridge(
                     continue
                 sl = lit if want_a else fl
                 bridge = steps[want_a == (lit > 0)][abs(lit)]
-                cur = b.resolve(cur, bridge, sl) if sl > 0 else b.resolve(bridge, cur, -sl)
+                cur = b.resolve_lit(cur, bridge, sl)
             for i, dl in enumerate(dst_body, 1):
                 if dl in b.clause(cur):
-                    dcl = b.axiom(at(dst, want_a) + i)
-                    cur = b.resolve(cur, dcl, dl) if dl > 0 else b.resolve(dcl, cur, -dl)
+                    cur = b.resolve_lit(cur, b.axiom(at(dst, want_a) + i), dl)
             if b.clause(cur) != Clause((-src, dst)):
                 raise TranslateError(f"bridge clause for gate {e} came out wrong")
             steps[want_a][e] = cur
@@ -177,12 +180,11 @@ def emb_refute(
     )
     uy = b.axiom(len(premises) - 2)
     ufy = b.axiom(len(premises) - 1)
+    ylit, fylit = (y, fy) if polarity else (-y, -fy)
     if bridge is None:
-        final = b.resolve(uy, ufy, y) if polarity else b.resolve(ufy, uy, y)
-    elif polarity:
-        final = b.resolve(b.resolve(uy, bridge, y), ufy, fy)
+        final = b.resolve_lit(uy, ufy, ylit)
     else:
-        final = b.resolve(ufy, b.resolve(bridge, uy, y), fy)
+        final = b.resolve_lit(b.resolve_lit(uy, bridge, ylit), ufy, fylit)
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("embedding refutation missed the empty clause")
     return b.extract(final)
@@ -259,28 +261,28 @@ def _fold_proof(
 def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     """Fold an ER refutation of a stride-laid carrier into beta.
 
-    bundle is the carrier generated from beta and iface (gen_C or
-    gen_tableau output); generate(beta2, iface2) regenerates it for
-    the grown circuit.  The stride is the number of copies.  beta is
-    rebased onto its first copy (``copy_maps[0]``), which makes the
-    first copy's clause block literally the grown circuit's own
-    clauses; the duplicate's ids continue the stride after beta's
-    non-output gates.  The grown circuit's frees are the first copy's
-    input images, then the carrier's frees not already listed;
-    generate's port check validates it.  Returns the grown circuit,
-    its interface, its carrier and the certificate refuting that
-    carrier, which is replayed against the grown carrier first: every
-    graft, tree or grid, leaves checked."""
-    rep = check_er(bundle.clauses, alpha_er)
+    bundle holds the carrier generated from beta and iface (gen_C or
+    gen_tableau output) in its ``clauses``; generate(beta2, iface2)
+    regenerates it for the grown circuit.  The stride is the number of
+    copies.  beta is rebased onto the carrier's first copy
+    (``copy_maps[0]``), which makes the first copy's clause block
+    literally the grown circuit's own clauses; the duplicate's ids
+    continue the stride after beta's non-output gates.  The grown
+    circuit's frees are the first copy's input images, then the
+    carrier's frees not already listed; generate's port check
+    validates it.  Returns the grown circuit, its interface, its
+    carrier and the certificate refuting that carrier, which is
+    replayed against the grown carrier first: every graft, tree or
+    grid, leaves checked."""
+    old = bundle.clauses
+    rep = check_er(old, alpha_er)
     if not rep:
         raise TranslateError(f"invalid proof: {rep.reason}")
-    host = bundle.circuit
-    first = bundle.copy_maps[0]
-    stride = len(bundle.copy_maps)
+    host = old.circuit
+    first = old.copy_maps[0]
+    stride = len(old.copy_maps)
     n_inner = len(beta.gates) - len(iface.outputs)
-    dup_gates, dupmap = _duplicate(
-        host, alpha_er.aux, bundle.copy_base + n_inner * stride, stride
-    )
+    dup_gates, dupmap = _duplicate(host, alpha_er.aux, old.base + n_inner * stride, stride)
     inputs = tuple(first[x] for x in iface.inputs)
     beta_hat = tuple(
         Gate(first[g.var], tuple(map_literal(l, first) for l in g.body))
@@ -293,10 +295,10 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     )
     iface2 = replace(iface, inputs=inputs, outputs=beta2.outputs)
     bundle2 = generate(beta2, iface2)
-    old, new = bundle.clauses, bundle2.clauses
+    new = bundle2.clauses
     alpha2 = _fold_proof(
-        old, old.gate_position, bundle.neg_delta_index, alpha_er, host, dupmap,
-        new, new.gate_position, bundle2.neg_delta_index,
+        old, old.gate_position, old.neg_delta_index, alpha_er, host, dupmap,
+        new, new.gate_position, new.neg_delta_index,
     )
     rep = proof_stage(bundle2, alpha2, len(new))
     if not rep:
@@ -368,10 +370,16 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     The auxiliary circuit adds one stand-in variable per original
     variable, defined as the negation of its branch variable, plus a
     duplicate of pi's auxiliaries over the stand-ins.  The proof first
-    forces every copy's outputs (the canonical circuit's answer on a
-    depth-i window is i regardless of the branch bits), then converts
-    each weakening-witness gate into the stand-in image of its source
-    clause, and finally replays pi.
+    forces units by propagation over the carrier circuit in gate order,
+    the pre-block and then the copies: the constant tt = OR(z_1, -z_1)
+    is true; a gate with a body literal whose unit is derived gets {g},
+    from that unit and g's two-literal clause; a gate whose body
+    literals all have false units gets {-g}, from g's wide clause; the
+    window's pass-through gates get none.  That forces every copy's
+    outputs (the canonical circuit's answer on a depth-i window is i
+    regardless of the branch bits).  The proof then converts each
+    weakening-witness gate of the verdict block into the stand-in image
+    of its source clause, and finally replays pi.
     """
     rep = check_er(omega, pi)
     if not rep:
@@ -381,9 +389,8 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
         raise TranslateError("need at least one variable")
     beta, iface = canonical_tree_circuit(n)
     bundle = gen_C(omega, beta, iface)
-    width = output_width(n)
     cs = bundle.clauses
-    gm_c = bundle.circuit.gate_map()
+    gm = cs.circuit.gate_map()
 
     fresh = VarAlloc(max(cs.n, n, max_var(pi.aux)) + 1)
     stand_in = {p: fresh.fresh() for p in range(1, n + 1)}
@@ -394,129 +401,80 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
         aux_gates.append(Gate(nv, tuple(map_literal(l, auxmap) for l in g.body)))
         auxmap[g.var] = nv
     aux = Circuit(tuple(range(1, n + 1)), tuple(aux_gates), ())
-    premises = er_premises(cs, aux)
-    aux_clause_base = len(cs) + 2 * n
-    b = ProofBuilder(premises)
+    aux_at = group_starts(aux.gates, len(cs))
+    b = ProofBuilder(er_premises(cs, aux))
 
     def gate_big(var: int) -> int:
         return b.axiom(cs.gate_position(var))
 
-    offsets: dict[int, dict[int, int]] = {}
-
     def gate_dcl(var: int, lit: int) -> int:  # {var, -lit}
-        if var not in offsets:
-            offsets[var] = {l: i for i, l in enumerate(dict.fromkeys(gm_c[var].body), 1)}
-        return b.axiom(cs.gate_position(var) + offsets[var][lit])
+        body = tuple(dict.fromkeys(gm[var].body))
+        return b.axiom(cs.gate_position(var) + 1 + body.index(lit))
 
-    lam = bundle.lambda_bundle
-    dl = bundle.delta_bundle
-    tt = lam.const_true
-    z1 = bundle.z_vars[0]
-    tt_step = b.resolve(gate_dcl(tt, -z1), gate_dcl(tt, z1), z1)
-    units: dict[int, int] = {tt: _unit(b, tt, tt_step)}
+    def const_unit(var: int) -> int:  # {var} for var = OR(z, -z)
+        z = gm[var].body[0]
+        return _unit(b, var, b.resolve(gate_dcl(var, -z), gate_dcl(var, z), z))
 
-    def derive_or_unit(var: int, body: tuple[int, ...], value: bool) -> int:
-        """Unit for an or-gate whose deciding body literals have units."""
-        body = tuple(dict.fromkeys(body))
-        if value:
-            wit = next(
-                l for l in body
-                if abs(l) in units and b.clause(units[abs(l)]) == Clause((l,))
-            )
-            dcl = gate_dcl(var, wit)
-            if wit > 0:
-                step = b.resolve(units[wit], dcl, wit)
-            else:
-                step = b.resolve(dcl, units[abs(wit)], abs(wit))
-        else:
-            step = gate_big(var)
+    # Forcing: units[l] is the step deriving {l}.
+    gates = cs.circuit.gates
+    tt, *forced = gates[: len(gates) - len(cs.verdict)]
+    units = {tt.var: const_unit(tt.var)}
+    for g in forced:
+        body = tuple(dict.fromkeys(g.body))
+        wit = next((l for l in body if l in units), None)
+        if wit is not None:
+            step = b.resolve_lit(units[wit], gate_dcl(g.var, wit), wit)
+            units[g.var] = _unit(b, g.var, step)
+        elif all(-l in units for l in body):
+            step = gate_big(g.var)
             for l in body:
-                u = units[abs(l)]
-                if l > 0:
-                    step = b.resolve(step, u, l)
-                else:
-                    step = b.resolve(u, step, abs(l))
-        units[var] = _unit(b, var if value else -var, step)
-        return units[var]
-
-    # Window-grid units (constant rows only; pass-throughs have none).
-    for (i, j), u in sorted(lam.grid.items()):
-        body = gm_c[u].body
-        if body == (-tt,):
-            derive_or_unit(u, body, False)
-        elif body == (tt,):
-            derive_or_unit(u, body, True)
-
-    # Copy i of the canonical circuit: the window row fixes everything.
-    gm = beta.gate_map()
-    pre_vars = [beta.gates[t].var for t in range(n)]
-    nd_vars = [beta.gates[n + 2 * (d - 1)].var for d in range(1, n + 1)]
-    ind_vars = [beta.gates[n + 2 * (d - 1) + 1].var for d in range(1, n + 1)]
-    for i in range(1, n + 1):
-        cm = bundle.copy_maps[i - 1]
-        for j, pv in enumerate(pre_vars):
-            body = tuple(map_literal(l, cm) for l in gm[pv].body)
-            derive_or_unit(cm[pv], body, j >= n - i + 1)
-        for d in range(1, n + 1):
-            ndv, indv = cm[nd_vars[d - 1]], cm[ind_vars[d - 1]]
-            body = tuple(map_literal(l, cm) for l in gm[nd_vars[d - 1]].body)
-            derive_or_unit(ndv, body, d != i)
-            derive_or_unit(indv, (-ndv,), d == i)
-        for m in range(1, width + 1):
-            yv = iface.outputs[m - 1]
-            body = tuple(map_literal(l, cm) for l in gm[yv].body)
-            derive_or_unit(cm[yv], body, bool((i >> (m - 1)) & 1))
+                step = b.resolve_lit(units[-l], step, -l)
+            units[-g.var] = _unit(b, -g.var, step)
 
     # Weakening witnesses from the negated verdict.
-    neg_delta = b.axiom(bundle.neg_delta_index)
+    dl = bundle.delta_bundle
+    neg_delta = b.axiom(cs.neg_delta_index)
     f_steps: list[int] = []
     final: Optional[int] = None
     for pos, clause in enumerate(omega.clauses):
         wv = dl.w_vars[pos]
-        w_unit = b.resolve(gate_dcl(dl.delta, -wv), neg_delta, dl.delta)
-        _unit(b, wv, w_unit)
+        w_unit = _unit(b, wv, b.resolve(gate_dcl(dl.delta, -wv), neg_delta, dl.delta))
         cur = b.resolve(w_unit, gate_big(wv), wv)
         if not clause.literals:
             # This witness gate is the negated constant: contradiction.
-            c_unit = b.resolve(gate_dcl(dl.const, -z1), gate_dcl(dl.const, z1), z1)
-            final = b.resolve(c_unit, cur, dl.const)
+            final = b.resolve(const_unit(dl.const), cur, dl.const)
             break
         for lit in clause:
             j, k = abs(lit), (1 if lit > 0 else 0)
             lv = dl.l_vars[(j, k)]
             sv = dl.s_vars[(j, j, k)]
             step = b.resolve(gate_dcl(lv, -sv), gate_big(sv), sv)
-            for m in range(1, width + 1):
-                wgrid = bundle.w_grid[(j, m)]
-                u = units[wgrid]
-                if b.clause(u) == Clause((wgrid,)):
-                    step = b.resolve(u, step, wgrid)
-                else:
-                    step = b.resolve(step, u, wgrid)
-            zlit = j if k == 0 else -j
-            if b.clause(step) != Clause((lv, zlit)):
+            for l in gm[sv].body:
+                if -l in units:  # the index bits, read off copy j's outputs
+                    step = b.resolve_lit(units[-l], step, -l)
+            if b.clause(step) != Clause((lv, -lit)):
                 raise TranslateError("literal-gate unfolding went off the rails")
             cur = b.resolve(step, cur, lv)
         # cur is the branch-bit image of the clause; move it to the
-        # stand-ins (clauses of p' = not z: {-p', -z} and {p', z}).
+        # stand-ins (p' = OR(-p) has the clauses {-p', -p}, {p', p}).
         for lit in clause:
-            j = abs(lit)
-            if lit > 0:
-                cur = b.resolve(b.axiom(len(cs) + 2 * (j - 1) + 1), cur, j)
-            else:
-                cur = b.resolve(cur, b.axiom(len(cs) + 2 * (j - 1)), j)
+            at = aux_at[stand_in[abs(lit)]]
+            cur = b.resolve_lit(b.axiom(at + 1 if lit > 0 else at), cur, lit)
         want = Clause(tuple(map_literal(l, stand_in) for l in clause))
         if b.clause(cur) != want:
             raise TranslateError("stand-in image of a source clause came out wrong")
         f_steps.append(cur)
 
     if final is None:
-        def axiom_map(q: int) -> int:
-            if q < len(omega.clauses):
-                return f_steps[q]
-            return b.axiom(aux_clause_base + (q - len(omega.clauses)))
-
-        final = b.import_proof(pi.proof, axiom_map, auxmap)
+        # pi cites omega's clauses, then the groups of its auxiliaries
+        pi_at = group_starts(pi.aux.gates, len(omega.clauses))
+        moved = {
+            pi_at[g.var] + k: aux_at[auxmap[g.var]] + k
+            for g in pi.aux.gates for k in range(gate_clause_count(g))
+        }
+        final = b.import_proof(
+            pi.proof, lambda q: f_steps[q] if q < len(f_steps) else b.axiom(moved[q]), auxmap
+        )
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("translated refutation missed the empty clause")
     eta = ERProof(aux, b.extract(final))

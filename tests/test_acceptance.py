@@ -445,7 +445,7 @@ def test_a9_generators_and_serializers_are_byte_stable(tmp_path):
     def gen_c_bytes():
         bundle = gen_C(omega, beta, iface)
         return (serialize_dimacs(bundle.clauses) + serialize_sidecar(bundle)
-                + serialize_circuit(bundle.circuit))
+                + serialize_circuit(bundle.clauses.circuit))
 
     assert gen_c_bytes() == gen_c_bytes()
     assert (serialize_circuit(gen_delta(omega, 3).circuit)

@@ -208,7 +208,7 @@ def copy_starts(full, beta):
     premises = full.clauses.clauses
     g = beta.gates[0]
     starts = []
-    for cm in full.copy_maps:
+    for cm in full.clauses.copy_maps:
         first = gate_clauses(Gate(cm[g.var], tuple(map_literal(l, cm) for l in g.body)))[0]
         starts.append(premises.index(first))
     return starts
@@ -224,7 +224,7 @@ def test_repointed_axiom_mutants_are_rejected():
     accepts, disagreements, invalid, total = [], [], 0, 0
     cases = [
         (name, view, full.clauses.clauses,
-         [full.neg_delta_index, *copy_starts(full, beta)], alpha, declared)
+         [full.clauses.neg_delta_index, *copy_starts(full, beta)], alpha, declared)
         for name, view, full, beta, alpha, declared in carrier_views()
     ]
     cases += [

@@ -93,7 +93,7 @@ def test_check_proof_rejects_a_weakening_with_a_bad_literal(lits, bad):
     the literal, not an exception out of the checker."""
     premises = ClauseSet(1, (Clause((1,)), Clause((-1,))))
     proof = ResolutionProof((Axiom(0), Weaken(0, tuple(lits) + (bad,))))
-    report = check_proof(premises, proof, target=None)
+    report = check_proof(premises, proof)
     assert (report.ok, report.step, report.reason) == (False, 1, f"bad literal {bad!r}")
     with pytest.raises(ProofError, match="step 1: bad literal"):
         proof_clauses(premises, proof)
@@ -105,7 +105,7 @@ def test_check_proof_rejects_a_pivot_missing_from_one_side():
         ((Axiom(0), Axiom(1), Resolve(1, 0, 1)), "left"),  # -1 then 1: positive side wrong
         ((Axiom(0), Axiom(2), Resolve(0, 1, 1)), "right"),  # right clause has no -1
     ):
-        report = check_proof(premises, ResolutionProof(steps), target=None)
+        report = check_proof(premises, ResolutionProof(steps))
         assert not report
         assert report.step == 2
         assert f"absent from {side} clause" in report.reason

@@ -125,19 +125,19 @@ def test_gen_c_layout_independent_of_beta(omega2):
     assert b1.lambda_bundle.grid == b2.lambda_bundle.grid
     assert b1.w_grid == b2.w_grid
     assert b1.delta == b2.delta
-    assert b1.neg_delta_index == b2.neg_delta_index
-    assert b1.copy_base == b2.copy_base
-    assert b1.clauses.clauses[b1.neg_delta_index] == Clause((-b1.delta,))
+    assert b1.clauses.neg_delta_index == b2.clauses.neg_delta_index
+    assert b1.clauses.base == b2.clauses.base
+    assert b1.clauses.clauses[b1.clauses.neg_delta_index] == Clause((-b1.delta,))
 
 
 def test_gen_c_contains_beta_copies(omega2):
     out = dpll_refute(omega2)
     beta, iface = tree_to_circuit(balance_tree(out.tree, (1, 2)), 2)
     bundle = gen_C(omega2, beta, iface)
-    assert validate_circuit(bundle.circuit)
-    assert len(bundle.copy_maps) == 2
+    assert validate_circuit(bundle.clauses.circuit)
+    assert len(bundle.clauses.copy_maps) == 2
     clause_set = set(bundle.clauses.clauses)
-    for varmap in bundle.copy_maps:
+    for varmap in bundle.clauses.copy_maps:
         for g in beta.gates:
             remapped = Gate(varmap[g.var], tuple(map_literal(l, varmap) for l in g.body))
             for c in gate_clauses(remapped):

@@ -44,8 +44,9 @@ def test_resolve_clauses_liberal_rule():
 
 
 def test_check_proof_accepts_refutation(omega1):
-    rep = check_proof(omega1, refutation_of(omega1))
-    assert rep and rep.final == EMPTY_CLAUSE
+    proof = refutation_of(omega1)
+    assert check_proof(omega1, proof)
+    assert proof_clauses(omega1, proof)[-1] == EMPTY_CLAUSE
 
 
 def test_check_proof_rejections(omega1):
@@ -53,10 +54,10 @@ def test_check_proof_rejections(omega1):
     assert not check_proof(omega1, ResolutionProof((Axiom(5),)))
     assert not check_proof(omega1, ResolutionProof((Axiom(0), Resolve(0, 1, 1))))
     assert not check_proof(omega1, ResolutionProof((Axiom(0), Axiom(1), Resolve(1, 0, 1))))
-    # valid derivation but wrong final clause for the default target
-    assert not check_proof(omega1, ResolutionProof((Axiom(0),)))
-    assert check_proof(omega1, ResolutionProof((Axiom(0),)), target=None)
-    assert check_proof(omega1, ResolutionProof((Axiom(0),)), target=Clause((1,)))
+    # a valid derivation that is not a refutation
+    rep = check_proof(omega1, ResolutionProof((Axiom(0),)))
+    assert not rep and rep.step == 0 and rep.reason.startswith("final clause")
+    assert proof_clauses(omega1, ResolutionProof((Axiom(0),)))[-1] == Clause((1,))
 
 
 def test_check_proof_weakening_policies(omega2):
@@ -68,12 +69,10 @@ def test_check_proof_weakening_policies(omega2):
             Resolve(1, 2, 1),  # pivot 1: {-1, 2} stays after union? no: {2, -1} x {-1,2}
         )
     )
-    rep = check_proof(omega2, p, target=None)
-    assert rep
+    assert proof_clauses(omega2, p)
     # weakening of a derived step is as admissible as of an axiom
     p2 = ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1), Weaken(2, (1,))))
-    rep = check_proof(omega2, p2, target=None)
-    assert rep and rep.final == Clause((1, 2))
+    assert proof_clauses(omega2, p2)[-1] == Clause((1, 2))
 
 
 def test_check_proof_tree_like_and_regular(omega1):
@@ -81,7 +80,7 @@ def test_check_proof_tree_like_and_regular(omega1):
         (Axiom(0), Axiom(1), Resolve(0, 1, 1), Resolve(0, 1, 1))
     )
     # the checker takes dag-like proofs: a step may be used twice
-    assert check_proof(omega1, shared, target=None)
+    assert proof_clauses(omega1, shared)
     # resolving the same variable twice on a path violates regularity
     cs = ClauseSet(2, ((1, 2), (-1, 2), (1, -2), (-1,)))
     p = ResolutionProof(
@@ -131,6 +130,22 @@ def test_builder_resolve_opt_aliases(omega2):
     assert b.resolve_opt(a0, a2, 1) == a2  # complement absent on the right
     r = b.resolve_opt(a0, a1, 1)
     assert r not in (a0, a1) and b.clause(r) == Clause((2,))
+
+
+def test_builder_resolve_lit_puts_the_positive_side_left(omega2):
+    """resolve_lit(holder, other, lit) records the same step and clause
+    as the explicit resolve with the side holding the positive pivot
+    on the left, for either sign of lit."""
+    for lit, holder, other in ((1, 0, 1), (-1, 1, 0), (2, 0, 2), (-2, 2, 0)):
+        explicit, by_lit = ProofBuilder(omega2), ProofBuilder(omega2)
+        for b in (explicit, by_lit):
+            for index in range(3):
+                b.axiom(index)  # step ids are the premise indices
+        left, right = (holder, other) if lit > 0 else (other, holder)
+        r = explicit.resolve(left, right, abs(lit))
+        s = by_lit.resolve_lit(holder, other, lit)
+        assert by_lit.steps[s] == explicit.steps[r] == Resolve(left, right, abs(lit))
+        assert by_lit.clause(s) == explicit.clause(r)
 
 
 def test_builder_import_proof_with_varmap(omega1):
@@ -189,9 +204,7 @@ def test_lift_unit_axiom():
     b = ProofBuilder(base)
     final = b.import_proof(p, b.axiom, identity(base), lift=(2, -2))
     lifted = b.extract(final)
-    rep = check_proof(base, lifted, target=None)
-    assert rep
-    assert set(rep.final.literals) <= {2}
+    assert set(proof_clauses(base, lifted)[-1].literals) <= {2}
     assert len(lifted.steps) <= len(p.steps)
 
 
@@ -213,8 +226,7 @@ def test_lift_unit_axiom_mid_list_unit_through_weakening():
     )
     assert check_proof(premises, p)
     lifted = rewrite(premises, p, lift=(1, -2))
-    rep = check_proof(premises, lifted, target=None)
-    assert rep and rep.final == Clause((2,))
+    assert proof_clauses(premises, lifted)[-1] == Clause((2,))
     assert not any(isinstance(s, Weaken) for s in lifted.steps)
     assert Axiom(1) not in lifted.steps
     assert len(lifted.steps) <= len(p.steps)
@@ -239,8 +251,7 @@ def test_import_proof_keeps_a_weakened_unit():
     )
     assert check_proof(premises, p)
     lifted = rewrite(premises, p, lift=(0, -2))
-    rep = check_proof(premises, lifted, target=None)
-    assert rep and set(rep.final.literals) <= {2}
+    assert set(proof_clauses(premises, lifted)[-1].literals) <= {2}
     assert Axiom(0) not in lifted.steps
     # a proof that ends on the unit itself leaves nothing to lift
     assert rewrite(premises, ResolutionProof((Axiom(0),)), lift=(0, -2)) is None
@@ -317,9 +328,7 @@ def test_import_proof_lifts_random_checked_refutations(seed):
     for premises, index, u, proof in cases:
         lifted = rewrite(premises, proof, lift=(index, u))
         assert lifted is not None
-        rep = check_proof(premises, lifted, target=None)
-        assert rep, rep.reason
-        assert set(rep.final.literals) <= {-u}
+        assert set(proof_clauses(premises, lifted)[-1].literals) <= {-u}
         assert Axiom(index) not in lifted.steps
         assert not any(type(s) is Weaken for s in lifted.steps)
         assert len(lifted) <= len(proof)

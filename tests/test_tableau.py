@@ -124,13 +124,13 @@ def test_gen_tableau_clause_layout_independent_of_grid():
     b1 = gen_tableau(tm, tau, beta, iface)
     b2 = gen_tableau(tm, tau, beta2, iface2)
     assert len(beta2.gates) != len(beta.gates)
-    assert b1.neg_delta_index == b2.neg_delta_index
+    assert b1.clauses.neg_delta_index == b2.clauses.neg_delta_index
     assert b1.delta == b2.delta
-    assert b1.copy_base == b2.copy_base
+    assert b1.clauses.base == b2.clauses.base
     assert b1.cell == b2.cell
-    assert b1.clauses.clauses[b1.neg_delta_index] == Clause((-b1.delta,))
-    assert validate_circuit(b1.circuit)
-    assert validate_circuit(b2.circuit)
+    assert b1.clauses.clauses[b1.clauses.neg_delta_index] == Clause((-b1.delta,))
+    assert validate_circuit(b1.clauses.circuit)
+    assert validate_circuit(b2.clauses.circuit)
 
 
 def single_literal_variants(circ):

@@ -308,7 +308,8 @@ def test_fold_refuses_a_proof_that_ends_on_the_unit(monkeypatch):
     with pytest.raises(TranslateError, match="lifting did not reach the duplicate verdict"):
         search_translate(sp, unit)
     tm, tau, beta, iface = tm_halt()
-    unit = empty_aux(ResolutionProof((Axiom(gen_tableau(tm, tau, beta, iface).neg_delta_index),)))
+    neg_delta = gen_tableau(tm, tau, beta, iface).clauses.neg_delta_index
+    unit = empty_aux(ResolutionProof((Axiom(neg_delta),)))
     with pytest.raises(TranslateError, match="lifting did not reach the duplicate verdict"):
         graft_pq(tm, tau, beta, iface, unit)
 
