@@ -582,8 +582,10 @@ def graft_pq(
     circuit itself, by the same fold as for tree carriers
     (translate.graft_fold) on the four-copy stride: the grid circuit
     is rebased onto the addressed cell's copy, so the grown grid reads
-    the same cells, and it carries a duplicate of every generator gate
-    and proof auxiliary.  The certificate is replayed against the
+    the same cells, and it carries a duplicate of the proof's
+    auxiliaries; generator gates are duplicated too only when an
+    auxiliary reads one (the cone rule; refute_tableau's refutations
+    have no auxiliaries).  The certificate is replayed against the
     grown constraint set before it is returned."""
     tau = tuple(tau_bits)
     bundle = gen_tableau(tm, tau, beta, iface)

@@ -5,24 +5,32 @@ gate clauses make it up; that circuit's output is a verdict delta,
 and the unit {-delta} is one of the premises.  Grafting folds a
 refutation of a carrier into the described object itself:
 
-* the carrier circuit and the proof's auxiliaries get a duplicate;
-* the refutation is rewritten in one walk (ProofBuilder.import_proof,
-  proofs module): its weakening is stripped, its use of {-delta} is
-  lifted into a derivation of {delta}, and that derivation is renamed
-  onto the duplicate as a derivation of the duplicate verdict {delta'};
-* the glue is written in place, into the same proof builder: the
-  bridge clause {delta, -delta'} is derived gate by gate through the
-  embedding of the carrier circuit into its duplicate, citing gate
-  clauses of the grown set by position, not by value, and resolved
-  with {-delta} and {delta'} (_bridge; emb_refute is its standalone
-  form, over the two circuits' own clauses and the two units).
+* the proof's auxiliaries get a duplicate in the described object;
+  the grown carrier holds the old one at the same ids, so the
+  carrier circuit needs a duplicate only where the auxiliaries read
+  it.  By the cone rule, when no auxiliary gate reads a carrier gate
+  (the aux cone is empty), the auxiliaries alone are duplicated and
+  the refutation is rewritten in one walk (ProofBuilder.import_proof,
+  proofs module): its weakening is stripped and it is renamed onto the
+  grown set, citing gate clauses by position, not by value;
+* otherwise the whole carrier circuit is duplicated too, the walk
+  also lifts the refutation's use of {-delta} into a derivation of the
+  duplicate verdict {delta'}, and the glue is written in place, into
+  the same proof builder: the bridge clause {delta, -delta'} is
+  derived gate by gate through the embedding of the carrier circuit
+  into its duplicate and resolved with {-delta} and {delta'} (_bridge;
+  emb_refute is its standalone form, over the two circuits' own
+  clauses and the two units).
 
 graft_fold does this for carriers generated from a described circuit
 beta on a copy stride: C(omega, beta) from gen_C (graft) and
 machine-grid sets from gen_tableau (tableau.graft_pq).  It rebases beta
 onto the carrier's first copy and lays the duplicate on the same
 stride, so the grown circuit regenerates a set that contains the old
-one.  search_translate reuses the proof tail on a search problem's
+one.  The auxiliaries of truthdef_translate read only omega's
+variables and refute_tableau's refutations have none, so both
+producers take the cone-free path.
+search_translate reuses the whole-circuit fold on a search problem's
 correctness clauses, with fresh ids for the duplicate.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
 into a refutation of C(omega, canonical beta) and graft it.  The
@@ -199,14 +207,40 @@ class TranslatedSearch:
     pi_premises: int  # size of the set pi refutes, its auxiliaries included
 
 
+def aux_cone(host: Circuit, aux: Circuit) -> set[int]:
+    """The aux cone: the host gates that a gate of aux reads, directly
+    or through other host gates."""
+    gate_of = host.gate_map()
+    cone: set[int] = set()
+    work = [abs(l) for g in aux.gates for l in g.body]
+    while work:
+        v = work.pop()
+        if v in gate_of and v not in cone:
+            cone.add(v)
+            work.extend(abs(l) for l in gate_of[v].body)
+    return cone
+
+
 def _duplicate(
-    host: Circuit, aux: Circuit, start: int, step: int
+    host: Circuit, aux: Circuit, start: int, step: int, cone_rule: bool = False
 ) -> tuple[tuple[Gate, ...], dict[int, int]]:
-    """Copy of host's and aux's gates over host's frees; the t-th gate
-    (from 0) gets id start + t * step.  Returns the gates and the map."""
-    dupmap = {v: v for v in host.free}
+    """Copy of aux's gates, and of host's where they are needed, over
+    host's frees; the t-th copied gate (from 0) gets id start + t * step.
+    Returns the gates and the map.
+
+    Under the cone rule, when aux reads no host gate (aux_cone is
+    empty), only aux is copied and the map is the identity on host's
+    variables: the copy reads the host itself.  Otherwise host's gates
+    are copied first and aux reads their copies."""
+    if cone_rule and not aux_cone(host, aux):
+        copied = aux.gates
+        dupmap = {v: v for v in host.free}
+        dupmap.update((g.var, g.var) for g in host.gates)
+    else:
+        copied = host.gates + aux.gates
+        dupmap = {v: v for v in host.free}
     gates = []
-    for t, g in enumerate(host.gates + aux.gates):
+    for t, g in enumerate(copied):
         nv = start + t * step
         gates.append(Gate(nv, tuple(map_literal(l, dupmap) for l in g.body)))
         dupmap[g.var] = nv
@@ -228,31 +262,39 @@ def _fold_proof(
 
     old holds host's gate clauses and, at old_neg, the unit {-delta}
     for host's output delta; new holds those clauses, the clauses of
-    the duplicate (host and pi's auxiliaries renamed by dupmap) and
-    {-delta} at new_neg; old_at(v) and new_at(v) say where the clause
-    group of gate v starts in each.  pi is imported once, renamed by
-    dupmap and lifted off {-delta}, as a derivation of {delta'}, each
-    premise cited at its offset in its gate duplicate's group.  The
-    glue is written in place into the same builder: the converse
-    bridge {delta, -delta'} (_bridge), resolved with {-delta} and
-    {delta'}.  So new is read only where the certificate cites it."""
+    the duplicate (_duplicate's gates, over dupmap) and {-delta} at
+    new_neg; old_at(v) and new_at(v) say where the clause group of gate
+    v starts in each.  pi is imported once, renamed by dupmap, each
+    premise cited at its offset in its gate duplicate's group.
+
+    When dupmap keeps delta (the aux cone is empty), only pi's
+    auxiliaries were duplicated: host clauses are cited in their own
+    group of new and {-delta} at new_neg, and the import is the
+    refutation.  Otherwise pi is lifted off {-delta} into a derivation
+    of the duplicate verdict {delta'}, and the glue is written in place
+    into the same builder: the converse bridge {delta, -delta'}
+    (_bridge), resolved with {-delta} and {delta'}.  Either way new is
+    read only where the certificate cites it."""
     delta = host.outputs[0]
     delta_prime = dupmap[delta]
     aux_at = group_starts(pi.aux.gates, len(old))
-    moved: dict[int, int] = {}
+    moved = {old_neg: new_neg}
     for g in host.gates + pi.aux.gates:
         p = aux_at[g.var] if g.var in aux_at else old_at(g.var)
         r = new_at(dupmap[g.var])
         for j in range(gate_clause_count(g)):
             moved[p + j] = r + j
     b = ProofBuilder(new)
-    lifted_step = b.import_proof(
-        pi.proof, lambda q: b.axiom(moved[q]), dupmap, lift=(old_neg, -delta)
-    )
-    if lifted_step is None or b.clause(lifted_step) != Clause((delta_prime,)):
-        raise TranslateError("lifting did not reach the duplicate verdict")
-    bridge = _bridge(b, lambda v, image: new_at(v), host, dupmap, delta, False)
-    final = b.resolve(lifted_step, b.resolve(bridge, b.axiom(new_neg), delta), delta_prime)
+    if delta_prime == delta:
+        final = b.import_proof(pi.proof, lambda q: b.axiom(moved[q]), dupmap)
+    else:
+        lifted_step = b.import_proof(
+            pi.proof, lambda q: b.axiom(moved[q]), dupmap, lift=(old_neg, -delta)
+        )
+        if lifted_step is None or b.clause(lifted_step) != Clause((delta_prime,)):
+            raise TranslateError("lifting did not reach the duplicate verdict")
+        bridge = _bridge(b, lambda v, image: new_at(v), host, dupmap, delta, False)
+        final = b.resolve(lifted_step, b.resolve(bridge, b.axiom(new_neg), delta), delta_prime)
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("grafted refutation missed the empty clause")
     return b.extract(final)
@@ -266,14 +308,18 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     regenerates it for the grown circuit.  The stride is the number of
     copies.  beta is rebased onto the carrier's first copy
     (``copy_maps[0]``), which makes the first copy's clause block
-    literally the grown circuit's own clauses; the duplicate's ids
-    continue the stride after beta's non-output gates.  The grown
-    circuit's frees are the first copy's input images, then the
-    carrier's frees not already listed; generate's port check
-    validates it.  Returns the grown circuit, its interface, its
-    carrier and the certificate refuting that carrier, which is
-    replayed against the grown carrier first: every graft, tree or
-    grid, leaves checked."""
+    literally the grown circuit's own clauses, and the grown carrier
+    holds the old one at the same ids.  The duplicate's ids continue
+    the stride after beta's non-output gates, on the first copy.  By
+    the cone rule (_duplicate) the duplicate is the proof's auxiliary
+    gates alone when they read no carrier gate, and the proof is
+    imported as it stands; otherwise the whole carrier circuit is
+    duplicated and bridged back (_fold_proof).  The grown circuit's
+    frees are the first copy's input images, then the carrier's frees
+    not already listed; generate's port check validates it.  Returns
+    the grown circuit, its interface, its carrier and the certificate
+    refuting that carrier, which is replayed against the grown carrier
+    first: every graft, tree or grid, leaves checked."""
     old = bundle.clauses
     rep = check_er(old, alpha_er)
     if not rep:
@@ -282,7 +328,9 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     first = old.copy_maps[0]
     stride = len(old.copy_maps)
     n_inner = len(beta.gates) - len(iface.outputs)
-    dup_gates, dupmap = _duplicate(host, alpha_er.aux, old.base + n_inner * stride, stride)
+    dup_gates, dupmap = _duplicate(
+        host, alpha_er.aux, old.base + n_inner * stride, stride, cone_rule=True
+    )
     inputs = tuple(first[x] for x in iface.inputs)
     beta_hat = tuple(
         Gate(first[g.var], tuple(map_literal(l, first) for l in g.body))

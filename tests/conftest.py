@@ -1,7 +1,9 @@
 import pytest
 
+from implres import translate
 from implres.circuits import gate_clauses
 from implres.families import contradiction_pair, php, tseitin_cycle, two_var_unsat
+from implres.proofs import Axiom, ResolutionProof
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +75,19 @@ def position_oracle():
         return view
 
     return check
+
+
+@pytest.fixture
+def broken_fold(monkeypatch):
+    """Replace translate._fold_proof, the one fold every graft calls,
+    by one that returns a one-step proof refuting nothing.  Each call
+    records the host circuit, the duplicate map and the grown circuit
+    it is handed in the returned list."""
+    folds = []
+
+    def fold(old, old_at, old_neg, pi, host, dupmap, new, *rest):
+        folds.append((host, dupmap, new.beta))
+        return ResolutionProof((Axiom(0),))
+
+    monkeypatch.setattr(translate, "_fold_proof", fold)
+    return folds

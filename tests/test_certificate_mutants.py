@@ -9,7 +9,11 @@ shares no code with the checker, and by the verifier's proof stage on
 the regenerated carrier set.  The two must agree on every mutant, and
 no mutant the reference finds invalid may be accepted.  A further kind
 mutates the grafted circuit instead of the proof: a spare free wired
-into its output cone, which the port check must refuse.  The kind
+into its output cone, which the port check must refuse.  Two more
+mutate the auxiliary gates that the cone-free graft lays in the grown
+circuit: one deletes such a gate, one rewires its body to read a
+carrier gate instead of the variable the certificate relies on.  The
+kind
 "re-pointed axiom" sends one axiom step to another premise position,
 judged through the lazily read carrier against a reference that reads
 a separately materialized copy of the set.
@@ -32,10 +36,10 @@ from implres.families import (
     tseitin_cycle,
 )
 from implres.implicit import proof_stage, verify_implicit
-from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof
+from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof, check_er
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import gen_tableau, graft_pq, refute_tableau, verify_refutation
-from implres.translate import er_to_implicit, search_translate
+from implres.translate import er_to_implicit, search_translate, truthdef_translate
 
 EMPTY = Circuit((), (), ())
 PER_KIND = 12
@@ -260,3 +264,107 @@ def test_repointed_axiom_mutants_are_rejected():
     assert not disagreements, disagreements[:3]
     print(f"re-pointed axiom mutants rejected: {invalid} of {total}")
     assert invalid >= total * 3 // 4, (invalid, total)
+
+
+def detour(premises, alpha, var):
+    """An ER refutation of premises with one auxiliary gate a = OR(var),
+    which the proof cites: the first axiom whose clause C holds var is
+    rederived as C - var + a from {a, -var}, then as C from {-a, var}."""
+    a = premises.n + 1
+    at = len(premises)  # a's clauses: {-a, var} at at, {a, -var} at at + 1
+    i = next(
+        j for j, s in enumerate(alpha.steps)
+        if isinstance(s, Axiom) and var in premises[s.index].literals
+    )
+    head = (Axiom(alpha.steps[i].index), Axiom(at + 1), Resolve(0, 1, var),
+            Axiom(at), Resolve(2, 3, a))
+    remap = [4 if j == i else j + len(head) for j in range(len(alpha.steps))]
+    steps = [
+        dataclasses.replace(s, left=remap[s.left], right=remap[s.right])
+        if isinstance(s, Resolve) else s
+        for s in alpha.steps
+    ]
+    ep = ERProof(Circuit((var,), (Gate(a, (var,)),), ()), ResolutionProof(head + tuple(steps)))
+    assert check_er(premises, ep)
+    return ep
+
+
+def lean_grafts():
+    """(name, host, beta, grown, judge) for the cone-free grafts: host
+    is the carrier circuit the proof refuted, beta the circuit it was
+    generated from, grown the grafted circuit, whose gates past beta's
+    are the proof's auxiliaries; judge(beta2) gives the materialized
+    carrier of beta2 (None when it is refused), the certificate, the
+    carrier's size and the verifier's report on the certificate
+    declaring that size."""
+    for name, ir in er_refutations():
+        tt = truthdef_translate(ir.omega, ERProof(EMPTY, proof_from_tree(
+            ir.omega, dpll_refute(ir.omega).tree)))
+
+        def judge(beta2, ir=ir):
+            try:
+                cs = gen_C(ir.omega, beta2, ir.iface).clauses
+            except ValueError:
+                return None, ir.alpha, ir.alpha_premises, verify_implicit(
+                    dataclasses.replace(ir, beta=beta2))
+            rep = verify_implicit(dataclasses.replace(ir, beta=beta2, alpha_premises=len(cs)))
+            return cs.clauses, ir.alpha, len(cs), rep
+
+        yield name, tt.bundle.clauses.circuit, tt.beta, ir.beta, judge
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        tm, tau, beta, iface = fixture()
+        bundle = gen_tableau(tm, tau, beta, iface)
+        pi = detour(bundle.clauses, refute_tableau(bundle), bundle.j_vars[0])
+        tr = graft_pq(tm, tau, beta, iface, pi)
+        assert verify_refutation(tr)
+
+        def judge(beta2, tr=tr):
+            try:
+                cs = gen_tableau(tr.tm, tr.tau_bits, beta2, tr.iface).clauses
+            except ValueError:
+                return None, tr.alpha, tr.alpha_premises, verify_refutation(
+                    dataclasses.replace(tr, beta=beta2))
+            rep = verify_refutation(dataclasses.replace(tr, beta=beta2, alpha_premises=len(cs)))
+            return cs.clauses, tr.alpha, len(cs), rep
+
+        yield fixture.__name__, bundle.clauses.circuit, beta, tr.beta, judge
+
+
+def test_auxiliary_gate_mutants_of_lean_grafts_are_rejected():
+    """Mutant kinds "deleted auxiliary gate" and "rewired auxiliary
+    gate".  The cone-free graft leaves the carrier circuit in place and
+    lays only the proof's auxiliary gates in the grown circuit, so the
+    certificate cites those gates' clauses and reads the carrier
+    through them.  Deleting one, or making its body read a carrier gate
+    (one the grown circuit defines, or one it does not), must be
+    refused, with the declared premise count following the mutated
+    carrier, so the refusal comes from the circuit or the replay rather
+    than from the count.  A reference replay over the materialized
+    carrier confirms that each mutant is invalid."""
+    rng = random.Random(337)
+    outcomes = []
+    for name, host, beta, grown, judge in lean_grafts():
+        aux = grown.gates[len(beta.gates):]
+        assert aux and all(g.var not in host.extension_vars() for g in aux)
+        defined = grown.variables()
+        inside = [g.var for g in host.gates if g.var in defined]
+        outside = [g.var for g in host.gates if g.var not in defined]
+        for g in rng.sample(aux, min(PER_KIND, len(aux))):
+            kept = tuple(h for h in grown.gates if h is not g)
+            betas = [("deleted", dataclasses.replace(grown, gates=kept))]
+            for pool in (inside, outside):
+                v, lit = rng.choice(pool), g.body[0]
+                body = (v if lit > 0 else -v,) + g.body[1:]
+                gates = tuple(Gate(g.var, body) if h is g else h for h in grown.gates)
+                betas.append(("rewired", dataclasses.replace(grown, gates=gates)))
+            for kind, beta2 in betas:
+                premises, alpha, declared, rep = judge(beta2)
+                if premises is not None:
+                    clauses = reference_clauses(premises, alpha.steps)
+                    assert clauses is None or clauses[-1] != frozenset(), (name, kind, g)
+                outcomes.append((name, kind, g.var, rep.ok, rep.stage))
+    accepts = [o for o in outcomes if o[3]]
+    assert not accepts, accepts[:3]
+    assert {o[1] for o in outcomes} == {"deleted", "rewired"}
+    assert {o[4] for o in outcomes} == {"interface", "proof"}
+    print(f"auxiliary gate mutants rejected: {len(outcomes)}")

@@ -256,14 +256,32 @@ def test_graft_pq_round_trip():
         assert read_grid(tm, tr.beta, tr.iface) == read_grid(tm, beta, iface)
 
 
-def test_graft_pq_rejects_a_certificate_the_grown_grid_does_not_replay(monkeypatch):
+def test_graft_pq_certificate_is_no_longer_than_the_refutation():
+    """The cone rule's size oracle on grids: refute_tableau's
+    refutations read no generator gate, so the graft duplicates only
+    the proof's auxiliaries and imports the refutation as it stands."""
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        tm, tau, beta, iface = fixture()
+        bundle = gen_tableau(tm, tau, beta, iface)
+        alpha = refute_tableau(bundle)
+        spurious = Circuit((1,), (Gate(bundle.clauses.n + 1, (1, -1)),), ())
+        for aux in (Circuit((), (), ()), spurious):
+            tr = graft_pq(tm, tau, beta, iface, ERProof(aux, alpha))
+            assert len(tr.alpha.steps) <= len(alpha.steps)
+            assert len(tr.beta.gates) == len(beta.gates) + len(aux.gates)
+
+
+def test_graft_pq_rejects_a_certificate_the_grown_grid_does_not_replay(broken_fold):
     """The grid twin of the tree graft's self-check: graft_fold replays
     the folded certificate against the grown constraint set."""
     tm, tau, beta, iface = tm_halt()
     alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
-    monkeypatch.setattr(translate, "_fold_proof", lambda *args: ResolutionProof((Axiom(0),)))
     with pytest.raises(translate.TranslateError, match="grafted refutation rejected"):
         graft_pq(tm, tau, beta, iface, empty_aux(alpha))
+    # the cone-free path: no duplicate of the generator gates
+    [(host, dupmap, beta2)] = broken_fold
+    assert all(dupmap[g.var] == g.var for g in host.gates)
+    assert len(beta2.gates) == len(beta.gates)
 
 
 def test_graft_pq_carries_spurious_aux_gate():

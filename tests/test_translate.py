@@ -8,10 +8,11 @@ from implres.circuits import (
     circuit_clauses,
     circuit_size,
     duplicate,
+    max_var,
 )
 from implres.correctness import gen_C, gen_correct
 from implres.encoding import canonical_tree_circuit, tree_to_circuit
-from implres.families import not_search, or_chain, tm_halt
+from implres.families import not_search, or_chain, tm_halt, tm_right_writer, tm_write_stay
 from implres.formulas import ClauseSet
 from implres.implicit import synthesize_alpha, verify_implicit
 from implres.proofs import (
@@ -26,7 +27,7 @@ from implres.proofs import (
     er_premises,
 )
 from implres.prover import balance_tree, dpll_refute, proof_from_tree
-from implres.tableau import gen_tableau, graft_pq, refute_tableau
+from implres.tableau import gen_tableau, graft_pq, refute_tableau, verify_refutation
 from implres.translate import (
     TranslateError,
     emb_premises,
@@ -49,6 +50,17 @@ def empty_aux(proof):
 def dpll_er(omega):
     out = dpll_refute(omega)
     return empty_aux(proof_from_tree(omega, out.tree))
+
+
+# the quick-start set refuted through e = OR(1, 2), variable 3, whose
+# gate clauses {-3, 1, 2}, {3, -1}, {3, -2} are premises 4-6
+QUICK_VIA_E = (
+    ClauseSet(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))),
+    ERProof(Circuit((1, 2), (Gate(3, (1, 2)),), ()), ResolutionProof((
+        Axiom(0), Axiom(6), Resolve(0, 1, 2), Axiom(4), Resolve(2, 3, 3),
+        Axiom(1), Resolve(4, 5, 2), Axiom(2), Axiom(3), Resolve(7, 8, 2), Resolve(6, 9, 1),
+    ))),
+)
 
 
 def test_emb_refute_single_gate_both_polarities():
@@ -149,12 +161,16 @@ def test_graft_yields_verified_refutation(omega1):
     assert all(c in have for c in circuit_clauses(ir.beta).clauses)
 
 
-def test_graft_rejects_a_certificate_the_grown_carrier_does_not_replay(monkeypatch, omega1):
+def test_graft_rejects_a_certificate_the_grown_carrier_does_not_replay(broken_fold, omega1):
     pi = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
     tt = truthdef_translate(omega1, pi)
-    monkeypatch.setattr(translate, "_fold_proof", lambda *args: ResolutionProof((Axiom(0),)))
     with pytest.raises(TranslateError, match="grafted refutation rejected"):
         graft(omega1, tt.beta, tt.iface, tt.bundle, tt.eta)
+    # the injected certificate took the cone-free path: the grown
+    # circuit carries the auxiliaries and no duplicate of the host
+    [(host, dupmap, beta2)] = broken_fold
+    assert all(dupmap[g.var] == g.var for g in host.gates)
+    assert len(beta2.gates) == len(tt.beta.gates) + len(tt.eta.aux.gates)
 
 
 def test_graft_accepts_plain_proof_over_tree_circuit(omega2):
@@ -203,14 +219,7 @@ def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32,
 
 def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4):
     cases = [(omega, dpll_er(omega)) for omega in (omega1, omega2, tseitin4)]
-    # the quick-start set through e = OR(1, 2), variable 3, whose gate
-    # clauses {-3, 1, 2}, {3, -1}, {3, -2} are premises 4-6
-    quick = ClauseSet(2, ((1, 2), (1, -2), (-1, 2), (-1, -2)))
-    via_e = ResolutionProof((
-        Axiom(0), Axiom(6), Resolve(0, 1, 2), Axiom(4), Resolve(2, 3, 3),
-        Axiom(1), Resolve(4, 5, 2), Axiom(2), Axiom(3), Resolve(7, 8, 2), Resolve(6, 9, 1),
-    ))
-    cases.append((quick, ERProof(Circuit((1, 2), (Gate(3, (1, 2)),), ()), via_e)))
+    cases.append(QUICK_VIA_E)
     # a set holding the empty clause is refuted by citing it
     cases.append((ClauseSet(1, ((), (1,))), empty_aux(ResolutionProof((Axiom(0),)))))
     for omega, pi in cases:
@@ -220,6 +229,56 @@ def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4):
         assert ir.alpha_premises == len(
             gen_C(omega, ir.beta, ir.iface).clauses.clauses
         )
+
+
+def test_er_to_implicit_certificate_is_no_longer_than_eta(tseitin4, php32):
+    """The cone rule's size oracle: the truth-definition step's
+    auxiliaries read only omega's variables, so the graft duplicates
+    them alone and imports its refutation eta as it stands."""
+    for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
+        tt = truthdef_translate(omega, pi)
+        ir = er_to_implicit(omega, pi)
+        assert len(ir.alpha.steps) <= len(tt.eta.proof.steps)
+        assert len(ir.beta.gates) == len(tt.beta.gates) + len(tt.eta.aux.gates)
+
+
+def test_only_an_auxiliary_reading_a_host_gate_takes_the_whole_host_fold(
+    monkeypatch, tseitin4, php32
+):
+    """The whole-host fold, duplicate and bridge, is the fallback for a
+    nonempty aux cone.  No producer's proof reaches it: er_to_implicit
+    on any ER proof, graft_pq on refute_tableau's output.  An ER proof
+    with an auxiliary gate that reads the carrier's verdict does, and
+    its graft still verifies."""
+    bridged = []
+    real = translate._bridge
+
+    def counted(*args):
+        bridged.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(translate, "_bridge", counted)
+    for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
+        assert verify_implicit(er_to_implicit(omega, pi))
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        tm, tau, beta, iface = fixture()
+        alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
+        assert verify_refutation(graft_pq(tm, tau, beta, iface, empty_aux(alpha)))
+    assert not bridged
+
+    tt = truthdef_translate(tseitin4, dpll_er(tseitin4))
+    cs = tt.bundle.clauses
+    host, delta = cs.circuit, cs.delta
+    reader = Gate(max(cs.n, max_var(tt.eta.aux)) + 1, (-delta,))
+    aux = Circuit(tt.eta.aux.free + (delta,), tt.eta.aux.gates + (reader,), ())
+    pi = ERProof(aux, tt.eta.proof)
+    assert check_er(cs, pi)
+    assert delta in translate.aux_cone(host, aux)
+    ir = graft(tseitin4, tt.beta, tt.iface, tt.bundle, pi)
+    assert len(bridged) == 1
+    assert len(ir.beta.gates) == len(tt.beta.gates) + len(host.gates) + len(aux.gates)
+    rep = verify_implicit(ir)
+    assert rep, (rep.stage, rep.reason)
 
 
 def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2):
@@ -300,8 +359,10 @@ def test_producers_check_their_input_before_stripping_it(monkeypatch, tseitin4):
 
 def test_fold_refuses_a_proof_that_ends_on_the_unit(monkeypatch):
     """A proof whose last step is the bare unit {-delta} lifts to
-    nothing; the fold names it rather than returning a broken graft.
-    check_er would refuse such a proof, so it is switched off here."""
+    nothing in the whole-circuit fold (search_translate) and imports as
+    {-delta} on the cone-free path (graft_pq); each fold names it
+    rather than returning a broken graft.  check_er would refuse such a
+    proof, so it is switched off here."""
     monkeypatch.setattr(translate, "check_er", lambda *args: ProofReport(True))
     sp = not_search(1)
     unit = empty_aux(ResolutionProof((Axiom(len(gen_correct(sp)) - 1),)))
@@ -310,7 +371,7 @@ def test_fold_refuses_a_proof_that_ends_on_the_unit(monkeypatch):
     tm, tau, beta, iface = tm_halt()
     neg_delta = gen_tableau(tm, tau, beta, iface).clauses.neg_delta_index
     unit = empty_aux(ResolutionProof((Axiom(neg_delta),)))
-    with pytest.raises(TranslateError, match="lifting did not reach the duplicate verdict"):
+    with pytest.raises(TranslateError, match="grafted refutation missed the empty clause"):
         graft_pq(tm, tau, beta, iface, unit)
 
 
