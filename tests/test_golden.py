@@ -38,25 +38,25 @@ from implres.translate import emb_refute, er_to_implicit, search_translate
 
 GOLDEN = {
     "er_to_implicit-tseitin4":
-        "0a702c84ee7d57a6aa577343081a5726f233fd497387724d153434b9206bfd89",
+        "78b1f009469e3ced57f8b47b9ed00437e4cf8d105ea8581482f9021d965babfe",
     "er_to_implicit-php32":
-        "253c635cb8af00e6ec33c53cf2314eec75000f2118fd786ccbd41eff28c30369",
+        "7aba030c7b3c4f2013d35b2f73edbf3165abf79e78462275543ceb86fd7d559c",
     "er_to_implicit-quick-via-e":
-        "8843c2402ec4ae7fbb8ca68cc7dc02ca5fcef34d00be78f44b7b6d2e7355ee3c",
+        "7be968c9ed48c50da8c7cce57d9700da53716a42df1fa1592e66e0359f5cfc79",
     "er_to_implicit-empty-member":
-        "2b1cf5ca623dc448ea310c0cbff8bde06ebaec8638684f63d555af018df064c0",
+        "8545c47a46e8fd6b44006f86c63c68949a2c5a45bd91ae825eb74dbe7c49f60c",
     "graft_pq-tm_halt-plain":
-        "f50e53e5067625bcd3155f34dd1fffdee7586185ea93e06b98ad772c7bb8ea37",
+        "6fed31db6baf92c08ed37bc756c7af77bd963f0a9a6a38d1f45be6f0f3d7d035",
     "graft_pq-tm_halt-spurious":
-        "115c24d69da7e700a62201a766b6a2105d225e87a11e03959ffec6a4b84ec6da",
+        "483a6e045467496459910930701d1824381621e54b81a7dbc63af0703a5c834b",
     "graft_pq-tm_write_stay-plain":
-        "a361fc6f7226bf9635090c59f126ca7e802749db5ca24594f072d53156a11de5",
+        "ceac6fa0eb01ac035a26872f48b7e0f27f8a329eacb843f2c4e6fa7f21f16217",
     "graft_pq-tm_write_stay-spurious":
-        "6dd4578f29c6ee7b0b1c5a030771c0375166ac048edb85a12541a8fb89c6d40e",
+        "43dca9774b273831ab23723a1cb27e914809b881d10d82575cff98ed48bdd6ef",
     "graft_pq-tm_right_writer-plain":
-        "30d166fd236579578db52a920149f28f77fca28f1cbf2e1e7aaf5db17be1a25e",
+        "127e813a0f7fbd2686562b0316f80321c44ead12eddc6ad4b5fc7c90461d625e",
     "graft_pq-tm_right_writer-spurious":
-        "7e805073a99ca2d3b0b10311bd8f59c75efb343f86aad04fb013a8c0a77b055c",
+        "4547a1297267199abbbc5ff6554146ef4fdc23c52eeb3b47621de96ed3cf78ea",
     "search_translate-not4":
         "8977019480e490d341ae9617802ded692f8fbea57eac46ead57effb29d8cebcf",
     "search_translate-not6":
@@ -72,7 +72,7 @@ GOLDEN = {
     "emb_refute-or_chains":
         "fe7453c3bd34319fef915abd56a80d8a04d02602b363f15d1993907248107154",
     "proof_stage-mutant-reports":
-        "5fac1701c50be9eb12a0914f7ec4411bd9bad9989f6a1d421b30588c1d691966",
+        "a5581c99f5a61a7a26265395fed43767bbfbdb56deb03e57e79b0f28743c0346",
     "dpll_refute-outcomes":
         "d01c4990caf2b6f452ec83adf8acbba87a50896c5ef1f199371b24cff6004210",
 }
