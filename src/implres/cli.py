@@ -102,7 +102,9 @@ def cmd_prove(args) -> int:
     tree_path = _out(args, ".dtree")
     write_atomic(tree_path, serialize_dtree(cs, out.tree))
     proof = proof_from_tree(cs, out.tree)
-    proof_path = _out(args, ".rproof")
+    # .res.rproof, so that synth's certificate <stem>.rproof beside it
+    # does not overwrite it
+    proof_path = _out(args, ".res.rproof")
     write_atomic(proof_path, serialize_proof(proof, len(cs.clauses)))
     print(tree_path)
     print(proof_path)

@@ -47,7 +47,7 @@ def test_prove_encode_gen_c_synth_verify_pipeline(tmp_path, cnf_file, capsys):
     assert run(["verify", manifest]) == 0
     captured = capsys.readouterr()
     assert "accepted" in captured.out
-    for suffix in (".dtree", ".rproof", ".circ", ".gen.cnf", ".sidecar", ".cnf"):
+    for suffix in (".dtree", ".res.rproof", ".rproof", ".circ", ".gen.cnf", ".sidecar", ".cnf"):
         assert (out / ("omega" + suffix)).exists()
 
 
@@ -182,10 +182,15 @@ def test_translate_er_roundtrip(tmp_path, omega2, cnf_file, capsys):
     out = tmp_path / "er"
     assert run(["translate-er", cnf_file, er_path, "-o", out]) == 0
     assert run(["verify", out / "omega.manifest"]) == 0
-    # prove's refutation is read as an ER proof with no auxiliary gates
-    assert run(["prove", cnf_file, "-o", tmp_path / "work"]) == 0
-    direct = tmp_path / "direct"
-    assert run(["translate-er", cnf_file, tmp_path / "work" / "omega.rproof", "-o", direct]) == 0
+    # prove's refutation is read as an ER proof with no auxiliary gates;
+    # synth writes its certificate beside it without touching it
+    work, direct = tmp_path / "work", tmp_path / "direct"
+    assert run(["prove", cnf_file, "-o", work]) == 0
+    refutation = (work / "omega.res.rproof").read_bytes()
+    assert run(["encode", work / "omega.dtree", cnf_file, "-o", work]) == 0
+    assert run(["synth", cnf_file, work / "omega.circ", "-o", work]) == 0
+    assert (work / "omega.res.rproof").read_bytes() == refutation
+    assert run(["translate-er", cnf_file, work / "omega.res.rproof", "-o", direct]) == 0
     assert run(["verify", direct / "omega.manifest"]) == 0
 
 
@@ -447,10 +452,10 @@ def test_the_command_path_makes_no_cyclic_garbage(tmp_path, cnf_file, capsys):
         assert run(["prove", cnf_file, "-o", work]) == 0
         assert run(["encode", work / "omega.dtree", cnf_file, "-o", work]) == 0
         assert run(["gen-c", cnf_file, work / "omega.circ", "-o", work]) == 0
-        assert run(["translate-er", cnf_file, work / "omega.rproof", "-o", direct]) == 0
-        assert run(["verify", direct / "omega.manifest"]) == 0
         assert run(["synth", cnf_file, work / "omega.circ", "-o", work]) == 0
         assert run(["verify", work / "omega.manifest"]) == 0
+        assert run(["translate-er", cnf_file, work / "omega.res.rproof", "-o", direct]) == 0
+        assert run(["verify", direct / "omega.manifest"]) == 0
         assert run(["tableau-gen", *grid, "-o", tmp_path]) == 0
         assert run(["tableau-verify", *grid, tmp_path / "halt.rproof"]) == 0
         assert run(["translate-search", tmp_path / "algo.circ", tmp_path / "checker.circ",
