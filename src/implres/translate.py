@@ -232,13 +232,11 @@ def _duplicate(
     empty), only aux is copied and the map is the identity on host's
     variables: the copy reads the host itself.  Otherwise host's gates
     are copied first and aux reads their copies."""
+    dupmap = {v: v for v in host.free}
+    copied = host.gates + aux.gates
     if cone_rule and not aux_cone(host, aux):
-        copied = aux.gates
-        dupmap = {v: v for v in host.free}
         dupmap.update((g.var, g.var) for g in host.gates)
-    else:
-        copied = host.gates + aux.gates
-        dupmap = {v: v for v in host.free}
+        copied = aux.gates
     gates = []
     for t, g in enumerate(copied):
         nv = start + t * step

@@ -245,20 +245,9 @@ def test_grid_circuit_with_a_spare_free_is_refused():
 
 
 def test_graft_pq_round_trip():
-    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
-        tm, tau, beta, iface = fixture()
-        bundle = gen_tableau(tm, tau, beta, iface)
-        alpha = refute_tableau(bundle)
-        tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
-        rep = verify_refutation(tr)
-        assert rep, (fixture.__name__, rep.stage, rep.reason)
-        # the grown grid computes the same tableau
-        assert read_grid(tm, tr.beta, tr.iface) == read_grid(tm, beta, iface)
-
-
-def test_graft_pq_certificate_is_no_longer_than_the_refutation():
-    """The cone rule's size oracle on grids: refute_tableau's
-    refutations read no generator gate, so the graft duplicates only
+    """Every grid graft verifies and reads the same cells.  By the cone
+    rule's size oracle, refute_tableau's refutations and the spurious
+    auxiliary gate read no generator gate, so the graft duplicates only
     the proof's auxiliaries and imports the refutation as it stands."""
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()
@@ -267,6 +256,10 @@ def test_graft_pq_certificate_is_no_longer_than_the_refutation():
         spurious = Circuit((1,), (Gate(bundle.clauses.n + 1, (1, -1)),), ())
         for aux in (Circuit((), (), ()), spurious):
             tr = graft_pq(tm, tau, beta, iface, ERProof(aux, alpha))
+            rep = verify_refutation(tr)
+            assert rep, (fixture.__name__, rep.stage, rep.reason)
+            # the grown grid computes the same tableau
+            assert read_grid(tm, tr.beta, tr.iface) == read_grid(tm, beta, iface)
             assert len(tr.alpha.steps) <= len(alpha.steps)
             assert len(tr.beta.gates) == len(beta.gates) + len(aux.gates)
 

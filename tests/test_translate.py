@@ -217,8 +217,13 @@ def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32,
         assert "clauses" not in grown and "circuit" not in grown
 
 
-def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4):
-    cases = [(omega, dpll_er(omega)) for omega in (omega1, omega2, tseitin4)]
+def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4, php32):
+    """Every graft verifies and declares its carrier's size.  By the
+    cone rule's size oracle, the truth-definition step's auxiliaries
+    read only omega's variables, so the graft duplicates them alone and
+    imports its refutation eta as it stands: |alpha| <= |eta| and
+    |beta'| = |beta_can| + |eta.aux|."""
+    cases = [(omega, dpll_er(omega)) for omega in (omega1, omega2, tseitin4, php32)]
     cases.append(QUICK_VIA_E)
     # a set holding the empty clause is refuted by citing it
     cases.append((ClauseSet(1, ((), (1,))), empty_aux(ResolutionProof((Axiom(0),)))))
@@ -229,15 +234,7 @@ def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4):
         assert ir.alpha_premises == len(
             gen_C(omega, ir.beta, ir.iface).clauses.clauses
         )
-
-
-def test_er_to_implicit_certificate_is_no_longer_than_eta(tseitin4, php32):
-    """The cone rule's size oracle: the truth-definition step's
-    auxiliaries read only omega's variables, so the graft duplicates
-    them alone and imports its refutation eta as it stands."""
-    for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
         tt = truthdef_translate(omega, pi)
-        ir = er_to_implicit(omega, pi)
         assert len(ir.alpha.steps) <= len(tt.eta.proof.steps)
         assert len(ir.beta.gates) == len(tt.beta.gates) + len(tt.eta.aux.gates)
 
