@@ -207,7 +207,7 @@ def cmd_translate_search(args) -> int:
     write_atomic(proof_path, serialize_proof(ts.rho, ts.rho_premises))
     print(circ_path)
     print(proof_path)
-    print(f"verdict-variable {ts.delta_prime} steps {len(ts.rho.steps)}")
+    print(f"steps {len(ts.rho.steps)} algorithm-gates {len(ts.problem.algorithm.gates)}")
     return 0
 
 

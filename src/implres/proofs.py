@@ -252,45 +252,30 @@ class ProofBuilder:
         proof: ResolutionProof,
         axiom_map: Callable[[int], int],
         varmap: dict[int, int],
-        lift: Optional[tuple[int, int]] = None,
-    ) -> Optional[int]:
+    ) -> int:
         """Append a copy of ``proof`` renamed by ``varmap``, with its
-        weakening stripped and, when ``lift = (index, u)`` is given, its
-        use of the unit premise {u} at ``index`` lifted away.
+        weakening stripped, and return its final step.
 
-        ``axiom_map`` sends each other premise index to an existing step
-        id of this builder.  A weakening step aliases its source, and a
-        resolution whose pivot one side lacks aliases that side.  The
-        unit premise becomes a sentinel that stands for {u}; a
-        resolution against it aliases the other side only when that
-        resolves u away or the other side lacks the pivot, and stays the
-        sentinel otherwise.  So each rebuilt clause is a subset of the
-        original step clause plus {-u}, renamed: a refutation becomes a
-        derivation of {-u} or of a subset of it that never cites the
-        unit, in at most as many steps.  ``proof`` must be one that
-        check_proof or check_er accepted: every appended clause is
-        recomputed, but the input is not replayed.  Returns the final
-        step, or None when the final step is the sentinel.
+        ``axiom_map`` sends each premise index to an existing step id of
+        this builder, whose clause must be the premise renamed.  A
+        weakening step aliases its source, and a resolution whose pivot
+        one side lacks aliases that side, so each rebuilt clause is a
+        subset of the original step clause, renamed, in at most as many
+        steps.  ``proof`` must be one that check_proof or check_er
+        accepted: every appended clause is recomputed, but the input is
+        not replayed.
         """
-        index, unit = lift if lift is not None else (-1, 0)
-        sentinel = -1
         local: list[int] = []
         for step in proof.steps:
             kind = type(step)
             if kind is Axiom:
-                local.append(sentinel if step.index == index else axiom_map(step.index))
+                local.append(axiom_map(step.index))
             elif kind is Weaken:
                 local.append(local[step.source])
             else:
-                left, right, pivot = local[step.left], local[step.right], step.pivot
-                if left == sentinel:
-                    local.append(right if pivot == unit else sentinel)
-                elif right == sentinel:
-                    keep = -pivot == unit or varmap[pivot] not in self.clauses[left]
-                    local.append(left if keep else sentinel)
-                else:
-                    local.append(self.resolve_opt(left, right, varmap[pivot]))
-        return None if local[-1] == sentinel else local[-1]
+                left, right = local[step.left], local[step.right]
+                local.append(self.resolve_opt(left, right, varmap[step.pivot]))
+        return local[-1]
 
     def extract(self, final: int) -> ResolutionProof:
         """Prune to the steps reachable from ``final`` and reindex."""

@@ -582,11 +582,11 @@ def graft_pq(
     circuit itself, by the same fold as for tree carriers
     (translate.graft_fold) on the four-copy stride: the grid circuit
     is rebased onto the addressed cell's copy, so the grown grid reads
-    the same cells, and it carries a duplicate of the proof's
-    auxiliaries; generator gates are duplicated too only when an
-    auxiliary reads one (the cone rule; refute_tableau's refutations
-    have no auxiliaries).  The certificate is replayed against the
-    grown constraint set before it is returned."""
+    the same cells, and it carries a duplicate of the proof's aux
+    cone, the generator gates its auxiliaries read, and of the
+    auxiliaries (refute_tableau's refutations have none, so nothing is
+    duplicated).  The certificate is replayed against the grown
+    constraint set before it is returned."""
     tau = tuple(tau_bits)
     bundle = gen_tableau(tm, tau, beta, iface)
     beta2, iface2, bundle2, alpha2 = graft_fold(

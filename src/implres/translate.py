@@ -3,35 +3,30 @@
 A carrier is a generated clause set together with the circuit whose
 gate clauses make it up; that circuit's output is a verdict delta,
 and the unit {-delta} is one of the premises.  Grafting folds a
-refutation of a carrier into the described object itself:
-
-* the proof's auxiliaries get a duplicate in the described object;
-  the grown carrier holds the old one at the same ids, so the
-  carrier circuit needs a duplicate only where the auxiliaries read
-  it.  By the cone rule, when no auxiliary gate reads a carrier gate
-  (the aux cone is empty), the auxiliaries alone are duplicated and
-  the refutation is rewritten in one walk (ProofBuilder.import_proof,
-  proofs module): its weakening is stripped and it is renamed onto the
-  grown set, citing gate clauses by position, not by value;
-* otherwise the whole carrier circuit is duplicated too, the walk
-  also lifts the refutation's use of {-delta} into a derivation of the
-  duplicate verdict {delta'}, and the glue is written in place, into
-  the same proof builder: the bridge clause {delta, -delta'} is
-  derived gate by gate through the embedding of the carrier circuit
-  into its duplicate and resolved with {-delta} and {delta'} (_bridge;
-  emb_refute is its standalone form, over the two circuits' own
-  clauses and the two units).
+refutation of a carrier into the described object itself.  The grown
+carrier holds the old one at the same ids, so only the proof's
+auxiliaries and their aux cone, the carrier gates they read directly
+or through other carrier gates, get a duplicate in the described
+object (_duplicate).  The refutation is rewritten in one walk
+(ProofBuilder.import_proof, proofs module): its weakening is stripped,
+host clauses and {-delta} are cited where they stand, and each
+auxiliary clause is its duplicate's clause with the cone-copy
+literals resolved back to the originals through bridge clauses
+derived gate by gate (_bridge; emb_refute is its standalone form, over
+two circuits' own clauses and two units).  Gate clauses are cited by
+position, not by value.  On an empty cone the duplicate is the
+auxiliaries alone and the certificate is the input proof renamed.
 
 graft_fold does this for carriers generated from a described circuit
 beta on a copy stride: C(omega, beta) from gen_C (graft) and
 machine-grid sets from gen_tableau (tableau.graft_pq).  It rebases beta
 onto the carrier's first copy and lays the duplicate on the same
 stride, so the grown circuit regenerates a set that contains the old
-one.  The auxiliaries of truthdef_translate read only omega's
+one.  search_translate folds into a search problem's algorithm the
+same way, over its correctness clauses, with fresh ids for the
+duplicate.  The auxiliaries of truthdef_translate read only omega's
 variables and refute_tableau's refutations have none, so both
-producers take the cone-free path.
-search_translate reuses the whole-circuit fold on a search problem's
-correctness clauses, with fresh ids for the duplicate.
+producers' cones are empty.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
 into a refutation of C(omega, canonical beta) and graft it.  The
 truth-definition step forces the units of the canonical carrier by
@@ -75,6 +70,7 @@ from .encoding import TreeInterface, canonical_tree_circuit
 from .formulas import EMPTY_CLAUSE, Clause, ClauseSet
 from .implicit import ImplicitRefutation, proof_stage
 from .proofs import (
+    Axiom,
     ERProof,
     ProofBuilder,
     ResolutionProof,
@@ -106,22 +102,24 @@ def _bridge(
     at,
     c: Circuit,
     f: dict[int, int],
-    y: int,
-    polarity: bool,
+    roots: list[tuple[int, bool]],
     d: Optional[dict[int, Gate]] = None,
-) -> int:
-    """Derive in b the bridge clause A(y) = {-y, f(y)} (polarity) or
-    B(y) = {y, -f(y)} for a gate y of c with f(y) != y, in a constant
-    number of steps per body literal of the gates it needs.  Gate
-    clauses are cited by position, not by value: at(v, image) is where
-    the group of c's gate v (or of the image gate v) starts in b's
-    premises, laid out as gate_clauses does.  An image gate lists its
-    body as f maps c's, unless d gives the image gates."""
+) -> dict[bool, dict[int, int]]:
+    """Derive in b the bridge clause A(y) = {-y, f(y)} (polarity True)
+    or B(y) = {y, -f(y)} (False) for each root (y, polarity), a gate y
+    of c with f(y) != y, in a constant number of steps per body literal
+    of the gates they need.  Returns the step table: table[polarity][e]
+    is the step deriving A(e) or B(e), for the roots and every gate one
+    demand pass found under them.  Gate clauses are cited by position,
+    not by value: at(v, image) is where the group of c's gate v (or of
+    the image gate v) starts in b's premises, laid out as gate_clauses
+    does.  An image gate lists its body as f maps c's, unless d gives
+    the image gates."""
     gate_of = c.gate_map()
 
     # Demand pass: which gates need A (-e or f(e)) and which need B.
     need: dict[bool, set[int]] = {True: set(), False: set()}
-    work = [(y, polarity)]  # True demands A, False demands B
+    work = list(roots)  # True demands A, False demands B
     while work:
         var, want_a = work.pop()
         if f[var] == var or var in need[want_a]:
@@ -164,7 +162,7 @@ def _bridge(
             if b.clause(cur) != Clause((-src, dst)):
                 raise TranslateError(f"bridge clause for gate {e} came out wrong")
             steps[want_a][e] = cur
-    return steps[polarity][y]
+    return steps
 
 
 def emb_refute(
@@ -184,8 +182,8 @@ def emb_refute(
     b = ProofBuilder(premises)
     at = (group_starts(c.gates), group_starts(d.gates, sum(map(gate_clause_count, c.gates))))
     bridge = None if fy == y else _bridge(
-        b, lambda v, image: at[image][v], c, f, y, polarity, d.gate_map()
-    )
+        b, lambda v, image: at[image][v], c, f, [(y, polarity)], d.gate_map()
+    )[polarity][y]
     uy = b.axiom(len(premises) - 2)
     ufy = b.axiom(len(premises) - 1)
     ylit, fylit = (y, fy) if polarity else (-y, -fy)
@@ -202,7 +200,6 @@ def emb_refute(
 class TranslatedSearch:
     problem: SearchProblem  # enlarged algorithm, same checker
     rho: ResolutionProof
-    delta_prime: int
     rho_premises: int  # size of the grown correctness set rho refutes
     pi_premises: int  # size of the set pi refutes, its auxiliaries included
 
@@ -222,21 +219,18 @@ def aux_cone(host: Circuit, aux: Circuit) -> set[int]:
 
 
 def _duplicate(
-    host: Circuit, aux: Circuit, start: int, step: int, cone_rule: bool = False
+    host: Circuit, aux: Circuit, start: int, step: int
 ) -> tuple[tuple[Gate, ...], dict[int, int]]:
-    """Copy of aux's gates, and of host's where they are needed, over
-    host's frees; the t-th copied gate (from 0) gets id start + t * step.
-    Returns the gates and the map.
-
-    Under the cone rule, when aux reads no host gate (aux_cone is
-    empty), only aux is copied and the map is the identity on host's
-    variables: the copy reads the host itself.  Otherwise host's gates
-    are copied first and aux reads their copies."""
+    """Copy of the aux cone's gates, in host order, then of aux's
+    gates; the t-th copied gate (from 0) gets id start + t * step.
+    Returns the gates and the map, which sends each copied gate to its
+    copy and every other host variable to itself: a cone copy reads
+    host frees and other cone copies, an aux copy reads the host
+    outside the cone as it stands.  An empty cone copies aux alone."""
+    cone = aux_cone(host, aux)
     dupmap = {v: v for v in host.free}
-    copied = host.gates + aux.gates
-    if cone_rule and not aux_cone(host, aux):
-        dupmap.update((g.var, g.var) for g in host.gates)
-        copied = aux.gates
+    dupmap.update((g.var, g.var) for g in host.gates)
+    copied = [g for g in host.gates if g.var in cone] + list(aux.gates)
     gates = []
     for t, g in enumerate(copied):
         nv = start + t * step
@@ -262,37 +256,42 @@ def _fold_proof(
     for host's output delta; new holds those clauses, the clauses of
     the duplicate (_duplicate's gates, over dupmap) and {-delta} at
     new_neg; old_at(v) and new_at(v) say where the clause group of gate
-    v starts in each.  pi is imported once, renamed by dupmap, each
-    premise cited at its offset in its gate duplicate's group.
-
-    When dupmap keeps delta (the aux cone is empty), only pi's
-    auxiliaries were duplicated: host clauses are cited in their own
-    group of new and {-delta} at new_neg, and the import is the
-    refutation.  Otherwise pi is lifted off {-delta} into a derivation
-    of the duplicate verdict {delta'}, and the glue is written in place
-    into the same builder: the converse bridge {delta, -delta'}
-    (_bridge), resolved with {-delta} and {delta'}.  Either way new is
-    read only where the certificate cites it."""
-    delta = host.outputs[0]
-    delta_prime = dupmap[delta]
+    v starts in each.  pi is imported once, host variables kept and
+    auxiliaries renamed to their copies: host clauses are cited in
+    their own group of new, {-delta} at new_neg, and each auxiliary
+    clause is its copy's clause with every cone-copy literal c' resolved
+    back to c through the bridges A(c) = {-c, c'} and B(c) = {c, -c'},
+    derived in the same builder (_bridge) for the clauses pi cites.
+    new is read only where the certificate cites it."""
+    original = {dupmap[g.var]: g.var for g in host.gates if dupmap[g.var] != g.var}
+    varmap = dict(dupmap)
+    varmap.update((v, v) for v in original.values())
     aux_at = group_starts(pi.aux.gates, len(old))
     moved = {old_neg: new_neg}
     for g in host.gates + pi.aux.gates:
         p = aux_at[g.var] if g.var in aux_at else old_at(g.var)
-        r = new_at(dupmap[g.var])
+        r = new_at(varmap[g.var])
         for j in range(gate_clause_count(g)):
             moved[p + j] = r + j
     b = ProofBuilder(new)
-    if delta_prime == delta:
-        final = b.import_proof(pi.proof, lambda q: b.axiom(moved[q]), dupmap)
-    else:
-        lifted_step = b.import_proof(
-            pi.proof, lambda q: b.axiom(moved[q]), dupmap, lift=(old_neg, -delta)
-        )
-        if lifted_step is None or b.clause(lifted_step) != Clause((delta_prime,)):
-            raise TranslateError("lifting did not reach the duplicate verdict")
-        bridge = _bridge(b, lambda v, image: new_at(v), host, dupmap, delta, False)
-        final = b.resolve(lifted_step, b.resolve(bridge, b.axiom(new_neg), delta), delta_prime)
+    bridges = {}
+    if original:
+        cited = {moved[s.index] for s in pi.proof.steps if type(s) is Axiom}
+        roots = [(original[abs(l)], l < 0) for q in cited for l in new[q]
+                 if abs(l) in original]
+        bridges = _bridge(b, lambda v, image: new_at(v), host, dupmap, roots)
+    cites: dict[int, int] = {}
+
+    def cite(q: int) -> int:
+        if q not in cites:
+            step = b.axiom(moved[q])
+            for lit in b.clause(step):
+                if abs(lit) in original:
+                    step = b.resolve_lit(step, bridges[lit < 0][original[abs(lit)]], lit)
+            cites[q] = step
+        return cites[q]
+
+    final = b.import_proof(pi.proof, cite, varmap)
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("grafted refutation missed the empty clause")
     return b.extract(final)
@@ -307,17 +306,16 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     copies.  beta is rebased onto the carrier's first copy
     (``copy_maps[0]``), which makes the first copy's clause block
     literally the grown circuit's own clauses, and the grown carrier
-    holds the old one at the same ids.  The duplicate's ids continue
-    the stride after beta's non-output gates, on the first copy.  By
-    the cone rule (_duplicate) the duplicate is the proof's auxiliary
-    gates alone when they read no carrier gate, and the proof is
-    imported as it stands; otherwise the whole carrier circuit is
-    duplicated and bridged back (_fold_proof).  The grown circuit's
-    frees are the first copy's input images, then the carrier's frees
-    not already listed; generate's port check validates it.  Returns
-    the grown circuit, its interface, its carrier and the certificate
-    refuting that carrier, which is replayed against the grown carrier
-    first: every graft, tree or grid, leaves checked."""
+    holds the old one at the same ids.  The duplicate (_duplicate: the
+    proof's aux cone, then its auxiliary gates) continues the stride
+    after beta's non-output gates, on the first copy, and the proof is
+    imported onto the grown carrier with the cone bridged back
+    (_fold_proof).  The grown circuit's frees are the first copy's
+    input images, then the carrier's frees not already listed;
+    generate's port check validates it.  Returns the grown circuit,
+    its interface, its carrier and the certificate refuting that
+    carrier, which is replayed against the grown carrier first: every
+    graft, tree or grid, leaves checked."""
     old = bundle.clauses
     rep = check_er(old, alpha_er)
     if not rep:
@@ -326,9 +324,7 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     first = old.copy_maps[0]
     stride = len(old.copy_maps)
     n_inner = len(beta.gates) - len(iface.outputs)
-    dup_gates, dupmap = _duplicate(
-        host, alpha_er.aux, old.base + n_inner * stride, stride, cone_rule=True
-    )
+    dup_gates, dupmap = _duplicate(host, alpha_er.aux, old.base + n_inner * stride, stride)
     inputs = tuple(first[x] for x in iface.inputs)
     beta_hat = tuple(
         Gate(first[g.var], tuple(map_literal(l, first) for l in g.body))
@@ -354,10 +350,14 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
 
 def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     """Absorb an ER refutation of the correctness clauses into the
-    algorithm circuit: the enlarged algorithm carries a duplicate of
-    algorithm, checker, and proof auxiliaries, and the returned plain
-    refutation derives the duplicate's verdict and glues it back.  It
-    is replayed against the grown correctness set before it leaves."""
+    algorithm circuit by the graft's fold: the enlarged algorithm
+    carries a duplicate of the proof's aux cone over algorithm and
+    checker, then of its auxiliaries, and the returned plain
+    refutation is pi imported onto the grown correctness set, which
+    still holds the checker's verdict delta.  An aux-free pi leaves the
+    algorithm as it is and comes back with its weakening stripped.  The
+    refutation is replayed against the grown correctness set before it
+    leaves."""
     rep = check_search_problem(sp)
     if not rep:
         raise TranslateError(f"bad search problem: {rep.reason}")
@@ -390,7 +390,7 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     if not rep:
         raise TranslateError(f"translated refutation rejected: step {rep.step}: {rep.reason}")
     return TranslatedSearch(
-        sp2, rho, dupmap[delta], len(correct2.clauses),
+        sp2, rho, len(correct2.clauses),
         len(er_premises(correct, pi.aux).clauses),
     )
 

@@ -13,7 +13,8 @@ into its output cone, which the port check must refuse.  Two more
 mutate the auxiliary gates that the cone-free graft lays in the grown
 circuit: one deletes such a gate, one rewires its body to read a
 carrier gate instead of the variable the certificate relies on.  The
-kind
+same two kinds mutate the cone copies that a graft lays when an
+auxiliary reads a carrier gate.  The kind
 "re-pointed axiom" sends one axiom step to another premise position,
 judged through the lazily read carrier against a reference that reads
 a separately materialized copy of the set.
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from implres.circuits import Circuit, Gate, gate_clauses, map_literal
+from implres.circuits import Circuit, Gate, gate_clauses, map_literal, max_var
 from implres.correctness import gen_C, gen_correct
 from implres.families import (
     not_search,
@@ -36,10 +37,16 @@ from implres.families import (
     tseitin_cycle,
 )
 from implres.implicit import proof_stage, verify_implicit
-from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof, check_er
+from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof, check_er, er_premises
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import gen_tableau, graft_pq, refute_tableau, verify_refutation
-from implres.translate import er_to_implicit, search_translate, truthdef_translate
+from implres.translate import (
+    aux_cone,
+    er_to_implicit,
+    graft,
+    search_translate,
+    truthdef_translate,
+)
 
 EMPTY = Circuit((), (), ())
 PER_KIND = 12
@@ -266,55 +273,68 @@ def test_repointed_axiom_mutants_are_rejected():
     assert invalid >= total * 3 // 4, (invalid, total)
 
 
-def detour(premises, alpha, var):
-    """An ER refutation of premises with one auxiliary gate a = OR(var),
-    which the proof cites: the first axiom whose clause C holds var is
-    rederived as C - var + a from {a, -var}, then as C from {-a, var}."""
-    a = premises.n + 1
-    at = len(premises)  # a's clauses: {-a, var} at at, {a, -var} at at + 1
+def detour(premises, ep, lit):
+    """ep with one more auxiliary gate r = OR(lit), which the proof
+    cites: the first axiom of premises whose clause C holds lit is
+    rederived as C - lit + r from {r, -lit}, then as C from {-r, lit}.
+    A reader of a carrier gate's literal gives the graft a nonempty aux
+    cone."""
+    extended = er_premises(premises, ep.aux)
+    r = max(extended.n, max_var(ep.aux)) + 1
+    at = len(extended)  # r's clauses: {-r, lit} at at, {r, -lit} at at + 1
     i = next(
-        j for j, s in enumerate(alpha.steps)
-        if isinstance(s, Axiom) and var in premises[s.index].literals
+        j for j, s in enumerate(ep.proof.steps)
+        if isinstance(s, Axiom) and s.index < len(premises)
+        and lit in premises[s.index].literals
     )
-    head = (Axiom(alpha.steps[i].index), Axiom(at + 1), Resolve(0, 1, var),
-            Axiom(at), Resolve(2, 3, a))
-    remap = [4 if j == i else j + len(head) for j in range(len(alpha.steps))]
+    var = abs(lit)
+    head = (Axiom(ep.proof.steps[i].index), Axiom(at + 1),
+            Resolve(0, 1, var) if lit > 0 else Resolve(1, 0, var),
+            Axiom(at), Resolve(2, 3, r))
+    remap = [4 if j == i else j + len(head) for j in range(len(ep.proof.steps))]
     steps = [
         dataclasses.replace(s, left=remap[s.left], right=remap[s.right])
         if isinstance(s, Resolve) else s
-        for s in alpha.steps
+        for s in ep.proof.steps
     ]
-    ep = ERProof(Circuit((var,), (Gate(a, (var,)),), ()), ResolutionProof(head + tuple(steps)))
-    assert check_er(premises, ep)
-    return ep
+    free = ep.aux.free + (() if var in ep.aux.variables() else (var,))
+    aux = Circuit(free, ep.aux.gates + (Gate(r, (lit,)),), ())
+    out = ERProof(aux, ResolutionProof(head + tuple(steps)))
+    assert check_er(premises, out)
+    return out
+
+
+def er_judge(ir):
+    """judge(beta2) for an er_to_implicit certificate: the materialized
+    carrier of beta2 (None when it is refused), the certificate, the
+    carrier's size and the verifier's report on the certificate
+    declaring that size."""
+
+    def judge(beta2):
+        try:
+            cs = gen_C(ir.omega, beta2, ir.iface).clauses
+        except ValueError:
+            return None, ir.alpha, ir.alpha_premises, verify_implicit(
+                dataclasses.replace(ir, beta=beta2))
+        rep = verify_implicit(dataclasses.replace(ir, beta=beta2, alpha_premises=len(cs)))
+        return cs.clauses, ir.alpha, len(cs), rep
+
+    return judge
 
 
 def lean_grafts():
     """(name, host, beta, grown, judge) for the cone-free grafts: host
     is the carrier circuit the proof refuted, beta the circuit it was
     generated from, grown the grafted circuit, whose gates past beta's
-    are the proof's auxiliaries; judge(beta2) gives the materialized
-    carrier of beta2 (None when it is refused), the certificate, the
-    carrier's size and the verifier's report on the certificate
-    declaring that size."""
+    are the proof's auxiliaries; judge is as er_judge gives it."""
     for name, ir in er_refutations():
         tt = truthdef_translate(ir.omega, ERProof(EMPTY, proof_from_tree(
             ir.omega, dpll_refute(ir.omega).tree)))
-
-        def judge(beta2, ir=ir):
-            try:
-                cs = gen_C(ir.omega, beta2, ir.iface).clauses
-            except ValueError:
-                return None, ir.alpha, ir.alpha_premises, verify_implicit(
-                    dataclasses.replace(ir, beta=beta2))
-            rep = verify_implicit(dataclasses.replace(ir, beta=beta2, alpha_premises=len(cs)))
-            return cs.clauses, ir.alpha, len(cs), rep
-
-        yield name, tt.bundle.clauses.circuit, tt.beta, ir.beta, judge
+        yield name, tt.bundle.clauses.circuit, tt.beta, ir.beta, er_judge(ir)
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()
         bundle = gen_tableau(tm, tau, beta, iface)
-        pi = detour(bundle.clauses, refute_tableau(bundle), bundle.j_vars[0])
+        pi = detour(bundle.clauses, ERProof(EMPTY, refute_tableau(bundle)), bundle.j_vars[0])
         tr = graft_pq(tm, tau, beta, iface, pi)
         assert verify_refutation(tr)
 
@@ -330,6 +350,60 @@ def lean_grafts():
         yield fixture.__name__, bundle.clauses.circuit, beta, tr.beta, judge
 
 
+def cone_reader_literals(tt):
+    """(name, literal) for three carrier literals that the
+    truth-definition refutation eta cites: the constant gate tt, whose
+    cone is itself; a gate of a copy of beta; and -delta, from the
+    premise {-delta}, whose cone is the whole carrier circuit."""
+    cs = tt.bundle.clauses
+    copies = {cm[g.var] for cm in cs.copy_maps for g in tt.beta.gates}
+    cited = (cs[s.index] for s in tt.eta.proof.steps
+             if isinstance(s, Axiom) and s.index < len(cs))
+    in_copy = next(lit for c in cited for lit in c if abs(lit) in copies)
+    return ("tt", cs.circuit.gates[0].var), ("copy", in_copy), ("neg-delta", -cs.delta)
+
+
+def cone_grafts():
+    """(name, tt, pi, ir) for grafts with a nonempty aux cone: pi is
+    the truth-definition refutation tt.eta of tseitin_cycle(4) with one
+    more auxiliary reader r = OR(lit) of each cone_reader_literals
+    literal (detour), ir its graft."""
+    omega = tseitin_cycle(4)
+    tt = truthdef_translate(omega, ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree)))
+    for name, lit in cone_reader_literals(tt):
+        pi = detour(tt.bundle.clauses, tt.eta, lit)
+        yield name, tt, pi, graft(omega, tt.beta, tt.iface, tt.bundle, pi)
+
+
+def judge_gate_mutants(name, host, grown, targets, judge, rng):
+    """Outcomes (name, kind, gate, accepted, stage) of the mutants of
+    grown that delete a gate of targets, or rewire its first body
+    literal to a carrier gate that grown defines, then to one it does
+    not, judged with the declared premise count following the mutated
+    carrier, so the refusal comes from the circuit or the replay rather
+    than from the count.  A reference replay over the materialized
+    carrier confirms that each mutant is invalid."""
+    defined = grown.variables()
+    inside = [g.var for g in host.gates if g.var in defined]
+    outside = [g.var for g in host.gates if g.var not in defined]
+    outcomes = []
+    for g in targets:
+        kept = tuple(h for h in grown.gates if h is not g)
+        betas = [("deleted", dataclasses.replace(grown, gates=kept))]
+        for pool in (inside, outside):
+            v, lit = rng.choice(pool), g.body[0]
+            body = (v if lit > 0 else -v,) + g.body[1:]
+            gates = tuple(Gate(g.var, body) if h is g else h for h in grown.gates)
+            betas.append(("rewired", dataclasses.replace(grown, gates=gates)))
+        for kind, beta2 in betas:
+            premises, alpha, declared, rep = judge(beta2)
+            if premises is not None:
+                clauses = reference_clauses(premises, alpha.steps)
+                assert clauses is None or clauses[-1] != frozenset(), (name, kind, g)
+            outcomes.append((name, kind, g.var, rep.ok, rep.stage))
+    return outcomes
+
+
 def test_auxiliary_gate_mutants_of_lean_grafts_are_rejected():
     """Mutant kinds "deleted auxiliary gate" and "rewired auxiliary
     gate".  The cone-free graft leaves the carrier circuit in place and
@@ -337,34 +411,40 @@ def test_auxiliary_gate_mutants_of_lean_grafts_are_rejected():
     certificate cites those gates' clauses and reads the carrier
     through them.  Deleting one, or making its body read a carrier gate
     (one the grown circuit defines, or one it does not), must be
-    refused, with the declared premise count following the mutated
-    carrier, so the refusal comes from the circuit or the replay rather
-    than from the count.  A reference replay over the materialized
-    carrier confirms that each mutant is invalid."""
+    refused (judge_gate_mutants)."""
     rng = random.Random(337)
     outcomes = []
     for name, host, beta, grown, judge in lean_grafts():
         aux = grown.gates[len(beta.gates):]
         assert aux and all(g.var not in host.extension_vars() for g in aux)
-        defined = grown.variables()
-        inside = [g.var for g in host.gates if g.var in defined]
-        outside = [g.var for g in host.gates if g.var not in defined]
-        for g in rng.sample(aux, min(PER_KIND, len(aux))):
-            kept = tuple(h for h in grown.gates if h is not g)
-            betas = [("deleted", dataclasses.replace(grown, gates=kept))]
-            for pool in (inside, outside):
-                v, lit = rng.choice(pool), g.body[0]
-                body = (v if lit > 0 else -v,) + g.body[1:]
-                gates = tuple(Gate(g.var, body) if h is g else h for h in grown.gates)
-                betas.append(("rewired", dataclasses.replace(grown, gates=gates)))
-            for kind, beta2 in betas:
-                premises, alpha, declared, rep = judge(beta2)
-                if premises is not None:
-                    clauses = reference_clauses(premises, alpha.steps)
-                    assert clauses is None or clauses[-1] != frozenset(), (name, kind, g)
-                outcomes.append((name, kind, g.var, rep.ok, rep.stage))
+        targets = rng.sample(aux, min(PER_KIND, len(aux)))
+        outcomes += judge_gate_mutants(name, host, grown, targets, judge, rng)
     accepts = [o for o in outcomes if o[3]]
     assert not accepts, accepts[:3]
     assert {o[1] for o in outcomes} == {"deleted", "rewired"}
     assert {o[4] for o in outcomes} == {"interface", "proof"}
     print(f"auxiliary gate mutants rejected: {len(outcomes)}")
+
+
+def test_cone_copy_mutants_of_cone_grafts_are_rejected():
+    """Mutant kinds "deleted cone copy" and "rewired cone copy".  When
+    an auxiliary gate reads a carrier gate, the graft lays a copy of the
+    aux cone in the grown circuit before the auxiliaries, and the
+    certificate cites the copies' clauses in the bridges that carry the
+    auxiliaries' clauses back onto the carrier.  Deleting a copy, or
+    rewiring its body, must be refused at the interface or the proof
+    stage (judge_gate_mutants)."""
+    rng = random.Random(349)
+    outcomes = []
+    for name, tt, pi, ir in cone_grafts():
+        host = tt.bundle.clauses.circuit
+        n_cone = len(aux_cone(host, pi.aux))
+        copies = ir.beta.gates[len(tt.beta.gates):len(tt.beta.gates) + n_cone]
+        assert copies and all(g.var not in host.variables() for g in copies)
+        targets = rng.sample(copies, min(PER_KIND, len(copies)))
+        outcomes += judge_gate_mutants(name, host, ir.beta, targets, er_judge(ir), rng)
+    accepts = [o for o in outcomes if o[3]]
+    assert not accepts, accepts[:3]
+    assert {o[1] for o in outcomes} == {"deleted", "rewired"}
+    assert {o[4] for o in outcomes} <= {"interface", "proof"}
+    print(f"cone copy mutants rejected: {len(outcomes)}")

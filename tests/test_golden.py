@@ -120,8 +120,7 @@ def search_translate_text(n):
     tree = dpll_refute(correct, order=tuple(range(1, correct.n + 1))).tree
     ts = search_translate(sp, ERProof(EMPTY, proof_from_tree(correct, tree)))
     return (serialize_circuit(ts.problem.algorithm)
-            + serialize_proof(ts.rho, len(gen_correct(ts.problem).clauses))
-            + f"{ts.delta_prime}\n")
+            + serialize_proof(ts.rho, len(gen_correct(ts.problem).clauses)))
 
 
 def emb_refute_text():

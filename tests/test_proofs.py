@@ -162,11 +162,10 @@ def identity(premises):
     return {v: v for v in range(1, premises.n + 1)}
 
 
-def rewrite(premises, proof, lift=None):
+def rewrite(premises, proof):
     """import_proof into a fresh builder over the same premises."""
     b = ProofBuilder(premises)
-    final = b.import_proof(proof, b.raw_axiom, identity(premises), lift=lift)
-    return None if final is None else b.extract(final)
+    return b.extract(b.import_proof(proof, b.raw_axiom, identity(premises)))
 
 
 def test_strip_weakening(omega2):
@@ -191,78 +190,13 @@ def test_strip_weakening(omega2):
     assert len(s.steps) <= len(p.steps)
 
 
-def test_lift_unit_axiom():
-    """import_proof with lift turns a refutation into a derivation of
-    {-u} that does not cite the unit premise {u}."""
-    # premises {1,2}, {-1,2}; extra unit {-2} at index 2 closes the refutation
-    base = ClauseSet(2, ((1, 2), (-1, 2)))
-    extended = ClauseSet(2, base.clauses + (Clause((-2,)),))
-    p = ResolutionProof(
-        (Axiom(0), Axiom(1), Resolve(0, 1, 1), Axiom(2), Resolve(2, 3, 2))
-    )
-    assert check_proof(extended, p)
-    b = ProofBuilder(base)
-    final = b.import_proof(p, b.axiom, identity(base), lift=(2, -2))
-    lifted = b.extract(final)
-    assert set(proof_clauses(base, lifted)[-1].literals) <= {2}
-    assert len(lifted.steps) <= len(p.steps)
-
-
-def test_lift_unit_axiom_mid_list_unit_through_weakening():
-    # the unit {-2} sits at index 1 between the other premises
-    premises = ClauseSet(2, ((1, 2), (-2,), (-1, 2)))
-    p = ResolutionProof(
-        (
-            Axiom(0),
-            Axiom(2),
-            Resolve(0, 1, 1),   # {2}
-            Weaken(2, (-1,)),   # {-1, 2}
-            Axiom(1),
-            Resolve(3, 4, 2),   # {-1}
-            Axiom(0),
-            Resolve(6, 5, 1),   # {2}
-            Resolve(7, 4, 2),   # {}
-        )
-    )
-    assert check_proof(premises, p)
-    lifted = rewrite(premises, p, lift=(1, -2))
-    assert proof_clauses(premises, lifted)[-1] == Clause((2,))
-    assert not any(isinstance(s, Weaken) for s in lifted.steps)
-    assert Axiom(1) not in lifted.steps
-    assert len(lifted.steps) <= len(p.steps)
-
-
-def test_import_proof_keeps_a_weakened_unit():
-    """A weakened unit resolved on another variable still holds u, so
-    it must stay the unit: aliasing its other side would carry that
-    side's pivot literal into the lifted clause, where nothing removes
-    it."""
-    premises = ClauseSet(2, ((-2,), (1, 2), (-1,)))
-    p = ResolutionProof(
-        (
-            Axiom(0),
-            Weaken(0, (1,)),    # {1, -2}
-            Axiom(2),
-            Resolve(1, 2, 1),   # {-2}
-            Axiom(1),
-            Resolve(4, 3, 2),   # {1}
-            Resolve(5, 2, 1),   # {}
-        )
-    )
-    assert check_proof(premises, p)
-    lifted = rewrite(premises, p, lift=(0, -2))
-    assert set(proof_clauses(premises, lifted)[-1].literals) <= {2}
-    assert Axiom(0) not in lifted.steps
-    # a proof that ends on the unit itself leaves nothing to lift
-    assert rewrite(premises, ResolutionProof((Axiom(0),)), lift=(0, -2)) is None
-
-
-def random_lifting_case(rng):
-    """A premise set over at most 4 variables with a unit {u} at a random
-    index, and a checked refutation of it grown by random steps:
-    axioms, weakenings by random literals (tautologies included) and
-    resolutions on any pivot, so the proof is rarely regular and often
-    carries dead steps.  None when 300 steps reach no empty clause."""
+def random_refutation(rng):
+    """A premise set over at most 4 variables, made unsatisfiable by a
+    unit {u} at a random index, and a checked refutation of it grown by
+    random steps: axioms, weakenings by random literals (tautologies
+    included) and resolutions on any pivot, so the proof is rarely
+    regular and often carries dead steps.  None when 300 steps reach no
+    empty clause."""
     n = rng.randint(2, 4)
     u = rng.choice((1, -1)) * rng.randint(1, n)
 
@@ -308,30 +242,27 @@ def random_lifting_case(rng):
         if clause == EMPTY_CLAUSE:
             proof = ResolutionProof(tuple(steps))
             assert check_proof(premises, proof)
-            return premises, index, u, proof
+            return premises, proof
     return None
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_import_proof_lifts_random_checked_refutations(seed):
-    """On any refutation check_proof accepts, the lift derives a subset
-    of {-u}, never cites the unit, strips all weakening and adds no
-    step."""
+    """On any refutation check_proof accepts, the rewrite replays to the
+    empty clause, strips all weakening and adds no step."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < 300:
-        case = random_lifting_case(rng)
+        case = random_refutation(rng)
         if case is not None:
             cases.append(case)
-    assert {index for _, index, _, _ in cases} > {0, 1, 2}
-    assert sum(any(type(s) is Weaken for s in p.steps) for *_, p in cases) > 100
-    for premises, index, u, proof in cases:
-        lifted = rewrite(premises, proof, lift=(index, u))
-        assert lifted is not None
-        assert set(proof_clauses(premises, lifted)[-1].literals) <= {-u}
-        assert Axiom(index) not in lifted.steps
-        assert not any(type(s) is Weaken for s in lifted.steps)
-        assert len(lifted) <= len(proof)
+    assert sum(any(type(s) is Weaken for s in p.steps) for _, p in cases) > 100
+    for premises, proof in cases:
+        rebuilt = rewrite(premises, proof)
+        assert check_proof(premises, rebuilt)
+        assert proof_clauses(premises, rebuilt)[-1] == EMPTY_CLAUSE
+        assert not any(type(s) is Weaken for s in rebuilt.steps)
+        assert len(rebuilt) <= len(proof)
 
 
 def test_check_er_guards(omega1, omega2):

@@ -8,7 +8,7 @@ from implres.circuits import (
     circuit_clauses,
     circuit_size,
     duplicate,
-    max_var,
+    gate_clause_count,
 )
 from implres.correctness import gen_C, gen_correct
 from implres.encoding import canonical_tree_circuit, tree_to_circuit
@@ -37,6 +37,7 @@ from implres.translate import (
     search_translate,
     truthdef_translate,
 )
+from test_certificate_mutants import cone_grafts, detour
 
 
 def n_resolutions(p):
@@ -166,8 +167,8 @@ def test_graft_rejects_a_certificate_the_grown_carrier_does_not_replay(broken_fo
     tt = truthdef_translate(omega1, pi)
     with pytest.raises(TranslateError, match="grafted refutation rejected"):
         graft(omega1, tt.beta, tt.iface, tt.bundle, tt.eta)
-    # the injected certificate took the cone-free path: the grown
-    # circuit carries the auxiliaries and no duplicate of the host
+    # the aux cone is empty: the grown circuit carries the auxiliaries
+    # and no duplicate of the host
     [(host, dupmap, beta2)] = broken_fold
     assert all(dupmap[g.var] == g.var for g in host.gates)
     assert len(beta2.gates) == len(tt.beta.gates) + len(tt.eta.aux.gates)
@@ -239,14 +240,15 @@ def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4, php32):
         assert len(ir.beta.gates) == len(tt.beta.gates) + len(tt.eta.aux.gates)
 
 
-def test_only_an_auxiliary_reading_a_host_gate_takes_the_whole_host_fold(
-    monkeypatch, tseitin4, php32
-):
-    """The whole-host fold, duplicate and bridge, is the fallback for a
-    nonempty aux cone.  No producer's proof reaches it: er_to_implicit
-    on any ER proof, graft_pq on refute_tableau's output.  An ER proof
-    with an auxiliary gate that reads the carrier's verdict does, and
-    its graft still verifies."""
+def test_no_producer_bridges_and_cone_readers_graft(monkeypatch, tseitin4, php32):
+    """No producer's proof has a nonempty aux cone: er_to_implicit on
+    any ER proof and graft_pq on refute_tableau's output never bridge.
+    A proof with an auxiliary reader r = OR(l) of a carrier literal l
+    grafts with one demand pass of bridges: the grown circuit holds the
+    reader's cone copied and the auxiliaries, and the certificate adds
+    at most 6 steps per clause of the cone's gates (4.4 measured) to
+    the proof.  The readers read the constant tt (a one-gate cone), a
+    gate of a copy of beta, and -delta (the whole carrier circuit)."""
     bridged = []
     real = translate._bridge
 
@@ -263,19 +265,20 @@ def test_only_an_auxiliary_reading_a_host_gate_takes_the_whole_host_fold(
         assert verify_refutation(graft_pq(tm, tau, beta, iface, empty_aux(alpha)))
     assert not bridged
 
-    tt = truthdef_translate(tseitin4, dpll_er(tseitin4))
-    cs = tt.bundle.clauses
-    host, delta = cs.circuit, cs.delta
-    reader = Gate(max(cs.n, max_var(tt.eta.aux)) + 1, (-delta,))
-    aux = Circuit(tt.eta.aux.free + (delta,), tt.eta.aux.gates + (reader,), ())
-    pi = ERProof(aux, tt.eta.proof)
-    assert check_er(cs, pi)
-    assert delta in translate.aux_cone(host, aux)
-    ir = graft(tseitin4, tt.beta, tt.iface, tt.bundle, pi)
-    assert len(bridged) == 1
-    assert len(ir.beta.gates) == len(tt.beta.gates) + len(host.gates) + len(aux.gates)
-    rep = verify_implicit(ir)
-    assert rep, (rep.stage, rep.reason)
+    cones, worst = {}, 0.0
+    for name, tt, pi, ir in cone_grafts():
+        rep = verify_implicit(ir)
+        assert rep, (name, rep.stage, rep.reason)
+        host = tt.bundle.clauses.circuit
+        cone = translate.aux_cone(host, pi.aux)
+        cones[name] = len(cone)
+        assert len(ir.beta.gates) == len(tt.beta.gates) + len(cone) + len(pi.aux.gates)
+        cone_clauses = sum(gate_clause_count(g) for g in host.gates if g.var in cone)
+        worst = max(worst, (len(ir.alpha.steps) - len(pi.proof.steps)) / cone_clauses)
+    assert len(bridged) == 3
+    assert cones["tt"] == 1 and cones["neg-delta"] == len(host.gates)
+    print(f"bridge steps per cone clause: at most {worst:.2f}")
+    assert worst <= 6
 
 
 def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2):
@@ -355,15 +358,14 @@ def test_producers_check_their_input_before_stripping_it(monkeypatch, tseitin4):
 
 
 def test_fold_refuses_a_proof_that_ends_on_the_unit(monkeypatch):
-    """A proof whose last step is the bare unit {-delta} lifts to
-    nothing in the whole-circuit fold (search_translate) and imports as
-    {-delta} on the cone-free path (graft_pq); each fold names it
-    rather than returning a broken graft.  check_er would refuse such a
-    proof, so it is switched off here."""
+    """A proof whose last step is the bare unit {-delta} imports as
+    {-delta}; the fold names it rather than returning a broken graft,
+    through search_translate and graft_pq alike.  check_er would refuse
+    such a proof, so it is switched off here."""
     monkeypatch.setattr(translate, "check_er", lambda *args: ProofReport(True))
     sp = not_search(1)
     unit = empty_aux(ResolutionProof((Axiom(len(gen_correct(sp)) - 1),)))
-    with pytest.raises(TranslateError, match="lifting did not reach the duplicate verdict"):
+    with pytest.raises(TranslateError, match="grafted refutation missed the empty clause"):
         search_translate(sp, unit)
     tm, tau, beta, iface = tm_halt()
     neg_delta = gen_tableau(tm, tau, beta, iface).clauses.neg_delta_index
@@ -389,19 +391,43 @@ def test_er_to_implicit_rejects_invalid_proof(omega1):
 
 
 def test_search_translate_transfers_proof():
-    sp = not_search(1)
+    """An aux-free refutation leaves the algorithm as it is and comes
+    back with its weakening stripped, in no more steps."""
+    for n in (1, 2, 3, 4):
+        sp = not_search(n)
+        correct = gen_correct(sp)
+        pi = search_refutation(sp)
+        ts = search_translate(sp, pi)
+        correct2 = gen_correct(ts.problem)
+        assert check_proof(correct2, ts.rho)
+        assert ts.rho_premises == len(correct2.clauses)
+        assert ts.pi_premises == len(correct.clauses)
+        assert ts.problem == sp
+        assert len(ts.rho.steps) <= len(pi.proof.steps)
+
+
+def test_search_translate_bridges_an_auxiliary_that_reads_a_checker_gate():
+    """An auxiliary reader of a checker gate's literal puts the reader's
+    cone, algorithm and checker gates, and the reader in the grown
+    algorithm, and rho refutes the grown correctness set through the
+    checker's own verdict."""
+    sp = not_search(3)
     correct = gen_correct(sp)
-    out = dpll_refute(correct, order=tuple(range(1, correct.n + 1)))
-    pi = empty_aux(proof_from_tree(correct, out.tree))
-    ts = search_translate(sp, pi)
-    correct2 = gen_correct(ts.problem)
-    assert check_proof(correct2, ts.rho)
-    assert ts.rho_premises == len(correct2.clauses)
-    assert ts.pi_premises == len(correct.clauses)
+    pi = search_refutation(sp)
+    checker = {g.var for g in sp.checker.gates}
+    cited = (correct[s.index] for s in pi.proof.steps if isinstance(s, Axiom))
+    lit = next(l for c in cited for l in c if abs(l) in checker)
+    ep = detour(correct, pi, lit)
+    ts = search_translate(sp, ep)
+    host = Circuit(sp.xs, sp.algorithm.gates + sp.checker.gates, ())
+    cone = translate.aux_cone(host, ep.aux)
+    assert cone & checker
+    assert len(ts.problem.algorithm.gates) == len(sp.algorithm.gates) + len(cone) + 1
     assert ts.problem.checker == sp.checker
-    assert ts.problem.algorithm.free == sp.algorithm.free
-    assert ts.problem.algorithm.outputs == sp.algorithm.outputs
-    assert len(ts.rho.steps) <= 16 * len(pi.proof.steps)
+    correct2 = gen_correct(ts.problem)
+    assert ts.rho_premises == len(correct2.clauses)
+    rep = check_proof(correct2, ts.rho)
+    assert rep, (rep.step, rep.reason)
 
 
 def test_search_translate_carries_spurious_aux_gates():
