@@ -58,9 +58,9 @@ GOLDEN = {
     "graft_pq-tm_right_writer-spurious":
         "4547a1297267199abbbc5ff6554146ef4fdc23c52eeb3b47621de96ed3cf78ea",
     "search_translate-not4":
-        "8977019480e490d341ae9617802ded692f8fbea57eac46ead57effb29d8cebcf",
+        "7e50a5fc5da48702eb43b6b9631a3bba2a9769df2aca5ba4cd3aeae853cbed4f",
     "search_translate-not6":
-        "c6857759190022a00f00b35d3ab8c3f8873041faa9dd7f4a7bdf0175e9a18bd8",
+        "ce0dc7ad8415596047701fa1be6b3d1182e611308b3541220cccc39aecf3c000",
     "cli-synth-tseitin4":
         "80482e2f17ce0aa4faa8403c8eb21ada1de173753d99e1b1d19b76a1db25c0a8",
     "cli-tableau-gen-tm_halt":
@@ -72,7 +72,7 @@ GOLDEN = {
     "emb_refute-or_chains":
         "fe7453c3bd34319fef915abd56a80d8a04d02602b363f15d1993907248107154",
     "proof_stage-mutant-reports":
-        "a5581c99f5a61a7a26265395fed43767bbfbdb56deb03e57e79b0f28743c0346",
+        "189cf30a40c4d872886a1f2e2818b2fbb2ec6f9b06f1ae457672566545c49251",
     "dpll_refute-outcomes":
         "d01c4990caf2b6f452ec83adf8acbba87a50896c5ef1f199371b24cff6004210",
 }
