@@ -20,7 +20,7 @@ from implres.families import not_search, tm_halt, tseitin_cycle, two_var_unsat
 from implres.formulas import FormulaError, parse_dimacs, serialize_dimacs
 from implres.correctness import gen_correct
 from implres.implicit import Manifest, serialize_manifest
-from implres.proofs import ERProof, serialize_er, serialize_proof
+from implres.proofs import ERProof, parse_proof, serialize_er, serialize_proof
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import encode_tau, gen_tableau, refute_tableau, serialize_tm
 
@@ -194,7 +194,9 @@ def test_translate_er_roundtrip(tmp_path, omega2, cnf_file, capsys):
     assert run(["verify", direct / "omega.manifest"]) == 0
 
 
-def test_translate_search(tmp_path):
+def test_translate_search(tmp_path, capsys):
+    """An aux-free refutation leaves the algorithm file as it was, and
+    the summary line gives rho's steps and the algorithm's gates."""
     sp = not_search(1)
     algo = tmp_path / "algo.circ"
     checker = tmp_path / "checker.circ"
@@ -206,9 +208,12 @@ def test_translate_search(tmp_path):
     er_path = tmp_path / "correct.erproof"
     er_path.write_text(serialize_er(ep, len(correct.clauses)))
     out = tmp_path / "ts"
+    capsys.readouterr()
     assert run(["translate-search", algo, checker, er_path, "-o", out]) == 0
-    assert (out / "algo.grown.circ").exists()
-    assert (out / "algo.rho.rproof").exists()
+    assert (out / "algo.grown.circ").read_text() == algo.read_text()
+    rho, _ = parse_proof((out / "algo.rho.rproof").read_text())
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == f"steps {len(rho.steps)} algorithm-gates {len(sp.algorithm.gates)}"
 
 
 @pytest.mark.parametrize("command", ["translate-er", "translate-search"])

@@ -271,7 +271,7 @@ def test_graft_pq_rejects_a_certificate_the_grown_grid_does_not_replay(broken_fo
     alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
     with pytest.raises(translate.TranslateError, match="grafted refutation rejected"):
         graft_pq(tm, tau, beta, iface, empty_aux(alpha))
-    # the cone-free path: no duplicate of the generator gates
+    # the aux cone is empty: no duplicate of the generator gates
     [(host, dupmap, beta2)] = broken_fold
     assert all(dupmap[g.var] == g.var for g in host.gates)
     assert len(beta2.gates) == len(beta.gates)

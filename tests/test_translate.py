@@ -428,6 +428,7 @@ def test_search_translate_bridges_an_auxiliary_that_reads_a_checker_gate():
     assert ts.rho_premises == len(correct2.clauses)
     rep = check_proof(correct2, ts.rho)
     assert rep, (rep.step, rep.reason)
+    assert Axiom(len(correct2) - 1) in ts.rho.steps  # {-delta}
 
 
 def test_search_translate_carries_spurious_aux_gates():
