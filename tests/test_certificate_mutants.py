@@ -350,28 +350,22 @@ def lean_grafts():
         yield fixture.__name__, bundle.clauses.circuit, beta, tr.beta, judge
 
 
-def cone_reader_literals(tt):
-    """(name, literal) for three carrier literals that the
-    truth-definition refutation eta cites: the constant gate tt, whose
-    cone is itself; a gate of a copy of beta; and -delta, from the
+def cone_grafts():
+    """(name, tt, pi, ir) for grafts with a nonempty aux cone: pi is
+    the truth-definition refutation tt.eta of tseitin_cycle(4) with one
+    more auxiliary reader r = OR(lit) (detour) of a carrier literal that
+    eta cites, ir its graft.  The readers read the constant gate tt,
+    whose cone is itself; a gate of a copy of beta; and -delta, from the
     premise {-delta}, whose cone is the whole carrier circuit."""
+    omega = tseitin_cycle(4)
+    tt = truthdef_translate(omega, ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree)))
     cs = tt.bundle.clauses
     copies = {cm[g.var] for cm in cs.copy_maps for g in tt.beta.gates}
     cited = (cs[s.index] for s in tt.eta.proof.steps
              if isinstance(s, Axiom) and s.index < len(cs))
     in_copy = next(lit for c in cited for lit in c if abs(lit) in copies)
-    return ("tt", cs.circuit.gates[0].var), ("copy", in_copy), ("neg-delta", -cs.delta)
-
-
-def cone_grafts():
-    """(name, tt, pi, ir) for grafts with a nonempty aux cone: pi is
-    the truth-definition refutation tt.eta of tseitin_cycle(4) with one
-    more auxiliary reader r = OR(lit) of each cone_reader_literals
-    literal (detour), ir its graft."""
-    omega = tseitin_cycle(4)
-    tt = truthdef_translate(omega, ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree)))
-    for name, lit in cone_reader_literals(tt):
-        pi = detour(tt.bundle.clauses, tt.eta, lit)
+    for name, lit in (("tt", cs.circuit.gates[0].var), ("copy", in_copy), ("neg-delta", -cs.delta)):
+        pi = detour(cs, tt.eta, lit)
         yield name, tt, pi, graft(omega, tt.beta, tt.iface, tt.bundle, pi)
 
 
