@@ -194,6 +194,16 @@ def test_translate_er_roundtrip(tmp_path, omega2, cnf_file, capsys):
     assert run(["verify", direct / "omega.manifest"]) == 0
 
 
+def test_verify_accepts_a_stand_in_era_certificate(capsys):
+    """A certificate that translate-er wrote while the truth-definition
+    step still laid a stand-in gate p' = OR(-p) per variable (the
+    quick-start set refuted through e = OR(1, 2); its circuit has 11
+    gates) still verifies: the format and the verifier did not change."""
+    manifest = os.path.join(os.path.dirname(__file__), "data", "quick-via-e", "omega.manifest")
+    assert run(["verify", manifest]) == 0
+    assert "|beta|=11 gates" in capsys.readouterr().out
+
+
 def test_translate_search(tmp_path, capsys):
     """An aux-free refutation leaves the algorithm file as it was, and
     the summary line gives rho's steps and the algorithm's gates."""
