@@ -87,7 +87,10 @@ def decode_window(circuit: Circuit, iface: TreeInterface, window: Iterable[int])
 
 def canonical_tree_circuit(n: int):
     """The always-branch-on-p_depth tree: finds the leading 1 in the
-    window and outputs that depth in binary."""
+    window and outputs that depth in binary.  The window has depth d
+    when nd_d = OR(-x_(n-d+1), x_0..x_(n-d)) is false, and each output
+    gate reads -nd_d as a negative body literal, so the circuit has
+    2n + output_width(n) gates and no NOT gate."""
     if n < 1:
         raise EncodingError("need at least one variable")
     b = CircuitBuilder(VarAlloc(1))
@@ -95,13 +98,10 @@ def canonical_tree_circuit(n: int):
     pre = [b.gate((xs[0],))]
     for j in range(1, n):
         pre.append(b.or_(pre[j - 1], xs[j]))
-    ind = []
-    for d in range(1, n + 1):
-        nd = b.or_(-xs[n - d + 1], pre[n - d])
-        ind.append(b.not_(nd))
+    nds = [b.or_(-xs[n - d + 1], pre[n - d]) for d in range(1, n + 1)]
     ys = []
     for m in range(1, output_width(n) + 1):
-        body = [ind[d - 1] for d in range(1, n + 1) if bit(m, d)]
+        body = [-nds[d - 1] for d in range(1, n + 1) if bit(m, d)]
         ys.append(b.gate(tuple(body)))
     circuit = b.build(ys)
     return circuit, TreeInterface(n, tuple(xs), tuple(ys))

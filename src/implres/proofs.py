@@ -239,13 +239,15 @@ class ProofBuilder:
             return self.resolve(holder, other, lit)
         return self.resolve(other, holder, -lit)
 
-    def resolve_opt(self, left: int, right: int, pivot: int) -> int:
-        """Resolve, or alias the side already missing the pivot."""
-        if pivot not in self.clauses[left]:
-            return left
-        if -pivot not in self.clauses[right]:
-            return right
-        return self.resolve(left, right, pivot)
+    def resolve_opt(self, holder: int, other: int, lit: int) -> int:
+        """Resolve on lit as resolve_lit does, or alias the side already
+        missing its literal: holder when it lacks lit, other when it
+        lacks -lit."""
+        if lit not in self.clauses[holder]:
+            return holder
+        if -lit not in self.clauses[other]:
+            return other
+        return self.resolve_lit(holder, other, lit)
 
     def import_proof(
         self,
@@ -256,12 +258,15 @@ class ProofBuilder:
         """Append a copy of ``proof`` renamed by ``varmap``, with its
         weakening stripped, and return its final step.
 
-        ``axiom_map`` sends each premise index to an existing step id of
-        this builder, whose clause must be the premise renamed.  A
-        weakening step aliases its source, and a resolution whose pivot
-        one side lacks aliases that side, so each rebuilt clause is a
-        subset of the original step clause, renamed, in at most as many
-        steps.  ``proof`` must be one that check_proof or check_er
+        ``varmap`` sends each variable to a literal, so a variable may
+        be renamed onto a negated one (resolution is closed under that
+        substitution); it must be injective on variables.  ``axiom_map``
+        sends each premise index to an existing step id of this builder,
+        whose clause must be the premise renamed.  A weakening step
+        aliases its source, and each resolution resolves on its renamed
+        pivot (resolve_opt), aliasing the side that lacks it, so each
+        rebuilt clause is a subset of the original step clause, renamed,
+        in at most as many steps.  ``proof`` must be one that check_proof or check_er
         accepted: every appended clause is recomputed, but the input is
         not replayed.
         """

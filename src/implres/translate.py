@@ -24,7 +24,7 @@ onto the carrier's first copy and lays the duplicate on the same
 stride, so the grown circuit regenerates a set that contains the old
 one.  search_translate folds into a search problem's algorithm the
 same way, over its correctness clauses, with fresh ids for the
-duplicate.  The auxiliaries of truthdef_translate read only omega's
+duplicate.  The auxiliaries of truthdef_translate read only branch
 variables and refute_tableau's refutations have none, so both
 producers' cones are empty.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
@@ -32,7 +32,9 @@ into a refutation of C(omega, canonical beta) and graft it.  The
 truth-definition step forces the units of the canonical carrier by
 propagation, one pass over its gates in order, so it reads the carrier
 circuit and its clause positions and restates no layout of gen_C or
-of the canonical circuit.
+of the canonical circuit.  It imports pi under the substitution
+p -> -z_p, so negation is a literal's sign rather than a gate, and an
+aux-free pi grafts with no gate added.
 
 Each proof is replayed once: every producer checks its input ER
 refutation (check_er) before it rewrites it, graft_fold replays its
@@ -50,7 +52,6 @@ from typing import Optional
 from .circuits import (
     Circuit,
     Gate,
-    VarAlloc,
     check_embedding,
     circuit_clauses,
     gate_clause_count,
@@ -413,19 +414,22 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     """Turn an ER refutation of omega into one of C(omega, beta) for
     the canonical always-branch-on-depth circuit.
 
-    The auxiliary circuit adds one stand-in variable per original
-    variable, defined as the negation of its branch variable, plus a
-    duplicate of pi's auxiliaries over the stand-ins.  The proof first
-    forces units by propagation over the carrier circuit in gate order,
-    the pre-block and then the copies: the constant tt = OR(z_1, -z_1)
-    is true; a gate with a body literal whose unit is derived gets {g},
+    pi is imported under the substitution p -> -z_p of each variable
+    of omega by its negated branch variable, so the auxiliary circuit
+    is pi's auxiliaries renamed onto fresh ids, reading -z_p where they
+    read p, and an aux-free pi adds no gate.  The proof first forces
+    units by propagation over the carrier circuit in gate order, the
+    pre-block and then the copies: the constant tt = OR(z_1, -z_1) is
+    true; a gate with a body literal whose unit is derived gets {g},
     from that unit and g's two-literal clause; a gate whose body
     literals all have false units gets {-g}, from g's wide clause; the
     window's pass-through gates get none.  That forces every copy's
     outputs (the canonical circuit's answer on a depth-i window is i
     regardless of the branch bits).  The proof then converts each
-    weakening-witness gate of the verdict block into the stand-in image
-    of its source clause, and finally replays pi.
+    weakening-witness gate of the verdict block into the branch-bit
+    image {-z_p : p in C} = {-lit : lit in C} of its source clause C,
+    which is that premise of pi under the substitution, and finally
+    replays pi.
     """
     rep = check_er(omega, pi)
     if not rep:
@@ -438,16 +442,12 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     cs = bundle.clauses
     gm = cs.circuit.gate_map()
 
-    fresh = VarAlloc(max(cs.n, n, max_var(pi.aux)) + 1)
-    stand_in = {p: fresh.fresh() for p in range(1, n + 1)}
-    aux_gates = [Gate(stand_in[p], (-p,)) for p in range(1, n + 1)]
-    auxmap = dict(stand_in)
-    for g in pi.aux.gates:
-        nv = fresh.fresh()
-        aux_gates.append(Gate(nv, tuple(map_literal(l, auxmap) for l in g.body)))
-        auxmap[g.var] = nv
-    aux = Circuit(tuple(range(1, n + 1)), tuple(aux_gates), ())
-    aux_at = group_starts(aux.gates, len(cs))
+    first = max(cs.n, n, max_var(pi.aux)) + 1
+    auxmap = {p: -p for p in range(1, n + 1)}
+    auxmap.update((g.var, first + t) for t, g in enumerate(pi.aux.gates))
+    aux = Circuit(tuple(range(1, n + 1)), tuple(
+        Gate(auxmap[g.var], tuple(map_literal(l, auxmap) for l in g.body)) for g in pi.aux.gates
+    ), ())
     b = ProofBuilder(er_premises(cs, aux))
 
     def gate_big(var: int) -> int:
@@ -501,25 +501,16 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
             if b.clause(step) != Clause((lv, -lit)):
                 raise TranslateError("literal-gate unfolding went off the rails")
             cur = b.resolve(step, cur, lv)
-        # cur is the branch-bit image of the clause; move it to the
-        # stand-ins (p' = OR(-p) has the clauses {-p', -p}, {p', p}).
-        for lit in clause:
-            at = aux_at[stand_in[abs(lit)]]
-            cur = b.resolve_lit(b.axiom(at + 1 if lit > 0 else at), cur, lit)
-        want = Clause(tuple(map_literal(l, stand_in) for l in clause))
-        if b.clause(cur) != want:
-            raise TranslateError("stand-in image of a source clause came out wrong")
+        if b.clause(cur) != Clause(tuple(-l for l in clause)):
+            raise TranslateError("branch-bit image of a source clause came out wrong")
         f_steps.append(cur)
 
     if final is None:
-        # pi cites omega's clauses, then the groups of its auxiliaries
-        pi_at = group_starts(pi.aux.gates, len(omega.clauses))
-        moved = {
-            pi_at[g.var] + k: aux_at[auxmap[g.var]] + k
-            for g in pi.aux.gates for k in range(gate_clause_count(g))
-        }
+        # pi cites omega's clauses, then its auxiliaries' gate clauses,
+        # which follow cs in the same order under their new ids
+        shift = len(cs) - len(omega.clauses)
         final = b.import_proof(
-            pi.proof, lambda q: f_steps[q] if q < len(f_steps) else b.axiom(moved[q]), auxmap
+            pi.proof, lambda q: f_steps[q] if q < len(f_steps) else b.axiom(q + shift), auxmap
         )
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("translated refutation missed the empty clause")

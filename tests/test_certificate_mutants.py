@@ -326,10 +326,18 @@ def lean_grafts():
     """(name, host, beta, grown, judge) for the cone-free grafts: host
     is the carrier circuit the proof refuted, beta the circuit it was
     generated from, grown the grafted circuit, whose gates past beta's
-    are the proof's auxiliaries; judge is as er_judge gives it."""
+    are the proof's auxiliaries; judge is as er_judge gives it.  A dpll
+    refutation is aux-free and grafts no gate, so the er half refutes
+    each of er_refutations' sets through a reader r = OR(lit) of a
+    literal of its first cited clause (detour), which the
+    truth-definition step renames onto a negated branch variable."""
     for name, ir in er_refutations():
-        tt = truthdef_translate(ir.omega, ERProof(EMPTY, proof_from_tree(
-            ir.omega, dpll_refute(ir.omega).tree)))
+        omega = ir.omega
+        proof = proof_from_tree(omega, dpll_refute(omega).tree)
+        pi = detour(omega, ERProof(EMPTY, proof), omega[proof.steps[0].index].literals[0])
+        tt = truthdef_translate(omega, pi)
+        ir = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
+        assert verify_implicit(ir)
         yield name, tt.bundle.clauses.circuit, tt.beta, ir.beta, er_judge(ir)
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()

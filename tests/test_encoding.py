@@ -42,10 +42,19 @@ def test_window_bits_layout():
 
 
 def test_canonical_tree_circuit_decodes_depth():
-    for n in (1, 2, 3, 5):
+    """2n + output_width(n) gates: the prefix ORs, the depth tests nd_d
+    and the output bits, which read -nd_d as a body literal, so no gate
+    but an output negates a single literal (no NOT gate)."""
+    for n in range(1, 21):
         c, iface = canonical_tree_circuit(n)
         assert validate_circuit(c)
         assert check_interface(c, iface)
+        assert len(c.gates) == 2 * n + output_width(n)
+        assert not any(
+            len(g.body) == 1 and g.body[0] < 0 for g in c.gates if g.var not in c.outputs
+        )
+        if n > 6:
+            continue
         for depth in range(1, n + 1):
             for prefix in itertools.product((0, 1), repeat=depth - 1):
                 w = window_bits(n, depth, prefix)

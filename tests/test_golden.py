@@ -91,7 +91,8 @@ def er_to_implicit_text(omega, pi=None):
 
 # the quick-start set refuted through e = OR(1, 2), variable 3, whose
 # gate clauses {-3, 1, 2}, {3, -1}, {3, -2} are premises 4-6: it cites
-# the translation's stand-ins and its copy of pi's auxiliary gate
+# the translation's copy of that gate, which reads the negated branch
+# variables -z_1, -z_2 where e reads 1, 2
 QUICK_VIA_E = (
     ClauseSet(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))),
     ERProof(Circuit((1, 2), (Gate(3, (1, 2)),), ()), ResolutionProof((

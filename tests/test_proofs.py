@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implres.circuits import Circuit, Gate
+from implres.circuits import Circuit, Gate, map_literal
 from implres.formulas import EMPTY_CLAUSE, Clause, ClauseSet
 from implres.proofs import (
     Axiom,
@@ -130,6 +130,10 @@ def test_builder_resolve_opt_aliases(omega2):
     assert b.resolve_opt(a0, a2, 1) == a2  # complement absent on the right
     r = b.resolve_opt(a0, a1, 1)
     assert r not in (a0, a1) and b.clause(r) == Clause((2,))
+    # a negative literal: the holder a2 = {-2} goes right (resolve_lit)
+    assert b.resolve_opt(a0, a2, -2) == a0  # literal absent on the holder
+    r = b.resolve_opt(a2, a0, -2)
+    assert b.steps[r] == Resolve(a0, a2, 2) and b.clause(r) == Clause((1,))
 
 
 def test_builder_resolve_lit_puts_the_positive_side_left(omega2):
@@ -246,10 +250,19 @@ def random_refutation(rng):
     return None
 
 
+def signed_varmap(rng, n):
+    """An injective map of variables 1..n onto literals over 1..2n,
+    each of random sign."""
+    return {v: rng.choice((1, -1)) * t for v, t in zip(range(1, n + 1), rng.sample(range(1, 2 * n + 1), n))}
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_import_proof_lifts_random_checked_refutations(seed):
     """On any refutation check_proof accepts, the rewrite replays to the
-    empty clause, strips all weakening and adds no step."""
+    empty clause, strips all weakening and adds no step, renamed by the
+    identity or by a seeded injective signed map (the premises renamed
+    by the same map): resolution is closed under substituting a
+    literal for a variable."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < 300:
@@ -257,12 +270,21 @@ def test_import_proof_lifts_random_checked_refutations(seed):
         if case is not None:
             cases.append(case)
     assert sum(any(type(s) is Weaken for s in p.steps) for _, p in cases) > 100
+    signs = set()
     for premises, proof in cases:
         rebuilt = rewrite(premises, proof)
-        assert check_proof(premises, rebuilt)
-        assert proof_clauses(premises, rebuilt)[-1] == EMPTY_CLAUSE
-        assert not any(type(s) is Weaken for s in rebuilt.steps)
-        assert len(rebuilt) <= len(proof)
+        varmap = signed_varmap(rng, premises.n)
+        signs.update(t > 0 for t in varmap.values())
+        renamed = ClauseSet(2 * premises.n, tuple(
+            Clause(tuple(map_literal(l, varmap) for l in c)) for c in premises.clauses))
+        b = ProofBuilder(renamed)
+        signed = b.extract(b.import_proof(proof, b.raw_axiom, varmap))
+        for target, out in ((premises, rebuilt), (renamed, signed)):
+            assert check_proof(target, out)
+            assert proof_clauses(target, out)[-1] == EMPTY_CLAUSE
+            assert not any(type(s) is Weaken for s in out.steps)
+            assert len(out) <= len(proof)
+    assert signs == {True, False}
 
 
 def test_check_er_guards(omega1, omega2):

@@ -219,11 +219,13 @@ def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32,
 
 
 def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4, php32):
-    """Every graft verifies and declares its carrier's size.  By the
-    cone rule's size oracle, the truth-definition step's auxiliaries
-    read only omega's variables, so the graft duplicates them alone and
-    imports its refutation eta as it stands: |alpha| <= |eta| and
-    |beta'| = |beta_can| + |eta.aux|."""
+    """Every graft verifies and declares its carrier's size.  The
+    truth-definition step imports pi under p -> -z_p, so its
+    auxiliaries are pi's, reading only branch variables, and the graft
+    duplicates them alone and imports its refutation eta as it stands:
+    |alpha| <= |eta| and |beta'| = |beta_can| + |pi.aux|.  An aux-free
+    pi grafts with no gate added: beta' has beta_can's gate count,
+    C(omega, beta') has C(omega, beta_can)'s size and alpha = eta."""
     cases = [(omega, dpll_er(omega)) for omega in (omega1, omega2, tseitin4, php32)]
     cases.append(QUICK_VIA_E)
     # a set holding the empty clause is refuted by citing it
@@ -237,7 +239,11 @@ def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4, php32):
         )
         tt = truthdef_translate(omega, pi)
         assert len(ir.alpha.steps) <= len(tt.eta.proof.steps)
-        assert len(ir.beta.gates) == len(tt.beta.gates) + len(tt.eta.aux.gates)
+        assert len(ir.beta.gates) == len(tt.beta.gates) + len(pi.aux.gates)
+        if not pi.aux.gates:
+            assert ir.alpha_premises == len(tt.bundle.clauses)
+            assert ir.alpha == tt.eta.proof
+    assert [len(pi.aux.gates) for _, pi in cases] == [0, 0, 0, 0, 1, 0]
 
 
 def test_no_producer_bridges_and_cone_readers_graft(monkeypatch, tseitin4, php32):
