@@ -38,13 +38,13 @@ from implres.translate import emb_refute, er_to_implicit, search_translate
 
 GOLDEN = {
     "er_to_implicit-tseitin4":
-        "78b1f009469e3ced57f8b47b9ed00437e4cf8d105ea8581482f9021d965babfe",
+        "8d5c99e0b8252a4d25c042c09ba50ad58cc5848ba15a9784be026a38d3f84e41",
     "er_to_implicit-php32":
-        "7aba030c7b3c4f2013d35b2f73edbf3165abf79e78462275543ceb86fd7d559c",
+        "065690c8602673eb6f0a271be2259f99174fb029c7fd6bb7022e3c4b30dd7775",
     "er_to_implicit-quick-via-e":
-        "7be968c9ed48c50da8c7cce57d9700da53716a42df1fa1592e66e0359f5cfc79",
+        "7b937b11263bb599589ed150b2fe67af83305f51604279b0d117a530fe3f71c5",
     "er_to_implicit-empty-member":
-        "8545c47a46e8fd6b44006f86c63c68949a2c5a45bd91ae825eb74dbe7c49f60c",
+        "a00d98b2fc603768417bd136130a93f92d78277edbdff1efe979078194ce7695",
     "graft_pq-tm_halt-plain":
         "6fed31db6baf92c08ed37bc756c7af77bd963f0a9a6a38d1f45be6f0f3d7d035",
     "graft_pq-tm_halt-spurious":
@@ -72,7 +72,7 @@ GOLDEN = {
     "emb_refute-or_chains":
         "fe7453c3bd34319fef915abd56a80d8a04d02602b363f15d1993907248107154",
     "proof_stage-mutant-reports":
-        "189cf30a40c4d872886a1f2e2818b2fbb2ec6f9b06f1ae457672566545c49251",
+        "14121b594215018797fab2634d3db21af2d210b2906c407141ca8dce96b878e0",
     "dpll_refute-outcomes":
         "d01c4990caf2b6f452ec83adf8acbba87a50896c5ef1f199371b24cff6004210",
 }
