@@ -266,9 +266,9 @@ class ProofBuilder:
         aliases its source, and each resolution resolves on its renamed
         pivot (resolve_opt), aliasing the side that lacks it, so each
         rebuilt clause is a subset of the original step clause, renamed,
-        in at most as many steps.  ``proof`` must be one that check_proof or check_er
-        accepted: every appended clause is recomputed, but the input is
-        not replayed.
+        in at most as many steps.  ``proof`` must be one that check_proof
+        or check_er accepted: every appended clause is recomputed, but
+        the input is not replayed.
         """
         local: list[int] = []
         for step in proof.steps:

@@ -336,9 +336,9 @@ def lean_grafts():
         proof = proof_from_tree(omega, dpll_refute(omega).tree)
         pi = detour(omega, ERProof(EMPTY, proof), omega[proof.steps[0].index].literals[0])
         tt = truthdef_translate(omega, pi)
-        ir = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
-        assert verify_implicit(ir)
-        yield name, tt.bundle.clauses.circuit, tt.beta, ir.beta, er_judge(ir)
+        lean = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
+        assert verify_implicit(lean)
+        yield name, tt.bundle.clauses.circuit, tt.beta, lean.beta, er_judge(lean)
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()
         bundle = gen_tableau(tm, tau, beta, iface)
