@@ -203,15 +203,17 @@ class ProofBuilder:
 
     Axiom steps are cached by premise index, so repeated references
     share one step; use ``raw_axiom`` when building tree-like proofs.
+    ``premises`` is read by index alone.  A step that import_proof
+    records unreplayed holds no clause (None) until one is needed.
     """
 
     def __init__(self, premises: ClauseSet):
         self.premises = premises
         self.steps: list[Step] = []
-        self.clauses: list[Clause] = []
+        self.clauses: list[Optional[Clause]] = []
         self._axioms: dict[int, int] = {}
 
-    def _push(self, step: Step, clause: Clause) -> int:
+    def _push(self, step: Step, clause: Optional[Clause]) -> int:
         self.steps.append(step)
         self.clauses.append(clause)
         return len(self.steps) - 1
@@ -231,13 +233,18 @@ class ProofBuilder:
         clause = resolve_clauses(self.clauses[left], self.clauses[right], pivot)
         return self._push(Resolve(left, right, pivot), clause)
 
+    @staticmethod
+    def _oriented(holder: int, other: int, lit: int) -> Resolve:
+        """The resolution on the variable of lit, where step holder has
+        lit and step other has -lit: the side holding the positive pivot
+        goes left."""
+        return Resolve(holder, other, lit) if lit > 0 else Resolve(other, holder, -lit)
+
     def resolve_lit(self, holder: int, other: int, lit: int) -> int:
-        """Resolve on the variable of lit, where step holder has lit and
-        step other has -lit: the side holding the positive pivot goes
-        left."""
-        if lit > 0:
-            return self.resolve(holder, other, lit)
-        return self.resolve(other, holder, -lit)
+        """Resolve on the variable of lit, ordered by _oriented."""
+        step = self._oriented(holder, other, lit)
+        clauses = self.clauses
+        return self._push(step, resolve_clauses(clauses[step.left], clauses[step.right], step.pivot))
 
     def resolve_opt(self, holder: int, other: int, lit: int) -> int:
         """Resolve on lit as resolve_lit does, or alias the side already
@@ -263,24 +270,62 @@ class ProofBuilder:
         substitution); it must be injective on variables.  ``axiom_map``
         sends each premise index to an existing step id of this builder,
         whose clause must be the premise renamed.  A weakening step
-        aliases its source, and each resolution resolves on its renamed
-        pivot (resolve_opt), aliasing the side that lacks it, so each
-        rebuilt clause is a subset of the original step clause, renamed,
-        in at most as many steps.  ``proof`` must be one that check_proof
-        or check_er accepted: every appended clause is recomputed, but
-        the input is not replayed.
+        aliases its source, and a resolution below one resolves on its
+        renamed pivot (resolve_opt), aliasing the side that lacks it, so
+        each rebuilt clause is a subset of the original step clause,
+        renamed, in at most as many steps.
+
+        ``proof`` must be a refutation that check_proof or check_er
+        accepted; it is not replayed.  A resolution that no weakening
+        reaches has its original sides renamed, so the renamed pivot is
+        on both and its clause is the original renamed: it is recorded
+        without computing that clause (None), which _fill computes only
+        where a resolution below a weakening reads it.  The final
+        clause is a subset of the renamed empty clause, so a final step
+        left without one is recorded as empty.
         """
         local: list[int] = []
+        weakened: list[bool] = []  # below a stripped weakening
         for step in proof.steps:
             kind = type(step)
             if kind is Axiom:
                 local.append(axiom_map(step.index))
+                weakened.append(False)
             elif kind is Weaken:
                 local.append(local[step.source])
-            else:
+                weakened.append(True)
+            elif weakened[step.left] or weakened[step.right]:
                 left, right = local[step.left], local[step.right]
+                self._fill(left)
+                self._fill(right)
                 local.append(self.resolve_opt(left, right, varmap[step.pivot]))
-        return local[-1]
+                weakened.append(True)
+            else:
+                pivot = varmap[step.pivot]
+                local.append(self._push(self._oriented(local[step.left], local[step.right], pivot), None))
+                weakened.append(False)
+        final = local[-1]
+        if self.clauses[final] is None:
+            self.clauses[final] = EMPTY_CLAUSE
+        return final
+
+    def _fill(self, top: int) -> None:
+        """Compute the clause of step top and of each ancestor that
+        import_proof recorded without one."""
+        clauses, steps = self.clauses, self.steps
+        work = [top]
+        while work:
+            s = work[-1]
+            if clauses[s] is not None:
+                work.pop()
+                continue
+            step = steps[s]
+            left, right = clauses[step.left], clauses[step.right]
+            if left is None or right is None:
+                work.extend(p for p in (step.left, step.right) if clauses[p] is None)
+            else:
+                clauses[s] = resolve_clauses(left, right, step.pivot)
+                work.pop()
 
     def extract(self, final: int) -> ResolutionProof:
         """Prune to the steps reachable from ``final`` and reindex."""

@@ -35,7 +35,7 @@ from .circuits import (
 from .implicit import VerifyReport, verify_carrier
 from .proofs import ERProof, ResolutionProof
 from .prover import dpll_refute, proof_from_tree
-from .translate import graft_fold
+from .translate import check_input, graft_fold
 
 
 class TableauError(ValueError):
@@ -585,10 +585,12 @@ def graft_pq(
     the same cells, and it carries a duplicate of the proof's aux
     cone, the generator gates its auxiliaries read, and of the
     auxiliaries (refute_tableau's refutations have none, so nothing is
-    duplicated).  The certificate is replayed against the grown
-    constraint set before it is returned."""
+    duplicated).  alpha_er is checked against the constraint set first,
+    and the certificate is replayed against the grown constraint set
+    before it is returned."""
     tau = tuple(tau_bits)
     bundle = gen_tableau(tm, tau, beta, iface)
+    check_input(bundle.clauses, alpha_er)
     beta2, iface2, bundle2, alpha2 = graft_fold(
         bundle, beta, iface, alpha_er, lambda b2, i2: gen_tableau(tm, tau, b2, i2)
     )

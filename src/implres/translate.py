@@ -36,12 +36,13 @@ of the canonical circuit.  It imports pi under the substitution
 p -> -z_p, so negation is a literal's sign rather than a gate, and an
 aux-free pi grafts with no gate added.
 
-Each proof is replayed once: every producer checks its input ER
-refutation (check_er) before it rewrites it, graft_fold replays its
-certificate against the grown carrier it generated, and
-search_translate replays its refutation against the grown correctness
-set.  So C is generated once per circuit, and the grown one is read
-only where the certificate cites it.
+Each proof is replayed once.  A proof from outside is checked where it
+enters (check_input, called by truthdef_translate, search_translate
+and tableau.graft_pq); graft, graft_fold and ProofBuilder.import_proof
+trust that check, and graft_fold and search_translate replay what they
+return against the grown set.  So eta's clauses are computed as
+truthdef_translate derives them and once more in that replay, C is
+generated once per circuit, and neither carrier is built in full.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ from .proofs import (
 
 class TranslateError(ValueError):
     pass
+
+
+def check_input(premises, pi: ERProof) -> None:
+    """Refuse an ER refutation of premises that check_er rejects: the
+    one check of a proof a producer takes from outside."""
+    rep = check_er(premises, pi)
+    if not rep:
+        raise TranslateError(f"invalid proof: {rep.reason}")
 
 
 def emb_premises(
@@ -316,11 +325,9 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     generate's port check validates it.  Returns the grown circuit,
     its interface, its carrier and the certificate refuting that
     carrier, which is replayed against the grown carrier first: every
-    graft, tree or grid, leaves checked."""
+    graft, tree or grid, leaves checked.  alpha_er must be a refutation
+    that check_er accepted (check_input); it is not replayed here."""
     old = bundle.clauses
-    rep = check_er(old, alpha_er)
-    if not rep:
-        raise TranslateError(f"invalid proof: {rep.reason}")
     host = old.circuit
     first = old.copy_maps[0]
     stride = len(old.copy_maps)
@@ -363,9 +370,7 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     if not rep:
         raise TranslateError(f"bad search problem: {rep.reason}")
     correct = gen_correct(sp)
-    rep = check_er(correct, pi)
-    if not rep:
-        raise TranslateError(f"invalid proof: {rep.reason}")
+    check_input(correct, pi)
     delta = sp.checker.outputs[0]
 
     host = Circuit(sp.xs, sp.algorithm.gates + sp.checker.gates, (delta,))
@@ -394,6 +399,18 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
         sp2, rho, len(correct2.clauses),
         len(er_premises(correct, pi.aux).clauses),
     )
+
+
+class _Extended:
+    """The premises of an ER refutation of a carrier, by position: the
+    carrier's clauses, read lazily, then the auxiliaries' gate
+    clauses."""
+
+    def __init__(self, carrier, extra: tuple[Clause, ...]):
+        self.carrier, self.extra, self.split = carrier, extra, len(carrier)
+
+    def __getitem__(self, p: int) -> Clause:
+        return self.carrier[p] if p < self.split else self.extra[p - self.split]
 
 
 def _unit(b: ProofBuilder, lit: int, step: int) -> int:
@@ -429,11 +446,11 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     weakening-witness gate of the verdict block into the branch-bit
     image {-z_p : p in C} = {-lit : lit in C} of its source clause C,
     which is that premise of pi under the substitution, and finally
-    replays pi.
+    imports pi (ProofBuilder.import_proof).  The builder reads the
+    canonical carrier by position (_Extended), so it is never built in
+    full.
     """
-    rep = check_er(omega, pi)
-    if not rep:
-        raise TranslateError(f"invalid proof: {rep.reason}")
+    check_input(omega, pi)
     n = omega.n
     if n < 1:
         raise TranslateError("need at least one variable")
@@ -448,7 +465,7 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     aux = Circuit(tuple(range(1, n + 1)), tuple(
         Gate(auxmap[g.var], tuple(map_literal(l, auxmap) for l in g.body)) for g in pi.aux.gates
     ), ())
-    b = ProofBuilder(er_premises(cs, aux))
+    b = ProofBuilder(_Extended(cs, circuit_clauses(aux).clauses))
 
     def gate_big(var: int) -> int:
         return b.axiom(cs.gate_position(var))
@@ -525,10 +542,10 @@ def graft(
     bundle: CorrectnessBundle,
     alpha_er: ERProof,
 ) -> ImplicitRefutation:
-    """Fold an ER refutation of C(omega, beta), whose generated bundle
-    is passed in, into the described circuit itself, yielding a plain
-    implicit refutation (see graft_fold, which replays the certificate
-    against the grown carrier C(omega, beta'))."""
+    """Fold a checked ER refutation of C(omega, beta), whose generated
+    bundle is passed in, into the described circuit itself, yielding a
+    plain implicit refutation (see graft_fold, which replays the
+    certificate against the grown carrier C(omega, beta'))."""
     beta2, iface2, bundle2, alpha2 = graft_fold(
         bundle, beta, iface, alpha_er, lambda b2, i2: gen_C(omega, b2, i2)
     )

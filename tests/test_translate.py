@@ -22,6 +22,7 @@ from implres.proofs import (
     ProofReport,
     Resolve,
     ResolutionProof,
+    Weaken,
     check_er,
     check_proof,
     er_premises,
@@ -201,7 +202,8 @@ def test_er_to_implicit_generates_C_once_per_circuit(monkeypatch, tseitin4):
 
 def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32, tseitin4):
     """The fold cites the grown carrier by position and graft_fold
-    replays against it lazily, so only the canonical carrier is built."""
+    replays against it lazily; truthdef_translate reads the canonical
+    carrier by position too, so neither clause tuple is built."""
     bundles = []
     real = translate.gen_C
 
@@ -216,6 +218,7 @@ def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32,
         assert [b.clauses.beta for b in bundles] == [canonical_tree_circuit(omega.n)[0], ir.beta]
         grown = vars(bundles[-1].clauses)
         assert "clauses" not in grown and "circuit" not in grown
+        assert "clauses" not in vars(bundles[0].clauses)
 
 
 def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4, php32):
@@ -287,6 +290,87 @@ def test_no_producer_bridges_and_cone_readers_graft(monkeypatch, tseitin4, php32
     assert worst <= 6
 
 
+def test_the_fold_renames_eta_without_computing_a_clause(monkeypatch, tseitin4, php32):
+    """eta has no weakening, so the fold records each of its steps
+    renamed and computes no resolvent (proofs.resolve_clauses); the
+    translation computes eta's clauses as it derives them, and the
+    graft's replay of the certificate computes them once more."""
+    calls = {True: 0, False: 0}  # keyed by: inside the fold
+    inside = []
+    real_resolve, real_fold = proofs.resolve_clauses, translate._fold_proof
+
+    def counted(*args):
+        calls[bool(inside)] += 1
+        return real_resolve(*args)
+
+    def fold(*args):
+        inside.append(True)
+        try:
+            return real_fold(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(proofs, "resolve_clauses", counted)
+    monkeypatch.setattr(translate, "_fold_proof", fold)
+    for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
+        assert verify_implicit(er_to_implicit(omega, pi))
+    assert calls[True] == 0 and calls[False] > 0
+
+
+def weakened(pi):
+    """pi with a weakening detour before its last step, which resolves
+    {x} with {-x}: {-x} is weakened to the tautology {-x, x}, resolved
+    back to {-x}, and the proof ends as before."""
+    steps = list(pi.proof.steps)
+    last = steps.pop()
+    assert type(last) is Resolve
+    k = len(steps)
+    steps += [
+        Weaken(last.right, (last.pivot,)),
+        Resolve(k, last.right, last.pivot),
+        Resolve(last.left, k + 1, last.pivot),
+    ]
+    return ERProof(pi.aux, ResolutionProof(tuple(steps)))
+
+
+def test_producers_strip_a_weakening_detour(tseitin4):
+    """A checked refutation with a weakening step grafts, through each
+    producer, into a certificate with no weakening, no longer than its
+    input, that verifies: the rewrite computes the clauses that the
+    stripped weakening reaches, and their parents, on demand.  The
+    detour strips to the proof without it, so the certificate is the
+    one the plain proof gives."""
+    for omega, plain in ((tseitin4, dpll_er(tseitin4)), QUICK_VIA_E):
+        pi = weakened(plain)
+        assert check_er(omega, pi)
+        tt = truthdef_translate(omega, pi)
+        ir = er_to_implicit(omega, pi)
+        assert verify_implicit(ir)
+        assert not any(type(s) is Weaken for s in ir.alpha.steps + tt.eta.proof.steps)
+        assert len(ir.alpha) <= len(tt.eta.proof)
+        assert ir.alpha == er_to_implicit(omega, plain).alpha
+
+    sp = not_search(3)
+    plain = search_refutation(sp)
+    pi = weakened(plain)
+    assert check_er(gen_correct(sp), pi)
+    ts = search_translate(sp, pi)
+    assert check_proof(gen_correct(ts.problem), ts.rho)
+    assert not any(type(s) is Weaken for s in ts.rho.steps)
+    assert len(ts.rho) <= len(pi.proof)
+    assert ts.rho == search_translate(sp, plain).rho
+
+    tm, tau, beta, iface = tm_halt()
+    plain = empty_aux(refute_tableau(gen_tableau(tm, tau, beta, iface)))
+    pi = weakened(plain)
+    assert check_er(gen_tableau(tm, tau, beta, iface).clauses, pi)
+    tr = graft_pq(tm, tau, beta, iface, pi)
+    assert verify_refutation(tr)
+    assert not any(type(s) is Weaken for s in tr.alpha.steps)
+    assert len(tr.alpha) <= len(pi.proof)
+    assert tr.alpha == graft_pq(tm, tau, beta, iface, plain).alpha
+
+
 def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2):
     for omega in (omega1, omega2):
         pi = dpll_er(omega)
@@ -323,9 +407,10 @@ def test_each_producer_replays_each_proof_once(monkeypatch, tseitin4):
     replayed = count_replays(monkeypatch)
     pi = dpll_er(tseitin4)
     ir = er_to_implicit(tseitin4, pi)
-    # pi, the translation eta, and the grafted certificate
-    assert len(replayed) == 3
-    assert replayed[0] is pi.proof and replayed[-1] is ir.alpha
+    # pi and the grafted certificate: the fold trusts the translation
+    # eta, which truthdef_translate derived from the checked pi
+    assert len(replayed) == 2
+    assert replayed[0] is pi.proof and replayed[1] is ir.alpha
 
     tm, tau, beta, iface = tm_halt()
     alpha = empty_aux(refute_tableau(gen_tableau(tm, tau, beta, iface)))
