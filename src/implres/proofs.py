@@ -203,8 +203,8 @@ class ProofBuilder:
 
     Axiom steps are cached by premise index, so repeated references
     share one step; use ``raw_axiom`` when building tree-like proofs.
-    ``premises`` is read by index alone.  A step that import_proof
-    records unreplayed holds no clause (None) until one is needed.
+    ``premises`` is read by index alone.  A resolution that import_proof
+    records unreplayed holds no clause (None).
     """
 
     def __init__(self, premises: ClauseSet):
@@ -243,8 +243,7 @@ class ProofBuilder:
     def resolve_lit(self, holder: int, other: int, lit: int) -> int:
         """Resolve on the variable of lit, ordered by _oriented."""
         step = self._oriented(holder, other, lit)
-        clauses = self.clauses
-        return self._push(step, resolve_clauses(clauses[step.left], clauses[step.right], step.pivot))
+        return self.resolve(step.left, step.right, step.pivot)
 
     def resolve_opt(self, holder: int, other: int, lit: int) -> int:
         """Resolve on lit as resolve_lit does, or alias the side already
@@ -270,62 +269,37 @@ class ProofBuilder:
         substitution); it must be injective on variables.  ``axiom_map``
         sends each premise index to an existing step id of this builder,
         whose clause must be the premise renamed.  A weakening step
-        aliases its source, and a resolution below one resolves on its
-        renamed pivot (resolve_opt), aliasing the side that lacks it, so
-        each rebuilt clause is a subset of the original step clause,
-        renamed, in at most as many steps.
+        aliases its source.
 
         ``proof`` must be a refutation that check_proof or check_er
-        accepted; it is not replayed.  A resolution that no weakening
-        reaches has its original sides renamed, so the renamed pivot is
-        on both and its clause is the original renamed: it is recorded
-        without computing that clause (None), which _fill computes only
-        where a resolution below a weakening reads it.  The final
-        clause is a subset of the renamed empty clause, so a final step
-        left without one is recorded as empty.
+        accepted; it is not replayed.  Without a weakening, each
+        resolution's sides are the original clauses renamed, so the
+        renamed pivot is on both and its clause is the original renamed:
+        it is recorded oriented (_oriented) without computing that
+        clause (None), and the final step is recorded as the empty
+        clause, which the contract makes it.  A proof with a weakening
+        has every resolution recomputed on its renamed pivot
+        (resolve_opt), aliasing the side that lacks it, so each rebuilt
+        clause is a subset of the original step clause, renamed, in at
+        most as many steps.
         """
         local: list[int] = []
-        weakened: list[bool] = []  # below a stripped weakening
+        replay = any(type(step) is Weaken for step in proof.steps)
         for step in proof.steps:
             kind = type(step)
             if kind is Axiom:
                 local.append(axiom_map(step.index))
-                weakened.append(False)
             elif kind is Weaken:
                 local.append(local[step.source])
-                weakened.append(True)
-            elif weakened[step.left] or weakened[step.right]:
-                left, right = local[step.left], local[step.right]
-                self._fill(left)
-                self._fill(right)
-                local.append(self.resolve_opt(left, right, varmap[step.pivot]))
-                weakened.append(True)
+            elif replay:
+                local.append(self.resolve_opt(local[step.left], local[step.right], varmap[step.pivot]))
             else:
-                pivot = varmap[step.pivot]
-                local.append(self._push(self._oriented(local[step.left], local[step.right], pivot), None))
-                weakened.append(False)
+                r = self._oriented(local[step.left], local[step.right], varmap[step.pivot])
+                local.append(self._push(r, None))
         final = local[-1]
         if self.clauses[final] is None:
             self.clauses[final] = EMPTY_CLAUSE
         return final
-
-    def _fill(self, top: int) -> None:
-        """Compute the clause of step top and of each ancestor that
-        import_proof recorded without one."""
-        clauses, steps = self.clauses, self.steps
-        work = [top]
-        while work:
-            s = work[-1]
-            if clauses[s] is not None:
-                work.pop()
-                continue
-            step = steps[s]
-            left, right = clauses[step.left], clauses[step.right]
-            if left is None or right is None:
-                work.extend(p for p in (step.left, step.right) if clauses[p] is None)
-            else:
-                clauses[s] = resolve_clauses(left, right, step.pivot)
-                work.pop()
 
     def extract(self, final: int) -> ResolutionProof:
         """Prune to the steps reachable from ``final`` and reindex."""

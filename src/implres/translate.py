@@ -40,9 +40,11 @@ Each proof is replayed once.  A proof from outside is checked where it
 enters (check_input, called by truthdef_translate, search_translate
 and tableau.graft_pq); graft, graft_fold and ProofBuilder.import_proof
 trust that check, and graft_fold and search_translate replay what they
-return against the grown set.  So eta's clauses are computed as
-truthdef_translate derives them and once more in that replay, C is
-generated once per circuit, and neither carrier is built in full.
+return against the grown set; that replay, not a check of the final
+clause, is what stands behind a rewritten proof.  So eta's clauses are
+computed as truthdef_translate derives them and once more in that
+replay, C is generated once per circuit, and neither carrier is built
+in full.
 """
 
 from __future__ import annotations
@@ -272,7 +274,9 @@ def _fold_proof(
     clause is its copy's clause with every cone-copy literal c' resolved
     back to c through the bridges A(c) = {-c, c'} and B(c) = {c, -c'},
     derived in the same builder (_bridge) for the clauses pi cites.
-    new is read only where the certificate cites it."""
+    new is read only where the certificate cites it.  pi must be
+    checked; the certificate is not checked here but replayed by both
+    callers."""
     original = {dupmap[g.var]: g.var for g in host.gates if dupmap[g.var] != g.var}
     varmap = dict(dupmap)
     varmap.update((v, v) for v in original.values())
@@ -302,6 +306,9 @@ def _fold_proof(
         return cites[q]
 
     final = b.import_proof(pi.proof, cite, varmap)
+    # import_proof computes the final clause only for a proof that ends
+    # on a premise or holds a weakening; this names one ending on a
+    # premise other than the empty clause (say the bare {-delta})
     if b.clause(final) != EMPTY_CLAUSE:
         raise TranslateError("grafted refutation missed the empty clause")
     return b.extract(final)
@@ -449,6 +456,12 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     imports pi (ProofBuilder.import_proof).  The builder reads the
     canonical carrier by position (_Extended), so it is never built in
     full.
+
+    pi is checked (check_input) and every step the builder derives
+    before the import is checked as it is made, but the imported part
+    of eta is not replayed here: er_to_implicit checks it when
+    graft_fold replays the certificate, and a caller that uses eta on
+    its own checks it with check_er.
     """
     check_input(omega, pi)
     n = omega.n
@@ -506,6 +519,8 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
         if not clause.literals:
             # This witness gate is the negated constant: contradiction.
             final = b.resolve(const_unit(dl.const), cur, dl.const)
+            if b.clause(final) != EMPTY_CLAUSE:
+                raise TranslateError("translated refutation missed the empty clause")
             break
         for lit in clause:
             j, k = abs(lit), (1 if lit > 0 else 0)
@@ -529,8 +544,6 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
         final = b.import_proof(
             pi.proof, lambda q: f_steps[q] if q < len(f_steps) else b.axiom(q + shift), auxmap
         )
-    if b.clause(final) != EMPTY_CLAUSE:
-        raise TranslateError("translated refutation missed the empty clause")
     eta = ERProof(aux, b.extract(final))
     return TruthTranslation(beta, iface, eta, bundle)
 

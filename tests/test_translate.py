@@ -336,10 +336,9 @@ def weakened(pi):
 def test_producers_strip_a_weakening_detour(tseitin4):
     """A checked refutation with a weakening step grafts, through each
     producer, into a certificate with no weakening, no longer than its
-    input, that verifies: the rewrite computes the clauses that the
-    stripped weakening reaches, and their parents, on demand.  The
-    detour strips to the proof without it, so the certificate is the
-    one the plain proof gives."""
+    input, that verifies: the rewrite recomputes every clause of a
+    proof that holds a weakening.  The detour strips to the proof
+    without it, so the certificate is the one the plain proof gives."""
     for omega, plain in ((tseitin4, dpll_er(tseitin4)), QUICK_VIA_E):
         pi = weakened(plain)
         assert check_er(omega, pi)
