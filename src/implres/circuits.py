@@ -127,17 +127,23 @@ def gate_clauses(g: Gate) -> tuple[Clause, ...]:
 def gate_group(v: int, body: tuple[int, ...]) -> tuple[Clause, ...]:
     """Trusted: ``gate_clauses`` of the gate v = OR(body), for a
     variable and literals that are already valid, without making the
-    Gate (as ``canonical_clause`` makes a Clause without checks)."""
-    out = [derived_clause({-v, *body})]
-    seen = {out[0].literals}
+    Gate (as ``canonical_clause`` makes a Clause without checks).  The
+    wide clause is left unordered (``derived_clause``); the duplicate
+    check reads stored tuples, and only a clause of a body literal on
+    v itself can repeat the wide clause."""
+    wide = derived_clause({-v, *body})
+    out = [wide]
+    seen = set()
     for lit in body:
         u = abs(lit)
         if u == v:  # a body citing its own gate; validate_circuit rejects it
             cl = Clause((v, -lit))
+            if cl == wide:
+                continue
         else:
             cl = canonical_clause((-lit, v) if u < v else (v, -lit))
-        if cl.literals not in seen:
-            seen.add(cl.literals)
+        if cl._lits not in seen:
+            seen.add(cl._lits)
             out.append(cl)
     return tuple(out)
 

@@ -2,26 +2,30 @@
 
 Literals are nonzero DIMACS-style integers: ``v`` for a positive
 occurrence of variable ``v`` and ``-v`` for a negated one.  A clause is
-a set of literals kept in a canonical order (by variable, the negative
-literal first) so that equal clauses compare and hash equal.  A clause
-set fixes the number of variables ``n`` and owns an ordered tuple of
+a set of literals with a canonical order (by variable, the negative
+literal first), so that equal clauses compare and hash equal.  A
+clause stores its literals as one tuple and is put in that order the
+first time the order is read, not when it is made: the resolution
+kernel needs only ``len``, ``in`` and the stored tuple.  A clause set
+fixes the number of variables ``n`` and owns an ordered tuple of
 clauses.
 
 Trust boundary.  ``Clause(...)`` is the validated constructor: it
 rejects anything but nonzero ``int`` literals (``bool`` included) and
-canonicalizes its input.  Everything read from outside goes through it:
-the parsers, the families, ``ClauseSet`` coercion of bare tuples and
-weakening literals of a proof.  ``ClauseSet`` also checks every
-variable against ``n``.  ``derived_clause`` and ``canonical_clause`` are
-the internal constructors for clauses made from literals that are
-already valid, such as resolvents of two clauses and the clause groups
-of validated gates; they check nothing.
+puts its input in canonical order.  Everything read from outside goes
+through it: the parsers, the families, ``ClauseSet`` coercion of bare
+tuples and weakening literals of a proof.  ``ClauseSet`` also checks
+every variable against ``n``.  ``derived_clause`` and
+``canonical_clause`` are the internal constructors for clauses made
+from literals that are already valid, such as resolvents of two
+clauses and the clause groups of validated gates; they check nothing,
+and ``derived_clause`` leaves its clause unordered.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 
@@ -49,67 +53,96 @@ def check_literals(lits: tuple) -> None:
             check_literal(lit)
 
 
-def _ordered(lits: set[int]) -> tuple[int, ...]:
+def _ordered(lits: Iterable[int]) -> tuple[int, ...]:
     # sorted() puts -v before v; the stable sort by variable keeps it so
     out = sorted(lits)
     out.sort(key=abs)
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Clause:
-    """An immutable clause; literals are deduplicated and sorted."""
+    """An immutable clause of distinct literals.
+
+    ``_lits`` holds them in the order they were stored; ``literals``
+    holds them in canonical order and, once set, is the same tuple.
+    The validated constructor sets both.  A derived clause sets
+    ``_lits`` alone and is put in order in place the first time
+    ``literals`` is read: by iteration, ``str``, ``==`` or ``hash``.
+    ``len`` and ``in`` read ``_lits`` and never order it."""
 
     literals: tuple[int, ...] = ()
+    _lits: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         lits = tuple(self.literals)
         check_literals(lits)
-        object.__setattr__(self, "literals", _ordered(set(lits)))
+        _fill(self, _ordered(set(lits)))
+
+    def __getattr__(self, name: str):
+        # reached only while a slot is unset: a derived clause's order
+        if name != "literals":
+            raise AttributeError(name)
+        ordered = _ordered(self._lits)
+        _fill(self, ordered)
+        return ordered
+
+    def __eq__(self, other):
+        if type(other) is not Clause:
+            return NotImplemented
+        return self.literals == other.literals
+
+    def __hash__(self) -> int:
+        return hash(self.literals)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals)
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return len(self._lits)
 
     def __contains__(self, lit: int) -> bool:
-        return lit in self.literals
+        return lit in self._lits
 
     def is_tautology(self) -> bool:
-        lits = set(self.literals)
+        lits = set(self._lits)
         return any(-l in lits for l in lits)
 
     def union(self, other: "Clause | Iterable[int]") -> "Clause":
-        other_lits = other.literals if isinstance(other, Clause) else tuple(other)
-        return Clause(self.literals + tuple(other_lits))
+        other_lits = other._lits if isinstance(other, Clause) else tuple(other)
+        return Clause(self._lits + other_lits)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(l) for l in self.literals) + "}"
 
 
 _new = object.__new__
-_set = object.__setattr__
+_store = Clause._lits.__set__
+_store_ordered = Clause.literals.__set__
+
+
+def _fill(clause: Clause, ordered: tuple[int, ...]) -> None:
+    """Store literals already in canonical order: one tuple, both slots."""
+    _store_ordered(clause, ordered)
+    _store(clause, ordered)
 
 
 def canonical_clause(literals: tuple[int, ...]) -> Clause:
     """Trusted: wrap valid literals that are already in canonical order."""
     clause = _new(Clause)
-    _set(clause, "literals", literals)
+    _fill(clause, literals)
     return clause
 
 
 def derived_clause(literals: set[int]) -> Clause:
-    """Trusted: the clause of a set of valid literals, put in order."""
-    return canonical_clause(_ordered(literals))
+    """Trusted: the clause of a set of valid literals, stored as the
+    set's tuple and put in order only when its order is read."""
+    clause = _new(Clause)
+    _store(clause, tuple(literals))
+    return clause
 
 
 EMPTY_CLAUSE = Clause()
-
-
-def is_weakening(base: Clause, candidate: Clause) -> bool:
-    """True when ``candidate`` contains every literal of ``base``."""
-    return set(base.literals) <= set(candidate.literals)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ negatively in the right premise, the conclusion is the union of the
 remaining literals, and nothing forbids the pivot from reappearing via
 the other side.
 
-A resolvent is built from its two parents, which are canonical clauses
-already, with set operations and no literal checks
-(``formulas.derived_clause``).  Weakening literals come from the proof
-and go through the validated ``Clause`` constructor.
+A resolvent is built from its two parents' stored literals with set
+operations and no literal checks, and is stored unordered
+(``formulas.derived_clause``): the replay reads only ``len``, ``in``
+and the stored tuples, so a resolvent is put in canonical order only
+if a serializer, a message or an equality test reads it.  Weakening
+literals come from the proof and go through the validated ``Clause``
+constructor.
 
 The step records ``Axiom``, ``Resolve`` and ``Weaken`` are slotted
 dataclasses.  They are mutable only because that makes them cheap to
@@ -93,13 +96,14 @@ class _StepFailure(Exception):
 
 
 def resolve_clauses(left: Clause, right: Clause, pivot: int) -> Clause:
-    """(left - pivot) | (right - -pivot), from the canonical parents."""
-    lits = set(left.literals)
+    """(left - pivot) | (right - -pivot), from the parents' stored
+    literals; the resolvent is left unordered (derived_clause)."""
+    lits = set(left._lits)
     try:
         lits.remove(pivot)
     except KeyError:
         raise ProofError(f"pivot {pivot} absent from left clause") from None
-    other = set(right.literals)
+    other = set(right._lits)
     try:
         other.remove(-pivot)
     except KeyError:
@@ -177,24 +181,31 @@ class ERProof:
 
 
 def er_premises(premises: ClauseSet, aux: Circuit) -> ClauseSet:
+    """The premises, then the aux gates' clauses.  With no aux gate
+    that is the premises themselves, so a lazy carrier stays lazy."""
+    if not aux.gates:
+        return premises
     extra = circuit_clauses(aux)
     n = max(premises.n, extra.n)
     return ClauseSet(n, premises.clauses + extra.clauses)
 
 
 def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:
+    """An aux circuit with no free and no gate needs no scan of the
+    premises' variables, so a lazy carrier builds only what ep cites."""
     report = validate_circuit(ep.aux)
     if not report:
         return ProofReport(False, -1, f"aux circuit invalid: {report.reason}")
-    occurring = set()
-    for c in premises:
-        occurring.update(abs(l) for l in c)
-    for v in ep.aux.free:
-        if v not in occurring:
-            return ProofReport(False, -1, f"aux free variable {v} not in premises")
-    for v in ep.aux.extension_vars():
-        if v in occurring:
-            return ProofReport(False, -1, f"aux extension variable {v} occurs in premises")
+    if ep.aux.free or ep.aux.gates:
+        occurring = set()
+        for c in premises:
+            occurring.update(abs(l) for l in c)
+        for v in ep.aux.free:
+            if v not in occurring:
+                return ProofReport(False, -1, f"aux free variable {v} not in premises")
+        for v in ep.aux.extension_vars():
+            if v in occurring:
+                return ProofReport(False, -1, f"aux extension variable {v} occurs in premises")
     return check_proof(er_premises(premises, ep.aux), ep.proof)
 
 
@@ -334,7 +345,7 @@ class UnitPropagation:
     """
 
     def __init__(self, premises: ClauseSet):
-        self.clauses = [c.literals for c in premises.clauses]
+        self.clauses = [c._lits for c in premises.clauses]
         self.size = [len(lits) for lits in self.clauses]
         self.occur: dict[int, list[int]] = {}
         for idx, lits in enumerate(self.clauses):

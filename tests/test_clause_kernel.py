@@ -3,7 +3,8 @@
 The validated constructor ``Clause(...)`` and the trusted constructors
 behind resolvents and gate clauses must produce exactly the clauses a
 literal-by-literal reference produces, and the validated path must
-still reject every bad literal.
+still reject every bad literal.  A trusted clause is put in canonical
+order only when that order is read, and the replay never reads it.
 """
 
 import pytest
@@ -11,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implres.circuits import Gate, gate_clauses
-from implres.formulas import Clause, ClauseSet, FormulaError
+from implres.correctness import gen_C
+from implres.families import tseitin_cycle
+from implres.formulas import Clause, ClauseSet, FormulaError, canonical_clause, derived_clause
+from implres.implicit import implicit_from_tree
 from implres.proofs import (
     Axiom,
     ProofError,
@@ -22,6 +26,7 @@ from implres.proofs import (
     proof_clauses,
     resolve_clauses,
 )
+from implres.prover import dpll_refute
 
 VARS = 12
 literal = st.integers(-VARS, VARS).filter(bool)
@@ -36,11 +41,68 @@ def reference_order(lits):
     return tuple(sorted(set(lits), key=lambda l: (abs(l), l > 0)))
 
 
+def is_ordered(clause):
+    """Whether the canonical slot is filled, read without filling it."""
+    try:
+        Clause.literals.__get__(clause, Clause)
+    except AttributeError:
+        return False
+    return True
+
+
 @SETTINGS
 @given(literals)
 def test_clause_literals_are_the_reference_order(lits):
     assert Clause(tuple(lits)).literals == reference_order(lits)
     assert Clause(iter(lits)) == Clause(tuple(reversed(lits)))
+
+
+@SETTINGS
+@given(literals, st.randoms(use_true_random=False))
+def test_a_trusted_clause_reads_as_the_validated_one(lits, rnd):
+    """len and in answer from the stored tuple, before the order is
+    read; every order-reading operation then agrees with Clause(...)."""
+    want = Clause(tuple(lits))
+    shuffled = list(set(lits))
+    rnd.shuffle(shuffled)
+    got = derived_clause(set(shuffled))
+    assert len(got) == len(want)
+    for lit in range(-VARS - 1, VARS + 2):
+        assert (lit in got) == (lit in want)
+    assert not is_ordered(got)
+    assert got.literals == want.literals
+    assert is_ordered(got)
+    assert tuple(got) == tuple(want)
+    assert str(got) == str(want)
+    assert got == want and hash(got) == hash(want)
+
+
+def test_a_clause_holds_one_tuple():
+    """No __dict__ and no set: once its order is read a clause holds
+    one tuple in both slots."""
+    for clause in (Clause((3, -1, 2)), canonical_clause((-1, 2)), derived_clause({3, -1, 2})):
+        assert not hasattr(clause, "__dict__")
+        assert not isinstance(clause, (set, frozenset))
+        assert clause.literals is clause._lits
+
+
+def test_the_replay_orders_no_resolvent(monkeypatch):
+    """check_proof of a synthesized certificate reads only len, in and
+    the stored tuples: the one clause it puts in order is the final
+    empty resolvent, compared with the empty clause."""
+    omega = tseitin_cycle(7)
+    ir = implicit_from_tree(omega, dpll_refute(omega).tree)
+    carrier = gen_C(omega, ir.beta, ir.iface).clauses
+    ordered = []
+    lazy = Clause.__getattr__
+
+    def spy(clause, name):
+        ordered.append(len(clause))
+        return lazy(clause, name)
+
+    monkeypatch.setattr(Clause, "__getattr__", spy)
+    assert check_proof(carrier, ir.alpha)
+    assert ordered == [0]
 
 
 @SETTINGS

@@ -5,7 +5,6 @@ from implres.formulas import (
     ClauseSet,
     FormulaError,
     brute_force_sat,
-    is_weakening,
     parse_dimacs,
     satisfies,
     serialize_dimacs,
@@ -38,13 +37,6 @@ def test_clause_helpers():
     assert c.union((3,)) == Clause((1, -2, 3))
     assert Clause((1, -1)).is_tautology()
     assert not c.is_tautology()
-
-
-def test_is_weakening_is_containment():
-    assert is_weakening(Clause((1,)), Clause((1, 2)))
-    assert is_weakening(Clause(()), Clause((1,)))
-    assert not is_weakening(Clause((1, 2)), Clause((1,)))
-    assert is_weakening(Clause((1,)), Clause((1,)))
 
 
 def test_clause_set_range_checks():

@@ -361,6 +361,8 @@ def test_graft_pq_never_materializes_the_grown_carrier(monkeypatch):
         assert [b.clauses.beta for b in bundles] == [beta, tr.beta]
         grown = vars(bundles[-1].clauses)
         assert "clauses" not in grown and "circuit" not in grown
+        # the input check replays an aux-free alpha against the carrier itself
+        assert "clauses" not in vars(bundles[0].clauses)
 
 
 def test_one_machine_check_per_verdict(monkeypatch):
