@@ -158,11 +158,10 @@ def circuit_size(c: Circuit) -> int:
     return sum(len(g.body) for g in c.gates)
 
 
-def circuit_clauses(c: Circuit) -> ClauseSet:
-    clauses: list[Clause] = []
-    for g in c.gates:
-        clauses.extend(gate_clauses(g))
-    return ClauseSet(max_var(c), tuple(clauses))
+def circuit_clauses(c: Circuit) -> Premises:
+    """The gate clause groups of c in gate order, over max_var(c)
+    variables, with each group at its ``gate_position``."""
+    return Premises(ClauseSet(0), c.gates, (), max_var(c))
 
 
 def evaluate(c: Circuit, free_vals: dict[int, bool]) -> dict[int, bool]:
@@ -322,14 +321,75 @@ def gate_clause_count(g: Gate) -> int:
     return 1 + len(set(g.body))
 
 
-def group_starts(gates: Iterable[Gate], at: int = 0) -> dict[int, int]:
-    """Where each gate's clause group starts when the groups follow
-    each other from position at, as circuit_clauses lays them out."""
-    starts = {}
-    for g in gates:
-        starts[g.var] = at
-        at += gate_clause_count(g)
-    return starts
+@dataclass(frozen=True, eq=False)
+class Premises:
+    """Premises read by position: the clauses of ``base`` (a ClauseSet,
+    a Carrier or another Premises), then the clause groups of
+    ``gates`` in gate_clauses order, then ``units``, over ``n``
+    variables.
+
+    It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
+    ``clauses``) and answers ``gate_position`` and ``neg_delta_index``
+    as a Carrier does.  base is read by ``len`` and position only, and
+    a gate's group is built when one of its clauses is read, so
+    nothing is built in full until ``clauses`` or iteration reads
+    it."""
+
+    base: object
+    gates: tuple[Gate, ...]
+    units: tuple[Clause, ...]
+    n: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def _ends(self) -> list[int]:
+        """Where each gate's group starts, then where the units do."""
+        return list(accumulate(map(gate_clause_count, self.gates), initial=len(self.base)))
+
+    @cached_property
+    def _starts(self) -> dict[int, int]:
+        return {g.var: at for g, at in zip(self.gates, self._ends)}
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        groups = (c for g in self.gates for c in gate_clauses(g))
+        return (*self.base.clauses, *groups, *self.units)
+
+    def __len__(self) -> int:
+        return self._ends[-1] + len(self.units)
+
+    def __iter__(self):
+        return iter(self.clauses)
+
+    def clause(self, p: int) -> Clause:
+        """The clause at position p; IndexError unless 0 <= p < len."""
+        ends = self._ends
+        if p >= ends[-1]:
+            return self.units[p - ends[-1]]
+        if p < ends[0]:
+            if p < 0:
+                raise IndexError(f"no clause at position {p} of {len(self)}")
+            return self.base[p]
+        t = bisect_right(ends, p) - 1
+        group = self._memo.get(t)
+        if group is None:
+            group = self._memo[t] = gate_clauses(self.gates[t])
+        return group[p - ends[t]]
+
+    __getitem__ = clause
+
+    def gate_position(self, var: int) -> int:
+        """Where var's gate group starts: among the gates laid here,
+        else in base.  KeyError when neither defines var."""
+        if var in self._starts or isinstance(self.base, ClauseSet):
+            return self._starts[var]
+        return self.base.gate_position(var)
+
+    @property
+    def neg_delta_index(self) -> int:
+        """The unit {-delta}: the first of the units, or base's when
+        there is none."""
+        return self._ends[-1] if self.units else self.base.neg_delta_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,9 +397,10 @@ class Carrier:
     """A generated clause set, laid out by assemble_carrier.
 
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
-    ``clauses``) but builds only what is read: ``len`` and the clause
-    at a position come from prefix sums of gate clause counts, one
-    gate of one block or copy at a time.  The clause tuple, circuit
+    ``clauses``) but builds only what is read: the head (verdict
+    block, {-delta}, pre-block) is a Premises view, and the clause at
+    a position of a copy comes from prefix sums of beta's gate clause
+    counts, one gate of one copy at a time.  The clause tuple, circuit
     and copy maps are built in full when first read; once the tuple
     exists, indexing reads it."""
 
@@ -354,95 +415,71 @@ class Carrier:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
+    def head(self) -> Premises:
+        """The verdict block's groups, {-delta}, then the pre-block's."""
+        verdict = Premises(ClauseSet(0), self.verdict, (Clause((-self.delta,)),), self.n)
+        return Premises(verdict, self.pre, (), self.n)
+
+    neg_delta_index = property(lambda self: self.head.neg_delta_index)
+
+    @cached_property
     def _inner(self) -> dict[int, int]:
         """Stride slot t of each gate of beta that no port names."""
         inner = [g.var for g in self.beta.gates if g.var not in self.ports[0]]
         return {v: t for t, v in enumerate(inner)}
 
     @cached_property
-    def _copies(self):
-        """Each copy's variable map and gates, laid as assemble_carrier
-        says: slot t of copy k goes to base + t * stride + k."""
-        stride, maps, copies = len(self.ports), [], []
-        for k, port in enumerate(self.ports):
-            varmap = dict(port)
-            for v, t in self._inner.items():
-                varmap[v] = self.base + t * stride + k
-            for v in self.beta.free:
-                varmap.setdefault(v, v)
-            maps.append(varmap)
-            copies.append(tuple(
-                Gate(varmap[g.var], tuple(map_literal(l, varmap) for l in g.body))
-                for g in self.beta.gates
-            ))
-        return tuple(maps), copies
-
-    copy_maps = property(lambda self: self._copies[0])
+    def copy_maps(self) -> tuple[dict[int, int], ...]:
+        """Each copy's variable map, laid as assemble_carrier says: the
+        port images, slot t of copy k at base + t * stride + k, and the
+        spare frees in place."""
+        stride, free = len(self.ports), {v: v for v in self.beta.free}
+        return tuple(
+            {**free, **{v: self.base + t * stride + k for v, t in self._inner.items()}, **port}
+            for k, port in enumerate(self.ports)
+        )
 
     @cached_property
     def circuit(self) -> Circuit:
-        body = (*self.pre, *(g for gates in self._copies[1] for g in gates))
-        return Circuit(self.frees, body + self.verdict, (self.delta,))
+        copies = (
+            Gate(m[g.var], tuple(map_literal(l, m) for l in g.body))
+            for m in self.copy_maps for g in self.beta.gates
+        )
+        return Circuit(self.frees, (*self.pre, *copies, *self.verdict), (self.delta,))
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
-        clauses: list[Clause] = []
-        for g in self.verdict:
-            clauses.extend(gate_clauses(g))
-        clauses.append(Clause((-self.delta,)))
-        for gates in (self.pre, *self._copies[1]):
-            for g in gates:
-                clauses.extend(gate_clauses(g))
-        return ClauseSet(self.n, tuple(clauses)).clauses
-
-    @cached_property
-    def neg_delta_index(self) -> int:
-        return sum(map(gate_clause_count, self.verdict))
+        slots = range(len(self.beta.gates))
+        groups = (self._group(k, t) for k in range(len(self.ports)) for t in slots)
+        clauses = (*self.head.clauses, *(c for group in groups for c in group))
+        return ClauseSet(self.n, clauses).clauses
 
     @cached_property
     def _table(self):
-        """The head (verdict block, None for {-delta}, pre-block) with
-        prefix sums of its clause counts, and those of one copy."""
-        head = (*self.verdict, None, *self.pre)
-        counts = (1 if g is None else gate_clause_count(g) for g in head)
-        ends = list(accumulate(counts, initial=0))
-        return head, ends, list(accumulate(map(gate_clause_count, self.beta.gates), initial=0))
+        """The head's length and the prefix sums of one copy's clause
+        counts."""
+        return len(self.head), list(accumulate(map(gate_clause_count, self.beta.gates), initial=0))
 
     @cached_property
-    def _starts(self):
-        """Where the group of each head gate starts; copy and index in
-        beta of each port image that a gate of beta carries; index in
-        beta of each slot."""
-        starts = group_starts(self.verdict)
-        starts.update(group_starts(self.pre, self.neg_delta_index + 1))
-        index = {g.var: t for t, g in enumerate(self.beta.gates)}
-        images = {
-            img: (k, index[v])
-            for k, port in enumerate(self.ports) for v, img in port.items() if v in index
+    def _positions(self) -> dict[int, int]:
+        """Where the group of each copy's gate starts."""
+        head, ends = self._table
+        return {
+            m[g.var]: head + k * ends[-1] + ends[t]
+            for k, m in enumerate(self.copy_maps) for t, g in enumerate(self.beta.gates)
         }
-        return starts, images, [index[v] for v in self._inner]
 
     def gate_position(self, var: int) -> int:
         """Where var's gate group starts: its wide clause, then at 1 + i
         the two-literal clause of its i-th distinct body literal, in
         body order.  KeyError when no gate of the carrier defines var."""
-        starts, images, inner = self._starts
-        if var in starts:
-            return starts[var]
-        s, k = divmod(var - self.base, len(self.ports))
-        if var in images:
-            k, t = images[var]
-        elif var >= self.base and s < len(inner):
-            t = inner[s]
-        else:
-            raise KeyError(var)
-        _, head_ends, copy_ends = self._table
-        return head_ends[-1] + k * copy_ends[-1] + copy_ends[t]
+        at = self._positions.get(var)
+        return self.head.gate_position(var) if at is None else at
 
     @cached_property
     def _len(self) -> int:
-        _, head_ends, copy_ends = self._table
-        return head_ends[-1] + len(self.ports) * copy_ends[-1]
+        head, copy_ends = self._table
+        return head + len(self.ports) * copy_ends[-1]
 
     def __len__(self) -> int:
         return self._len
@@ -457,35 +494,21 @@ class Carrier:
             raise IndexError(f"no clause at position {p} of {self._len}")
         if "clauses" in self.__dict__:
             return self.clauses[p]
-        head, head_ends, copy_ends = self._table
-        if p < head_ends[-1]:
-            k, q, ends = -1, p, head_ends
-        else:
-            (k, q), ends = divmod(p - head_ends[-1], copy_ends[-1]), copy_ends
+        head, ends = self._table
+        if p < head:
+            return self.head.clause(p)
+        k, q = divmod(p - head, ends[-1])
         t = bisect_right(ends, q) - 1
         group = self._memo.get((k, t))
         if group is None:
-            group = self._memo[(k, t)] = self._group(k, t, head)
+            group = self._memo[(k, t)] = self._group(k, t)
         return group[q - ends[t]]
 
-    def _group(self, k: int, t: int, head) -> tuple[Clause, ...]:
-        """Clause group of head gate t (k < 0) or of gate t of copy k.
-        check_ports validated beta, so the copy gate's image is built
-        on the trusted path."""
-        if k < 0:
-            return (Clause((-self.delta,)),) if head[t] is None else gate_clauses(head[t])
-        port, inner = self.ports[k], self._inner
-        at, stride = self.base + k, len(self.ports)
-        g = self.beta.gates[t]
-        lits = []
-        for lit in (g.var, *g.body):
-            v = abs(lit)
-            w = port.get(v)
-            if w is None:
-                s = inner.get(v)
-                w = v if s is None else at + s * stride
-            lits.append(w if lit > 0 else -w)
-        return gate_group(lits[0], tuple(lits[1:]))
+    def _group(self, k: int, t: int) -> tuple[Clause, ...]:
+        """Clause group of gate t of copy k.  check_ports validated
+        beta, so the copy gate's image is built on the trusted path."""
+        m, g = self.copy_maps[k], self.beta.gates[t]
+        return gate_group(m[g.var], tuple([m[l] if l > 0 else -m[-l] for l in g.body]))
 
     __getitem__ = clause
 

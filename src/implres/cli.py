@@ -175,7 +175,7 @@ def _check_declared(declared: int, have: int) -> None:
 def cmd_translate_er(args) -> int:
     omega = parse_dimacs(_read(args.cnf))
     ep, declared = parse_er(_read(args.erproof))
-    _check_declared(declared, len(er_premises(omega, ep.aux).clauses))
+    _check_declared(declared, len(er_premises(omega, ep.aux)))
     args.inputs0 = args.cnf
     try:
         ir = er_to_implicit(omega, ep)

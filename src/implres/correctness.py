@@ -38,9 +38,10 @@ from .circuits import (
     Circuit,
     CircuitBuilder,
     CircuitReport,
+    Premises,
     VarAlloc,
     assemble_carrier,
-    circuit_clauses,
+    max_var,
 )
 from .encoding import TreeInterface, bit, check_interface, output_width
 from .formulas import Clause, ClauseSet
@@ -281,14 +282,15 @@ def check_search_problem(sp: SearchProblem) -> CircuitReport:
     return CircuitReport(True)
 
 
-def gen_correct(sp: SearchProblem) -> ClauseSet:
-    """Clauses asserting the algorithm errs on some input: algorithm
-    gates, checker gates, and the negated verdict."""
+def gen_correct(sp: SearchProblem) -> Premises:
+    """Clauses asserting the algorithm errs on some input: the
+    algorithm's gate groups, the checker's, and the negated verdict,
+    the view's ``neg_delta_index``.  Each gate's group sits at the
+    view's ``gate_position``."""
     rep = check_search_problem(sp)
     if not rep:
         raise CorrectnessError(f"bad search problem: {rep.reason}")
-    a = circuit_clauses(sp.algorithm)
-    c = circuit_clauses(sp.checker)
     verdict = sp.checker.outputs[0]
-    n = max(a.n, c.n, verdict)
-    return ClauseSet(n, a.clauses + c.clauses + (Clause((-verdict,)),))
+    n = max(max_var(sp.algorithm), max_var(sp.checker), verdict)
+    gates = sp.algorithm.gates + sp.checker.gates
+    return Premises(ClauseSet(0), gates, (Clause((-verdict,)),), n)

@@ -160,11 +160,10 @@ class ClauseSet:
         )
         object.__setattr__(self, "clauses", norm)
         for c in norm:
-            # canonical order puts the largest variable last
-            if c.literals and abs(c.literals[-1]) > self.n:
-                raise FormulaError(
-                    f"variable {abs(c.literals[-1])} out of range 1..{self.n}"
-                )
+            # the stored literals, so a derived clause stays unordered
+            top = max(map(abs, c._lits), default=0)
+            if top > self.n:
+                raise FormulaError(f"variable {top} out of range 1..{self.n}")
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from .circuits import Circuit, circuit_clauses, validate_circuit
+from .circuits import Circuit, Premises, max_var, validate_circuit
 from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, FormulaError, derived_clause
 
 
@@ -180,14 +180,14 @@ class ERProof:
     proof: ResolutionProof
 
 
-def er_premises(premises: ClauseSet, aux: Circuit) -> ClauseSet:
-    """The premises, then the aux gates' clauses.  With no aux gate
-    that is the premises themselves, so a lazy carrier stays lazy."""
+def er_premises(premises: ClauseSet, aux: Circuit):
+    """The premises, then the aux gates' clauses: the premises
+    themselves when aux has no gate, else a Premises view over them,
+    so a lazy carrier stays lazy either way and each aux gate's group
+    sits at the view's ``gate_position``."""
     if not aux.gates:
         return premises
-    extra = circuit_clauses(aux)
-    n = max(premises.n, extra.n)
-    return ClauseSet(n, premises.clauses + extra.clauses)
+    return Premises(premises, aux.gates, (), max(premises.n, max_var(aux)))
 
 
 def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:

@@ -14,8 +14,12 @@ auxiliary clause is its duplicate's clause with the cone-copy
 literals resolved back to the originals through bridge clauses
 derived gate by gate (_bridge; emb_refute is its standalone form, over
 two circuits' own clauses and two units).  Gate clauses are cited by
-position, not by value.  On an empty cone the duplicate is the
-auxiliaries alone and the certificate is the input proof renamed.
+position, not by value, and the positions are read off the premise
+sets folded between: a Carrier or a circuits.Premises view says where
+each gate's group starts (gate_position) and where {-delta} sits
+(neg_delta_index), and pi's own premises are er_premises(old, aux).
+On an empty cone the duplicate is the auxiliaries alone and the
+certificate is the input proof renamed.
 
 graft_fold does this for carriers generated from a described circuit
 beta on a copy stride: C(omega, beta) from gen_C (graft) and
@@ -23,8 +27,8 @@ machine-grid sets from gen_tableau (tableau.graft_pq).  It rebases beta
 onto the carrier's first copy and lays the duplicate on the same
 stride, so the grown circuit regenerates a set that contains the old
 one.  search_translate folds into a search problem's algorithm the
-same way, over its correctness clauses, with fresh ids for the
-duplicate.  The auxiliaries of truthdef_translate read only branch
+same way, over gen_correct's view of its correctness clauses, with
+fresh ids for the duplicate.  The auxiliaries of truthdef_translate read only branch
 variables and refute_tableau's refutations have none, so both
 producers' cones are empty.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
@@ -55,10 +59,10 @@ from typing import Optional
 from .circuits import (
     Circuit,
     Gate,
+    Premises,
     check_embedding,
     circuit_clauses,
     gate_clause_count,
-    group_starts,
     map_literal,
     max_var,
     validate_circuit,
@@ -98,20 +102,20 @@ def check_input(premises, pi: ERProof) -> None:
 
 def emb_premises(
     c: Circuit, d: Circuit, y: int, polarity: bool, fy: int
-) -> ClauseSet:
-    cc = circuit_clauses(c)
-    dc = circuit_clauses(d)
+) -> Premises:
+    """The clauses of c (the view's base), those of d, then the units
+    y^polarity and f(y)^(1-polarity)."""
     units = (
         Clause((y if polarity else -y,)),
         Clause((-fy if polarity else fy,)),
     )
-    n = max(cc.n, dc.n, abs(y), abs(fy))
-    return ClauseSet(n, cc.clauses + dc.clauses + units)
+    n = max(max_var(c), max_var(d), abs(y), abs(fy))
+    return Premises(circuit_clauses(c), d.gates, units, n)
 
 
 def _bridge(
     b: ProofBuilder,
-    at,
+    at: tuple,
     c: Circuit,
     f: dict[int, int],
     roots: list[tuple[int, bool]],
@@ -123,10 +127,10 @@ def _bridge(
     of the gates they need.  Returns the step table: table[polarity][e]
     is the step deriving A(e) or B(e), for the roots and every gate one
     demand pass found under them.  Gate clauses are cited by position,
-    not by value: at(v, image) is where the group of c's gate v (or of
-    the image gate v) starts in b's premises, laid out as gate_clauses
-    does.  An image gate lists its body as f maps c's, unless d gives
-    the image gates."""
+    not by value: at[False] and at[True] are premise views whose
+    gate_position says where the group of c's gate v, and of the image
+    gate v, starts in b's premises.  An image gate lists its body as f
+    maps c's, unless d gives the image gates."""
     gate_of = c.gate_map()
 
     # Demand pass: which gates need A (-e or f(e)) and which need B.
@@ -161,7 +165,7 @@ def _bridge(
             src, dst, dst_body = (f[e], e, body) if not want_a else (
                 e, f[e], image if d is None else tuple(dict.fromkeys(d[f[e]].body))
             )
-            cur = b.axiom(at(src, not want_a))
+            cur = b.axiom(at[not want_a].gate_position(src))
             for lit, fl in zip(body, image):
                 if fl == lit:
                     continue
@@ -170,7 +174,7 @@ def _bridge(
                 cur = b.resolve_lit(cur, bridge, sl)
             for i, dl in enumerate(dst_body, 1):
                 if dl in b.clause(cur):
-                    cur = b.resolve_lit(cur, b.axiom(at(dst, want_a) + i), dl)
+                    cur = b.resolve_lit(cur, b.axiom(at[want_a].gate_position(dst) + i), dl)
             if b.clause(cur) != Clause((-src, dst)):
                 raise TranslateError(f"bridge clause for gate {e} came out wrong")
             steps[want_a][e] = cur
@@ -192,9 +196,8 @@ def emb_refute(
     fy = f[y]
     premises = emb_premises(c, d, y, polarity, fy)
     b = ProofBuilder(premises)
-    at = (group_starts(c.gates), group_starts(d.gates, sum(map(gate_clause_count, c.gates))))
     bridge = None if fy == y else _bridge(
-        b, lambda v, image: at[image][v], c, f, [(y, polarity)], d.gate_map()
+        b, (premises.base, premises), c, f, [(y, polarity)], d.gate_map()
     )[polarity][y]
     uy = b.axiom(len(premises) - 2)
     ufy = b.axiom(len(premises) - 1)
@@ -252,39 +255,33 @@ def _duplicate(
 
 
 def _fold_proof(
-    old: ClauseSet,
-    old_at,
-    old_neg: int,
-    pi: ERProof,
-    host: Circuit,
-    dupmap: dict[int, int],
-    new: ClauseSet,
-    new_at,
-    new_neg: int,
+    old, pi: ERProof, host: Circuit, dupmap: dict[int, int], new
 ) -> ResolutionProof:
     """Refute the grown set new from a refutation pi of old.
 
-    old holds host's gate clauses and, at old_neg, the unit {-delta}
-    for host's output delta; new holds those clauses, the clauses of
-    the duplicate (_duplicate's gates, over dupmap) and {-delta} at
-    new_neg; old_at(v) and new_at(v) say where the clause group of gate
-    v starts in each.  pi is imported once, host variables kept and
-    auxiliaries renamed to their copies: host clauses are cited in
-    their own group of new, {-delta} at new_neg, and each auxiliary
-    clause is its copy's clause with every cone-copy literal c' resolved
-    back to c through the bridges A(c) = {-c, c'} and B(c) = {c, -c'},
-    derived in the same builder (_bridge) for the clauses pi cites.
-    new is read only where the certificate cites it.  pi must be
-    checked; the certificate is not checked here but replayed by both
-    callers."""
+    old and new are premise sets that say where a gate's clause group
+    starts (gate_position) and where the unit {-delta} for host's
+    output delta sits (neg_delta_index): a Carrier or gen_correct's
+    Premises.  old holds host's gate clauses; pi's premises are
+    er_premises(old, pi.aux), which holds pi's auxiliaries' groups
+    after them; new holds host's clauses and the clauses of the
+    duplicate (_duplicate's gates, over dupmap).  pi is imported once,
+    host variables kept and auxiliaries renamed to their copies: host
+    clauses are cited in their own group of new, {-delta} at new's,
+    and each auxiliary clause is its copy's clause with every cone-copy
+    literal c' resolved back to c through the bridges A(c) = {-c, c'}
+    and B(c) = {c, -c'}, derived in the same builder (_bridge) for the
+    clauses pi cites.  new is read only where the certificate cites
+    it.  pi must be checked; the certificate is not checked here but
+    replayed by both callers."""
     original = {dupmap[g.var]: g.var for g in host.gates if dupmap[g.var] != g.var}
     varmap = dict(dupmap)
     varmap.update((v, v) for v in original.values())
-    aux_at = group_starts(pi.aux.gates, len(old))
-    moved = {old_neg: new_neg}
+    premises = er_premises(old, pi.aux)
+    moved = {old.neg_delta_index: new.neg_delta_index}
     for g in host.gates + pi.aux.gates:
-        p = aux_at[g.var] if g.var in aux_at else old_at(g.var)
-        r = new_at(varmap[g.var])
+        p = premises.gate_position(g.var)
+        r = new.gate_position(varmap[g.var])
         for j in range(gate_clause_count(g)):
             moved[p + j] = r + j
     b = ProofBuilder(new)
@@ -293,7 +290,7 @@ def _fold_proof(
         cited = {moved[s.index] for s in pi.proof.steps if type(s) is Axiom}
         roots = [(original[abs(l)], l < 0) for q in cited for l in new[q]
                  if abs(l) in original]
-        bridges = _bridge(b, lambda v, image: new_at(v), host, dupmap, roots)
+        bridges = _bridge(b, (new, new), host, dupmap, roots)
     cites: dict[int, int] = {}
 
     def cite(q: int) -> int:
@@ -353,10 +350,7 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     iface2 = replace(iface, inputs=inputs, outputs=beta2.outputs)
     bundle2 = generate(beta2, iface2)
     new = bundle2.clauses
-    alpha2 = _fold_proof(
-        old, old.gate_position, old.neg_delta_index, alpha_er, host, dupmap,
-        new, new.gate_position, new.neg_delta_index,
-    )
+    alpha2 = _fold_proof(old, alpha_er, host, dupmap, new)
     rep = proof_stage(bundle2, alpha2, len(new))
     if not rep:
         raise TranslateError(f"grafted refutation rejected: {rep.reason}")
@@ -392,32 +386,11 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     algo2 = Circuit(sp.xs, sp.algorithm.gates + dup_gates, sp.ys)
     sp2 = SearchProblem(sp.n, sp.xs, sp.ys, algo2, sp.checker)
     correct2 = gen_correct(sp2)
-    # gen_correct lays out the algorithm's gates, then the checker's
-    old_at = group_starts(host.gates).__getitem__
-    new_at = group_starts(algo2.gates + sp.checker.gates).__getitem__
-    rho = _fold_proof(
-        correct, old_at, len(correct) - 1, pi, host, dupmap,
-        correct2, new_at, len(correct2) - 1,
-    )
+    rho = _fold_proof(correct, pi, host, dupmap, correct2)
     rep = check_proof(correct2, rho)
     if not rep:
         raise TranslateError(f"translated refutation rejected: step {rep.step}: {rep.reason}")
-    return TranslatedSearch(
-        sp2, rho, len(correct2.clauses),
-        len(er_premises(correct, pi.aux).clauses),
-    )
-
-
-class _Extended:
-    """The premises of an ER refutation of a carrier, by position: the
-    carrier's clauses, read lazily, then the auxiliaries' gate
-    clauses."""
-
-    def __init__(self, carrier, extra: tuple[Clause, ...]):
-        self.carrier, self.extra, self.split = carrier, extra, len(carrier)
-
-    def __getitem__(self, p: int) -> Clause:
-        return self.carrier[p] if p < self.split else self.extra[p - self.split]
+    return TranslatedSearch(sp2, rho, len(correct2), len(er_premises(correct, pi.aux)))
 
 
 def _unit(b: ProofBuilder, lit: int, step: int) -> int:
@@ -453,9 +426,9 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     weakening-witness gate of the verdict block into the branch-bit
     image {-z_p : p in C} = {-lit : lit in C} of its source clause C,
     which is that premise of pi under the substitution, and finally
-    imports pi (ProofBuilder.import_proof).  The builder reads the
-    canonical carrier by position (_Extended), so it is never built in
-    full.
+    imports pi (ProofBuilder.import_proof).  The builder's premises are
+    er_premises(carrier, aux), which reads the canonical carrier by
+    position, so it is never built in full.
 
     pi is checked (check_input) and every step the builder derives
     before the import is checked as it is made, but the imported part
@@ -478,7 +451,7 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
     aux = Circuit(tuple(range(1, n + 1)), tuple(
         Gate(auxmap[g.var], tuple(map_literal(l, auxmap) for l in g.body)) for g in pi.aux.gates
     ), ())
-    b = ProofBuilder(_Extended(cs, circuit_clauses(aux).clauses))
+    b = ProofBuilder(er_premises(cs, aux))
 
     def gate_big(var: int) -> int:
         return b.axiom(cs.gate_position(var))

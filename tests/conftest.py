@@ -1,8 +1,9 @@
 import pytest
 
 from implres import translate
-from implres.circuits import gate_clauses
+from implres.circuits import Carrier, gate_clauses
 from implres.families import contradiction_pair, php, tseitin_cycle, two_var_unsat
+from implres.formulas import ClauseSet
 from implres.proofs import Axiom, ResolutionProof
 
 
@@ -26,15 +27,31 @@ def tseitin4():
     return tseitin_cycle(4)
 
 
+def laid_out(premises):
+    """The gates whose clause groups a premise set (a Carrier, a
+    Premises view or a ClauseSet) lays out, in order, and the free
+    variables of the circuit they form."""
+    if isinstance(premises, Carrier):
+        return premises.circuit.gates, set(premises.circuit.free)
+    if isinstance(premises, ClauseSet):
+        return (), {abs(lit) for c in premises for lit in c}
+    gates, frees = laid_out(premises.base)
+    gates += premises.gates
+    frees |= {abs(lit) for g in premises.gates for lit in g.body}
+    frees |= {abs(lit) for c in premises.units for lit in c}
+    return gates, frees - {g.var for g in gates}
+
+
 @pytest.fixture(scope="session")
 def view_oracle():
-    """Check a carrier read lazily against the same carrier built in
-    full.  ``generate`` makes a fresh bundle each call, so the view is
-    read before anything of it is materialized.  Returns the view."""
+    """Check a premise set read lazily (a Carrier or a Premises view)
+    against the same set built in full.  ``generate`` makes a fresh
+    set each call, so the view is read before anything of it is
+    materialized.  Returns the view."""
 
     def check(generate):
-        view = generate().clauses
-        full = generate().clauses
+        view = generate()
+        full = generate()
         clauses = full.clauses
         assert len(view) == len(clauses)
         assert view.n == full.n
@@ -50,26 +67,26 @@ def view_oracle():
 
 @pytest.fixture(scope="session")
 def position_oracle():
-    """Check Carrier.gate_position against the same carrier built in
-    full: every gate of its circuit has its clause group, wide clause
-    first, at the position given (the first place that wide clause
-    occurs), and free variables, 0 and the ids past the last copy
-    raise KeyError.  Returns the view."""
+    """Check gate_position of a premise set (a Carrier or a Premises
+    view) against the same set built in full: every gate it lays out
+    has its clause group, wide clause first, at the position given
+    (the first place that wide clause occurs), and free variables, 0
+    and the ids just past n raise KeyError.  Returns the view."""
 
     def check(generate):
-        view = generate().clauses
-        full = generate().clauses
+        view = generate()
+        full = generate()
         clauses = full.clauses
         first = {}
         for p, c in enumerate(clauses):
             first.setdefault(c, p)
-        for g in full.circuit.gates:
+        gates, frees = laid_out(full)
+        for g in gates:
             group = gate_clauses(g)
             p = view.gate_position(g.var)
             assert p == first[group[0]], g
             assert clauses[p:p + len(group)] == group, g
-        past = range(view.n + 1, view.n + 2 * len(full.ports) + 2)
-        for v in (*full.circuit.free, 0, *past):
+        for v in (*frees, 0, *range(view.n + 1, view.n + 64)):
             with pytest.raises(KeyError):
                 view.gate_position(v)
         return view
@@ -85,7 +102,7 @@ def broken_fold(monkeypatch):
     it is handed in the returned list."""
     folds = []
 
-    def fold(old, old_at, old_neg, pi, host, dupmap, new, *rest):
+    def fold(old, pi, host, dupmap, new):
         folds.append((host, dupmap, new.beta))
         return ResolutionProof((Axiom(0),))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from implres import formulas
 from implres.circuits import Gate, gate_clauses
 from implres.correctness import gen_C
 from implres.families import tseitin_cycle
@@ -140,6 +141,27 @@ def test_gate_clauses_equal_the_validated_construction(var, body):
             want.append(cl)
     got = gate_clauses(Gate(var, tuple(body)))
     assert [c.literals for c in got] == [c.literals for c in want]
+
+
+def test_materializing_a_carrier_orders_no_wide_clause(monkeypatch):
+    """Building a carrier's clause tuple, range check included, reads
+    the stored literals: the gate wide clauses stay unordered, and the
+    one clause put in order is the validated unit {-delta}."""
+    omega = tseitin_cycle(7)
+    ir = implicit_from_tree(omega, dpll_refute(omega).tree)
+    carrier = gen_C(omega, ir.beta, ir.iface).clauses
+    ordered = []
+    real = formulas._ordered
+
+    def spy(lits):
+        out = real(lits)
+        ordered.append(len(out))
+        return out
+
+    monkeypatch.setattr(formulas, "_ordered", spy)
+    clauses = carrier.clauses
+    assert ordered == [1]
+    assert sum(not is_ordered(c) for c in clauses) >= len(ir.beta.gates) * omega.n
 
 
 def test_clause_set_range_check_names_the_variable():

@@ -179,6 +179,19 @@ def test_gen_correct_catches_buggy_algorithm():
     assert model is not None  # identity instead of negation errs somewhere
 
 
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_gen_correct_reads_by_position(n, view_oracle, position_oracle):
+    """gen_correct's view: every clause read by position and every
+    gate's group is where the materialized set has it, {-verdict} sits
+    at neg_delta_index, and reading builds nothing in full."""
+    sp = not_search(n)
+    for oracle in (view_oracle, position_oracle):
+        view = oracle(lambda: gen_correct(sp))
+        assert "clauses" not in vars(view)
+    assert view[view.neg_delta_index] == Clause((-sp.checker.outputs[0],))
+    assert view.neg_delta_index == len(view) - 1
+
+
 @pytest.mark.parametrize(
     "omega",
     [tseitin_cycle(12), php(4, 3), tseitin_cycle(4), php(3, 2)],
@@ -190,7 +203,7 @@ def test_lazy_carrier_equals_the_materialized_set_on_grafts(omega, view_oracle):
     gen_C materializes, and reading all of them builds nothing in full."""
     pi = ERProof(Circuit((), (), ()), proof_from_tree(omega, dpll_refute(omega).tree))
     ir = er_to_implicit(omega, pi)
-    view = view_oracle(lambda: gen_C(omega, ir.beta, ir.iface))
+    view = view_oracle(lambda: gen_C(omega, ir.beta, ir.iface).clauses)
     assert "clauses" not in vars(view) and "circuit" not in vars(view)
 
 
@@ -206,7 +219,7 @@ def test_gate_position_matches_the_materialized_set_on_grafts(omega, position_or
     pi = ERProof(Circuit((), (), ()), proof_from_tree(omega, dpll_refute(omega).tree))
     ir = er_to_implicit(omega, pi)
     for beta, iface in (canonical_tree_circuit(omega.n), (ir.beta, ir.iface)):
-        view = position_oracle(lambda: gen_C(omega, beta, iface))
+        view = position_oracle(lambda: gen_C(omega, beta, iface).clauses)
         assert "clauses" not in vars(view) and "circuit" not in vars(view)
 
 
@@ -256,7 +269,7 @@ def small_tuples(draw):
 @given(small_tuples())
 def test_lazy_carrier_equals_the_materialized_set_on_random_betas(view_oracle, case):
     omega, beta, iface = case
-    view = view_oracle(lambda: gen_C(omega, beta, iface))
+    view = view_oracle(lambda: gen_C(omega, beta, iface).clauses)
     assert "clauses" not in vars(view)
 
 
@@ -264,5 +277,5 @@ def test_lazy_carrier_equals_the_materialized_set_on_random_betas(view_oracle, c
 @given(small_tuples())
 def test_gate_position_matches_the_materialized_set_on_random_betas(position_oracle, case):
     omega, beta, iface = case
-    view = position_oracle(lambda: gen_C(omega, beta, iface))
+    view = position_oracle(lambda: gen_C(omega, beta, iface).clauses)
     assert "clauses" not in vars(view)

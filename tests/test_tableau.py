@@ -4,7 +4,7 @@ from implres import tableau, translate
 from implres.circuits import Circuit, CircuitBuilder, Gate, VarAlloc, validate_circuit
 from implres.families import tm_halt, tm_left_runner, tm_right_writer, tm_write_stay
 from implres.formulas import Clause
-from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof
+from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof, er_premises
 from implres.tableau import (
     TableauError,
     TableauInterface,
@@ -323,7 +323,7 @@ def test_lazy_carrier_equals_the_materialized_set_on_grids(fixture, view_oracle)
     alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
     tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
     for b, i in ((beta, iface), (tr.beta, tr.iface)):
-        view = view_oracle(lambda: gen_tableau(tm, tau, b, i))
+        view = view_oracle(lambda: gen_tableau(tm, tau, b, i).clauses)
         assert "clauses" not in vars(view)
 
 
@@ -339,8 +339,31 @@ def test_gate_position_matches_the_materialized_set_on_grids(fixture, position_o
     alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
     tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
     for b, i in ((beta, iface), (tr.beta, tr.iface)):
-        view = position_oracle(lambda: gen_tableau(tm, tau, b, i))
+        view = position_oracle(lambda: gen_tableau(tm, tau, b, i).clauses)
         assert "clauses" not in vars(view)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [tm_halt, tm_write_stay, tm_right_writer],
+    ids=["tm_halt", "tm_write_stay", "tm_right_writer"],
+)
+def test_er_premises_read_a_grid_carrier_by_position(fixture, view_oracle, position_oracle):
+    """The premises of graft_pq's spurious refutation, the grid carrier
+    then the auxiliary gate's group: read by position and by gate
+    through the view, and the carrier is never built in full."""
+    tm, tau, beta, iface = fixture()
+
+    def premises():
+        carrier = gen_tableau(tm, tau, beta, iface).clauses
+        spurious = Circuit((1,), (Gate(carrier.n + 1, (1, -1)),), ())
+        return er_premises(carrier, spurious)
+
+    for oracle in (view_oracle, position_oracle):
+        view = oracle(premises)
+        assert "clauses" not in vars(view) and "clauses" not in vars(view.base)
+    assert view.neg_delta_index == view.base.neg_delta_index
+    assert view.gate_position(view.n) == len(view.base)
 
 
 def test_graft_pq_never_materializes_the_grown_carrier(monkeypatch):
