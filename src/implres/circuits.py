@@ -363,6 +363,9 @@ class Premises:
 
     def clause(self, p: int) -> Clause:
         """The clause at position p; IndexError unless 0 <= p < len."""
+        clause = self._memo.get(p)
+        if clause is not None:
+            return clause
         ends = self._ends
         if p >= ends[-1]:
             return self.units[p - ends[-1]]
@@ -371,10 +374,8 @@ class Premises:
                 raise IndexError(f"no clause at position {p} of {len(self)}")
             return self.base[p]
         t = bisect_right(ends, p) - 1
-        group = self._memo.get(t)
-        if group is None:
-            group = self._memo[t] = gate_clauses(self.gates[t])
-        return group[p - ends[t]]
+        self._memo.update(enumerate(gate_clauses(self.gates[t]), ends[t]))
+        return self._memo[p]
 
     __getitem__ = clause
 

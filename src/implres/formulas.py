@@ -159,11 +159,10 @@ class ClauseSet:
             c if isinstance(c, Clause) else Clause(tuple(c)) for c in self.clauses
         )
         object.__setattr__(self, "clauses", norm)
-        for c in norm:
-            # the stored literals, so a derived clause stays unordered
-            top = max(map(abs, c._lits), default=0)
-            if top > self.n:
-                raise FormulaError(f"variable {top} out of range 1..{self.n}")
+        # one pass over the stored literals, so a derived clause stays unordered
+        top = max(map(abs, itertools.chain.from_iterable(c._lits for c in norm)), default=0)
+        if top > self.n:
+            raise FormulaError(f"variable {top} out of range 1..{self.n}")
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
