@@ -28,9 +28,9 @@ onto the carrier's first copy and lays the duplicate on the same
 stride, so the grown circuit regenerates a set that contains the old
 one.  search_translate folds into a search problem's algorithm the
 same way, over gen_correct's view of its correctness clauses, with
-fresh ids for the duplicate.  The auxiliaries of truthdef_translate read only branch
-variables and refute_tableau's refutations have none, so both
-producers' cones are empty.
+fresh ids for the duplicate.  The auxiliaries of truthdef_translate
+read only branch variables and refute_tableau's refutations have none,
+so both producers' cones are empty.
 truthdef_translate and er_to_implicit turn any ER refutation of omega
 into a refutation of C(omega, canonical beta) and graft it.  The
 truth-definition step forces the units of the canonical carrier by
