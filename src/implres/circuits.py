@@ -330,10 +330,10 @@ class Premises:
 
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
     ``clauses``) and answers ``gate_position`` and ``neg_delta_index``
-    as a Carrier does.  base is read by ``len`` and position only, and
-    a gate's group is built when one of its clauses is read, so
-    nothing is built in full until ``clauses`` or iteration reads
-    it."""
+    as a Carrier does.  base is read by ``len`` and position only, a
+    gate's group is built when one of its clauses is read, and each
+    clause read is kept by position, so nothing is built in full until
+    ``clauses`` or iteration reads it."""
 
     base: object
     gates: tuple[Gate, ...]
@@ -372,7 +372,8 @@ class Premises:
         if p < ends[0]:
             if p < 0:
                 raise IndexError(f"no clause at position {p} of {len(self)}")
-            return self.base[p]
+            clause = self._memo[p] = self.base[p]
+            return clause
         t = bisect_right(ends, p) - 1
         self._memo.update(enumerate(gate_clauses(self.gates[t]), ends[t]))
         return self._memo[p]
