@@ -63,6 +63,8 @@ GOLDEN = {
         "ce0dc7ad8415596047701fa1be6b3d1182e611308b3541220cccc39aecf3c000",
     "cli-synth-tseitin4":
         "80482e2f17ce0aa4faa8403c8eb21ada1de173753d99e1b1d19b76a1db25c0a8",
+    "cli-prove-tseitin4":
+        "2649c2f33f55cf5d4eceedc2565e4d2d645fa6dd8f25888597f598743355e4d2",
     "cli-tableau-gen-tm_halt":
         "9c6c834e8fac034c9561a897dba5bd68720bd184e5fcb865222c927d0877e685",
     "cli-tableau-gen-tm_write_stay":
@@ -148,6 +150,16 @@ def synth_text(tmp_path):
     assert main(["synth", str(cnf), str(work / "omega.circ"), "-o", str(out)]) == 0
     return "".join((out / f"omega.{ext}").read_text()
                    for ext in ("manifest", "cnf", "circ", "rproof"))
+
+
+def prove_text(tmp_path):
+    """prove's tree-like refutation, read off dpll's tree: every step
+    is cited at most once, so recording each distinct step once leaves
+    it as it is."""
+    cnf = tmp_path / "omega.cnf"
+    cnf.write_text(serialize_dimacs(tseitin_cycle(4)))
+    assert main(["prove", str(cnf), "-o", str(tmp_path)]) == 0
+    return (tmp_path / "omega.res.rproof").read_text()
 
 
 def tableau_gen_text(fixture, tmp_path):
@@ -262,6 +274,7 @@ PRODUCERS = {
     "search_translate-not4": lambda p: search_translate_text(4),
     "search_translate-not6": lambda p: search_translate_text(6),
     "cli-synth-tseitin4": synth_text,
+    "cli-prove-tseitin4": prove_text,
     "emb_refute-or_chains": lambda p: emb_refute_text(),
     "proof_stage-mutant-reports": lambda p: rejection_reports_text(),
     "dpll_refute-outcomes": lambda p: dpll_outcome_text(),

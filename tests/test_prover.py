@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implres.families import php, tseitin_cycle
+from implres.families import php, tm_halt, tm_right_writer, tm_write_stay, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, brute_force_sat, satisfies
-from implres.proofs import UnitPropagation, check_proof
+from implres.proofs import Resolve, UnitPropagation, check_proof
 from implres.prover import (
     Leaf,
     Node,
@@ -17,6 +17,7 @@ from implres.prover import (
     serialize_dtree,
     tree_size,
 )
+from implres.tableau import gen_tableau, refute_tableau
 
 
 def test_tree_metrics():
@@ -44,6 +45,27 @@ def test_proof_from_tree_is_tree_like_refutation(omega2):
     assert rep
     # one axiom per leaf, one resolution per node
     assert len(proof.steps) == tree_size(t)
+
+
+def cited_once(proof) -> bool:
+    """No step is a side of two resolutions."""
+    sides = [i for s in proof.steps if type(s) is Resolve for i in (s.left, s.right)]
+    return len(sides) == len(set(sides))
+
+
+def test_tree_like_builds_cite_each_step_at_most_once():
+    """proof_from_tree, and refute_tableau through it, read a tree off
+    as a tree-like proof, so a builder that records each distinct step
+    once finds no step to share there."""
+    for cs in (php(4, 3), php(5, 4), tseitin_cycle(4), tseitin_cycle(9)):
+        proof = proof_from_tree(cs, dpll_refute(cs).tree)
+        assert check_proof(cs, proof)
+        assert cited_once(proof)
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        bundle = gen_tableau(*fixture())
+        alpha = refute_tableau(bundle)
+        assert check_proof(bundle.clauses, alpha)
+        assert cited_once(alpha)
 
 
 def test_dpll_refute_unsat(omega1, omega2, php32, tseitin4):
