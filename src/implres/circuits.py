@@ -316,6 +316,12 @@ def check_ports(
     return CircuitReport(True)
 
 
+def _gate_variables(gates: Iterable[Gate]) -> set[int]:
+    """The variables that occur in the clause groups of gates: each
+    gate's own (its wide clause holds it) and its body's."""
+    return {v for g in gates for v in (g.var, *map(abs, g.body))}
+
+
 def gate_clause_count(g: Gate) -> int:
     """``len(gate_clauses(g))`` for a gate whose body does not cite it."""
     return 1 + len(set(g.body))
@@ -360,6 +366,12 @@ class Premises:
 
     def __iter__(self):
         return iter(self.clauses)
+
+    def variables(self) -> set[int]:
+        """The variables that occur in some clause, read off base, the
+        gates and the units without building a clause."""
+        units = {abs(lit) for u in self.units for lit in u._lits}
+        return self.base.variables() | _gate_variables(self.gates) | units
 
     def clause(self, p: int) -> Clause:
         """The clause at position p; IndexError unless 0 <= p < len."""
@@ -419,7 +431,7 @@ class Carrier:
     @cached_property
     def head(self) -> Premises:
         """The verdict block's groups, {-delta}, then the pre-block's."""
-        verdict = Premises(ClauseSet(0), self.verdict, (Clause((-self.delta,)),), self.n)
+        verdict = Premises(ClauseSet(0), self.verdict, (canonical_clause((-self.delta,)),), self.n)
         return Premises(verdict, self.pre, (), self.n)
 
     neg_delta_index = property(lambda self: self.head.neg_delta_index)
@@ -488,6 +500,13 @@ class Carrier:
 
     def __iter__(self):
         return iter(self.clauses)
+
+    def variables(self) -> set[int]:
+        """The variables that occur in some clause: the head's, then
+        those of beta's gates under each copy map, with no clause
+        built."""
+        used = _gate_variables(self.beta.gates)
+        return self.head.variables().union(*({m[v] for v in used} for m in self.copy_maps))
 
     def clause(self, p: int) -> Clause:
         """The clause at position p; IndexError unless 0 <= p < len

@@ -173,6 +173,10 @@ class ClauseSet:
     def __getitem__(self, i: int) -> Clause:
         return self.clauses[i]
 
+    def variables(self) -> set[int]:
+        """The variables that occur in some clause."""
+        return {abs(lit) for c in self.clauses for lit in c._lits}
+
 
 def satisfies(assignment: dict[int, bool], clause: Clause) -> bool:
     """True when the (total) assignment makes at least one literal true."""

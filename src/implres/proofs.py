@@ -191,15 +191,16 @@ def er_premises(premises: ClauseSet, aux: Circuit):
 
 
 def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:
-    """An aux circuit with no free and no gate needs no scan of the
-    premises' variables, so a lazy carrier builds only what ep cites."""
+    """The premises' variables are needed only when the aux circuit has
+    a free or a gate, and then come from ``premises.variables()``: a
+    ClauseSet scans its clauses, a Carrier or a Premises view reads the
+    gates it lays out and its units, so a lazy carrier builds only what
+    ep cites."""
     report = validate_circuit(ep.aux)
     if not report:
         return ProofReport(False, -1, f"aux circuit invalid: {report.reason}")
     if ep.aux.free or ep.aux.gates:
-        occurring = set()
-        for c in premises:
-            occurring.update(abs(l) for l in c)
+        occurring = premises.variables()
         for v in ep.aux.free:
             if v not in occurring:
                 return ProofReport(False, -1, f"aux free variable {v} not in premises")
@@ -212,10 +213,19 @@ def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:
 class ProofBuilder:
     """Incremental proof assembly with clause tracking.
 
-    Axiom steps are cached by premise index, so repeated references
-    share one step; use ``raw_axiom`` when building tree-like proofs.
-    ``premises`` is read by index alone.  A resolution that import_proof
-    records unreplayed holds no clause (None).
+    Each distinct step is recorded once.  Axiom steps are cached by
+    premise index, and resolutions by their key (left, right, pivot)
+    as _oriented orders it: resolve (so resolve_lit and resolve_opt)
+    and import_proof return the step already recorded under a key
+    instead of a copy, which has the same clause.  A proof with shared
+    subproofs (dpll's read off as a DAG, or eta's forcing cited by
+    many witnesses) is thus written as a DAG.  A tree-like build
+    (proof_from_tree) uses ``raw_axiom``, which always makes a fresh
+    leaf, and cites each step at most once, so no key can repeat there
+    and its output is unchanged.  ``premises`` is read by index alone.
+    A resolution that import_proof records unreplayed holds no clause
+    (None).  extract drops the resolution map: a build continued after
+    it records its later resolutions afresh.
     """
 
     def __init__(self, premises: ClauseSet):
@@ -223,6 +233,7 @@ class ProofBuilder:
         self.steps: list[Step] = []
         self.clauses: list[Optional[Clause]] = []
         self._axioms: dict[int, int] = {}
+        self._resolutions: dict[tuple[int, int, int], int] = {}
 
     def _push(self, step: Step, clause: Optional[Clause]) -> int:
         self.steps.append(step)
@@ -241,20 +252,25 @@ class ProofBuilder:
         return self._axioms[index]
 
     def resolve(self, left: int, right: int, pivot: int) -> int:
-        clause = resolve_clauses(self.clauses[left], self.clauses[right], pivot)
-        return self._push(Resolve(left, right, pivot), clause)
+        """The step resolving left and right on pivot: the one already
+        recorded under that key, else a new one with its clause."""
+        key = (left, right, pivot)
+        step = self._resolutions.get(key)
+        if step is None:
+            clause = resolve_clauses(self.clauses[left], self.clauses[right], pivot)
+            step = self._resolutions[key] = self._push(Resolve(left, right, pivot), clause)
+        return step
 
     @staticmethod
-    def _oriented(holder: int, other: int, lit: int) -> Resolve:
-        """The resolution on the variable of lit, where step holder has
-        lit and step other has -lit: the side holding the positive pivot
-        goes left."""
-        return Resolve(holder, other, lit) if lit > 0 else Resolve(other, holder, -lit)
+    def _oriented(holder: int, other: int, lit: int) -> tuple[int, int, int]:
+        """The key (left, right, pivot) of the resolution on the
+        variable of lit, where step holder has lit and step other has
+        -lit: the side holding the positive pivot goes left."""
+        return (holder, other, lit) if lit > 0 else (other, holder, -lit)
 
     def resolve_lit(self, holder: int, other: int, lit: int) -> int:
         """Resolve on the variable of lit, ordered by _oriented."""
-        step = self._oriented(holder, other, lit)
-        return self.resolve(step.left, step.right, step.pivot)
+        return self.resolve(*self._oriented(holder, other, lit))
 
     def resolve_opt(self, holder: int, other: int, lit: int) -> int:
         """Resolve on lit as resolve_lit does, or alias the side already
@@ -292,9 +308,13 @@ class ProofBuilder:
         has every resolution recomputed on its renamed pivot
         (resolve_opt), aliasing the side that lacks it, so each rebuilt
         clause is a subset of the original step clause, renamed, in at
-        most as many steps.
+        most as many steps.  Either way a resolution whose key the
+        builder already holds, from this proof or from steps recorded
+        before it, is that step: the key fixes the clause, so a proof
+        that repeats a subproof comes out with it once.
         """
         local: list[int] = []
+        resolutions = self._resolutions
         replay = any(type(step) is Weaken for step in proof.steps)
         for step in proof.steps:
             kind = type(step)
@@ -305,15 +325,21 @@ class ProofBuilder:
             elif replay:
                 local.append(self.resolve_opt(local[step.left], local[step.right], varmap[step.pivot]))
             else:
-                r = self._oriented(local[step.left], local[step.right], varmap[step.pivot])
-                local.append(self._push(r, None))
+                key = self._oriented(local[step.left], local[step.right], varmap[step.pivot])
+                at = resolutions.get(key)
+                if at is None:
+                    at = resolutions[key] = self._push(Resolve(*key), None)
+                local.append(at)
         final = local[-1]
         if self.clauses[final] is None:
             self.clauses[final] = EMPTY_CLAUSE
         return final
 
     def extract(self, final: int) -> ResolutionProof:
-        """Prune to the steps reachable from ``final`` and reindex."""
+        """Prune to the steps reachable from ``final`` and reindex.  The
+        resolution map is dropped first, so it does not outlive the
+        build."""
+        self._resolutions = {}
         steps = self.steps
         needed = [False] * (final + 1)
         needed[final] = True

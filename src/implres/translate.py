@@ -21,6 +21,14 @@ each gate's group starts (gate_position) and where {-delta} sits
 On an empty cone the duplicate is the auxiliaries alone and the
 certificate is the input proof renamed.
 
+Every producer builds in one ProofBuilder, which records each distinct
+step once: a resolution whose key (left, right, pivot) repeats is the
+step already recorded.  So a proof that repeats a subproof, as dpll's
+tree-like refutations do once their leaves cite shared premise steps,
+comes out as a DAG with each subproof once, and the truth-definition
+step unfolds each literal gate once however many clauses of omega hold
+the literal.
+
 graft_fold does this for carriers generated from a described circuit
 beta on a copy stride: C(omega, beta) from gen_C (graft) and
 machine-grid sets from gen_tableau (tableau.graft_pq).  It rebases beta
@@ -302,7 +310,9 @@ def _fold_proof(
             cites[q] = step
         return cites[q]
 
-    final = b.import_proof(pi.proof, cite, varmap)
+    # an empty cone bridges nothing: a cited clause is its image as it
+    # stands, and its literals are not read
+    final = b.import_proof(pi.proof, cite if original else lambda q: b.axiom(moved[q]), varmap)
     # import_proof computes the final clause only for a proof that ends
     # on a premise or holds a weakening; this names one ending on a
     # premise other than the empty clause (say the bare {-delta})

@@ -47,12 +47,16 @@ def view_oracle():
     """Check a premise set read lazily (a Carrier or a Premises view)
     against the same set built in full.  ``generate`` makes a fresh
     set each call, so the view is read before anything of it is
-    materialized.  Returns the view."""
+    materialized.  Its ``variables()`` are those of the clauses, read
+    without building them.  Returns the view."""
 
     def check(generate):
         view = generate()
         full = generate()
+        occurring = view.variables()
+        assert "clauses" not in vars(view)
         clauses = full.clauses
+        assert occurring == {abs(lit) for c in clauses for lit in c}
         assert len(view) == len(clauses)
         assert view.n == full.n
         assert all(abs(lit) <= view.n for c in clauses for lit in c)

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implres import formulas
-from implres.circuits import Gate, gate_clauses
+from implres import formulas, translate
+from implres.circuits import Circuit, Gate, gate_clauses
 from implres.correctness import gen_C
-from implres.families import tseitin_cycle
+from implres.families import php, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, FormulaError, canonical_clause, derived_clause
 from implres.implicit import implicit_from_tree
 from implres.proofs import (
     Axiom,
+    ERProof,
     ProofError,
     Resolve,
     ResolutionProof,
@@ -27,7 +28,8 @@ from implres.proofs import (
     proof_clauses,
     resolve_clauses,
 )
-from implres.prover import dpll_refute
+from implres.prover import dpll_refute, proof_from_tree
+from implres.translate import er_to_implicit
 
 VARS = 12
 literal = st.integers(-VARS, VARS).filter(bool)
@@ -106,6 +108,33 @@ def test_the_replay_orders_no_resolvent(monkeypatch):
     assert ordered == [0]
 
 
+@pytest.mark.parametrize("omega", (tseitin_cycle(4), php(3, 2)), ids=("tseitin4", "php32"))
+def test_the_fold_orders_no_clause_of_an_aux_free_proof(omega, monkeypatch):
+    """An aux-free proof has an empty aux cone, so the fold bridges
+    nothing and reads no cited clause's literals: it calls
+    formulas._ordered not once."""
+    pi = ERProof(Circuit((), (), ()), proof_from_tree(omega, dpll_refute(omega).tree))
+    inside, ordered = [], []
+    fold, order = translate._fold_proof, formulas._ordered
+
+    def spied_fold(*args):
+        inside.append(True)
+        try:
+            return fold(*args)
+        finally:
+            inside.pop()
+
+    def spied_order(lits):
+        if inside:
+            ordered.append(lits)
+        return order(lits)
+
+    monkeypatch.setattr(translate, "_fold_proof", spied_fold)
+    monkeypatch.setattr(formulas, "_ordered", spied_order)
+    er_to_implicit(omega, pi)
+    assert ordered == []
+
+
 @SETTINGS
 @given(literals, literals, pivot)
 def test_trusted_resolvent_equals_the_validated_union(left, right, p):
@@ -145,8 +174,8 @@ def test_gate_clauses_equal_the_validated_construction(var, body):
 
 def test_materializing_a_carrier_orders_no_wide_clause(monkeypatch):
     """Building a carrier's clause tuple, range check included, reads
-    the stored literals: the gate wide clauses stay unordered, and the
-    one clause put in order is the validated unit {-delta}."""
+    the stored literals: the gate wide clauses stay unordered, and no
+    clause is put in order (the unit {-delta} is built in order)."""
     omega = tseitin_cycle(7)
     ir = implicit_from_tree(omega, dpll_refute(omega).tree)
     carrier = gen_C(omega, ir.beta, ir.iface).clauses
@@ -160,7 +189,7 @@ def test_materializing_a_carrier_orders_no_wide_clause(monkeypatch):
 
     monkeypatch.setattr(formulas, "_ordered", spy)
     clauses = carrier.clauses
-    assert ordered == [1]
+    assert ordered == []
     assert sum(not is_ordered(c) for c in clauses) >= len(ir.beta.gates) * omega.n
 
 

@@ -287,6 +287,69 @@ def test_import_proof_lifts_random_checked_refutations(seed):
     assert signs == {True, False}
 
 
+class _Forgetful(dict):
+    """A resolution map that keeps no key: a builder given one records
+    every resolution afresh, as one did before resolutions were
+    cached."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def resolution_keys(steps):
+    return [(s.left, s.right, s.pivot) for s in steps if type(s) is Resolve]
+
+
+def test_builder_records_each_resolution_once(omega2):
+    b = ProofBuilder(omega2)
+    x, y = b.axiom(0), b.axiom(2)
+    first = b.resolve(x, y, 2)
+    assert b.resolve(x, y, 2) == first
+    assert b.resolve_lit(y, x, -2) == first
+    assert b.resolve_opt(x, y, 2) == first
+    assert len(b.steps) == 3
+    # raw axioms stay fresh leaves, so a tree-like build shares nothing
+    assert b.raw_axiom(0) != x
+    assert b.resolve(b.raw_axiom(0), y, 2) != first
+
+
+@pytest.mark.parametrize("seed", (4, 5, 6))
+def test_import_proof_records_each_distinct_step_once(seed):
+    """On random checked refutations imported with shared premise steps,
+    renamed by the identity or a seeded signed map: the builder never
+    holds two resolutions with the same (left, right, pivot), the
+    result replays to the empty clause, and it is never longer than the
+    same import recording every resolution afresh."""
+    rng = random.Random(seed)
+    shorter = 0
+    for _ in range(200):
+        case = random_refutation(rng)
+        if case is None:
+            continue
+        premises, proof = case
+        for varmap in (identity(premises), signed_varmap(rng, premises.n)):
+            renamed = ClauseSet(2 * premises.n, tuple(
+                Clause(tuple(map_literal(l, varmap) for l in c)) for c in premises.clauses))
+            out = []
+            for fresh in (False, True):
+                b = ProofBuilder(renamed)
+                if fresh:
+                    b._resolutions = _Forgetful()
+                final = b.import_proof(proof, b.axiom, varmap)
+                if not fresh:
+                    keys = resolution_keys(b.steps)
+                    assert len(keys) == len(set(keys))
+                out.append(b.extract(final))
+            shared, before = out
+            assert check_proof(renamed, shared)
+            assert proof_clauses(renamed, shared)[-1] == EMPTY_CLAUSE
+            keys = resolution_keys(shared.steps)
+            assert len(keys) == len(set(keys))
+            assert len(shared) <= len(before)
+            shorter += len(shared) < len(before)
+    assert shorter >= 10
+
+
 def test_check_er_guards(omega1, omega2):
     aux = Circuit((1,), (Gate(2, (-1,)),), ())
     good = ERProof(aux, ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))

@@ -377,15 +377,19 @@ def test_graft_pq_never_materializes_the_grown_carrier(monkeypatch):
     monkeypatch.setattr(tableau, "gen_tableau", spied)
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()
-        alpha = refute_tableau(real(tm, tau, beta, iface))
-        bundles.clear()
-        tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
-        # the carrier of beta, then the grown one
-        assert [b.clauses.beta for b in bundles] == [beta, tr.beta]
-        grown = vars(bundles[-1].clauses)
-        assert "clauses" not in grown and "circuit" not in grown
-        # the input check replays an aux-free alpha against the carrier itself
-        assert "clauses" not in vars(bundles[0].clauses)
+        bundle = real(tm, tau, beta, iface)
+        alpha = refute_tableau(bundle)
+        spurious = Circuit((1,), (Gate(bundle.clauses.n + 1, (1, -1)),), ())
+        for aux in (Circuit((), (), ()), spurious):
+            bundles.clear()
+            tr = graft_pq(tm, tau, beta, iface, ERProof(aux, alpha))
+            # the carrier of beta, then the grown one
+            assert [b.clauses.beta for b in bundles] == [beta, tr.beta]
+            grown = vars(bundles[-1].clauses)
+            assert "clauses" not in grown and "circuit" not in grown
+            # the input check replays alpha against the carrier itself and
+            # reads an aux free's or gate's variables off its layout
+            assert "clauses" not in vars(bundles[0].clauses)
 
 
 def test_one_machine_check_per_verdict(monkeypatch):

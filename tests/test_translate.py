@@ -12,7 +12,7 @@ from implres.circuits import (
 )
 from implres.correctness import gen_C, gen_correct
 from implres.encoding import canonical_tree_circuit, tree_to_circuit
-from implres.families import not_search, or_chain, tm_halt, tm_right_writer, tm_write_stay
+from implres.families import not_search, or_chain, php, tm_halt, tm_right_writer, tm_write_stay
 from implres.formulas import ClauseSet
 from implres.implicit import synthesize_alpha, verify_implicit
 from implres.proofs import (
@@ -368,6 +368,29 @@ def test_producers_strip_a_weakening_detour(tseitin4):
     assert not any(type(s) is Weaken for s in tr.alpha.steps)
     assert len(tr.alpha) <= len(pi.proof)
     assert tr.alpha == graft_pq(tm, tau, beta, iface, plain).alpha
+
+
+def distinct_steps(proof) -> int:
+    """The steps of proof counted once per structure: an axiom by its
+    premise, a resolution by its pivot and its sides' structures."""
+    ids, seen = [], {}
+    for s in proof.steps:
+        key = ("a", s.index) if type(s) is Axiom else (ids[s.left], ids[s.right], s.pivot)
+        ids.append(seen.setdefault(key, len(seen)))
+    return len(seen)
+
+
+def test_repeated_subproofs_are_recorded_once():
+    """dpll's tree-like proofs repeat subproofs; every producer records
+    each distinct step once, so the certificate follows pi's distinct
+    steps, not its tree."""
+    omega = php(6, 5)
+    assert len(er_to_implicit(omega, dpll_er(omega)).alpha) <= 7400  # 8,693 before
+    sp = not_search(9)
+    correct = gen_correct(sp)
+    pi = proof_from_tree(correct, dpll_refute(correct, order=tuple(range(1, correct.n + 1))).tree)
+    assert (len(pi), distinct_steps(pi)) == (7159, 122)
+    assert len(search_translate(sp, empty_aux(pi)).rho) <= distinct_steps(pi)  # 3,636 before
 
 
 def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2):
