@@ -38,11 +38,11 @@ from implres.translate import emb_refute, er_to_implicit, search_translate
 
 GOLDEN = {
     "er_to_implicit-tseitin4":
-        "8d5c99e0b8252a4d25c042c09ba50ad58cc5848ba15a9784be026a38d3f84e41",
+        "478f5175a958c9061845b0a30bdef01ceb90c9a16b8fa350bd46fc2cc13a6eeb",
     "er_to_implicit-php32":
-        "065690c8602673eb6f0a271be2259f99174fb029c7fd6bb7022e3c4b30dd7775",
+        "54b8ca5e645c9c0a45874dea56c1bc76544fad1c754069232c21b518130e911d",
     "er_to_implicit-quick-via-e":
-        "7b937b11263bb599589ed150b2fe67af83305f51604279b0d117a530fe3f71c5",
+        "e173e49d5646efd29257b10c6a15f0a59320396f5a266d2eedf5e27952ab0496",
     "er_to_implicit-empty-member":
         "a00d98b2fc603768417bd136130a93f92d78277edbdff1efe979078194ce7695",
     "graft_pq-tm_halt-plain":
@@ -54,13 +54,13 @@ GOLDEN = {
     "graft_pq-tm_write_stay-spurious":
         "43dca9774b273831ab23723a1cb27e914809b881d10d82575cff98ed48bdd6ef",
     "graft_pq-tm_right_writer-plain":
-        "127e813a0f7fbd2686562b0316f80321c44ead12eddc6ad4b5fc7c90461d625e",
+        "218047d286260ed0223fa9e70cda533700f5c4b08ffd362ce6e812c8f5e4e454",
     "graft_pq-tm_right_writer-spurious":
-        "4547a1297267199abbbc5ff6554146ef4fdc23c52eeb3b47621de96ed3cf78ea",
+        "253467d1baf0e6deafb12aeb28ed1353af11f950179d9e29d9b612d4e7538fed",
     "search_translate-not4":
-        "7e50a5fc5da48702eb43b6b9631a3bba2a9769df2aca5ba4cd3aeae853cbed4f",
+        "5d099fdb940904c9bd07eca915bf4fb2dc40a1eef23abd60473bee43a6e46be2",
     "search_translate-not6":
-        "ce0dc7ad8415596047701fa1be6b3d1182e611308b3541220cccc39aecf3c000",
+        "34a8f338700d9b0d118b25a7a4f7c6ed7fb50a8fa9d12e48ee95cccee64e30f6",
     "cli-synth-tseitin4":
         "80482e2f17ce0aa4faa8403c8eb21ada1de173753d99e1b1d19b76a1db25c0a8",
     "cli-prove-tseitin4":
@@ -74,7 +74,7 @@ GOLDEN = {
     "emb_refute-or_chains":
         "fe7453c3bd34319fef915abd56a80d8a04d02602b363f15d1993907248107154",
     "proof_stage-mutant-reports":
-        "14121b594215018797fab2634d3db21af2d210b2906c407141ca8dce96b878e0",
+        "8ecbfaebc4f1cbaf88f3336b5b269ea8324cf636e84fe8958adb48e2dc1f6f10",
     "dpll_refute-outcomes":
         "d01c4990caf2b6f452ec83adf8acbba87a50896c5ef1f199371b24cff6004210",
 }
