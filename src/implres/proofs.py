@@ -213,19 +213,20 @@ def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:
 class ProofBuilder:
     """Incremental proof assembly with clause tracking.
 
-    Each distinct step is recorded once.  Axiom steps are cached by
-    premise index, and resolutions by their key (left, right, pivot)
-    as _oriented orders it: resolve (so resolve_lit and resolve_opt)
-    and import_proof return the step already recorded under a key
-    instead of a copy, which has the same clause.  A proof with shared
-    subproofs (dpll's read off as a DAG, or eta's forcing cited by
-    many witnesses) is thus written as a DAG.  A tree-like build
-    (proof_from_tree) uses ``raw_axiom``, which always makes a fresh
-    leaf, and cites each step at most once, so no key can repeat there
-    and its output is unchanged.  ``premises`` is read by index alone.
-    A resolution that import_proof records unreplayed holds no clause
-    (None).  extract drops the resolution map: a build continued after
-    it records its later resolutions afresh.
+    Each distinct step is recorded once, save the leaves ``raw_axiom``
+    makes.  Axiom steps are cached by premise index, and resolutions by
+    their key (left, right, pivot) as _oriented orders it: resolve (so
+    resolve_lit and resolve_opt) and import_proof return the step
+    already recorded under a key, which has the same clause, instead
+    of a copy.  So a proof that repeats a subproof over shared steps,
+    such as a tree-like refutation imported with its leaves on cached
+    axioms, is written with it once.  A tree-like build
+    (proof_from_tree) makes every leaf with ``raw_axiom`` and cites
+    each step at most once, so no key can repeat there and its output
+    is a tree.  ``premises`` is read by index alone.  A resolution that
+    import_proof records unreplayed holds no clause (None).  extract
+    drops the resolution map: a build continued after it records its
+    later resolutions afresh.
     """
 
     def __init__(self, premises: ClauseSet):
