@@ -289,8 +289,8 @@ def test_import_proof_lifts_random_checked_refutations(seed):
 
 class _Forgetful(dict):
     """A resolution map that keeps no key: a builder given one records
-    every resolution afresh, as one did before resolutions were
-    cached."""
+    every resolution afresh, the reference a shared build is measured
+    against."""
 
     def __setitem__(self, key, value):
         pass
@@ -340,13 +340,13 @@ def test_import_proof_records_each_distinct_step_once(seed):
                     keys = resolution_keys(b.steps)
                     assert len(keys) == len(set(keys))
                 out.append(b.extract(final))
-            shared, before = out
+            shared, afresh = out
             assert check_proof(renamed, shared)
             assert proof_clauses(renamed, shared)[-1] == EMPTY_CLAUSE
             keys = resolution_keys(shared.steps)
             assert len(keys) == len(set(keys))
-            assert len(shared) <= len(before)
-            shorter += len(shared) < len(before)
+            assert len(shared) <= len(afresh)
+            shorter += len(shared) < len(afresh)
     assert shorter >= 10
 
 

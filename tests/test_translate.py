@@ -385,12 +385,12 @@ def test_repeated_subproofs_are_recorded_once():
     each distinct step once, so the certificate follows pi's distinct
     steps, not its tree."""
     omega = php(6, 5)
-    assert len(er_to_implicit(omega, dpll_er(omega)).alpha) <= 7400  # 8,693 before
+    assert len(er_to_implicit(omega, dpll_er(omega)).alpha) <= 7400
     sp = not_search(9)
     correct = gen_correct(sp)
     pi = proof_from_tree(correct, dpll_refute(correct, order=tuple(range(1, correct.n + 1))).tree)
     assert (len(pi), distinct_steps(pi)) == (7159, 122)
-    assert len(search_translate(sp, empty_aux(pi)).rho) <= distinct_steps(pi)  # 3,636 before
+    assert len(search_translate(sp, empty_aux(pi)).rho) <= distinct_steps(pi)
 
 
 def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2):
