@@ -15,12 +15,12 @@ from typing import Callable
 from .circuits import Circuit, parse_circuit, serialize_circuit
 from .correctness import CorrectnessBundle, gen_C
 from .encoding import TreeInterface, interface_from_circuit
-from .formulas import EMPTY_CLAUSE, ClauseSet, parse_dimacs, serialize_dimacs
+from .formulas import ClauseSet, parse_dimacs, serialize_dimacs
 from .proofs import (
-    ProofBuilder,
+    OpenLeaf,
     ResolutionProof,
-    UnitPropagation,
     Weaken,
+    branch_refute,
     check_proof,
     parse_proof,
     serialize_proof,
@@ -120,47 +120,17 @@ def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
 
 def synthesize_alpha(bundle: CorrectnessBundle) -> ResolutionProof:
     """Refute the generated set C(omega, beta) by branching the z
-    variables in ascending order; each conflict found by propagation is
-    resolved back to the branch literals, and the branches merge into
-    the empty clause."""
+    variables in ascending order (proofs.branch_refute); a leaf where
+    propagation finds no conflict is a SynthesisFailure."""
     if bundle.n > 16:
         raise ImplicitError(
             f"synthesis capped at 16 branch variables, got {bundle.n}; "
             "certify larger trees with translate-er"
         )
-    up = UnitPropagation(bundle.clauses)
-    b = ProofBuilder(bundle.clauses)
-    conflict = up.propagate()
-    if conflict is not None:
-        root = up.analyze(conflict, b)
-    else:
-        root = _branch(up, b, bundle.z_vars, 1)
-    if b.clause(root) != EMPTY_CLAUSE:
-        raise ImplicitError(f"synthesis reached {b.clause(root)}, not the empty clause")
-    return b.extract(root)
-
-
-def _branch(up: UnitPropagation, b: ProofBuilder, z_vars: tuple[int, ...], depth: int) -> int:
-    """Step id refuting the current assignment, branching z_depth onward.
-
-    A module-level function, not a closure over itself: a recursive
-    closure is a reference cycle that would keep the whole generated
-    set alive after synthesis until the cyclic collector runs."""
-    if depth > len(z_vars):
-        raise SynthesisFailure(tuple(int(up.value.get(z, False)) for z in z_vars))
-    z = z_vars[depth - 1]
-    if z in up.value:
-        return _branch(up, b, z_vars, depth + 1)
-    mark = up.mark()
-    sides = []
-    for lit in (-z, z):
-        conflict = up.assume(lit)
-        if conflict is not None:
-            sides.append(up.analyze(conflict, b))
-        else:
-            sides.append(_branch(up, b, z_vars, depth + 1))
-        up.undo(mark)
-    return b.resolve_opt(sides[0], sides[1], z)
+    try:
+        return branch_refute(bundle.clauses, bundle.z_vars)
+    except OpenLeaf as exc:
+        raise SynthesisFailure(exc.bits) from None
 
 
 def implicit_from_tree(omega: ClauseSet, tree: DecisionTree) -> ImplicitRefutation:

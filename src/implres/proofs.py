@@ -220,8 +220,8 @@ class ProofBuilder:
     already recorded under a key, which has the same clause, instead
     of a copy.  So a proof that repeats a subproof over shared steps,
     such as a tree-like refutation imported with its leaves on cached
-    axioms, is written with it once.  A tree-like build
-    (proof_from_tree) makes every leaf with ``raw_axiom`` and cites
+    axioms, is written with it once.  Only a tree-like build (prove's
+    proof_from_tree) makes every leaf with ``raw_axiom``; it cites
     each step at most once, so no key can repeat there and its output
     is a tree.  ``premises`` is read by index alone.  A resolution that
     import_proof records unreplayed holds no clause (None).  extract
@@ -469,21 +469,52 @@ class UnitPropagation:
             return conflict
         return self.propagate()
 
-    def analyze(self, conflict: int, builder: ProofBuilder) -> int:
-        """Resolve the conflict back to assumption literals.
 
-        Returns a builder step whose clause contains only literals
-        falsified by assumptions (reason None).
-        """
-        cur = builder.axiom(conflict)
-        for lit in reversed(self.trail):
-            reason = self.reason[abs(lit)]
-            if reason is None:
-                continue
-            if -lit not in builder.clause(cur):
-                continue
-            cur = builder.resolve_lit(builder.axiom(reason), cur, lit)
-        return cur
+class OpenLeaf(Exception):
+    """No conflict where the branch variables take the values ``bits``."""
+
+    def __init__(self, bits: tuple[int, ...]):
+        self.bits = bits
+        super().__init__(f"no conflict at leaf {bits}")
+
+
+def branch_refute(premises: ClauseSet, variables: tuple[int, ...]) -> ResolutionProof:
+    """Refute the premises by branching ``variables`` in order, false side
+    first, past those propagation has set; OpenLeaf at a leaf with no
+    conflict.  Each side resolves its own propagated literals out, once,
+    against their reasons (Zhang and Malik, DATE 2003); a side whose
+    clause then lacks its branch literal refutes the level alone."""
+    up = UnitPropagation(premises)
+    b = ProofBuilder(premises)
+    return b.extract(_settled(up, b, variables, 0, 0, up.propagate()))
+
+
+def _settled(
+    up: UnitPropagation, b: ProofBuilder, variables: tuple[int, ...],
+    depth: int, mark: int, conflict: Optional[int],
+) -> int:
+    """The conflict clause, else the branching of variables[depth:], with
+    the literals propagated since ``mark`` resolved out.  Module level:
+    a recursive closure is a cycle that keeps the premises alive."""
+    if conflict is not None:
+        cur = b.axiom(conflict)
+    else:
+        while depth < len(variables) and variables[depth] in up.value:
+            depth += 1
+        if depth == len(variables):
+            raise OpenLeaf(tuple(int(up.value[v]) for v in variables))
+        var, below = variables[depth], up.mark()
+        cur = _settled(up, b, variables, depth + 1, below, up.assume(-var))
+        up.undo(below)
+        if var in b.clause(cur):  # else the false side alone refutes the level
+            other = _settled(up, b, variables, depth + 1, below, up.assume(var))
+            up.undo(below)
+            cur = b.resolve_opt(cur, other, var)
+    for lit in reversed(up.trail[mark:]):
+        reason = up.reason[abs(lit)]
+        if reason is not None and -lit in b.clause(cur):
+            cur = b.resolve_lit(b.axiom(reason), cur, lit)
+    return cur
 
 
 def serialize_proof(proof: ResolutionProof, n_premises: int) -> str:

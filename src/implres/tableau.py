@@ -33,8 +33,7 @@ from .circuits import (
     evaluate,
 )
 from .implicit import VerifyReport, verify_carrier
-from .proofs import ERProof, ResolutionProof
-from .prover import dpll_refute, proof_from_tree
+from .proofs import ERProof, OpenLeaf, ResolutionProof, branch_refute
 from .translate import check_input, graft_fold
 
 
@@ -532,12 +531,12 @@ def address_sweep(bundle: TableauBundle) -> tuple[bool, Optional[tuple[int, int]
 
 
 def refute_tableau(bundle: TableauBundle) -> Optional[ResolutionProof]:
-    """Branch on the address bits; unit propagation settles the gates.
-    None when the bundle is satisfiable."""
-    out = dpll_refute(bundle.clauses, order=bundle.j_vars + bundle.k_vars)
-    if out.tree is None:
+    """Branch on the address bits (proofs.branch_refute); unit
+    propagation settles the gates.  None when the bundle is satisfiable."""
+    try:
+        return branch_refute(bundle.clauses, bundle.j_vars + bundle.k_vars)
+    except OpenLeaf:
         return None
-    return proof_from_tree(bundle.clauses, out.tree)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ certificate is the input proof renamed.
 
 Every producer builds in one ProofBuilder, which records each distinct
 step once: a resolution whose key (left, right, pivot) repeats is the
-step already recorded.  So a proof that repeats a subproof, as dpll's
+step already recorded.  So a proof that repeats a subproof, as prove's
 tree-like refutations do once their leaves cite shared premise steps,
 comes out as a DAG with each subproof once, and the truth-definition
 step unfolds each literal gate once however many clauses of omega hold
-the literal.
+the literal.  refute_tableau's refutations hold each step once already.
 
 graft_fold does this for carriers generated from a described circuit
 beta on a copy stride: C(omega, beta) from gen_C (graft) and

@@ -237,8 +237,9 @@ def smallest_budget(cs, order=None):
 def dpll_outcome_text():
     """Tree (or model) and node count of the branching search on a
     fixed list: pigeonhole and parity sets, seeded random 3-CNFs on
-    both sides of the threshold, one reversed order, the grid searches
-    of refute_tableau, and the budgets at which the search runs out."""
+    both sides of the threshold, one reversed order, the halting grids
+    in address order, and the budgets at which the search runs out;
+    then refute_tableau's refutations of those grids."""
     from test_tableau import halting_grid
 
     cases = [("php43", php(4, 3), None), ("php54", php(5, 4), None),

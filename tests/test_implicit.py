@@ -1,5 +1,6 @@
 import gc
 import os
+import random
 import sys
 import weakref
 
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 from implres import circuits
 from implres.circuits import Circuit, Gate
 from implres.correctness import CorrectnessError, gen_C
-from implres.encoding import canonical_tree_circuit, interface_from_circuit, output_width
+from implres.encoding import (
+    canonical_tree_circuit,
+    compute_initial_clause,
+    interface_from_circuit,
+    output_width,
+    tree_to_circuit,
+)
 from implres.families import tm_halt
 from implres.formulas import Clause, ClauseSet, brute_force_sat
 from implres.implicit import (
@@ -27,7 +34,7 @@ from implres.implicit import (
     verify_implicit,
 )
 from implres.proofs import Axiom, Resolve, ResolutionProof
-from implres.prover import Leaf, Node, dpll_refute
+from implres.prover import Leaf, Node, balance_tree, dpll_refute
 from implres.tableau import gen_tableau, refute_tableau, verify_pq
 
 
@@ -49,6 +56,29 @@ def test_synthesize_alpha_fails_on_wrong_description(omega2):
     with pytest.raises(SynthesisFailure) as exc:
         synthesize_alpha(gen_C(loose, beta, iface))
     assert len(exc.value.witness) == 2
+    # seeded wrong descriptions: the balanced dpll tree of a random
+    # unsatisfiable set, read against that set with one member dropped
+    # that leaves it satisfiable; the witness addresses a leaf whose
+    # clause weakens no member
+    rng = random.Random(2311)
+    wrong = 0
+    while wrong < 6:
+        omega = ClauseSet(5, tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 6), 3))
+            for _ in range(24)))
+        out = dpll_refute(omega)
+        if out.tree is None:
+            continue
+        beta, iface = tree_to_circuit(balance_tree(out.tree, range(1, 6)), 5)
+        drop = rng.randrange(len(omega.clauses))
+        dropped = ClauseSet(5, omega.clauses[:drop] + omega.clauses[drop + 1:])
+        if brute_force_sat(dropped) is None:
+            continue
+        with pytest.raises(SynthesisFailure) as exc:
+            synthesize_alpha(gen_C(dropped, beta, iface))
+        ic = compute_initial_clause(beta, iface, exc.value.witness)
+        assert not any(set(c) <= set(ic.clause) for c in dropped)
+        wrong += 1
 
 
 def test_synthesize_alpha_branch_cap():

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from implres.circuits import Circuit
 from implres.families import php, tm_halt, tm_right_writer, tm_write_stay, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, brute_force_sat, satisfies
-from implres.proofs import Resolve, UnitPropagation, check_proof
+from implres.proofs import ERProof, Resolve, UnitPropagation, check_proof
 from implres.prover import (
     Leaf,
     Node,
@@ -17,7 +18,8 @@ from implres.prover import (
     serialize_dtree,
     tree_size,
 )
-from implres.tableau import gen_tableau, refute_tableau
+from implres.tableau import gen_tableau, graft_pq, refute_tableau
+from test_tableau import halting_grid
 
 
 def test_tree_metrics():
@@ -54,18 +56,31 @@ def cited_once(proof) -> bool:
 
 
 def test_tree_like_builds_cite_each_step_at_most_once():
-    """proof_from_tree, and refute_tableau through it, read a tree off
-    as a tree-like proof, so a builder that records each distinct step
-    once finds no step to share there."""
+    """proof_from_tree reads a tree off as a tree-like proof, so a
+    builder that records each distinct step once finds no step to share
+    there."""
     for cs in (php(4, 3), php(5, 4), tseitin_cycle(4), tseitin_cycle(9)):
         proof = proof_from_tree(cs, dpll_refute(cs).tree)
         assert check_proof(cs, proof)
         assert cited_once(proof)
-    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
-        bundle = gen_tableau(*fixture())
+
+
+def test_refute_tableau_records_each_step_once():
+    """refute_tableau resolves each propagated unit once, at its level,
+    and shares the reasons its leaves cite: no resolution repeats, so
+    graft_pq's import, which records each distinct step once, keeps
+    every step of alpha."""
+    grids = [fixture() for fixture in (tm_halt, tm_write_stay, tm_right_writer)]
+    grids += [halting_grid(m) for m in (2, 3, 4, 5)]
+    for tm, tau, beta, iface in grids:
+        bundle = gen_tableau(tm, tau, beta, iface)
         alpha = refute_tableau(bundle)
         assert check_proof(bundle.clauses, alpha)
-        assert cited_once(alpha)
+        keys = [(s.left, s.right, s.pivot) for s in alpha.steps if type(s) is Resolve]
+        assert len(keys) == len(set(keys))
+        grafted = graft_pq(tm, tau, beta, iface, ERProof(Circuit((), (), ()), alpha))
+        assert len(grafted.alpha.steps) == len(alpha.steps)
+    assert len(alpha.steps) <= 762  # halt5; its tree-like refutation had 3,041
 
 
 def test_dpll_refute_unsat(omega1, omega2, php32, tseitin4):

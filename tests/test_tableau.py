@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from implres import tableau, translate
@@ -192,6 +194,26 @@ def test_refute_and_verify():
 def test_refute_tableau_returns_none_on_satisfiable():
     tm, tau, beta, iface = tm_halt()
     assert refute_tableau(gen_tableau(tm, (0, 1), beta, iface)) is None
+
+
+def test_refute_tableau_is_none_exactly_when_the_sweep_finds_an_address():
+    """The refuter skips a side once the other side's clause lacks its
+    branch literal, and an open leaf must still be reached exactly when
+    some address passes: the genuine target word and four seeded wrong
+    ones per fixture (drawn with repeats, as a fixture's word may have
+    only two bits)."""
+    rng = random.Random(2303)
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        tm, tau, beta, iface = fixture()
+        words = [tau]
+        while len(words) < 5:
+            word = tuple(rng.randrange(2) for _ in tau)
+            if word != tau:
+                words.append(word)
+        for word in words:
+            bundle = gen_tableau(tm, word, beta, iface)
+            unsat, _ = address_sweep(bundle)
+            assert (refute_tableau(bundle) is None) == (not unsat), (fixture.__name__, word)
 
 
 def test_verify_pq_rejections():
