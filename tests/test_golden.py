@@ -46,23 +46,23 @@ GOLDEN = {
     "er_to_implicit-empty-member":
         "a00d98b2fc603768417bd136130a93f92d78277edbdff1efe979078194ce7695",
     "graft_pq-tm_halt-plain":
-        "6fed31db6baf92c08ed37bc756c7af77bd963f0a9a6a38d1f45be6f0f3d7d035",
+        "16b32a336e8526faa3f6011a6f91049062b300289517e5f45b5ff6155c954cfc",
     "graft_pq-tm_halt-spurious":
-        "483a6e045467496459910930701d1824381621e54b81a7dbc63af0703a5c834b",
+        "312c94814b383b0984f102f7e9bb8851b535f3034145a318f21d31cfd229a80d",
     "graft_pq-tm_write_stay-plain":
-        "ceac6fa0eb01ac035a26872f48b7e0f27f8a329eacb843f2c4e6fa7f21f16217",
+        "e4be576eecc18f5feda4eed548c4aa975c69b99fff1480f47d8456000a39bd7b",
     "graft_pq-tm_write_stay-spurious":
-        "43dca9774b273831ab23723a1cb27e914809b881d10d82575cff98ed48bdd6ef",
+        "2b33774e157c2d71288926e3819007adca3f53156538cbead436464111456f71",
     "graft_pq-tm_right_writer-plain":
-        "218047d286260ed0223fa9e70cda533700f5c4b08ffd362ce6e812c8f5e4e454",
+        "eecdd5fe5ddec9ed7e9d7e5da2174415b44b90148af5f101c24767be544b9733",
     "graft_pq-tm_right_writer-spurious":
-        "253467d1baf0e6deafb12aeb28ed1353af11f950179d9e29d9b612d4e7538fed",
+        "f36c6e041cea880698cf00fbe9ce37cf4ba12498d660ca5e09dbe22eaf29e637",
     "search_translate-not4":
         "5d099fdb940904c9bd07eca915bf4fb2dc40a1eef23abd60473bee43a6e46be2",
     "search_translate-not6":
         "34a8f338700d9b0d118b25a7a4f7c6ed7fb50a8fa9d12e48ee95cccee64e30f6",
     "cli-synth-tseitin4":
-        "80482e2f17ce0aa4faa8403c8eb21ada1de173753d99e1b1d19b76a1db25c0a8",
+        "07735f6d2948e585c5eebed007f5efe705ad14261165904e4953b02c71e83b12",
     "cli-prove-tseitin4":
         "2649c2f33f55cf5d4eceedc2565e4d2d645fa6dd8f25888597f598743355e4d2",
     "cli-tableau-gen-tm_halt":
@@ -74,9 +74,9 @@ GOLDEN = {
     "emb_refute-or_chains":
         "fe7453c3bd34319fef915abd56a80d8a04d02602b363f15d1993907248107154",
     "proof_stage-mutant-reports":
-        "8ecbfaebc4f1cbaf88f3336b5b269ea8324cf636e84fe8958adb48e2dc1f6f10",
+        "d87426a17ba6a96387fe9b4d4dee681b0c24c799b00f2ea14ecdc96685c95c12",
     "dpll_refute-outcomes":
-        "d01c4990caf2b6f452ec83adf8acbba87a50896c5ef1f199371b24cff6004210",
+        "96a82b977d3bbcfda8331e77f279beb5baa775e9eac48943b3068b221f2a4ac6",
 }
 
 EMPTY = Circuit((), (), ())
