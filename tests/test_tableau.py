@@ -192,16 +192,12 @@ def test_refute_and_verify():
 
 
 def test_refute_tableau_returns_none_on_satisfiable():
+    """None exactly when address_sweep finds a passing address, though
+    the refuter skips the true side of a branch whose false side settles
+    it: the genuine target word and four seeded wrong ones per fixture
+    (drawn with repeats, as a fixture's word may have only two bits)."""
     tm, tau, beta, iface = tm_halt()
     assert refute_tableau(gen_tableau(tm, (0, 1), beta, iface)) is None
-
-
-def test_refute_tableau_is_none_exactly_when_the_sweep_finds_an_address():
-    """The refuter skips a side once the other side's clause lacks its
-    branch literal, and an open leaf must still be reached exactly when
-    some address passes: the genuine target word and four seeded wrong
-    ones per fixture (drawn with repeats, as a fixture's word may have
-    only two bits)."""
     rng = random.Random(2303)
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()
