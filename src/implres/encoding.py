@@ -90,10 +90,13 @@ def canonical_tree_circuit(n: int):
     window and outputs that depth in binary.  The window has depth d
     when nd_d = OR(-x_(n-d+1), x_0..x_(n-d)) is false, and each output
     gate reads -nd_d as a negative body literal, so the circuit has
-    2n + output_width(n) gates and no NOT gate."""
+    2n + output_width(n) gates and no NOT gate.  Its ids start at
+    n + 1, so the branch variables 1..n can be spare frees of the
+    circuit translate.truthdef_translate lays an ER proof's
+    auxiliaries on."""
     if n < 1:
         raise EncodingError("need at least one variable")
-    b = CircuitBuilder(VarAlloc(1))
+    b = CircuitBuilder(VarAlloc(n + 1))
     xs = [b.free() for _ in range(n + 1)]
     pre = [b.gate((xs[0],))]
     for j in range(1, n):

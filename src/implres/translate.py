@@ -1,4 +1,4 @@
-"""Constructive proof translations, built on one graft.
+"""Constructive proof translations: one graft and the truth definition.
 
 A carrier is a generated clause set together with the circuit whose
 gate clauses make it up; that circuit's output is a verdict delta,
@@ -36,27 +36,26 @@ onto the carrier's first copy and lays the duplicate on the same
 stride, so the grown circuit regenerates a set that contains the old
 one.  search_translate folds into a search problem's algorithm the
 same way, over gen_correct's view of its correctness clauses, with
-fresh ids for the duplicate.  The auxiliaries of truthdef_translate
-read only branch variables and refute_tableau's refutations have none,
-so both producers' cones are empty.
-truthdef_translate and er_to_implicit turn any ER refutation of omega
-into a refutation of C(omega, canonical beta) and graft it.  The
-truth-definition step forces the units of the canonical carrier by
-propagation, one pass over its gates in order, so it reads the carrier
-circuit and its clause positions and restates no layout of gen_C or
-of the canonical circuit.  It imports pi under the substitution
-p -> -z_p, so negation is a literal's sign rather than a gate, and an
-aux-free pi grafts with no gate added.
+fresh ids for the duplicate.  refute_tableau's refutations have no
+auxiliaries, so graft_pq's cone is empty.
+
+truthdef_translate (er_to_implicit) turns any ER refutation pi of
+omega into an implicit refutation with nothing left to graft: under
+the substitution p -> -z_p, so that negation is a literal's sign and
+not a gate, pi's auxiliaries read only branch variables, so they are
+laid on the canonical circuit before C(omega, beta') is generated,
+once, and the certificate is derived on it.  The truth-definition
+step forces the carrier's units by propagation, one pass over its
+gates in order, so it reads the carrier circuit and its clause
+positions and restates no layout of gen_C or of the canonical circuit.
 
 Each proof is replayed once.  A proof from outside is checked where it
 enters (check_input, called by truthdef_translate, search_translate
 and tableau.graft_pq); graft, graft_fold and ProofBuilder.import_proof
-trust that check, and graft_fold and search_translate replay what they
-return against the grown set; that replay, not a check of the final
-clause, is what stands behind a rewritten proof.  So eta's clauses are
-computed as truthdef_translate derives them and once more in that
-replay, C is generated once per circuit, and neither carrier is built
-in full.
+trust that check, and truthdef_translate, graft_fold and
+search_translate replay what they return against the set it refutes;
+that replay, not a check of the final clause, is what stands behind a
+rewritten proof.  No carrier is built in full.
 """
 
 from __future__ import annotations
@@ -409,59 +408,50 @@ def _unit(b: ProofBuilder, lit: int, step: int) -> int:
     return step
 
 
-@dataclass(frozen=True)
-class TruthTranslation:
-    beta: Circuit
-    iface: TreeInterface
-    eta: ERProof
-    bundle: CorrectnessBundle
+def truthdef_translate(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
+    """Turn an ER refutation of omega into an implicit refutation.  Its
+    circuit beta' is the canonical always-branch-on-depth circuit, then
+    pi's auxiliaries renamed under p -> -z_p onto ids after it, reading
+    -z_p where they read p, with the branch variables 1..n as spare
+    frees; an aux-free pi adds no gate.  C(omega, beta') is generated
+    once and refuted in one builder.  The proof first forces units by
+    propagation over the carrier circuit in gate order, the pre-block
+    and then the copies: the constant tt = OR(z_1, -z_1) is true; a
+    gate with a body literal whose unit is derived gets {g}, from that
+    unit and g's two-literal clause; a gate whose body literals all
+    have false units gets {-g}, from g's wide clause; the window's
+    pass-through gates and the auxiliaries' copies, which read branch
+    variables alone, get none.  That forces every copy's outputs (the
+    canonical circuit's answer on a depth-i window is i regardless of
+    the branch bits).  The proof then converts each weakening-witness
+    gate of the verdict block into the branch-bit image
+    {-z_p : p in C} = {-lit : lit in C} of its source clause C, which
+    is that premise of pi under the substitution, and finally imports
+    pi (ProofBuilder.import_proof), citing its auxiliaries in the first
+    copy of beta'.  The carrier is read by position, never built in
+    full.
 
-
-def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
-    """Turn an ER refutation of omega into one of C(omega, beta) for
-    the canonical always-branch-on-depth circuit.
-
-    pi is imported under the substitution p -> -z_p of each variable
-    of omega by its negated branch variable, so the auxiliary circuit
-    is pi's auxiliaries renamed onto fresh ids, reading -z_p where they
-    read p, and an aux-free pi adds no gate.  The proof first forces
-    units by propagation over the carrier circuit in gate order, the
-    pre-block and then the copies: the constant tt = OR(z_1, -z_1) is
-    true; a gate with a body literal whose unit is derived gets {g},
-    from that unit and g's two-literal clause; a gate whose body
-    literals all have false units gets {-g}, from g's wide clause; the
-    window's pass-through gates get none.  That forces every copy's
-    outputs (the canonical circuit's answer on a depth-i window is i
-    regardless of the branch bits).  The proof then converts each
-    weakening-witness gate of the verdict block into the branch-bit
-    image {-z_p : p in C} = {-lit : lit in C} of its source clause C,
-    which is that premise of pi under the substitution, and finally
-    imports pi (ProofBuilder.import_proof).  The builder's premises are
-    er_premises(carrier, aux), which reads the canonical carrier by
-    position, so it is never built in full.
-
-    pi is checked (check_input) and every step the builder derives
-    before the import is checked as it is made, but the imported part
-    of eta is not replayed here: er_to_implicit checks it when
-    graft_fold replays the certificate, and a caller that uses eta on
-    its own checks it with check_er.
+    pi is checked (check_input) and each step derived before the import
+    as it is made; the certificate is replayed (proof_stage) before it
+    leaves.
     """
     check_input(omega, pi)
     n = omega.n
     if n < 1:
         raise TranslateError("need at least one variable")
-    beta, iface = canonical_tree_circuit(n)
+    canon, iface = canonical_tree_circuit(n)
+    auxmap = {p: -p for p in range(1, n + 1)}
+    auxmap.update((g.var, max_var(canon) + 1 + t) for t, g in enumerate(pi.aux.gates))
+    beta = Circuit(canon.free + tuple(range(1, n + 1)), canon.gates + tuple(
+        Gate(auxmap[g.var], tuple(map_literal(l, auxmap) for l in g.body)) for g in pi.aux.gates
+    ), canon.outputs)
     bundle = gen_C(omega, beta, iface)
     cs = bundle.clauses
     gm = cs.circuit.gate_map()
-
-    first = max(cs.n, n, max_var(pi.aux)) + 1
-    auxmap = {p: -p for p in range(1, n + 1)}
-    auxmap.update((g.var, first + t) for t, g in enumerate(pi.aux.gates))
-    aux = Circuit(tuple(range(1, n + 1)), tuple(
-        Gate(auxmap[g.var], tuple(map_literal(l, auxmap) for l in g.body)) for g in pi.aux.gates
-    ), ())
-    b = ProofBuilder(er_premises(cs, aux))
+    # pi's variables as the carrier names them: the first copy keeps
+    # the branch variables in place and holds the auxiliaries
+    varmap = {v: map_literal(l, cs.copy_maps[0]) for v, l in auxmap.items()}
+    b = ProofBuilder(cs)
 
     def gate_big(var: int) -> int:
         return b.axiom(cs.gate_position(var))
@@ -522,13 +512,16 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> TruthTranslation:
 
     if final is None:
         # pi cites omega's clauses, then its auxiliaries' gate clauses,
-        # which follow cs in the same order under their new ids
-        shift = len(cs) - len(omega.clauses)
+        # which the first copy lays last, in the same order
+        shift = cs.gate_position(varmap[pi.aux.gates[0].var]) - len(f_steps) if pi.aux.gates else 0
         final = b.import_proof(
-            pi.proof, lambda q: f_steps[q] if q < len(f_steps) else b.axiom(q + shift), auxmap
+            pi.proof, lambda q: f_steps[q] if q < len(f_steps) else b.axiom(q + shift), varmap
         )
-    eta = ERProof(aux, b.extract(final))
-    return TruthTranslation(beta, iface, eta, bundle)
+    alpha = b.extract(final)
+    rep = proof_stage(bundle, alpha, len(cs))
+    if not rep:
+        raise TranslateError(f"translated refutation rejected: {rep.reason}")
+    return ImplicitRefutation(n, omega, alpha, beta, iface, alpha_premises=len(cs))
 
 
 def graft(
@@ -552,8 +545,7 @@ def graft(
 
 
 def er_to_implicit(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
-    """Full simulation: truth-definition translation onto the
-    canonical circuit, then grafting.  C is generated twice, once for
-    each circuit."""
-    tt = truthdef_translate(omega, pi)
-    return graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
+    """Full simulation: the truth-definition translation, which lays
+    pi's auxiliaries in the described circuit itself, so nothing is
+    left to graft."""
+    return truthdef_translate(omega, pi)

@@ -45,7 +45,6 @@ from implres.translate import (
     er_to_implicit,
     graft,
     search_translate,
-    truthdef_translate,
 )
 
 EMPTY = Circuit((), (), ())
@@ -322,23 +321,30 @@ def er_judge(ir):
     return judge
 
 
+def carrier_refutation(ir):
+    """The carrier C(omega, beta) of a translated certificate and the
+    certificate as an aux-free ER refutation of it, which graft takes
+    as a refutation of a carrier generated from a described circuit."""
+    return gen_C(ir.omega, ir.beta, ir.iface), ERProof(EMPTY, ir.alpha)
+
+
 def lean_grafts():
     """(name, host, beta, grown, judge) for the cone-free grafts: host
     is the carrier circuit the proof refuted, beta the circuit it was
     generated from, grown the grafted circuit, whose gates past beta's
-    are the proof's auxiliaries; judge is as er_judge gives it.  A dpll
-    refutation is aux-free and grafts no gate, so the er half refutes
-    each of er_refutations' sets through a reader r = OR(lit) of a
-    literal of its first cited clause (detour), which the
-    truth-definition step renames onto a negated branch variable."""
+    are the proof's auxiliaries; judge is as er_judge gives it.  The er
+    half refutes the carrier of each of er_refutations' certificates
+    through a reader r = OR(z) of a branch variable z of its first
+    cited clause (detour), a free of the carrier, so the aux cone is
+    empty."""
     for name, ir in er_refutations():
-        omega = ir.omega
-        proof = proof_from_tree(omega, dpll_refute(omega).tree)
-        pi = detour(omega, ERProof(EMPTY, proof), omega[proof.steps[0].index].literals[0])
-        tt = truthdef_translate(omega, pi)
-        lean = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
+        bundle, eta = carrier_refutation(ir)
+        cs = bundle.clauses
+        first = cs[eta.proof.steps[0].index]
+        z = next(lit for lit in first.literals if abs(lit) <= ir.n)
+        lean = graft(ir.omega, ir.beta, ir.iface, bundle, detour(cs, eta, z))
         assert verify_implicit(lean)
-        yield name, tt.bundle.clauses.circuit, tt.beta, lean.beta, er_judge(lean)
+        yield name, cs.circuit, ir.beta, lean.beta, er_judge(lean)
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()
         bundle = gen_tableau(tm, tau, beta, iface)
@@ -359,22 +365,24 @@ def lean_grafts():
 
 
 def cone_grafts():
-    """(name, tt, pi, ir) for grafts with a nonempty aux cone: pi is
-    the truth-definition refutation tt.eta of tseitin_cycle(4) with one
-    more auxiliary reader r = OR(lit) (detour) of a carrier literal that
-    eta cites, ir its graft.  The readers read the constant gate tt,
-    whose cone is itself; a gate of a copy of beta; and -delta, from the
-    premise {-delta}, whose cone is the whole carrier circuit."""
+    """(name, bundle, beta, pi, ir) for grafts with a nonempty aux
+    cone: beta is er_to_implicit's circuit for tseitin_cycle(4), bundle
+    its carrier C(omega, beta), pi the certificate as an aux-free
+    refutation eta of that carrier with one more auxiliary reader
+    r = OR(lit) (detour) of a carrier literal that eta cites, ir its
+    graft.  The readers read the constant gate tt, whose cone is
+    itself; a gate of a copy of beta; and -delta, from the premise
+    {-delta}, whose cone is the whole carrier circuit."""
     omega = tseitin_cycle(4)
-    tt = truthdef_translate(omega, ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree)))
-    cs = tt.bundle.clauses
-    copies = {cm[g.var] for cm in cs.copy_maps for g in tt.beta.gates}
-    cited = (cs[s.index] for s in tt.eta.proof.steps
-             if isinstance(s, Axiom) and s.index < len(cs))
+    ir = er_to_implicit(omega, ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree)))
+    bundle, eta = carrier_refutation(ir)
+    cs = bundle.clauses
+    copies = {cm[g.var] for cm in cs.copy_maps for g in ir.beta.gates}
+    cited = (cs[s.index] for s in eta.proof.steps if isinstance(s, Axiom))
     in_copy = next(lit for c in cited for lit in c if abs(lit) in copies)
     for name, lit in (("tt", cs.circuit.gates[0].var), ("copy", in_copy), ("neg-delta", -cs.delta)):
-        pi = detour(cs, tt.eta, lit)
-        yield name, tt, pi, graft(omega, tt.beta, tt.iface, tt.bundle, pi)
+        pi = detour(cs, eta, lit)
+        yield name, bundle, ir.beta, pi, graft(omega, ir.beta, ir.iface, bundle, pi)
 
 
 def judge_gate_mutants(name, host, grown, targets, judge, rng):
@@ -438,10 +446,10 @@ def test_cone_copy_mutants_of_cone_grafts_are_rejected():
     stage (judge_gate_mutants)."""
     rng = random.Random(349)
     outcomes = []
-    for name, tt, pi, ir in cone_grafts():
-        host = tt.bundle.clauses.circuit
+    for name, bundle, beta, pi, ir in cone_grafts():
+        host = bundle.clauses.circuit
         n_cone = len(aux_cone(host, pi.aux))
-        copies = ir.beta.gates[len(tt.beta.gates):len(tt.beta.gates) + n_cone]
+        copies = ir.beta.gates[len(beta.gates):len(beta.gates) + n_cone]
         assert copies and all(g.var not in host.variables() for g in copies)
         targets = rng.sample(copies, min(PER_KIND, len(copies)))
         outcomes += judge_gate_mutants(name, host, ir.beta, targets, er_judge(ir), rng)

@@ -9,6 +9,7 @@ from implres.circuits import (
     circuit_size,
     duplicate,
     gate_clause_count,
+    max_var,
 )
 from implres.correctness import gen_C, gen_correct
 from implres.encoding import canonical_tree_circuit, tree_to_circuit
@@ -141,38 +142,48 @@ def test_emb_refute_rejects_a_map_that_moves_a_free():
 
 
 def test_truthdef_translate_accepted(omega1, omega2):
+    """The certificate refutes C(omega, beta') in plain resolution: as
+    an aux-free ER refutation, and through the verifier."""
     pi1 = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
     assert check_er(omega1, pi1)
-    tt = truthdef_translate(omega1, pi1)
-    assert check_er(tt.bundle.clauses, tt.eta)
-    pi2 = dpll_er(omega2)
-    tt2 = truthdef_translate(omega2, pi2)
-    assert check_er(tt2.bundle.clauses, tt2.eta)
+    for omega, pi in ((omega1, pi1), (omega2, dpll_er(omega2))):
+        ir = truthdef_translate(omega, pi)
+        assert verify_implicit(ir)
+        assert check_er(gen_C(omega, ir.beta, ir.iface).clauses, empty_aux(ir.alpha))
+
+
+def carrier_refutation(omega, pi):
+    """truthdef_translate's circuit, its carrier C(omega, beta') and its
+    certificate as an aux-free ER refutation of that carrier: a
+    refutation of a carrier generated from a described circuit, as
+    graft takes one."""
+    ir = truthdef_translate(omega, pi)
+    return ir.beta, ir.iface, gen_C(omega, ir.beta, ir.iface), empty_aux(ir.alpha)
 
 
 def test_graft_yields_verified_refutation(omega1):
     pi = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
-    tt = truthdef_translate(omega1, pi)
-    ir = graft(omega1, tt.beta, tt.iface, tt.bundle, tt.eta)
+    beta, iface, bundle, eta = carrier_refutation(omega1, pi)
+    ir = graft(omega1, beta, iface, bundle, eta)
     rep = verify_implicit(ir)
     assert rep, (rep.stage, rep.reason)
     # the new carrier clause set contains the old one and the grown circuit
     grown = gen_C(omega1, ir.beta, ir.iface)
     have = set(grown.clauses.clauses)
-    assert all(c in have for c in tt.bundle.clauses.clauses)
+    assert all(c in have for c in bundle.clauses.clauses)
     assert all(c in have for c in circuit_clauses(ir.beta).clauses)
 
 
 def test_graft_rejects_a_certificate_the_grown_carrier_does_not_replay(broken_fold, omega1):
     pi = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
-    tt = truthdef_translate(omega1, pi)
+    beta, iface, bundle, eta = carrier_refutation(omega1, pi)
     with pytest.raises(TranslateError, match="grafted refutation rejected"):
-        graft(omega1, tt.beta, tt.iface, tt.bundle, tt.eta)
-    # the aux cone is empty: the grown circuit carries the auxiliaries
-    # and no duplicate of the host
+        graft(omega1, beta, iface, bundle, eta)
+    # an aux-free refutation grafts no gate: the grown circuit is beta
+    # rebased onto the first copy, with no duplicate of the host
     [(host, dupmap, beta2)] = broken_fold
     assert all(dupmap[g.var] == g.var for g in host.gates)
-    assert len(beta2.gates) == len(tt.beta.gates) + len(tt.eta.aux.gates)
+    assert len(beta2.gates) == len(beta.gates)
 
 
 def test_graft_accepts_plain_proof_over_tree_circuit(omega2):
@@ -184,6 +195,9 @@ def test_graft_accepts_plain_proof_over_tree_circuit(omega2):
 
 
 def test_er_to_implicit_generates_C_once_per_circuit(monkeypatch, tseitin4):
+    """translate-er generates C once, for beta' itself, and never
+    reaches the graft's fold: the auxiliaries are laid in beta' before
+    the certificate is derived, so nothing is left to graft."""
     calls = []
     real = translate.gen_C
 
@@ -191,19 +205,23 @@ def test_er_to_implicit_generates_C_once_per_circuit(monkeypatch, tseitin4):
         calls.append(beta)
         return real(omega, beta, iface)
 
+    def unreachable(*args):
+        raise AssertionError("er_to_implicit reached graft_fold")
+
     # the verifier's own gen_C counts too, so a re-verification would show
     monkeypatch.setattr(translate, "gen_C", counting)
     monkeypatch.setattr(implicit, "gen_C", counting)
-    ir = er_to_implicit(tseitin4, dpll_er(tseitin4))
-    # one C for the canonical beta, one for the grown beta'; the graft
-    # replays against the second instead of generating a third
-    assert calls == [canonical_tree_circuit(tseitin4.n)[0], ir.beta]
+    monkeypatch.setattr(translate, "graft_fold", unreachable)
+    for omega, pi in ((tseitin4, dpll_er(tseitin4)), QUICK_VIA_E):
+        calls.clear()
+        ir = er_to_implicit(omega, pi)
+        assert calls == [ir.beta]
 
 
 def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32, tseitin4):
-    """The fold cites the grown carrier by position and graft_fold
-    replays against it lazily; truthdef_translate reads the canonical
-    carrier by position too, so neither clause tuple is built."""
+    """truthdef_translate cites C(omega, beta') by position and its
+    replay reads the premises alpha cites, so the carrier's clause
+    tuple is never built."""
     bundles = []
     real = translate.gen_C
 
@@ -212,23 +230,20 @@ def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32,
         return bundles[-1]
 
     monkeypatch.setattr(translate, "gen_C", spied)
-    for omega in (tseitin4, php32):
+    for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
         bundles.clear()
-        ir = er_to_implicit(omega, dpll_er(omega))
-        assert [b.clauses.beta for b in bundles] == [canonical_tree_circuit(omega.n)[0], ir.beta]
-        grown = vars(bundles[-1].clauses)
-        assert "clauses" not in grown and "circuit" not in grown
+        ir = er_to_implicit(omega, pi)
+        assert [b.clauses.beta for b in bundles] == [ir.beta]
         assert "clauses" not in vars(bundles[0].clauses)
 
 
 def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4, php32):
-    """Every graft verifies and declares its carrier's size.  The
-    truth-definition step imports pi under p -> -z_p, so its
-    auxiliaries are pi's, reading only branch variables, and the graft
-    duplicates them alone and imports its refutation eta as it stands:
-    |alpha| <= |eta| and |beta'| = |beta_can| + |pi.aux|.  An aux-free
-    pi grafts with no gate added: beta' has beta_can's gate count,
-    C(omega, beta') has C(omega, beta_can)'s size and alpha = eta."""
+    """Every translation verifies and declares its carrier's size.  The
+    truth-definition step imports pi under p -> -z_p, so beta' is the
+    canonical circuit, its gates and its window inputs as they stand,
+    then pi's auxiliaries renamed onto fresh ids, reading -z_p where
+    they read p; the branch variables 1..n are its spare frees.  An
+    aux-free pi adds no gate."""
     cases = [(omega, dpll_er(omega)) for omega in (omega1, omega2, tseitin4, php32)]
     cases.append(QUICK_VIA_E)
     # a set holding the empty clause is refuted by citing it
@@ -240,24 +255,29 @@ def test_er_to_implicit_full_pipeline(omega1, omega2, tseitin4, php32):
         assert ir.alpha_premises == len(
             gen_C(omega, ir.beta, ir.iface).clauses.clauses
         )
-        tt = truthdef_translate(omega, pi)
-        assert len(ir.alpha.steps) <= len(tt.eta.proof.steps)
-        assert len(ir.beta.gates) == len(tt.beta.gates) + len(pi.aux.gates)
-        if not pi.aux.gates:
-            assert ir.alpha_premises == len(tt.bundle.clauses)
-            assert ir.alpha == tt.eta.proof
+        canon, iface = canonical_tree_circuit(omega.n)
+        assert ir.iface == iface
+        assert ir.beta.free == canon.free + tuple(range(1, omega.n + 1))
+        assert ir.beta.gates[:len(canon.gates)] == canon.gates
+        aux = ir.beta.gates[len(canon.gates):]
+        assert [len(g.body) for g in aux] == [len(g.body) for g in pi.aux.gates]
+        assert all(g.var > max_var(canon) for g in aux)
     assert [len(pi.aux.gates) for _, pi in cases] == [0, 0, 0, 0, 1, 0]
+    # e = OR(1, 2) reads the negated branch variables
+    assert er_to_implicit(*QUICK_VIA_E).beta.gates[-1].body == (-1, -2)
 
 
 def test_no_producer_bridges_and_cone_readers_graft(monkeypatch, tseitin4, php32):
-    """No producer's proof has a nonempty aux cone: er_to_implicit on
-    any ER proof and graft_pq on refute_tableau's output never bridge.
-    A proof with an auxiliary reader r = OR(l) of a carrier literal l
-    grafts with one demand pass of bridges: the grown circuit holds the
-    reader's cone copied and the auxiliaries, and the certificate adds
-    at most 6 steps per clause of the cone's gates (4.4 measured) to
-    the proof.  The readers read the constant tt (a one-gate cone), a
-    gate of a copy of beta, and -delta (the whole carrier circuit)."""
+    """No producer bridges: er_to_implicit lays any ER proof's
+    auxiliaries in beta' and grafts nothing, and graft_pq on
+    refute_tableau's output has an empty aux cone.  A refutation of
+    C(omega, beta') with an auxiliary reader r = OR(l) of a carrier
+    literal l grafts with one demand pass of bridges: the grown circuit
+    holds the reader's cone copied and the auxiliaries, and the
+    certificate adds at most 6 steps per clause of the cone's gates
+    (4.4 measured) to the proof.  The readers read the constant tt (a
+    one-gate cone), a gate of a copy of beta, and -delta (the whole
+    carrier circuit)."""
     bridged = []
     real = translate._bridge
 
@@ -275,13 +295,13 @@ def test_no_producer_bridges_and_cone_readers_graft(monkeypatch, tseitin4, php32
     assert not bridged
 
     cones, worst = {}, 0.0
-    for name, tt, pi, ir in cone_grafts():
+    for name, bundle, beta, pi, ir in cone_grafts():
         rep = verify_implicit(ir)
         assert rep, (name, rep.stage, rep.reason)
-        host = tt.bundle.clauses.circuit
+        host = bundle.clauses.circuit
         cone = translate.aux_cone(host, pi.aux)
         cones[name] = len(cone)
-        assert len(ir.beta.gates) == len(tt.beta.gates) + len(cone) + len(pi.aux.gates)
+        assert len(ir.beta.gates) == len(beta.gates) + len(cone) + len(pi.aux.gates)
         cone_clauses = sum(gate_clause_count(g) for g in host.gates if g.var in cone)
         worst = max(worst, (len(ir.alpha.steps) - len(pi.proof.steps)) / cone_clauses)
     assert len(bridged) == 3
@@ -291,10 +311,11 @@ def test_no_producer_bridges_and_cone_readers_graft(monkeypatch, tseitin4, php32
 
 
 def test_the_fold_renames_eta_without_computing_a_clause(monkeypatch, tseitin4, php32):
-    """eta has no weakening, so the fold records each of its steps
-    renamed and computes no resolvent (proofs.resolve_clauses); the
-    translation computes eta's clauses as it derives them, and the
-    graft's replay of the certificate computes them once more."""
+    """A refutation eta of C(omega, beta') with no weakening, here
+    truthdef_translate's certificate, is folded by graft with each of
+    its steps recorded renamed and no resolvent computed
+    (proofs.resolve_clauses); the graft's replay of the certificate
+    computes them."""
     calls = {True: 0, False: 0}  # keyed by: inside the fold
     inside = []
     real_resolve, real_fold = proofs.resolve_clauses, translate._fold_proof
@@ -313,8 +334,10 @@ def test_the_fold_renames_eta_without_computing_a_clause(monkeypatch, tseitin4, 
     monkeypatch.setattr(proofs, "resolve_clauses", counted)
     monkeypatch.setattr(translate, "_fold_proof", fold)
     for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
-        assert verify_implicit(er_to_implicit(omega, pi))
-    assert calls[True] == 0 and calls[False] > 0
+        beta, iface, bundle, eta = carrier_refutation(omega, pi)
+        calls[False] = 0
+        assert verify_implicit(graft(omega, beta, iface, bundle, eta))
+        assert calls[True] == 0 and calls[False] > 0
 
 
 def weakened(pi):
@@ -342,11 +365,9 @@ def test_producers_strip_a_weakening_detour(tseitin4):
     for omega, plain in ((tseitin4, dpll_er(tseitin4)), QUICK_VIA_E):
         pi = weakened(plain)
         assert check_er(omega, pi)
-        tt = truthdef_translate(omega, pi)
         ir = er_to_implicit(omega, pi)
         assert verify_implicit(ir)
-        assert not any(type(s) is Weaken for s in ir.alpha.steps + tt.eta.proof.steps)
-        assert len(ir.alpha) <= len(tt.eta.proof)
+        assert not any(type(s) is Weaken for s in ir.alpha.steps)
         assert ir.alpha == er_to_implicit(omega, plain).alpha
 
     sp = not_search(3)
@@ -393,13 +414,14 @@ def test_repeated_subproofs_are_recorded_once():
     assert len(search_translate(sp, empty_aux(pi)).rho) <= distinct_steps(pi)
 
 
-def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2):
-    for omega in (omega1, omega2):
+def test_er_to_implicit_growth_within_simulation_bound(omega1, omega2, tseitin4):
+    """The certificate is pi's imported steps plus a truth-definition
+    part of a constant number of steps per premise of C(omega, beta')
+    (below one measured)."""
+    for omega in (omega1, omega2, tseitin4):
         pi = dpll_er(omega)
-        tt = truthdef_translate(omega, pi)
-        ir = graft(omega, tt.beta, tt.iface, tt.bundle, tt.eta)
-        bound = 16 * (len(tt.eta.proof.steps) + len(tt.bundle.clauses.clauses))
-        assert len(ir.alpha.steps) <= bound
+        ir = er_to_implicit(omega, pi)
+        assert len(ir.alpha.steps) <= len(pi.proof.steps) + 3 * ir.alpha_premises
 
 
 def search_refutation(sp):
@@ -429,8 +451,8 @@ def test_each_producer_replays_each_proof_once(monkeypatch, tseitin4):
     replayed = count_replays(monkeypatch)
     pi = dpll_er(tseitin4)
     ir = er_to_implicit(tseitin4, pi)
-    # pi and the grafted certificate: the fold trusts the translation
-    # eta, which truthdef_translate derived from the checked pi
+    # pi and the certificate, which truthdef_translate derived from
+    # the checked pi and replays before it leaves
     assert len(replayed) == 2
     assert replayed[0] is pi.proof and replayed[1] is ir.alpha
 
