@@ -38,13 +38,13 @@ from implres.translate import emb_refute, er_to_implicit, search_translate
 
 GOLDEN = {
     "er_to_implicit-tseitin4":
-        "478f5175a958c9061845b0a30bdef01ceb90c9a16b8fa350bd46fc2cc13a6eeb",
+        "a701c5aa8f50380145cde449686b6388d9310273b8ed824ca7416c26bcac2916",
     "er_to_implicit-php32":
-        "54b8ca5e645c9c0a45874dea56c1bc76544fad1c754069232c21b518130e911d",
+        "6d277be429d2e25d49d5c6bede407856579e34303321b376bd212c95c31d6cd5",
     "er_to_implicit-quick-via-e":
-        "e173e49d5646efd29257b10c6a15f0a59320396f5a266d2eedf5e27952ab0496",
+        "eaa88b75b1453826556ffbd3b14b9e80c3c9a3a5b94cfa92f2543a481fa8bef4",
     "er_to_implicit-empty-member":
-        "a00d98b2fc603768417bd136130a93f92d78277edbdff1efe979078194ce7695",
+        "03e23509213b2d2d0b864e795b7ddd484e93e6e7f068cf4dd387fc4fed88e8cc",
     "graft_pq-tm_halt-plain":
         "16b32a336e8526faa3f6011a6f91049062b300289517e5f45b5ff6155c954cfc",
     "graft_pq-tm_halt-spurious":
