@@ -16,11 +16,18 @@ from implres import cli
 from implres.circuits import Circuit, Gate, serialize_circuit
 from implres.cli import main
 from implres.encoding import canonical_tree_circuit
-from implres.families import not_search, tm_halt, tseitin_cycle, two_var_unsat
-from implres.formulas import FormulaError, parse_dimacs, serialize_dimacs
+from implres.families import not_search, php, tm_halt, tseitin_cycle, two_var_unsat
+from implres.formulas import ClauseSet, FormulaError, parse_dimacs, serialize_dimacs
 from implres.correctness import gen_correct
 from implres.implicit import Manifest, serialize_manifest
-from implres.proofs import ERProof, parse_proof, serialize_er, serialize_proof
+from implres.proofs import (
+    Axiom,
+    ERProof,
+    ResolutionProof,
+    parse_proof,
+    serialize_er,
+    serialize_proof,
+)
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import encode_tau, gen_tableau, refute_tableau, serialize_tm
 
@@ -75,11 +82,22 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# well-formed lines that parse_dtree must still refuse, against the
+# set {1, 2}, {-1, 2}, {-2}, with the reason it gives
+DTREE_REFUSALS = {
+    "dtree 2\ndtree 2\nl -2 0\n": "malformed dtree header",
+    "dtree 2\nl -2 0\nl -2 0\n": "trailing dtree data",  # a leaf after the root
+    "dtree 2\nl -2 0\nn 1\n": "trailing dtree data",  # a node after the root
+    "dtree 3\nl -2 0\n": "dtree is over 3 variables, premises over 2",
+}
+
+
 @pytest.mark.parametrize("command,text", [
     ("verify", "res-proof x\n"),
     ("encode", "dtree x\n"),
     ("encode", "dtree 2\nn x\n"),
     ("encode", "dtree 2\nn 1\nl 1 x 0\n"),
+    *(("encode", text) for text in DTREE_REFUSALS),
 ])
 def test_malformed_header_exits_2_without_traceback(tmp_path, cnf_file, command, text):
     if command == "encode":
@@ -98,6 +116,7 @@ def test_malformed_header_exits_2_without_traceback(tmp_path, cnf_file, command,
     proc = run_subprocess(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert DTREE_REFUSALS.get(text, "") in proc.stderr
 
 
 def run_subprocess(argv, preexec_fn=None):
@@ -307,6 +326,44 @@ def test_negative_premise_count_is_malformed_input(tmp_path, capsys, command, co
     assert run(argv) == 2
     assert f"error: bad premise count '{count}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_translate_search_rejects_a_proof_check_er_refuses(tmp_path, capsys):
+    """An ER proof that parses but does not refute the correctness
+    clauses (it ends on a premise) is a rejection, exit 1, and nothing
+    is written."""
+    sp = not_search(1)
+    algo, checker = tmp_path / "algo.circ", tmp_path / "checker.circ"
+    algo.write_text(serialize_circuit(sp.algorithm))
+    checker.write_text(serialize_circuit(sp.checker))
+    ep = ERProof(Circuit((), (), ()), ResolutionProof((Axiom(0),)))
+    er_path = tmp_path / "pi.erproof"
+    er_path.write_text(serialize_er(ep, len(gen_correct(sp))))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["translate-search", algo, checker, er_path, "-o", out]) == 1
+    assert "rejected: invalid proof" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_rejects_a_tree_wrong_for_the_cnf(tmp_path, capsys):
+    """A circuit describing a tree that does not refute the CNF is a
+    rejection, exit 1, that names an unrefuted branch, and no manifest
+    is written: php(3,2)'s balanced dpll tree, checked against php(3,2)
+    with its first clause dropped."""
+    omega = php(3, 2)
+    full, dropped = tmp_path / "full.cnf", tmp_path / "dropped.cnf"
+    full.write_text(serialize_dimacs(omega))
+    dropped.write_text(serialize_dimacs(ClauseSet(omega.n, omega.clauses[1:])))
+    work, out = tmp_path / "work", tmp_path / "out"
+    assert run(["prove", full, "-o", work]) == 0
+    assert run(["encode", work / "full.dtree", full, "-o", work]) == 0
+    assert run(["synth", full, work / "full.circ", "-o", work]) == 0
+    capsys.readouterr()
+    assert run(["synth", dropped, work / "full.circ", "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: described tree leaves branch (") and "unrefuted" in err
+    assert not out.exists()
 
 
 def test_synth_refusal_names_the_graft_route(tmp_path, capsys):

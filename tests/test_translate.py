@@ -39,7 +39,7 @@ from implres.translate import (
     search_translate,
     truthdef_translate,
 )
-from test_certificate_mutants import cone_grafts, detour
+from test_certificate_mutants import carrier_refutation, cone_grafts, detour
 
 
 def n_resolutions(p):
@@ -152,19 +152,11 @@ def test_truthdef_translate_accepted(omega1, omega2):
         assert check_er(gen_C(omega, ir.beta, ir.iface).clauses, empty_aux(ir.alpha))
 
 
-def carrier_refutation(omega, pi):
-    """truthdef_translate's circuit, its carrier C(omega, beta') and its
-    certificate as an aux-free ER refutation of that carrier: a
-    refutation of a carrier generated from a described circuit, as
-    graft takes one."""
-    ir = truthdef_translate(omega, pi)
-    return ir.beta, ir.iface, gen_C(omega, ir.beta, ir.iface), empty_aux(ir.alpha)
-
-
 def test_graft_yields_verified_refutation(omega1):
     pi = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
-    beta, iface, bundle, eta = carrier_refutation(omega1, pi)
-    ir = graft(omega1, beta, iface, bundle, eta)
+    translated = truthdef_translate(omega1, pi)
+    bundle, eta = carrier_refutation(translated)
+    ir = graft(omega1, translated.beta, translated.iface, bundle, eta)
     rep = verify_implicit(ir)
     assert rep, (rep.stage, rep.reason)
     # the new carrier clause set contains the old one and the grown circuit
@@ -176,14 +168,15 @@ def test_graft_yields_verified_refutation(omega1):
 
 def test_graft_rejects_a_certificate_the_grown_carrier_does_not_replay(broken_fold, omega1):
     pi = empty_aux(ResolutionProof((Axiom(0), Axiom(1), Resolve(0, 1, 1))))
-    beta, iface, bundle, eta = carrier_refutation(omega1, pi)
+    translated = truthdef_translate(omega1, pi)
+    bundle, eta = carrier_refutation(translated)
     with pytest.raises(TranslateError, match="grafted refutation rejected"):
-        graft(omega1, beta, iface, bundle, eta)
+        graft(omega1, translated.beta, translated.iface, bundle, eta)
     # an aux-free refutation grafts no gate: the grown circuit is beta
     # rebased onto the first copy, with no duplicate of the host
     [(host, dupmap, beta2)] = broken_fold
     assert all(dupmap[g.var] == g.var for g in host.gates)
-    assert len(beta2.gates) == len(beta.gates)
+    assert len(beta2.gates) == len(translated.beta.gates)
 
 
 def test_graft_accepts_plain_proof_over_tree_circuit(omega2):
@@ -334,9 +327,10 @@ def test_the_fold_renames_eta_without_computing_a_clause(monkeypatch, tseitin4, 
     monkeypatch.setattr(proofs, "resolve_clauses", counted)
     monkeypatch.setattr(translate, "_fold_proof", fold)
     for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
-        beta, iface, bundle, eta = carrier_refutation(omega, pi)
+        translated = er_to_implicit(omega, pi)
+        bundle, eta = carrier_refutation(translated)
         calls[False] = 0
-        assert verify_implicit(graft(omega, beta, iface, bundle, eta))
+        assert verify_implicit(graft(omega, translated.beta, translated.iface, bundle, eta))
         assert calls[True] == 0 and calls[False] > 0
 
 
