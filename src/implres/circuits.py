@@ -131,21 +131,30 @@ def gate_group(v: int, body: tuple[int, ...]) -> tuple[Clause, ...]:
     wide clause is left unordered (``derived_clause``); the duplicate
     check reads stored tuples, and only a clause of a body literal on
     v itself can repeat the wide clause."""
-    wide = derived_clause({-v, *body})
+    wide = _wide_clause(v, body)
     out = [wide]
     seen = set()
     for lit in body:
-        u = abs(lit)
-        if u == v:  # a body citing its own gate; validate_circuit rejects it
-            cl = Clause((v, -lit))
-            if cl == wide:
-                continue
-        else:
-            cl = canonical_clause((-lit, v) if u < v else (v, -lit))
+        cl = _body_clause(v, lit)
+        if abs(lit) == v and cl == wide:
+            continue
         if cl._lits not in seen:
             seen.add(cl._lits)
             out.append(cl)
     return tuple(out)
+
+
+def _wide_clause(v: int, body: Iterable[int]) -> Clause:
+    """Trusted: the wide clause {-v} | body of v = OR(body), unordered."""
+    return derived_clause({-v, *body})
+
+
+def _body_clause(v: int, lit: int) -> Clause:
+    """Trusted: the clause {v, -lit} of body literal lit of gate v."""
+    u = abs(lit)
+    if u == v:  # a body citing its own gate; validate_circuit rejects it
+        return Clause((v, -lit))
+    return canonical_clause((-lit, v) if u < v else (v, -lit))
 
 
 def max_var(c: Circuit) -> int:
@@ -337,15 +346,17 @@ class Premises:
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
     ``clauses``) and answers ``gate_position`` and ``neg_delta_index``
     as a Carrier does.  base is read by ``len`` and position only, a
-    gate's group is built when one of its clauses is read, and each
-    clause read is kept by position, so nothing is built in full until
-    ``clauses`` or iteration reads it."""
+    gate clause is built alone when it is read (the wide clause, or the
+    clause of one distinct body literal), and each clause read is kept
+    by position, so nothing is built in full until ``clauses`` or
+    iteration reads it."""
 
     base: object
     gates: tuple[Gate, ...]
     units: tuple[Clause, ...]
     n: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _bodies: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def _ends(self) -> list[int]:
@@ -387,8 +398,25 @@ class Premises:
             clause = self._memo[p] = self.base[p]
             return clause
         t = bisect_right(ends, p) - 1
-        self._memo.update(enumerate(gate_clauses(self.gates[t]), ends[t]))
-        return self._memo[p]
+        g, i = self.gates[t], p - ends[t]
+        if i == 0:
+            clause = _wide_clause(g.var, g.body)
+        else:
+            clause = _body_clause(g.var, self._distinct(t)[i - 1])
+        self._memo[p] = clause
+        return clause
+
+    def _distinct(self, t: int) -> tuple[int, ...]:
+        """Gate t's distinct body literals in body order: its body, save
+        for a gate that repeats a literal, whose group holds fewer
+        clauses; that one's are worked out once and kept."""
+        body = self.gates[t].body
+        if self._ends[t + 1] - self._ends[t] > len(body):
+            return body
+        distinct = self._bodies.get(t)
+        if distinct is None:
+            distinct = self._bodies[t] = tuple(dict.fromkeys(body))
+        return distinct
 
     __getitem__ = clause
 
@@ -413,10 +441,15 @@ class Carrier:
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
     ``clauses``) but builds only what is read: the head (verdict
     block, {-delta}, pre-block) is a Premises view, and the clause at
-    a position of a copy comes from prefix sums of beta's gate clause
-    counts, one gate of one copy at a time.  The clause tuple, circuit
-    and copy maps are built in full when first read; once the tuple
-    exists, indexing reads it."""
+    a position of a copy is found from prefix sums of beta's gate
+    clause counts and built alone, never its gate's whole group.
+    Offset 0 of a group is the wide clause; offset i is the clause of
+    the i-th distinct body literal of beta's gate, mapped through the
+    copy map, which is injective, so the literals stay distinct.  Each
+    clause read is kept by position.  The clause tuple, circuit and
+    copy maps are built in full when first read (the tuple group by
+    group, as synthesis reads it); once the tuple exists, indexing
+    reads it."""
 
     frees: tuple[int, ...]
     pre: tuple[Gate, ...]
@@ -515,21 +548,39 @@ class Carrier:
             raise IndexError(f"no clause at position {p} of {self._len}")
         if "clauses" in self.__dict__:
             return self.clauses[p]
+        clause = self._memo.get(p)
+        if clause is not None:
+            return clause
         head, ends = self._table
         if p < head:
             return self.head.clause(p)
         k, q = divmod(p - head, ends[-1])
         t = bisect_right(ends, q) - 1
-        group = self._memo.get((k, t))
-        if group is None:
-            group = self._memo[(k, t)] = self._group(k, t)
-        return group[q - ends[t]]
+        m, i = self.copy_maps[k], q - ends[t]
+        v = m[self.beta.gates[t].var]
+        if i == 0:
+            clause = _wide_clause(v, self._image(k, t))
+        else:
+            lit = self._bodies[t][i - 1]
+            clause = _body_clause(v, m[lit] if lit > 0 else -m[-lit])
+        self._memo[p] = clause
+        return clause
+
+    @cached_property
+    def _bodies(self) -> tuple[tuple[int, ...], ...]:
+        """Each gate of beta's distinct body literals, in body order:
+        clause 1 + i of a copy's group is that of the i-th, mapped."""
+        return tuple(tuple(dict.fromkeys(g.body)) for g in self.beta.gates)
+
+    def _image(self, k: int, t: int) -> tuple[int, ...]:
+        """The body of gate t of copy k.  check_ports validated beta,
+        so the copy gate's clauses are built on the trusted path."""
+        m = self.copy_maps[k]
+        return tuple([m[l] if l > 0 else -m[-l] for l in self.beta.gates[t].body])
 
     def _group(self, k: int, t: int) -> tuple[Clause, ...]:
-        """Clause group of gate t of copy k.  check_ports validated
-        beta, so the copy gate's image is built on the trusted path."""
-        m, g = self.copy_maps[k], self.beta.gates[t]
-        return gate_group(m[g.var], tuple([m[l] if l > 0 else -m[-l] for l in g.body]))
+        """Clause group of gate t of copy k."""
+        return gate_group(self.copy_maps[k][self.beta.gates[t].var], self._image(k, t))
 
     __getitem__ = clause
 

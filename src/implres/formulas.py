@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 
 class FormulaError(ValueError):
@@ -134,9 +134,10 @@ def canonical_clause(literals: tuple[int, ...]) -> Clause:
     return clause
 
 
-def derived_clause(literals: set[int]) -> Clause:
-    """Trusted: the clause of a set of valid literals, stored as the
-    set's tuple and put in order only when its order is read."""
+def derived_clause(literals: Collection[int]) -> Clause:
+    """Trusted: the clause of distinct valid literals (a set, or a
+    stored tuple), stored as their tuple and put in order only when
+    its order is read."""
     clause = _new(Clause)
     _store(clause, tuple(literals))
     return clause

@@ -8,13 +8,20 @@ negatively in the right premise, the conclusion is the union of the
 remaining literals, and nothing forbids the pivot from reappearing via
 the other side.
 
-A resolvent is built from its two parents' stored literals with set
-operations and no literal checks, and is stored unordered
-(``formulas.derived_clause``): the replay reads only ``len``, ``in``
-and the stored tuples, so a resolvent is put in canonical order only
-if a serializer, a message or an equality test reads it.  Weakening
-literals come from the proof and go through the validated ``Clause``
-constructor.
+One replay loop (``_replay``) serves every check.  check_proof first
+records where each step is cited for the last time (``_last_citations``,
+after DRAT-trim's deletion information), and the replay drops each
+clause there, so it holds only the live part of the proof.  A step's
+literals are held as the stored tuple of a premise or a weakening, or
+as a set for a resolvent the replay built.  A resolution that is the
+last citation of such a set resolves into it in place, so stripping a
+wide clause one gate clause at a time costs the gate clauses' size,
+not the wide clause's at every step.  A premise's clause is never
+changed.  The replay reads only ``len``, ``in`` and the stored literals
+and orders no clause; replay_steps runs the same loop with no step
+dying and returns every clause as a ``Clause``, left unordered
+(``formulas.derived_clause``).  Weakening literals come from the proof
+and go through the validated ``Clause`` constructor.
 
 The step records ``Axiom``, ``Resolve`` and ``Weaken`` are slotted
 dataclasses.  They are mutable only because that makes them cheap to
@@ -26,7 +33,7 @@ changed copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .circuits import Circuit, Premises, max_var, validate_circuit
 from .formulas import EMPTY_CLAUSE, Clause, ClauseSet, FormulaError, derived_clause
@@ -95,31 +102,83 @@ class _StepFailure(Exception):
         super().__init__(f"step {index}: {reason}")
 
 
+def _resolvent(left, right, pivot: int, into: Optional[set[int]] = None) -> set[int]:
+    """The liberal rule on stored literals (tuples or sets):
+    (left - pivot) | (right - -pivot), where the pivot may come back
+    from the other side.  ``into`` is None, giving a new set, or one
+    side itself (a set its owner gives up): the resolvent is written
+    into it, so the step costs the other side's size."""
+    if into is None:
+        into = set(left)
+        try:
+            into.remove(pivot)
+        except KeyError:
+            raise ProofError(f"pivot {pivot} absent from left clause") from None
+        other = set(right)
+        try:
+            other.remove(-pivot)
+        except KeyError:
+            raise ProofError(f"pivot {pivot} absent from right clause") from None
+        into |= other
+        return into
+    if pivot not in left:
+        raise ProofError(f"pivot {pivot} absent from left clause")
+    if -pivot not in right:
+        raise ProofError(f"pivot {pivot} absent from right clause")
+    # (into - lit) | (other - -lit) is the same resolvent seen from into's side
+    lit, other = (pivot, right) if into is left else (-pivot, left)
+    kept = -lit in into
+    into.remove(lit)
+    into.update(other)
+    if not kept:
+        into.discard(-lit)
+    return into
+
+
 def resolve_clauses(left: Clause, right: Clause, pivot: int) -> Clause:
     """(left - pivot) | (right - -pivot), from the parents' stored
     literals; the resolvent is left unordered (derived_clause)."""
-    lits = set(left._lits)
-    try:
-        lits.remove(pivot)
-    except KeyError:
-        raise ProofError(f"pivot {pivot} absent from left clause") from None
-    other = set(right._lits)
-    try:
-        other.remove(-pivot)
-    except KeyError:
-        raise ProofError(f"pivot {pivot} absent from right clause") from None
-    lits |= other
-    return derived_clause(lits)
+    return derived_clause(_resolvent(left._lits, right._lits, pivot))
 
 
-def replay_steps(premises: ClauseSet, steps: Iterable[Step]) -> list[Clause]:
-    """Recompute every step clause; raises _StepFailure on bad steps.
-    Premises are read by ``len`` and index alone, so a lazy carrier
-    (circuits.Carrier) builds only the ones cited.  A step is exactly
-    one of the three step classes; a subclass is an unknown kind."""
+def _last_citations(steps: Sequence[Step]) -> list[int]:
+    """The step that cites each step for the last time, by a resolution
+    or a weakening.  A step no later step cites dies where it is made,
+    save the final one, which lives past the end.  A reference out of
+    range is skipped here; the replay reports it."""
+    last = list(range(len(steps)))
+    if steps:
+        last[-1] = len(steps)
+    for idx, step in enumerate(steps):
+        kind = type(step)
+        if kind is Resolve:
+            if 0 <= step.left < idx:
+                last[step.left] = idx
+            if 0 <= step.right < idx:
+                last[step.right] = idx
+        elif kind is Weaken and 0 <= step.source < idx:
+            last[step.source] = idx
+    return last
+
+
+def _replay(premises: ClauseSet, steps: Sequence[Step], last: Sequence[int]) -> list:
+    """The replay loop: recompute every step's literals in order and
+    raise _StepFailure at the first bad step.  Premises are read by
+    ``len`` and index alone, so a lazy carrier (circuits.Carrier)
+    builds only the ones cited.  A step is exactly one of the three
+    step classes; a subclass is an unknown kind.
+
+    Entry i of the list returned holds step i's literals: the stored
+    tuple of a premise or of a weakening (which the validated Clause
+    constructor makes), or a set for a resolvent built here.  Step i
+    dies at step last[i]: its entry becomes None there, and a
+    resolution that a resolvent's set dies at is resolved into that
+    set in place (the larger one when both sides die), unless both
+    sides are one step.  With every last[i] below i nothing dies, and
+    a resolvent is held as the set's tuple, which takes less memory."""
     count = len(premises)
-    clauses: list[Clause] = []
-    append, premise, resolve = clauses.append, premises.__getitem__, resolve_clauses
+    clauses: list = []
+    append, premise, resolve = clauses.append, premises.__getitem__, _resolvent
     for idx, step in enumerate(steps):
         kind = type(step)
         if kind is Resolve:
@@ -128,40 +187,68 @@ def replay_steps(premises: ClauseSet, steps: Iterable[Step]) -> list[Clause]:
                 raise _StepFailure(idx, "resolve references a later or missing step")
             if pivot < 1:
                 raise _StepFailure(idx, f"bad pivot {pivot}")
+            lits, other = clauses[left], clauses[right]
+            into = None
+            if last[left] == idx:
+                clauses[left] = None
+                if type(lits) is set:
+                    into = lits
+            if last[right] == idx:
+                clauses[right] = None
+                if type(other) is set and (into is None or len(other) > len(into)):
+                    into = other
+            if left == right:
+                into = None
             try:
-                append(resolve(clauses[left], clauses[right], pivot))
+                lits = resolve(lits, other, pivot, into)
             except ProofError as exc:
                 raise _StepFailure(idx, str(exc)) from None
+            append(lits if last[idx] > idx else tuple(lits))
         elif kind is Axiom:
             index = step.index
             if not 0 <= index < count:
                 raise _StepFailure(idx, f"axiom index {index} out of range")
-            append(premise(index))
+            append(premise(index)._lits)
         elif kind is Weaken:
-            if not 0 <= step.source < idx:
+            source = step.source
+            if not 0 <= source < idx:
                 raise _StepFailure(idx, "weaken references a later or missing step")
             try:
-                append(clauses[step.source].union(step.literals))
+                append(Clause((*clauses[source], *step.literals))._lits)
             except FormulaError as exc:
                 raise _StepFailure(idx, str(exc)) from None
+            if last[source] == idx:
+                clauses[source] = None
         else:
             raise _StepFailure(idx, f"unknown step kind {kind.__name__}")
+        if last[idx] == idx:
+            clauses[idx] = None
     return clauses
+
+
+def replay_steps(premises: ClauseSet, steps: Sequence[Step]) -> list[Clause]:
+    """Every step clause, recomputed by the replay loop with no step
+    dying; raises _StepFailure on bad steps."""
+    return [derived_clause(lits) for lits in _replay(premises, steps, [-1] * len(steps))]
 
 
 def check_proof(premises: ClauseSet, proof: ResolutionProof) -> ProofReport:
     """Validate a refutation: every step replays and the last one is
-    the empty clause.  A derivation's clauses come from proof_clauses."""
-    if not proof.steps:
+    the empty clause.  Each step dies at its last citation, so the
+    replay holds only the live clauses.  A derivation's clauses come
+    from proof_clauses."""
+    steps = proof.steps
+    if not steps:
         return ProofReport(False, -1, "empty proof")
     try:
-        clauses = replay_steps(premises, proof.steps)
+        final = _replay(premises, steps, _last_citations(steps))[-1]
     except _StepFailure as exc:
         return ProofReport(False, exc.index, exc.reason)
-    last = len(proof.steps) - 1
-    if clauses[-1] != EMPTY_CLAUSE:
-        return ProofReport(False, last, f"final clause {clauses[-1]} != target {EMPTY_CLAUSE}")
-    return ProofReport(True, last)
+    if len(final):
+        return ProofReport(
+            False, len(steps) - 1, f"final clause {derived_clause(final)} != target {EMPTY_CLAUSE}"
+        )
+    return ProofReport(True, len(steps) - 1)
 
 
 def proof_clauses(premises: ClauseSet, proof: ResolutionProof) -> list[Clause]:

@@ -14,7 +14,8 @@ mutate the auxiliary gates that the cone-free graft lays in the grown
 circuit: one deletes such a gate, one rewires its body to read a
 carrier gate instead of the variable the certificate relies on.  The
 same two kinds mutate the cone copies that a graft lays when an
-auxiliary reads a carrier gate.  The kind
+auxiliary reads a carrier gate, and the auxiliaries of an ER proof that
+translate-er lays in its own circuit.  The kind
 "re-pointed axiom" sends one axiom step to another premise position,
 judged through the lazily read carrier against a reference that reads
 a separately materialized copy of the set.
@@ -28,6 +29,7 @@ import pytest
 
 from implres.circuits import Circuit, Gate, gate_clauses, map_literal, max_var
 from implres.correctness import gen_C, gen_correct
+from implres.encoding import canonical_tree_circuit
 from implres.families import (
     not_search,
     php,
@@ -36,6 +38,7 @@ from implres.families import (
     tm_write_stay,
     tseitin_cycle,
 )
+from implres.formulas import ClauseSet
 from implres.implicit import proof_stage, verify_implicit
 from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof, check_er, er_premises
 from implres.prover import dpll_refute, proof_from_tree
@@ -49,6 +52,16 @@ from implres.translate import (
 
 EMPTY = Circuit((), (), ())
 PER_KIND = 12
+
+# the quick-start set refuted through e = OR(1, 2), variable 3, whose
+# gate clauses {-3, 1, 2}, {3, -1}, {3, -2} are premises 4-6
+QUICK_VIA_E = (
+    ClauseSet(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))),
+    ERProof(Circuit((1, 2), (Gate(3, (1, 2)),), ()), ResolutionProof((
+        Axiom(0), Axiom(6), Resolve(0, 1, 2), Axiom(4), Resolve(2, 3, 3),
+        Axiom(1), Resolve(4, 5, 2), Axiom(2), Axiom(3), Resolve(7, 8, 2), Resolve(6, 9, 1),
+    ))),
+)
 
 
 def er_refutations():
@@ -458,3 +471,38 @@ def test_cone_copy_mutants_of_cone_grafts_are_rejected():
     assert {o[1] for o in outcomes} == {"deleted", "rewired"}
     assert {o[4] for o in outcomes} <= {"interface", "proof"}
     print(f"cone copy mutants rejected: {len(outcomes)}")
+
+
+def er_aux_refutations():
+    """(name, omega, pi) for ER refutations with auxiliary gates: the
+    quick-start set through e = OR(1, 2), and tseitin_cycle(4)'s dpll
+    refutation taken through r = OR(z) for a literal z of its first
+    cited premise (detour)."""
+    yield "quick-via-e", *QUICK_VIA_E
+    omega = tseitin_cycle(4)
+    pi = ERProof(EMPTY, proof_from_tree(omega, dpll_refute(omega).tree))
+    yield "tseitin4-reader", omega, detour(omega, pi, omega[pi.proof.steps[0].index].literals[0])
+
+
+def test_auxiliary_gate_mutants_of_translate_er_are_rejected():
+    """Mutant kinds "deleted auxiliary gate" and "rewired auxiliary
+    gate" on er_to_implicit's own circuit beta': the truth-definition
+    step lays the ER proof's auxiliaries, renamed under p -> -z_p, after
+    the canonical circuit's gates, and the certificate cites their
+    clauses.  Deleting one, or making its body read a gate of the
+    carrier circuit (one beta' defines, or one it does not), must be
+    refused (judge_gate_mutants)."""
+    rng = random.Random(353)
+    outcomes = []
+    for name, omega, pi in er_aux_refutations():
+        ir = er_to_implicit(omega, pi)
+        assert verify_implicit(ir)
+        aux = ir.beta.gates[-len(pi.aux.gates):]
+        assert len(ir.beta.gates) == len(canonical_tree_circuit(ir.n)[0].gates) + len(aux)
+        host = gen_C(ir.omega, ir.beta, ir.iface).clauses.circuit
+        outcomes += judge_gate_mutants(name, host, ir.beta, aux, er_judge(ir), rng)
+    accepts = [o for o in outcomes if o[3]]
+    assert not accepts, accepts[:3]
+    assert {o[1] for o in outcomes} == {"deleted", "rewired"}
+    assert {o[4] for o in outcomes} <= {"interface", "proof"}
+    print(f"translate-er auxiliary gate mutants rejected: {len(outcomes)}")

@@ -7,16 +7,18 @@ still reject every bad literal.  A trusted clause is put in canonical
 order only when that order is read, and the replay never reads it.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implres import formulas, translate
-from implres.circuits import Circuit, Gate, gate_clauses
+from implres import circuits, formulas, implicit, translate
+from implres.circuits import Circuit, Gate, circuit_clauses, gate_clauses
 from implres.correctness import gen_C
-from implres.families import php, tseitin_cycle
+from implres.families import php, tm_write_stay, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, FormulaError, canonical_clause, derived_clause
-from implres.implicit import implicit_from_tree
+from implres.implicit import implicit_from_tree, verify_implicit
 from implres.proofs import (
     Axiom,
     ERProof,
@@ -29,7 +31,9 @@ from implres.proofs import (
     resolve_clauses,
 )
 from implres.prover import dpll_refute, proof_from_tree
+from implres.tableau import gen_tableau
 from implres.translate import er_to_implicit
+from test_certificate_mutants import reference_clauses
 
 VARS = 12
 literal = st.integers(-VARS, VARS).filter(bool)
@@ -91,8 +95,8 @@ def test_a_clause_holds_one_tuple():
 
 def test_the_replay_orders_no_resolvent(monkeypatch):
     """check_proof of a synthesized certificate reads only len, in and
-    the stored tuples: the one clause it puts in order is the final
-    empty resolvent, compared with the empty clause."""
+    the stored literals, and tests the final clause by its len: it puts
+    no clause in order."""
     omega = tseitin_cycle(7)
     ir = implicit_from_tree(omega, dpll_refute(omega).tree)
     carrier = gen_C(omega, ir.beta, ir.iface).clauses
@@ -105,7 +109,7 @@ def test_the_replay_orders_no_resolvent(monkeypatch):
 
     monkeypatch.setattr(Clause, "__getattr__", spy)
     assert check_proof(carrier, ir.alpha)
-    assert ordered == [0]
+    assert ordered == []
 
 
 @pytest.mark.parametrize("omega", (tseitin_cycle(4), php(3, 2)), ids=("tseitin4", "php32"))
@@ -222,3 +226,179 @@ def test_check_proof_rejects_a_pivot_missing_from_one_side():
         assert not report
         assert report.step == 2
         assert f"absent from {side} clause" in report.reason
+
+
+PREMISE_VARS = 4
+small_literal = st.integers(-PREMISE_VARS, PREMISE_VARS).filter(bool)
+premise_sets = st.lists(st.lists(small_literal, min_size=1, max_size=3), min_size=1, max_size=5)
+
+
+def drawn_steps(data, premises):
+    """Steps drawn one at a time against the clauses the liberal rule
+    derives so far, mostly sound: resolutions favour the latest steps
+    (so a parent often dies at its resolvent, whose set is then reused)
+    and pick a pivot the two sides share in opposite signs, which
+    allows a step resolved with itself (a tautology on the pivot), a
+    pivot that comes back from the other side and a step cited by
+    several later ones; axioms cite any premise, repeats included, and
+    weakenings add random literals, tautologies included.  Now and then
+    a step is unsound: a late, missing or out-of-range reference, a
+    bad pivot or a pivot absent from one side."""
+    clauses, steps = [], []
+    for idx in range(data.draw(st.integers(1, 24), label="length")):
+        kind = data.draw(st.sampled_from("aaarrrrrrrrrrrrrwwb"), label="kind") if idx else "a"
+        lits = frozenset()
+        if kind == "r":
+            # latest holder first, so a low draw resolves a step just made
+            pairs = sorted(
+                ((i, j, lit) for i in range(idx) for lit in clauses[i]
+                 for j in range(idx) if -lit in clauses[j]),
+                reverse=True,
+            )
+            if not pairs:
+                kind = "a"
+            else:
+                top = len(pairs) - 1
+                i, j, lit = pairs[data.draw(st.integers(0, min(top, 5)) | st.integers(0, top))]
+                left, right = (i, j) if lit > 0 else (j, i)
+                p = abs(lit)
+                step = Resolve(left, right, p)
+                lits = (clauses[left] - {p}) | (clauses[right] - {-p})
+        if kind == "a":
+            q = data.draw(st.integers(0, len(premises) - 1))
+            step, lits = Axiom(q), frozenset(premises[q].literals)
+        elif kind == "w":
+            source = data.draw(st.integers(0, idx - 1))
+            extra = tuple(data.draw(st.lists(small_literal, max_size=2)))
+            step, lits = Weaken(source, extra), clauses[source] | frozenset(extra)
+        elif kind == "b":
+            late, anywhere = st.integers(idx, idx + 2) | st.just(-1), st.integers(-1, idx + 1)
+            earlier = st.integers(0, idx - 1)
+            step = data.draw(st.one_of(
+                st.builds(Axiom, st.sampled_from((-1, len(premises), len(premises) + 3))),
+                st.builds(Resolve, late, anywhere, st.just(1)),
+                st.builds(Resolve, anywhere, late, st.just(1)),
+                st.builds(Resolve, earlier, earlier, st.integers(-1, 0)),
+                st.builds(Resolve, earlier, earlier, st.integers(1, PREMISE_VARS)),
+                st.builds(Weaken, late, st.just((1,))),
+            ))
+        steps.append(step)
+        clauses.append(lits)
+    return steps
+
+
+def reference_report(premises, steps):
+    """(ok, step, reason) as reference_clauses implies it: the first
+    step it finds unsound, named by the check that step fails, else the
+    final clause against the empty one."""
+    clauses = []
+    for i, s in enumerate(steps):
+        grown = reference_clauses(premises, steps[: i + 1], clauses)
+        if grown is None:
+            if type(s) is Axiom:
+                return False, i, f"axiom index {s.index} out of range"
+            if type(s) is Weaken:
+                return False, i, "weaken references a later or missing step"
+            if not (0 <= s.left < i and 0 <= s.right < i):
+                return False, i, "resolve references a later or missing step"
+            if s.pivot < 1:
+                return False, i, f"bad pivot {s.pivot}"
+            side = "right" if s.pivot in clauses[s.left] else "left"
+            return False, i, f"pivot {s.pivot} absent from {side} clause"
+        clauses = grown
+    final = Clause(tuple(clauses[-1]))
+    if final.literals:
+        return False, len(steps) - 1, f"final clause {final} != target {{}}"
+    return True, len(steps) - 1, ""
+
+
+@settings(max_examples=400, deadline=None)
+@given(premise_sets, st.data())
+def test_the_replay_agrees_with_the_reference_replay(lits, data):
+    """Differential test of the replay loop, which reuses a resolvent's
+    set at its last citation: check_proof's (ok, step, reason) is the
+    one the frozenset replay of the mutant suite implies, proof_clauses
+    of a sound proof are the reference's clauses, and no premise clause
+    changes."""
+    premises = ClauseSet(PREMISE_VARS, tuple(Clause(tuple(c)) for c in lits))
+    stored = [(c, c._lits) for c in premises]
+    steps = drawn_steps(data, premises)
+    want = reference_report(premises, steps)
+    report = check_proof(premises, ResolutionProof(steps))
+    assert (report.ok, report.step, report.reason) == want
+    reference = reference_clauses(premises, steps)
+    if reference is not None:
+        got = proof_clauses(premises, ResolutionProof(steps))
+        assert [frozenset(c.literals) for c in got] == reference
+    assert [(c, c._lits) for c in premises] == stored
+    assert all(c._lits is lits for c, (_, lits) in zip(premises, stored))
+
+
+def repeated_first_literal(beta):
+    """beta with the first gate of fan-in two or more reading its first
+    body literal twice, so offset i of its group names the i-th distinct
+    literal, not body[i - 1]."""
+    g = next(g for g in beta.gates if len(set(g.body)) >= 2)
+    gates = tuple(Gate(h.var, h.body[:1] + h.body) if h is g else h for h in beta.gates)
+    return dataclasses.replace(beta, gates=gates)
+
+
+def carriers():
+    """Fresh generations of a tree carrier and a grid carrier whose
+    circuits have a gate reading one body literal twice, and of a
+    Premises view (a carrier's head is one) with such gates."""
+    circuit = Circuit((1, 2), (Gate(3, (1, 1, 2)), Gate(4, (-3, 2, -3, 1)), Gate(5, (4, -2))), (5,))
+    yield "premises", lambda: circuit_clauses(circuit)
+    omega = tseitin_cycle(4)
+    ir = implicit_from_tree(omega, dpll_refute(omega).tree)
+    beta = repeated_first_literal(ir.beta)
+    yield "gen_C", lambda: gen_C(omega, beta, ir.iface).clauses
+    tm, tau, grid, iface = tm_write_stay()
+    grid = repeated_first_literal(grid)
+    yield "gen_tableau", lambda: gen_tableau(tm, tau, grid, iface).clauses
+
+
+@pytest.mark.parametrize("generate", [pytest.param(g, id=name) for name, g in carriers()])
+def test_a_carrier_builds_the_clause_at_a_position_alone(generate):
+    """Carrier.clause(p) (or Premises.clause(p)), read at every position
+    before the clause tuple exists, is the clause the tuple holds
+    there: the same stored literals and the same canonical order."""
+    carrier = generate()
+    lazy = [carrier.clause(p) for p in range(len(carrier))]
+    stored = [c._lits for c in lazy]
+    assert "clauses" not in vars(carrier)
+    full = carrier.clauses
+    assert [c._lits for c in full] == stored
+    assert [c.literals for c in full] == [c.literals for c in lazy]
+    assert [c.literals for c in generate().clauses] == [c.literals for c in lazy]
+
+
+def test_the_verifier_builds_no_clause_group(monkeypatch):
+    """verify_implicit of a synthesized certificate reads each cited
+    premise alone: circuits.gate_group, which builds a gate's whole
+    clause group, is never called, and no premise it read changes."""
+    omega = tseitin_cycle(7)
+    ir = implicit_from_tree(omega, dpll_refute(omega).tree)
+    groups = []
+    real = circuits.gate_group
+    made = []
+    real_gen = implicit.gen_C
+
+    def spied(*args):
+        groups.append(args)
+        return real(*args)
+
+    def generate(*args):
+        made.append(real_gen(*args))
+        return made[-1]
+
+    monkeypatch.setattr(circuits, "gate_group", spied)
+    monkeypatch.setattr(implicit, "gen_C", generate)
+    assert verify_implicit(ir)
+    assert groups == []
+    monkeypatch.undo()
+    carrier = made[0].clauses
+    read = dict(carrier._memo)
+    assert read and "clauses" not in vars(carrier)
+    full = gen_C(omega, ir.beta, ir.iface).clauses.clauses
+    assert all(c.literals == full[p].literals for p, c in read.items())

@@ -39,7 +39,7 @@ from implres.translate import (
     search_translate,
     truthdef_translate,
 )
-from test_certificate_mutants import carrier_refutation, cone_grafts, detour
+from test_certificate_mutants import QUICK_VIA_E, carrier_refutation, cone_grafts, detour
 
 
 def n_resolutions(p):
@@ -53,17 +53,6 @@ def empty_aux(proof):
 def dpll_er(omega):
     out = dpll_refute(omega)
     return empty_aux(proof_from_tree(omega, out.tree))
-
-
-# the quick-start set refuted through e = OR(1, 2), variable 3, whose
-# gate clauses {-3, 1, 2}, {3, -1}, {3, -2} are premises 4-6
-QUICK_VIA_E = (
-    ClauseSet(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))),
-    ERProof(Circuit((1, 2), (Gate(3, (1, 2)),), ()), ResolutionProof((
-        Axiom(0), Axiom(6), Resolve(0, 1, 2), Axiom(4), Resolve(2, 3, 3),
-        Axiom(1), Resolve(4, 5, 2), Axiom(2), Axiom(3), Resolve(7, 8, 2), Resolve(6, 9, 1),
-    ))),
-)
 
 
 def test_emb_refute_single_gate_both_polarities():
@@ -306,12 +295,13 @@ def test_no_producer_bridges_and_cone_readers_graft(monkeypatch, tseitin4, php32
 def test_the_fold_renames_eta_without_computing_a_clause(monkeypatch, tseitin4, php32):
     """A refutation eta of C(omega, beta') with no weakening, here
     truthdef_translate's certificate, is folded by graft with each of
-    its steps recorded renamed and no resolvent computed
-    (proofs.resolve_clauses); the graft's replay of the certificate
-    computes them."""
+    its steps recorded renamed and no resolvent computed; the graft's
+    replay of the certificate computes them.  Resolvents are counted at
+    proofs._resolvent, the rule that the replay loop and a builder's
+    resolve_clauses both run."""
     calls = {True: 0, False: 0}  # keyed by: inside the fold
     inside = []
-    real_resolve, real_fold = proofs.resolve_clauses, translate._fold_proof
+    real_resolve, real_fold = proofs._resolvent, translate._fold_proof
 
     def counted(*args):
         calls[bool(inside)] += 1
@@ -324,7 +314,7 @@ def test_the_fold_renames_eta_without_computing_a_clause(monkeypatch, tseitin4, 
         finally:
             inside.pop()
 
-    monkeypatch.setattr(proofs, "resolve_clauses", counted)
+    monkeypatch.setattr(proofs, "_resolvent", counted)
     monkeypatch.setattr(translate, "_fold_proof", fold)
     for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
         translated = er_to_implicit(omega, pi)
