@@ -5,6 +5,10 @@ behind resolvents and gate clauses must produce exactly the clauses a
 literal-by-literal reference produces, and the validated path must
 still reject every bad literal.  A trusted clause is put in canonical
 order only when that order is read, and the replay never reads it.
+The replay, which resolves into a resolvent's set at its last
+citation, must agree with the frozenset reference replay of the mutant
+suite, and a carrier builds the clause at a cited position alone,
+equal to the one its full clause tuple holds there.
 """
 
 import dataclasses
@@ -379,26 +383,24 @@ def test_the_verifier_builds_no_clause_group(monkeypatch):
     clause group, is never called, and no premise it read changes."""
     omega = tseitin_cycle(7)
     ir = implicit_from_tree(omega, dpll_refute(omega).tree)
-    groups = []
-    real = circuits.gate_group
-    made = []
-    real_gen = implicit.gen_C
+    groups, made = [], []
+    real_group, real_gen = circuits.gate_group, implicit.gen_C
 
-    def spied(*args):
+    def group(*args):
         groups.append(args)
-        return real(*args)
+        return real_group(*args)
 
     def generate(*args):
         made.append(real_gen(*args))
         return made[-1]
 
-    monkeypatch.setattr(circuits, "gate_group", spied)
+    monkeypatch.setattr(circuits, "gate_group", group)
     monkeypatch.setattr(implicit, "gen_C", generate)
     assert verify_implicit(ir)
     assert groups == []
     monkeypatch.undo()
     carrier = made[0].clauses
-    read = dict(carrier._memo)
+    read = {**carrier.head._memo, **carrier._memo}
     assert read and "clauses" not in vars(carrier)
     full = gen_C(omega, ir.beta, ir.iface).clauses.clauses
     assert all(c.literals == full[p].literals for p, c in read.items())
