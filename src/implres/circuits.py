@@ -144,6 +144,14 @@ def gate_group(v: int, body: tuple[int, ...]) -> tuple[Clause, ...]:
     return tuple(out)
 
 
+def _distinct_body(body: tuple[int, ...], group_len: int) -> tuple[int, ...]:
+    """The body literals whose clauses follow the wide clause in a
+    gate_group of ``group_len`` clauses, in body order: clause i of the
+    group is that of the i-th.  That is body itself unless a literal
+    repeats, which leaves the group shorter than 1 + len(body)."""
+    return body if group_len > len(body) else tuple(dict.fromkeys(body))
+
+
 def _wide_clause(v: int, body: Iterable[int]) -> Clause:
     """Trusted: the wide clause {-v} | body of v = OR(body), unordered."""
     return derived_clause({-v, *body})
@@ -356,7 +364,6 @@ class Premises:
     units: tuple[Clause, ...]
     n: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _bodies: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def _ends(self) -> list[int]:
@@ -402,21 +409,9 @@ class Premises:
         if i == 0:
             clause = _wide_clause(g.var, g.body)
         else:
-            clause = _body_clause(g.var, self._distinct(t)[i - 1])
+            clause = _body_clause(g.var, _distinct_body(g.body, ends[t + 1] - ends[t])[i - 1])
         self._memo[p] = clause
         return clause
-
-    def _distinct(self, t: int) -> tuple[int, ...]:
-        """Gate t's distinct body literals in body order: its body, save
-        for a gate that repeats a literal, whose group holds fewer
-        clauses; that one's are worked out once and kept."""
-        body = self.gates[t].body
-        if self._ends[t + 1] - self._ends[t] > len(body):
-            return body
-        distinct = self._bodies.get(t)
-        if distinct is None:
-            distinct = self._bodies[t] = tuple(dict.fromkeys(body))
-        return distinct
 
     __getitem__ = clause
 
@@ -561,16 +556,10 @@ class Carrier:
         if i == 0:
             clause = _wide_clause(v, self._image(k, t))
         else:
-            lit = self._bodies[t][i - 1]
+            lit = _distinct_body(self.beta.gates[t].body, ends[t + 1] - ends[t])[i - 1]
             clause = _body_clause(v, m[lit] if lit > 0 else -m[-lit])
         self._memo[p] = clause
         return clause
-
-    @cached_property
-    def _bodies(self) -> tuple[tuple[int, ...], ...]:
-        """Each gate of beta's distinct body literals, in body order:
-        clause 1 + i of a copy's group is that of the i-th, mapped."""
-        return tuple(tuple(dict.fromkeys(g.body)) for g in self.beta.gates)
 
     def _image(self, k: int, t: int) -> tuple[int, ...]:
         """The body of gate t of copy k.  check_ports validated beta,

@@ -108,25 +108,16 @@ def _resolvent(left, right, pivot: int, into: Optional[set[int]] = None) -> set[
     from the other side.  ``into`` is None, giving a new set, or one
     side itself (a set its owner gives up): the resolvent is written
     into it, so the step costs the other side's size."""
-    if into is None:
-        into = set(left)
-        try:
-            into.remove(pivot)
-        except KeyError:
-            raise ProofError(f"pivot {pivot} absent from left clause") from None
-        other = set(right)
-        try:
-            other.remove(-pivot)
-        except KeyError:
-            raise ProofError(f"pivot {pivot} absent from right clause") from None
-        into |= other
-        return into
     if pivot not in left:
         raise ProofError(f"pivot {pivot} absent from left clause")
     if -pivot not in right:
         raise ProofError(f"pivot {pivot} absent from right clause")
-    # (into - lit) | (other - -lit) is the same resolvent seen from into's side
-    lit, other = (pivot, right) if into is left else (-pivot, left)
+    if into is None:
+        into, side = set(left), left
+    else:
+        side = into
+    # (into - lit) | (other - -lit) is the same resolvent seen from side's side
+    lit, other = (pivot, right) if side is left else (-pivot, left)
     kept = -lit in into
     into.remove(lit)
     into.update(other)
