@@ -7,6 +7,15 @@ output variables.  Circuits expand to CNF via the standard clause
 group of each gate, evaluate deterministically on any total input
 assignment, and can be duplicated with fresh extension variables and
 chosen input substitutions.
+
+Every premise set read by position is one ``Premises``: a base set,
+then a sequence of laid items (gates, clauses taken as they stand, and
+copies of a circuit under a copy map), over n variables.  The clause at
+a position comes from prefix sums of the items' clause counts and, in
+a copy, of its circuit's group sizes (one table that every copy of the
+circuit shares), and is built alone; each clause built is kept once,
+by position.  A ``Carrier`` is the Premises that ``assemble_carrier``
+lays, plus what is particular to that layout.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count, groupby
 from typing import Iterable, Optional, Sequence
 
 from .formulas import (
@@ -73,6 +82,11 @@ class Circuit:
 
     def extension_vars(self) -> set[int]:
         return {g.var for g in self.gates}
+
+    @cached_property
+    def group_ends(self) -> list[int]:
+        """Where each gate's clause group starts, then the clause count."""
+        return list(accumulate(map(clause_count, self.gates), initial=0))
 
 
 @dataclass(frozen=True)
@@ -178,7 +192,7 @@ def circuit_size(c: Circuit) -> int:
 def circuit_clauses(c: Circuit) -> Premises:
     """The gate clause groups of c in gate order, over max_var(c)
     variables, with each group at its ``gate_position``."""
-    return Premises(ClauseSet(0), c.gates, (), max_var(c))
+    return Premises(ClauseSet(0), c.gates, max_var(c))
 
 
 def evaluate(c: Circuit, free_vals: dict[int, bool]) -> dict[int, bool]:
@@ -339,239 +353,208 @@ def _gate_variables(gates: Iterable[Gate]) -> set[int]:
     return {v for g in gates for v in (g.var, *map(abs, g.body))}
 
 
-def gate_clause_count(g: Gate) -> int:
-    """``len(gate_clauses(g))`` for a gate whose body does not cite it."""
-    return 1 + len(set(g.body))
+@dataclass(frozen=True, eq=False)
+class Copy:
+    """The clause groups of ``circuit``'s gates under ``varmap``, an
+    injective map of its variables: one copy of a carrier's circuit.
+    Every copy of a circuit reads its groups' offsets off the one
+    table ``circuit.group_ends``."""
+
+    circuit: Circuit
+    varmap: dict[int, int]
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The copy's gates, in the circuit's order."""
+        m = self.varmap
+        return tuple(
+            Gate(m[g.var], tuple(map_literal(l, m) for l in g.body)) for g in self.circuit.gates
+        )
+
+
+def clause_count(item) -> int:
+    """How many clauses a laid item gives: a Gate its group, which is
+    ``len(gate_clauses(g))`` for a gate whose body does not cite it, a
+    Copy its circuit's groups, a Clause one."""
+    kind = type(item)
+    if kind is Gate:
+        return 1 + len(set(item.body))
+    return item.circuit.group_ends[-1] if kind is Copy else 1
 
 
 @dataclass(frozen=True, eq=False)
 class Premises:
-    """Premises read by position: the clauses of ``base`` (a ClauseSet,
-    a Carrier or another Premises), then the clause groups of
-    ``gates`` in gate_clauses order, then ``units``, over ``n``
-    variables.
+    """Premises read by position: the clauses of ``base_set`` (a
+    ClauseSet, a Carrier or another Premises), then those of each item
+    of ``laid`` in order, over ``n`` variables.  An item is a Gate (its
+    clause group, in gate_clauses order), a Clause (taken as it
+    stands, such as the unit {-delta}) or a Copy (the groups of a
+    circuit's gates under a copy map).
 
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
-    ``clauses``) and answers ``gate_position`` and ``neg_delta_index``
-    as a Carrier does.  base is read by ``len`` and position only, a
-    gate clause is built alone when it is read (the wide clause, or the
-    clause of one distinct body literal), and each clause read is kept
-    by position, so nothing is built in full until ``clauses`` or
-    iteration reads it."""
+    ``clauses``) and answers ``gate_position`` and ``neg_delta_index``.
+    base_set is read by ``len`` and position only.  The clause at a
+    position is found from prefix sums over runs of items with one
+    clause count (a divmod then names the item), then, in a copy, from
+    its circuit's group sizes, and built alone: offset 0 of a group is
+    the wide clause, offset i the clause of the i-th distinct body
+    literal, mapped through the copy map.  Each clause built is kept by
+    position; a read that falls through to base_set is not.  Nothing is
+    built in full until ``clauses`` or iteration reads it (the groups
+    whole, as synthesis reads them), and once the tuple exists,
+    indexing reads it."""
 
-    base: object
-    gates: tuple[Gate, ...]
-    units: tuple[Clause, ...]
+    base_set: object
+    laid: tuple
     n: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def _ends(self) -> list[int]:
-        """Where each gate's group starts, then where the units do."""
-        return list(accumulate(map(gate_clause_count, self.gates), initial=len(self.base)))
+    def _runs(self) -> tuple[list[int], list[int], list[int]]:
+        """The laid items in runs of one clause count: where each run's
+        clauses start (then the length), its first item (then the item
+        count) and its items' clause count."""
+        runs = [(size, len(list(run))) for size, run in groupby(map(clause_count, self.laid))]
+        starts = list(accumulate((size * k for size, k in runs), initial=len(self.base_set)))
+        firsts = list(accumulate((k for _, k in runs), initial=0))
+        return starts, firsts, [size for size, _ in runs]
+
+    def _placed(self):
+        """Each laid item and the position where its clauses start."""
+        starts, firsts, sizes = self._runs
+        for r, size in enumerate(sizes):
+            for t in range(firsts[r], firsts[r + 1]):
+                yield self.laid[t], starts[r] + (t - firsts[r]) * size
 
     @cached_property
     def _starts(self) -> dict[int, int]:
-        return {g.var: at for g, at in zip(self.gates, self._ends)}
+        """Where the group of each gate laid here starts."""
+        starts = {}
+        for item, at in self._placed():
+            if isinstance(item, Gate):
+                starts[item.var] = at
+            elif isinstance(item, Copy):
+                m, gates = item.varmap, item.circuit.gates
+                starts.update((m[g.var], at + e) for g, e in zip(gates, item.circuit.group_ends))
+        return starts
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
-        groups = (c for g in self.gates for c in gate_clauses(g))
-        return (*self.base.clauses, *groups, *self.units)
+        """Every clause, each laid item's groups built whole."""
+        out = list(self.base_set.clauses)
+        for item in self.laid:
+            kind = type(item)
+            if kind is Gate:
+                out += gate_group(item.var, item.body)
+            elif kind is Copy:
+                m = item.varmap
+                for g in item.circuit.gates:
+                    out += gate_group(m[g.var], tuple([m[l] if l > 0 else -m[-l] for l in g.body]))
+            else:
+                out.append(item)
+        return ClauseSet(self.n, out).clauses
 
     def __len__(self) -> int:
-        return self._ends[-1] + len(self.units)
+        return self._runs[0][-1]
 
     def __iter__(self):
         return iter(self.clauses)
 
     def variables(self) -> set[int]:
-        """The variables that occur in some clause, read off base, the
-        gates and the units without building a clause."""
-        units = {abs(lit) for u in self.units for lit in u._lits}
-        return self.base.variables() | _gate_variables(self.gates) | units
-
-    def clause(self, p: int) -> Clause:
-        """The clause at position p; IndexError unless 0 <= p < len."""
-        clause = self._memo.get(p)
-        if clause is not None:
-            return clause
-        ends = self._ends
-        if p >= ends[-1]:
-            return self.units[p - ends[-1]]
-        if p < ends[0]:
-            if p < 0:
-                raise IndexError(f"no clause at position {p} of {len(self)}")
-            clause = self._memo[p] = self.base[p]
-            return clause
-        t = bisect_right(ends, p) - 1
-        g, i = self.gates[t], p - ends[t]
-        if i == 0:
-            clause = _wide_clause(g.var, g.body)
-        else:
-            clause = _body_clause(g.var, _distinct_body(g.body, ends[t + 1] - ends[t])[i - 1])
-        self._memo[p] = clause
-        return clause
-
-    __getitem__ = clause
-
-    def gate_position(self, var: int) -> int:
-        """Where var's gate group starts: among the gates laid here,
-        else in base.  KeyError when neither defines var."""
-        if var in self._starts or isinstance(self.base, ClauseSet):
-            return self._starts[var]
-        return self.base.gate_position(var)
-
-    @property
-    def neg_delta_index(self) -> int:
-        """The unit {-delta}: the first of the units, or base's when
-        there is none."""
-        return self._ends[-1] if self.units else self.base.neg_delta_index
-
-
-@dataclass(frozen=True, eq=False)
-class Carrier:
-    """A generated clause set, laid out by assemble_carrier.
-
-    It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
-    ``clauses``) but builds only what is read: the head (verdict
-    block, {-delta}, pre-block) is a Premises view, and the clause at
-    a position of a copy is found from prefix sums of beta's gate
-    clause counts and built alone, never its gate's whole group.
-    Offset 0 of a group is the wide clause; offset i is the clause of
-    the i-th distinct body literal of beta's gate, mapped through the
-    copy map, which is injective, so the literals stay distinct.  Each
-    clause read is kept by position.  The clause tuple, circuit and
-    copy maps are built in full when first read (the tuple group by
-    group, as synthesis reads it); once the tuple exists, indexing
-    reads it."""
-
-    frees: tuple[int, ...]
-    pre: tuple[Gate, ...]
-    beta: Circuit
-    base: int
-    ports: tuple[dict[int, int], ...]
-    verdict: tuple[Gate, ...]
-    delta: int
-    n: int
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def head(self) -> Premises:
-        """The verdict block's groups, {-delta}, then the pre-block's."""
-        verdict = Premises(ClauseSet(0), self.verdict, (canonical_clause((-self.delta,)),), self.n)
-        return Premises(verdict, self.pre, (), self.n)
-
-    neg_delta_index = property(lambda self: self.head.neg_delta_index)
-
-    @cached_property
-    def _inner(self) -> dict[int, int]:
-        """Stride slot t of each gate of beta that no port names."""
-        inner = [g.var for g in self.beta.gates if g.var not in self.ports[0]]
-        return {v: t for t, v in enumerate(inner)}
-
-    @cached_property
-    def copy_maps(self) -> tuple[dict[int, int], ...]:
-        """Each copy's variable map, laid as assemble_carrier says: the
-        port images, slot t of copy k at base + t * stride + k, and the
-        spare frees in place."""
-        stride, free = len(self.ports), {v: v for v in self.beta.free}
-        return tuple(
-            {**free, **{v: self.base + t * stride + k for v, t in self._inner.items()}, **port}
-            for k, port in enumerate(self.ports)
-        )
-
-    @cached_property
-    def circuit(self) -> Circuit:
-        copies = (
-            Gate(m[g.var], tuple(map_literal(l, m) for l in g.body))
-            for m in self.copy_maps for g in self.beta.gates
-        )
-        return Circuit(self.frees, (*self.pre, *copies, *self.verdict), (self.delta,))
-
-    @cached_property
-    def clauses(self) -> tuple[Clause, ...]:
-        slots = range(len(self.beta.gates))
-        groups = (self._group(k, t) for k in range(len(self.ports)) for t in slots)
-        clauses = (*self.head.clauses, *(c for group in groups for c in group))
-        return ClauseSet(self.n, clauses).clauses
-
-    @cached_property
-    def _table(self):
-        """The head's length and the prefix sums of one copy's clause
-        counts."""
-        return len(self.head), list(accumulate(map(gate_clause_count, self.beta.gates), initial=0))
-
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        """Where the group of each copy's gate starts."""
-        head, ends = self._table
-        return {
-            m[g.var]: head + k * ends[-1] + ends[t]
-            for k, m in enumerate(self.copy_maps) for t, g in enumerate(self.beta.gates)
-        }
-
-    def gate_position(self, var: int) -> int:
-        """Where var's gate group starts: its wide clause, then at 1 + i
-        the two-literal clause of its i-th distinct body literal, in
-        body order.  KeyError when no gate of the carrier defines var."""
-        at = self._positions.get(var)
-        return self.head.gate_position(var) if at is None else at
-
-    @cached_property
-    def _len(self) -> int:
-        head, copy_ends = self._table
-        return head + len(self.ports) * copy_ends[-1]
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        return iter(self.clauses)
-
-    def variables(self) -> set[int]:
-        """The variables that occur in some clause: the head's, then
-        those of beta's gates under each copy map, with no clause
-        built."""
-        used = _gate_variables(self.beta.gates)
-        return self.head.variables().union(*({m[v] for v in used} for m in self.copy_maps))
+        """The variables that occur in some clause, read off base_set
+        and the items without building a clause."""
+        laid = self.laid
+        used = self.base_set.variables() | _gate_variables(g for g in laid if type(g) is Gate)
+        for item in laid:
+            if type(item) is Copy:
+                used.update(map(item.varmap.__getitem__, _gate_variables(item.circuit.gates)))
+            elif type(item) is Clause:
+                used.update(map(abs, item._lits))
+        return used
 
     def clause(self, p: int) -> Clause:
         """The clause at position p; IndexError unless 0 <= p < len
         (a negative p does not count from the end)."""
-        if not 0 <= p < self._len:
-            raise IndexError(f"no clause at position {p} of {self._len}")
-        if "clauses" in self.__dict__:
-            return self.clauses[p]
         clause = self._memo.get(p)
         if clause is not None:
             return clause
-        head, ends = self._table
-        if p < head:
-            return self.head.clause(p)
-        k, q = divmod(p - head, ends[-1])
-        t = bisect_right(ends, q) - 1
-        m, i = self.copy_maps[k], q - ends[t]
-        v = m[self.beta.gates[t].var]
-        if i == 0:
-            clause = _wide_clause(v, self._image(k, t))
-        else:
-            lit = _distinct_body(self.beta.gates[t].body, ends[t + 1] - ends[t])[i - 1]
-            clause = _body_clause(v, m[lit] if lit > 0 else -m[-lit])
+        starts, firsts, sizes = self._runs
+        if not 0 <= p < starts[-1]:
+            raise IndexError(f"no clause at position {p} of {starts[-1]}")
+        if "clauses" in self.__dict__:
+            return self.clauses[p]
+        if p < starts[0]:
+            return self.base_set[p]
+        r = bisect_right(starts, p) - 1
+        size = sizes[r]
+        t, i = divmod(p - starts[r], size)
+        item = self.laid[firsts[r] + t]
+        kind = type(item)
+        if kind is Clause:
+            clause = item
+        elif kind is Gate:
+            if i == 0:
+                clause = _wide_clause(item.var, item.body)
+            else:
+                clause = _body_clause(item.var, _distinct_body(item.body, size)[i - 1])
+        else:  # a Copy: gate t of its circuit, mapped; only the literals used
+            m, ends = item.varmap, item.circuit.group_ends
+            t = bisect_right(ends, i) - 1
+            g, i = item.circuit.gates[t], i - ends[t]
+            if i == 0:
+                clause = _wide_clause(m[g.var], [m[l] if l > 0 else -m[-l] for l in g.body])
+            else:
+                lit = _distinct_body(g.body, ends[t + 1] - ends[t])[i - 1]
+                clause = _body_clause(m[g.var], m[lit] if lit > 0 else -m[-lit])
         self._memo[p] = clause
         return clause
 
-    def _image(self, k: int, t: int) -> tuple[int, ...]:
-        """The body of gate t of copy k.  check_ports validated beta,
-        so the copy gate's clauses are built on the trusted path."""
-        m = self.copy_maps[k]
-        return tuple([m[l] if l > 0 else -m[-l] for l in self.beta.gates[t].body])
-
-    def _group(self, k: int, t: int) -> tuple[Clause, ...]:
-        """Clause group of gate t of copy k."""
-        return gate_group(self.copy_maps[k][self.beta.gates[t].var], self._image(k, t))
-
     __getitem__ = clause
+
+    def gate_position(self, var: int) -> int:
+        """Where var's gate group starts: its wide clause, then at 1 + i
+        the two-literal clause of its i-th distinct body literal, in
+        body order; among the gates laid here, else in base_set.
+        KeyError when neither defines var."""
+        if var in self._starts or isinstance(self.base_set, ClauseSet):
+            return self._starts[var]
+        return self.base_set.gate_position(var)
+
+    @property
+    def neg_delta_index(self) -> int:
+        """The unit {-delta}: the first clause laid as it stands, or
+        base_set's when there is none."""
+        for item, at in self._placed():
+            if isinstance(item, Clause):
+                return at
+        return self.base_set.neg_delta_index
+
+
+@dataclass(frozen=True, eq=False)
+class Carrier(Premises):
+    """A generated clause set, laid out by assemble_carrier: the
+    Premises over an empty base set that lays the verdict block,
+    {-delta}, the pre-block and the copies.  It adds what is particular
+    to that layout: the carrier circuit over ``frees`` with output
+    ``delta``, the copy maps, the ``verdict`` block and the stride
+    ``base`` of the copies' inner gates."""
+
+    frees: tuple[int, ...]
+    verdict: tuple[Gate, ...]
+    base: int
+    delta: int
+
+    @cached_property
+    def copy_maps(self) -> tuple[dict[int, int], ...]:
+        """Each copy's variable map, copy 0 first."""
+        return tuple(item.varmap for item in self.laid if isinstance(item, Copy))
+
+    @cached_property
+    def circuit(self) -> Circuit:
+        """The gates pre-block, copies, verdict block; output delta."""
+        rest = self.laid[len(self.verdict) + 1:]
+        gates = (g for item in rest for g in (item.gates if isinstance(item, Copy) else (item,)))
+        return Circuit(self.frees, (*gates, *self.verdict), (self.delta,))
 
 
 def assemble_carrier(
@@ -589,10 +572,9 @@ def assemble_carrier(
     (inputs and outputs) to their images and its t-th other gate to
     ``base + t * len(ports) + k``; spare frees stay in place.  The
     circuit has the gates pre-block, copies, verdict block, in that
-    order, and output ``delta``.  The clause set holds the verdict
-    block's clauses, the unit {-delta}, the pre-block's clauses, then
-    each copy's clauses, over variables up to the last copy id (or
-    delta).
+    order, and output ``delta``.  The clause set lays the verdict
+    block's groups, the unit {-delta}, the pre-block's groups, then
+    each copy's, over variables up to the last copy id (or delta).
 
     This block arithmetic is normative: the verifier takes ``len`` and
     the cited clauses from it, and the graft folds cite gate clauses
@@ -601,9 +583,16 @@ def assemble_carrier(
     map that is injective keeps that count, so every copy has as many
     clauses as beta.  The port check makes it injective: tree spare
     frees lie in 1..n, a grid has none."""
-    ports = tuple(ports)
-    n = max(base + (len(beta.gates) - len(beta.outputs)) * len(ports) - 1, delta)
-    return Carrier(tuple(frees), tuple(pre), beta, base, ports, tuple(verdict), delta, n)
+    stride = len(ports)
+    n = max(base + (len(beta.gates) - len(beta.outputs)) * stride - 1, delta)
+    inner = [g.var for g in beta.gates if g.var not in ports[0]]
+    free = {v: v for v in beta.free}
+    copies = (
+        Copy(beta, {**free, **dict(zip(inner, count(base + k, stride))), **port})
+        for k, port in enumerate(ports)
+    )
+    laid = (*verdict, canonical_clause((-delta,)), *pre, *copies)
+    return Carrier(ClauseSet(0), laid, n, tuple(frees), tuple(verdict), base, delta)
 
 
 class CircuitBuilder:

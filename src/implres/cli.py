@@ -21,7 +21,6 @@ from .circuits import CircuitError, parse_circuit, serialize_circuit
 from .correctness import (
     CorrectnessError,
     SearchProblem,
-    check_search_problem,
     gen_C,
     serialize_sidecar,
 )
@@ -191,9 +190,6 @@ def cmd_translate_search(args) -> int:
     algo = parse_circuit(_read(args.algo))
     checker = parse_circuit(_read(args.checker))
     sp = SearchProblem(len(algo.free), algo.free, algo.outputs, algo, checker)
-    rep = check_search_problem(sp)
-    if not rep:
-        raise CorrectnessError(rep.reason)
     ep, declared = parse_er(_read(args.erproof))
     args.inputs0 = args.algo
     try:

@@ -21,11 +21,15 @@ Gate and clause order follow circuits.assemble_carrier, with the
 lambda block as pre-block and the delta block as verdict block.
 
 The block arithmetic is normative: the verifier takes |C| and the
-clause at a cited position from it, and never builds C in full.  A
-gate contributes one clause plus one per distinct body literal, and
-each copy map is injective (window and w images lie above n, copy
-gates above every other id, and spare frees stay at ids 1..n), so
-every copy of beta holds the same number of clauses as beta itself.
+clause at a cited position from it, and never builds C in full.  C is
+one circuits.Premises sequence, read by one reader with one memo: the
+delta block's gates, the unit {-delta}, the lambda block's gates, then
+the copies of beta, each read through its copy map off one table of
+beta's group sizes.  A gate contributes one clause plus one per
+distinct body literal, and each copy map is injective (window and w
+images lie above n, copy gates above every other id, and spare frees
+stay at ids 1..n), so every copy of beta holds the same number of
+clauses as beta itself.
 """
 
 from __future__ import annotations
@@ -292,5 +296,5 @@ def gen_correct(sp: SearchProblem) -> Premises:
         raise CorrectnessError(f"bad search problem: {rep.reason}")
     verdict = sp.checker.outputs[0]
     n = max(max_var(sp.algorithm), max_var(sp.checker), verdict)
-    gates = sp.algorithm.gates + sp.checker.gates
-    return Premises(ClauseSet(0), gates, (Clause((-verdict,)),), n)
+    laid = (*sp.algorithm.gates, *sp.checker.gates, Clause((-verdict,)))
+    return Premises(ClauseSet(0), laid, n)

@@ -265,7 +265,7 @@ def er_premises(premises: ClauseSet, aux: Circuit):
     sits at the view's ``gate_position``."""
     if not aux.gates:
         return premises
-    return Premises(premises, aux.gates, (), max(premises.n, max_var(aux)))
+    return Premises(premises, aux.gates, max(premises.n, max_var(aux)))
 
 
 def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:

@@ -318,22 +318,14 @@ def _xor(b: CircuitBuilder, x: int, y: int) -> int:
     return b.or_(b.and_(x, -y), b.and_(-x, y))
 
 
-def _inc_bits(b: CircuitBuilder, bits: Sequence[int]) -> tuple[int, ...]:
-    # ripple add-one; the top carry drops (addresses wrap, guards mask it)
+def _ripple(b: CircuitBuilder, bits: Sequence[int], sign: int) -> tuple[int, ...]:
+    """Ripple add-one (sign 1) or subtract-one (sign -1), whose carry
+    is the borrow; the top carry drops (addresses wrap, guards mask it)."""
     out = [b.not_(bits[0])]
-    carry = bits[0]
+    carry = sign * bits[0]
     for v in bits[1:]:
         out.append(_xor(b, v, carry))
-        carry = b.and_(v, carry)
-    return tuple(out)
-
-
-def _dec_bits(b: CircuitBuilder, bits: Sequence[int]) -> tuple[int, ...]:
-    out = [b.not_(bits[0])]
-    borrow = -bits[0]
-    for v in bits[1:]:
-        out.append(_xor(b, v, borrow))
-        borrow = b.and_(-v, borrow)
+        carry = b.and_(sign * v, carry)
     return tuple(out)
 
 
@@ -392,9 +384,9 @@ def gen_tableau(
     jlast = b.not_(b.or_(*(-v for v in jv)))
     k0 = b.not_(b.or_(*kv))
     klast = b.not_(b.or_(*(-v for v in kv)))
-    jp1 = _inc_bits(b, jv)
-    kp1 = _inc_bits(b, kv)
-    km1 = _dec_bits(b, kv)
+    jp1 = _ripple(b, jv, 1)
+    kp1 = _ripple(b, kv, 1)
+    km1 = _ripple(b, kv, -1)
 
     cell: dict[tuple[int, int], int] = {}
     for c in range(4):

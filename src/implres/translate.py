@@ -69,7 +69,7 @@ from .circuits import (
     Premises,
     check_embedding,
     circuit_clauses,
-    gate_clause_count,
+    clause_count,
     map_literal,
     max_var,
     validate_circuit,
@@ -77,7 +77,6 @@ from .circuits import (
 from .correctness import (
     CorrectnessBundle,
     SearchProblem,
-    check_search_problem,
     gen_C,
     gen_correct,
 )
@@ -110,14 +109,14 @@ def check_input(premises, pi: ERProof) -> None:
 def emb_premises(
     c: Circuit, d: Circuit, y: int, polarity: bool, fy: int
 ) -> Premises:
-    """The clauses of c (the view's base), those of d, then the units
-    y^polarity and f(y)^(1-polarity)."""
+    """The clauses of c (the view's base_set), those of d, then the
+    units y^polarity and f(y)^(1-polarity)."""
     units = (
         Clause((y if polarity else -y,)),
         Clause((-fy if polarity else fy,)),
     )
     n = max(max_var(c), max_var(d), abs(y), abs(fy))
-    return Premises(circuit_clauses(c), d.gates, units, n)
+    return Premises(circuit_clauses(c), (*d.gates, *units), n)
 
 
 def _bridge(
@@ -204,7 +203,7 @@ def emb_refute(
     premises = emb_premises(c, d, y, polarity, fy)
     b = ProofBuilder(premises)
     bridge = None if fy == y else _bridge(
-        b, (premises.base, premises), c, f, [(y, polarity)], d.gate_map()
+        b, (premises.base_set, premises), c, f, [(y, polarity)], d.gate_map()
     )[polarity][y]
     uy = b.axiom(len(premises) - 2)
     ufy = b.axiom(len(premises) - 1)
@@ -289,7 +288,7 @@ def _fold_proof(
     for g in host.gates + pi.aux.gates:
         p = premises.gate_position(g.var)
         r = new.gate_position(varmap[g.var])
-        for j in range(gate_clause_count(g)):
+        for j in range(clause_count(g)):
             moved[p + j] = r + j
     b = ProofBuilder(new)
     bridges = {}
@@ -376,9 +375,6 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     algorithm as it is and comes back with its weakening stripped.  The
     refutation is replayed against the grown correctness set before it
     leaves."""
-    rep = check_search_problem(sp)
-    if not rep:
-        raise TranslateError(f"bad search problem: {rep.reason}")
     correct = gen_correct(sp)
     check_input(correct, pi)
     delta = sp.checker.outputs[0]

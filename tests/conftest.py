@@ -1,9 +1,9 @@
 import pytest
 
 from implres import translate
-from implres.circuits import Carrier, gate_clauses
+from implres.circuits import Copy, gate_clauses
 from implres.families import contradiction_pair, php, tseitin_cycle, two_var_unsat
-from implres.formulas import ClauseSet
+from implres.formulas import Clause, ClauseSet
 from implres.proofs import Axiom, ResolutionProof
 
 
@@ -28,17 +28,19 @@ def tseitin4():
 
 
 def laid_out(premises):
-    """The gates whose clause groups a premise set (a Carrier, a
-    Premises view or a ClauseSet) lays out, in order, and the free
-    variables of the circuit they form."""
-    if isinstance(premises, Carrier):
-        return premises.circuit.gates, set(premises.circuit.free)
+    """The gates whose clause groups a premise set (a Premises view,
+    such as a Carrier, or a ClauseSet) lays out, in order, and the
+    variables of its clauses that no such gate defines."""
     if isinstance(premises, ClauseSet):
         return (), {abs(lit) for c in premises for lit in c}
-    gates, frees = laid_out(premises.base)
-    gates += premises.gates
-    frees |= {abs(lit) for g in premises.gates for lit in g.body}
-    frees |= {abs(lit) for c in premises.units for lit in c}
+    gates, frees = laid_out(premises.base_set)
+    for item in premises.laid:
+        if isinstance(item, Clause):
+            frees |= {abs(lit) for lit in item}
+        else:
+            laid = item.gates if isinstance(item, Copy) else (item,)
+            gates += laid
+            frees |= {abs(lit) for g in laid for lit in g.body}
     return gates, frees - {g.var for g in gates}
 
 
@@ -107,7 +109,7 @@ def broken_fold(monkeypatch):
     folds = []
 
     def fold(old, pi, host, dupmap, new):
-        folds.append((host, dupmap, new.beta))
+        folds.append((host, dupmap, new.laid[-1].circuit))
         return ResolutionProof((Axiom(0),))
 
     monkeypatch.setattr(translate, "_fold_proof", fold)

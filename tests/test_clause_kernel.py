@@ -400,7 +400,43 @@ def test_the_verifier_builds_no_clause_group(monkeypatch):
     assert groups == []
     monkeypatch.undo()
     carrier = made[0].clauses
-    read = {**carrier.head._memo, **carrier._memo}
+    read = carrier._memo
     assert read and "clauses" not in vars(carrier)
     full = gen_C(omega, ir.beta, ir.iface).clauses.clauses
     assert all(c.literals == full[p].literals for p, c in read.items())
+
+
+def held(view) -> int:
+    """How many clauses a premise view keeps by position: in its own
+    memo and in that of every view it reads through."""
+    views, count = [view], 0
+    while views:
+        view = views.pop()
+        count += len(view._memo)
+        views.extend(v for v in vars(view).values() if hasattr(v, "_memo"))
+    return count
+
+
+def test_the_verifier_keeps_each_cited_premise_once(monkeypatch):
+    """After verify_implicit, the carrier it replayed against holds one
+    clause per distinct position its certificate cites, and no view it
+    reads through keeps a second copy."""
+    omega = tseitin_cycle(7)
+    made = []
+    real_gen = implicit.gen_C
+
+    def generate(*args):
+        made.append(real_gen(*args))
+        return made[-1]
+
+    monkeypatch.setattr(implicit, "gen_C", generate)
+    for ir in (
+        implicit_from_tree(omega, dpll_refute(omega).tree),
+        er_to_implicit(omega, ERProof(Circuit(), proof_from_tree(omega, dpll_refute(omega).tree))),
+    ):
+        made.clear()
+        assert verify_implicit(ir)
+        cited = {s.index for s in ir.alpha.steps if type(s) is Axiom}
+        carrier = made[0].clauses
+        assert set(carrier._memo) == cited
+        assert held(carrier) == len(cited)

@@ -346,6 +346,27 @@ def test_translate_search_rejects_a_proof_check_er_refuses(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_translate_search_refuses_a_pair_that_is_not_a_search_problem(tmp_path, capsys):
+    """A well-formed algorithm and checker whose checker has two
+    outputs are no search problem: exit 2 with the reason, no
+    traceback, and nothing is written."""
+    sp = not_search(1)
+    algo, checker = tmp_path / "algo.circ", tmp_path / "checker.circ"
+    algo.write_text(serialize_circuit(sp.algorithm))
+    two = Circuit(sp.checker.free, sp.checker.gates, sp.checker.outputs + sp.checker.free[:1])
+    checker.write_text(serialize_circuit(two))
+    ep = ERProof(Circuit((), (), ()), ResolutionProof((Axiom(0),)))
+    er_path = tmp_path / "pi.erproof"
+    er_path.write_text(serialize_er(ep, len(gen_correct(sp))))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["translate-search", algo, checker, er_path, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert "bad search problem: checker must have a single verdict output" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_rejects_a_tree_wrong_for_the_cnf(tmp_path, capsys):
     """A circuit describing a tree that does not refute the CNF is a
     rejection, exit 1, that names an unrefuted branch, and no manifest

@@ -32,7 +32,7 @@ from implres.encoding import (
 )
 from implres.families import not_search, php, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, brute_force_sat
-from implres.proofs import ERProof
+from implres.proofs import ERProof, er_premises
 from implres.prover import balance_tree, dpll_refute, proof_from_tree
 from implres.translate import er_to_implicit
 
@@ -190,6 +190,26 @@ def test_gen_correct_reads_by_position(n, view_oracle, position_oracle):
         assert "clauses" not in vars(view)
     assert view[view.neg_delta_index] == Clause((-sp.checker.outputs[0],))
     assert view.neg_delta_index == len(view) - 1
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_er_premises_over_gen_correct_read_by_position(n, view_oracle, position_oracle):
+    """A view over a view: er_premises over gen_correct's view with an
+    auxiliary gate that reads the verdict.  Every clause and gate group
+    is where the materialized set has it, {-verdict} is still the
+    inner view's, and neither view is built in full."""
+    sp = not_search(n)
+    verdict = sp.checker.outputs[0]
+
+    def premises():
+        correct = gen_correct(sp)
+        aux = Circuit((verdict, 1), (Gate(correct.n + 1, (-verdict, 1, -verdict)),), ())
+        return er_premises(correct, aux)
+
+    for oracle in (view_oracle, position_oracle):
+        view = oracle(premises)
+        assert "clauses" not in vars(view) and "clauses" not in vars(view.base_set)
+    assert view.neg_delta_index == view.base_set.neg_delta_index == len(view.base_set) - 1
 
 
 @pytest.mark.parametrize(

@@ -379,9 +379,9 @@ def test_er_premises_read_a_grid_carrier_by_position(fixture, view_oracle, posit
 
     for oracle in (view_oracle, position_oracle):
         view = oracle(premises)
-        assert "clauses" not in vars(view) and "clauses" not in vars(view.base)
-    assert view.neg_delta_index == view.base.neg_delta_index
-    assert view.gate_position(view.n) == len(view.base)
+        assert "clauses" not in vars(view) and "clauses" not in vars(view.base_set)
+    assert view.neg_delta_index == view.base_set.neg_delta_index
+    assert view.gate_position(view.n) == len(view.base_set)
 
 
 def test_graft_pq_never_materializes_the_grown_carrier(monkeypatch):
@@ -401,8 +401,8 @@ def test_graft_pq_never_materializes_the_grown_carrier(monkeypatch):
         for aux in (Circuit((), (), ()), spurious):
             bundles.clear()
             tr = graft_pq(tm, tau, beta, iface, ERProof(aux, alpha))
-            # the carrier of beta, then the grown one
-            assert [b.clauses.beta for b in bundles] == [beta, tr.beta]
+            # the carrier of beta, then the grown one (the circuit copied last)
+            assert [b.clauses.laid[-1].circuit for b in bundles] == [beta, tr.beta]
             grown = vars(bundles[-1].clauses)
             assert "clauses" not in grown and "circuit" not in grown
             # the input check replays alpha against the carrier itself and

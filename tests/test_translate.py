@@ -7,8 +7,8 @@ from implres.circuits import (
     VarAlloc,
     circuit_clauses,
     circuit_size,
+    clause_count,
     duplicate,
-    gate_clause_count,
     max_var,
 )
 from implres.correctness import gen_C, gen_correct
@@ -215,7 +215,7 @@ def test_er_to_implicit_never_materializes_the_grown_carrier(monkeypatch, php32,
     for omega, pi in ((tseitin4, dpll_er(tseitin4)), (php32, dpll_er(php32)), QUICK_VIA_E):
         bundles.clear()
         ir = er_to_implicit(omega, pi)
-        assert [b.clauses.beta for b in bundles] == [ir.beta]
+        assert [b.clauses.laid[-1].circuit for b in bundles] == [ir.beta]
         assert "clauses" not in vars(bundles[0].clauses)
 
 
@@ -284,7 +284,7 @@ def test_no_producer_bridges_and_cone_readers_graft(monkeypatch, tseitin4, php32
         cone = translate.aux_cone(host, pi.aux)
         cones[name] = len(cone)
         assert len(ir.beta.gates) == len(beta.gates) + len(cone) + len(pi.aux.gates)
-        cone_clauses = sum(gate_clause_count(g) for g in host.gates if g.var in cone)
+        cone_clauses = sum(clause_count(g) for g in host.gates if g.var in cone)
         worst = max(worst, (len(ir.alpha.steps) - len(pi.proof.steps)) / cone_clauses)
     assert len(bridged) == 3
     assert cones["tt"] == 1 and cones["neg-delta"] == len(host.gates)
