@@ -4,9 +4,10 @@ A gate defines an extension variable as the disjunction of 1..k
 literals; a circuit is an acyclic, topologically ordered sequence of
 such gates over a set of free input variables, plus an ordered list of
 output variables.  Circuits expand to CNF via the standard clause
-group of each gate, evaluate deterministically on any total input
-assignment, and can be duplicated with fresh extension variables and
-chosen input substitutions.
+group of each gate and evaluate deterministically on any total input
+assignment.  A ``Copy`` renames a circuit under a variable map: its
+gates are the renamed circuit, and laid in a premise set it gives the
+renamed clause groups.
 
 Every premise set read by position is one ``Premises``: a base set,
 then a sequence of laid items (gates, clauses taken as they stand, and
@@ -128,23 +129,17 @@ def validate_circuit(c: Circuit) -> CircuitReport:
     return CircuitReport(True)
 
 
-def gate_clauses(g: Gate) -> tuple[Clause, ...]:
-    """The defining clause group, exact duplicates collapsed.
+def gate_group(v: int, body: tuple[int, ...]) -> tuple[Clause, ...]:
+    """Trusted: the defining clause group of the gate v = OR(body),
+    exact duplicates collapsed, for a variable and literals that are
+    already valid (as a Gate's are), without making the Gate (as
+    ``canonical_clause`` makes a Clause without checks).
 
     Order is fixed: the wide clause first, then one two-literal clause
-    per body literal in body order.  The literals were validated when
-    the gate was made, so the clauses are built on the trusted path.
-    """
-    return gate_group(g.var, g.body)
-
-
-def gate_group(v: int, body: tuple[int, ...]) -> tuple[Clause, ...]:
-    """Trusted: ``gate_clauses`` of the gate v = OR(body), for a
-    variable and literals that are already valid, without making the
-    Gate (as ``canonical_clause`` makes a Clause without checks).  The
-    wide clause is left unordered (``derived_clause``); the duplicate
-    check reads stored tuples, and only a clause of a body literal on
-    v itself can repeat the wide clause."""
+    per distinct body literal in body order.  The wide clause is left
+    unordered (``derived_clause``); the duplicate check reads stored
+    tuples, and only a clause of a body literal on v itself can repeat
+    the wide clause."""
     wide = _wide_clause(v, body)
     out = [wide]
     seen = set()
@@ -182,17 +177,6 @@ def _body_clause(v: int, lit: int) -> Clause:
 def max_var(c: Circuit) -> int:
     vs = c.variables()
     return max(vs) if vs else 0
-
-
-def circuit_size(c: Circuit) -> int:
-    """Size measure: total literal occurrences across gate bodies."""
-    return sum(len(g.body) for g in c.gates)
-
-
-def circuit_clauses(c: Circuit) -> Premises:
-    """The gate clause groups of c in gate order, over max_var(c)
-    variables, with each group at its ``gate_position``."""
-    return Premises(ClauseSet(0), c.gates, max_var(c))
 
 
 def evaluate(c: Circuit, free_vals: dict[int, bool]) -> dict[int, bool]:
@@ -234,68 +218,6 @@ class VarAlloc:
 def map_literal(lit: int, varmap: dict[int, int]) -> int:
     v = varmap[abs(lit)]
     return v if lit > 0 else -v
-
-
-def duplicate(
-    c: Circuit, subs: Iterable[tuple[int, int]], fresh: VarAlloc
-) -> tuple[Circuit, dict[int, int]]:
-    """Isomorphic copy: fresh extension vars, substituted inputs.
-
-    Returns the copy and the witnessing variable map.  Free variables
-    not mentioned in ``subs`` are fixed; the map is bijective onto the
-    copy's variables.
-    """
-    sub_map = dict(subs)
-    all_vars = c.variables()
-    for src in sub_map:
-        if src not in all_vars:
-            raise CircuitError(f"substitution source {src} not in circuit")
-    varmap = {v: sub_map.get(v, v) for v in c.free}
-    start = fresh.next_var
-    gates = []
-    for g in c.gates:
-        if g.var in sub_map:
-            raise CircuitError(f"substitution source {g.var} is an extension var")
-        body = tuple(map_literal(l, varmap) for l in g.body)
-        nv = fresh.fresh()
-        varmap[g.var] = nv
-        gates.append(Gate(nv, body))
-    for tgt in sub_map.values():
-        if start <= tgt < fresh.next_var:
-            raise CircuitError(f"substitution target {tgt} collides with fresh vars")
-    if len(set(varmap.values())) != len(varmap):
-        raise CircuitError("substitution targets collide; map not injective")
-    dup = Circuit(
-        free=tuple(varmap[v] for v in c.free),
-        gates=tuple(gates),
-        outputs=tuple(varmap[v] for v in c.outputs),
-    )
-    return dup, varmap
-
-
-def check_embedding(c: Circuit, d: Circuit, f: dict[int, int]) -> CircuitReport:
-    """Is ``f`` a gate-preserving injection of ``c`` into ``d``?"""
-    cvars = c.variables()
-    for v in cvars:
-        if v not in f:
-            return CircuitReport(False, f"map undefined on {v}")
-    img = [f[v] for v in cvars]
-    if len(set(img)) != len(img):
-        return CircuitReport(False, "map not injective")
-    dfree = set(d.free)
-    for v in c.free:
-        if f[v] not in dfree:
-            return CircuitReport(False, f"free {v} maps to non-free {f[v]}")
-    dmap = d.gate_map()
-    for g in c.gates:
-        tgt = dmap.get(f[g.var])
-        if tgt is None:
-            return CircuitReport(False, f"gate {g.var} maps to non-gate {f[g.var]}")
-        want = frozenset(map_literal(l, f) for l in g.body)
-        have = frozenset(tgt.body)
-        if want != have:
-            return CircuitReport(False, f"gate {g.var}: body mismatch under map")
-    return CircuitReport(True)
 
 
 def check_ports(
@@ -355,17 +277,21 @@ def _gate_variables(gates: Iterable[Gate]) -> set[int]:
 
 @dataclass(frozen=True, eq=False)
 class Copy:
-    """The clause groups of ``circuit``'s gates under ``varmap``, an
-    injective map of its variables: one copy of a carrier's circuit.
-    Every copy of a circuit reads its groups' offsets off the one
-    table ``circuit.group_ends``."""
+    """``circuit`` renamed under ``varmap``, a map of its variables.
+    Laid in a Premises, it gives the clause groups of the renamed
+    gates, for an injective map: one copy of a carrier's circuit, or
+    the image that a bridge resolves back to its original.  Every copy
+    of a circuit reads its groups' offsets off the one table
+    ``circuit.group_ends``."""
 
     circuit: Circuit
     varmap: dict[int, int]
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        """The copy's gates, in the circuit's order."""
+        """The copy's gates, in the circuit's order: the one way a
+        circuit is renamed.  The map may send a body variable to a
+        negative literal (p -> -z_p): a body literal -p then reads z_p."""
         m = self.varmap
         return tuple(
             Gate(m[g.var], tuple(map_literal(l, m) for l in g.body)) for g in self.circuit.gates
@@ -374,8 +300,8 @@ class Copy:
 
 def clause_count(item) -> int:
     """How many clauses a laid item gives: a Gate its group, which is
-    ``len(gate_clauses(g))`` for a gate whose body does not cite it, a
-    Copy its circuit's groups, a Clause one."""
+    ``len(gate_group(g.var, g.body))`` for a gate whose body does not
+    cite it, a Copy its circuit's groups, a Clause one."""
     kind = type(item)
     if kind is Gate:
         return 1 + len(set(item.body))
@@ -387,7 +313,7 @@ class Premises:
     """Premises read by position: the clauses of ``base_set`` (a
     ClauseSet, a Carrier or another Premises), then those of each item
     of ``laid`` in order, over ``n`` variables.  An item is a Gate (its
-    clause group, in gate_clauses order), a Clause (taken as it
+    clause group, in gate_group order), a Clause (taken as it
     stands, such as the unit {-delta}) or a Copy (the groups of a
     circuit's gates under a copy map).
 

@@ -80,29 +80,23 @@ class DeltaBundle:
 def gen_delta(
     omega: ClauseSet,
     n: int,
-    fresh: Optional[VarAlloc] = None,
-    x_vars: Optional[tuple[int, ...]] = None,
-    y_vars: Optional[tuple[tuple[int, ...], ...]] = None,
+    fresh: VarAlloc,
+    x_vars: tuple[int, ...],
+    y_vars: tuple[tuple[int, ...], ...],
 ) -> DeltaBundle:
+    """The checker over the inputs x_vars (sign bits) and y_vars (one
+    row of index bits per slot), its gates on ids from fresh."""
     if omega.n > n:
         raise CorrectnessError(f"clause set over {omega.n} variables, limit {n}")
     if n < 1:
         raise CorrectnessError("need at least one variable")
-    if fresh is None:
-        fresh = VarAlloc(1)
     width = output_width(n)
     b = CircuitBuilder(fresh)
-    if x_vars is None:
-        x_vars = tuple(b.free() for _ in range(n))
-    else:
-        for v in x_vars:
+    for v in x_vars:
+        b.free(v)
+    for row in y_vars:
+        for v in row:
             b.free(v)
-    if y_vars is None:
-        y_vars = tuple(tuple(b.free() for _ in range(width)) for _ in range(n))
-    else:
-        for row in y_vars:
-            for v in row:
-                b.free(v)
     if len(x_vars) != n or len(y_vars) != n or any(len(r) != width for r in y_vars):
         raise CorrectnessError("input layout does not match n")
 
@@ -151,19 +145,14 @@ class LambdaBundle:
     const_true: int
 
 
-def gen_lambda(
-    n: int, fresh: Optional[VarAlloc] = None, z_vars: Optional[tuple[int, ...]] = None
-) -> LambdaBundle:
+def gen_lambda(n: int, fresh: VarAlloc, z_vars: tuple[int, ...]) -> LambdaBundle:
+    """The window grid over the branch variables z_vars, its gates on
+    ids from fresh."""
     if n < 1:
         raise CorrectnessError("need at least one variable")
-    if fresh is None:
-        fresh = VarAlloc(1)
     b = CircuitBuilder(fresh)
-    if z_vars is None:
-        z_vars = tuple(b.free() for _ in range(n))
-    else:
-        for v in z_vars:
-            b.free(v)
+    for v in z_vars:
+        b.free(v)
     tt = b.const_true(z_vars[0])
     grid: dict[tuple[int, int], int] = {}
     for i in range(1, n + 1):
@@ -208,7 +197,7 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
 
     z_vars = tuple(range(1, n + 1))
     fresh = VarAlloc(n + 1)
-    lam = gen_lambda(n, fresh, z_vars=z_vars)
+    lam = gen_lambda(n, fresh, z_vars)
     w_grid = {
         (i, m): fresh.fresh() for i in range(1, n + 1) for m in range(1, width + 1)
     }
@@ -216,10 +205,8 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
         omega,
         n,
         fresh,
-        x_vars=z_vars,
-        y_vars=tuple(
-            tuple(w_grid[(i, m)] for m in range(1, width + 1)) for i in range(1, n + 1)
-        ),
+        z_vars,
+        tuple(tuple(w_grid[(i, m)] for m in range(1, width + 1)) for i in range(1, n + 1)),
     )
     copy_base = fresh.next_var
 

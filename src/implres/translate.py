@@ -13,11 +13,14 @@ host clauses and {-delta} are cited where they stand, and each
 auxiliary clause is its duplicate's clause with the cone-copy
 literals resolved back to the originals through bridge clauses
 derived gate by gate (_bridge; emb_refute is its standalone form, over
-two circuits' own clauses and two units).  Gate clauses are cited by
-position, not by value, and the positions are read off the premise
-sets folded between: a Carrier or a circuits.Premises view says where
-each gate's group starts (gate_position) and where {-delta} sits
-(neg_delta_index), and pi's own premises are er_premises(old, aux).
+a circuit, its circuits.Copy under the map and two units).  Each
+renamed gate is a Copy's: the duplicate, beta rebased onto a
+carrier's first copy, and pi's auxiliaries under p -> -z_p.  Gate
+clauses are cited by position, not by value, and the positions are
+read off the premise sets folded between: a Carrier or a
+circuits.Premises view says where each gate's group starts
+(gate_position) and where {-delta} sits (neg_delta_index), and pi's
+own premises are er_premises(old, aux).
 On an empty cone the duplicate is the auxiliaries alone and the
 certificate is the input proof renamed.
 
@@ -52,8 +55,8 @@ positions and restates no layout of gen_C or of the canonical circuit.
 Each proof is replayed once.  A proof from outside is checked where it
 enters (check_input, called by truthdef_translate, search_translate
 and tableau.graft_pq); graft, graft_fold and ProofBuilder.import_proof
-trust that check, and truthdef_translate, graft_fold and
-search_translate replay what they return against the set it refutes;
+trust that check, and truthdef_translate, graft_fold, search_translate
+and emb_refute replay what they return against the set it refutes;
 that replay, not a check of the final clause, is what stands behind a
 rewritten proof.  No carrier is built in full.
 """
@@ -65,10 +68,9 @@ from typing import Optional
 
 from .circuits import (
     Circuit,
+    Copy,
     Gate,
     Premises,
-    check_embedding,
-    circuit_clauses,
     clause_count,
     map_literal,
     max_var,
@@ -106,26 +108,12 @@ def check_input(premises, pi: ERProof) -> None:
         raise TranslateError(f"invalid proof: {rep.reason}")
 
 
-def emb_premises(
-    c: Circuit, d: Circuit, y: int, polarity: bool, fy: int
-) -> Premises:
-    """The clauses of c (the view's base_set), those of d, then the
-    units y^polarity and f(y)^(1-polarity)."""
-    units = (
-        Clause((y if polarity else -y,)),
-        Clause((-fy if polarity else fy,)),
-    )
-    n = max(max_var(c), max_var(d), abs(y), abs(fy))
-    return Premises(circuit_clauses(c), (*d.gates, *units), n)
-
-
 def _bridge(
     b: ProofBuilder,
-    at: tuple,
+    view,
     c: Circuit,
     f: dict[int, int],
     roots: list[tuple[int, bool]],
-    d: Optional[dict[int, Gate]] = None,
 ) -> dict[bool, dict[int, int]]:
     """Derive in b the bridge clause A(y) = {-y, f(y)} (polarity True)
     or B(y) = {y, -f(y)} (False) for each root (y, polarity), a gate y
@@ -133,10 +121,9 @@ def _bridge(
     of the gates they need.  Returns the step table: table[polarity][e]
     is the step deriving A(e) or B(e), for the roots and every gate one
     demand pass found under them.  Gate clauses are cited by position,
-    not by value: at[False] and at[True] are premise views whose
-    gate_position says where the group of c's gate v, and of the image
-    gate v, starts in b's premises.  An image gate lists its body as f
-    maps c's, unless d gives the image gates."""
+    not by value: view is a premise view whose gate_position says where
+    the group of c's gate v, and of the image gate f(v), starts in b's
+    premises.  An image gate's body is c's as f maps it."""
     gate_of = c.gate_map()
 
     # Demand pass: which gates need A (-e or f(e)) and which need B.
@@ -168,10 +155,8 @@ def _bridge(
         for want_a in (True, False):
             if e not in need[want_a]:
                 continue
-            src, dst, dst_body = (f[e], e, body) if not want_a else (
-                e, f[e], image if d is None else tuple(dict.fromkeys(d[f[e]].body))
-            )
-            cur = b.axiom(at[not want_a].gate_position(src))
+            src, dst, dst_body = (e, f[e], image) if want_a else (f[e], e, body)
+            cur = b.axiom(view.gate_position(src))
             for lit, fl in zip(body, image):
                 if fl == lit:
                     continue
@@ -180,31 +165,38 @@ def _bridge(
                 cur = b.resolve_lit(cur, bridge, sl)
             for i, dl in enumerate(dst_body, 1):
                 if dl in b.clause(cur):
-                    cur = b.resolve_lit(cur, b.axiom(at[want_a].gate_position(dst) + i), dl)
+                    cur = b.resolve_lit(cur, b.axiom(view.gate_position(dst) + i), dl)
             if b.clause(cur) != Clause((-src, dst)):
                 raise TranslateError(f"bridge clause for gate {e} came out wrong")
             steps[want_a][e] = cur
     return steps
 
 
-def emb_refute(
-    c: Circuit, d: Circuit, f: dict[int, int], y: int, polarity: bool
-) -> ResolutionProof:
-    """Refute the clauses of c and d plus the units y^polarity and
-    f(y)^(1-polarity): the bridge for y (see _bridge), resolved against
-    the two units.  The graft fold writes the same derivation straight
-    into its own builder."""
-    rep = check_embedding(c, d, f)
-    if not rep:
-        raise TranslateError(f"not an embedding: {rep.reason}")
-    if y not in c.variables():
+def emb_refute(c: Circuit, f: dict[int, int], y: int, polarity: bool) -> ResolutionProof:
+    """Refute the clauses of c, those of its copy under f and the units
+    y^polarity and f(y)^(1-polarity): the fold's bridge for y (see
+    _bridge), resolved against the two units.  The premises are one
+    view, c's gates, then Copy(c, f), then the two units.  f must be
+    defined on every variable of c and send each gate to a variable
+    outside c that no other gate is sent to.  The refutation is
+    replayed against the view before it leaves."""
+    cvars = c.variables()
+    if y not in cvars:
         raise TranslateError(f"output {y} is not a variable of the host circuit")
+    missing = cvars - f.keys()
+    if missing:
+        raise TranslateError(f"the map is undefined on {min(missing)}")
+    images = {f[g.var] for g in c.gates}
+    if len(images) < len(c.gates):
+        raise TranslateError("the map sends two gates to one variable")
+    if not cvars.isdisjoint(images):
+        raise TranslateError("the map sends a gate onto a variable of c")
     fy = f[y]
-    premises = emb_premises(c, d, y, polarity, fy)
+    units = (Clause((y if polarity else -y,)), Clause((-fy if polarity else fy,)))
+    n = max(max_var(c), *(f[v] for v in cvars))
+    premises = Premises(ClauseSet(0), (*c.gates, Copy(c, f), *units), n)
     b = ProofBuilder(premises)
-    bridge = None if fy == y else _bridge(
-        b, (premises.base_set, premises), c, f, [(y, polarity)], d.gate_map()
-    )[polarity][y]
+    bridge = None if fy == y else _bridge(b, premises, c, f, [(y, polarity)])[polarity][y]
     uy = b.axiom(len(premises) - 2)
     ufy = b.axiom(len(premises) - 1)
     ylit, fylit = (y, fy) if polarity else (-y, -fy)
@@ -212,9 +204,11 @@ def emb_refute(
         final = b.resolve_lit(uy, ufy, ylit)
     else:
         final = b.resolve_lit(b.resolve_lit(uy, bridge, ylit), ufy, fylit)
-    if b.clause(final) != EMPTY_CLAUSE:
-        raise TranslateError("embedding refutation missed the empty clause")
-    return b.extract(final)
+    proof = b.extract(final)
+    rep = check_proof(premises, proof)
+    if not rep:
+        raise TranslateError(f"embedding refutation rejected: step {rep.step}: {rep.reason}")
+    return proof
 
 
 @dataclass(frozen=True)
@@ -249,15 +243,11 @@ def _duplicate(
     host frees and other cone copies, an aux copy reads the host
     outside the cone as it stands.  An empty cone copies aux alone."""
     cone = aux_cone(host, aux)
+    copied = Circuit(gates=(*(g for g in host.gates if g.var in cone), *aux.gates))
     dupmap = {v: v for v in host.free}
     dupmap.update((g.var, g.var) for g in host.gates)
-    copied = [g for g in host.gates if g.var in cone] + list(aux.gates)
-    gates = []
-    for t, g in enumerate(copied):
-        nv = start + t * step
-        gates.append(Gate(nv, tuple(map_literal(l, dupmap) for l in g.body)))
-        dupmap[g.var] = nv
-    return tuple(gates), dupmap
+    dupmap.update((g.var, start + t * step) for t, g in enumerate(copied.gates))
+    return Copy(copied, dupmap).gates, dupmap
 
 
 def _fold_proof(
@@ -296,7 +286,7 @@ def _fold_proof(
         cited = {moved[s.index] for s in pi.proof.steps if type(s) is Axiom}
         roots = [(original[abs(l)], l < 0) for q in cited for l in new[q]
                  if abs(l) in original]
-        bridges = _bridge(b, (new, new), host, dupmap, roots)
+        bridges = _bridge(b, new, host, dupmap, roots)
     cites: dict[int, int] = {}
 
     def cite(q: int) -> int:
@@ -346,13 +336,9 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     n_inner = len(beta.gates) - len(iface.outputs)
     dup_gates, dupmap = _duplicate(host, alpha_er.aux, old.base + n_inner * stride, stride)
     inputs = tuple(first[x] for x in iface.inputs)
-    beta_hat = tuple(
-        Gate(first[g.var], tuple(map_literal(l, first) for l in g.body))
-        for g in beta.gates
-    )
     beta2 = Circuit(
         inputs + tuple(v for v in host.free if v not in inputs),
-        beta_hat + dup_gates,
+        Copy(beta, first).gates + dup_gates,
         tuple(first[y] for y in iface.outputs),
     )
     iface2 = replace(iface, inputs=inputs, outputs=beta2.outputs)
@@ -438,9 +424,9 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
     canon, iface = canonical_tree_circuit(n)
     auxmap = {p: -p for p in range(1, n + 1)}
     auxmap.update((g.var, max_var(canon) + 1 + t) for t, g in enumerate(pi.aux.gates))
-    beta = Circuit(canon.free + tuple(range(1, n + 1)), canon.gates + tuple(
-        Gate(auxmap[g.var], tuple(map_literal(l, auxmap) for l in g.body)) for g in pi.aux.gates
-    ), canon.outputs)
+    beta = Circuit(
+        canon.free + tuple(range(1, n + 1)), canon.gates + Copy(pi.aux, auxmap).gates, canon.outputs
+    )
     bundle = gen_C(omega, beta, iface)
     cs = bundle.clauses
     gm = cs.circuit.gate_map()

@@ -1,7 +1,7 @@
 import pytest
 
 from implres import translate
-from implres.circuits import Copy, gate_clauses
+from implres.circuits import Copy, gate_group
 from implres.families import contradiction_pair, php, tseitin_cycle, two_var_unsat
 from implres.formulas import Clause, ClauseSet
 from implres.proofs import Axiom, ResolutionProof
@@ -88,7 +88,7 @@ def position_oracle():
             first.setdefault(c, p)
         gates, frees = laid_out(full)
         for g in gates:
-            group = gate_clauses(g)
+            group = gate_group(g.var, g.body)
             p = view.gate_position(g.var)
             assert p == first[group[0]], g
             assert clauses[p:p + len(group)] == group, g

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from implres.circuits import Circuit, Gate, gate_clauses, map_literal, max_var
+from implres.circuits import Circuit, Gate, gate_group, map_literal, max_var
 from implres.correctness import gen_C, gen_correct
 from implres.encoding import canonical_tree_circuit
 from implres.families import (
@@ -232,7 +232,7 @@ def copy_starts(full, beta):
     g = beta.gates[0]
     starts = []
     for cm in full.clauses.copy_maps:
-        first = gate_clauses(Gate(cm[g.var], tuple(map_literal(l, cm) for l in g.body)))[0]
+        first = gate_group(cm[g.var], tuple(map_literal(l, cm) for l in g.body))[0]
         starts.append(premises.index(first))
     return starts
 

@@ -7,19 +7,16 @@ from implres.circuits import (
     CircuitBuilder,
     CircuitError,
     Gate,
+    Premises,
     VarAlloc,
-    check_embedding,
-    circuit_clauses,
-    circuit_size,
-    duplicate,
     evaluate,
-    gate_clauses,
+    gate_group,
     max_var,
     parse_circuit,
     serialize_circuit,
     validate_circuit,
 )
-from implres.formulas import Clause, FormulaError, brute_force_sat
+from implres.formulas import Clause, ClauseSet, FormulaError, brute_force_sat
 
 
 def test_gate_rejects_empty_body_and_bad_vars():
@@ -47,7 +44,7 @@ def test_validate_circuit_accepts_and_rejects():
 
 def test_gate_clauses_order_and_dedup():
     g = Gate(4, (1, -2, 1))
-    cls = gate_clauses(g)
+    cls = gate_group(g.var, g.body)
     # wide clause first, then one short clause per body literal in order
     assert cls[0] == Clause((-4, 1, -2))
     assert cls[1] == Clause((4, -1))
@@ -57,7 +54,8 @@ def test_gate_clauses_order_and_dedup():
 
 def test_gate_clauses_define_the_or():
     g = Gate(3, (1, -2))
-    cs = circuit_clauses(Circuit((1, 2), (g,), (3,)))
+    c = Circuit((1, 2), (g,), (3,))
+    cs = Premises(ClauseSet(0), c.gates, max_var(c))
     for v1, v2, v3 in itertools.product((False, True), repeat=3):
         want = v1 or (not v2)
         holds = all(
@@ -80,7 +78,7 @@ def test_evaluate_matches_python_or():
 def test_max_var_and_size():
     c = Circuit((1, 2), (Gate(3, (1, -2)), Gate(4, (-3, 2, 1))), (4,))
     assert max_var(c) == 4
-    assert circuit_size(c) == 5
+    assert sum(len(g.body) for g in c.gates) == 5
     assert max_var(Circuit()) == 0
 
 
@@ -92,36 +90,6 @@ def test_var_alloc_is_monotone():
     assert al.next_var == 5
     with pytest.raises(CircuitError):
         VarAlloc(0)
-
-
-def test_duplicate_is_isomorphic():
-    c = Circuit((1, 2), (Gate(3, (1, -2)), Gate(4, (-3, 1))), (4,))
-    d, f = duplicate(c, {1: 10, 2: 11}, VarAlloc(20))
-    assert validate_circuit(d)
-    assert d.free == (10, 11)
-    assert [g.var for g in d.gates] == [20, 21]
-    for v1, v2 in itertools.product((False, True), repeat=2):
-        vc = evaluate(c, {1: v1, 2: v2})
-        vd = evaluate(d, {10: v1, 11: v2})
-        assert all(vd[f[v]] == vc[v] for v in vc)
-
-
-def test_duplicate_rejects_collisions():
-    c = Circuit((1, 2), (Gate(3, (1, 2)),), (3,))
-    with pytest.raises(CircuitError):
-        duplicate(c, {1: 10, 2: 10}, VarAlloc(20))
-    with pytest.raises(CircuitError):
-        duplicate(c, {1: 20}, VarAlloc(20))  # target collides with fresh block
-    with pytest.raises(CircuitError):
-        duplicate(c, {7: 9}, VarAlloc(20))  # source not in circuit
-
-
-def test_check_embedding():
-    c = Circuit((1,), (Gate(2, (-1,)),), (2,))
-    d = Circuit((1, 5), (Gate(6, (-1,)), Gate(7, (5, 6))), (7,))
-    assert check_embedding(c, d, {1: 1, 2: 6})
-    assert not check_embedding(c, d, {1: 1, 2: 7})  # body mismatch
-    assert not check_embedding(c, d, {1: 1})  # undefined on 2
 
 
 def test_builder_produces_valid_circuits():
@@ -137,7 +105,7 @@ def test_builder_produces_valid_circuits():
         vals = evaluate(c, {x: vx, y: vy})
         assert vals[t] is True
         assert vals[h] == (vx or not vy)
-    cnf = circuit_clauses(c)
+    cnf = Premises(ClauseSet(0), c.gates, max_var(c))
     assert brute_force_sat(cnf) is not None  # gate clauses alone are consistent
 
 

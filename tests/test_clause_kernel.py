@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implres import circuits, formulas, implicit, translate
-from implres.circuits import Circuit, Gate, circuit_clauses, gate_clauses
+from implres.circuits import Circuit, Gate, Premises, gate_group, max_var
 from implres.correctness import gen_C
 from implres.families import php, tm_write_stay, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, FormulaError, canonical_clause, derived_clause
@@ -176,7 +176,8 @@ def test_gate_clauses_equal_the_validated_construction(var, body):
         cl = Clause((var, -lit))
         if cl not in want[1:] and cl != want[0]:
             want.append(cl)
-    got = gate_clauses(Gate(var, tuple(body)))
+    g = Gate(var, tuple(body))
+    got = gate_group(g.var, g.body)
     assert [c.literals for c in got] == [c.literals for c in want]
 
 
@@ -352,7 +353,7 @@ def carriers():
     circuits have a gate reading one body literal twice, and of a
     Premises view (a carrier's head is one) with such gates."""
     circuit = Circuit((1, 2), (Gate(3, (1, 1, 2)), Gate(4, (-3, 2, -3, 1)), Gate(5, (4, -2))), (5,))
-    yield "premises", lambda: circuit_clauses(circuit)
+    yield "premises", lambda: Premises(ClauseSet(0), circuit.gates, max_var(circuit))
     omega = tseitin_cycle(4)
     ir = implicit_from_tree(omega, dpll_refute(omega).tree)
     beta = repeated_first_literal(ir.beta)

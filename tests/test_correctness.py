@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from implres.circuits import (
     Circuit,
     Gate,
+    VarAlloc,
     evaluate,
-    gate_clauses,
+    gate_group,
     map_literal,
     validate_circuit,
 )
@@ -49,6 +50,18 @@ def spelled_clause(n, x_bits, y_bits):
     return Clause(tuple(lits))
 
 
+def standalone_delta(omega, n):
+    """gen_delta over inputs of its own: x_i = i, then the y rows."""
+    w = output_width(n)
+    ys = tuple(tuple(range(n + 1 + i * w, n + 1 + (i + 1) * w)) for i in range(n))
+    return gen_delta(omega, n, VarAlloc(n * (w + 1) + 1), tuple(range(1, n + 1)), ys)
+
+
+def standalone_lambda(n):
+    """gen_lambda over branch variables of its own, z_i = i."""
+    return gen_lambda(n, VarAlloc(n + 1), tuple(range(1, n + 1)))
+
+
 def delta_value(bundle, n, x_bits, y_bits):
     width = output_width(n)
     vals = {}
@@ -74,7 +87,7 @@ def test_gen_delta_small_exhaustive(omega1, omega2):
     }
     for n, sets in omegas.items():
         for omega in sets:
-            d = gen_delta(omega, n)
+            d = standalone_delta(omega, n)
             for xs, ys in iter_patterns(n):
                 got = delta_value(d, n, xs, ys)
                 want = any(set(c) <= set(spelled_clause(n, xs, ys)) for c in omega)
@@ -83,14 +96,14 @@ def test_gen_delta_small_exhaustive(omega1, omega2):
 
 def test_gen_delta_input_validation(omega2):
     with pytest.raises(CorrectnessError):
-        gen_delta(omega2, 1)  # omega speaks about more variables
+        standalone_delta(omega2, 1)  # omega speaks about more variables
     with pytest.raises(CorrectnessError):
-        gen_delta(ClauseSet(0, ()), 0)
+        standalone_delta(ClauseSet(0, ()), 0)
 
 
 def test_gen_lambda_spells_windows():
     for n in (1, 2, 3):
-        lam = gen_lambda(n)
+        lam = standalone_lambda(n)
         assert validate_circuit(lam.circuit)
         for zs in itertools.product((0, 1), repeat=n):
             vals = evaluate(lam.circuit, {v: bool(b) for v, b in zip(lam.z_vars, zs)})
@@ -140,7 +153,7 @@ def test_gen_c_contains_beta_copies(omega2):
     for varmap in bundle.clauses.copy_maps:
         for g in beta.gates:
             remapped = Gate(varmap[g.var], tuple(map_literal(l, varmap) for l in g.body))
-            for c in gate_clauses(remapped):
+            for c in gate_group(remapped.var, remapped.body):
                 assert c in clause_set
 
 

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from implres.circuits import Circuit, Gate, VarAlloc, duplicate, serialize_circuit
+from implres.circuits import Circuit, Gate, serialize_circuit
 from implres.cli import main
 from implres.correctness import gen_correct
 from implres.families import (
@@ -130,14 +130,13 @@ def emb_refute_text():
     out = []
     for k in (10, 30, 100):
         c = or_chain(k, 1)
-        d, f = duplicate(c, {v: v for v in c.free}, VarAlloc(2 * k + 10))
+        f = {v: v for v in c.free} | {g.var: 2 * k + 10 + t for t, g in enumerate(c.gates)}
         for y in (c.outputs[0], c.gates[k // 2].var):
             for polarity in (True, False):
-                out.append(serialize_proof(emb_refute(c, d, f, y, polarity), 0))
+                out.append(serialize_proof(emb_refute(c, f, y, polarity), 0))
     c = Circuit((1, 2), (Gate(3, (1, 2)),), (3,))
-    d = Circuit((1, 2), (Gate(4, (1, 2)),), (4,))
     for polarity in (True, False):
-        out.append(serialize_proof(emb_refute(c, d, {1: 1, 2: 2, 3: 4}, 3, polarity), 0))
+        out.append(serialize_proof(emb_refute(c, {1: 1, 2: 2, 3: 4}, 3, polarity), 0))
     return "".join(out)
 
 

@@ -4,11 +4,9 @@ from implres import implicit, proofs, translate
 from implres.circuits import (
     Circuit,
     Gate,
-    VarAlloc,
-    circuit_clauses,
-    circuit_size,
+    Premises,
     clause_count,
-    duplicate,
+    gate_group,
     max_var,
 )
 from implres.correctness import gen_C, gen_correct
@@ -32,7 +30,6 @@ from implres.prover import balance_tree, dpll_refute, proof_from_tree
 from implres.tableau import gen_tableau, graft_pq, refute_tableau, verify_refutation
 from implres.translate import (
     TranslateError,
-    emb_premises,
     emb_refute,
     er_to_implicit,
     graft,
@@ -57,77 +54,56 @@ def dpll_er(omega):
 
 def test_emb_refute_single_gate_both_polarities():
     c = Circuit((1, 2), (Gate(3, (1, 2)),), (3,))
-    d = Circuit((1, 2), (Gate(4, (1, 2)),), (4,))
     f = {1: 1, 2: 2, 3: 4}
     for polarity in (True, False):
-        pr = emb_refute(c, d, f, 3, polarity)
-        rep = check_proof(emb_premises(c, d, 3, polarity, 4), pr)
-        assert rep
+        pr = emb_refute(c, f, 3, polarity)
+        # c's group, its copy's, then the units 3^polarity, 4^(1-polarity)
+        units = ((3,), (-4,)) if polarity else ((-3,), (4,))
+        premises = ClauseSet(4, (*gate_group(3, (1, 2)), *gate_group(4, (1, 2)), *units))
+        assert check_proof(premises, pr)
         assert n_resolutions(pr) <= 5
 
 
 def test_emb_refute_free_output_is_one_resolution():
     c = Circuit((1,), (), ())
-    pr = emb_refute(c, c, {1: 1}, 1, True)
-    assert check_proof(emb_premises(c, c, 1, True, 1), pr)
+    pr = emb_refute(c, {1: 1}, 1, True)
     assert n_resolutions(pr) == 1
 
 
 def test_emb_refute_chain_sizes_linear():
     c = or_chain(30, 1)
-    d, f = duplicate(c, {v: v for v in c.free}, VarAlloc(200))
+    f = {v: v for v in c.free} | {g.var: 200 + t for t, g in enumerate(c.gates)}
     for polarity in (True, False):
-        pr = emb_refute(c, d, f, c.outputs[0], polarity)
-        rep = check_proof(
-            emb_premises(c, d, c.outputs[0], polarity, f[c.outputs[0]]), pr
-        )
-        assert rep
-        assert len(pr.steps) <= 16 * circuit_size(c)
+        pr = emb_refute(c, f, c.outputs[0], polarity)
+        assert len(pr.steps) <= 16 * sum(len(g.body) for g in c.gates)
     # an interior gate only demands its own cone
-    mid = c.gates[15].var
-    pr = emb_refute(c, d, f, mid, False)
-    assert check_proof(emb_premises(c, d, mid, False, f[mid]), pr)
+    emb_refute(c, f, c.gates[15].var, False)
 
 
 def test_emb_refute_cites_each_circuit_by_its_own_layout():
-    """Gate clauses are cited at positions from each circuit's own gate
-    list: an image gate may list its body in another order (gate 4),
-    and c and d may each define a variable by a different gate (3)."""
-    reordered = (
-        Circuit((1, 2), (Gate(3, (1, -2)), Gate(5, (3, 1))), (5,)),
-        Circuit((1, 2), (Gate(4, (-2, 1, 1)), Gate(6, (1, 4))), (6,)),
-        {1: 1, 2: 2, 3: 4, 5: 6},
-        5,
-    )
-    shared = (
-        Circuit((1,), (Gate(2, (1,)), Gate(3, (2,))), (3,)),
-        Circuit((1,), (Gate(3, (1,)), Gate(4, (3,))), (4,)),
-        {1: 1, 2: 3, 3: 4},
-        3,
-    )
-    for c, d, f, y in (reordered, shared):
+    """c and its copy are laid in one view, so a gate's image must be
+    a variable of neither c nor another gate's image, and the map must
+    be defined on every variable of c."""
+    c = Circuit((1,), (Gate(2, (1,)), Gate(3, (2,))), (3,))
+    shared = {1: 1, 2: 3, 3: 4}  # gate 2 onto c's gate 3
+    merged = {1: 1, 2: 4, 3: 4}
+    missing = {2: 4, 3: 5}  # undefined on the free 1
+    for f, reason in ((shared, "onto a variable of c"), (merged, "two gates to one"),
+                      (missing, "undefined on 1")):
         for polarity in (True, False):
-            pr = emb_refute(c, d, f, y, polarity)
-            assert check_proof(emb_premises(c, d, y, polarity, f[y]), pr)
-
-
-def test_emb_refute_rejects_non_embedding():
-    c = Circuit((1, 2), (Gate(3, (1, 2)),), (3,))
-    d = Circuit((1, 2), (Gate(4, (1, -2)),), (4,))
-    with pytest.raises(TranslateError):
-        emb_refute(c, d, {1: 1, 2: 2, 3: 4}, 3, True)
+            with pytest.raises(TranslateError, match=reason):
+                emb_refute(c, f, 3, polarity)
 
 
 def test_emb_refute_rejects_a_map_that_moves_a_free():
     # the units {1} and {-2} are consistent: there is nothing to refute
     free = Circuit((1, 2), (), ())
     with pytest.raises(TranslateError, match="moves free variable 1"):
-        emb_refute(free, free, {1: 2, 2: 1}, 1, True)
+        emb_refute(free, {1: 2, 2: 1}, 1, True)
     # nor through a gate whose body reads a moved free
     c = Circuit((1, 2), (Gate(3, (1,)),), (3,))
-    d = Circuit((1, 2), (Gate(4, (2,)),), (4,))
     with pytest.raises(TranslateError, match="moves free variable 1"):
-        emb_refute(c, d, {1: 2, 2: 1, 3: 4}, 3, True)
+        emb_refute(c, {1: 2, 2: 1, 3: 4}, 3, True)
 
 
 def test_truthdef_translate_accepted(omega1, omega2):
@@ -152,7 +128,7 @@ def test_graft_yields_verified_refutation(omega1):
     grown = gen_C(omega1, ir.beta, ir.iface)
     have = set(grown.clauses.clauses)
     assert all(c in have for c in bundle.clauses.clauses)
-    assert all(c in have for c in circuit_clauses(ir.beta).clauses)
+    assert all(c in have for c in Premises(ClauseSet(0), ir.beta.gates, max_var(ir.beta)).clauses)
 
 
 def test_graft_rejects_a_certificate_the_grown_carrier_does_not_replay(broken_fold, omega1):
