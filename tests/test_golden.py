@@ -65,6 +65,10 @@ GOLDEN = {
         "07735f6d2948e585c5eebed007f5efe705ad14261165904e4953b02c71e83b12",
     "cli-prove-tseitin4":
         "2649c2f33f55cf5d4eceedc2565e4d2d645fa6dd8f25888597f598743355e4d2",
+    "cli-gen-c-tseitin4":
+        "7554d6e50e16263d2174f6b27facc706e2bf77dc072e2f26d60aa21c7c2442fa",
+    "cli-gen-c-php32":
+        "8ae366846b11c24761cf4c13612d8c0bfeaed66556f7d23a189e80b8ec7fe955",
     "cli-tableau-gen-tm_halt":
         "9c6c834e8fac034c9561a897dba5bd68720bd184e5fcb865222c927d0877e685",
     "cli-tableau-gen-tm_write_stay":
@@ -159,6 +163,24 @@ def prove_text(tmp_path):
     cnf.write_text(serialize_dimacs(tseitin_cycle(4)))
     assert main(["prove", str(cnf), "-o", str(tmp_path)]) == 0
     return (tmp_path / "omega.res.rproof").read_text()
+
+
+def gen_c_text(omega, tmp_path):
+    """gen-c's clause set and then its sidecar, for encode's circuit of
+    prove's tree and for translate-er's beta' of prove's refutation,
+    whose branch variables are spare frees."""
+    cnf = tmp_path / "omega.cnf"
+    cnf.write_text(serialize_dimacs(omega))
+    work, er = tmp_path / "work", tmp_path / "er"
+    assert main(["prove", str(cnf), "-o", str(work)]) == 0
+    assert main(["encode", str(work / "omega.dtree"), str(cnf), "-o", str(work)]) == 0
+    assert main(["translate-er", str(cnf), str(work / "omega.res.rproof"), "-o", str(er)]) == 0
+    out = []
+    for circ in (work / "omega.circ", er / "omega.circ"):
+        gen = circ.parent / "gen"
+        assert main(["gen-c", str(cnf), str(circ), "-o", str(gen)]) == 0
+        out += [(gen / f"omega.{ext}").read_text() for ext in ("gen.cnf", "sidecar")]
+    return "".join(out)
 
 
 def tableau_gen_text(fixture, tmp_path):
@@ -275,6 +297,8 @@ PRODUCERS = {
     "search_translate-not6": lambda p: search_translate_text(6),
     "cli-synth-tseitin4": synth_text,
     "cli-prove-tseitin4": prove_text,
+    "cli-gen-c-tseitin4": lambda p: gen_c_text(tseitin_cycle(4), p),
+    "cli-gen-c-php32": lambda p: gen_c_text(php(3, 2), p),
     "emb_refute-or_chains": lambda p: emb_refute_text(),
     "proof_stage-mutant-reports": lambda p: rejection_reports_text(),
     "dpll_refute-outcomes": lambda p: dpll_outcome_text(),
