@@ -9,14 +9,15 @@ assignment.  A ``Copy`` renames a circuit under a variable map: its
 gates are the renamed circuit, and laid in a premise set it gives the
 renamed clause groups.
 
-Every premise set read by position is one ``Premises``: a base set,
-then a sequence of laid items (gates, clauses taken as they stand, and
-copies of a circuit under a copy map), over n variables.  The clause at
-a position comes from prefix sums of the items' clause counts and, in
-a copy, of its circuit's group sizes (one table that every copy of the
-circuit shares), and is built alone; each clause built is kept once,
-by position.  A ``Carrier`` is the Premises that ``assemble_carrier``
-lays, plus what is particular to that layout.
+Every premise set read by position is one ``Premises``: one flat
+sequence of laid items (gates, clauses taken as they stand, and copies
+of a circuit under a copy map) over n variables, the one place its
+layout is stored.  The clause at a position comes from prefix sums of
+the items' clause counts and, in a copy, of its circuit's group sizes
+(one table that every copy of the circuit shares), and is built alone;
+each clause built is kept once, by position.  A ``Carrier`` is the
+Premises that ``assemble_carrier`` lays, plus the frees, verdict block
+and delta that its items do not hold.
 """
 
 from __future__ import annotations
@@ -310,27 +311,25 @@ def clause_count(item) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Premises:
-    """Premises read by position: the clauses of ``base_set`` (a
-    ClauseSet, a Carrier or another Premises), then those of each item
-    of ``laid`` in order, over ``n`` variables.  An item is a Gate (its
-    clause group, in gate_group order), a Clause (taken as it
-    stands, such as the unit {-delta}) or a Copy (the groups of a
-    circuit's gates under a copy map).
+    """Premises read by position: the clauses of each item of ``laid``
+    in order, over ``n`` variables.  An item is a Gate (its clause
+    group, in gate_group order), a Clause (taken as it stands, such as
+    the unit {-delta}) or a Copy (the groups of a circuit's gates under
+    a copy map).  A set laid over another set lays that set's own items
+    first (proofs.er_premises), so no Premises holds another.
 
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
     ``clauses``) and answers ``gate_position`` and ``neg_delta_index``.
-    base_set is read by ``len`` and position only.  The clause at a
-    position is found from prefix sums over runs of items with one
-    clause count (a divmod then names the item), then, in a copy, from
-    its circuit's group sizes, and built alone: offset 0 of a group is
-    the wide clause, offset i the clause of the i-th distinct body
-    literal, mapped through the copy map.  Each clause built is kept by
-    position; a read that falls through to base_set is not.  Nothing is
+    The clause at a position is found from prefix sums over runs of
+    items with one clause count (a divmod then names the item), then,
+    in a copy, from its circuit's group sizes, and built alone: offset
+    0 of a group is the wide clause, offset i the clause of the i-th
+    distinct body literal, mapped through the copy map.  Each clause
+    built is kept by position, in this set's own memo.  Nothing is
     built in full until ``clauses`` or iteration reads it (the groups
     whole, as synthesis reads them), and once the tuple exists,
     indexing reads it."""
 
-    base_set: object
     laid: tuple
     n: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
@@ -341,7 +340,7 @@ class Premises:
         clauses start (then the length), its first item (then the item
         count) and its items' clause count."""
         runs = [(size, len(list(run))) for size, run in groupby(map(clause_count, self.laid))]
-        starts = list(accumulate((size * k for size, k in runs), initial=len(self.base_set)))
+        starts = list(accumulate((size * k for size, k in runs), initial=0))
         firsts = list(accumulate((k for _, k in runs), initial=0))
         return starts, firsts, [size for size, _ in runs]
 
@@ -367,7 +366,7 @@ class Premises:
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
         """Every clause, each laid item's groups built whole."""
-        out = list(self.base_set.clauses)
+        out = []
         for item in self.laid:
             kind = type(item)
             if kind is Gate:
@@ -387,10 +386,10 @@ class Premises:
         return iter(self.clauses)
 
     def variables(self) -> set[int]:
-        """The variables that occur in some clause, read off base_set
-        and the items without building a clause."""
+        """The variables that occur in some clause, read off the items
+        without building a clause."""
         laid = self.laid
-        used = self.base_set.variables() | _gate_variables(g for g in laid if type(g) is Gate)
+        used = _gate_variables(g for g in laid if type(g) is Gate)
         for item in laid:
             if type(item) is Copy:
                 used.update(map(item.varmap.__getitem__, _gate_variables(item.circuit.gates)))
@@ -409,8 +408,6 @@ class Premises:
             raise IndexError(f"no clause at position {p} of {starts[-1]}")
         if "clauses" in self.__dict__:
             return self.clauses[p]
-        if p < starts[0]:
-            return self.base_set[p]
         r = bisect_right(starts, p) - 1
         size = sizes[r]
         t, i = divmod(p - starts[r], size)
@@ -440,34 +437,31 @@ class Premises:
     def gate_position(self, var: int) -> int:
         """Where var's gate group starts: its wide clause, then at 1 + i
         the two-literal clause of its i-th distinct body literal, in
-        body order; among the gates laid here, else in base_set.
-        KeyError when neither defines var."""
-        if var in self._starts or isinstance(self.base_set, ClauseSet):
-            return self._starts[var]
-        return self.base_set.gate_position(var)
+        body order.  KeyError when no gate laid here defines var."""
+        return self._starts[var]
 
     @property
     def neg_delta_index(self) -> int:
-        """The unit {-delta}: the first clause laid as it stands, or
-        base_set's when there is none."""
+        """The first clause laid as it stands: the unit {-delta} in a
+        Carrier, in gen_correct's set and in a set laid over either, but
+        a ClauseSet's first clause in er_premises over it."""
         for item, at in self._placed():
             if isinstance(item, Clause):
                 return at
-        return self.base_set.neg_delta_index
+        raise ValueError("no clause is laid as it stands")
 
 
 @dataclass(frozen=True, eq=False)
 class Carrier(Premises):
     """A generated clause set, laid out by assemble_carrier: the
-    Premises over an empty base set that lays the verdict block,
-    {-delta}, the pre-block and the copies.  It adds what is particular
-    to that layout: the carrier circuit over ``frees`` with output
-    ``delta``, the copy maps, the ``verdict`` block and the stride
-    ``base`` of the copies' inner gates."""
+    Premises that lays the verdict block, {-delta}, the pre-block and
+    the copies, whose inner gates take the ids above every other, up to
+    ``n``.  It adds what its items do not hold: the ``frees`` (branch
+    or address bits), the ``verdict`` block and its output ``delta``;
+    the carrier circuit and the copy maps are read off the items."""
 
     frees: tuple[int, ...]
     verdict: tuple[Gate, ...]
-    base: int
     delta: int
 
     @cached_property
@@ -518,7 +512,7 @@ def assemble_carrier(
         for k, port in enumerate(ports)
     )
     laid = (*verdict, canonical_clause((-delta,)), *pre, *copies)
-    return Carrier(ClauseSet(0), laid, n, tuple(frees), tuple(verdict), base, delta)
+    return Carrier(laid, n, tuple(frees), tuple(verdict), delta)
 
 
 class CircuitBuilder:
@@ -534,8 +528,8 @@ class CircuitBuilder:
         self.frees.append(v)
         return v
 
-    def gate(self, body: Iterable[int], var: Optional[int] = None) -> int:
-        v = self.fresh.fresh() if var is None else var
+    def gate(self, body: Iterable[int]) -> int:
+        v = self.fresh.fresh()
         self.gates.append(Gate(v, tuple(body)))
         return v
 

@@ -29,14 +29,13 @@ from .formulas import FormulaError, brute_force_sat, parse_dimacs, serialize_dim
 from .implicit import (
     ImplicitError,
     ImplicitRefutation,
-    SynthesisFailure,
     load_implicit,
     save_implicit,
     synthesize_alpha,
     verify_implicit,
     write_atomic,
 )
-from .proofs import ProofError, er_premises, parse_er, parse_proof, serialize_proof
+from .proofs import OpenLeaf, ProofError, er_premises, parse_er, parse_proof, serialize_proof
 from .prover import (
     ProverError,
     balance_tree,
@@ -155,8 +154,8 @@ def cmd_synth(args) -> int:
     bundle = gen_C(omega, beta, iface)
     try:
         alpha = synthesize_alpha(bundle)
-    except SynthesisFailure as exc:
-        raise Reject(f"described tree leaves branch {exc.witness} unrefuted")
+    except OpenLeaf as exc:
+        raise Reject(f"described tree leaves branch {exc.bits} unrefuted")
     ir = ImplicitRefutation(
         omega.n, omega, alpha, beta, iface,
         alpha_premises=len(bundle.clauses),

@@ -22,10 +22,11 @@ lambda block as pre-block and the delta block as verdict block.
 
 The block arithmetic is normative: the verifier takes |C| and the
 clause at a cited position from it, and never builds C in full.  C is
-one circuits.Premises sequence, read by one reader with one memo: the
-delta block's gates, the unit {-delta}, the lambda block's gates, then
-the copies of beta, each read through its copy map off one table of
-beta's group sizes.  A gate contributes one clause plus one per
+one circuits.Carrier, whose flat sequence is the one place the layout
+is stored: the delta block's gates, the unit {-delta}, the lambda
+block's gates (gen_delta and gen_lambda return the gates they lay),
+then the copies of beta, each read through its copy map off one table
+of beta's group sizes.  A gate contributes one clause plus one per
 distinct body literal, and each copy map is injective (window and w
 images lie above n, copy gates above every other id, and spare frees
 stay at ids 1..n), so every copy of beta holds the same number of
@@ -42,6 +43,7 @@ from .circuits import (
     Circuit,
     CircuitBuilder,
     CircuitReport,
+    Gate,
     Premises,
     VarAlloc,
     assemble_carrier,
@@ -63,13 +65,11 @@ class InterfaceError(CorrectnessError):
 
 @dataclass(frozen=True)
 class DeltaBundle:
-    """Checker circuit: given n encoded literals (sign bit x_i plus
-    index bits y_{i,m}), the output is true iff the clause they spell
-    weakens some member of Omega."""
+    """Checker gates: given n encoded literals (sign bit x_i plus index
+    bits y_{i,m}, gen_delta's inputs), the output delta is true iff the
+    clause they spell weakens some member of Omega."""
 
-    circuit: Circuit
-    x_vars: tuple[int, ...]
-    y_vars: tuple[tuple[int, ...], ...]
+    gates: tuple[Gate, ...]
     s_vars: dict[tuple[int, int, int], int]
     l_vars: dict[tuple[int, int], int]
     w_vars: tuple[int, ...]
@@ -92,14 +92,6 @@ def gen_delta(
         raise CorrectnessError("need at least one variable")
     width = output_width(n)
     b = CircuitBuilder(fresh)
-    for v in x_vars:
-        b.free(v)
-    for row in y_vars:
-        for v in row:
-            b.free(v)
-    if len(x_vars) != n or len(y_vars) != n or any(len(r) != width for r in y_vars):
-        raise CorrectnessError("input layout does not match n")
-
     need_const = len(omega.clauses) == 0 or any(not c.literals for c in omega)
     const = b.const_true(x_vars[0]) if need_const else None
 
@@ -129,30 +121,16 @@ def gen_delta(
         delta = b.gate(tuple(-w for w in w_list))
     else:
         delta = b.not_(const)
-    return DeltaBundle(
-        b.build([delta]), x_vars, y_vars, s_vars, l_vars, tuple(w_list), delta, const
-    )
+    return DeltaBundle(tuple(b.gates), s_vars, l_vars, tuple(w_list), delta, const)
 
 
-@dataclass(frozen=True)
-class LambdaBundle:
-    """Window grid: row i of u_{i,j} spells the depth-i window over
-    branch bits z: zeros, a single one at column n-i+1, then z_1.."""
-
-    circuit: Circuit
-    z_vars: tuple[int, ...]
-    grid: dict[tuple[int, int], int]
-    const_true: int
-
-
-def gen_lambda(n: int, fresh: VarAlloc, z_vars: tuple[int, ...]) -> LambdaBundle:
-    """The window grid over the branch variables z_vars, its gates on
-    ids from fresh."""
+def gen_lambda(n: int, fresh: VarAlloc, z_vars: tuple[int, ...]) -> tuple[tuple[Gate, ...], dict]:
+    """The window grid over the branch variables z_vars: its gates on
+    ids from fresh, tt first, and its cells, where row i of u_{i,j}
+    spells the depth-i window: zeros, a one at column n-i+1, then z_1.."""
     if n < 1:
         raise CorrectnessError("need at least one variable")
     b = CircuitBuilder(fresh)
-    for v in z_vars:
-        b.free(v)
     tt = b.const_true(z_vars[0])
     grid: dict[tuple[int, int], int] = {}
     for i in range(1, n + 1):
@@ -163,19 +141,14 @@ def gen_lambda(n: int, fresh: VarAlloc, z_vars: tuple[int, ...]) -> LambdaBundle
                 grid[(i, j)] = b.gate((tt,))
             else:
                 grid[(i, j)] = b.gate((z_vars[j - (n - i + 1) - 1],))
-    outputs = [grid[(i, j)] for i in range(1, n + 1) for j in range(0, n + 1)]
-    return LambdaBundle(b.build(outputs), z_vars, grid, tt)
+    return tuple(b.gates), grid
 
 
 @dataclass(frozen=True)
 class CorrectnessBundle:
-    n: int
     clauses: Carrier  # its circuit: all gates over frees z_1..z_n, output delta
-    z_vars: tuple[int, ...]
     w_grid: dict[tuple[int, int], int]
-    delta: int
     delta_bundle: DeltaBundle
-    lambda_bundle: LambdaBundle
 
 
 def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessBundle:
@@ -197,7 +170,7 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
 
     z_vars = tuple(range(1, n + 1))
     fresh = VarAlloc(n + 1)
-    lam = gen_lambda(n, fresh, z_vars)
+    lam_gates, cell = gen_lambda(n, fresh, z_vars)
     w_grid = {
         (i, m): fresh.fresh() for i in range(1, n + 1) for m in range(1, width + 1)
     }
@@ -212,33 +185,25 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
 
     ports = []
     for i in range(1, n + 1):
-        port = {x: lam.grid[(i, j)] for j, x in enumerate(iface.inputs)}
+        port = {x: cell[(i, j)] for j, x in enumerate(iface.inputs)}
         port.update((y, w_grid[(i, m)]) for m, y in enumerate(iface.outputs, start=1))
         ports.append(port)
     carrier = assemble_carrier(
-        z_vars, lam.circuit.gates, beta, copy_base, ports, delta.circuit.gates, delta.delta
+        z_vars, lam_gates, beta, copy_base, ports, delta.gates, delta.delta
     )
-    return CorrectnessBundle(
-        n=n,
-        clauses=carrier,
-        z_vars=z_vars,
-        w_grid=w_grid,
-        delta=delta.delta,
-        delta_bundle=delta,
-        lambda_bundle=lam,
-    )
+    return CorrectnessBundle(carrier, w_grid, delta)
 
 
 def serialize_sidecar(bundle: CorrectnessBundle) -> str:
-    lines = []
-    for i, v in enumerate(bundle.z_vars, start=1):
-        lines.append(f"zvar {i} {v}")
-    width = output_width(bundle.n)
-    for i in range(1, bundle.n + 1):
-        for m in range(1, width + 1):
+    """The layout, read off the carrier and the w grid."""
+    cs = bundle.clauses
+    lines = [f"zvar {i} {v}" for i, v in enumerate(cs.frees, start=1)]
+    n = len(cs.frees)
+    for i in range(1, n + 1):
+        for m in range(1, output_width(n) + 1):
             lines.append(f"wvar {i} {m} {bundle.w_grid[(i, m)]}")
-    lines.append(f"delta {bundle.delta}")
-    lines.append(f"neg-delta-clause {bundle.clauses.neg_delta_index}")
+    lines.append(f"delta {cs.delta}")
+    lines.append(f"neg-delta-clause {cs.neg_delta_index}")
     return "\n".join(lines) + "\n"
 
 
@@ -284,4 +249,4 @@ def gen_correct(sp: SearchProblem) -> Premises:
     verdict = sp.checker.outputs[0]
     n = max(max_var(sp.algorithm), max_var(sp.checker), verdict)
     laid = (*sp.algorithm.gates, *sp.checker.gates, Clause((-verdict,)))
-    return Premises(ClauseSet(0), laid, n)
+    return Premises(laid, n)

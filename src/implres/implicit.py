@@ -17,7 +17,6 @@ from .correctness import CorrectnessBundle, gen_C
 from .encoding import TreeInterface, interface_from_circuit
 from .formulas import ClauseSet, parse_dimacs, serialize_dimacs
 from .proofs import (
-    OpenLeaf,
     ResolutionProof,
     Weaken,
     branch_refute,
@@ -30,15 +29,6 @@ from .prover import DecisionTree, balance_tree, check_decision_tree
 
 class ImplicitError(ValueError):
     pass
-
-
-class SynthesisFailure(Exception):
-    """The described refutation is wrong for omega; carries the branch
-    bits of a leaf whose clause weakens no member of omega."""
-
-    def __init__(self, witness: tuple[int, ...]):
-        self.witness = witness
-        super().__init__(f"no conflict at leaf {witness}")
 
 
 @dataclass(frozen=True)
@@ -119,18 +109,17 @@ def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
 
 
 def synthesize_alpha(bundle: CorrectnessBundle) -> ResolutionProof:
-    """Refute the generated set C(omega, beta) by branching the z
-    variables in ascending order (proofs.branch_refute); a leaf where
-    propagation finds no conflict is a SynthesisFailure."""
-    if bundle.n > 16:
+    """Refute the generated set C(omega, beta) by branching its frees,
+    the z variables, in ascending order (proofs.branch_refute); a leaf
+    where propagation finds no conflict raises proofs.OpenLeaf, whose
+    ``bits`` address a leaf clause that weakens no member of omega."""
+    cs = bundle.clauses
+    if len(cs.frees) > 16:
         raise ImplicitError(
-            f"synthesis capped at 16 branch variables, got {bundle.n}; "
+            f"synthesis capped at 16 branch variables, got {len(cs.frees)}; "
             "certify larger trees with translate-er"
         )
-    try:
-        return branch_refute(bundle.clauses, bundle.z_vars)
-    except OpenLeaf as exc:
-        raise SynthesisFailure(exc.bits) from None
+    return branch_refute(cs, cs.frees)
 
 
 def implicit_from_tree(omega: ClauseSet, tree: DecisionTree) -> ImplicitRefutation:

@@ -260,12 +260,14 @@ class ERProof:
 
 def er_premises(premises: ClauseSet, aux: Circuit):
     """The premises, then the aux gates' clauses: the premises
-    themselves when aux has no gate, else a Premises view over them,
-    so a lazy carrier stays lazy either way and each aux gate's group
-    sits at the view's ``gate_position``."""
+    themselves when aux has no gate, else one flat Premises that lays
+    their items (a view's ``laid``, a ClauseSet's clauses), then the aux
+    gates, so a lazy carrier stays lazy and each gate's group sits at
+    ``gate_position``.  It keeps its own memo of the clauses it builds."""
     if not aux.gates:
         return premises
-    return Premises(premises, aux.gates, max(premises.n, max_var(aux)))
+    laid = premises.laid if isinstance(premises, Premises) else premises.clauses
+    return Premises((*laid, *aux.gates), max(premises.n, max_var(aux)))
 
 
 def check_er(premises: ClauseSet, ep: ERProof) -> ProofReport:

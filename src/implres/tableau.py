@@ -331,12 +331,9 @@ def _ripple(b: CircuitBuilder, bits: Sequence[int], sign: int) -> tuple[int, ...
 
 @dataclass(frozen=True)
 class TableauBundle:
-    m: int
-    clauses: Carrier  # its circuit: all gates over the 2m address frees, output = verdict
-    j_vars: tuple[int, ...]
-    k_vars: tuple[int, ...]
-    cell: dict[tuple[int, int], int]  # (copy, bit) -> id; copies: here, left, right, below
-    delta: int
+    """gen_tableau's constraint set: frees, delta and cells are the carrier's."""
+
+    clauses: Carrier  # its circuit: gates over the address frees, row bits first; output = verdict
 
 
 def gen_tableau(
@@ -377,8 +374,6 @@ def gen_tableau(
     jv = tuple(range(1, m + 1))
     kv = tuple(range(m + 1, 2 * m + 1))
     b = CircuitBuilder(VarAlloc(2 * m + 1))
-    for v in jv + kv:
-        b.free(v)
     tt = b.const_true(jv[0])
     j0 = b.not_(b.or_(*jv))
     jlast = b.not_(b.or_(*(-v for v in jv)))
@@ -502,22 +497,24 @@ def gen_tableau(
         port.update((y, cell[(c, t)]) for t, y in enumerate(iface.outputs))
         ports.append(port)
     carrier = assemble_carrier(jv + kv, b.gates, beta, copy_base, ports, s.gates, delta)
-    return TableauBundle(m, carrier, jv, kv, cell, delta)
+    return TableauBundle(carrier)
 
 
 def address_sweep(bundle: TableauBundle) -> tuple[bool, Optional[tuple[int, int]]]:
     """Exact satisfiability of the bundle by sweeping the free
     addresses: every other variable is gate-defined, so each address
     extends uniquely.  Returns (unsat, falsifying address)."""
-    m = bundle.m
+    cs = bundle.clauses
+    m = len(cs.frees) // 2
+    jv, kv = cs.frees[:m], cs.frees[m:]
     for j in range(1 << m):
         for k in range(1 << m):
             vals = {}
             for i in range(m):
-                vals[bundle.j_vars[i]] = bool((j >> i) & 1)
-                vals[bundle.k_vars[i]] = bool((k >> i) & 1)
-            out = evaluate(bundle.clauses.circuit, vals)
-            if not out[bundle.delta]:
+                vals[jv[i]] = bool((j >> i) & 1)
+                vals[kv[i]] = bool((k >> i) & 1)
+            out = evaluate(cs.circuit, vals)
+            if not out[cs.delta]:
                 return False, (j, k)
     return True, None
 
@@ -526,7 +523,7 @@ def refute_tableau(bundle: TableauBundle) -> Optional[ResolutionProof]:
     """Branch on the address bits (proofs.branch_refute); unit
     propagation settles the gates.  None when the bundle is satisfiable."""
     try:
-        return branch_refute(bundle.clauses, bundle.j_vars + bundle.k_vars)
+        return branch_refute(bundle.clauses, bundle.clauses.frees)
     except OpenLeaf:
         return None
 

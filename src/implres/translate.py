@@ -18,9 +18,10 @@ renamed gate is a Copy's: the duplicate, beta rebased onto a
 carrier's first copy, and pi's auxiliaries under p -> -z_p.  Gate
 clauses are cited by position, not by value, and the positions are
 read off the premise sets folded between: a Carrier or a
-circuits.Premises view says where each gate's group starts
-(gate_position) and where {-delta} sits (neg_delta_index), and pi's
-own premises are er_premises(old, aux).
+circuits.Premises says where each gate's group starts (gate_position)
+and where {-delta} sits (neg_delta_index), and pi's own premises are
+er_premises(old, aux), one flat sequence that lays old's items and
+then the auxiliaries, never a view over another view.
 On an empty cone the duplicate is the auxiliaries alone and the
 certificate is the input proof renamed.
 
@@ -194,7 +195,7 @@ def emb_refute(c: Circuit, f: dict[int, int], y: int, polarity: bool) -> Resolut
     fy = f[y]
     units = (Clause((y if polarity else -y,)), Clause((-fy if polarity else fy,)))
     n = max(max_var(c), *(f[v] for v in cvars))
-    premises = Premises(ClauseSet(0), (*c.gates, Copy(c, f), *units), n)
+    premises = Premises((*c.gates, Copy(c, f), *units), n)
     b = ProofBuilder(premises)
     bridge = None if fy == y else _bridge(b, premises, c, f, [(y, polarity)])[polarity][y]
     uy = b.axiom(len(premises) - 2)
@@ -333,8 +334,9 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     host = old.circuit
     first = old.copy_maps[0]
     stride = len(old.copy_maps)
-    n_inner = len(beta.gates) - len(iface.outputs)
-    dup_gates, dupmap = _duplicate(host, alpha_er.aux, old.base + n_inner * stride, stride)
+    # the copies' inner gates take the ids up to old.n, so the
+    # duplicate goes on along their stride at old.n + 1
+    dup_gates, dupmap = _duplicate(host, alpha_er.aux, old.n + 1, stride)
     inputs = tuple(first[x] for x in iface.inputs)
     beta2 = Circuit(
         inputs + tuple(v for v in host.free if v not in inputs),

@@ -33,7 +33,7 @@ def laid_out(premises):
     variables of its clauses that no such gate defines."""
     if isinstance(premises, ClauseSet):
         return (), {abs(lit) for c in premises for lit in c}
-    gates, frees = laid_out(premises.base_set)
+    gates, frees = (), set()
     for item in premises.laid:
         if isinstance(item, Clause):
             frees |= {abs(lit) for lit in item}

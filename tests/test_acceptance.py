@@ -13,7 +13,6 @@ import time
 from implres.circuits import (
     Circuit,
     Gate,
-    evaluate,
     max_var,
     serialize_circuit,
 )
@@ -62,7 +61,7 @@ from implres.tableau import (
     verify_refutation,
 )
 from implres.translate import emb_refute, er_to_implicit, search_translate
-from test_correctness import standalone_delta, standalone_lambda
+from test_correctness import delta_value, standalone_delta, standalone_lambda
 
 
 def fixtures():
@@ -157,16 +156,6 @@ def spelled_clause(n, x_bits, y_rows):
     return Clause(tuple(lits))
 
 
-def delta_value(bundle, n, x_bits, y_rows):
-    width = output_width(n)
-    vals = {}
-    for i in range(n):
-        vals[bundle.x_vars[i]] = bool(x_bits[i])
-        for m in range(width):
-            vals[bundle.y_vars[i][m]] = bool(y_rows[i][m])
-    return evaluate(bundle.circuit, vals)[bundle.delta]
-
-
 def random_clause_set(rng, n):
     k = rng.randrange(0, 5)
     clauses = []
@@ -190,11 +179,11 @@ def test_a5_weakening_checker_matches_containment_oracle():
     for n, omegas in small.items():
         width = output_width(n)
         for omega in omegas:
-            bundle = standalone_delta(omega, n)
+            checker = standalone_delta(omega, n)
             for xs in itertools.product((0, 1), repeat=n):
                 for flat in itertools.product((0, 1), repeat=n * width):
                     rows = tuple(flat[i * width:(i + 1) * width] for i in range(n))
-                    got = delta_value(bundle, n, xs, rows)
+                    got = delta_value(checker, xs, rows)
                     want = any(
                         set(l) <= set(spelled_clause(n, xs, rows))
                         for l in omega.clauses
@@ -208,13 +197,13 @@ def test_a5_weakening_checker_matches_containment_oracle():
         omegas = [ClauseSet(n, ()), ClauseSet(n, ((),))]
         omegas += [random_clause_set(rng, n) for _ in range(n_omegas)]
         for omega in omegas:
-            bundle = standalone_delta(omega, n)
+            checker = standalone_delta(omega, n)
             for _ in range(per_omega):
                 xs = tuple(rng.randrange(2) for _ in range(n))
                 rows = tuple(
                     tuple(rng.randrange(2) for _ in range(width)) for _ in range(n)
                 )
-                got = delta_value(bundle, n, xs, rows)
+                got = delta_value(checker, xs, rows)
                 want = any(
                     set(l) <= set(spelled_clause(n, xs, rows))
                     for l in omega.clauses
@@ -439,10 +428,10 @@ def test_a9_generators_and_serializers_are_byte_stable(tmp_path):
                 + serialize_circuit(bundle.clauses.circuit))
 
     assert gen_c_bytes() == gen_c_bytes()
-    assert (serialize_circuit(standalone_delta(omega, 3).circuit)
-            == serialize_circuit(standalone_delta(omega, 3).circuit))
-    assert (serialize_circuit(standalone_lambda(3).circuit)
-            == serialize_circuit(standalone_lambda(3).circuit))
+    assert (serialize_circuit(standalone_delta(omega, 3))
+            == serialize_circuit(standalone_delta(omega, 3)))
+    assert (serialize_circuit(standalone_lambda(3)[0])
+            == serialize_circuit(standalone_lambda(3)[0]))
 
     outcome = dpll_refute(omega)
     tree = balance_tree(outcome.tree, range(1, omega.n + 1))

@@ -361,7 +361,7 @@ def lean_grafts():
     for fixture in (tm_halt, tm_write_stay, tm_right_writer):
         tm, tau, beta, iface = fixture()
         bundle = gen_tableau(tm, tau, beta, iface)
-        pi = detour(bundle.clauses, ERProof(EMPTY, refute_tableau(bundle)), bundle.j_vars[0])
+        pi = detour(bundle.clauses, ERProof(EMPTY, refute_tableau(bundle)), bundle.clauses.frees[0])
         tr = graft_pq(tm, tau, beta, iface, pi)
         assert verify_refutation(tr)
 

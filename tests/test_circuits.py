@@ -16,7 +16,7 @@ from implres.circuits import (
     serialize_circuit,
     validate_circuit,
 )
-from implres.formulas import Clause, ClauseSet, FormulaError, brute_force_sat
+from implres.formulas import Clause, FormulaError, brute_force_sat
 
 
 def test_gate_rejects_empty_body_and_bad_vars():
@@ -55,7 +55,7 @@ def test_gate_clauses_order_and_dedup():
 def test_gate_clauses_define_the_or():
     g = Gate(3, (1, -2))
     c = Circuit((1, 2), (g,), (3,))
-    cs = Premises(ClauseSet(0), c.gates, max_var(c))
+    cs = Premises(c.gates, max_var(c))
     for v1, v2, v3 in itertools.product((False, True), repeat=3):
         want = v1 or (not v2)
         holds = all(
@@ -105,7 +105,7 @@ def test_builder_produces_valid_circuits():
         vals = evaluate(c, {x: vx, y: vy})
         assert vals[t] is True
         assert vals[h] == (vx or not vy)
-    cnf = Premises(ClauseSet(0), c.gates, max_var(c))
+    cnf = Premises(c.gates, max_var(c))
     assert brute_force_sat(cnf) is not None  # gate clauses alone are consistent
 
 

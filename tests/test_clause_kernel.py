@@ -353,7 +353,7 @@ def carriers():
     circuits have a gate reading one body literal twice, and of a
     Premises view (a carrier's head is one) with such gates."""
     circuit = Circuit((1, 2), (Gate(3, (1, 1, 2)), Gate(4, (-3, 2, -3, 1)), Gate(5, (4, -2))), (5,))
-    yield "premises", lambda: Premises(ClauseSet(0), circuit.gates, max_var(circuit))
+    yield "premises", lambda: Premises(circuit.gates, max_var(circuit))
     omega = tseitin_cycle(4)
     ir = implicit_from_tree(omega, dpll_refute(omega).tree)
     beta = repeated_first_literal(ir.beta)

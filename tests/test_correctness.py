@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from implres.circuits import (
     Circuit,
     Gate,
+    Premises,
     VarAlloc,
     evaluate,
     gate_group,
@@ -51,25 +52,26 @@ def spelled_clause(n, x_bits, y_bits):
 
 
 def standalone_delta(omega, n):
-    """gen_delta over inputs of its own: x_i = i, then the y rows."""
+    """gen_delta's gates as a circuit over inputs of their own, x_i = i
+    then the y rows, with output delta."""
     w = output_width(n)
     ys = tuple(tuple(range(n + 1 + i * w, n + 1 + (i + 1) * w)) for i in range(n))
-    return gen_delta(omega, n, VarAlloc(n * (w + 1) + 1), tuple(range(1, n + 1)), ys)
+    d = gen_delta(omega, n, VarAlloc(n * (w + 1) + 1), tuple(range(1, n + 1)), ys)
+    return Circuit(tuple(range(1, n * (w + 1) + 1)), d.gates, (d.delta,))
 
 
 def standalone_lambda(n):
-    """gen_lambda over branch variables of its own, z_i = i."""
-    return gen_lambda(n, VarAlloc(n + 1), tuple(range(1, n + 1)))
+    """gen_lambda's gates as a circuit over branch variables of their
+    own, z_i = i, with every window cell an output; and the cell table."""
+    gates, grid = gen_lambda(n, VarAlloc(n + 1), tuple(range(1, n + 1)))
+    return Circuit(tuple(range(1, n + 1)), gates, tuple(grid.values())), grid
 
 
-def delta_value(bundle, n, x_bits, y_bits):
-    width = output_width(n)
-    vals = {}
-    for i in range(n):
-        vals[bundle.x_vars[i]] = bool(x_bits[i])
-        for m in range(width):
-            vals[bundle.y_vars[i][m]] = bool(y_bits[i][m])
-    return evaluate(bundle.circuit, vals)[bundle.delta]
+def delta_value(checker, x_bits, y_bits):
+    """The output of standalone_delta's checker on sign bits x_bits and
+    index rows y_bits."""
+    bits = (*x_bits, *(b for row in y_bits for b in row))
+    return evaluate(checker, dict(zip(checker.free, map(bool, bits))))[checker.outputs[0]]
 
 
 def iter_patterns(n):
@@ -89,7 +91,7 @@ def test_gen_delta_small_exhaustive(omega1, omega2):
         for omega in sets:
             d = standalone_delta(omega, n)
             for xs, ys in iter_patterns(n):
-                got = delta_value(d, n, xs, ys)
+                got = delta_value(d, xs, ys)
                 want = any(set(c) <= set(spelled_clause(n, xs, ys)) for c in omega)
                 assert got == want, (n, omega, xs, ys, got, want)
 
@@ -103,12 +105,12 @@ def test_gen_delta_input_validation(omega2):
 
 def test_gen_lambda_spells_windows():
     for n in (1, 2, 3):
-        lam = standalone_lambda(n)
-        assert validate_circuit(lam.circuit)
+        lam, grid = standalone_lambda(n)
+        assert validate_circuit(lam)
         for zs in itertools.product((0, 1), repeat=n):
-            vals = evaluate(lam.circuit, {v: bool(b) for v, b in zip(lam.z_vars, zs)})
+            vals = evaluate(lam, {v: bool(b) for v, b in zip(lam.free, zs)})
             for i in range(1, n + 1):
-                got = tuple(int(vals[lam.grid[(i, j)]]) for j in range(0, n + 1))
+                got = tuple(int(vals[grid[(i, j)]]) for j in range(0, n + 1))
                 assert got == window_bits(n, i, zs[: i - 1]), (n, zs, i)
 
 
@@ -123,7 +125,7 @@ def test_gen_c_satisfiable_iff_some_leaf_misses(omega1, omega2):
     model = brute_force_sat(bundle2.clauses)
     assert model is not None
     # the witness branch bits really address a non-weakening leaf
-    x = tuple(int(model[z]) for z in bundle2.z_vars)
+    x = tuple(int(model[z]) for z in bundle2.clauses.frees)
     ic = compute_initial_clause(beta, iface, x)
     assert not any(set(c) <= set(ic.clause) for c in loose)
 
@@ -134,13 +136,13 @@ def test_gen_c_layout_independent_of_beta(omega2):
     beta2, iface2 = tree_to_circuit(balance_tree(out.tree, (1, 2)), 2)
     b1 = gen_C(omega2, beta1, iface1)
     b2 = gen_C(omega2, beta2, iface2)
-    assert b1.z_vars == b2.z_vars
-    assert b1.lambda_bundle.grid == b2.lambda_bundle.grid
+    c1, c2 = b1.clauses, b2.clauses
+    assert c1.frees == c2.frees
+    assert c1.laid[:-2] == c2.laid[:-2]  # all but the two copies of beta
     assert b1.w_grid == b2.w_grid
-    assert b1.delta == b2.delta
-    assert b1.clauses.neg_delta_index == b2.clauses.neg_delta_index
-    assert b1.clauses.base == b2.clauses.base
-    assert b1.clauses.clauses[b1.clauses.neg_delta_index] == Clause((-b1.delta,))
+    assert c1.delta == c2.delta
+    assert c1.neg_delta_index == c2.neg_delta_index
+    assert c1.clauses[c1.neg_delta_index] == Clause((-c1.delta,))
 
 
 def test_gen_c_contains_beta_copies(omega2):
@@ -172,7 +174,7 @@ def test_sidecar_deterministic_and_complete(omega2):
     b2 = gen_C(omega2, beta, iface)
     s1 = serialize_sidecar(b1)
     assert s1 == serialize_sidecar(b2)
-    assert f"delta {b1.delta}" in s1.splitlines()
+    assert f"delta {b1.clauses.delta}" in s1.splitlines()
 
 
 def test_search_problem_shape_checks():
@@ -207,10 +209,10 @@ def test_gen_correct_reads_by_position(n, view_oracle, position_oracle):
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_er_premises_over_gen_correct_read_by_position(n, view_oracle, position_oracle):
-    """A view over a view: er_premises over gen_correct's view with an
-    auxiliary gate that reads the verdict.  Every clause and gate group
-    is where the materialized set has it, {-verdict} is still the
-    inner view's, and neither view is built in full."""
+    """er_premises over gen_correct's view with an auxiliary gate that
+    reads the verdict.  Every clause and gate group is where the
+    materialized set has it, {-verdict} is where gen_correct lays it,
+    and the set is not built in full."""
     sp = not_search(n)
     verdict = sp.checker.outputs[0]
 
@@ -221,8 +223,37 @@ def test_er_premises_over_gen_correct_read_by_position(n, view_oracle, position_
 
     for oracle in (view_oracle, position_oracle):
         view = oracle(premises)
-        assert "clauses" not in vars(view) and "clauses" not in vars(view.base_set)
-    assert view.neg_delta_index == view.base_set.neg_delta_index == len(view.base_set) - 1
+        assert "clauses" not in vars(view)
+    correct = gen_correct(sp)
+    assert view.neg_delta_index == correct.neg_delta_index == len(correct) - 1
+
+
+def test_er_premises_over_a_view_lays_one_flat_sequence(omega2, view_oracle, position_oracle):
+    """er_premises over a view that er_premises made over a carrier: one
+    sequence, the carrier's items and then both auxiliary circuits'
+    gates, with no field holding another premise set, read by position
+    and by gate as the materialized set has it."""
+    beta, iface = canonical_tree_circuit(2)
+
+    def layers():
+        carrier = gen_C(omega2, beta, iface).clauses
+        r = carrier.n + 1
+        first = Circuit((1,), (Gate(r, (1, -1)),), ())
+        second = Circuit((r, 2), (Gate(r + 1, (-r, 2)),), ())
+        return carrier, first, second
+
+    def premises():
+        carrier, first, second = layers()
+        return er_premises(er_premises(carrier, first), second)
+
+    carrier, first, second = layers()
+    view = er_premises(er_premises(carrier, first), second)
+    assert view.laid == (*carrier.laid, *first.gates, *second.gates)
+    assert view.n == carrier.n + 2
+    assert not any(isinstance(v, (Premises, ClauseSet)) for v in vars(view).values())
+    for oracle in (view_oracle, position_oracle):
+        assert "clauses" not in vars(oracle(premises))
+    assert view.neg_delta_index == carrier.neg_delta_index
 
 
 @pytest.mark.parametrize(

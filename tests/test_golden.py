@@ -271,7 +271,7 @@ def dpll_outcome_text():
         cases.append((f"random{i}", random_3cnf(rng, 10, 36 + 2 * i), None))
     grids = [gen_tableau(*halting_grid(m)) for m in (2, 3, 4)]
     for m, bundle in zip((2, 3, 4), grids):
-        cases.append((f"halt{m}", bundle.clauses, bundle.j_vars + bundle.k_vars))
+        cases.append((f"halt{m}", bundle.clauses, bundle.clauses.frees))
     out, sides = [], set()
     for name, cs, order in cases:
         res = dpll_refute(cs, order)

@@ -24,7 +24,6 @@ from implres.implicit import (
     ImplicitError,
     ImplicitRefutation,
     Manifest,
-    SynthesisFailure,
     implicit_from_tree,
     load_implicit,
     parse_manifest,
@@ -33,7 +32,7 @@ from implres.implicit import (
     synthesize_alpha,
     verify_implicit,
 )
-from implres.proofs import Axiom, Resolve, ResolutionProof
+from implres.proofs import Axiom, OpenLeaf, Resolve, ResolutionProof
 from implres.prover import Leaf, Node, balance_tree, dpll_refute
 from implres.tableau import gen_tableau, refute_tableau, verify_pq
 
@@ -53,9 +52,9 @@ def test_synthesize_and_verify(omega1, omega2, tseitin4):
 def test_synthesize_alpha_fails_on_wrong_description(omega2):
     loose = ClauseSet(2, (Clause((1, 2)),))
     beta, iface = canonical_tree_circuit(2)
-    with pytest.raises(SynthesisFailure) as exc:
+    with pytest.raises(OpenLeaf) as exc:
         synthesize_alpha(gen_C(loose, beta, iface))
-    assert len(exc.value.witness) == 2
+    assert len(exc.value.bits) == 2
     # seeded wrong descriptions: the balanced dpll tree of a random
     # unsatisfiable set, read against that set with one member dropped
     # that leaves it satisfiable; the witness addresses a leaf whose
@@ -74,9 +73,9 @@ def test_synthesize_alpha_fails_on_wrong_description(omega2):
         dropped = ClauseSet(5, omega.clauses[:drop] + omega.clauses[drop + 1:])
         if brute_force_sat(dropped) is None:
             continue
-        with pytest.raises(SynthesisFailure) as exc:
+        with pytest.raises(OpenLeaf) as exc:
             synthesize_alpha(gen_C(dropped, beta, iface))
-        ic = compute_initial_clause(beta, iface, exc.value.witness)
+        ic = compute_initial_clause(beta, iface, exc.value.bits)
         assert not any(set(c) <= set(ic.clause) for c in dropped)
         wrong += 1
 
@@ -190,7 +189,7 @@ def test_an_accepted_synthesis_certifies_an_unsatisfiable_set(instance):
     try:
         bundle = gen_C(omega, beta, iface)
         alpha = synthesize_alpha(bundle)
-    except (CorrectnessError, SynthesisFailure):
+    except (CorrectnessError, OpenLeaf):
         return
     ir = ImplicitRefutation(omega.n, omega, alpha, beta, iface, len(bundle.clauses.clauses))
     if verify_implicit(ir):

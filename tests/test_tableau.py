@@ -126,11 +126,14 @@ def test_gen_tableau_clause_layout_independent_of_grid():
     b1 = gen_tableau(tm, tau, beta, iface)
     b2 = gen_tableau(tm, tau, beta2, iface2)
     assert len(beta2.gates) != len(beta.gates)
-    assert b1.clauses.neg_delta_index == b2.clauses.neg_delta_index
-    assert b1.delta == b2.delta
-    assert b1.clauses.base == b2.clauses.base
-    assert b1.cell == b2.cell
-    assert b1.clauses.clauses[b1.clauses.neg_delta_index] == Clause((-b1.delta,))
+    c1, c2 = b1.clauses, b2.clauses
+    assert c1.neg_delta_index == c2.neg_delta_index
+    assert c1.delta == c2.delta
+    assert c1.laid[:-4] == c2.laid[:-4]  # all but the four copies of the grid
+    # each copy's cell bits, the images of the grid's outputs
+    assert ([tuple(cm[y] for y in iface.outputs) for cm in c1.copy_maps]
+            == [tuple(cm[y] for y in iface2.outputs) for cm in c2.copy_maps])
+    assert c1.clauses[c1.neg_delta_index] == Clause((-c1.delta,))
     assert validate_circuit(b1.clauses.circuit)
     assert validate_circuit(b2.clauses.circuit)
 
@@ -379,9 +382,10 @@ def test_er_premises_read_a_grid_carrier_by_position(fixture, view_oracle, posit
 
     for oracle in (view_oracle, position_oracle):
         view = oracle(premises)
-        assert "clauses" not in vars(view) and "clauses" not in vars(view.base_set)
-    assert view.neg_delta_index == view.base_set.neg_delta_index
-    assert view.gate_position(view.n) == len(view.base_set)
+        assert "clauses" not in vars(view)
+    carrier = gen_tableau(tm, tau, beta, iface).clauses
+    assert view.neg_delta_index == carrier.neg_delta_index
+    assert view.gate_position(view.n) == len(carrier)
 
 
 def test_graft_pq_never_materializes_the_grown_carrier(monkeypatch):

@@ -128,7 +128,7 @@ def test_graft_yields_verified_refutation(omega1):
     grown = gen_C(omega1, ir.beta, ir.iface)
     have = set(grown.clauses.clauses)
     assert all(c in have for c in bundle.clauses.clauses)
-    assert all(c in have for c in Premises(ClauseSet(0), ir.beta.gates, max_var(ir.beta)).clauses)
+    assert all(c in have for c in Premises(ir.beta.gates, max_var(ir.beta)).clauses)
 
 
 def test_graft_rejects_a_certificate_the_grown_carrier_does_not_replay(broken_fold, omega1):
