@@ -29,7 +29,7 @@ from implres.families import (
     tm_write_stay,
     tseitin_cycle,
 )
-from implres.formulas import ClauseSet, serialize_dimacs
+from implres.formulas import Clause, ClauseSet, serialize_dimacs
 from implres.implicit import proof_stage
 from implres.proofs import Axiom, ERProof, Resolve, ResolutionProof, Weaken, serialize_proof
 from implres.prover import ProverError, dpll_refute, proof_from_tree, serialize_dtree
@@ -45,6 +45,8 @@ GOLDEN = {
         "eaa88b75b1453826556ffbd3b14b9e80c3c9a3a5b94cfa92f2543a481fa8bef4",
     "er_to_implicit-empty-member":
         "03e23509213b2d2d0b864e795b7ddd484e93e6e7f068cf4dd387fc4fed88e8cc",
+    "er_to_implicit-odd-clauses":
+        "9abe7e3b3aea93fe8288dfe5bfcb11efa912e8d9ffb73713b0d7c33ca6836a39",
     "graft_pq-tm_halt-plain":
         "16b32a336e8526faa3f6011a6f91049062b300289517e5f45b5ff6155c954cfc",
     "graft_pq-tm_halt-spurious":
@@ -109,6 +111,15 @@ QUICK_VIA_E = (
 # a set holding the empty clause, refuted by citing it: its witness
 # gate negates the constant gate
 EMPTY_MEMBER = (ClauseSet(1, ((), (1,))), ERProof(EMPTY, ResolutionProof((Axiom(0),))))
+
+
+def odd_clauses():
+    """php(3, 2) behind a tautology, a repeat of its first clause and a
+    clause written against its variable order: the witness loop reads
+    one weakening-witness gate per clause, in omega's order, and one
+    literal gate per literal, in the clause's order."""
+    base = php(3, 2)
+    return ClauseSet(base.n, (Clause((2, -2)), base.clauses[0], Clause((-6, 1)), *base.clauses))
 
 
 def graft_pq_text(fixture, spurious):
@@ -293,6 +304,7 @@ PRODUCERS = {
     "er_to_implicit-php32": lambda p: er_to_implicit_text(php(3, 2)),
     "er_to_implicit-quick-via-e": lambda p: er_to_implicit_text(*QUICK_VIA_E),
     "er_to_implicit-empty-member": lambda p: er_to_implicit_text(*EMPTY_MEMBER),
+    "er_to_implicit-odd-clauses": lambda p: er_to_implicit_text(odd_clauses()),
     "search_translate-not4": lambda p: search_translate_text(4),
     "search_translate-not6": lambda p: search_translate_text(6),
     "cli-synth-tseitin4": synth_text,
