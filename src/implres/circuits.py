@@ -16,8 +16,9 @@ layout is stored.  The clause at a position comes from prefix sums of
 the items' clause counts and, in a copy, of its circuit's group sizes
 (one table that every copy of the circuit shares), and is built alone;
 each clause built is kept once, by position.  A ``Carrier`` is the
-Premises that ``assemble_carrier`` lays, plus the frees, verdict block
-and delta that its items do not hold.
+Premises that ``assemble_carrier`` lays, plus the frees and verdict
+block that its items do not hold; delta is the verdict block's last
+gate.
 """
 
 from __future__ import annotations
@@ -457,12 +458,16 @@ class Carrier(Premises):
     Premises that lays the verdict block, {-delta}, the pre-block and
     the copies, whose inner gates take the ids above every other, up to
     ``n``.  It adds what its items do not hold: the ``frees`` (branch
-    or address bits), the ``verdict`` block and its output ``delta``;
-    the carrier circuit and the copy maps are read off the items."""
+    or address bits) and the ``verdict`` block, whose last gate is the
+    output ``delta``; the carrier circuit and the copy maps are read
+    off the items."""
 
     frees: tuple[int, ...]
     verdict: tuple[Gate, ...]
-    delta: int
+
+    @property
+    def delta(self) -> int:
+        return self.verdict[-1].var
 
     @cached_property
     def copy_maps(self) -> tuple[dict[int, int], ...]:
@@ -484,7 +489,6 @@ def assemble_carrier(
     base: int,
     ports: Sequence[dict[int, int]],
     verdict: Sequence[Gate],
-    delta: int,
 ) -> Carrier:
     """The one carrier layout, shared by ``gen_C`` and ``gen_tableau``.
 
@@ -492,9 +496,10 @@ def assemble_carrier(
     (inputs and outputs) to their images and its t-th other gate to
     ``base + t * len(ports) + k``; spare frees stay in place.  The
     circuit has the gates pre-block, copies, verdict block, in that
-    order, and output ``delta``.  The clause set lays the verdict
-    block's groups, the unit {-delta}, the pre-block's groups, then
-    each copy's, over variables up to the last copy id (or delta).
+    order, and outputs delta, the verdict block's last gate.  The
+    clause set lays the verdict block's groups, the unit {-delta}, the
+    pre-block's groups, then each copy's, over variables up to the
+    last copy id (or delta).
 
     This block arithmetic is normative: the verifier takes ``len`` and
     the cited clauses from it, and the graft folds cite gate clauses
@@ -504,6 +509,7 @@ def assemble_carrier(
     clauses as beta.  The port check makes it injective: tree spare
     frees lie in 1..n, a grid has none."""
     stride = len(ports)
+    delta = verdict[-1].var
     n = max(base + (len(beta.gates) - len(beta.outputs)) * stride - 1, delta)
     inner = [g.var for g in beta.gates if g.var not in ports[0]]
     free = {v: v for v in beta.free}
@@ -512,7 +518,7 @@ def assemble_carrier(
         for k, port in enumerate(ports)
     )
     laid = (*verdict, canonical_clause((-delta,)), *pre, *copies)
-    return Carrier(laid, n, tuple(frees), tuple(verdict), delta)
+    return Carrier(laid, n, tuple(frees), tuple(verdict))
 
 
 class CircuitBuilder:

@@ -30,19 +30,22 @@ of beta's group sizes.  A gate contributes one clause plus one per
 distinct body literal, and each copy map is injective (window and w
 images lie above n, copy gates above every other id, and spare frees
 stay at ids 1..n), so every copy of beta holds the same number of
-clauses as beta itself.
+clauses as beta itself.  gen_C returns that carrier and no id table
+beside it: delta is the verdict block's last gate, w_{i,m} is copy
+i's image of beta's m-th output, and the checker's inner ids are read
+off its gate bodies (see gen_delta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .circuits import (
     Carrier,
     Circuit,
     CircuitBuilder,
     CircuitReport,
+    Copy,
     Gate,
     Premises,
     VarAlloc,
@@ -63,33 +66,24 @@ class InterfaceError(CorrectnessError):
     stage = "interface"  # where implicit.verify_carrier reports it
 
 
-@dataclass(frozen=True)
-class DeltaBundle:
-    """Checker gates: given n encoded literals (sign bit x_i plus index
-    bits y_{i,m}, gen_delta's inputs), the output delta is true iff the
-    clause they spell weakens some member of Omega."""
-
-    gates: tuple[Gate, ...]
-    s_vars: dict[tuple[int, int, int], int]
-    l_vars: dict[tuple[int, int], int]
-    w_vars: tuple[int, ...]
-    delta: int
-    const: Optional[int]
-
-
 def gen_delta(
     omega: ClauseSet,
     n: int,
     fresh: VarAlloc,
     x_vars: tuple[int, ...],
     y_vars: tuple[tuple[int, ...], ...],
-) -> DeltaBundle:
+) -> tuple[Gate, ...]:
     """The checker over the inputs x_vars (sign bits) and y_vars (one
-    row of index bits per slot), its gates on ids from fresh."""
-    if omega.n > n:
-        raise CorrectnessError(f"clause set over {omega.n} variables, limit {n}")
-    if n < 1:
-        raise CorrectnessError("need at least one variable")
+    row of index bits per slot), its gates on ids from fresh: delta is
+    true iff the clause the n slots spell weakens some member of omega.
+    The gates, in the order truthdef_translate reads off their bodies:
+    tt = OR(x_1, -x_1) when some clause of omega is empty (or omega
+    has none); s_{i,j,k} for (i, j, k) row-major, false iff slot i
+    spells literal j (k = 1) or -j (k = 0); l_{j,k} = OR(-s_{i,j,k} :
+    i = 1..n) for (j, k) row-major; one w_C = OR(-l_{|lit|,[lit > 0]} :
+    lit in C) per clause C of omega, in omega's and C's literal order
+    (NOT tt for an empty C); last delta = OR(-w_C : C in omega), in
+    omega's order (NOT tt for an omega without clauses)."""
     width = output_width(n)
     b = CircuitBuilder(fresh)
     need_const = len(omega.clauses) == 0 or any(not c.literals for c in omega)
@@ -118,18 +112,16 @@ def gen_delta(
         )
         w_list.append(b.gate(body))
     if omega.clauses:
-        delta = b.gate(tuple(-w for w in w_list))
+        b.gate(tuple(-w for w in w_list))
     else:
-        delta = b.not_(const)
-    return DeltaBundle(tuple(b.gates), s_vars, l_vars, tuple(w_list), delta, const)
+        b.not_(const)
+    return tuple(b.gates)
 
 
 def gen_lambda(n: int, fresh: VarAlloc, z_vars: tuple[int, ...]) -> tuple[tuple[Gate, ...], dict]:
     """The window grid over the branch variables z_vars: its gates on
     ids from fresh, tt first, and its cells, where row i of u_{i,j}
     spells the depth-i window: zeros, a one at column n-i+1, then z_1.."""
-    if n < 1:
-        raise CorrectnessError("need at least one variable")
     b = CircuitBuilder(fresh)
     tt = b.const_true(z_vars[0])
     grid: dict[tuple[int, int], int] = {}
@@ -146,9 +138,9 @@ def gen_lambda(n: int, fresh: VarAlloc, z_vars: tuple[int, ...]) -> tuple[tuple[
 
 @dataclass(frozen=True)
 class CorrectnessBundle:
-    clauses: Carrier  # its circuit: all gates over frees z_1..z_n, output delta
-    w_grid: dict[tuple[int, int], int]
-    delta_bundle: DeltaBundle
+    """gen_C's or gen_tableau's set: all its layout is the carrier's."""
+
+    clauses: Carrier  # its circuit: all gates over the frees, output delta
 
 
 def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessBundle:
@@ -166,42 +158,30 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
     rep = check_interface(beta, iface)
     if not rep:
         raise InterfaceError(rep.reason)
-    width = output_width(n)
 
     z_vars = tuple(range(1, n + 1))
     fresh = VarAlloc(n + 1)
     lam_gates, cell = gen_lambda(n, fresh, z_vars)
-    w_grid = {
-        (i, m): fresh.fresh() for i in range(1, n + 1) for m in range(1, width + 1)
-    }
-    delta = gen_delta(
-        omega,
-        n,
-        fresh,
-        z_vars,
-        tuple(tuple(w_grid[(i, m)] for m in range(1, width + 1)) for i in range(1, n + 1)),
-    )
+    w_rows = tuple(tuple(fresh.fresh() for _ in range(output_width(n))) for _ in range(n))
+    verdict = gen_delta(omega, n, fresh, z_vars, w_rows)
     copy_base = fresh.next_var
 
     ports = []
     for i in range(1, n + 1):
         port = {x: cell[(i, j)] for j, x in enumerate(iface.inputs)}
-        port.update((y, w_grid[(i, m)]) for m, y in enumerate(iface.outputs, start=1))
+        port.update(zip(iface.outputs, w_rows[i - 1]))
         ports.append(port)
-    carrier = assemble_carrier(
-        z_vars, lam_gates, beta, copy_base, ports, delta.gates, delta.delta
-    )
-    return CorrectnessBundle(carrier, w_grid, delta)
+    carrier = assemble_carrier(z_vars, lam_gates, beta, copy_base, ports, verdict)
+    return CorrectnessBundle(carrier)
 
 
 def serialize_sidecar(bundle: CorrectnessBundle) -> str:
-    """The layout, read off the carrier and the w grid."""
+    """The layout, read off the carrier: w_{i,m} is copy i's image of
+    beta's m-th output."""
     cs = bundle.clauses
     lines = [f"zvar {i} {v}" for i, v in enumerate(cs.frees, start=1)]
-    n = len(cs.frees)
-    for i in range(1, n + 1):
-        for m in range(1, output_width(n) + 1):
-            lines.append(f"wvar {i} {m} {bundle.w_grid[(i, m)]}")
+    for i, copy in enumerate((c for c in cs.laid if isinstance(c, Copy)), start=1):
+        lines += (f"wvar {i} {m} {copy.varmap[y]}" for m, y in enumerate(copy.circuit.outputs, 1))
     lines.append(f"delta {cs.delta}")
     lines.append(f"neg-delta-clause {cs.neg_delta_index}")
     return "\n".join(lines) + "\n"

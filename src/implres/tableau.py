@@ -13,7 +13,9 @@ contradicts the transition table, a head walking off the tape, or a
 last row that is not an accepting stop spelling the target bits.
 With the negated verdict appended as a unit, the set is
 unsatisfiable exactly when the grid is a valid accepting run with
-the target output.
+the target output.  gen_tableau lays it as a circuits.Carrier and
+returns it in a correctness.CorrectnessBundle, like gen_C, with no id
+table beside it: delta is the verdict block's last gate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .circuits import (
-    Carrier,
     Circuit,
     CircuitBuilder,
     CircuitReport,
@@ -32,6 +33,7 @@ from .circuits import (
     check_ports,
     evaluate,
 )
+from .correctness import CorrectnessBundle
 from .implicit import VerifyReport, verify_carrier
 from .proofs import ERProof, OpenLeaf, ResolutionProof, branch_refute
 from .translate import check_input, graft_fold
@@ -329,19 +331,12 @@ def _ripple(b: CircuitBuilder, bits: Sequence[int], sign: int) -> tuple[int, ...
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TableauBundle:
-    """gen_tableau's constraint set: frees, delta and cells are the carrier's."""
-
-    clauses: Carrier  # its circuit: gates over the address frees, row bits first; output = verdict
-
-
 def gen_tableau(
     tm: TMSpec,
     tau_bits: Sequence[int],
     beta: Circuit,
     iface: TableauInterface,
-) -> TableauBundle:
+) -> CorrectnessBundle:
     """Constraint clauses for 'the described grid is a valid accepting
     run with the target output'.
 
@@ -351,7 +346,9 @@ def gen_tableau(
     of four from copy_base (copy 0 reads the addressed cell, copies
     1-3 its left, right and lower neighbours).  Gate and clause order
     follow circuits.assemble_carrier, with the arithmetic/flag gates
-    as pre-block and the detectors as verdict block.  Everything but
+    as pre-block and the detectors as verdict block, delta last.  The
+    bundle is the carrier alone: its frees are the row then column
+    bits, and the cells are the copies' output images.  Everything but
     the copy region is independent of the grid circuit, so the bundle
     is a carrier for translate.graft_fold: a grid circuit rebased onto
     copy 0 and grown on the same stride regenerates a set containing
@@ -487,7 +484,7 @@ def gen_tableau(
     last_viol = s.and_(jlast, s.or_(tau_diff, *high, s.and_(head(0), nonacc)))
 
     viol = s.or_(shape_viol, frame_viol, off_viol, trans_viol, last_viol)
-    delta = s.not_(viol)
+    s.not_(viol)  # delta, the verdict block's last gate
 
     copy_base = b.fresh.next_var
     addr = (jv + kv, jv + km1, jv + kp1, jp1 + kv)
@@ -496,11 +493,10 @@ def gen_tableau(
         port = dict(zip(iface.inputs, addr[c]))
         port.update((y, cell[(c, t)]) for t, y in enumerate(iface.outputs))
         ports.append(port)
-    carrier = assemble_carrier(jv + kv, b.gates, beta, copy_base, ports, s.gates, delta)
-    return TableauBundle(carrier)
+    return CorrectnessBundle(assemble_carrier(jv + kv, b.gates, beta, copy_base, ports, s.gates))
 
 
-def address_sweep(bundle: TableauBundle) -> tuple[bool, Optional[tuple[int, int]]]:
+def address_sweep(bundle: CorrectnessBundle) -> tuple[bool, Optional[tuple[int, int]]]:
     """Exact satisfiability of the bundle by sweeping the free
     addresses: every other variable is gate-defined, so each address
     extends uniquely.  Returns (unsat, falsifying address)."""
@@ -519,7 +515,7 @@ def address_sweep(bundle: TableauBundle) -> tuple[bool, Optional[tuple[int, int]
     return True, None
 
 
-def refute_tableau(bundle: TableauBundle) -> Optional[ResolutionProof]:
+def refute_tableau(bundle: CorrectnessBundle) -> Optional[ResolutionProof]:
     """Branch on the address bits (proofs.branch_refute); unit
     propagation settles the gates.  None when the bundle is satisfiable."""
     try:

@@ -252,30 +252,29 @@ def _duplicate(
 
 
 def _fold_proof(
-    old, pi: ERProof, host: Circuit, dupmap: dict[int, int], new
+    premises, pi: ERProof, host: Circuit, dupmap: dict[int, int], new
 ) -> ResolutionProof:
-    """Refute the grown set new from a refutation pi of old.
+    """Refute the grown set new from pi, a refutation of premises.
 
-    old and new are premise sets that say where a gate's clause group
-    starts (gate_position) and where the unit {-delta} for host's
-    output delta sits (neg_delta_index): a Carrier or gen_correct's
-    Premises.  old holds host's gate clauses; pi's premises are
-    er_premises(old, pi.aux), which holds pi's auxiliaries' groups
-    after them; new holds host's clauses and the clauses of the
-    duplicate (_duplicate's gates, over dupmap).  pi is imported once,
-    host variables kept and auxiliaries renamed to their copies: host
-    clauses are cited in their own group of new, {-delta} at new's,
-    and each auxiliary clause is its copy's clause with every cone-copy
-    literal c' resolved back to c through the bridges A(c) = {-c, c'}
-    and B(c) = {c, -c'}, derived in the same builder (_bridge) for the
-    clauses pi cites.  new is read only where the certificate cites
-    it.  pi must be checked; the certificate is not checked here but
-    replayed by both callers."""
+    premises and new are premise sets that say where a gate's clause
+    group starts (gate_position) and where the unit {-delta} for
+    host's output delta sits (neg_delta_index).  The caller builds
+    premises as er_premises(old, pi.aux): old, a Carrier or
+    gen_correct's Premises, holds host's gate clauses, and pi's
+    auxiliaries' groups follow them.  new holds host's clauses and the
+    clauses of the duplicate (_duplicate's gates, over dupmap).  pi is
+    imported once, host variables kept and auxiliaries renamed to
+    their copies: host clauses are cited in their own group of new,
+    {-delta} at new's, and each auxiliary clause is its copy's clause
+    with every cone-copy literal c' resolved back to c through the
+    bridges A(c) = {-c, c'} and B(c) = {c, -c'}, derived in the same
+    builder (_bridge) for the clauses pi cites.  new is read only where
+    the certificate cites it.  pi must be checked; the certificate is
+    not checked here but replayed by both callers."""
     original = {dupmap[g.var]: g.var for g in host.gates if dupmap[g.var] != g.var}
     varmap = dict(dupmap)
     varmap.update((v, v) for v in original.values())
-    premises = er_premises(old, pi.aux)
-    moved = {old.neg_delta_index: new.neg_delta_index}
+    moved = {premises.neg_delta_index: new.neg_delta_index}
     for g in host.gates + pi.aux.gates:
         p = premises.gate_position(g.var)
         r = new.gate_position(varmap[g.var])
@@ -346,7 +345,7 @@ def graft_fold(bundle, beta: Circuit, iface, alpha_er: ERProof, generate):
     iface2 = replace(iface, inputs=inputs, outputs=beta2.outputs)
     bundle2 = generate(beta2, iface2)
     new = bundle2.clauses
-    alpha2 = _fold_proof(old, alpha_er, host, dupmap, new)
+    alpha2 = _fold_proof(er_premises(old, alpha_er.aux), alpha_er, host, dupmap, new)
     rep = proof_stage(bundle2, alpha2, len(new))
     if not rep:
         raise TranslateError(f"grafted refutation rejected: {rep.reason}")
@@ -379,11 +378,12 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
     algo2 = Circuit(sp.xs, sp.algorithm.gates + dup_gates, sp.ys)
     sp2 = SearchProblem(sp.n, sp.xs, sp.ys, algo2, sp.checker)
     correct2 = gen_correct(sp2)
-    rho = _fold_proof(correct, pi, host, dupmap, correct2)
+    premises = er_premises(correct, pi.aux)
+    rho = _fold_proof(premises, pi, host, dupmap, correct2)
     rep = check_proof(correct2, rho)
     if not rep:
         raise TranslateError(f"translated refutation rejected: step {rep.step}: {rep.reason}")
-    return TranslatedSearch(sp2, rho, len(correct2), len(er_premises(correct, pi.aux)))
+    return TranslatedSearch(sp2, rho, len(correct2), len(premises))
 
 
 def _unit(b: ProofBuilder, lit: int, step: int) -> int:
@@ -410,10 +410,13 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
     the branch bits).  The proof then converts each weakening-witness
     gate of the verdict block into the branch-bit image
     {-z_p : p in C} = {-lit : lit in C} of its source clause C, which
-    is that premise of pi under the substitution, and finally imports
-    pi (ProofBuilder.import_proof), citing its auxiliaries in the first
-    copy of beta'.  The carrier is read by position, never built in
-    full.
+    is that premise of pi under the substitution; the witness, literal
+    and slot gates it cites are read off the bodies of delta (the
+    verdict block's last gate) and of the gates below it, in the order
+    gen_delta states, so no id table is kept beside the carrier.  It
+    finally imports pi (ProofBuilder.import_proof), citing its
+    auxiliaries in the first copy of beta'.  The carrier is read by
+    position, never built in full.
 
     pi is checked (check_input) and each step derived before the import
     as it is made; the certificate is replayed (proof_stage) before it
@@ -464,25 +467,26 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
                 step = b.resolve_lit(units[-l], step, -l)
             units[-g.var] = _unit(b, -g.var, step)
 
-    # Weakening witnesses from the negated verdict.
-    dl = bundle.delta_bundle
+    # Weakening witnesses from the negated verdict, their ids read off
+    # the bodies of delta, w and l in the order gen_delta states.
+    delta = cs.delta
     neg_delta = b.axiom(cs.neg_delta_index)
     f_steps: list[int] = []
     final: Optional[int] = None
-    for pos, clause in enumerate(omega.clauses):
-        wv = dl.w_vars[pos]
-        w_unit = _unit(b, wv, b.resolve(gate_dcl(dl.delta, -wv), neg_delta, dl.delta))
+    for clause, w_lit in zip(omega.clauses, gm[delta].body):
+        wv = -w_lit
+        w_unit = _unit(b, wv, b.resolve(gate_dcl(delta, w_lit), neg_delta, delta))
         cur = b.resolve(w_unit, gate_big(wv), wv)
         if not clause.literals:
             # This witness gate is the negated constant: contradiction.
-            final = b.resolve(const_unit(dl.const), cur, dl.const)
+            const = -gm[wv].body[0]
+            final = b.resolve(const_unit(const), cur, const)
             if b.clause(final) != EMPTY_CLAUSE:
                 raise TranslateError("translated refutation missed the empty clause")
             break
-        for lit in clause:
-            j, k = abs(lit), (1 if lit > 0 else 0)
-            lv = dl.l_vars[(j, k)]
-            sv = dl.s_vars[(j, j, k)]
+        for lit, l_lit in zip(clause, gm[wv].body):
+            lv = -l_lit
+            sv = -gm[lv].body[abs(lit) - 1]
             step = b.resolve(gate_dcl(lv, -sv), gate_big(sv), sv)
             for l in gm[sv].body:
                 if -l in units:  # the index bits, read off copy j's outputs

@@ -108,7 +108,7 @@ def broken_fold(monkeypatch):
     it is handed in the returned list."""
     folds = []
 
-    def fold(old, pi, host, dupmap, new):
+    def fold(premises, pi, host, dupmap, new):
         folds.append((host, dupmap, new.laid[-1].circuit))
         return ResolutionProof((Axiom(0),))
 

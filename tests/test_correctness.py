@@ -53,11 +53,11 @@ def spelled_clause(n, x_bits, y_bits):
 
 def standalone_delta(omega, n):
     """gen_delta's gates as a circuit over inputs of their own, x_i = i
-    then the y rows, with output delta."""
+    then the y rows, with output delta, the last gate."""
     w = output_width(n)
     ys = tuple(tuple(range(n + 1 + i * w, n + 1 + (i + 1) * w)) for i in range(n))
-    d = gen_delta(omega, n, VarAlloc(n * (w + 1) + 1), tuple(range(1, n + 1)), ys)
-    return Circuit(tuple(range(1, n * (w + 1) + 1)), d.gates, (d.delta,))
+    gates = gen_delta(omega, n, VarAlloc(n * (w + 1) + 1), tuple(range(1, n + 1)), ys)
+    return Circuit(tuple(range(1, n * (w + 1) + 1)), gates, (gates[-1].var,))
 
 
 def standalone_lambda(n):
@@ -97,10 +97,12 @@ def test_gen_delta_small_exhaustive(omega1, omega2):
 
 
 def test_gen_delta_input_validation(omega2):
-    with pytest.raises(CorrectnessError):
-        standalone_delta(omega2, 1)  # omega speaks about more variables
-    with pytest.raises(CorrectnessError):
-        standalone_delta(ClauseSet(0, ()), 0)
+    # gen_C, gen_delta's one caller, refuses both before generating
+    beta, iface = canonical_tree_circuit(1)
+    with pytest.raises(CorrectnessError, match="omega over 2 variables, interface says 1"):
+        gen_C(omega2, beta, iface)  # omega speaks about more variables
+    with pytest.raises(CorrectnessError, match="bad variable count 0"):
+        gen_C(ClauseSet(0, ()), Circuit((), (), ()), TreeInterface(0, (), ()))
 
 
 def test_gen_lambda_spells_windows():
@@ -139,7 +141,9 @@ def test_gen_c_layout_independent_of_beta(omega2):
     c1, c2 = b1.clauses, b2.clauses
     assert c1.frees == c2.frees
     assert c1.laid[:-2] == c2.laid[:-2]  # all but the two copies of beta
-    assert b1.w_grid == b2.w_grid
+    # the w grid: each copy's images of beta's outputs
+    assert ([[m[y] for y in iface1.outputs] for m in c1.copy_maps]
+            == [[m[y] for y in iface2.outputs] for m in c2.copy_maps])
     assert c1.delta == c2.delta
     assert c1.neg_delta_index == c2.neg_delta_index
     assert c1.clauses[c1.neg_delta_index] == Clause((-c1.delta,))
