@@ -71,6 +71,8 @@ GOLDEN = {
         "7554d6e50e16263d2174f6b27facc706e2bf77dc072e2f26d60aa21c7c2442fa",
     "cli-gen-c-php32":
         "8ae366846b11c24761cf4c13612d8c0bfeaed66556f7d23a189e80b8ec7fe955",
+    "cli-gen-c-tseitin8":
+        "5e5298af4190b6bf78ed1f6f47e37336ead4067dae0554dbc7c7882adb307a1d",
     "cli-tableau-gen-tm_halt":
         "9c6c834e8fac034c9561a897dba5bd68720bd184e5fcb865222c927d0877e685",
     "cli-tableau-gen-tm_write_stay":
@@ -311,6 +313,7 @@ PRODUCERS = {
     "cli-prove-tseitin4": prove_text,
     "cli-gen-c-tseitin4": lambda p: gen_c_text(tseitin_cycle(4), p),
     "cli-gen-c-php32": lambda p: gen_c_text(php(3, 2), p),
+    "cli-gen-c-tseitin8": lambda p: gen_c_text(tseitin_cycle(8), p),
     "emb_refute-or_chains": lambda p: emb_refute_text(),
     "proof_stage-mutant-reports": lambda p: rejection_reports_text(),
     "dpll_refute-outcomes": lambda p: dpll_outcome_text(),
