@@ -7,18 +7,21 @@ output variables.  Circuits expand to CNF via the standard clause
 group of each gate and evaluate deterministically on any total input
 assignment.  A ``Copy`` renames a circuit under a variable map: its
 gates are the renamed circuit, and laid in a premise set it gives the
-renamed clause groups.
+renamed clause groups.  A ``GateFamily`` is an indexed block of gates
+on consecutive ids whose bodies follow a closed-form rule: laid in a
+premise set it gives their groups, each computed from its index
+alone, so no gate of it is built unless its gates are asked for.
 
 Every premise set read by position is one ``Premises``: one flat
-sequence of laid items (gates, clauses taken as they stand, and copies
-of a circuit under a copy map) over n variables, the one place its
-layout is stored.  The clause at a position comes from prefix sums of
-the items' clause counts and, in a copy, of its circuit's group sizes
-(one table that every copy of the circuit shares), and is built alone;
-each clause built is kept once, by position.  A ``Carrier`` is the
-Premises that ``assemble_carrier`` lays, plus the frees and verdict
-block that its items do not hold; delta is the verdict block's last
-gate.
+sequence of laid items (gates, gate families, clauses taken as they
+stand, and copies of a circuit under a copy map) over n variables, the
+one place its layout is stored.  The clause at a position comes from
+prefix sums of the items' clause counts and, in a family, from its one
+group size, or, in a copy, from its circuit's group sizes (one table
+that every copy of the circuit shares), and is built alone; each clause
+built is kept once, by position.  A ``Carrier`` is the Premises that
+``assemble_carrier`` lays, plus the frees and verdict block that its
+items do not hold; delta is the verdict block's last gate.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, groupby
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .formulas import (
     Clause,
@@ -216,6 +219,12 @@ class VarAlloc:
         self._next += 1
         return v
 
+    def take(self, k: int) -> int:
+        """k fresh ids in a row; the first of them."""
+        v = self._next
+        self._next += k
+        return v
+
 
 def map_literal(lit: int, varmap: dict[int, int]) -> int:
     v = varmap[abs(lit)]
@@ -300,13 +309,48 @@ class Copy:
         )
 
 
+@dataclass(frozen=True)
+class GateFamily:
+    """``count`` gates on the ids base .. base + count - 1: gate t is
+    base + t = OR(rule(t, *args)).  Every body has the same length and
+    distinct literals, none on its own gate, so every group holds
+    ``group`` clauses and gate t's starts at offset t * group.  Laid in
+    a Premises, a family gives its gates' groups in index order, each
+    computed from t when it is read; ``gates`` builds them all.  Two
+    families are equal when their ids, rule and arguments are."""
+
+    base: int
+    count: int
+    rule: Callable[..., tuple[int, ...]]
+    args: tuple
+
+    def body(self, t: int) -> tuple[int, ...]:
+        return self.rule(t, *self.args)
+
+    @cached_property
+    def group(self) -> int:
+        return 1 + len(self.body(0))
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(Gate(self.base + t, self.body(t)) for t in range(self.count))
+
+
+def item_gates(item) -> tuple[Gate, ...]:
+    """The gates a laid gate, family or copy defines."""
+    return item.gates if isinstance(item, (Copy, GateFamily)) else (item,)
+
+
 def clause_count(item) -> int:
     """How many clauses a laid item gives: a Gate its group, which is
     ``len(gate_group(g.var, g.body))`` for a gate whose body does not
-    cite it, a Copy its circuit's groups, a Clause one."""
+    cite it, a GateFamily its gates' groups, a Copy its circuit's
+    groups, a Clause one."""
     kind = type(item)
     if kind is Gate:
         return 1 + len(set(item.body))
+    if kind is GateFamily:
+        return item.count * item.group
     return item.circuit.group_ends[-1] if kind is Copy else 1
 
 
@@ -314,22 +358,24 @@ def clause_count(item) -> int:
 class Premises:
     """Premises read by position: the clauses of each item of ``laid``
     in order, over ``n`` variables.  An item is a Gate (its clause
-    group, in gate_group order), a Clause (taken as it stands, such as
-    the unit {-delta}) or a Copy (the groups of a circuit's gates under
-    a copy map).  A set laid over another set lays that set's own items
-    first (proofs.er_premises), so no Premises holds another.
+    group, in gate_group order), a GateFamily (its gates' groups, in
+    index order), a Clause (taken as it stands, such as the unit
+    {-delta}) or a Copy (the groups of a circuit's gates under a copy
+    map).  A set laid over another set lays that set's own items first
+    (proofs.er_premises), so no Premises holds another.
 
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
     ``clauses``) and answers ``gate_position`` and ``neg_delta_index``.
     The clause at a position is found from prefix sums over runs of
     items with one clause count (a divmod then names the item), then,
-    in a copy, from its circuit's group sizes, and built alone: offset
-    0 of a group is the wide clause, offset i the clause of the i-th
-    distinct body literal, mapped through the copy map.  Each clause
-    built is kept by position, in this set's own memo.  Nothing is
-    built in full until ``clauses`` or iteration reads it (the groups
-    whole, as synthesis reads them), and once the tuple exists,
-    indexing reads it."""
+    in a family, by a divmod over its group size, which names the gate
+    whose body alone is computed, or, in a copy, from its circuit's
+    group sizes, and built alone: offset 0 of a group is the wide
+    clause, offset i the clause of the i-th distinct body literal,
+    mapped through the copy map.  Each clause built is kept by
+    position, in this set's own memo.  Nothing is built in full until
+    ``clauses`` or iteration reads it (the groups whole, as synthesis
+    reads them), and once the tuple exists, indexing reads it."""
 
     laid: tuple
     n: int
@@ -353,16 +399,19 @@ class Premises:
                 yield self.laid[t], starts[r] + (t - firsts[r]) * size
 
     @cached_property
-    def _starts(self) -> dict[int, int]:
-        """Where the group of each gate laid here starts."""
-        starts = {}
+    def _starts(self) -> tuple[dict[int, int], list[tuple[GateFamily, int]]]:
+        """Where the group of each gate laid here starts, and each
+        family laid here with the position where its groups start."""
+        starts, families = {}, []
         for item, at in self._placed():
             if isinstance(item, Gate):
                 starts[item.var] = at
+            elif isinstance(item, GateFamily):
+                families.append((item, at))
             elif isinstance(item, Copy):
                 m, gates = item.varmap, item.circuit.gates
                 starts.update((m[g.var], at + e) for g, e in zip(gates, item.circuit.group_ends))
-        return starts
+        return starts, families
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
@@ -372,6 +421,9 @@ class Premises:
             kind = type(item)
             if kind is Gate:
                 out += gate_group(item.var, item.body)
+            elif kind is GateFamily:
+                for t in range(item.count):
+                    out += gate_group(item.base + t, item.body(t))
             elif kind is Copy:
                 m = item.varmap
                 for g in item.circuit.gates:
@@ -394,6 +446,9 @@ class Premises:
         for item in laid:
             if type(item) is Copy:
                 used.update(map(item.varmap.__getitem__, _gate_variables(item.circuit.gates)))
+            elif type(item) is GateFamily:
+                used.update(range(item.base, item.base + item.count))
+                used.update(abs(l) for t in range(item.count) for l in item.body(t))
             elif type(item) is Clause:
                 used.update(map(abs, item._lits))
         return used
@@ -421,6 +476,10 @@ class Premises:
                 clause = _wide_clause(item.var, item.body)
             else:
                 clause = _body_clause(item.var, _distinct_body(item.body, size)[i - 1])
+        elif kind is GateFamily:  # gate t of the family: its body alone
+            t, i = divmod(i, item.group)
+            v, body = item.base + t, item.body(t)
+            clause = _wide_clause(v, body) if i == 0 else _body_clause(v, body[i - 1])
         else:  # a Copy: gate t of its circuit, mapped; only the literals used
             m, ends = item.varmap, item.circuit.group_ends
             t = bisect_right(ends, i) - 1
@@ -438,8 +497,16 @@ class Premises:
     def gate_position(self, var: int) -> int:
         """Where var's gate group starts: its wide clause, then at 1 + i
         the two-literal clause of its i-th distinct body literal, in
-        body order.  KeyError when no gate laid here defines var."""
-        return self._starts[var]
+        body order.  KeyError when no gate laid here defines var.  A
+        family's gate is found from the family's id range."""
+        starts, families = self._starts
+        at = starts.get(var)
+        if at is not None:
+            return at
+        for fam, at in families:
+            if 0 <= var - fam.base < fam.count:
+                return at + (var - fam.base) * fam.group
+        raise KeyError(var)
 
     @property
     def neg_delta_index(self) -> int:
@@ -458,12 +525,12 @@ class Carrier(Premises):
     Premises that lays the verdict block, {-delta}, the pre-block and
     the copies, whose inner gates take the ids above every other, up to
     ``n``.  It adds what its items do not hold: the ``frees`` (branch
-    or address bits) and the ``verdict`` block, whose last gate is the
-    output ``delta``; the carrier circuit and the copy maps are read
-    off the items."""
+    or address bits) and the ``verdict`` block (gates and gate
+    families), whose last item is the gate of the output ``delta``;
+    the carrier circuit and the copy maps are read off the items."""
 
     frees: tuple[int, ...]
-    verdict: tuple[Gate, ...]
+    verdict: tuple
 
     @property
     def delta(self) -> int:
@@ -476,19 +543,20 @@ class Carrier(Premises):
 
     @cached_property
     def circuit(self) -> Circuit:
-        """The gates pre-block, copies, verdict block; output delta."""
-        rest = self.laid[len(self.verdict) + 1:]
-        gates = (g for item in rest for g in (item.gates if isinstance(item, Copy) else (item,)))
-        return Circuit(self.frees, (*gates, *self.verdict), (self.delta,))
+        """The gates pre-block, copies, verdict block; output delta.
+        The families' and copies' gates are built here, once."""
+        items = self.laid[len(self.verdict) + 1:] + self.verdict
+        gates = tuple(g for item in items for g in item_gates(item))
+        return Circuit(self.frees, gates, (self.delta,))
 
 
 def assemble_carrier(
     frees: tuple[int, ...],
-    pre: Sequence[Gate],
+    pre: Sequence,
     beta: Circuit,
     base: int,
     ports: Sequence[dict[int, int]],
-    verdict: Sequence[Gate],
+    verdict: Sequence,
 ) -> Carrier:
     """The one carrier layout, shared by ``gen_C`` and ``gen_tableau``.
 
@@ -497,9 +565,10 @@ def assemble_carrier(
     ``base + t * len(ports) + k``; spare frees stay in place.  The
     circuit has the gates pre-block, copies, verdict block, in that
     order, and outputs delta, the verdict block's last gate.  The
-    clause set lays the verdict block's groups, the unit {-delta}, the
-    pre-block's groups, then each copy's, over variables up to the
-    last copy id (or delta).
+    pre-block and the verdict block are sequences of gates and gate
+    families.  The clause set lays the verdict block's groups, the unit
+    {-delta}, the pre-block's groups, then each copy's, over variables
+    up to the last copy id (or delta).
 
     This block arithmetic is normative: the verifier takes ``len`` and
     the cited clauses from it, and the graft folds cite gate clauses

@@ -8,7 +8,8 @@ when the described refutation is correct.
 Canonical variable layout (normative for proof portability):
   1..n                      branch variables z_1..z_n
   lambda block              tt, then the window grid u_{i,j} row-major
-  w grid                    w_{i,m} row-major (defined by copy outputs)
+  w grid                    w_{i,m} row-major (defined by copy outputs),
+                            at n + 2 + n(n+1) + (i-1)*width + (m-1)
   delta block               weakening-checker gates, delta last
   copy gates                copy i of the t-th non-output gate at
                             copy_base + (t-1)*n + (i-1)
@@ -23,10 +24,15 @@ lambda block as pre-block and the delta block as verdict block.
 The block arithmetic is normative: the verifier takes |C| and the
 clause at a cited position from it, and never builds C in full.  C is
 one circuits.Carrier, whose flat sequence is the one place the layout
-is stored: the delta block's gates, the unit {-delta}, the lambda
-block's gates (gen_delta and gen_lambda return the gates they lay),
+is stored: the delta block's items, the unit {-delta}, the lambda
+block's items (gen_delta and gen_lambda return the items they lay),
 then the copies of beta, each read through its copy map off one table
-of beta's group sizes.  A gate contributes one clause plus one per
+of beta's group sizes.  The regular blocks are gate families
+(circuits.GateFamily), each gate's body a closed-form function of its
+index: lambda's n(n + 1) window cells, and the checker's 2n^2 s-gates
+and 2n l-gates; tt, the w gates and delta are gates.  A cited clause
+of a family is computed from its gate's index alone, so the verifier
+builds no gate of a family.  A gate contributes one clause plus one per
 distinct body literal, and each copy map is injective (window and w
 images lie above n, copy gates above every other id, and spare frees
 stay at ids 1..n), so every copy of beta holds the same number of
@@ -43,10 +49,10 @@ from dataclasses import dataclass
 from .circuits import (
     Carrier,
     Circuit,
-    CircuitBuilder,
     CircuitReport,
     Copy,
     Gate,
+    GateFamily,
     Premises,
     VarAlloc,
     assemble_carrier,
@@ -66,13 +72,35 @@ class InterfaceError(CorrectnessError):
     stage = "interface"  # where implicit.verify_carrier reports it
 
 
+def _slot_gate(t: int, n: int, x_vars, y_vars) -> tuple[int, ...]:
+    """Body of s-gate t = 2((i - 1)n + j - 1) + k: false iff slot i
+    spells literal j (k = 1) or -j (k = 0)."""
+    i, r = divmod(t, 2 * n)
+    j, k = r // 2 + 1, r % 2
+    x = x_vars[i]
+    return (-x if k else x, *(-y if bit(m, j) else y for m, y in enumerate(y_vars[i], 1)))
+
+
+def _literal_gate(t: int, n: int, s_base: int) -> tuple[int, ...]:
+    """Body of l-gate t = 2(j - 1) + k: OR(-s_{i,j,k} : i = 1..n)."""
+    return tuple(-(s_base + 2 * n * i + t) for i in range(n))
+
+
+def _window_cell(t: int, n: int, tt: int, z_vars) -> tuple[int, ...]:
+    """Body of window cell t = (i - 1)(n + 1) + j: u_{i,j} is NOT tt
+    for j <= n - i, tt at j = n - i + 1, then z_1.. in turn."""
+    i, j = divmod(t, n + 1)  # i is the depth less one
+    lead = n - i
+    return (-tt,) if j < lead else (tt,) if j == lead else (z_vars[j - lead - 1],)
+
+
 def gen_delta(
     omega: ClauseSet,
     n: int,
     fresh: VarAlloc,
     x_vars: tuple[int, ...],
     y_vars: tuple[tuple[int, ...], ...],
-) -> tuple[Gate, ...]:
+) -> tuple:
     """The checker over the inputs x_vars (sign bits) and y_vars (one
     row of index bits per slot), its gates on ids from fresh: delta is
     true iff the clause the n slots spell weakens some member of omega.
@@ -83,57 +111,30 @@ def gen_delta(
     i = 1..n) for (j, k) row-major; one w_C = OR(-l_{|lit|,[lit > 0]} :
     lit in C) per clause C of omega, in omega's and C's literal order
     (NOT tt for an empty C); last delta = OR(-w_C : C in omega), in
-    omega's order (NOT tt for an omega without clauses)."""
-    width = output_width(n)
-    b = CircuitBuilder(fresh)
+    omega's order (NOT tt for an omega without clauses).  The 2n^2
+    s-gates and the 2n l-gates are two GateFamily blocks; tt, the w
+    gates and delta are Gates."""
     need_const = len(omega.clauses) == 0 or any(not c.literals for c in omega)
-    const = b.const_true(x_vars[0]) if need_const else None
-
-    s_vars: dict[tuple[int, int, int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in (0, 1):
-                body = (x_vars[i - 1] if k == 0 else -x_vars[i - 1],) + tuple(
-                    -y_vars[i - 1][m - 1] if bit(m, j) else y_vars[i - 1][m - 1]
-                    for m in range(1, width + 1)
-                )
-                s_vars[(i, j, k)] = b.gate(body)
-    l_vars: dict[tuple[int, int], int] = {}
-    for j in range(1, n + 1):
-        for k in (0, 1):
-            l_vars[(j, k)] = b.gate(tuple(-s_vars[(i, j, k)] for i in range(1, n + 1)))
-    w_list = []
-    for c in omega:
-        if not c.literals:
-            w_list.append(b.not_(const))
-            continue
-        body = tuple(
-            -l_vars[(abs(lit), 1 if lit > 0 else 0)] for lit in c
-        )
-        w_list.append(b.gate(body))
-    if omega.clauses:
-        b.gate(tuple(-w for w in w_list))
-    else:
-        b.not_(const)
-    return tuple(b.gates)
+    const = Gate(fresh.fresh(), (x_vars[0], -x_vars[0])) if need_const else None
+    s = GateFamily(fresh.take(2 * n * n), 2 * n * n, _slot_gate, (n, x_vars, y_vars))
+    l = GateFamily(fresh.take(2 * n), 2 * n, _literal_gate, (n, s.base))
+    w_list = [
+        Gate(fresh.fresh(), tuple(-(l.base + 2 * abs(lit) - 2 + (lit > 0)) for lit in c)
+             if c.literals else (-const.var,))
+        for c in omega
+    ]
+    delta = Gate(fresh.fresh(), tuple(-w.var for w in w_list) if w_list else (-const.var,))
+    return (*((const,) if const else ()), s, l, *w_list, delta)
 
 
-def gen_lambda(n: int, fresh: VarAlloc, z_vars: tuple[int, ...]) -> tuple[tuple[Gate, ...], dict]:
-    """The window grid over the branch variables z_vars: its gates on
-    ids from fresh, tt first, and its cells, where row i of u_{i,j}
-    spells the depth-i window: zeros, a one at column n-i+1, then z_1.."""
-    b = CircuitBuilder(fresh)
-    tt = b.const_true(z_vars[0])
-    grid: dict[tuple[int, int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(0, n + 1):
-            if j <= n - i:
-                grid[(i, j)] = b.not_(tt)
-            elif j == n - i + 1:
-                grid[(i, j)] = b.gate((tt,))
-            else:
-                grid[(i, j)] = b.gate((z_vars[j - (n - i + 1) - 1],))
-    return tuple(b.gates), grid
+def gen_lambda(n: int, fresh: VarAlloc, z_vars: tuple[int, ...]) -> tuple[Gate, GateFamily]:
+    """The window grid over the branch variables z_vars, on ids from
+    fresh: the gate tt, then the cells as one GateFamily, where cell
+    (i - 1)(n + 1) + j is u_{i,j} and row i spells the depth-i window:
+    zeros, a one at column n-i+1, then z_1.."""
+    tt = Gate(fresh.fresh(), (z_vars[0], -z_vars[0]))
+    cells = GateFamily(fresh.take(n * (n + 1)), n * (n + 1), _window_cell, (n, tt.var, z_vars))
+    return tt, cells
 
 
 @dataclass(frozen=True)
@@ -161,17 +162,18 @@ def gen_C(omega: ClauseSet, beta: Circuit, iface: TreeInterface) -> CorrectnessB
 
     z_vars = tuple(range(1, n + 1))
     fresh = VarAlloc(n + 1)
-    lam_gates, cell = gen_lambda(n, fresh, z_vars)
+    pre = gen_lambda(n, fresh, z_vars)
+    cells = pre[-1].base
     w_rows = tuple(tuple(fresh.fresh() for _ in range(output_width(n))) for _ in range(n))
     verdict = gen_delta(omega, n, fresh, z_vars, w_rows)
     copy_base = fresh.next_var
 
     ports = []
-    for i in range(1, n + 1):
-        port = {x: cell[(i, j)] for j, x in enumerate(iface.inputs)}
-        port.update(zip(iface.outputs, w_rows[i - 1]))
+    for i in range(n):
+        port = {x: cells + i * (n + 1) + j for j, x in enumerate(iface.inputs)}
+        port.update(zip(iface.outputs, w_rows[i]))
         ports.append(port)
-    carrier = assemble_carrier(z_vars, lam_gates, beta, copy_base, ports, verdict)
+    carrier = assemble_carrier(z_vars, pre, beta, copy_base, ports, verdict)
     return CorrectnessBundle(carrier)
 
 

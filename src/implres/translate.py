@@ -71,6 +71,7 @@ from .circuits import (
     Circuit,
     Copy,
     Gate,
+    GateFamily,
     Premises,
     clause_count,
     map_literal,
@@ -453,7 +454,8 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
 
     # Forcing: units[l] is the step deriving {l}.
     gates = cs.circuit.gates
-    tt, *forced = gates[: len(gates) - len(cs.verdict)]
+    checker = sum(item.count if isinstance(item, GateFamily) else 1 for item in cs.verdict)
+    tt, *forced = gates[: len(gates) - checker]
     units = {tt.var: const_unit(tt.var)}
     for g in forced:
         body = tuple(dict.fromkeys(g.body))

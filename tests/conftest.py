@@ -1,7 +1,7 @@
 import pytest
 
 from implres import translate
-from implres.circuits import Copy, gate_group
+from implres.circuits import gate_group, item_gates
 from implres.families import contradiction_pair, php, tseitin_cycle, two_var_unsat
 from implres.formulas import Clause, ClauseSet
 from implres.proofs import Axiom, ResolutionProof
@@ -29,8 +29,9 @@ def tseitin4():
 
 def laid_out(premises):
     """The gates whose clause groups a premise set (a Premises view,
-    such as a Carrier, or a ClauseSet) lays out, in order, and the
-    variables of its clauses that no such gate defines."""
+    such as a Carrier, or a ClauseSet) lays out, in order, a gate
+    family or a copy expanded into its gates, and the variables of its
+    clauses that no such gate defines."""
     if isinstance(premises, ClauseSet):
         return (), {abs(lit) for c in premises for lit in c}
     gates, frees = (), set()
@@ -38,7 +39,7 @@ def laid_out(premises):
         if isinstance(item, Clause):
             frees |= {abs(lit) for lit in item}
         else:
-            laid = item.gates if isinstance(item, Copy) else (item,)
+            laid = item_gates(item)
             gates += laid
             frees |= {abs(lit) for g in laid for lit in g.body}
     return gates, frees - {g.var for g in gates}

@@ -441,3 +441,38 @@ def test_the_verifier_keeps_each_cited_premise_once(monkeypatch):
         carrier = made[0].clauses
         assert set(carrier._memo) == cited
         assert held(carrier) == len(cited)
+
+
+def test_the_verifier_builds_no_gate_of_a_family(monkeypatch):
+    """verify_implicit lays the window cells and the checker's slot and
+    literal gates as gate families and reads their clauses by index:
+    the carrier it replays against lays at most |omega| + n + 8 items,
+    never builds its circuit, and the only gates made while verifying
+    are the constant, tt, the w gates and delta."""
+    made, built = [], []
+    real_gen, real_post = implicit.gen_C, Gate.__post_init__
+
+    def generate(*args):
+        made.append(real_gen(*args))
+        return made[-1]
+
+    def post_init(gate):
+        built.append(gate.var)
+        real_post(gate)
+
+    monkeypatch.setattr(implicit, "gen_C", generate)
+    seven, php43 = tseitin_cycle(7), php(4, 3)
+    pi = ERProof(Circuit(), proof_from_tree(php43, dpll_refute(php43).tree))
+    for omega, ir in (
+        (seven, implicit_from_tree(seven, dpll_refute(seven).tree)),
+        (php43, er_to_implicit(php43, pi)),
+    ):
+        made.clear()
+        monkeypatch.setattr(Gate, "__post_init__", post_init)
+        assert verify_implicit(ir)
+        monkeypatch.setattr(Gate, "__post_init__", real_post)
+        carrier = made[0].clauses
+        assert "circuit" not in vars(carrier)
+        assert len(carrier.laid) <= len(omega.clauses) + omega.n + 8
+        assert len(built) <= len(omega.clauses) + 3
+        built.clear()

@@ -11,6 +11,7 @@ from implres.circuits import (
     VarAlloc,
     evaluate,
     gate_group,
+    item_gates,
     map_literal,
     validate_circuit,
 )
@@ -56,15 +57,18 @@ def standalone_delta(omega, n):
     then the y rows, with output delta, the last gate."""
     w = output_width(n)
     ys = tuple(tuple(range(n + 1 + i * w, n + 1 + (i + 1) * w)) for i in range(n))
-    gates = gen_delta(omega, n, VarAlloc(n * (w + 1) + 1), tuple(range(1, n + 1)), ys)
+    items = gen_delta(omega, n, VarAlloc(n * (w + 1) + 1), tuple(range(1, n + 1)), ys)
+    gates = tuple(g for item in items for g in item_gates(item))
     return Circuit(tuple(range(1, n * (w + 1) + 1)), gates, (gates[-1].var,))
 
 
 def standalone_lambda(n):
     """gen_lambda's gates as a circuit over branch variables of their
-    own, z_i = i, with every window cell an output; and the cell table."""
-    gates, grid = gen_lambda(n, VarAlloc(n + 1), tuple(range(1, n + 1)))
-    return Circuit(tuple(range(1, n + 1)), gates, tuple(grid.values())), grid
+    own, z_i = i, with every window cell an output; and the cell table,
+    cell (i - 1)(n + 1) + j of the family being u_{i,j}."""
+    tt, cells = gen_lambda(n, VarAlloc(n + 1), tuple(range(1, n + 1)))
+    grid = {(t // (n + 1) + 1, t % (n + 1)): g.var for t, g in enumerate(cells.gates)}
+    return Circuit(tuple(range(1, n + 1)), (tt, *cells.gates), tuple(grid.values())), grid
 
 
 def delta_value(checker, x_bits, y_bits):
