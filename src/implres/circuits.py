@@ -354,6 +354,23 @@ def clause_count(item) -> int:
     return item.circuit.group_ends[-1] if kind is Copy else 1
 
 
+class _GateStarts(dict):
+    """Where the group of each gate starts, by its id: one entry per
+    gate or copied gate, while each gate family is kept once, with the
+    position where its groups start, and a miss finds its gates from
+    its id range, so a gate outside a family costs one dict read."""
+
+    def __init__(self):
+        super().__init__()
+        self.families: list[tuple[GateFamily, int]] = []
+
+    def __missing__(self, var: int) -> int:
+        for fam, at in self.families:
+            if 0 <= var - fam.base < fam.count:
+                return at + (var - fam.base) * fam.group
+        raise KeyError(var)
+
+
 @dataclass(frozen=True, eq=False)
 class Premises:
     """Premises read by position: the clauses of each item of ``laid``
@@ -399,19 +416,18 @@ class Premises:
                 yield self.laid[t], starts[r] + (t - firsts[r]) * size
 
     @cached_property
-    def _starts(self) -> tuple[dict[int, int], list[tuple[GateFamily, int]]]:
-        """Where the group of each gate laid here starts, and each
-        family laid here with the position where its groups start."""
-        starts, families = {}, []
+    def _starts(self) -> _GateStarts:
+        """Where the group of each gate laid here starts."""
+        starts = _GateStarts()
         for item, at in self._placed():
             if isinstance(item, Gate):
                 starts[item.var] = at
             elif isinstance(item, GateFamily):
-                families.append((item, at))
+                starts.families.append((item, at))
             elif isinstance(item, Copy):
                 m, gates = item.varmap, item.circuit.gates
                 starts.update((m[g.var], at + e) for g, e in zip(gates, item.circuit.group_ends))
-        return starts, families
+        return starts
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
@@ -499,14 +515,7 @@ class Premises:
         the two-literal clause of its i-th distinct body literal, in
         body order.  KeyError when no gate laid here defines var.  A
         family's gate is found from the family's id range."""
-        starts, families = self._starts
-        at = starts.get(var)
-        if at is not None:
-            return at
-        for fam, at in families:
-            if 0 <= var - fam.base < fam.count:
-                return at + (var - fam.base) * fam.group
-        raise KeyError(var)
+        return self._starts[var]
 
     @property
     def neg_delta_index(self) -> int:

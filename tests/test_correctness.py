@@ -67,8 +67,9 @@ def standalone_lambda(n):
     own, z_i = i, with every window cell an output; and the cell table,
     cell (i - 1)(n + 1) + j of the family being u_{i,j}."""
     tt, cells = gen_lambda(n, VarAlloc(n + 1), tuple(range(1, n + 1)))
-    grid = {(t // (n + 1) + 1, t % (n + 1)): g.var for t, g in enumerate(cells.gates)}
-    return Circuit(tuple(range(1, n + 1)), (tt, *cells.gates), tuple(grid.values())), grid
+    gates = cells.gates
+    grid = {(t // (n + 1) + 1, t % (n + 1)): g.var for t, g in enumerate(gates)}
+    return Circuit(tuple(range(1, n + 1)), (tt, *gates), tuple(grid.values())), grid
 
 
 def delta_value(checker, x_bits, y_bits):
