@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, groupby
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .formulas import (
     Clause,
@@ -300,13 +300,8 @@ class Copy:
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        """The copy's gates, in the circuit's order: the one way a
-        circuit is renamed.  The map may send a body variable to a
-        negative literal (p -> -z_p): a body literal -p then reads z_p."""
-        m = self.varmap
-        return tuple(
-            Gate(m[g.var], tuple(map_literal(l, m) for l in g.body)) for g in self.circuit.gates
-        )
+        """The copy's gates, in the circuit's order (item_bodies)."""
+        return item_gates(self)
 
 
 @dataclass(frozen=True)
@@ -333,12 +328,31 @@ class GateFamily:
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        return tuple(Gate(self.base + t, self.body(t)) for t in range(self.count))
+        return item_gates(self)
+
+
+def item_bodies(item) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The id and body of each gate a laid gate, family or copy
+    defines, in its order, with no Gate made: the one expansion of a
+    laid item.  A copy's bodies are its circuit's under the map, which
+    may send a body variable to a negative literal (p -> -z_p): a body
+    literal -p then reads z_p."""
+    kind = type(item)
+    if kind is Gate:
+        yield item.var, item.body
+    elif kind is GateFamily:
+        rule, args = item.rule, item.args
+        for t in range(item.count):
+            yield item.base + t, rule(t, *args)
+    else:
+        m = item.varmap
+        for g in item.circuit.gates:
+            yield m[g.var], tuple([m[l] if l > 0 else -m[-l] for l in g.body])
 
 
 def item_gates(item) -> tuple[Gate, ...]:
-    """The gates a laid gate, family or copy defines."""
-    return item.gates if isinstance(item, (Copy, GateFamily)) else (item,)
+    """The gates a laid gate, family or copy defines (item_bodies)."""
+    return tuple(Gate(v, body) for v, body in item_bodies(item))
 
 
 def clause_count(item) -> int:
@@ -434,18 +448,11 @@ class Premises:
         """Every clause, each laid item's groups built whole."""
         out = []
         for item in self.laid:
-            kind = type(item)
-            if kind is Gate:
-                out += gate_group(item.var, item.body)
-            elif kind is GateFamily:
-                for t in range(item.count):
-                    out += gate_group(item.base + t, item.body(t))
-            elif kind is Copy:
-                m = item.varmap
-                for g in item.circuit.gates:
-                    out += gate_group(m[g.var], tuple([m[l] if l > 0 else -m[-l] for l in g.body]))
-            else:
+            if type(item) is Clause:
                 out.append(item)
+            else:
+                for v, body in item_bodies(item):
+                    out += gate_group(v, body)
         return ClauseSet(self.n, out).clauses
 
     def __len__(self) -> int:
@@ -475,15 +482,12 @@ class Premises:
         clause = self._memo.get(p)
         if clause is not None:
             return clause
-        starts, firsts, sizes = self._runs
-        if not 0 <= p < starts[-1]:
-            raise IndexError(f"no clause at position {p} of {starts[-1]}")
+        end = self._runs[0][-1]
+        if not 0 <= p < end:
+            raise IndexError(f"no clause at position {p} of {end}")
         if "clauses" in self.__dict__:
             return self.clauses[p]
-        r = bisect_right(starts, p) - 1
-        size = sizes[r]
-        t, i = divmod(p - starts[r], size)
-        item = self.laid[firsts[r] + t]
+        item, i, size = self._item_at(p)
         kind = type(item)
         if kind is Clause:
             clause = item
@@ -509,6 +513,30 @@ class Premises:
         return clause
 
     __getitem__ = clause
+
+    def _item_at(self, p: int) -> tuple[object, int, int]:
+        """The laid item holding position p, p's offset into the item's
+        clauses and the item's clause count, for 0 <= p < len."""
+        starts, firsts, sizes = self._runs
+        r = bisect_right(starts, p) - 1
+        t, i = divmod(p - starts[r], sizes[r])
+        return self.laid[firsts[r] + t], i, sizes[r]
+
+    def gate_body(self, var: int) -> tuple[int, ...]:
+        """The body of the gate laid here that defines var, computed
+        from its item at gate_position(var): a Gate's body, a family
+        gate's rule(var - base), or a copied gate's body under the copy
+        map; no Gate is made.  KeyError when no gate laid here defines
+        var."""
+        item, i, _ = self._item_at(self._starts[var])
+        kind = type(item)
+        if kind is Gate:
+            return item.body
+        if kind is GateFamily:
+            return item.body(var - item.base)
+        m, ends = item.varmap, item.circuit.group_ends
+        g = item.circuit.gates[bisect_right(ends, i) - 1]
+        return tuple([m[l] if l > 0 else -m[-l] for l in g.body])
 
     def gate_position(self, var: int) -> int:
         """Where var's gate group starts: its wide clause, then at 1 + i
@@ -550,10 +578,20 @@ class Carrier(Premises):
         """Each copy's variable map, copy 0 first."""
         return tuple(item.varmap for item in self.laid if isinstance(item, Copy))
 
+    def gate_walk(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """The id and body of each gate of the pre-block, then of each
+        copy, in layout order (item_bodies): the carrier circuit's
+        gates without the verdict block, with no Gate made."""
+        for item in self.laid[len(self.verdict) + 1:]:
+            yield from item_bodies(item)
+
     @cached_property
     def circuit(self) -> Circuit:
         """The gates pre-block, copies, verdict block; output delta.
-        The families' and copies' gates are built here, once."""
+        The families' and copies' gates are built here, once.  Its
+        readers are graft_fold's host, tableau.address_sweep and the
+        tests; truthdef_translate and the verifier read the carrier by
+        position (gate_position, gate_body, gate_walk) instead."""
         items = self.laid[len(self.verdict) + 1:] + self.verdict
         gates = tuple(g for item in items for g in item_gates(item))
         return Circuit(self.frees, gates, (self.delta,))

@@ -50,8 +50,10 @@ not a gate, pi's auxiliaries read only branch variables, so they are
 laid on the canonical circuit before C(omega, beta') is generated,
 once, and the certificate is derived on it.  The truth-definition
 step forces the carrier's units by propagation, one pass over its
-gates in order, so it reads the carrier circuit and its clause
-positions and restates no layout of gen_C or of the canonical circuit.
+gates in layout order, so it reads the carrier by position, each gate's
+body computed off its laid item (Carrier.gate_walk, Premises.gate_body),
+and restates no layout of gen_C or of the canonical circuit; it builds
+neither the carrier circuit nor a Gate of a family or a copy.
 
 Each proof is replayed once.  A proof from outside is checked where it
 enters (check_input, called by truthdef_translate, search_translate
@@ -71,7 +73,6 @@ from .circuits import (
     Circuit,
     Copy,
     Gate,
-    GateFamily,
     Premises,
     clause_count,
     map_literal,
@@ -388,8 +389,11 @@ def search_translate(sp: SearchProblem, pi: ERProof) -> TranslatedSearch:
 
 
 def _unit(b: ProofBuilder, lit: int, step: int) -> int:
-    if b.clause(step) != Clause((lit,)):
-        raise TranslateError(f"expected unit {lit}, got {b.clause(step)}")
+    # a Clause holds distinct literals, so this is b.clause(step) ==
+    # Clause((lit,)) with no clause built and none put in order
+    c = b.clause(step)
+    if len(c) != 1 or lit not in c:
+        raise TranslateError(f"expected unit {lit}, got {c}")
     return step
 
 
@@ -400,24 +404,25 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
     -z_p where they read p, with the branch variables 1..n as spare
     frees; an aux-free pi adds no gate.  C(omega, beta') is generated
     once and refuted in one builder.  The proof first forces units by
-    propagation over the carrier circuit in gate order, the pre-block
-    and then the copies: the constant tt = OR(z_1, -z_1) is true; a
-    gate with a body literal whose unit is derived gets {g}, from that
-    unit and g's two-literal clause; a gate whose body literals all
-    have false units gets {-g}, from g's wide clause; the window's
-    pass-through gates and the auxiliaries' copies, which read branch
-    variables alone, get none.  That forces every copy's outputs (the
-    canonical circuit's answer on a depth-i window is i regardless of
-    the branch bits).  The proof then converts each weakening-witness
-    gate of the verdict block into the branch-bit image
-    {-z_p : p in C} = {-lit : lit in C} of its source clause C, which
-    is that premise of pi under the substitution; the witness, literal
-    and slot gates it cites are read off the bodies of delta (the
-    verdict block's last gate) and of the gates below it, in the order
-    gen_delta states, so no id table is kept beside the carrier.  It
-    finally imports pi (ProofBuilder.import_proof), citing its
-    auxiliaries in the first copy of beta'.  The carrier is read by
-    position, never built in full.
+    propagation over the carrier's gates in layout order
+    (Carrier.gate_walk), the pre-block and then the copies: the
+    constant tt = OR(z_1, -z_1) is true; a gate with a body literal
+    whose unit is derived gets {g}, from that unit and g's two-literal
+    clause; a gate whose body literals all have false units gets {-g},
+    from g's wide clause; the window's pass-through gates and the
+    auxiliaries' copies, which read branch variables alone, get none.
+    That forces every copy's outputs (the canonical circuit's answer
+    on a depth-i window is i regardless of the branch bits).  The
+    proof then converts each weakening-witness gate of the verdict
+    block into the branch-bit image {-z_p : p in C} = {-lit : lit in C}
+    of its source clause C, which is that premise of pi under the
+    substitution; the witness, literal and slot gates it cites are read
+    off the bodies of delta (the verdict block's last gate) and of the
+    gates below it (Carrier.gate_body), in the order gen_delta states,
+    so no id table is kept beside the carrier.  It finally imports pi
+    (ProofBuilder.import_proof), citing its auxiliaries in the first
+    copy of beta'.  The carrier is read by position and id: neither its
+    circuit nor a Gate of a family or a copy is built.
 
     pi is checked (check_input) and each step derived before the import
     as it is made; the certificate is replayed (proof_stage) before it
@@ -435,7 +440,7 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
     )
     bundle = gen_C(omega, beta, iface)
     cs = bundle.clauses
-    gm = cs.circuit.gate_map()
+    body_of = cs.gate_body
     # pi's variables as the carrier names them: the first copy keeps
     # the branch variables in place and holds the auxiliaries
     varmap = {v: map_literal(l, cs.copy_maps[0]) for v, l in auxmap.items()}
@@ -444,53 +449,60 @@ def truthdef_translate(omega: ClauseSet, pi: ERProof) -> ImplicitRefutation:
     def gate_big(var: int) -> int:
         return b.axiom(cs.gate_position(var))
 
-    def gate_dcl(var: int, lit: int) -> int:  # {var, -lit}
-        body = tuple(dict.fromkeys(gm[var].body))
+    def gate_dcl(var: int, body: tuple[int, ...], lit: int) -> int:  # {var, -lit}
+        # body is var's distinct body (circuits._distinct_body): clause
+        # 1 + i of the group is that of its i-th literal
         return b.axiom(cs.gate_position(var) + 1 + body.index(lit))
 
     def const_unit(var: int) -> int:  # {var} for var = OR(z, -z)
-        z = gm[var].body[0]
-        return _unit(b, var, b.resolve(gate_dcl(var, -z), gate_dcl(var, z), z))
+        body = tuple(dict.fromkeys(body_of(var)))
+        z = body[0]
+        return _unit(b, var, b.resolve(gate_dcl(var, body, -z), gate_dcl(var, body, z), z))
 
     # Forcing: units[l] is the step deriving {l}.
-    gates = cs.circuit.gates
-    checker = sum(item.count if isinstance(item, GateFamily) else 1 for item in cs.verdict)
-    tt, *forced = gates[: len(gates) - checker]
-    units = {tt.var: const_unit(tt.var)}
-    for g in forced:
-        body = tuple(dict.fromkeys(g.body))
-        wit = next((l for l in body if l in units), None)
-        if wit is not None:
-            step = b.resolve_lit(units[wit], gate_dcl(g.var, wit), wit)
-            units[g.var] = _unit(b, g.var, step)
-        elif all(-l in units for l in body):
-            step = gate_big(g.var)
-            for l in body:
-                step = b.resolve_lit(units[-l], step, -l)
-            units[-g.var] = _unit(b, -g.var, step)
+    walk = cs.gate_walk()
+    tt, _ = next(walk)
+    units = {tt: const_unit(tt)}
+    for var, body in walk:
+        body = tuple(dict.fromkeys(body))
+        for wit in body:
+            if wit in units:
+                step = b.resolve_lit(units[wit], gate_dcl(var, body, wit), wit)
+                units[var] = _unit(b, var, step)
+                break
+        else:
+            if all(-l in units for l in body):
+                step = gate_big(var)
+                for l in body:
+                    step = b.resolve_lit(units[-l], step, -l)
+                units[-var] = _unit(b, -var, step)
 
     # Weakening witnesses from the negated verdict, their ids read off
     # the bodies of delta, w and l in the order gen_delta states.
     delta = cs.delta
+    delta_body = body_of(delta)
+    delta_distinct = tuple(dict.fromkeys(delta_body))
     neg_delta = b.axiom(cs.neg_delta_index)
     f_steps: list[int] = []
     final: Optional[int] = None
-    for clause, w_lit in zip(omega.clauses, gm[delta].body):
+    for clause, w_lit in zip(omega.clauses, delta_body):
         wv = -w_lit
-        w_unit = _unit(b, wv, b.resolve(gate_dcl(delta, w_lit), neg_delta, delta))
+        w_unit = _unit(b, wv, b.resolve(gate_dcl(delta, delta_distinct, w_lit), neg_delta, delta))
         cur = b.resolve(w_unit, gate_big(wv), wv)
+        w_body = body_of(wv)
         if not clause.literals:
             # This witness gate is the negated constant: contradiction.
-            const = -gm[wv].body[0]
+            const = -w_body[0]
             final = b.resolve(const_unit(const), cur, const)
             if b.clause(final) != EMPTY_CLAUSE:
                 raise TranslateError("translated refutation missed the empty clause")
             break
-        for lit, l_lit in zip(clause, gm[wv].body):
+        for lit, l_lit in zip(clause, w_body):
             lv = -l_lit
-            sv = -gm[lv].body[abs(lit) - 1]
-            step = b.resolve(gate_dcl(lv, -sv), gate_big(sv), sv)
-            for l in gm[sv].body:
+            l_body = body_of(lv)
+            sv = -l_body[abs(lit) - 1]
+            step = b.resolve(gate_dcl(lv, tuple(dict.fromkeys(l_body)), -sv), gate_big(sv), sv)
+            for l in body_of(sv):
                 if -l in units:  # the index bits, read off copy j's outputs
                     step = b.resolve_lit(units[-l], step, -l)
             if b.clause(step) != Clause((lv, -lit)):

@@ -1,7 +1,7 @@
 import pytest
 
 from implres import translate
-from implres.circuits import gate_group, item_gates
+from implres.circuits import Carrier, gate_group, item_gates
 from implres.families import contradiction_pair, php, tseitin_cycle, two_var_unsat
 from implres.formulas import Clause, ClauseSet
 from implres.proofs import Axiom, ResolutionProof
@@ -74,11 +74,14 @@ def view_oracle():
 
 @pytest.fixture(scope="session")
 def position_oracle():
-    """Check gate_position of a premise set (a Carrier or a Premises
-    view) against the same set built in full: every gate it lays out
-    has its clause group, wide clause first, at the position given
-    (the first place that wide clause occurs), and free variables, 0
-    and the ids just past n raise KeyError.  Returns the view."""
+    """Check gate_position and gate_body of a premise set (a Carrier or
+    a Premises view) against the same set built in full: every gate it
+    lays out has its clause group, wide clause first, at the position
+    given (the first place that wide clause occurs) and its body read
+    back, and free variables, 0 and the ids just past n raise KeyError.
+    A carrier's body of each gate id is its circuit's, and its layout
+    walk is its circuit's gates without the verdict block.  Returns the
+    view."""
 
     def check(generate):
         view = generate()
@@ -93,9 +96,20 @@ def position_oracle():
             p = view.gate_position(g.var)
             assert p == first[group[0]], g
             assert clauses[p:p + len(group)] == group, g
+            assert view.gate_body(g.var) == g.body, g
         for v in (*frees, 0, *range(view.n + 1, view.n + 64)):
             with pytest.raises(KeyError):
                 view.gate_position(v)
+            with pytest.raises(KeyError):
+                view.gate_body(v)
+        if isinstance(view, Carrier):
+            circuit = full.circuit
+            assert {v: view.gate_body(v) for v in circuit.gate_map()} == {
+                v: g.body for v, g in circuit.gate_map().items()
+            }
+            verdict = sum(len(item_gates(item)) for item in full.verdict)
+            head = circuit.gates[: len(circuit.gates) - verdict]
+            assert list(view.gate_walk()) == [(g.var, g.body) for g in head]
         return view
 
     return check

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implres import circuits, formulas, implicit, translate
+from implres import circuits, formulas, implicit, proofs, translate
 from implres.circuits import Circuit, Gate, Premises, gate_group, max_var
 from implres.correctness import gen_C
 from implres.families import php, tm_write_stay, tseitin_cycle
@@ -37,7 +37,7 @@ from implres.proofs import (
 from implres.prover import dpll_refute, proof_from_tree
 from implres.tableau import gen_tableau
 from implres.translate import er_to_implicit
-from test_certificate_mutants import reference_clauses
+from test_certificate_mutants import QUICK_VIA_E, reference_clauses
 
 VARS = 12
 literal = st.integers(-VARS, VARS).filter(bool)
@@ -476,3 +476,63 @@ def test_the_verifier_builds_no_gate_of_a_family(monkeypatch):
         assert len(carrier.laid) <= len(omega.clauses) + omega.n + 8
         assert len(built) <= len(omega.clauses) + 3
         built.clear()
+
+
+def test_the_producer_builds_no_carrier_circuit(monkeypatch):
+    """er_to_implicit reads C(omega, beta') by position and id, as the
+    verifier does: the carrier it refutes never builds its circuit, and
+    the only gates made are beta''s own and gen_C's tt, constant, w
+    gates and delta, none of a family or a copy.  Run on dpll's
+    refutation of php(4, 3) and on the quick-start set refuted through
+    e = OR(1, 2)."""
+    made, built = [], []
+    real_gen, real_post = translate.gen_C, Gate.__post_init__
+
+    def generate(*args):
+        made.append(real_gen(*args))
+        return made[-1]
+
+    def post_init(gate):
+        built.append(gate.var)
+        real_post(gate)
+
+    monkeypatch.setattr(translate, "gen_C", generate)
+    php43 = php(4, 3)
+    for omega, pi in (
+        (php43, ERProof(Circuit(), proof_from_tree(php43, dpll_refute(php43).tree))),
+        QUICK_VIA_E,
+    ):
+        made.clear()
+        built.clear()
+        monkeypatch.setattr(Gate, "__post_init__", post_init)
+        ir = er_to_implicit(omega, pi)
+        monkeypatch.setattr(Gate, "__post_init__", real_post)
+        (carrier,) = (bundle.clauses for bundle in made)
+        assert "circuit" not in vars(carrier)
+        assert len(built) <= len(ir.beta.gates) + len(omega.clauses) + 3
+        assert verify_implicit(ir)
+
+
+@pytest.mark.parametrize("skew", ["two literals", "opposite unit"])
+def test_a_forced_step_that_is_not_its_unit_is_refused(monkeypatch, skew):
+    """_unit checks each forced step by length and membership: a first
+    forcing step that comes out as its gate's two-literal wide clause,
+    or as the opposite unit, stops the translation."""
+
+    class Skewed(proofs.ProofBuilder):
+        skewed = False
+
+        def resolve_lit(self, holder, other, lit):
+            step = super().resolve_lit(holder, other, lit)
+            if self.skewed:
+                return step
+            self.skewed = True
+            if skew == "two literals":
+                return other
+            return self._push(self.steps[step], Clause(tuple(-l for l in self.clause(step))))
+
+    monkeypatch.setattr(translate, "ProofBuilder", Skewed)
+    omega = tseitin_cycle(4)
+    pi = ERProof(Circuit(), proof_from_tree(omega, dpll_refute(omega).tree))
+    with pytest.raises(translate.TranslateError, match="^expected unit "):
+        er_to_implicit(omega, pi)

@@ -33,7 +33,7 @@ from implres.encoding import (
     tree_to_circuit,
     window_bits,
 )
-from implres.families import not_search, php, tseitin_cycle
+from implres.families import contradiction_pair, not_search, php, tseitin_cycle, two_var_unsat
 from implres.formulas import Clause, ClauseSet, brute_force_sat
 from implres.proofs import ERProof, er_premises
 from implres.prover import balance_tree, dpll_refute, proof_from_tree
@@ -282,13 +282,14 @@ def test_lazy_carrier_equals_the_materialized_set_on_grafts(omega, view_oracle):
 
 @pytest.mark.parametrize(
     "omega",
-    [tseitin_cycle(12), php(4, 3), tseitin_cycle(4), php(3, 2)],
-    ids=["tseitin12", "php43", "tseitin4", "php32"],
+    [tseitin_cycle(12), php(4, 3), tseitin_cycle(4), php(3, 2), contradiction_pair(), two_var_unsat()],
+    ids=["tseitin12", "php43", "tseitin4", "php32", "omega1", "omega2"],
 )
 def test_gate_position_matches_the_materialized_set_on_grafts(omega, position_oracle):
     """The canonical carrier an ER simulation starts from and the one
-    it grows: every gate's group sits where gate_position says, and
-    asking builds nothing in full."""
+    it grows: every gate's group sits where gate_position says, its
+    body reads back through gate_body, and asking builds nothing in
+    full."""
     pi = ERProof(Circuit((), (), ()), proof_from_tree(omega, dpll_refute(omega).tree))
     ir = er_to_implicit(omega, pi)
     for beta, iface in (canonical_tree_circuit(omega.n), (ir.beta, ir.iface)):

@@ -355,7 +355,8 @@ def test_lazy_carrier_equals_the_materialized_set_on_grids(fixture, view_oracle)
 )
 def test_gate_position_matches_the_materialized_set_on_grids(fixture, position_oracle):
     """Each grid and its graft: every gate's group sits where
-    gate_position says, and no carrier builds its clauses."""
+    gate_position says, its body reads back through gate_body, and no
+    carrier builds its clauses."""
     tm, tau, beta, iface = fixture()
     alpha = refute_tableau(gen_tableau(tm, tau, beta, iface))
     tr = graft_pq(tm, tau, beta, iface, empty_aux(alpha))
