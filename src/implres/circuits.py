@@ -19,7 +19,9 @@ one place its layout is stored.  The clause at a position comes from
 prefix sums of the items' clause counts and, in a family, from its one
 group size, or, in a copy, from its circuit's group sizes (one table
 that every copy of the circuit shares), and is built alone; each clause
-built is kept once, by position.  A ``Carrier`` is the Premises that
+built is kept once, by position.  A gate's body is read the same way,
+off its item, and ``item_bodies`` is the one expansion of an item into
+its gates' ids and bodies.  A ``Carrier`` is the Premises that
 ``assemble_carrier`` lays, plus the frees and verdict block that its
 items do not hold; delta is the verdict block's last gate.
 """
@@ -351,7 +353,10 @@ def item_bodies(item) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 
 def item_gates(item) -> tuple[Gate, ...]:
-    """The gates a laid gate, family or copy defines (item_bodies)."""
+    """The gates a laid gate, family or copy defines: a gate itself,
+    else built from item_bodies."""
+    if type(item) is Gate:
+        return (item,)
     return tuple(Gate(v, body) for v, body in item_bodies(item))
 
 
@@ -396,15 +401,16 @@ class Premises:
     (proofs.er_premises), so no Premises holds another.
 
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
-    ``clauses``) and answers ``gate_position`` and ``neg_delta_index``.
-    The clause at a position is found from prefix sums over runs of
-    items with one clause count (a divmod then names the item), then,
-    in a family, by a divmod over its group size, which names the gate
-    whose body alone is computed, or, in a copy, from its circuit's
-    group sizes, and built alone: offset 0 of a group is the wide
-    clause, offset i the clause of the i-th distinct body literal,
-    mapped through the copy map.  Each clause built is kept by
-    position, in this set's own memo.  Nothing is built in full until
+    ``clauses``) and answers ``gate_position``, ``gate_body`` and
+    ``neg_delta_index``; a gate's body is computed from the item found
+    at its position, as a clause is.  The clause at a position is found
+    from prefix sums over runs of items with one clause count (a divmod
+    then names the item), then, in a family, by a divmod over its group
+    size, which names the gate whose body alone is computed, or, in a
+    copy, from its circuit's group sizes, and built alone: offset 0 of
+    a group is the wide clause, offset i the clause of the i-th
+    distinct body literal, mapped through the copy map.  Each clause
+    built is kept by position, in this set's own memo.  Nothing is built in full until
     ``clauses`` or iteration reads it (the groups whole, as synthesis
     reads them), and once the tuple exists, indexing reads it."""
 
@@ -448,7 +454,10 @@ class Premises:
         """Every clause, each laid item's groups built whole."""
         out = []
         for item in self.laid:
-            if type(item) is Clause:
+            kind = type(item)
+            if kind is Gate:
+                out += gate_group(item.var, item.body)
+            elif kind is Clause:
                 out.append(item)
             else:
                 for v, body in item_bodies(item):
@@ -482,12 +491,15 @@ class Premises:
         clause = self._memo.get(p)
         if clause is not None:
             return clause
-        end = self._runs[0][-1]
-        if not 0 <= p < end:
-            raise IndexError(f"no clause at position {p} of {end}")
+        starts, firsts, sizes = self._runs
+        if not 0 <= p < starts[-1]:
+            raise IndexError(f"no clause at position {p} of {starts[-1]}")
         if "clauses" in self.__dict__:
             return self.clauses[p]
-        item, i, size = self._item_at(p)
+        r = bisect_right(starts, p) - 1
+        size = sizes[r]
+        t, i = divmod(p - starts[r], size)
+        item = self.laid[firsts[r] + t]
         kind = type(item)
         if kind is Clause:
             clause = item
@@ -514,21 +526,17 @@ class Premises:
 
     __getitem__ = clause
 
-    def _item_at(self, p: int) -> tuple[object, int, int]:
-        """The laid item holding position p, p's offset into the item's
-        clauses and the item's clause count, for 0 <= p < len."""
+    def gate_body(self, var: int) -> tuple[int, ...]:
+        """The body of the gate laid here that defines var, computed
+        from the item that holds gate_position(var), found in the run
+        table as ``clause`` finds it: a Gate's body, a family gate's
+        rule(var - base), or a copied gate's body under the copy map;
+        no Gate is made.  KeyError when no gate laid here defines var."""
+        p = self._starts[var]
         starts, firsts, sizes = self._runs
         r = bisect_right(starts, p) - 1
         t, i = divmod(p - starts[r], sizes[r])
-        return self.laid[firsts[r] + t], i, sizes[r]
-
-    def gate_body(self, var: int) -> tuple[int, ...]:
-        """The body of the gate laid here that defines var, computed
-        from its item at gate_position(var): a Gate's body, a family
-        gate's rule(var - base), or a copied gate's body under the copy
-        map; no Gate is made.  KeyError when no gate laid here defines
-        var."""
-        item, i, _ = self._item_at(self._starts[var])
+        item = self.laid[firsts[r] + t]
         kind = type(item)
         if kind is Gate:
             return item.body
