@@ -15,15 +15,16 @@ alone, so no gate of it is built unless its gates are asked for.
 Every premise set read by position is one ``Premises``: one flat
 sequence of laid items (gates, gate families, clauses taken as they
 stand, and copies of a circuit under a copy map) over n variables, the
-one place its layout is stored.  The clause at a position comes from
-prefix sums of the items' clause counts and, in a family, from its one
-group size, or, in a copy, from its circuit's group sizes (one table
-that every copy of the circuit shares), and is built alone; each clause
-built is kept once, by position.  A gate's body is read the same way,
-off its item, and ``item_bodies`` is the one expansion of an item into
-its gates' ids and bodies.  A ``Carrier`` is the Premises that
-``assemble_carrier`` lays, plus the frees and verdict block that its
-items do not hold; delta is the verdict block's last gate.
+one place its layout is stored.  One table of where each item's
+clauses start names the item that holds a position; within it, a
+family's one group size or a copy's circuit's group offsets (one table
+that every copy of the circuit shares) name the gate, and the clause
+is built alone; each clause built is kept once, by position.  A gate's
+body is read the same way, off its item, and ``item_bodies`` is the
+one expansion of an item into its gates' ids and bodies.  A
+``Carrier`` is the Premises that ``assemble_carrier`` lays, plus the
+frees and verdict block that its items do not hold; delta is the
+verdict block's last gate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, count, groupby
+from itertools import accumulate, count
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .formulas import (
@@ -282,12 +283,6 @@ def check_ports(
     return CircuitReport(True)
 
 
-def _gate_variables(gates: Iterable[Gate]) -> set[int]:
-    """The variables that occur in the clause groups of gates: each
-    gate's own (its wide clause holds it) and its body's."""
-    return {v for g in gates for v in (g.var, *map(abs, g.body))}
-
-
 @dataclass(frozen=True, eq=False)
 class Copy:
     """``circuit`` renamed under ``varmap``, a map of its variables.
@@ -313,7 +308,7 @@ class GateFamily:
     distinct literals, none on its own gate, so every group holds
     ``group`` clauses and gate t's starts at offset t * group.  Laid in
     a Premises, a family gives its gates' groups in index order, each
-    computed from t when it is read; ``gates`` builds them all.  Two
+    computed from t when it is read; item_bodies expands them all.  Two
     families are equal when their ids, rule and arguments are."""
 
     base: int
@@ -327,10 +322,6 @@ class GateFamily:
     @cached_property
     def group(self) -> int:
         return 1 + len(self.body(0))
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return item_gates(self)
 
 
 def item_bodies(item) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -402,16 +393,17 @@ class Premises:
 
     It reads like a ClauseSet (``n``, ``len``, indexing, iteration,
     ``clauses``) and answers ``gate_position``, ``gate_body`` and
-    ``neg_delta_index``; a gate's body is computed from the item found
-    at its position, as a clause is.  The clause at a position is found
-    from prefix sums over runs of items with one clause count (a divmod
-    then names the item), then, in a family, by a divmod over its group
-    size, which names the gate whose body alone is computed, or, in a
-    copy, from its circuit's group sizes, and built alone: offset 0 of
-    a group is the wide clause, offset i the clause of the i-th
-    distinct body literal, mapped through the copy map.  Each clause
-    built is kept by position, in this set's own memo.  Nothing is built in full until
-    ``clauses`` or iteration reads it (the groups whole, as synthesis
+    ``neg_delta_index``.  One table, ``_ends``, holds where each laid
+    item's clauses start, then the length, and every reader finds its
+    item there with one bisection.  Within the item, a family's gate is
+    named by a divmod over its group size and only its body is
+    computed; a copy's gate is found in its circuit's group offsets and
+    only the literals read are mapped.  Offset 0 of a group is the wide
+    clause, offset i the clause of the i-th distinct body literal.  A
+    gate's body is read off the item found at its position, as a clause
+    is.  Each clause built is kept by position, in this set's own memo.
+    Nothing is built in full until ``clauses`` or iteration reads it
+    (each item expanded by item_bodies into whole groups, as synthesis
     reads them), and once the tuple exists, indexing reads it."""
 
     laid: tuple
@@ -419,27 +411,15 @@ class Premises:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def _runs(self) -> tuple[list[int], list[int], list[int]]:
-        """The laid items in runs of one clause count: where each run's
-        clauses start (then the length), its first item (then the item
-        count) and its items' clause count."""
-        runs = [(size, len(list(run))) for size, run in groupby(map(clause_count, self.laid))]
-        starts = list(accumulate((size * k for size, k in runs), initial=0))
-        firsts = list(accumulate((k for _, k in runs), initial=0))
-        return starts, firsts, [size for size, _ in runs]
-
-    def _placed(self):
-        """Each laid item and the position where its clauses start."""
-        starts, firsts, sizes = self._runs
-        for r, size in enumerate(sizes):
-            for t in range(firsts[r], firsts[r + 1]):
-                yield self.laid[t], starts[r] + (t - firsts[r]) * size
+    def _ends(self) -> list[int]:
+        """Where each laid item's clauses start, then the length."""
+        return list(accumulate(map(clause_count, self.laid), initial=0))
 
     @cached_property
     def _starts(self) -> _GateStarts:
         """Where the group of each gate laid here starts."""
         starts = _GateStarts()
-        for item, at in self._placed():
+        for item, at in zip(self.laid, self._ends):
             if isinstance(item, Gate):
                 starts[item.var] = at
             elif isinstance(item, GateFamily):
@@ -454,10 +434,7 @@ class Premises:
         """Every clause, each laid item's groups built whole."""
         out = []
         for item in self.laid:
-            kind = type(item)
-            if kind is Gate:
-                out += gate_group(item.var, item.body)
-            elif kind is Clause:
+            if type(item) is Clause:
                 out.append(item)
             else:
                 for v, body in item_bodies(item):
@@ -465,7 +442,7 @@ class Premises:
         return ClauseSet(self.n, out).clauses
 
     def __len__(self) -> int:
-        return self._runs[0][-1]
+        return self._ends[-1]
 
     def __iter__(self):
         return iter(self.clauses)
@@ -473,16 +450,14 @@ class Premises:
     def variables(self) -> set[int]:
         """The variables that occur in some clause, read off the items
         without building a clause."""
-        laid = self.laid
-        used = _gate_variables(g for g in laid if type(g) is Gate)
-        for item in laid:
-            if type(item) is Copy:
-                used.update(map(item.varmap.__getitem__, _gate_variables(item.circuit.gates)))
-            elif type(item) is GateFamily:
-                used.update(range(item.base, item.base + item.count))
-                used.update(abs(l) for t in range(item.count) for l in item.body(t))
-            elif type(item) is Clause:
+        used = set()
+        for item in self.laid:
+            if type(item) is Clause:
                 used.update(map(abs, item._lits))
+            else:
+                for v, body in item_bodies(item):
+                    used.add(v)
+                    used.update(map(abs, body))
         return used
 
     def clause(self, p: int) -> Clause:
@@ -491,15 +466,13 @@ class Premises:
         clause = self._memo.get(p)
         if clause is not None:
             return clause
-        starts, firsts, sizes = self._runs
-        if not 0 <= p < starts[-1]:
-            raise IndexError(f"no clause at position {p} of {starts[-1]}")
+        ends = self._ends
+        if not 0 <= p < ends[-1]:
+            raise IndexError(f"no clause at position {p} of {ends[-1]}")
         if "clauses" in self.__dict__:
             return self.clauses[p]
-        r = bisect_right(starts, p) - 1
-        size = sizes[r]
-        t, i = divmod(p - starts[r], size)
-        item = self.laid[firsts[r] + t]
+        t = bisect_right(ends, p) - 1
+        item, i = self.laid[t], p - ends[t]
         kind = type(item)
         if kind is Clause:
             clause = item
@@ -507,19 +480,20 @@ class Premises:
             if i == 0:
                 clause = _wide_clause(item.var, item.body)
             else:
-                clause = _body_clause(item.var, _distinct_body(item.body, size)[i - 1])
+                lit = _distinct_body(item.body, ends[t + 1] - ends[t])[i - 1]
+                clause = _body_clause(item.var, lit)
         elif kind is GateFamily:  # gate t of the family: its body alone
             t, i = divmod(i, item.group)
             v, body = item.base + t, item.body(t)
             clause = _wide_clause(v, body) if i == 0 else _body_clause(v, body[i - 1])
         else:  # a Copy: gate t of its circuit, mapped; only the literals used
-            m, ends = item.varmap, item.circuit.group_ends
-            t = bisect_right(ends, i) - 1
-            g, i = item.circuit.gates[t], i - ends[t]
+            m, offsets = item.varmap, item.circuit.group_ends
+            t = bisect_right(offsets, i) - 1
+            g, i = item.circuit.gates[t], i - offsets[t]
             if i == 0:
                 clause = _wide_clause(m[g.var], [m[l] if l > 0 else -m[-l] for l in g.body])
             else:
-                lit = _distinct_body(g.body, ends[t + 1] - ends[t])[i - 1]
+                lit = _distinct_body(g.body, offsets[t + 1] - offsets[t])[i - 1]
                 clause = _body_clause(m[g.var], m[lit] if lit > 0 else -m[-lit])
         self._memo[p] = clause
         return clause
@@ -528,22 +502,21 @@ class Premises:
 
     def gate_body(self, var: int) -> tuple[int, ...]:
         """The body of the gate laid here that defines var, computed
-        from the item that holds gate_position(var), found in the run
-        table as ``clause`` finds it: a Gate's body, a family gate's
+        from the item that holds gate_position(var), found in the item
+        offsets as ``clause`` finds it: a Gate's body, a family gate's
         rule(var - base), or a copied gate's body under the copy map;
         no Gate is made.  KeyError when no gate laid here defines var."""
         p = self._starts[var]
-        starts, firsts, sizes = self._runs
-        r = bisect_right(starts, p) - 1
-        t, i = divmod(p - starts[r], sizes[r])
-        item = self.laid[firsts[r] + t]
+        ends = self._ends
+        t = bisect_right(ends, p) - 1
+        item = self.laid[t]
         kind = type(item)
         if kind is Gate:
             return item.body
         if kind is GateFamily:
             return item.body(var - item.base)
-        m, ends = item.varmap, item.circuit.group_ends
-        g = item.circuit.gates[bisect_right(ends, i) - 1]
+        m = item.varmap
+        g = item.circuit.gates[bisect_right(item.circuit.group_ends, p - ends[t]) - 1]
         return tuple([m[l] if l > 0 else -m[-l] for l in g.body])
 
     def gate_position(self, var: int) -> int:
@@ -558,7 +531,7 @@ class Premises:
         """The first clause laid as it stands: the unit {-delta} in a
         Carrier, in gen_correct's set and in a set laid over either, but
         a ClauseSet's first clause in er_premises over it."""
-        for item, at in self._placed():
+        for item, at in zip(self.laid, self._ends):
             if isinstance(item, Clause):
                 return at
         raise ValueError("no clause is laid as it stands")

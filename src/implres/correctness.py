@@ -57,6 +57,7 @@ from .circuits import (
     VarAlloc,
     assemble_carrier,
     max_var,
+    validate_circuit,
 )
 from .encoding import TreeInterface, bit, check_interface, output_width
 from .formulas import Clause, ClauseSet
@@ -202,6 +203,12 @@ class SearchProblem:
 
 
 def check_search_problem(sp: SearchProblem) -> CircuitReport:
+    """Both circuits are valid (gen_correct lays their gates, whose
+    clause counts assume it) and share exactly the x and y blocks."""
+    for name, c in (("algorithm", sp.algorithm), ("checker", sp.checker)):
+        rep = validate_circuit(c)
+        if not rep:
+            return CircuitReport(False, f"invalid {name}: {rep.reason}")
     if len(sp.xs) != sp.n or len(set(sp.xs)) != sp.n:
         return CircuitReport(False, "bad input block")
     if tuple(sp.algorithm.free) != sp.xs:

@@ -67,7 +67,7 @@ def standalone_lambda(n):
     own, z_i = i, with every window cell an output; and the cell table,
     cell (i - 1)(n + 1) + j of the family being u_{i,j}."""
     tt, cells = gen_lambda(n, VarAlloc(n + 1), tuple(range(1, n + 1)))
-    gates = cells.gates
+    gates = item_gates(cells)
     grid = {(t // (n + 1) + 1, t % (n + 1)): g.var for t, g in enumerate(gates)}
     return Circuit(tuple(range(1, n + 1)), (tt, *gates), tuple(grid.values())), grid
 
@@ -196,6 +196,28 @@ def test_search_problem_shape_checks():
     assert brute_force_sat(correct) is None  # bitwise NOT always passes the checker
 
 
+def _first_gate_rewired(c, reads_later):
+    """c with its first gate reading itself, or the gate after it."""
+    first, second = c.gates[:2]
+    body = (second.var,) if reads_later else (first.var,)
+    return Circuit(c.free, (Gate(first.var, body), *c.gates[1:]), c.outputs)
+
+
+@pytest.mark.parametrize("reads_later", [False, True], ids=["self-citing", "later-gate"])
+def test_gen_correct_refuses_an_invalid_circuit(reads_later):
+    """An algorithm or checker gate that cites itself or reads a later
+    gate is refused, naming the circuit: the laid clause counts assume
+    valid gates, and a self-citing gate 3 = OR(3) counts two clauses
+    where its group holds one."""
+    sp = not_search(2)
+    algo = _first_gate_rewired(sp.algorithm, reads_later)
+    checker = _first_gate_rewired(sp.checker, reads_later)
+    with pytest.raises(CorrectnessError, match="invalid algorithm: gate 3"):
+        gen_correct(SearchProblem(sp.n, sp.xs, sp.ys, algo, sp.checker))
+    with pytest.raises(CorrectnessError, match="invalid checker: gate 5"):
+        gen_correct(SearchProblem(sp.n, sp.xs, sp.ys, sp.algorithm, checker))
+
+
 def test_gen_correct_catches_buggy_algorithm():
     sp = not_search(2, buggy=True)
     correct = gen_correct(sp)
@@ -263,6 +285,29 @@ def test_er_premises_over_a_view_lays_one_flat_sequence(omega2, view_oracle, pos
     for oracle in (view_oracle, position_oracle):
         assert "clauses" not in vars(oracle(premises))
     assert view.neg_delta_index == carrier.neg_delta_index
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [php(4, 3), tseitin_cycle(12), tseitin_cycle(128)],
+    ids=["php43", "tseitin12", "tseitin128"],
+)
+def test_er_premises_over_a_clause_set_read_by_position(omega, view_oracle, position_oracle):
+    """er_premises over a ClauseSet lays each of its clauses as an item
+    of one clause, then the aux gates: one over two of omega's
+    variables and one whose body repeats a literal.  Every clause and
+    gate group is where the materialized set has it, the first aux
+    gate's group starts right after omega, and the first clause laid
+    as it stands is omega's first."""
+    e = omega.n + 1
+    aux = Circuit((1, 2), (Gate(e, (1, -2)), Gate(e + 1, (-e, 2, -e))), ())
+    for oracle in (view_oracle, position_oracle):
+        view = oracle(lambda: er_premises(omega, aux))
+        assert "clauses" not in vars(view)
+    assert len(view.laid) == len(omega) + 2
+    assert view.gate_position(e) == len(omega)
+    assert view.gate_position(e + 1) == len(omega) + 3
+    assert view.neg_delta_index == 0
 
 
 @pytest.mark.parametrize(
