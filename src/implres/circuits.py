@@ -21,7 +21,8 @@ family's one group size or a copy's circuit's group offsets (one table
 that every copy of the circuit shares) name the gate, and the clause
 is built alone; each clause built is kept once, by position.  A gate's
 body is read the same way, off its item, and ``item_bodies`` is the
-one expansion of an item into its gates' ids and bodies.  A
+one expansion of an item into its gates' ids and bodies, as
+``group_rows`` is of a gate into its group's literals.  A
 ``Carrier`` is the Premises that ``assemble_carrier`` lays, plus the
 frees and verdict block that its items do not hold; delta is the
 verdict block's last gate.
@@ -32,12 +33,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .formulas import (
     Clause,
     ClauseSet,
+    FormulaError,
     canonical_clause,
     check_literals,
     derived_clause,
@@ -145,20 +147,32 @@ def gate_group(v: int, body: tuple[int, ...]) -> tuple[Clause, ...]:
 
     Order is fixed: the wide clause first, then one two-literal clause
     per distinct body literal in body order.  The wide clause is left
-    unordered (``derived_clause``); the duplicate check reads stored
-    tuples, and only a clause of a body literal on v itself can repeat
-    the wide clause."""
-    wide = _wide_clause(v, body)
-    out = [wide]
+    unordered (``derived_clause``), each other clause is in canonical
+    order; the literals are group_rows'."""
+    rows = group_rows(v, body)
+    return (derived_clause(next(rows)), *map(canonical_clause, rows))
+
+
+def group_rows(v: int, body: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The literals of each clause of gate_group(v, body), in its
+    order, with no Clause made: the one expansion of a gate into its
+    group.  The wide clause's are unordered, every other's canonical.
+    The duplicate check reads those tuples, and only a clause of a body
+    literal on v itself can repeat the wide clause."""
+    wide = {-v, *body}
+    yield tuple(wide)
     seen = set()
     for lit in body:
-        cl = _body_clause(v, lit)
-        if abs(lit) == v and cl == wide:
-            continue
-        if cl._lits not in seen:
-            seen.add(cl._lits)
-            out.append(cl)
-    return tuple(out)
+        u = abs(lit)
+        if u == v:  # a body citing its own gate; validate_circuit rejects it
+            row = tuple(sorted({v, -lit}))
+            if set(row) == wide:
+                continue
+        else:  # as _body_clause orients it
+            row = (-lit, v) if u < v else (v, -lit)
+        if row not in seen:
+            seen.add(row)
+            yield row
 
 
 def _distinct_body(body: tuple[int, ...], group_len: int) -> tuple[int, ...]:
@@ -403,8 +417,10 @@ class Premises:
     gate's body is read off the item found at its position, as a clause
     is.  Each clause built is kept by position, in this set's own memo.
     Nothing is built in full until ``clauses`` or iteration reads it
-    (each item expanded by item_bodies into whole groups, as synthesis
-    reads them), and once the tuple exists, indexing reads it."""
+    (each item expanded by item_bodies into whole groups, as gen-c
+    writes them), and once the tuple exists, indexing reads it.
+    ``rows`` gives every clause's literals off the same expansion with
+    no Clause made: the branching refuter's engine reads them."""
 
     laid: tuple
     n: int
@@ -440,6 +456,23 @@ class Premises:
                 for v, body in item_bodies(item):
                     out += gate_group(v, body)
         return ClauseSet(self.n, out).clauses
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """The literals of every clause, by position, with no Clause
+        made: a laid Clause's stored tuple, each gate's group_rows over
+        item_bodies.  FormulaError, as ClauseSet gives, when a variable
+        exceeds n."""
+        rows = []
+        for item in self.laid:
+            if type(item) is Clause:
+                rows.append(item._lits)
+            else:
+                for v, body in item_bodies(item):
+                    rows += group_rows(v, body)
+        top = max(map(abs, chain.from_iterable(rows)), default=0)
+        if top > self.n:
+            raise FormulaError(f"variable {top} out of range 1..{self.n}")
+        return rows
 
     def __len__(self) -> int:
         return self._ends[-1]

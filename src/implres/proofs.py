@@ -303,10 +303,16 @@ class ProofBuilder:
     axioms, is written with it once.  Only a tree-like build (prove's
     proof_from_tree) makes every leaf with ``raw_axiom``; it cites
     each step at most once, so no key can repeat there and its output
-    is a tree.  ``premises`` is read by index alone.  A resolution that
-    import_proof records unreplayed holds no clause (None).  extract
-    drops the resolution map: a build continued after it records its
-    later resolutions afresh.
+    is a tree.  ``premises`` is read by index alone.
+
+    A resolution recorded by resolve_lazy holds no clause (None): one
+    that import_proof records unreplayed, or one inside a level's chain
+    in branch_refute, which resolves the chain in its own set and gives
+    the chain's last step its literals.  ``clause`` computes a missing
+    clause from its parents when it is read, and keeps it; ``resolve``
+    and ``resolve_opt`` read a parent through it.  extract drops the
+    resolution map: a build continued after it records its later
+    resolutions afresh.
     """
 
     def __init__(self, premises: ClauseSet):
@@ -322,7 +328,30 @@ class ProofBuilder:
         return len(self.steps) - 1
 
     def clause(self, step_id: int) -> Clause:
-        return self.clauses[step_id]
+        """The step's clause; a resolution recorded with none has it
+        computed from its parents' here, and kept.  The fill walks the
+        unfilled ancestors with a stack, not by recursion: a chain of
+        them is as long as a level's trail."""
+        clauses = self.clauses
+        clause = clauses[step_id]
+        if clause is None:
+            steps, stack = self.steps, [step_id]
+            while stack:
+                top = stack[-1]
+                if clauses[top] is not None:
+                    stack.pop()
+                    continue
+                step = steps[top]
+                left, right = clauses[step.left], clauses[step.right]
+                if left is None:
+                    stack.append(step.left)
+                elif right is None:
+                    stack.append(step.right)
+                else:
+                    clauses[top] = resolve_clauses(left, right, step.pivot)
+                    stack.pop()
+            clause = clauses[step_id]
+        return clause
 
     def raw_axiom(self, index: int) -> int:
         return self._push(Axiom(index), self.premises[index])
@@ -338,7 +367,13 @@ class ProofBuilder:
         key = (left, right, pivot)
         step = self._resolutions.get(key)
         if step is None:
-            clause = resolve_clauses(self.clauses[left], self.clauses[right], pivot)
+            clauses = self.clauses
+            lhs, rhs = clauses[left], clauses[right]
+            if lhs is None:
+                lhs = self.clause(left)
+            if rhs is None:
+                rhs = self.clause(right)
+            clause = resolve_clauses(lhs, rhs, pivot)
             step = self._resolutions[key] = self._push(Resolve(left, right, pivot), clause)
         return step
 
@@ -349,6 +384,18 @@ class ProofBuilder:
         -lit: the side holding the positive pivot goes left."""
         return (holder, other, lit) if lit > 0 else (other, holder, -lit)
 
+    def resolve_lazy(self, holder: int, other: int, lit: int) -> int:
+        """The step resolve_lit gives, with no clause computed: the one
+        already recorded under its key, else a new one that holds no
+        clause (None) until ``clause`` reads it.  For a caller that
+        knows the pivot is on both sides: import_proof, and
+        branch_refute, which holds the resolvent itself."""
+        key = self._oriented(holder, other, lit)
+        step = self._resolutions.get(key)
+        if step is None:
+            step = self._resolutions[key] = self._push(Resolve(*key), None)
+        return step
+
     def resolve_lit(self, holder: int, other: int, lit: int) -> int:
         """Resolve on the variable of lit, ordered by _oriented."""
         return self.resolve(*self._oriented(holder, other, lit))
@@ -357,9 +404,11 @@ class ProofBuilder:
         """Resolve on lit as resolve_lit does, or alias the side already
         missing its literal: holder when it lacks lit, other when it
         lacks -lit."""
-        if lit not in self.clauses[holder]:
+        clauses = self.clauses
+        lhs, rhs = clauses[holder], clauses[other]
+        if lit not in (self.clause(holder) if lhs is None else lhs):
             return holder
-        if -lit not in self.clauses[other]:
+        if -lit not in (self.clause(other) if rhs is None else rhs):
             return other
         return self.resolve_lit(holder, other, lit)
 
@@ -395,7 +444,6 @@ class ProofBuilder:
         that repeats a subproof comes out with it once.
         """
         local: list[int] = []
-        resolutions = self._resolutions
         replay = any(type(step) is Weaken for step in proof.steps)
         for step in proof.steps:
             kind = type(step)
@@ -406,11 +454,7 @@ class ProofBuilder:
             elif replay:
                 local.append(self.resolve_opt(local[step.left], local[step.right], varmap[step.pivot]))
             else:
-                key = self._oriented(local[step.left], local[step.right], varmap[step.pivot])
-                at = resolutions.get(key)
-                if at is None:
-                    at = resolutions[key] = self._push(Resolve(*key), None)
-                local.append(at)
+                local.append(self.resolve_lazy(local[step.left], local[step.right], varmap[step.pivot]))
         final = local[-1]
         if self.clauses[final] is None:
             self.clauses[final] = EMPTY_CLAUSE
@@ -449,24 +493,32 @@ class UnitPropagation:
     number of clauses no assigned literal satisfies) and the queue of
     clauses that may be unit.  Searches drive it through ``assign`` or
     ``assume``, ``next_unit`` or ``propagate``, and ``undo``.
+
+    ``rows`` holds each premise's literals by position: a ClauseSet's
+    stored tuples, or a Premises' rows, read off its laid items
+    (Premises.rows), so a carrier is never built in full.
     """
 
     def __init__(self, premises: ClauseSet):
-        self.clauses = [c._lits for c in premises.clauses]
-        self.size = [len(lits) for lits in self.clauses]
+        if isinstance(premises, Premises):
+            rows = premises.rows()
+        else:
+            rows = [c._lits for c in premises.clauses]
+        self.rows = rows
+        self.size = [len(lits) for lits in rows]
         self.occur: dict[int, list[int]] = {}
-        for idx, lits in enumerate(self.clauses):
+        for idx, lits in enumerate(rows):
             for lit in lits:
                 self.occur.setdefault(lit, []).append(idx)
         self.value: dict[int, bool] = {}
         self.reason: dict[int, Optional[int]] = {}
         self.trail: list[int] = []
-        self.n_false = [0] * len(self.clauses)
-        self.n_sat = [0] * len(self.clauses)
-        self.open = len(self.clauses)
+        self.n_false = [0] * len(rows)
+        self.n_sat = [0] * len(rows)
+        self.open = len(rows)
         self.empty_conflict: Optional[int] = None
         self.pending: list[int] = []
-        for idx, lits in enumerate(self.clauses):
+        for idx, lits in enumerate(rows):
             if not lits and self.empty_conflict is None:
                 self.empty_conflict = idx
             elif len(lits) == 1:
@@ -476,39 +528,47 @@ class UnitPropagation:
         return len(self.trail)
 
     def undo(self, mark: int):
-        while len(self.trail) > mark:
-            lit = self.trail.pop()
-            del self.value[abs(lit)]
-            del self.reason[abs(lit)]
-            for idx in self.occur.get(lit, ()):
-                self.n_sat[idx] -= 1
-                if self.n_sat[idx] == 0:
-                    self.open += 1
-                    if self.size[idx] - self.n_false[idx] == 1:
-                        self.pending.append(idx)
-            for idx in self.occur.get(-lit, ()):
-                self.n_false[idx] -= 1
-                if self.n_sat[idx] == 0 and self.size[idx] - self.n_false[idx] == 1:
-                    self.pending.append(idx)
+        trail, value, reason, occur = self.trail, self.value, self.reason, self.occur
+        n_sat, n_false, size, pending = self.n_sat, self.n_false, self.size, self.pending
+        opened = 0
+        while len(trail) > mark:
+            lit = trail.pop()
+            del value[abs(lit)]
+            del reason[abs(lit)]
+            for idx in occur.get(lit, ()):
+                n_sat[idx] -= 1
+                if n_sat[idx] == 0:
+                    opened += 1
+                    if size[idx] - n_false[idx] == 1:
+                        pending.append(idx)
+            for idx in occur.get(-lit, ()):
+                n_false[idx] -= 1
+                if n_sat[idx] == 0 and size[idx] - n_false[idx] == 1:
+                    pending.append(idx)
+        self.open += opened
 
     def assign(self, lit: int, reason: Optional[int] = None) -> Optional[int]:
         """Assign a literal true; returns a conflicting clause index."""
         self.value[abs(lit)] = lit > 0
         self.reason[abs(lit)] = reason
         self.trail.append(lit)
-        for idx in self.occur.get(lit, ()):
-            self.n_sat[idx] += 1
-            if self.n_sat[idx] == 1:
-                self.open -= 1
+        n_sat, occur = self.n_sat, self.occur
+        closed = 0
+        for idx in occur.get(lit, ()):
+            n_sat[idx] += 1
+            if n_sat[idx] == 1:
+                closed += 1
+        self.open -= closed
+        n_false, size, pending = self.n_false, self.size, self.pending
         conflict = None
-        for idx in self.occur.get(-lit, ()):
-            self.n_false[idx] += 1
-            if self.n_sat[idx] == 0:
-                remaining = self.size[idx] - self.n_false[idx]
+        for idx in occur.get(-lit, ()):
+            n_false[idx] += 1
+            if n_sat[idx] == 0:
+                remaining = size[idx] - n_false[idx]
                 if remaining == 0 and conflict is None:
                     conflict = idx
                 elif remaining == 1:
-                    self.pending.append(idx)
+                    pending.append(idx)
         return conflict
 
     def next_unit(self) -> Optional[int]:
@@ -522,7 +582,7 @@ class UnitPropagation:
         while pending:
             idx = pending[-1]
             if self.n_sat[idx] == 0 and self.size[idx] - self.n_false[idx] == 1:
-                for lit in self.clauses[idx]:
+                for lit in self.rows[idx]:
                     if abs(lit) not in self.value:
                         return lit
             pending.pop()
@@ -563,38 +623,61 @@ def branch_refute(premises: ClauseSet, variables: tuple[int, ...]) -> Resolution
     first, past those propagation has set; OpenLeaf at a leaf with no
     conflict.  Each side resolves its own propagated literals out, once,
     against their reasons (Zhang and Malik, DATE 2003); a side whose
-    clause then lacks its branch literal refutes the level alone."""
+    clause then lacks its branch literal refutes the level alone.  The
+    engine reads the premises' rows (UnitPropagation), and the builder
+    builds only the premises cited."""
     up = UnitPropagation(premises)
     b = ProofBuilder(premises)
-    return b.extract(_settled(up, b, variables, 0, 0, up.propagate()))
+    return b.extract(_settled(up, b, variables, 0, 0, up.propagate())[0])
 
 
 def _settled(
     up: UnitPropagation, b: ProofBuilder, variables: tuple[int, ...],
     depth: int, mark: int, conflict: Optional[int],
-) -> int:
+) -> tuple[int, set[int]]:
     """The conflict clause, else the branching of variables[depth:], with
-    the literals propagated since ``mark`` resolved out.  Module level:
-    a recursive closure is a cycle that keeps the premises alive."""
+    the literals propagated since ``mark`` resolved out: its step and
+    its literals, one set the caller takes over.
+
+    The level's set is resolved in place (_resolvent into it), so each
+    step of the chain costs its reason's size, not the clause's.  Each
+    step is still recorded, or found under its key, by
+    ProofBuilder.resolve_lazy, which leaves a new one's clause unbuilt;
+    the last step of the level is given the set's literals.  Module
+    level: a recursive closure is a cycle that keeps the premises
+    alive."""
+    rows = up.rows
     if conflict is not None:
-        cur = b.axiom(conflict)
+        cur, work = b.axiom(conflict), set(rows[conflict])
     else:
         while depth < len(variables) and variables[depth] in up.value:
             depth += 1
         if depth == len(variables):
             raise OpenLeaf(tuple(int(up.value[v]) for v in variables))
         var, below = variables[depth], up.mark()
-        cur = _settled(up, b, variables, depth + 1, below, up.assume(-var))
+        cur, work = _settled(up, b, variables, depth + 1, below, up.assume(-var))
         up.undo(below)
-        if var in b.clause(cur):  # else the false side alone refutes the level
-            other = _settled(up, b, variables, depth + 1, below, up.assume(var))
+        if var in work:  # else the false side alone refutes the level
+            other, lits = _settled(up, b, variables, depth + 1, below, up.assume(var))
             up.undo(below)
-            cur = b.resolve_opt(cur, other, var)
+            if -var not in lits:  # the true side alone refutes the level
+                cur, work = other, lits
+            else:
+                cur = b.resolve_lazy(cur, other, var)
+                work = _resolvent(work, lits, var, work if len(work) >= len(lits) else lits)
+    reason_of = up.reason
     for lit in reversed(up.trail[mark:]):
-        reason = up.reason[abs(lit)]
-        if reason is not None and -lit in b.clause(cur):
-            cur = b.resolve_lit(b.axiom(reason), cur, lit)
-    return cur
+        reason = reason_of[abs(lit)]
+        if reason is not None and -lit in work:
+            cur = b.resolve_lazy(b.axiom(reason), cur, lit)
+            row = rows[reason]
+            if lit > 0:
+                _resolvent(row, work, lit, work)
+            else:
+                _resolvent(work, row, -lit, work)
+    if b.clauses[cur] is None:
+        b.clauses[cur] = derived_clause(work)
+    return cur, work
 
 
 def serialize_proof(proof: ResolutionProof, n_premises: int) -> str:

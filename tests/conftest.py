@@ -3,8 +3,8 @@ import pytest
 from implres import translate
 from implres.circuits import Carrier, gate_group, item_gates
 from implres.families import contradiction_pair, php, tseitin_cycle, two_var_unsat
-from implres.formulas import Clause, ClauseSet
-from implres.proofs import Axiom, ResolutionProof
+from implres.formulas import Clause, ClauseSet, derived_clause
+from implres.proofs import Axiom, ResolutionProof, UnitPropagation
 
 
 @pytest.fixture(scope="session")
@@ -80,13 +80,18 @@ def position_oracle():
     given (the first place that wide clause occurs) and its body read
     back, and free variables, 0 and the ids just past n raise KeyError.
     A carrier's body of each gate id is its circuit's, and its layout
-    walk is its circuit's gates without the verdict block.  Returns the
-    view."""
+    walk is its circuit's gates without the verdict block.  The
+    branching refuter's engine reads the view's rows, built off its
+    items without building the view in full, and they hold the full
+    set's clauses position by position.  Returns the view."""
 
     def check(generate):
         view = generate()
         full = generate()
         clauses = full.clauses
+        rows = UnitPropagation(view).rows
+        assert "clauses" not in vars(view)
+        assert list(map(derived_clause, rows)) == list(clauses)
         first = {}
         for p, c in enumerate(clauses):
             first.setdefault(c, p)

@@ -12,6 +12,7 @@ equal to the one its full clause tuple holds there.
 """
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,22 +21,25 @@ from hypothesis import strategies as st
 from implres import circuits, formulas, implicit, proofs, translate
 from implres.circuits import Circuit, Gate, Premises, gate_group, max_var
 from implres.correctness import gen_C
-from implres.families import php, tm_write_stay, tseitin_cycle
+from implres.families import php, tm_halt, tm_right_writer, tm_write_stay, tseitin_cycle
 from implres.formulas import Clause, ClauseSet, FormulaError, canonical_clause, derived_clause
-from implres.implicit import implicit_from_tree, verify_implicit
+from implres.implicit import implicit_from_tree, synthesize_alpha, verify_implicit
 from implres.proofs import (
     Axiom,
     ERProof,
+    ProofBuilder,
     ProofError,
     Resolve,
     ResolutionProof,
+    UnitPropagation,
     Weaken,
     check_proof,
     proof_clauses,
+    replay_steps,
     resolve_clauses,
 )
 from implres.prover import dpll_refute, proof_from_tree
-from implres.tableau import gen_tableau
+from implres.tableau import gen_tableau, refute_tableau
 from implres.translate import er_to_implicit
 from test_certificate_mutants import QUICK_VIA_E, reference_clauses
 
@@ -206,6 +210,17 @@ def test_clause_set_range_check_names_the_variable():
     with pytest.raises(FormulaError, match="variable 3 out of range"):
         ClauseSet(2, (Clause((1,)), Clause((1, -3))))
     assert len(ClauseSet(3, (Clause((1, -3)), Clause(())))) == 2
+
+
+def test_the_engine_range_checks_a_laid_set():
+    """The engine reads a Premises by its rows, built off the items,
+    and they are range checked as the full clause tuple is."""
+    over = Premises((Gate(3, (1, 2)), Clause((-3,))), 2)
+    for read in (lambda: over.clauses, over.rows, lambda: UnitPropagation(over)):
+        with pytest.raises(FormulaError, match="variable 3 out of range"):
+            read()
+    rows = UnitPropagation(Premises(over.laid, 3)).rows
+    assert list(map(set, rows)) == [{-3, 1, 2}, {-1, 3}, {-2, 3}, {-3}]
 
 
 @SETTINGS
@@ -405,6 +420,80 @@ def test_the_verifier_builds_no_clause_group(monkeypatch):
     assert read and "clauses" not in vars(carrier)
     full = gen_C(omega, ir.beta, ir.iface).clauses.clauses
     assert all(c.literals == full[p].literals for p, c in read.items())
+
+
+def branch_fixtures():
+    """(name, premises, branch variables) of the sets branch_refute
+    refutes in the tree route (encode's circuits of prove's trees) and
+    in the grid route (the three machine fixtures)."""
+    for omega, name in (*((tseitin_cycle(k), f"tseitin{k}") for k in range(4, 8)),
+                        (php(3, 2), "php32")):
+        ir = implicit_from_tree(omega, dpll_refute(omega).tree)
+        carrier = gen_C(omega, ir.beta, ir.iface).clauses
+        yield name, carrier, carrier.frees
+    for fixture in (tm_halt, tm_write_stay, tm_right_writer):
+        carrier = gen_tableau(*fixture()).clauses
+        yield fixture.__name__, carrier, carrier.frees
+
+
+def test_the_builder_clauses_are_the_replay(monkeypatch):
+    """Each step branch_refute records holds the clause the replay
+    recomputes: those its chains leave unbuilt too, once read.  Read
+    from the last step back, a read fills a whole chain at once."""
+    builders = []
+
+    class Recording(ProofBuilder):
+        def __init__(self, premises):
+            super().__init__(premises)
+            builders.append(self)
+
+    monkeypatch.setattr(proofs, "ProofBuilder", Recording)
+    for name, premises, frees in branch_fixtures():
+        builders.clear()
+        proofs.branch_refute(premises, frees)
+        (b,) = builders
+        assert None in b.clauses, name
+        want = replay_steps(premises, b.steps)
+        got = [b.clause(i) for i in reversed(range(len(b.steps)))][::-1]
+        assert got == want, name
+
+
+def test_a_chain_longer_than_the_recursion_limit_fills():
+    """A resolution chain of unbuilt steps, longer than the recursion
+    limit, fills from its end without recursing."""
+    k = sys.getrecursionlimit() + 100
+    cs = ClauseSet(k + 1, ((1,), *((-v, v + 1) for v in range(1, k + 1))))
+    b = ProofBuilder(cs)
+    cur = b.axiom(0)
+    for v in range(1, k + 1):
+        cur = b.resolve_lazy(cur, b.axiom(v), v)
+    assert b.clauses[cur] is None
+    assert b.clause(cur) == Clause((k + 1,))
+    assert b.clause(cur - 2) == Clause((k,))
+
+
+def test_the_branching_refuter_builds_no_carrier_in_full(monkeypatch):
+    """synthesize_alpha and refute_tableau read their carrier through
+    the engine's rows and the cited clauses alone: circuits.gate_group
+    is never called and the full clause tuple is never built, as for
+    the verifier."""
+    groups = []
+    real_group = circuits.gate_group
+
+    def group(*args):
+        groups.append(args)
+        return real_group(*args)
+
+    omega = tseitin_cycle(7)
+    ir = implicit_from_tree(omega, dpll_refute(omega).tree)
+    bundles = [gen_C(omega, ir.beta, ir.iface)]
+    bundles += [gen_tableau(*fixture()) for fixture in (tm_halt, tm_write_stay, tm_right_writer)]
+    monkeypatch.setattr(circuits, "gate_group", group)
+    assert synthesize_alpha(bundles[0]).steps == ir.alpha.steps
+    for bundle in bundles[1:]:
+        assert refute_tableau(bundle) is not None
+    assert groups == []
+    assert all("clauses" not in vars(bundle.clauses) for bundle in bundles)
 
 
 def held(view) -> int:

@@ -65,6 +65,8 @@ GOLDEN = {
         "34a8f338700d9b0d118b25a7a4f7c6ed7fb50a8fa9d12e48ee95cccee64e30f6",
     "cli-synth-tseitin4":
         "07735f6d2948e585c5eebed007f5efe705ad14261165904e4953b02c71e83b12",
+    "cli-synth-tseitin7":
+        "04f3834dcb590c01bc365a906325fec7a3a2a14f74f79ee4d495350c848d2461",
     "cli-prove-tseitin4":
         "2649c2f33f55cf5d4eceedc2565e4d2d645fa6dd8f25888597f598743355e4d2",
     "cli-gen-c-tseitin4":
@@ -157,9 +159,12 @@ def emb_refute_text():
     return "".join(out)
 
 
-def synth_text(tmp_path):
+def synth_text(omega, tmp_path):
+    """synth's certificate of encode's circuit of prove's tree: tseitin4
+    resolves chains of a few hundred steps out per level, tseitin7 of
+    a few thousand."""
     cnf = tmp_path / "omega.cnf"
-    cnf.write_text(serialize_dimacs(tseitin_cycle(4)))
+    cnf.write_text(serialize_dimacs(omega))
     work, out = tmp_path / "work", tmp_path / "synth"
     assert main(["prove", str(cnf), "-o", str(work)]) == 0
     assert main(["encode", str(work / "omega.dtree"), str(cnf), "-o", str(work)]) == 0
@@ -309,7 +314,8 @@ PRODUCERS = {
     "er_to_implicit-odd-clauses": lambda p: er_to_implicit_text(odd_clauses()),
     "search_translate-not4": lambda p: search_translate_text(4),
     "search_translate-not6": lambda p: search_translate_text(6),
-    "cli-synth-tseitin4": synth_text,
+    "cli-synth-tseitin4": lambda p: synth_text(tseitin_cycle(4), p),
+    "cli-synth-tseitin7": lambda p: synth_text(tseitin_cycle(7), p),
     "cli-prove-tseitin4": prove_text,
     "cli-gen-c-tseitin4": lambda p: gen_c_text(tseitin_cycle(4), p),
     "cli-gen-c-php32": lambda p: gen_c_text(php(3, 2), p),
