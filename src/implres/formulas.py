@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 
 class FormulaError(ValueError):
@@ -174,9 +174,34 @@ class ClauseSet:
     def __getitem__(self, i: int) -> Clause:
         return self.clauses[i]
 
+    def row(self, i: int) -> tuple[int, ...]:
+        """The stored literals of clause i, as Premises.row gives them."""
+        return self.clauses[i]._lits
+
+    def search_index(self) -> tuple[list[tuple[int, ...]], dict[int, list[int]]]:
+        """Every clause's stored literals and where each literal occurs,
+        ascending, as Premises.search_index gives them; the range was
+        checked when the set was made."""
+        rows = [c._lits for c in self.clauses]
+        return rows, occurrences(rows, 0, {})
+
     def variables(self) -> set[int]:
         """The variables that occur in some clause."""
         return {abs(lit) for c in self.clauses for lit in c._lits}
+
+
+def occurrences(rows: Sequence[Collection[int]], start: int, occur: dict) -> dict:
+    """Add each position from start on to the list, in occur, of every
+    literal of the row there; returns occur."""
+    get = occur.get
+    for idx in range(start, len(rows)):
+        for lit in rows[idx]:
+            where = get(lit)
+            if where is None:
+                occur[lit] = [idx]
+            else:
+                where.append(idx)
+    return occur
 
 
 def satisfies(assignment: dict[int, bool], clause: Clause) -> bool:

@@ -12,16 +12,17 @@ One replay loop (``_replay``) serves every check.  check_proof first
 records where each step is cited for the last time (``_last_citations``,
 after DRAT-trim's deletion information), and the replay drops each
 clause there, so it holds only the live part of the proof.  A step's
-literals are held as the stored tuple of a premise or a weakening, or
-as a set for a resolvent the replay built.  A resolution that is the
-last citation of such a set resolves into it in place, so stripping a
-wide clause one gate clause at a time costs the gate clauses' size,
-not the wide clause's at every step.  A premise's clause is never
-changed.  The replay reads only ``len``, ``in`` and the stored literals
-and orders no clause; replay_steps runs the same loop with no step
-dying and returns every clause as a ``Clause``, left unordered
-(``formulas.derived_clause``).  Weakening literals come from the proof
-and go through the validated ``Clause`` constructor.
+literals are held as a premise's row (``row``: a stored tuple, or a
+carrier's row read off its layout, with no Clause made) or a
+weakening's stored tuple, or as a set for a resolvent the replay
+built.  A resolution that is the last citation of such a set resolves
+into it in place, so stripping a wide clause one gate clause at a time
+costs the gate clauses' size, not the wide clause's at every step.  A
+premise's row is never changed.  The replay reads only ``len``, ``in``
+and the stored literals and orders no clause; replay_steps runs the
+same loop with no step dying and returns every clause as a ``Clause``,
+left unordered (``formulas.derived_clause``).  Weakening literals come
+from the proof and go through the validated ``Clause`` constructor.
 
 The step records ``Axiom``, ``Resolve`` and ``Weaken`` are slotted
 dataclasses.  They are mutable only because that makes them cheap to
@@ -155,12 +156,13 @@ def _last_citations(steps: Sequence[Step]) -> list[int]:
 def _replay(premises: ClauseSet, steps: Sequence[Step], last: Sequence[int]) -> list:
     """The replay loop: recompute every step's literals in order and
     raise _StepFailure at the first bad step.  Premises are read by
-    ``len`` and index alone, so a lazy carrier (circuits.Carrier)
-    builds only the ones cited.  A step is exactly one of the three
-    step classes; a subclass is an unknown kind.
+    ``len`` and ``row`` alone, so a lazy carrier (circuits.Carrier)
+    reads only the rows cited, makes no Clause of them and keeps none.
+    A step is exactly one of the three step classes; a subclass is an
+    unknown kind.
 
-    Entry i of the list returned holds step i's literals: the stored
-    tuple of a premise or of a weakening (which the validated Clause
+    Entry i of the list returned holds step i's literals: a premise's
+    row, the stored tuple of a weakening (which the validated Clause
     constructor makes), or a set for a resolvent built here.  Step i
     dies at step last[i]: its entry becomes None there, and a
     resolution that a resolvent's set dies at is resolved into that
@@ -169,7 +171,7 @@ def _replay(premises: ClauseSet, steps: Sequence[Step], last: Sequence[int]) -> 
     a resolvent is held as the set's tuple, which takes less memory."""
     count = len(premises)
     clauses: list = []
-    append, premise, resolve = clauses.append, premises.__getitem__, _resolvent
+    append, premise, resolve = clauses.append, premises.row, _resolvent
     for idx, step in enumerate(steps):
         kind = type(step)
         if kind is Resolve:
@@ -199,7 +201,7 @@ def _replay(premises: ClauseSet, steps: Sequence[Step], last: Sequence[int]) -> 
             index = step.index
             if not 0 <= index < count:
                 raise _StepFailure(idx, f"axiom index {index} out of range")
-            append(premise(index)._lits)
+            append(premise(index))
         elif kind is Weaken:
             source = step.source
             if not 0 <= source < idx:
@@ -305,14 +307,16 @@ class ProofBuilder:
     each step at most once, so no key can repeat there and its output
     is a tree.  ``premises`` is read by index alone.
 
-    A resolution recorded by resolve_lazy holds no clause (None): one
-    that import_proof records unreplayed, or one inside a level's chain
-    in branch_refute, which resolves the chain in its own set and gives
-    the chain's last step its literals.  ``clause`` computes a missing
-    clause from its parents when it is read, and keeps it; ``resolve``
-    and ``resolve_opt`` read a parent through it.  extract drops the
-    resolution map: a build continued after it records its later
-    resolutions afresh.
+    An axiom recorded by axiom_lazy holds no clause (None): each one
+    branch_refute cites.  So does a resolution recorded by
+    resolve_lazy: one that import_proof records unreplayed, or one
+    inside a level's chain in branch_refute, which resolves the chain
+    in its own set and gives the chain's last step its literals.
+    ``clause`` fills a missing clause when it is read, an axiom's from
+    the premises and a resolution's from its parents, and keeps it;
+    ``resolve`` and ``resolve_opt`` read a parent through it.  extract
+    drops the resolution map: a build continued after it records its
+    later resolutions afresh.
     """
 
     def __init__(self, premises: ClauseSet):
@@ -328,10 +332,11 @@ class ProofBuilder:
         return len(self.steps) - 1
 
     def clause(self, step_id: int) -> Clause:
-        """The step's clause; a resolution recorded with none has it
-        computed from its parents' here, and kept.  The fill walks the
-        unfilled ancestors with a stack, not by recursion: a chain of
-        them is as long as a level's trail."""
+        """The step's clause; a step recorded with none has it filled
+        here, and kept: an axiom's from the premises, a resolution's
+        from its parents'.  The fill walks the unfilled ancestors with a
+        stack, not by recursion: a chain of them is as long as a level's
+        trail."""
         clauses = self.clauses
         clause = clauses[step_id]
         if clause is None:
@@ -342,6 +347,10 @@ class ProofBuilder:
                     stack.pop()
                     continue
                 step = steps[top]
+                if type(step) is Axiom:
+                    clauses[top] = self.premises[step.index]
+                    stack.pop()
+                    continue
                 left, right = clauses[step.left], clauses[step.right]
                 if left is None:
                     stack.append(step.left)
@@ -360,6 +369,16 @@ class ProofBuilder:
         if index not in self._axioms:
             self._axioms[index] = self.raw_axiom(index)
         return self._axioms[index]
+
+    def axiom_lazy(self, index: int) -> int:
+        """The step axiom gives, with no clause built: the one already
+        recorded for index, else a new one that holds no clause (None)
+        until ``clause`` reads it.  For branch_refute, which reads a
+        cited premise's literals off the engine's rows instead."""
+        step = self._axioms.get(index)
+        if step is None:
+            step = self._axioms[index] = self._push(Axiom(index), None)
+        return step
 
     def resolve(self, left: int, right: int, pivot: int) -> int:
         """The step resolving left and right on pivot: the one already
@@ -494,35 +513,26 @@ class UnitPropagation:
     clauses that may be unit.  Searches drive it through ``assign`` or
     ``assume``, ``next_unit`` or ``propagate``, and ``undo``.
 
-    ``rows`` holds each premise's literals by position: a ClauseSet's
-    stored tuples, or a Premises' rows, read off its laid items
-    (Premises.rows), so a carrier is never built in full.
+    ``rows`` holds each premise's literals by position and ``occur``
+    the positions of each literal, ascending, the order in which
+    ``assign`` and ``undo`` visit them: both come from the premises'
+    ``search_index``, a ClauseSet's off its stored tuples, a Premises'
+    off its laid items, each copy's renamed from its circuit's row
+    template, so a carrier is never built in full and no Clause is
+    made.
     """
 
     def __init__(self, premises: ClauseSet):
-        if isinstance(premises, Premises):
-            rows = premises.rows()
-        else:
-            rows = [c._lits for c in premises.clauses]
-        self.rows = rows
-        self.size = [len(lits) for lits in rows]
-        self.occur: dict[int, list[int]] = {}
-        for idx, lits in enumerate(rows):
-            for lit in lits:
-                self.occur.setdefault(lit, []).append(idx)
+        self.rows, self.occur = premises.search_index()
+        self.size = size = list(map(len, self.rows))
         self.value: dict[int, bool] = {}
         self.reason: dict[int, Optional[int]] = {}
         self.trail: list[int] = []
-        self.n_false = [0] * len(rows)
-        self.n_sat = [0] * len(rows)
-        self.open = len(rows)
-        self.empty_conflict: Optional[int] = None
-        self.pending: list[int] = []
-        for idx, lits in enumerate(rows):
-            if not lits and self.empty_conflict is None:
-                self.empty_conflict = idx
-            elif len(lits) == 1:
-                self.pending.append(idx)
+        self.n_false = [0] * len(size)
+        self.n_sat = [0] * len(size)
+        self.open = len(size)
+        self.empty_conflict: Optional[int] = size.index(0) if 0 in size else None
+        self.pending: list[int] = [idx for idx, k in enumerate(size) if k == 1]
 
     def mark(self) -> int:
         return len(self.trail)
@@ -625,7 +635,7 @@ def branch_refute(premises: ClauseSet, variables: tuple[int, ...]) -> Resolution
     against their reasons (Zhang and Malik, DATE 2003); a side whose
     clause then lacks its branch literal refutes the level alone.  The
     engine reads the premises' rows (UnitPropagation), and the builder
-    builds only the premises cited."""
+    records each cited premise without building its clause."""
     up = UnitPropagation(premises)
     b = ProofBuilder(premises)
     return b.extract(_settled(up, b, variables, 0, 0, up.propagate())[0])
@@ -642,13 +652,14 @@ def _settled(
     The level's set is resolved in place (_resolvent into it), so each
     step of the chain costs its reason's size, not the clause's.  Each
     step is still recorded, or found under its key, by
-    ProofBuilder.resolve_lazy, which leaves a new one's clause unbuilt;
-    the last step of the level is given the set's literals.  Module
+    ProofBuilder.resolve_lazy, and each cited premise by axiom_lazy,
+    which leave a new one's clause unbuilt; the last resolution of the
+    level is given the set's literals.  Module
     level: a recursive closure is a cycle that keeps the premises
     alive."""
     rows = up.rows
     if conflict is not None:
-        cur, work = b.axiom(conflict), set(rows[conflict])
+        cur, work = b.axiom_lazy(conflict), set(rows[conflict])
     else:
         while depth < len(variables) and variables[depth] in up.value:
             depth += 1
@@ -669,13 +680,13 @@ def _settled(
     for lit in reversed(up.trail[mark:]):
         reason = reason_of[abs(lit)]
         if reason is not None and -lit in work:
-            cur = b.resolve_lazy(b.axiom(reason), cur, lit)
+            cur = b.resolve_lazy(b.axiom_lazy(reason), cur, lit)
             row = rows[reason]
             if lit > 0:
                 _resolvent(row, work, lit, work)
             else:
                 _resolvent(work, row, -lit, work)
-    if b.clauses[cur] is None:
+    if b.clauses[cur] is None and type(b.steps[cur]) is Resolve:
         b.clauses[cur] = derived_clause(work)
     return cur, work
 

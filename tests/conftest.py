@@ -81,17 +81,34 @@ def position_oracle():
     back, and free variables, 0 and the ids just past n raise KeyError.
     A carrier's body of each gate id is its circuit's, and its layout
     walk is its circuit's gates without the verdict block.  The
-    branching refuter's engine reads the view's rows, built off its
-    items without building the view in full, and they hold the full
-    set's clauses position by position.  Returns the view."""
+    branching refuter's engine reads the view's search index, built off
+    its items without building the view in full: its rows hold the full
+    set's clauses position by position, and its sizes and occurrence
+    lists are those a loop over the full clause tuple builds, each
+    list ascending.  ``row`` reads the literals of every position
+    alone, nothing built or kept, and IndexError at -1 and at the
+    length.  Returns the view."""
 
     def check(generate):
         view = generate()
         full = generate()
         clauses = full.clauses
-        rows = UnitPropagation(view).rows
+        engine = UnitPropagation(view)
         assert "clauses" not in vars(view)
-        assert list(map(derived_clause, rows)) == list(clauses)
+        assert list(map(derived_clause, engine.rows)) == list(clauses)
+        occur = {}
+        for p, c in enumerate(clauses):
+            for lit in c:
+                occur.setdefault(lit, []).append(p)
+        assert engine.occur == occur
+        assert engine.size == [len(c) for c in clauses]
+        rows = [view.row(p) for p in range(len(clauses))]
+        assert [set(row) for row in rows] == [set(c) for c in clauses]
+        assert [len(row) for row in rows] == engine.size
+        for p in (-1, len(clauses)):
+            with pytest.raises(IndexError):
+                view.row(p)
+        assert "clauses" not in vars(view) and view._memo == {}
         first = {}
         for p, c in enumerate(clauses):
             first.setdefault(c, p)

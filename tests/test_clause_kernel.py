@@ -213,14 +213,25 @@ def test_clause_set_range_check_names_the_variable():
 
 
 def test_the_engine_range_checks_a_laid_set():
-    """The engine reads a Premises by its rows, built off the items,
-    and they are range checked as the full clause tuple is."""
+    """The engine reads a Premises by its search index, built off the
+    items, and it is range checked as the full clause tuple is."""
     over = Premises((Gate(3, (1, 2)), Clause((-3,))), 2)
-    for read in (lambda: over.clauses, over.rows, lambda: UnitPropagation(over)):
+    for read in (lambda: over.clauses, over.search_index, lambda: UnitPropagation(over)):
         with pytest.raises(FormulaError, match="variable 3 out of range"):
             read()
     rows = UnitPropagation(Premises(over.laid, 3)).rows
     assert list(map(set, rows)) == [{-3, 1, 2}, {-1, 3}, {-2, 3}, {-3}]
+
+
+def test_a_clause_set_reads_its_stored_tuples():
+    """A ClauseSet's row is its clause's stored tuple, and its search
+    index is the one a Premises laying the same clauses gives."""
+    cs = ClauseSet(3, (Clause((2, -1)), derived_clause((3, -2, 1)), Clause(()), Clause((-3,))))
+    assert all(cs.row(i) is c._lits for i, c in enumerate(cs.clauses))
+    rows, occur = cs.search_index()
+    assert all(row is c._lits for row, c in zip(rows, cs.clauses))
+    assert (rows, occur) == Premises(cs.clauses, cs.n).search_index()
+    assert occur == {-1: [0], 2: [0], 3: [1], -2: [1], 1: [1], -3: [3]}
 
 
 @SETTINGS
@@ -395,12 +406,13 @@ def test_a_carrier_builds_the_clause_at_a_position_alone(generate):
 
 def test_the_verifier_builds_no_clause_group(monkeypatch):
     """verify_implicit of a synthesized certificate reads each cited
-    premise alone: circuits.gate_group, which builds a gate's whole
-    clause group, is never called, and no premise it read changes."""
+    premise alone, as a row: circuits.gate_group, which builds a gate's
+    whole clause group, is never called, and every row read holds the
+    literals the full clause tuple holds there."""
     omega = tseitin_cycle(7)
     ir = implicit_from_tree(omega, dpll_refute(omega).tree)
-    groups, made = [], []
-    real_group, real_gen = circuits.gate_group, implicit.gen_C
+    groups, made, read = [], [], []
+    real_group, real_gen, real_row = circuits.gate_group, implicit.gen_C, Premises.row
 
     def group(*args):
         groups.append(args)
@@ -410,16 +422,20 @@ def test_the_verifier_builds_no_clause_group(monkeypatch):
         made.append(real_gen(*args))
         return made[-1]
 
+    def row(view, p):
+        read.append((p, real_row(view, p)))
+        return read[-1][1]
+
     monkeypatch.setattr(circuits, "gate_group", group)
     monkeypatch.setattr(implicit, "gen_C", generate)
+    monkeypatch.setattr(Premises, "row", row)
     assert verify_implicit(ir)
     assert groups == []
     monkeypatch.undo()
     carrier = made[0].clauses
-    read = carrier._memo
     assert read and "clauses" not in vars(carrier)
     full = gen_C(omega, ir.beta, ir.iface).clauses.clauses
-    assert all(c.literals == full[p].literals for p, c in read.items())
+    assert all(set(lits) == set(full[p]._lits) for p, lits in read)
 
 
 def branch_fixtures():
@@ -460,40 +476,74 @@ def test_the_builder_clauses_are_the_replay(monkeypatch):
 
 def test_a_chain_longer_than_the_recursion_limit_fills():
     """A resolution chain of unbuilt steps, longer than the recursion
-    limit, fills from its end without recursing."""
+    limit, fills from its end without recursing.  Its axioms, recorded
+    by axiom_lazy with no clause too, are filled with the premise each
+    cites."""
     k = sys.getrecursionlimit() + 100
     cs = ClauseSet(k + 1, ((1,), *((-v, v + 1) for v in range(1, k + 1))))
     b = ProofBuilder(cs)
-    cur = b.axiom(0)
+    cur = b.axiom_lazy(0)
     for v in range(1, k + 1):
-        cur = b.resolve_lazy(cur, b.axiom(v), v)
+        cur = b.resolve_lazy(cur, b.axiom_lazy(v), v)
     assert b.clauses[cur] is None
+    assert all(b.clauses[b.axiom_lazy(v)] is None for v in range(k + 1))
     assert b.clause(cur) == Clause((k + 1,))
     assert b.clause(cur - 2) == Clause((k,))
+    assert all(b.clauses[b.axiom(v)] is cs[v] for v in range(k + 1))
+
+
+def test_a_lazy_axiom_reads_its_premise():
+    """An axiom step recorded by axiom_lazy holds no clause until
+    ProofBuilder.clause reads it, alone or as a resolution's parent,
+    and then holds premises[i]: a carrier's clause at i, read through
+    Premises.clause.  axiom gives the same step."""
+    omega = tseitin_cycle(4)
+    ir = implicit_from_tree(omega, dpll_refute(omega).tree)
+    carrier = gen_C(omega, ir.beta, ir.iface).clauses
+    b = ProofBuilder(carrier)
+    v = carrier.copy_maps[0][ir.beta.gates[0].var]
+    p = carrier.gate_position(v)
+    # the first body literal's clause holds v, the wide clause -v
+    body, wide = b.axiom_lazy(p + 1), b.axiom_lazy(p)
+    assert b.clauses[body] is None and b.clauses[wide] is None and carrier._memo == {}
+    step = b.resolve_lazy(body, wide, v)
+    assert b.clause(step) == resolve_clauses(carrier[p + 1], carrier[p], v)
+    assert b.clauses[body] is carrier[p + 1] and b.clauses[wide] is carrier[p]
+    lone = b.axiom_lazy(p + 2)
+    assert b.clause(lone) is carrier[p + 2]
+    assert b.axiom(p + 2) == lone and b.axiom(p) == wide
 
 
 def test_the_branching_refuter_builds_no_carrier_in_full(monkeypatch):
     """synthesize_alpha and refute_tableau read their carrier through
-    the engine's rows and the cited clauses alone: circuits.gate_group
-    is never called and the full clause tuple is never built, as for
-    the verifier."""
-    groups = []
-    real_group = circuits.gate_group
+    the engine's search index alone: circuits.gate_group is never
+    called, the full clause tuple is never built, as for the verifier,
+    and no premise is built as a clause (Premises.clause is never
+    called), though every axiom of the refutation cites one."""
+    groups, built = [], []
+    real_group, real_clause = circuits.gate_group, Premises.clause
 
     def group(*args):
         groups.append(args)
         return real_group(*args)
+
+    def clause(view, p):
+        built.append(p)
+        return real_clause(view, p)
 
     omega = tseitin_cycle(7)
     ir = implicit_from_tree(omega, dpll_refute(omega).tree)
     bundles = [gen_C(omega, ir.beta, ir.iface)]
     bundles += [gen_tableau(*fixture()) for fixture in (tm_halt, tm_write_stay, tm_right_writer)]
     monkeypatch.setattr(circuits, "gate_group", group)
+    monkeypatch.setattr(Premises, "clause", clause)
+    monkeypatch.setattr(Premises, "__getitem__", clause)
     assert synthesize_alpha(bundles[0]).steps == ir.alpha.steps
     for bundle in bundles[1:]:
         assert refute_tableau(bundle) is not None
-    assert groups == []
+    assert groups == [] and built == []
     assert all("clauses" not in vars(bundle.clauses) for bundle in bundles)
+    assert all(bundle.clauses._memo == {} for bundle in bundles)
 
 
 def held(view) -> int:
@@ -507,29 +557,38 @@ def held(view) -> int:
     return count
 
 
-def test_the_verifier_keeps_each_cited_premise_once(monkeypatch):
-    """After verify_implicit, the carrier it replayed against holds one
-    clause per distinct position its certificate cites, and no view it
-    reads through keeps a second copy."""
+def test_the_verifier_keeps_no_premise(monkeypatch):
+    """verify_implicit reads each cited premise as its row
+    (Premises.row) and keeps none: Premises.clause is never called,
+    and after the replay the carrier's memo, and that of every view it
+    reads through, is empty, for a synthesized certificate and for a
+    translated one."""
     omega = tseitin_cycle(7)
-    made = []
-    real_gen = implicit.gen_C
+    made, built = [], []
+    real_gen, real_clause = implicit.gen_C, Premises.clause
 
     def generate(*args):
         made.append(real_gen(*args))
         return made[-1]
 
-    monkeypatch.setattr(implicit, "gen_C", generate)
-    for ir in (
+    def clause(view, p):
+        built.append(p)
+        return real_clause(view, p)
+
+    irs = (
         implicit_from_tree(omega, dpll_refute(omega).tree),
         er_to_implicit(omega, ERProof(Circuit(), proof_from_tree(omega, dpll_refute(omega).tree))),
-    ):
+    )
+    monkeypatch.setattr(implicit, "gen_C", generate)
+    monkeypatch.setattr(Premises, "clause", clause)
+    monkeypatch.setattr(Premises, "__getitem__", clause)
+    for ir in irs:
         made.clear()
         assert verify_implicit(ir)
-        cited = {s.index for s in ir.alpha.steps if type(s) is Axiom}
         carrier = made[0].clauses
-        assert set(carrier._memo) == cited
-        assert held(carrier) == len(cited)
+        assert carrier._memo == {}
+        assert held(carrier) == 0
+    assert built == []
 
 
 def test_the_verifier_builds_no_gate_of_a_family(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from implres.circuits import (
     Circuit,
+    Copy,
     Gate,
     Premises,
     VarAlloc,
@@ -340,6 +341,28 @@ def test_gate_position_matches_the_materialized_set_on_grafts(omega, position_or
     for beta, iface in (canonical_tree_circuit(omega.n), (ir.beta, ir.iface)):
         view = position_oracle(lambda: gen_C(omega, beta, iface).clauses)
         assert "clauses" not in vars(view) and "circuit" not in vars(view)
+
+
+def test_signed_copies_read_by_position(view_oracle, position_oracle):
+    """Copies whose bodies read negated variables: the carrier that
+    translate-er grows for the quick-start set refuted through
+    e = OR(1, 2), whose auxiliary the truth-definition step renames
+    under p -> -z_p to read -z_1 and -z_2, and a copy laid under a
+    signed map itself, each read by position, by gate and by the
+    engine as the materialized set has them."""
+    from test_certificate_mutants import QUICK_VIA_E
+
+    omega, pi = QUICK_VIA_E
+    ir = er_to_implicit(omega, pi)
+    assert ir.beta.gates[-1].body == (-1, -2)
+    circuit = Circuit((1, 2), (Gate(3, (1, -2)), Gate(4, (-3, 2, 1))), (4,))
+    varmap = {1: -5, 2: 6, 3: 7, 4: 8}
+    for generate in (
+        lambda: gen_C(omega, ir.beta, ir.iface).clauses,
+        lambda: Premises((Copy(circuit, varmap), Clause((-8,))), 8),
+    ):
+        for oracle in (view_oracle, position_oracle):
+            assert "clauses" not in vars(oracle(generate))
 
 
 def signed(draw, pool):
