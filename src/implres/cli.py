@@ -27,6 +27,7 @@ from .correctness import (
 from .encoding import EncodingError, interface_from_circuit, tree_to_circuit
 from .formulas import FormulaError, brute_force_sat, parse_dimacs, serialize_dimacs
 from .implicit import (
+    SYNTH_MAX_VARS,
     ImplicitError,
     ImplicitRefutation,
     load_implicit,
@@ -113,6 +114,11 @@ def cmd_encode(args) -> int:
     cs = parse_dimacs(_read(args.cnf))
     tree = parse_dtree(_read(args.dtree), cs)
     args.inputs0 = args.dtree
+    if cs.n > SYNTH_MAX_VARS:
+        raise ImplicitError(
+            f"encode capped at {SYNTH_MAX_VARS} variables, synth's cap, got {cs.n}: "
+            "the balanced tree has 2^n leaves; certify larger trees with translate-er"
+        )
     balanced = balance_tree(tree, tuple(range(1, cs.n + 1)))
     beta, _ = tree_to_circuit(balanced, cs.n)
     path = _out(args, ".circ")

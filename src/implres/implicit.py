@@ -108,15 +108,20 @@ def verify_implicit(ir: ImplicitRefutation) -> VerifyReport:
     )
 
 
+# synth branches every z variable, and encode's balanced tree has 2^n
+# leaves, so both refuse n past this
+SYNTH_MAX_VARS = 16
+
+
 def synthesize_alpha(bundle: CorrectnessBundle) -> ResolutionProof:
     """Refute the generated set C(omega, beta) by branching its frees,
     the z variables, in ascending order (proofs.branch_refute); a leaf
     where propagation finds no conflict raises proofs.OpenLeaf, whose
     ``bits`` address a leaf clause that weakens no member of omega."""
     cs = bundle.clauses
-    if len(cs.frees) > 16:
+    if len(cs.frees) > SYNTH_MAX_VARS:
         raise ImplicitError(
-            f"synthesis capped at 16 branch variables, got {len(cs.frees)}; "
+            f"synthesis capped at {SYNTH_MAX_VARS} branch variables, got {len(cs.frees)}; "
             "certify larger trees with translate-er"
         )
     return branch_refute(cs, cs.frees)

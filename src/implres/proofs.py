@@ -507,11 +507,14 @@ class ProofBuilder:
 class UnitPropagation:
     """Counter-based unit propagation with reason logging and undo.
 
-    One engine owns the whole state of a search: the assignment and its
-    trail, per-clause counts of true and false literals, ``open`` (the
-    number of clauses no assigned literal satisfies) and the queue of
-    clauses that may be unit.  Searches drive it through ``assign`` or
-    ``assume``, ``next_unit`` or ``propagate``, and ``undo``.
+    The engine keeps the assignment and its trail, the reason of each
+    propagated literal, and per clause one count, ``free``: how many of
+    its literals are not false.  A clause whose count drops to 1 has
+    one literal that is not false; the clause is a unit when that
+    literal is unassigned and satisfied when it is true, so ``assign``
+    reads the row at that moment and queues the clause only if it is a
+    unit.  A clause whose count drops to 0 is a conflict.  ``assign``
+    and ``undo`` visit only the clauses of the literal set false.
 
     ``rows`` holds each premise's literals by position and ``occur``
     the positions of each literal, ascending, the order in which
@@ -524,77 +527,75 @@ class UnitPropagation:
 
     def __init__(self, premises: ClauseSet):
         self.rows, self.occur = premises.search_index()
-        self.size = size = list(map(len, self.rows))
+        self.free = free = list(map(len, self.rows))
         self.value: dict[int, bool] = {}
         self.reason: dict[int, Optional[int]] = {}
         self.trail: list[int] = []
-        self.n_false = [0] * len(size)
-        self.n_sat = [0] * len(size)
-        self.open = len(size)
-        self.empty_conflict: Optional[int] = size.index(0) if 0 in size else None
-        self.pending: list[int] = [idx for idx, k in enumerate(size) if k == 1]
+        self.empty_conflict: Optional[int] = free.index(0) if 0 in free else None
+        self.pending: list[int] = [idx for idx, k in enumerate(free) if k == 1]
 
     def mark(self) -> int:
         return len(self.trail)
 
     def undo(self, mark: int):
-        trail, value, reason, occur = self.trail, self.value, self.reason, self.occur
-        n_sat, n_false, size, pending = self.n_sat, self.n_false, self.size, self.pending
-        opened = 0
+        """Unassign the trail back to ``mark`` and empty the queue.
+
+        ``mark`` must be settled: taken where ``propagate`` had returned
+        None, so the queue was empty and no clause was a unit.  Undoing
+        to it restores that state, and every clause that becomes a unit
+        afterwards is queued by ``assign`` above any entry older than
+        the undo, so no entry held across it can name a unit: the queue
+        is cleared rather than refilled."""
+        trail, value, reason, occur, free = (
+            self.trail, self.value, self.reason, self.occur, self.free)
         while len(trail) > mark:
             lit = trail.pop()
             del value[abs(lit)]
             del reason[abs(lit)]
-            for idx in occur.get(lit, ()):
-                n_sat[idx] -= 1
-                if n_sat[idx] == 0:
-                    opened += 1
-                    if size[idx] - n_false[idx] == 1:
-                        pending.append(idx)
             for idx in occur.get(-lit, ()):
-                n_false[idx] -= 1
-                if n_sat[idx] == 0 and size[idx] - n_false[idx] == 1:
-                    pending.append(idx)
-        self.open += opened
+                free[idx] += 1
+        self.pending.clear()
 
     def assign(self, lit: int, reason: Optional[int] = None) -> Optional[int]:
-        """Assign a literal true; returns a conflicting clause index."""
-        self.value[abs(lit)] = lit > 0
+        """Assign a literal true; returns the first clause, in ascending
+        position, that it leaves with every literal false."""
+        value = self.value
+        value[abs(lit)] = lit > 0
         self.reason[abs(lit)] = reason
         self.trail.append(lit)
-        n_sat, occur = self.n_sat, self.occur
-        closed = 0
-        for idx in occur.get(lit, ()):
-            n_sat[idx] += 1
-            if n_sat[idx] == 1:
-                closed += 1
-        self.open -= closed
-        n_false, size, pending = self.n_false, self.size, self.pending
+        free, rows, pending = self.free, self.rows, self.pending
         conflict = None
-        for idx in occur.get(-lit, ()):
-            n_false[idx] += 1
-            if n_sat[idx] == 0:
-                remaining = size[idx] - n_false[idx]
-                if remaining == 0 and conflict is None:
-                    conflict = idx
-                elif remaining == 1:
-                    pending.append(idx)
+        for idx in self.occur.get(-lit, ()):
+            k = free[idx] - 1
+            free[idx] = k
+            if k == 1:
+                for other in rows[idx]:
+                    v = value.get(abs(other))
+                    if v is None:
+                        pending.append(idx)
+                        break
+                    if v == (other > 0):
+                        break
+            elif k == 0 and conflict is None:
+                conflict = idx
         return conflict
 
     def next_unit(self) -> Optional[int]:
         """The one unassigned literal of the unit clause on top of the
         queue, which stays queued; None when the queue holds no unit.
 
-        Stale entries (from undone assignments or satisfied clauses)
-        are dropped here, so the queue survives undo.
+        Entries whose clause has since been satisfied are dropped here.
         """
-        pending = self.pending
+        pending, free, rows, value = self.pending, self.free, self.rows, self.value
         while pending:
             idx = pending[-1]
-            if self.n_sat[idx] == 0 and self.size[idx] - self.n_false[idx] == 1:
-                for lit in self.rows[idx]:
-                    if abs(lit) not in self.value:
+            if free[idx] == 1:
+                for lit in rows[idx]:
+                    v = value.get(abs(lit))
+                    if v is None:
                         return lit
+                    if v == (lit > 0):
+                        break
             pending.pop()
         return None
 
@@ -635,7 +636,10 @@ def branch_refute(premises: ClauseSet, variables: tuple[int, ...]) -> Resolution
     against their reasons (Zhang and Malik, DATE 2003); a side whose
     clause then lacks its branch literal refutes the level alone.  The
     engine reads the premises' rows (UnitPropagation), and the builder
-    records each cited premise without building its clause."""
+    records each cited premise without building its clause.  Each level
+    branches at a settled mark, propagation having returned None there,
+    and undoes each side back to it, the one kind of mark
+    UnitPropagation.undo takes."""
     up = UnitPropagation(premises)
     b = ProofBuilder(premises)
     return b.extract(_settled(up, b, variables, 0, 0, up.propagate())[0])
@@ -654,9 +658,10 @@ def _settled(
     step is still recorded, or found under its key, by
     ProofBuilder.resolve_lazy, and each cited premise by axiom_lazy,
     which leave a new one's clause unbuilt; the last resolution of the
-    level is given the set's literals.  Module
-    level: a recursive closure is a cycle that keeps the premises
-    alive."""
+    level is given the set's literals.  With ``conflict`` None the
+    engine is settled: ``below``, the mark each side is undone to, has
+    an empty unit queue and no unit clause.  Module level: a recursive
+    closure is a cycle that keeps the premises alive."""
     rows = up.rows
     if conflict is not None:
         cur, work = b.axiom_lazy(conflict), set(rows[conflict])

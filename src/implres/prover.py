@@ -101,6 +101,66 @@ def proof_from_tree(premises: ClauseSet, tree: DecisionTree) -> ResolutionProof:
     return b.extract(final)
 
 
+class DpllPropagation(UnitPropagation):
+    """The branching search's engine: UnitPropagation plus what only
+    ``dpll_refute`` reads.  ``n_sat`` counts each clause's true
+    literals, for the branch order's test of a clause not yet
+    satisfied; ``open`` counts the clauses no assigned literal
+    satisfies, for the model check.  ``undo`` may go back to any mark,
+    one taken with units queued included: it queues each clause that a
+    step of the undo leaves a unit, so ``next_unit`` finds a unit
+    wherever one exists, and the branch choice reads them in that
+    order."""
+
+    def __init__(self, premises: ClauseSet):
+        super().__init__(premises)
+        self.n_sat = [0] * len(self.free)
+        self.open = len(self.free)
+
+    def undo(self, mark: int):
+        trail, value, reason, occur = self.trail, self.value, self.reason, self.occur
+        n_sat, free, pending = self.n_sat, self.free, self.pending
+        opened = 0
+        while len(trail) > mark:
+            lit = trail.pop()
+            del value[abs(lit)]
+            del reason[abs(lit)]
+            for idx in occur.get(lit, ()):
+                n_sat[idx] -= 1
+                if n_sat[idx] == 0:
+                    opened += 1
+                    if free[idx] == 1:
+                        pending.append(idx)
+            for idx in occur.get(-lit, ()):
+                free[idx] += 1
+                if n_sat[idx] == 0 and free[idx] == 1:
+                    pending.append(idx)
+        self.open += opened
+
+    def assign(self, lit: int, reason: Optional[int] = None) -> Optional[int]:
+        self.value[abs(lit)] = lit > 0
+        self.reason[abs(lit)] = reason
+        self.trail.append(lit)
+        n_sat, occur = self.n_sat, self.occur
+        closed = 0
+        for idx in occur.get(lit, ()):
+            n_sat[idx] += 1
+            if n_sat[idx] == 1:
+                closed += 1
+        self.open -= closed
+        free, pending = self.free, self.pending
+        conflict = None
+        for idx in occur.get(-lit, ()):
+            free[idx] -= 1
+            if n_sat[idx] == 0:
+                remaining = free[idx]
+                if remaining == 0 and conflict is None:
+                    conflict = idx
+                elif remaining == 1:
+                    pending.append(idx)
+        return conflict
+
+
 @dataclass(frozen=True)
 class DpllOutcome:
     tree: Optional[DecisionTree]
@@ -119,14 +179,16 @@ def dpll_refute(
     assignment wins (one branch kills it immediately), otherwise the
     first unassigned variable from ``order`` occurring in a clause not
     yet satisfied.  Left branch assigns the variable true.  One
-    ``UnitPropagation`` engine owns the search state (assignment,
+    ``DpllPropagation`` engine owns the search state (assignment,
     satisfied counts, open clauses, unit queue); the search only
-    assigns, undoes and reads it.
+    assigns, undoes and reads it.  It undoes to marks taken with units
+    queued, which the refuter's leaner ``UnitPropagation`` does not
+    allow.
     """
     if order is None:
         order = range(1, cs.n + 1)
     order = tuple(order)
-    engine = UnitPropagation(cs)
+    engine = DpllPropagation(cs)
     occur, n_sat = engine.occur, engine.n_sat
 
     def pick_order_var() -> Optional[int]:

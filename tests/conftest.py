@@ -83,9 +83,9 @@ def position_oracle():
     walk is its circuit's gates without the verdict block.  The
     branching refuter's engine reads the view's search index, built off
     its items without building the view in full: its rows hold the full
-    set's clauses position by position, and its sizes and occurrence
-    lists are those a loop over the full clause tuple builds, each
-    list ascending.  ``row`` reads the literals of every position
+    set's clauses position by position, its occurrence lists are those
+    a loop over the full clause tuple builds, each list ascending, and
+    each clause's count of literals not false starts at its size.  ``row`` reads the literals of every position
     alone, nothing built or kept, and IndexError at -1 and at the
     length.  Returns the view."""
 
@@ -101,10 +101,10 @@ def position_oracle():
             for lit in c:
                 occur.setdefault(lit, []).append(p)
         assert engine.occur == occur
-        assert engine.size == [len(c) for c in clauses]
+        assert engine.free == [len(c) for c in clauses]
         rows = [view.row(p) for p in range(len(clauses))]
         assert [set(row) for row in rows] == [set(c) for c in clauses]
-        assert [len(row) for row in rows] == engine.size
+        assert [len(row) for row in rows] == engine.free
         for p in (-1, len(clauses)):
             with pytest.raises(IndexError):
                 view.row(p)

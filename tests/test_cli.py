@@ -397,6 +397,23 @@ def test_synth_refusal_names_the_graft_route(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_encode_refuses_past_the_synthesis_cap(tmp_path, capsys):
+    """The dpll tree of the chain x1, xi -> xi+1, -x17 is a path, but
+    balancing it lays 2^17 leaves: encode refuses it before balancing,
+    naming the cap and the graft route, and writes nothing."""
+    n = 17
+    cnf = tmp_path / "chain.cnf"
+    cnf.write_text(serialize_dimacs(ClauseSet(
+        n, ((1,), *((-v, v + 1) for v in range(1, n)), (-n,)))))
+    assert run(["prove", cnf, "-o", tmp_path]) == 0
+    capsys.readouterr()
+    assert run(["encode", tmp_path / "chain.dtree", cnf, "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: encode capped at 16 variables")
+    assert "certify larger trees with translate-er" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,proof", [
     ("verify", "work/omega.rproof"), ("tableau-verify", "g.rproof"),
 ])

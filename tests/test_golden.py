@@ -67,6 +67,10 @@ GOLDEN = {
         "07735f6d2948e585c5eebed007f5efe705ad14261165904e4953b02c71e83b12",
     "cli-synth-tseitin7":
         "04f3834dcb590c01bc365a906325fec7a3a2a14f74f79ee4d495350c848d2461",
+    "cli-synth-php32":
+        "ada0d6aa59c5e4330e46ffab678cd76705cc409690a6b660f3aa03e9189042d9",
+    "cli-synth-random6":
+        "59e9b22793471744b1bea73e0058958c6b9cae8d9fd119a9043bae4916842109",
     "cli-prove-tseitin4":
         "2649c2f33f55cf5d4eceedc2565e4d2d645fa6dd8f25888597f598743355e4d2",
     "cli-gen-c-tseitin4":
@@ -162,7 +166,8 @@ def emb_refute_text():
 def synth_text(omega, tmp_path):
     """synth's certificate of encode's circuit of prove's tree: tseitin4
     resolves chains of a few hundred steps out per level, tseitin7 of
-    a few thousand."""
+    a few thousand; php(3, 2) and a seeded unsatisfiable random 3-CNF
+    over 6 variables are the benchmark's other synthesis inputs."""
     cnf = tmp_path / "omega.cnf"
     cnf.write_text(serialize_dimacs(omega))
     work, out = tmp_path / "work", tmp_path / "synth"
@@ -316,6 +321,8 @@ PRODUCERS = {
     "search_translate-not6": lambda p: search_translate_text(6),
     "cli-synth-tseitin4": lambda p: synth_text(tseitin_cycle(4), p),
     "cli-synth-tseitin7": lambda p: synth_text(tseitin_cycle(7), p),
+    "cli-synth-php32": lambda p: synth_text(php(3, 2), p),
+    "cli-synth-random6": lambda p: synth_text(random_3cnf(random.Random(10), 6, 30), p),
     "cli-prove-tseitin4": prove_text,
     "cli-gen-c-tseitin4": lambda p: gen_c_text(tseitin_cycle(4), p),
     "cli-gen-c-php32": lambda p: gen_c_text(php(3, 2), p),

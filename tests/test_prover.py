@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from implres.families import php, tm_halt, tm_right_writer, tm_write_stay, tseit
 from implres.formulas import Clause, ClauseSet, brute_force_sat, satisfies
 from implres.proofs import ERProof, Resolve, UnitPropagation, check_proof
 from implres.prover import (
+    DpllPropagation,
     Leaf,
     Node,
     ProverError,
@@ -19,6 +22,7 @@ from implres.prover import (
     tree_size,
 )
 from implres.tableau import gen_tableau, graft_pq, refute_tableau
+from test_clause_kernel import branch_fixtures
 from test_tableau import halting_grid
 
 
@@ -201,11 +205,12 @@ def _is_true(engine, lit):
 @settings(max_examples=300, deadline=None)
 @given(small_cnfs(), st.data())
 def test_engine_counts_open_clauses_and_finds_units(cs, data):
-    """Through random assign, propagate and undo steps, ``open`` is the
-    number of clauses no assigned literal satisfies, and ``next_unit``
-    names the one free literal of a clause with no true literal, or
-    finds none when no clause is unit."""
-    engine = UnitPropagation(cs)
+    """Through random assign, propagate and undo steps, undo going back
+    to any mark, dpll's engine keeps ``open`` the number of clauses no
+    assigned literal satisfies, and ``next_unit`` names the one free
+    literal of a clause with no true literal, or finds none when no
+    clause is unit."""
+    engine = DpllPropagation(cs)
     for _ in range(data.draw(st.integers(0, 12))):
         free = [v for v in range(1, cs.n + 1) if v not in engine.value]
         action = data.draw(st.sampled_from(("assign", "propagate", "undo")))
@@ -226,3 +231,61 @@ def test_engine_counts_open_clauses_and_finds_units(cs, data):
             clause = cs.clauses[engine.pending[-1]]
             assert not any(_is_true(engine, l) for l in clause)
             assert [l for l in clause if abs(l) not in engine.value] == [lit]
+
+
+def drive_in_step(premises, variables, steps, choose):
+    """Drive the refuter's engine and dpll's through one sequence of
+    assumptions over ``variables``, each propagated, and undos back to
+    a settled mark (one taken where propagate returned None), the only
+    marks branch_refute undoes to.  After every step both hold the same
+    trail, reasons, counts of literals not false and answer of
+    ``next_unit``, and each assumption meets the same conflict.
+    ``choose`` picks one item of a non-empty sequence."""
+    lean, full = UnitPropagation(premises), DpllPropagation(premises)
+
+    def same():
+        assert lean.trail == full.trail
+        assert lean.reason == full.reason
+        assert lean.free == full.free
+        assert lean.next_unit() == full.next_unit()
+
+    conflict = lean.propagate()
+    assert conflict == full.propagate()
+    same()
+    if conflict is not None:
+        return
+    settled = [lean.mark()]
+    for _ in range(steps):
+        unset = [v for v in variables if v not in lean.value]
+        if unset and choose((True, True, False)):
+            lit = choose(unset) * choose((1, -1))
+            conflict = lean.assume(lit)
+            assert conflict == full.assume(lit)
+            same()
+            if conflict is None:
+                settled.append(lean.mark())
+                continue
+        del settled[choose(range(len(settled))) + 1:]
+        lean.undo(settled[-1])
+        full.undo(settled[-1])
+        assert lean.pending == []
+        same()
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cnfs(), st.data())
+def test_the_refuters_engine_moves_as_dplls(cs, data):
+    """On small sets, units, tautologies, repeats and empty clauses
+    among them, the refuter's engine, which keeps no satisfied counts
+    and clears its queue on undo, propagates as dpll's does."""
+    drive_in_step(cs, range(1, cs.n + 1), 16, lambda xs: data.draw(st.sampled_from(xs)))
+
+
+def test_the_refuters_engine_moves_as_dplls_on_carriers():
+    """The same on the tree route's and the grid route's carriers,
+    assuming their frees and a few of their gate variables."""
+    for name, premises, frees in branch_fixtures():
+        rng = random.Random(name)
+        variables = sorted({*frees, *rng.sample(range(1, premises.n + 1), 8)})
+        for _ in range(6):
+            drive_in_step(premises, variables, 40, rng.choice)
